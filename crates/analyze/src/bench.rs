@@ -5,8 +5,6 @@
 //! the *ratio* metrics each bench reports are not — they divide out the
 //! host speed. So the check compares, per codec row:
 //!
-//! * `bench_exchange_engine.json` → `speedup` (parallel vs sequential
-//!   compression);
 //! * `bench_pipeline_overlap.json` → `overlap_ratio` (encode hidden under
 //!   backprop);
 //! * `bench_socket_exchange.json` → `frame_efficiency` (payload ÷ raw wire
@@ -22,7 +20,6 @@ use grace_telemetry::json::{self, Value};
 /// Ratio metrics (higher is better) gated per bench kind.
 fn gated_metrics(bench: &str) -> &'static [&'static str] {
     match bench {
-        "exchange_engine" => &["speedup"],
         "pipeline_overlap" => &["overlap_ratio"],
         "socket_exchange" => &["frame_efficiency"],
         // Fraction of untraced throughput retained with full tracing on.
@@ -254,18 +251,8 @@ mod tests {
     #[test]
     fn mismatched_bench_kinds_error() {
         let baseline = overlap_doc(0.75, None);
-        let current = r#"{"bench": "exchange_engine", "rows": []}"#;
+        let current = r#"{"bench": "socket_exchange", "rows": []}"#;
         assert!(check_bench_text(current, &baseline, 0.25).is_err());
-    }
-
-    #[test]
-    fn exchange_engine_gates_speedup() {
-        let base = r#"{"bench": "exchange_engine", "rows": [{"codec": "qsgd", "speedup": 0.9}]}"#;
-        let cur_ok = r#"{"bench": "exchange_engine", "rows": [{"codec": "qsgd", "speedup": 0.8}]}"#;
-        let cur_bad =
-            r#"{"bench": "exchange_engine", "rows": [{"codec": "qsgd", "speedup": 0.3}]}"#;
-        assert!(check_bench_text(cur_ok, base, 0.25).unwrap().ok());
-        assert!(!check_bench_text(cur_bad, base, 0.25).unwrap().ok());
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //!
 //! The workload streams a multi-bucket gradient sequence through
 //! `begin_step`/`submit`/`finish` the way the trainer does — one simulated
-//! backprop interval between tensors — and compares it with the one-shot
-//! `exchange()` over the same tensors. Three observables per codec:
+//! backprop interval between tensors — and compares it with the same
+//! session over a single-bucket plan (`one_shot_ms`: nothing seals before
+//! backprop ends). Three observables per codec:
 //!
 //! * `overlap_ratio` — the fraction of per-lane encode time spent on every
 //!   bucket except the stream's last, i.e. work that runs while backprop is
@@ -49,8 +50,7 @@ fn worker_grads(seed: u64) -> Vec<Vec<(String, Tensor)>> {
 }
 
 struct OverlapSample {
-    one_shot_ms: f64,
-    pipelined_ms: f64,
+    wall_ms: f64,
     overlap_ratio: f64,
     hidden_ms: f64,
     exposed_ms: f64,
@@ -58,27 +58,13 @@ struct OverlapSample {
     stages: StageHistograms,
 }
 
-fn measure(id: &str) -> OverlapSample {
+/// Streams the workload through sessions fused at `fusion_bytes`.
+fn measure(id: &str, fusion_bytes: usize) -> OverlapSample {
     let spec = registry::find(id).expect("compressor registered");
     let grads = worker_grads(29);
-
-    // One-shot reference: the whole stream exchanged after "backprop".
     let (mut cs, mut ms) = registry::build_fleet(&spec, WORKERS, 3);
     let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
-    for _ in 0..WARMUP {
-        std::hint::black_box(engine.exchange(grads.clone()));
-    }
-    let start = Instant::now();
-    for _ in 0..ITERS {
-        std::hint::black_box(engine.exchange(grads.clone()));
-    }
-    let one_shot_ms = start.elapsed().as_secs_f64() * 1e3 / ITERS as f64;
-    drop(engine);
-
-    // Pipelined: the same tensors submitted incrementally in stream order.
-    let (mut cs, mut ms) = registry::build_fleet(&spec, WORKERS, 3);
-    let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
-    let mut builder = PlanBuilder::new(FUSION_BYTES);
+    let mut builder = PlanBuilder::new(fusion_bytes);
     for (name, t) in &grads[0] {
         builder.push(name, t.len());
     }
@@ -110,11 +96,8 @@ fn measure(id: &str) -> OverlapSample {
         buckets = report.buckets.len();
         std::hint::black_box(out);
     }
-    let pipelined_ms = start.elapsed().as_secs_f64() * 1e3 / ITERS as f64;
-
     OverlapSample {
-        one_shot_ms,
-        pipelined_ms,
+        wall_ms: start.elapsed().as_secs_f64() * 1e3 / ITERS as f64,
         overlap_ratio: overlap_sum / ITERS as f64,
         hidden_ms: hidden_sum * 1e3 / ITERS as f64,
         exposed_ms: exposed_sum * 1e3 / ITERS as f64,
@@ -149,11 +132,12 @@ fn main() {
         .unwrap_or(1);
     let mut rows = Vec::new();
     for id in ["qsgd", "topk", "powersgd"] {
-        let s = measure(id);
+        let one_shot_ms = measure(id, usize::MAX).wall_ms;
+        let s = measure(id, FUSION_BYTES);
         println!(
             "{id:>10}  one-shot {:8.3} ms  pipelined {:8.3} ms  overlap {:.2}  \
              hidden {:.3} ms  exposed {:.3} ms  ({} buckets)",
-            s.one_shot_ms, s.pipelined_ms, s.overlap_ratio, s.hidden_ms, s.exposed_ms, s.buckets
+            one_shot_ms, s.wall_ms, s.overlap_ratio, s.hidden_ms, s.exposed_ms, s.buckets
         );
         assert!(
             s.overlap_ratio > 0.0,
@@ -164,8 +148,8 @@ fn main() {
             "    {{\"codec\": \"{id}\", \"one_shot_ms\": {:.3}, \"pipelined_ms\": {:.3}, \
              \"overlap_ratio\": {:.4}, \"hidden_ms\": {:.4}, \"exposed_ms\": {:.4}, \
              \"buckets\": {}, \"stages\": {}}}",
-            s.one_shot_ms,
-            s.pipelined_ms,
+            one_shot_ms,
+            s.wall_ms,
             s.overlap_ratio,
             s.hidden_ms,
             s.exposed_ms,

@@ -44,7 +44,8 @@ use std::time::Instant;
 
 use crate::compressor::Compressor;
 use crate::exchange::EncodedTensor;
-use grace_tensor::Tensor;
+use crate::payload::{self, PayloadError, PayloadView};
+use grace_tensor::{Shape, Tensor};
 
 pub use crate::compressor::Context;
 pub use crate::payload::{Payload, PayloadList};
@@ -353,7 +354,7 @@ pub fn sharded_mean_into(parts: &[Tensor], out: &mut Tensor, shards: usize) -> u
 
 /// The pooled merge component: owns the fold scratch (and the shard width)
 /// so repeated merges allocate nothing beyond the output tensor. One lives
-/// on the exchange engine; the threaded runtime keeps one per rank.
+/// on the exchange engine; every rank of a real backend keeps its own.
 #[derive(Debug)]
 pub struct AggMerger {
     plan: AggregationPlan,
@@ -500,54 +501,92 @@ impl AggMerger {
         incast_bytes
     }
 
-    /// Streaming variant of [`AggMerger::fold_homomorphic_into`] for
-    /// zero-copy frame views: the caller walks the gathered frames itself
-    /// (wire formats differ by transport), calling this once per surviving
-    /// contribution in rank order — `first` true for the first survivor —
-    /// then [`AggMerger::finish_fold`] with the survivor count. Per element
-    /// the arithmetic is identical to the owned fold (same `fold_encoded`
-    /// body, same rank order, same `1/n` scale), so both paths produce
-    /// bit-identical accumulators.
+    /// Merges one tensor's gathered frames ([`payload::encode_frame`] bytes,
+    /// one per live rank, in rank order) under the requested plan — the
+    /// rank-side `Allgather` merge of every real backend. A frame that fails
+    /// its CRC or is malformed is a rejected contribution: the sender's
+    /// bytes were damaged before deposit, so every receiver rejects the
+    /// identical frame and the mean over the survivors is the same rescaled
+    /// estimate on all of them. Returns the merged tensor, its stats and the
+    /// number of rejected frames.
     ///
-    /// # Panics
+    /// [`AggregationPlan::HomomorphicSum`] folds each frame's payloads
+    /// through zero-copy views, bit-identical to the owned
+    /// [`fold_homomorphic_into`](Self::fold_homomorphic_into) (same rank
+    /// order, same fold body, same `1/n` scale); the decoded plans
+    /// materialize the survivors and run [`merge_gathered`](Self::merge_gathered).
     ///
-    /// Panics if the compressor does not advertise
-    /// [`HomomorphicAggregate`].
-    pub fn fold_part_into(
+    /// # Errors
+    ///
+    /// The last rejection when no frame survived.
+    pub fn merge_frames<'f>(
         &mut self,
         compressor: &mut dyn Compressor,
-        payloads: PayloadList<'_>,
-        ctx: &Context,
-        out: &mut Tensor,
-        first: bool,
-    ) {
-        if first {
-            out.reset_for(&ctx.shape);
+        frames: impl Iterator<Item = &'f [u8]>,
+        shape: &Shape,
+    ) -> Result<(Tensor, MergeStats, usize), PayloadError> {
+        let plan = effective_plan(self.plan, compressor);
+        let mut rejected = 0usize;
+        let mut last_error = PayloadError::Malformed("no live contributions".to_string());
+        // A frame is rejected before any of its elements fold, so it never
+        // contaminates the accumulator.
+        let survivors = frames.filter_map(|bytes| match payload::decode_frame(bytes) {
+            Ok(frame) => Some(frame),
+            Err(e) => {
+                rejected += 1;
+                last_error = e;
+                None
+            }
+        });
+        let mut ctx = Context::with_meta(shape.clone(), Vec::new());
+        if plan != AggregationPlan::HomomorphicSum {
+            let parts: Vec<EncodedTensor> = survivors
+                .map(|frame| {
+                    frame.read_meta_into(&mut ctx.meta);
+                    EncodedTensor {
+                        payloads: frame.payloads().iter().map(|v| v.to_payload()).collect(),
+                        ctx: ctx.clone(),
+                    }
+                })
+                .collect();
+            if parts.is_empty() {
+                return Err(last_error);
+            }
+            let (out, stats) = self.merge_gathered(compressor, &parts);
+            return Ok((out, stats, rejected));
         }
         let h = compressor
             .homomorphic()
-            .expect("compressor does not support HomomorphicSum");
-        h.fold_encoded(payloads, ctx, out.as_mut_slice(), first, &mut self.scratch);
-    }
-
-    /// Completes a streaming fold started with
-    /// [`AggMerger::fold_part_into`]: turns the accumulated sum into the
-    /// mean over `contributors`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the compressor does not advertise
-    /// [`HomomorphicAggregate`] or `contributors` is zero.
-    pub fn finish_fold(
-        &mut self,
-        compressor: &mut dyn Compressor,
-        out: &mut Tensor,
-        contributors: usize,
-    ) {
-        let h = compressor
-            .homomorphic()
-            .expect("compressor does not support HomomorphicSum");
+            .expect("effective plan checked the capability");
+        let mut out = Tensor::zeros(shape.clone());
+        let mut contributors = 0usize;
+        let mut incast_bytes = 0u64;
+        let t0 = Instant::now();
+        for frame in survivors {
+            frame.read_meta_into(&mut ctx.meta);
+            let views = frame.payloads();
+            incast_bytes += (views.iter().map(PayloadView::encoded_bytes).sum::<usize>()
+                + ctx.meta_bytes()) as u64;
+            h.fold_encoded(
+                PayloadList::Views(views),
+                &ctx,
+                out.as_mut_slice(),
+                contributors == 0,
+                &mut self.scratch,
+            );
+            contributors += 1;
+        }
+        if contributors == 0 {
+            return Err(last_error);
+        }
         h.finish_mean(out.as_mut_slice(), contributors);
+        let stats = MergeStats {
+            plan,
+            incast_bytes,
+            decode_cpu_ns: 0,
+            merge_cpu_ns: elapsed_ns(t0),
+        };
+        Ok((out, stats, rejected))
     }
 }
 
@@ -555,7 +594,6 @@ impl AggMerger {
 mod tests {
     use super::*;
     use crate::compressor::mean_of;
-    use grace_tensor::Shape;
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.as_slice().iter().map(|v| v.to_bits()).collect()

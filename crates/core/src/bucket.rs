@@ -11,8 +11,8 @@
 //! [`PlanBuilder`] from the first observed stream and reused (and verified)
 //! on every later step. Boundaries depend only on the dense byte sizes in
 //! submission order, so every worker derives the **identical** plan and the
-//! pipelined exchange stays bit-identical to the one-shot path at any
-//! executor width (the PR-2 equivalence contract).
+//! session stays bit-identical at any fusion threshold and executor width
+//! (the PR-2 equivalence contract).
 //!
 //! The stream arrives in **reverse layer order**: backprop finishes the
 //! deepest layers first, so emitting their gradients immediately gives the

@@ -523,6 +523,69 @@ pub fn decode_checked(bytes: &[u8]) -> Result<Vec<Payload>, PayloadError> {
     Ok(out)
 }
 
+/// Most payloads one gathered frame may carry, trailing meta included — a
+/// bound on wire input that also lets [`decode_frame`] parse into a stack
+/// array, so the zero-copy fold allocates nothing per frame.
+pub const FRAME_MAX_PAYLOADS: usize = 8;
+
+/// Serializes one rank's contribution to a gathered tensor: the compressor's
+/// payloads followed by one trailing `F32` payload carrying the context
+/// scalars. [`decode_frame`] is the only other place that knows this layout.
+pub fn encode_frame(mut payloads: Vec<Payload>, meta: &[f32]) -> Vec<u8> {
+    payloads.push(Payload::F32(meta.to_vec()));
+    encode(&payloads)
+}
+
+/// One gathered frame parsed in place by [`decode_frame`].
+#[derive(Debug)]
+pub struct FrameView<'a> {
+    views: [PayloadView<'a>; FRAME_MAX_PAYLOADS],
+    n: usize,
+}
+
+impl<'a> FrameView<'a> {
+    /// The compressor's payloads (the trailing meta payload excluded).
+    pub fn payloads(&self) -> &[PayloadView<'a>] {
+        &self.views[..self.n - 1]
+    }
+
+    /// Reads the sender's context scalars into a pooled vector.
+    pub fn read_meta_into(&self, out: &mut Vec<f32>) {
+        self.views[self.n - 1].read_f32s_into(out);
+    }
+}
+
+/// Parses bytes produced by [`encode_frame`] into zero-copy views. The bytes
+/// come from a peer, so every way they can disagree with the layout is an
+/// error, never a panic.
+///
+/// # Errors
+///
+/// [`PayloadError::ChecksumMismatch`] on a CRC failure;
+/// [`PayloadError::Malformed`] on structural damage, an empty payload list,
+/// more than [`FRAME_MAX_PAYLOADS`] payloads, or a trailer that is not `F32`.
+pub fn decode_frame(bytes: &[u8]) -> Result<FrameView<'_>, PayloadError> {
+    let mut reader = PayloadReader::new_checked(bytes)?;
+    let count = reader.remaining() as usize;
+    if count == 0 || count > FRAME_MAX_PAYLOADS {
+        return Err(PayloadError::Malformed(format!(
+            "gathered frame carries {count} payloads, expected 1..={FRAME_MAX_PAYLOADS}"
+        )));
+    }
+    let mut views = [PayloadView::Bytes(&[]); FRAME_MAX_PAYLOADS];
+    let mut n = 0;
+    while let Some(view) = reader.next_view()? {
+        views[n] = view;
+        n += 1;
+    }
+    if !matches!(views[n - 1], PayloadView::F32Le(_)) {
+        return Err(PayloadError::Malformed(
+            "gathered frame does not end with the f32 meta payload".to_string(),
+        ));
+    }
+    Ok(FrameView { views, n })
+}
+
 /// Decodes a byte stream produced by [`encode`].
 ///
 /// # Panics

@@ -3,10 +3,11 @@
 //! [`crate::threaded::run_threaded`] proves the simulator honest against one
 //! process full of worker threads; this module runs the *same*
 //! [`worker_loop`] over `grace-comm`'s socket transport, either as N threads
-//! talking through a localhost hub ([`run_socket_local`] — what the
-//! equivalence tests drive) or as one rank of a genuinely multi-process job
-//! ([`run_socket_rank`] — what the `grace-launch` binary drives, with
-//! rank/world/rendezvous read from the environment).
+//! talking through a localhost hub ([`run_cluster`] with a socket
+//! [`crate::ExecBackend`] — what the equivalence tests drive) or as one rank
+//! of a genuinely multi-process job ([`run_socket_rank`] — what the
+//! `grace-launch` binary drives, with rank/world/rendezvous read from the
+//! environment).
 //!
 //! Because the loop, the batch schedule and the aggregation order are all
 //! backend-independent, every backend must land on bit-identical parameters;
@@ -15,18 +16,15 @@
 
 use crate::compressor::Compressor;
 use crate::memory::Memory;
-use crate::threaded::{run_threaded, worker_loop, ThreadedResult};
-use crate::trainer::{start_metrics_server, ExecBackend, TrainConfig};
-use grace_comm::net::{self, Endpoint, NetConfig, SocketCluster};
-use grace_comm::{
-    ClusterError, ClusterIntrospect, ClusterOptions, Collective, FaultStats, FaultyCollective,
-};
+use crate::threaded::{launch, plan_and_options, worker_loop, ThreadedResult};
+use crate::trainer::{start_metrics_server, TrainConfig};
+use grace_comm::net::{Endpoint, NetConfig, SocketCluster};
+use grace_comm::{ClusterError, ClusterIntrospect, Collective, FaultStats, FaultyCollective};
 use grace_nn::data::Task;
 use grace_nn::network::Network;
 use grace_nn::optim::Optimizer;
 use grace_tensor::pack::crc32;
 use grace_tensor::Tensor;
-use std::sync::Arc;
 
 /// Worker factory shared by every cluster entry point: builds, per rank, the
 /// private (network, optimizer, compressor, memory).
@@ -131,21 +129,6 @@ fn export_rank_trace<C: grace_comm::ClusterIntrospect>(
     }
 }
 
-fn plan_and_options(cfg: &TrainConfig) -> (Arc<grace_comm::FaultPlan>, ClusterOptions) {
-    match &cfg.fault {
-        Some(fc) => (
-            Arc::new(fc.plan.clone()),
-            ClusterOptions {
-                timeout: fc.timeout,
-            },
-        ),
-        None => (
-            Arc::new(grace_comm::FaultPlan::empty()),
-            ClusterOptions::default(),
-        ),
-    }
-}
-
 /// Runs one rank of a socket-backed job to completion: connect, rendezvous,
 /// train, report. The hub must already be listening (the launcher binds it
 /// before spawning ranks).
@@ -220,62 +203,13 @@ pub fn run_socket_rank(
     })
 }
 
-/// [`run_threaded`]'s shape over the socket transport: every worker is still
-/// a thread of this process, but all collectives cross a real localhost
-/// socket (TCP, or UDS via `endpoint`). Fault semantics, survivor counting
-/// and the result's lowest-surviving-rank view all match the threaded
-/// driver, which is exactly what the equivalence suite pins.
-///
-/// # Panics
-///
-/// Panics if the hub cannot bind, a worker cannot join, or no worker
-/// survives the fault plan.
-pub fn run_socket_local(
-    cfg: &TrainConfig,
-    task: &dyn Task,
-    make_worker: &MakeWorker<'_>,
-    endpoint: Option<Endpoint>,
-) -> ThreadedResult {
-    if let Some(level) = cfg.telemetry {
-        grace_telemetry::set_level(level);
-    }
-    let n = cfg.n_workers;
-    let stats = FaultStats::new(n);
-    let (plan, options) = plan_and_options(cfg);
-    let metrics_server = start_metrics_server(cfg);
-    grace_telemetry::recorder::configure(&cfg.run_tag("socket"), None);
-    let results = net::run_socket_local(n, options, endpoint, |cluster| {
-        let comm = FaultyCollective::new(cluster, Arc::clone(&plan), stats.clone());
-        let out = worker_loop(cfg, task, &make_worker, &comm, false);
-        if out.is_err() {
-            comm.leave();
-            grace_telemetry::recorder::trigger("recorder: cluster error");
-        }
-        out
-    });
-    drop(metrics_server);
-    grace_telemetry::trace::flush_thread();
-    let survivors = results.iter().filter(|r| r.is_ok()).count();
-    let first_ok = results
-        .into_iter()
-        .flatten()
-        .next()
-        .unwrap_or_else(|| panic!("no worker survived the fault plan"));
-    ThreadedResult {
-        final_params: first_ok.final_params,
-        final_quality: first_ok.final_quality,
-        bytes_sent: first_ok.bytes_sent,
-        survivors,
-        faults: stats.summary(),
-    }
-}
-
 /// Dispatches on [`TrainConfig::backend`]: threads over the deposit board,
 /// or threads over real sockets. One entry point, three wires, one model.
 ///
 /// # Panics
 ///
-/// Same contract as [`run_threaded`] / [`run_socket_local`].
+/// Same contract as [`crate::threaded::run_threaded`], plus a hub that
+/// cannot bind or a worker that cannot join.
 pub fn run_cluster<F>(cfg: &TrainConfig, task: &dyn Task, make_worker: F) -> ThreadedResult
 where
     F: Fn(
@@ -287,17 +221,7 @@ where
             Box<dyn Memory>,
         ) + Sync,
 {
-    match cfg.backend {
-        ExecBackend::Threads => run_threaded(cfg, task, make_worker),
-        ExecBackend::SocketTcp => run_socket_local(cfg, task, &make_worker, None),
-        ExecBackend::SocketUds => {
-            #[cfg(unix)]
-            let endpoint = Some(Endpoint::ephemeral_uds());
-            #[cfg(not(unix))]
-            let endpoint = None;
-            run_socket_local(cfg, task, &make_worker, endpoint)
-        }
-    }
+    launch(cfg, task, &make_worker, cfg.backend)
 }
 
 #[cfg(test)]

@@ -15,26 +15,27 @@
 //!
 //! * a **dropped** worker returns [`ClusterError::Dropped`] from its loop and
 //!   the survivors rescale every aggregate by the live-worker count;
-//! * a **corrupted** payload is caught by the CRC32 trailer
-//!   ([`crate::payload::decode_checked`]); since the sender's bytes are
-//!   corrupted *before* deposit, every receiver rejects the identical stream
+//! * a **corrupted** or malformed gathered frame is rejected by
+//!   [`crate::AggMerger::merge_frames`]; since the sender's bytes are
+//!   damaged *before* deposit, every receiver rejects the identical frame
 //!   and drops that contribution in lockstep — replicas stay bit-identical;
 //! * a worker stuck waiting on a dead peer times out with a structured
 //!   [`ClusterError::Timeout`] rather than deadlocking.
 
 use crate::bucket::PlanBuilder;
-use crate::compressor::{CommStrategy, Compressor, Context};
-use crate::exchange::{self, EncodedTensor, QualitySensors, WorkerLane};
+use crate::compressor::{CommStrategy, Compressor};
+use crate::exchange::{self, wire_bytes, EncodedTensor, QualitySensors, WorkerLane};
 use crate::health::{HealthMonitor, StepObservation};
 use crate::memory::Memory;
-use crate::payload::{self, Payload};
+use crate::payload;
+use crate::process::MakeWorker;
 use crate::trainer::{
-    gradient_l2, start_metrics_server, steps_per_epoch, wire_bytes, worker_batch_indices,
+    gradient_l2, start_metrics_server, steps_per_epoch, worker_batch_indices, ExecBackend,
     TrainConfig,
 };
 use grace_comm::{
-    ClusterError, ClusterIntrospect, ClusterOptions, Collective, FaultStats, FaultSummary,
-    FaultyCollective, GatherFrames, ThreadedCluster,
+    net, ClusterError, ClusterIntrospect, ClusterOptions, Collective, FaultPlan, FaultStats,
+    FaultSummary, FaultyCollective, GatherFrames, ThreadedCluster,
 };
 use grace_nn::data::Task;
 use grace_nn::network::Network;
@@ -60,7 +61,8 @@ pub struct ThreadedResult {
     pub faults: FaultSummary,
 }
 
-/// Runs data-parallel training with one thread per worker.
+/// Runs data-parallel training with one thread per worker over the
+/// in-process deposit board.
 ///
 /// `make_worker` builds, for each rank, the worker's private
 /// (network, optimizer, compressor, memory) — typically from the same seed so
@@ -84,38 +86,72 @@ where
             Box<dyn Memory>,
         ) + Sync,
 {
-    if let Some(level) = cfg.telemetry {
-        grace_telemetry::set_level(level);
-    }
-    // All worker threads share one process (and one flight-recorder ring
-    // pool); the bundle is tagged with the run, not a rank.
-    recorder::configure(&cfg.run_tag("threaded"), None);
-    let n = cfg.n_workers;
-    let stats = FaultStats::new(n);
-    let (plan, options) = match &cfg.fault {
+    launch(cfg, task, &make_worker, ExecBackend::Threads)
+}
+
+/// The fault plan and collective options a run's [`TrainConfig::fault`]
+/// asks for (an empty plan and the defaults without one).
+pub(crate) fn plan_and_options(cfg: &TrainConfig) -> (Arc<FaultPlan>, ClusterOptions) {
+    match &cfg.fault {
         Some(fc) => (
             Arc::new(fc.plan.clone()),
             ClusterOptions {
                 timeout: fc.timeout,
             },
         ),
-        None => (
-            Arc::new(grace_comm::FaultPlan::empty()),
-            ClusterOptions::default(),
-        ),
-    };
+        None => (Arc::new(FaultPlan::empty()), ClusterOptions::default()),
+    }
+}
+
+/// The in-process cluster launcher behind [`run_threaded`] and
+/// [`crate::process::run_cluster`]: `n` worker threads of this process run
+/// [`worker_loop`] over `backend`'s endpoints — the deposit board, or real
+/// localhost sockets through a rendezvous hub. Fault semantics, survivor
+/// counting and the lowest-surviving-rank result are the same on every
+/// backend, which is what the equivalence suites pin.
+///
+/// # Panics
+///
+/// Panics if the hub cannot bind, a worker cannot join or panics, or no
+/// worker survives the fault plan.
+pub(crate) fn launch(
+    cfg: &TrainConfig,
+    task: &dyn Task,
+    make_worker: &MakeWorker<'_>,
+    backend: ExecBackend,
+) -> ThreadedResult {
+    if let Some(level) = cfg.telemetry {
+        grace_telemetry::set_level(level);
+    }
+    let sockets = backend != ExecBackend::Threads;
+    // All worker threads share one process (and one flight-recorder ring
+    // pool); the bundle is tagged with the run, not a rank.
+    recorder::configure(
+        &cfg.run_tag(if sockets { "socket" } else { "threaded" }),
+        None,
+    );
+    let n = cfg.n_workers;
+    let stats = FaultStats::new(n);
+    let (plan, options) = plan_and_options(cfg);
     // One endpoint for the whole cluster, alive until every worker joins.
     let metrics_server = start_metrics_server(cfg);
-    let results = ThreadedCluster::run_with(n, options, |handle| {
-        let comm = FaultyCollective::new(handle, Arc::clone(&plan), stats.clone());
-        let out = worker_loop(cfg, task, &make_worker, &comm, false);
-        if out.is_err() {
-            // Dead or wedged: withdraw from the barrier so survivors keep
-            // making progress instead of timing out behind us.
-            comm.leave();
-        }
-        out
-    });
+    let results = if sockets {
+        #[cfg(unix)]
+        let endpoint = (backend == ExecBackend::SocketUds).then(net::Endpoint::ephemeral_uds);
+        #[cfg(not(unix))]
+        let endpoint = None;
+        net::run_socket_local(n, options, endpoint, |e| {
+            let out = run_rank(e, cfg, task, make_worker, &plan, &stats);
+            if out.is_err() {
+                recorder::trigger("recorder: cluster error");
+            }
+            out
+        })
+    } else {
+        ThreadedCluster::run_with(n, options, |e| {
+            run_rank(e, cfg, task, make_worker, &plan, &stats)
+        })
+    };
     drop(metrics_server);
     // Worker-thread trace buffers drained on thread exit (Drop); pick up
     // anything recorded on the caller's thread too.
@@ -133,6 +169,26 @@ where
         survivors,
         faults: stats.summary(),
     }
+}
+
+/// One in-process rank of [`launch`]: wraps the endpoint in the fault layer
+/// and trains.
+fn run_rank<C: ClusterIntrospect>(
+    endpoint: C,
+    cfg: &TrainConfig,
+    task: &dyn Task,
+    make_worker: &MakeWorker<'_>,
+    plan: &Arc<FaultPlan>,
+    stats: &FaultStats,
+) -> Result<WorkerOut, ClusterError> {
+    let comm = FaultyCollective::new(endpoint, Arc::clone(plan), stats.clone());
+    let out = worker_loop(cfg, task, &make_worker, &comm, false);
+    if out.is_err() {
+        // Dead or wedged: withdraw from the barrier so survivors keep
+        // making progress instead of timing out behind us.
+        comm.leave();
+    }
+    out
 }
 
 pub(crate) struct WorkerOut {
@@ -171,7 +227,6 @@ where
     let rank = comm.rank();
     let spe = steps_per_epoch(task.train_len(), n, cfg.batch_per_worker);
     let (mut net, mut opt, mut compressor, mut memory) = make_worker(rank);
-    let strategy = compressor.strategy();
     // This worker's compression lane from the shared exchange engine: the
     // same compensate → compress → own-decode → memory-update sequence the
     // simulator's engine runs, so both modes stay bit-identical.
@@ -299,15 +354,8 @@ where
             // ranks), then hand the optimizer forward-ordered gradients.
             let mut aggregated = Vec::with_capacity(stream.len());
             for (name, encoded, shape) in stream {
-                let agg = exchange_tensor(
-                    comm,
-                    strategy,
-                    &mut lane,
-                    &mut merger,
-                    &mut frames,
-                    encoded,
-                    shape,
-                )?;
+                let agg =
+                    exchange_tensor(comm, &mut lane, &mut merger, &mut frames, encoded, &shape)?;
                 aggregated.push((name, agg));
             }
             aggregated.sort_by_key(|(name, _)| forward_index[name.as_str()]);
@@ -389,18 +437,16 @@ where
 
 /// Performs the collective exchange for one encoded tensor and returns the
 /// aggregated gradient, degrading gracefully on dropped workers and
-/// corrupted payloads. Decompression and `Agg` go through
-/// [`crate::exchange`]'s shared helpers.
+/// corrupted payloads.
 fn exchange_tensor<C: ClusterIntrospect>(
     comm: &FaultyCollective<C>,
-    strategy: CommStrategy,
     lane: &mut WorkerLane<'_>,
     merger: &mut crate::AggMerger,
     frames: &mut GatherFrames,
     encoded: EncodedTensor,
-    shape: grace_tensor::Shape,
+    shape: &Shape,
 ) -> Result<Tensor, ClusterError> {
-    match strategy {
+    match lane.strategy() {
         CommStrategy::Allreduce => {
             // Average each F32 payload across the live workers while
             // compressed; the contributor count the collective reports is
@@ -413,159 +459,27 @@ fn exchange_tensor<C: ClusterIntrospect>(
             Ok(lane.compressor_mut().decompress(&mean, &encoded.ctx))
         }
         CommStrategy::Allgather | CommStrategy::Broadcast => {
-            // Ship payloads + context scalars; merge every worker's
-            // contribution out of the pooled gathered frames. Contributions
-            // that fail the CRC32 check are dropped by every receiver
-            // identically (the sender corrupted the stream before deposit),
-            // and `Agg`'s mean over the surviving parts is the rescaled
-            // estimate.
-            let mut wire = encoded.payloads;
-            wire.push(Payload::F32(encoded.ctx.meta.clone()));
-            let op = comm.inner().ops_started();
-            let rank = comm.rank();
-            comm.try_allgather_frames(payload::encode(&wire), frames)?;
-            let plan = crate::effective_plan(merger.plan(), lane.compressor_mut());
-            if plan == crate::AggregationPlan::HomomorphicSum {
-                // Fold each frame's payloads straight into the accumulator
-                // through zero-copy views — no per-rank payload list is
-                // ever materialized.
-                return fold_gathered_views(comm, lane, merger, frames, shape, rank, op);
-            }
-            // Decoded plans: materialize per-rank payload lists, then run
-            // the method's decode + `Agg` under the requested plan.
-            let mut parts: Vec<EncodedTensor> = Vec::with_capacity(frames.n_slots());
-            let mut last_error = None;
-            for bytes in (0..frames.n_slots()).filter_map(|r| frames.slot(r)) {
-                match payload::decode_checked(bytes) {
-                    Ok(mut list) => {
-                        let meta = list
-                            .pop()
-                            .expect("wire format includes meta")
-                            .as_f32()
-                            .to_vec();
-                        parts.push(EncodedTensor {
-                            payloads: list,
-                            ctx: Context::with_meta(shape.clone(), meta),
-                        });
-                    }
+            let (rank, op) = (comm.rank(), comm.inner().ops_started());
+            let frame = payload::encode_frame(encoded.payloads, &encoded.ctx.meta);
+            comm.try_allgather_frames(frame, frames)?;
+            let slots = || (0..frames.n_slots()).filter_map(|r| frames.slot(r));
+            let (merged, rejected) =
+                match merger.merge_frames(lane.compressor_mut(), slots(), shape) {
+                    Ok((out, _, rejected)) => (Ok(out), rejected),
                     Err(e) => {
-                        comm.stats().record_detected(rank);
-                        last_error = Some(e);
+                        let detail = e.to_string();
+                        (
+                            Err(ClusterError::Corrupted { rank, op, detail }),
+                            slots().count(),
+                        )
                     }
-                }
-            }
-            if parts.is_empty() {
-                return Err(ClusterError::Corrupted {
-                    rank,
-                    op,
-                    detail: last_error
-                        .map(|e| e.to_string())
-                        .unwrap_or_else(|| "no live contributions".to_string()),
-                });
-            }
-            // Merge under the configured plan; the CRC-surviving parts are
-            // folded in rank order, so every plan rescales identically.
-            Ok(merger.merge_gathered(lane.compressor_mut(), &parts).0)
-        }
-    }
-}
-
-/// Upper bound on payloads per wire frame (compressor payloads plus the
-/// trailing meta payload) — sized for a stack array of views so the
-/// zero-copy fold allocates nothing per frame.
-const MAX_WIRE_PAYLOADS: usize = 8;
-
-/// Folds every CRC-surviving gathered frame straight into the accumulator
-/// through zero-copy [`crate::PayloadView`]s. Bit-identical to the owned
-/// [`crate::AggMerger::fold_homomorphic_into`]: same rank order, same
-/// per-element fold expressions, same `1/n` scale.
-fn fold_gathered_views<C: ClusterIntrospect>(
-    comm: &FaultyCollective<C>,
-    lane: &mut WorkerLane<'_>,
-    merger: &mut crate::AggMerger,
-    frames: &GatherFrames,
-    shape: grace_tensor::Shape,
-    rank: usize,
-    op: u64,
-) -> Result<Tensor, ClusterError> {
-    let mut out = Tensor::zeros(shape.clone());
-    let mut meta = Vec::new();
-    let mut contributors = 0usize;
-    let mut last_error = None;
-    for bytes in (0..frames.n_slots()).filter_map(|r| frames.slot(r)) {
-        match fold_one_frame(
-            lane,
-            merger,
-            bytes,
-            &shape,
-            &mut out,
-            &mut meta,
-            contributors == 0,
-        ) {
-            Ok(()) => contributors += 1,
-            Err(e) => {
+                };
+            for _ in 0..rejected {
                 comm.stats().record_detected(rank);
-                last_error = Some(e);
             }
+            merged
         }
     }
-    if contributors == 0 {
-        return Err(ClusterError::Corrupted {
-            rank,
-            op,
-            detail: last_error
-                .map(|e: crate::PayloadError| e.to_string())
-                .unwrap_or_else(|| "no live contributions".to_string()),
-        });
-    }
-    merger.finish_fold(lane.compressor_mut(), &mut out, contributors);
-    Ok(out)
-}
-
-/// Parses one gathered frame into stack-held views and folds it. Errors
-/// (CRC mismatch, structural damage) surface before any element is folded,
-/// so a rejected frame never contaminates the accumulator.
-fn fold_one_frame(
-    lane: &mut WorkerLane<'_>,
-    merger: &mut crate::AggMerger,
-    bytes: &[u8],
-    shape: &Shape,
-    out: &mut Tensor,
-    meta: &mut Vec<f32>,
-    first: bool,
-) -> Result<(), crate::PayloadError> {
-    let mut reader = crate::PayloadReader::new_checked(bytes)?;
-    let mut views = [crate::PayloadView::Bytes(&[]); MAX_WIRE_PAYLOADS];
-    let mut n = 0usize;
-    while let Some(view) = reader.next_view()? {
-        assert!(
-            n < MAX_WIRE_PAYLOADS,
-            "frame carries more than {MAX_WIRE_PAYLOADS} payloads"
-        );
-        views[n] = view;
-        n += 1;
-    }
-    assert!(n > 0, "wire format includes meta");
-    // The trailing payload is the sender's context scalars; hand the pooled
-    // scratch to the context and take it back after the fold.
-    views[n - 1].read_f32s_into(meta);
-    let ctx = Context::with_meta(shape.clone(), std::mem::take(meta));
-    merger.fold_part_into(
-        lane.compressor_mut(),
-        crate::PayloadList::Views(&views[..n - 1]),
-        &ctx,
-        out,
-        first,
-    );
-    *meta = ctx.meta;
-    Ok(())
-}
-
-/// Sanity helper: the wire size the threaded mode ships for one tensor,
-/// which must match the simulator's [`wire_bytes`] accounting up to the
-/// self-describing codec header.
-pub fn threaded_wire_bytes(payloads: &[Payload], ctx: &Context) -> usize {
-    wire_bytes(payloads, ctx)
 }
 
 #[cfg(test)]

@@ -30,11 +30,10 @@
 //! compute cost is real and can exceed the communication it saves (§V-D).
 
 use crate::bucket::{PlanBuilder, DEFAULT_FUSION_BYTES};
-use crate::compressor::{CommStrategy, Compressor, Context};
-use crate::exchange::{EncodedTensor, GradientExchange, StageHistograms, StageTotals};
+use crate::compressor::{CommStrategy, Compressor};
+use crate::exchange::{GradientExchange, StageHistograms, StageTotals};
 use crate::health::{HealthMonitor, StepObservation};
 use crate::memory::Memory;
-use crate::payload::Payload;
 use grace_comm::NetworkModel;
 use grace_nn::data::{epoch_order, shard_range, Task};
 use grace_nn::network::Network;
@@ -192,8 +191,8 @@ pub struct TrainConfig {
     /// deterministic fault plan plus collective timeout. Ignored by
     /// [`run_simulated`], which models a fault-free cluster.
     pub fault: Option<grace_comm::FaultConfig>,
-    /// Executor width for the exchange engine's per-worker compression
-    /// stage: `None` runs one thread per worker up to the host's
+    /// Executor width for the exchange engine's gather-side decode and
+    /// sharded merge: `None` runs one thread per worker up to the host's
     /// parallelism, `Some(1)` forces the sequential path. Results are
     /// bit-identical either way.
     pub exchange_threads: Option<usize>,
@@ -379,12 +378,6 @@ pub fn steps_per_epoch(train_len: usize, n_workers: usize, batch: usize) -> usiz
         .min()
         .unwrap_or(0);
     (min_shard / batch).max(1)
-}
-
-/// Wire bytes of one worker's compressed tensor: payloads + context scalars.
-/// (Canonical implementation lives in [`crate::exchange`].)
-pub fn wire_bytes(payloads: &[Payload], ctx: &Context) -> usize {
-    crate::exchange::wire_bytes(payloads, ctx)
 }
 
 /// Starts the live metrics endpoint for a run: the explicit config address
@@ -667,24 +660,6 @@ pub fn run_simulated(
         &iter_times,
         cfg,
     )
-}
-
-/// Elementwise mean of per-worker payload lists (Allreduce path), kept here
-/// for backwards compatibility; the implementation lives in
-/// [`crate::exchange::mean_payloads`].
-///
-/// # Panics
-///
-/// Panics if payload counts/lengths differ or payloads are not `F32`.
-pub fn mean_payloads(per_worker: &[(Vec<Payload>, Context)]) -> Vec<Payload> {
-    let encoded: Vec<EncodedTensor> = per_worker
-        .iter()
-        .map(|(payloads, ctx)| EncodedTensor {
-            payloads: payloads.clone(),
-            ctx: ctx.clone(),
-        })
-        .collect();
-    crate::exchange::mean_payloads(&encoded)
 }
 
 #[allow(clippy::too_many_arguments)]

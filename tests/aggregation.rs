@@ -309,3 +309,77 @@ fn homomorphic_fold_shrinks_incast_bytes() {
         ref_stats.incast_bytes
     );
 }
+
+/// Gathered frames are bytes a peer wrote. A frame that passes its CRC yet
+/// breaks the layout (or fails the CRC) must be a rejected contribution
+/// under every plan — never a panic on the receiving rank — and the
+/// well-formed peers must still merge exactly as if the bad rank had left.
+#[test]
+fn hostile_frames_are_rejected_contributions_under_every_plan() {
+    use grace::core::payload::{encode, encode_frame};
+    use grace::core::PayloadError;
+    use grace::tensor::pack::crc32;
+
+    // Re-seals a hand-edited body with a valid trailer, so only the parser
+    // stands between the bytes and the fold.
+    let seal = |mut body: Vec<u8>| {
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        body
+    };
+    let four_floats = encode(&[Payload::F32(vec![1.0; 4])]);
+    let mut flipped = encode(&[Payload::F32(Vec::new())]);
+    *flipped.last_mut().unwrap() ^= 0xff;
+    let hostile: [(&str, Vec<u8>); 5] = [
+        ("empty list", encode(&[])),
+        ("nine payloads", encode(&vec![Payload::Bytes(vec![0]); 9])),
+        (
+            "u32 trailer",
+            encode(&[Payload::Bytes(vec![1]), Payload::U32(vec![7])]),
+        ),
+        (
+            "truncated body",
+            seal(four_floats[..four_floats.len() - 6].to_vec()),
+        ),
+        ("flipped crc", flipped),
+    ];
+    let data: Vec<f32> = (0..96)
+        .map(|i| ((i * 37) % 101) as f32 / 50.0 - 1.0)
+        .collect();
+    // One method with the fold capability (zero-copy path), one without.
+    for id in ["eightbit", "topk"] {
+        let spec = registry::find(id).unwrap();
+        let parts = gather(&spec, &data);
+        let shape = parts[0].ctx.shape.clone();
+        let frame = |p: &EncodedTensor| encode_frame(p.payloads.clone(), &p.ctx.meta);
+        let survivors = [parts[0].clone(), parts[2].clone()];
+        for plan in AggregationPlan::ALL {
+            let mut c = (spec.build)(100);
+            let mut merger = AggMerger::new(plan);
+            let (expect, expect_stats) = merger.merge_gathered(c.as_mut(), &survivors);
+            for (what, bad) in &hostile {
+                let gathered = [frame(&parts[0]), bad.clone(), frame(&parts[2])];
+                let (got, stats, rejected) = merger
+                    .merge_frames(c.as_mut(), gathered.iter().map(Vec::as_slice), &shape)
+                    .unwrap_or_else(|e| panic!("{id} under {plan}, {what}: {e}"));
+                assert_eq!(rejected, 1, "{id} under {plan}, {what}");
+                assert_eq!(bits(&got), bits(&expect), "{id} under {plan}, {what}");
+                assert_eq!(
+                    (stats.plan, stats.incast_bytes),
+                    (expect_stats.plan, expect_stats.incast_bytes),
+                    "{id} under {plan}, {what}"
+                );
+            }
+            let all_bad = hostile.iter().map(|(_, bad)| bad.as_slice());
+            assert!(
+                matches!(
+                    merger.merge_frames(c.as_mut(), all_bad, &shape),
+                    Err(PayloadError::ChecksumMismatch { .. })
+                ),
+                "{id} under {plan}: the last rejection is the typed error"
+            );
+            let none = std::iter::empty::<&[u8]>();
+            assert!(merger.merge_frames(c.as_mut(), none, &shape).is_err());
+        }
+    }
+}

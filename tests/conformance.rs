@@ -11,15 +11,15 @@
 //! 3. two fresh instances built from the same seed are bit-reproducible —
 //!    the property that lets threaded replicas agree with the simulator;
 //! 4. each method's payload list survives the checksummed wire codec
-//!    (`encode` → `decode_checked`) byte-exactly, including the trailing
-//!    meta payload the threaded mode ships.
+//!    (`encode_frame` → `decode_frame`) byte-exactly, including the trailing
+//!    meta payload a gathered contribution ships.
 //!
 //! Gradients are drawn from a seeded proptest strategy, so failures replay
 //! deterministically.
 
 use grace::compressors::extensions::extension_specs;
 use grace::compressors::registry;
-use grace::core::payload::{decode_checked, encode, Payload};
+use grace::core::payload::{decode_frame, encode_frame, Payload};
 use grace::core::CompressorSpec;
 use grace::tensor::Tensor;
 use proptest::prelude::*;
@@ -117,13 +117,16 @@ proptest! {
         for spec in conformance_specs() {
             let mut c = (spec.build)(seed);
             let (payloads, ctx) = c.compress(&g, "layer/w");
-            // The threaded runtime appends the context scalars as a final
-            // F32 payload; conform to the exact on-wire shape.
-            let mut wire = payloads;
-            wire.push(Payload::F32(ctx.meta.clone()));
-            let decoded = decode_checked(&encode(&wire));
-            prop_assert!(decoded.is_ok(), "{}: {:?}", spec.id, decoded.err());
-            prop_assert_eq!(decoded.unwrap(), wire, "{}: wire round-trip", spec.id);
+            // The exact on-wire shape of a gathered contribution.
+            let bytes = encode_frame(payloads.clone(), &ctx.meta);
+            let frame = decode_frame(&bytes);
+            prop_assert!(frame.is_ok(), "{}: {:?}", spec.id, frame.err());
+            let frame = frame.unwrap();
+            let back: Vec<Payload> = frame.payloads().iter().map(|v| v.to_payload()).collect();
+            prop_assert_eq!(back, payloads, "{}: wire round-trip", spec.id);
+            let mut meta = Vec::new();
+            frame.read_meta_into(&mut meta);
+            prop_assert_eq!(meta, ctx.meta, "{}: meta round-trip", spec.id);
         }
     }
 }

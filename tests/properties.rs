@@ -2,9 +2,9 @@
 //! arbitrary gradients, payloads and configurations.
 
 use grace::compressors::registry;
+use grace::core::exchange::mean_payloads;
 use grace::core::payload::{decode, encode, total_bytes, Payload};
-use grace::core::trainer::mean_payloads;
-use grace::core::{Compressor, Context};
+use grace::core::{Compressor, Context, EncodedTensor};
 use grace::tensor::pack::{pack_bits, unpack_bits};
 use grace::tensor::select::{desparsify, sparsify, top_k_indices};
 use grace::tensor::{Shape, Tensor};
@@ -107,10 +107,10 @@ proptest! {
     ) {
         let b: Vec<f32> = a.iter().map(|v| v * scale).collect();
         let ctx = Context::shape_only(Shape::vector(a.len()));
-        let per_worker = vec![
-            (vec![Payload::F32(a.clone())], ctx.clone()),
-            (vec![Payload::F32(b.clone())], ctx),
-        ];
+        let per_worker = [&a, &b].map(|v| EncodedTensor {
+            payloads: vec![Payload::F32(v.clone())],
+            ctx: ctx.clone(),
+        });
         let mean = mean_payloads(&per_worker);
         let m = mean[0].as_f32();
         for i in 0..a.len() {

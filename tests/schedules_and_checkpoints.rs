@@ -3,7 +3,7 @@
 //! compressors.
 
 use grace::compressors::registry;
-use grace::core::replicated::{run_local_sgd, ReplicatedConfig};
+use grace::core::replicated::{run_gossip, run_local_sgd, ReplicatedConfig, ReplicatedResult};
 use grace::core::trainer::{run_simulated, CodecTiming};
 use grace::core::{Compressor, Memory, NoCompression, NoMemory, TrainConfig};
 use grace::nn::data::ClassificationDataset;
@@ -110,4 +110,38 @@ fn local_sgd_accepts_registry_compressors() {
     );
     assert!(res.final_quality > 0.75, "quality {}", res.final_quality);
     assert!(res.bytes_per_worker_per_sync > 0.0);
+}
+
+/// Decoded sessions (local-SGD delta rounds, gossip views) pinned bit for
+/// bit; recorded at 802d72f, while the one-shot decoded family still stood
+/// beside them.
+#[test]
+fn decoded_session_goldens() {
+    let task = ClassificationDataset::synthetic(192, 8, 2, 0.3, 74);
+    let net = |_| models::mlp_classifier("m", 8, &[16], 2, 74);
+    let opt = |_| Box::new(Sgd::new(0.05)) as Box<dyn Optimizer>;
+    let pin = |r: &ReplicatedResult| {
+        (
+            r.final_quality.to_bits(),
+            r.consensus_gap.to_bits(),
+            r.bytes_per_worker_per_sync,
+        )
+    };
+    let mut cfg = ReplicatedConfig::new(3, 8, 4, 74);
+    cfg.sync_every = 2;
+    let (mut cs, mut ms) = registry::build_fleet(&registry::find("topk").unwrap(), 3, 74);
+    let local = run_local_sgd(&cfg, net, opt, &task, &mut cs, &mut ms);
+    assert_eq!(
+        pin(&local),
+        (0x3fef286bca1af287, 0x3e918357730b64b3, 40.0),
+        "local SGD, topk + residual"
+    );
+    cfg.sync_every = 1;
+    let (mut cs, _) = registry::build_fleet(&registry::find("qsgd").unwrap(), 3, 74);
+    let gossip = run_gossip(&cfg, net, opt, &task, &mut cs);
+    assert_eq!(
+        pin(&gossip),
+        (0x3ff0000000000000, 0x3fcf92d10f5e0b75, 195.0),
+        "gossip, qsgd"
+    );
 }

@@ -146,7 +146,7 @@ fn traffic_counter_totals_equal_shipped_wire_bytes_exactly() {
     // the wire bytes of every payload actually shipped — byte-exact, both
     // for allgathered codec frames and the ring all-reduce formula.
     use grace::comm::{ring_allreduce_wire_bytes, Collective, ThreadedCluster};
-    use grace::core::payload::{encode, Payload};
+    use grace::core::payload::encode_frame;
 
     let n = 3;
     let rounds = 5;
@@ -161,9 +161,7 @@ fn traffic_counter_totals_equal_shipped_wire_bytes_exactly() {
                     .collect(),
             );
             let (payloads, ctx) = compressor.compress(&g, "t");
-            let mut wire = payloads;
-            wire.push(Payload::F32(ctx.meta.clone()));
-            let bytes = encode(&wire);
+            let bytes = encode_frame(payloads, &ctx.meta);
             expected += bytes.len() as u64;
             let gathered = c.allgather_bytes(bytes);
             assert_eq!(gathered.len(), n);
