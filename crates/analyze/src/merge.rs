@@ -788,9 +788,7 @@ mod tests {
                 meta(1, "stage: encode"),
                 meta(7, "steps"),
                 roundtrip(4096, 0.0, 100.0, 0),
-                format!(
-                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"s\",\"ts\":60.0,\"dur\":40.0}}"
-                ),
+                r#"{"ph":"X","pid":1,"tid":1,"name":"s","ts":60.0,"dur":40.0}"#.to_string(),
                 mark(7, 120.0, 0),
             ],
         );

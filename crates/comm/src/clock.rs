@@ -126,7 +126,7 @@ mod tests {
     fn asymmetry_error_is_bounded_by_half_rtt() {
         let offset = 123_456_789;
         let s = simulate(5_000_000, offset, 10_000, 1_000, 70_000);
-        let err = (s.offset_ns() - offset).abs() as u64;
+        let err = (s.offset_ns() - offset).unsigned_abs();
         assert!(
             err <= s.rtt_ns() / 2,
             "err {err} > rtt/2 {}",

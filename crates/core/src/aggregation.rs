@@ -10,7 +10,7 @@
 //! * [`AggregationPlan::DecodeThenMerge`] — today's behaviour, kept as the
 //!   reference: decode every contribution, then run the method's `Agg`.
 //! * [`AggregationPlan::ShardedMerge`] — reduce-scatter-style merge: each
-//!   executor shard owns a slice of the element space and folds every
+//!   merge shard owns a slice of the element space and folds every
 //!   worker's decoded slice in rank order, then the slices concatenate
 //!   (they already live in one buffer, so "concatenate" is free).
 //! * [`AggregationPlan::HomomorphicSum`] — never materialize per-worker
@@ -45,6 +45,7 @@ use std::time::Instant;
 use crate::compressor::Compressor;
 use crate::exchange::EncodedTensor;
 use crate::payload::{self, PayloadError, PayloadView};
+use grace_telemetry::{Stage, StageTimer, Track};
 use grace_tensor::{Shape, Tensor};
 
 pub use crate::compressor::Context;
@@ -244,7 +245,13 @@ pub struct MergeStats {
     pub decode_cpu_ns: u64,
     /// CPU nanoseconds spent in the merge fold itself, summed over shards.
     pub merge_cpu_ns: u64,
+    /// Wall nanoseconds of the merge fold (equals
+    /// [`merge_cpu_ns`](Self::merge_cpu_ns) on serial folds).
+    pub merge_wall_ns: u64,
 }
+
+const DECOMPRESS: Track = Track::Stage(Stage::Decompress);
+const AGGREGATE: Track = Track::Stage(Stage::Aggregate);
 
 fn elapsed_ns(t0: Instant) -> u64 {
     t0.elapsed().as_nanos() as u64
@@ -354,7 +361,7 @@ pub fn sharded_mean_into(parts: &[Tensor], out: &mut Tensor, shards: usize) -> u
 
 /// The pooled merge component: owns the fold scratch (and the shard width)
 /// so repeated merges allocate nothing beyond the output tensor. One lives
-/// on the exchange engine; every rank of a real backend keeps its own.
+/// on every exchange engine.
 #[derive(Debug)]
 pub struct AggMerger {
     plan: AggregationPlan,
@@ -370,11 +377,6 @@ impl AggMerger {
             shards: 1,
             scratch: FoldScratch::new(),
         }
-    }
-
-    /// The requested plan (before the per-method downgrade chain).
-    pub fn plan(&self) -> AggregationPlan {
-        self.plan
     }
 
     /// Replaces the requested plan.
@@ -393,8 +395,9 @@ impl AggMerger {
     }
 
     /// Merges gathered encoded contributions under the requested plan
-    /// (downgraded per method), in rank order — the `Allgather` merge the
-    /// threaded runtime and the reference tests drive directly.
+    /// (downgraded per method), in rank order — the one `Allgather` merge
+    /// behind both session endings, also driven directly by the reference
+    /// tests.
     ///
     /// # Panics
     ///
@@ -408,61 +411,46 @@ impl AggMerger {
         let plan = effective_plan(self.plan, compressor);
         let n = parts.len() as u64;
         let dense_bytes = n * (parts[0].ctx.shape.len() * 4) as u64;
-        match plan {
-            AggregationPlan::DecodeThenMerge => {
-                let t0 = Instant::now();
-                let decoded: Vec<Tensor> = parts
-                    .iter()
-                    .map(|e| compressor.decompress(&e.payloads, &e.ctx))
-                    .collect();
-                let decode_cpu_ns = elapsed_ns(t0);
-                let t1 = Instant::now();
-                let out = compressor.aggregate(decoded);
-                let merge_cpu_ns = elapsed_ns(t1);
-                (
-                    out,
-                    MergeStats {
-                        plan,
-                        incast_bytes: dense_bytes,
-                        decode_cpu_ns,
-                        merge_cpu_ns,
-                    },
-                )
-            }
-            AggregationPlan::ShardedMerge => {
-                let t0 = Instant::now();
-                let decoded: Vec<Tensor> = parts
-                    .iter()
-                    .map(|e| compressor.decompress(&e.payloads, &e.ctx))
-                    .collect();
-                let decode_cpu_ns = elapsed_ns(t0);
-                let (out, merge_cpu_ns) = sharded_mean_in_place(decoded, self.shards);
-                (
-                    out,
-                    MergeStats {
-                        plan,
-                        incast_bytes: dense_bytes,
-                        decode_cpu_ns,
-                        merge_cpu_ns,
-                    },
-                )
-            }
-            AggregationPlan::HomomorphicSum => {
-                let mut out = Tensor::zeros(parts[0].ctx.shape.clone());
-                let t0 = Instant::now();
-                let incast_bytes = self.fold_homomorphic_into(compressor, parts, &mut out);
-                let merge_cpu_ns = elapsed_ns(t0);
-                (
-                    out,
-                    MergeStats {
-                        plan,
-                        incast_bytes,
-                        decode_cpu_ns: 0,
-                        merge_cpu_ns,
-                    },
-                )
-            }
+        // Stage time flows through `StageTimer`, so every backend's merge
+        // leaves the same `decompress`/`aggregate` spans on the stage tracks.
+        if plan == AggregationPlan::HomomorphicSum {
+            let mut out = Tensor::zeros(parts[0].ctx.shape.clone());
+            let t0 = StageTimer::start();
+            let incast_bytes = self.fold_homomorphic_into(compressor, parts, &mut out);
+            let merge_ns = t0.finish("aggregate", AGGREGATE);
+            let stats = MergeStats {
+                plan,
+                incast_bytes,
+                decode_cpu_ns: 0,
+                merge_cpu_ns: merge_ns,
+                merge_wall_ns: merge_ns,
+            };
+            return (out, stats);
         }
+        let t0 = StageTimer::start();
+        let decoded: Vec<Tensor> = parts
+            .iter()
+            .map(|e| compressor.decompress(&e.payloads, &e.ctx))
+            .collect();
+        let decode_cpu_ns = t0.finish("decompress", DECOMPRESS);
+        let t1 = StageTimer::start();
+        let (out, shard_cpu_ns) = if plan == AggregationPlan::ShardedMerge {
+            let (out, cpu_ns) = sharded_mean_in_place(decoded, self.shards);
+            (out, Some(cpu_ns))
+        } else {
+            (compressor.aggregate(decoded), None)
+        };
+        let merge_wall_ns = t1.finish("aggregate", AGGREGATE);
+        let stats = MergeStats {
+            plan,
+            incast_bytes: dense_bytes,
+            decode_cpu_ns,
+            // The method's own `Agg` runs serially (CPU == wall); the
+            // sharded fold reports per-shard CPU.
+            merge_cpu_ns: shard_cpu_ns.unwrap_or(merge_wall_ns),
+            merge_wall_ns,
+        };
+        (out, stats)
     }
 
     /// Folds encoded contributions into `out` via the compressor's
@@ -561,7 +549,7 @@ impl AggMerger {
         let mut out = Tensor::zeros(shape.clone());
         let mut contributors = 0usize;
         let mut incast_bytes = 0u64;
-        let t0 = Instant::now();
+        let t0 = StageTimer::start();
         for frame in survivors {
             frame.read_meta_into(&mut ctx.meta);
             let views = frame.payloads();
@@ -580,11 +568,13 @@ impl AggMerger {
             return Err(last_error);
         }
         h.finish_mean(out.as_mut_slice(), contributors);
+        let merge_ns = t0.finish("aggregate", AGGREGATE);
         let stats = MergeStats {
             plan,
             incast_bytes,
             decode_cpu_ns: 0,
-            merge_cpu_ns: elapsed_ns(t0),
+            merge_cpu_ns: merge_ns,
+            merge_wall_ns: merge_ns,
         };
         Ok((out, stats, rejected))
     }

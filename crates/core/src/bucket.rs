@@ -11,8 +11,8 @@
 //! [`PlanBuilder`] from the first observed stream and reused (and verified)
 //! on every later step. Boundaries depend only on the dense byte sizes in
 //! submission order, so every worker derives the **identical** plan and the
-//! session stays bit-identical at any fusion threshold and executor width
-//! (the PR-2 equivalence contract).
+//! session stays bit-identical at any fusion threshold (the PR-2 equivalence
+//! contract).
 //!
 //! The stream arrives in **reverse layer order**: backprop finishes the
 //! deepest layers first, so emitting their gradients immediately gives the
@@ -82,13 +82,6 @@ impl BucketPlan {
     /// Whether slot `idx` matches a submitted tensor exactly.
     pub fn matches(&self, idx: usize, name: &str, elements: usize) -> bool {
         idx < self.n_tensors() && self.elements[idx] == elements && self.names[idx] == name
-    }
-
-    /// Finds the unfilled slot for a submission. `filled` is the per-slot
-    /// occupancy bitmap; scanning it (rather than a name map) keeps the
-    /// steady-state hot path allocation-free.
-    pub fn slot_of(&self, name: &str, elements: usize, filled: &[bool]) -> Option<usize> {
-        (0..self.n_tensors()).find(|&i| !filled[i] && self.matches(i, name, elements))
     }
 }
 
@@ -222,19 +215,6 @@ mod tests {
         let p = b.finish();
         assert_eq!(p.n_buckets(), 2);
         assert_eq!(p.bucket_range(1), 1..3);
-    }
-
-    #[test]
-    fn slot_lookup_honours_fill_state() {
-        let p = plan_of(usize::MAX, &[2, 2, 3]);
-        let mut filled = vec![false; 3];
-        assert_eq!(p.slot_of("t1", 2, &filled), Some(1));
-        filled[1] = true;
-        assert_eq!(p.slot_of("t1", 2, &filled), None);
-        assert_eq!(p.slot_of("t2", 3, &filled), Some(2));
-        assert_eq!(p.slot_of("t2", 99, &filled), None, "size must match");
-        assert!(p.matches(0, "t0", 2));
-        assert!(!p.matches(0, "t0", 3));
     }
 
     #[test]

@@ -16,13 +16,22 @@
 //! An unfused step is the same session over a single-bucket plan
 //! (`PlanBuilder::new(usize::MAX)`).
 //!
+//! # One replica, *k* of *n* lanes
+//!
+//! A process holds the lanes of the ranks it computes for. With all `n`
+//! lanes and no peers ([`GradientExchange::from_fleet`]) it is the
+//! simulator and a session ends with [`BucketedExchange::finish`]; with one
+//! lane over a collective (`for_rank`) it is a real rank and the session
+//! ends with `finish_over`. Both endings run the same bucket walk and
+//! differ only in where the contributions the process does not hold come
+//! from.
+//!
 //! # Determinism
 //!
-//! Each lane encodes on the submitting thread, in *plan* order whatever the
-//! submission order, and every randomized method owns a per-worker seeded
-//! RNG. The gather-side decode fans out over a scoped-thread executor
-//! ([`std::thread::scope`]) whose results are collected **rank-ordered**, so
-//! the outcome is bit-identical for any executor width — asserted by
+//! Each lane encodes on the submitting thread in plan order (submissions
+//! must arrive in plan order), every randomized method owns a per-worker
+//! seeded RNG, and contributions merge in rank order, so the outcome is
+//! bit-identical at any fusion threshold and shard width — asserted by
 //! `tests/exchange_equivalence.rs` and `tests/pipeline_equivalence.rs`.
 //!
 //! # Telemetry
@@ -38,16 +47,19 @@
 //! Because report timings and trace spans come from the same clock reads,
 //! they can never disagree.
 
-use crate::aggregation::{effective_plan, sharded_mean_in_place, AggMerger, AggregationPlan};
+use crate::aggregation::{AggMerger, AggregationPlan, MergeStats};
 use crate::bucket::BucketPlan;
 use crate::compressor::{CommStrategy, Compressor, Context};
 use crate::memory::Memory;
 use crate::payload::{self, Payload};
-use grace_comm::TrafficCounter;
+use grace_comm::{
+    ClusterError, ClusterIntrospect, Collective, FaultyCollective, GatherFrames, TrafficCounter,
+};
 use grace_telemetry::{
     enabled, metrics, recorder, trace, Histogram, HistogramHandle, Level, Stage, StageTimer, Track,
 };
 use grace_tensor::Tensor;
+use std::convert::Infallible;
 
 const NS_PER_SEC: f64 = 1e9;
 
@@ -100,10 +112,9 @@ pub struct ExchangeReport {
     pub compress_seconds: Vec<f64>,
     /// Wall-clock seconds spent decompressing for aggregation.
     pub decompress_seconds: f64,
-    /// CPU seconds spent decompressing for aggregation, summed over lanes.
-    /// Equals [`decompress_seconds`](Self::decompress_seconds) on the serial
-    /// path; exceeds it when `Allgather` contributions decode in parallel on
-    /// the executor threads — the ratio is the parallel-decode win.
+    /// CPU seconds spent decompressing for aggregation (contributions
+    /// decode serially, so this equals
+    /// [`decompress_seconds`](Self::decompress_seconds)).
     pub decompress_cpu_seconds: f64,
     /// Wall-clock seconds spent in `Agg` proper.
     pub aggregate_seconds: f64,
@@ -141,12 +152,6 @@ impl ExchangeReport {
         self.compress_seconds.iter().fold(0.0f64, |a, &b| a.max(b))
     }
 
-    /// Wall codec cost of the step under concurrent workers: slowest
-    /// compress lane plus the (serial) aggregation decode.
-    pub fn codec_wall_seconds(&self) -> f64 {
-        self.max_compress_seconds() + self.decompress_seconds + self.aggregate_seconds
-    }
-
     /// Payload bytes generated across all workers this step.
     pub fn total_payload_bytes(&self) -> u64 {
         self.payload_bytes.iter().sum()
@@ -174,9 +179,7 @@ impl ExchangeReport {
     /// Wall codec cost of a pipelined step: the slowest rank's *exposed*
     /// encode (final-bucket work that cannot overlap backprop), plus
     /// whatever hidden encode exceeded the compute it hid under, plus the
-    /// serial decode/aggregate tail. Collapses to
-    /// [`codec_wall_seconds`](Self::codec_wall_seconds) when nothing was
-    /// hidden.
+    /// serial decode/aggregate tail.
     pub fn codec_wall_seconds_overlapped(&self, compute_seconds: f64) -> f64 {
         let mut max_exposed = 0.0f64;
         let mut max_hidden = 0.0f64;
@@ -201,16 +204,6 @@ impl ExchangeReport {
     /// of the plan-comparison figure.
     pub fn aggregator_cpu_seconds(&self) -> f64 {
         self.decompress_cpu_seconds + self.aggregate_cpu_seconds
-    }
-
-    /// Parallel-decode win: CPU decode seconds over wall decode seconds.
-    /// `1.0` when decoding ran serially (e.g. `Allreduce`, one lane).
-    pub fn decode_parallel_speedup(&self) -> f64 {
-        if self.decompress_seconds <= 0.0 {
-            1.0
-        } else {
-            (self.decompress_cpu_seconds / self.decompress_seconds).max(1.0)
-        }
     }
 }
 
@@ -348,7 +341,7 @@ const QB_RATIO: [&str; QUALITY_BUCKETS] = [
 /// Pure observation — gauges gate on the telemetry level internally and
 /// the instants gate on trace/recorder state, so recording here can never
 /// perturb the update math (bit-equivalence holds with sensors on or off).
-pub(crate) struct QualitySensors {
+struct QualitySensors {
     /// Latest sampled per-bucket relative approximation error
     /// ‖φ − Q⁻¹(Q(φ))‖/‖φ‖ in parts-per-million.
     err: [metrics::Gauge; QUALITY_BUCKETS],
@@ -360,7 +353,7 @@ pub(crate) struct QualitySensors {
 }
 
 impl QualitySensors {
-    pub(crate) fn resolve() -> Self {
+    fn resolve() -> Self {
         QualitySensors {
             err: std::array::from_fn(|b| metrics::gauge(QB_ERR[b])),
             ratio: std::array::from_fn(|b| metrics::gauge(QB_RATIO[b])),
@@ -369,7 +362,7 @@ impl QualitySensors {
     }
 
     /// Records a sampled relative approximation error for `bucket`.
-    pub(crate) fn record_error(&self, bucket: usize, rel_err: f64) {
+    fn record_error(&self, bucket: usize, rel_err: f64) {
         let b = bucket.min(QUALITY_BUCKETS - 1);
         let ppm = (rel_err * 1e6).round();
         self.err[b].set(ppm);
@@ -382,7 +375,7 @@ impl QualitySensors {
     }
 
     /// Records the effective compression ratio of one drained bucket.
-    pub(crate) fn record_ratio(&self, bucket: usize, elements: usize, wire_bytes: usize) {
+    fn record_ratio(&self, bucket: usize, elements: usize, wire_bytes: usize) {
         if wire_bytes == 0 || elements == 0 {
             return;
         }
@@ -398,7 +391,7 @@ impl QualitySensors {
     }
 
     /// Records the fleet's mean stored-residual norm.
-    pub(crate) fn record_residual(&self, norm: f64) {
+    fn record_residual(&self, norm: f64) {
         self.residual.set(norm);
     }
 }
@@ -406,8 +399,8 @@ impl QualitySensors {
 /// One worker's private compression lane: its compressor, its (optional)
 /// error-feedback memory, and its codec-time accumulator.
 ///
-/// The threaded runtime drives a single lane per OS thread; the engine owns
-/// one lane per worker and runs them on the scoped-thread executor.
+/// The engine owns one lane per rank the process computes for: all of them
+/// in the simulator, one on a rank of a real cluster.
 pub struct WorkerLane<'a> {
     rank: usize,
     compressor: &'a mut dyn Compressor,
@@ -450,18 +443,8 @@ impl<'a> WorkerLane<'a> {
         }
     }
 
-    /// This lane's worker rank.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// The lane's communication strategy.
-    pub fn strategy(&self) -> CommStrategy {
-        self.compressor.strategy()
-    }
-
-    /// Direct access to the compressor (the threaded runtime decompresses
-    /// gathered peer contributions with it).
+    /// Direct access to the compressor (gathered peer contributions
+    /// decompress with it).
     pub fn compressor_mut(&mut self) -> &mut dyn Compressor {
         self.compressor
     }
@@ -517,7 +500,7 @@ impl<'a> WorkerLane<'a> {
     /// Takes the most recent sampled relative approximation error. Callers
     /// that know the tensor→bucket mapping pull this right after an encode
     /// and attribute it to the covering fusion bucket.
-    pub(crate) fn take_quality_error(&mut self) -> Option<f64> {
+    fn take_quality_error(&mut self) -> Option<f64> {
         self.last_rel_err.take()
     }
 
@@ -655,20 +638,15 @@ enum SessionMode {
     Decoded,
 }
 
-/// Per-lane staging state of the pipelined session. Every vector is a pool
-/// that persists across steps on the engine, so the steady-state submit
-/// path allocates nothing once the plan's shapes have been seen.
+/// Per-lane state of the pipelined session. Every vector is a pool that
+/// persists across steps on the engine, so the steady-state submit path
+/// allocates nothing once the plan's shapes have been seen.
 struct LaneStager {
-    /// Plan-indexed pooled copies of submitted gradients.
-    staged: Vec<Tensor>,
-    filled: Vec<bool>,
     /// Plan-indexed encode outputs ([`SessionMode::Encoded`]).
     encoded: Vec<Option<EncodedTensor>>,
     /// Plan-indexed decoded views ([`SessionMode::Decoded`]).
     decoded: Vec<Option<Tensor>>,
-    /// Next plan index to encode; every slot below it is already encoded.
-    cursor: usize,
-    /// Tensors staged so far this step.
+    /// Tensors encoded so far this step — the next plan slot.
     submitted: usize,
     /// Encode nanoseconds attributed to each bucket this step.
     bucket_ns: Vec<u64>,
@@ -687,11 +665,8 @@ struct LaneStager {
 impl LaneStager {
     fn new() -> Self {
         LaneStager {
-            staged: Vec::new(),
-            filled: Vec::new(),
             encoded: Vec::new(),
             decoded: Vec::new(),
-            cursor: 0,
             submitted: 0,
             bucket_ns: Vec::new(),
             bucket_bytes: Vec::new(),
@@ -705,11 +680,6 @@ impl LaneStager {
     /// existing capacity (allocates only when the plan grew).
     fn reset(&mut self, plan: &BucketPlan, codec_before: f64) {
         let n = plan.n_tensors();
-        if self.staged.len() < n {
-            self.staged.resize_with(n, || Tensor::from_vec(Vec::new()));
-        }
-        self.filled.clear();
-        self.filled.resize(n, false);
         self.encoded.iter_mut().for_each(|s| *s = None);
         if self.encoded.len() < n {
             self.encoded.resize_with(n, || None);
@@ -724,70 +694,57 @@ impl LaneStager {
         self.bucket_bytes.resize(plan.n_buckets(), 0);
         self.bucket_err.clear();
         self.bucket_err.resize(plan.n_buckets(), -1.0);
-        self.cursor = 0;
         self.submitted = 0;
         self.window = None;
         self.codec_before = codec_before;
     }
 
-    /// Stages one submission into plan slot `idx`.
-    fn stage(&mut self, idx: usize, grad: &Tensor) {
-        self.staged[idx].copy_from(grad);
-        self.filled[idx] = true;
-        self.submitted += 1;
-    }
-
-    /// Encodes every contiguously-filled slot at the cursor — the canonical
-    /// per-lane encode order is *plan* order, independent of submission
-    /// order, which keeps sequential-RNG compressors (QSGD, RandomK)
-    /// bit-identical for any arrival interleaving. Attributes time and
-    /// bytes to the covering bucket and emits a `buckets`-track span when a
-    /// bucket's last tensor encodes. Returns the number of buckets this
-    /// call completed on this lane.
-    fn advance(
+    /// Encodes `grad` into the next plan slot — the only place a `bucket`
+    /// window opens: attributes time, bytes and sampled error to the
+    /// covering bucket and emits a `buckets`-track span when the bucket's
+    /// last tensor encodes. Returns whether this call completed a bucket.
+    fn encode(
         &mut self,
         lane: &mut WorkerLane<'_>,
         plan: &BucketPlan,
         mode: SessionMode,
-    ) -> usize {
-        let mut completed = 0;
-        while self.cursor < plan.n_tensors() && self.filled[self.cursor] {
-            let idx = self.cursor;
-            let b = plan.bucket_of(idx);
-            if self.window.is_none() {
-                self.window = Some(StageTimer::start());
+        grad: &Tensor,
+    ) -> bool {
+        let idx = self.submitted;
+        let b = plan.bucket_of(idx);
+        if self.window.is_none() {
+            self.window = Some(StageTimer::start());
+        }
+        let before_ns = lane.codec_ns;
+        let bytes = match mode {
+            SessionMode::Encoded => {
+                let enc = lane.encode(plan.name(idx), grad);
+                let bytes = enc.wire_bytes() as u64;
+                self.encoded[idx] = Some(enc);
+                bytes
             }
-            let before_ns = lane.codec_ns;
-            let bytes = match mode {
-                SessionMode::Encoded => {
-                    let enc = lane.encode(plan.name(idx), &self.staged[idx]);
-                    let bytes = enc.wire_bytes() as u64;
-                    self.encoded[idx] = Some(enc);
-                    bytes
-                }
-                SessionMode::Decoded => {
-                    let (enc, view) = lane.encode_decode(plan.name(idx), &self.staged[idx]);
-                    let bytes = enc.wire_bytes() as u64;
-                    self.decoded[idx] = Some(view);
-                    bytes
-                }
-            };
-            self.bucket_ns[b] += lane.codec_ns - before_ns;
-            self.bucket_bytes[b] += bytes;
-            if let Some(e) = lane.take_quality_error() {
-                if e > self.bucket_err[b] {
-                    self.bucket_err[b] = e;
-                }
+            SessionMode::Decoded => {
+                let (enc, view) = lane.encode_decode(plan.name(idx), grad);
+                let bytes = enc.wire_bytes() as u64;
+                self.decoded[idx] = Some(view);
+                bytes
             }
-            self.cursor += 1;
-            if self.cursor == plan.bucket_range(b).end {
-                if let Some(w) = self.window.take() {
-                    w.finish_with("bucket", Track::Bucket, "bucket", b as u64);
-                }
-                completed += 1;
+        };
+        self.bucket_ns[b] += lane.codec_ns - before_ns;
+        self.bucket_bytes[b] += bytes;
+        if let Some(e) = lane.take_quality_error() {
+            if e > self.bucket_err[b] {
+                self.bucket_err[b] = e;
             }
         }
-        completed
+        self.submitted += 1;
+        let sealed = self.submitted == plan.bucket_range(b).end;
+        if sealed {
+            if let Some(w) = self.window.take() {
+                w.finish_with("bucket", Track::Bucket, "bucket", b as u64);
+            }
+        }
+        sealed
     }
 
     /// Payload bytes this lane generated this step.
@@ -828,24 +785,37 @@ struct AggAccum {
     incast_bytes: u64,
 }
 
-/// The engine: owns the per-worker lanes and performs whole exchange steps.
+impl AggAccum {
+    fn add_merge(&mut self, stats: &MergeStats) {
+        // Contributions decode serially: wall == CPU.
+        self.decompress_ns += stats.decode_cpu_ns;
+        self.decompress_cpu_ns += stats.decode_cpu_ns;
+        self.aggregate_ns += stats.merge_wall_ns;
+        self.aggregate_cpu_ns += stats.merge_cpu_ns;
+        self.incast_bytes += stats.incast_bytes;
+    }
+}
+
+/// The engine: owns the lanes this process computes for and performs whole
+/// exchange steps.
 ///
 /// Construction borrows the fleet, so callers keep ownership of their
-/// compressor/memory boxes across runs (the trainer's public signature is
-/// unchanged).
+/// compressor/memory boxes across runs.
 pub struct GradientExchange<'a> {
+    /// Contiguous world ranks, ascending.
     lanes: Vec<WorkerLane<'a>>,
     strategy: CommStrategy,
-    threads: usize,
+    /// The byte ledger of sessions that end locally; a collective ending
+    /// leaves accounting to the transport's own counter.
     traffic: TrafficCounter,
     stage_hists: StageHistograms,
     metrics: EngineMetrics,
     quality: QualitySensors,
     pipeline: PipelineState,
     merger: AggMerger,
-    /// The plan the fleet's compressor actually runs under, resolved once
-    /// through the downgrade chain (the fleet never changes mid-run).
-    effective: Option<AggregationPlan>,
+    /// Pooled gather buffer of the collective ending: every tensor's frames
+    /// land as sub-ranges of one backing allocation the merge borrows from.
+    frames: GatherFrames,
 }
 
 impl<'a> GradientExchange<'a> {
@@ -858,7 +828,6 @@ impl<'a> GradientExchange<'a> {
         compressors: &'a mut [Box<dyn Compressor>],
         memories: &'a mut [Box<dyn Memory>],
     ) -> Self {
-        assert!(!compressors.is_empty(), "need at least one worker");
         assert_eq!(
             compressors.len(),
             memories.len(),
@@ -866,14 +835,12 @@ impl<'a> GradientExchange<'a> {
             compressors.len(),
             memories.len()
         );
-        let strategy = compressors[0].strategy();
-        let lanes: Vec<WorkerLane<'a>> = compressors
+        let lanes = compressors
             .iter_mut()
             .zip(memories.iter_mut())
             .enumerate()
-            .map(|(rank, (c, m))| WorkerLane::new(rank, c.as_mut(), Some(m.as_mut())))
-            .collect();
-        Self::from_lanes(lanes, strategy)
+            .map(|(rank, (c, m))| WorkerLane::new(rank, c.as_mut(), Some(m.as_mut())));
+        Self::from_lanes(lanes.collect())
     }
 
     /// Builds the engine over compressors only — no error feedback (the
@@ -883,17 +850,29 @@ impl<'a> GradientExchange<'a> {
     ///
     /// Panics if `compressors` is empty.
     pub fn from_compressors(compressors: &'a mut [Box<dyn Compressor>]) -> Self {
-        assert!(!compressors.is_empty(), "need at least one worker");
-        let strategy = compressors[0].strategy();
-        let lanes: Vec<WorkerLane<'a>> = compressors
+        let lanes = compressors
             .iter_mut()
             .enumerate()
-            .map(|(rank, c)| WorkerLane::new(rank, c.as_mut(), None))
-            .collect();
-        Self::from_lanes(lanes, strategy)
+            .map(|(rank, c)| WorkerLane::new(rank, c.as_mut(), None));
+        Self::from_lanes(lanes.collect())
     }
 
-    fn from_lanes(lanes: Vec<WorkerLane<'a>>, strategy: CommStrategy) -> Self {
+    /// Builds the engine of one rank of a real cluster: a single lane that
+    /// keeps its *world* rank (lane track, `submit`'s `worker` argument);
+    /// the peers' contributions arrive through
+    /// [`BucketedExchange::finish_over`].
+    pub(crate) fn for_rank(
+        rank: usize,
+        compressor: &'a mut dyn Compressor,
+        memory: &'a mut dyn Memory,
+    ) -> Self {
+        Self::from_lanes(vec![WorkerLane::new(rank, compressor, Some(memory))])
+    }
+
+    fn from_lanes(lanes: Vec<WorkerLane<'a>>) -> Self {
+        assert!(!lanes.is_empty(), "need at least one worker");
+        // All lanes must share worker 0's strategy.
+        let strategy = lanes[0].compressor.strategy();
         let n = lanes.len();
         let auto = std::thread::available_parallelism()
             .map(|p| p.get())
@@ -904,73 +883,42 @@ impl<'a> GradientExchange<'a> {
         GradientExchange {
             lanes,
             strategy,
-            threads: auto,
             traffic: TrafficCounter::new(n),
             stage_hists: StageHistograms::default(),
             metrics: EngineMetrics::resolve(),
             quality: QualitySensors::resolve(),
             pipeline: PipelineState::default(),
             merger,
-            effective: None,
+            frames: GatherFrames::new(),
         }
     }
 
-    /// Overrides the executor width. `1` forces the sequential path; any
-    /// width produces bit-identical results.
+    /// Overrides the shard width of [`AggregationPlan::ShardedMerge`]
+    /// folds. `1` forces the serial fold; any width produces bit-identical
+    /// results.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one executor thread");
-        self.threads = threads;
+        assert!(threads > 0, "need at least one merge thread");
         self.merger.set_shards(threads);
         self
     }
 
-    /// Selects the aggregation plan for `Allgather` merges. The engine
-    /// resolves the per-method downgrade chain lazily
-    /// ([`effective_aggregation`](Self::effective_aggregation)); every plan
-    /// is bit-identical on the aggregated output, so this only moves CPU
-    /// and incast bytes around.
+    /// Selects the aggregation plan for `Allgather` merges (downgraded per
+    /// method by [`crate::effective_plan`]); every plan is bit-identical on
+    /// the aggregated output, so this only moves CPU and incast bytes
+    /// around.
     pub fn with_aggregation(mut self, plan: AggregationPlan) -> Self {
         self.merger.set_plan(plan);
-        self.effective = None;
         self
     }
 
-    /// The requested aggregation plan.
-    pub fn aggregation(&self) -> AggregationPlan {
-        self.merger.plan()
-    }
-
-    /// The plan the fleet's method actually runs under, after the
-    /// capability/algebra downgrade chain.
-    pub fn effective_aggregation(&mut self) -> AggregationPlan {
-        match self.effective {
-            Some(p) => p,
-            None => {
-                let p = effective_plan(self.merger.plan(), self.lanes[0].compressor);
-                self.effective = Some(p);
-                p
-            }
-        }
-    }
-
-    /// Replaces the engine's traffic counter with a shared one, so exchange
-    /// reports feed an external [`TrafficCounter`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the counter tracks a different worker count.
-    pub fn with_traffic(mut self, counter: TrafficCounter) -> Self {
-        assert_eq!(
-            counter.n_workers(),
-            self.lanes.len(),
-            "traffic counter must track one slot per worker"
-        );
-        self.traffic = counter;
-        self
+    /// The world ranks this engine holds lanes for.
+    pub(crate) fn ranks(&self) -> std::ops::Range<usize> {
+        let first = self.lanes[0].rank;
+        first..first + self.lanes.len()
     }
 
     /// Number of worker lanes.
@@ -982,11 +930,6 @@ impl<'a> GradientExchange<'a> {
     /// must share it).
     pub fn strategy(&self) -> CommStrategy {
         self.strategy
-    }
-
-    /// Executor width.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Worker 0's compressor display name.
@@ -1030,77 +973,25 @@ impl<'a> GradientExchange<'a> {
         self.stage_hists = StageHistograms::default();
     }
 
-    /// Runs `per_lane` over every lane with its input, on up to
-    /// `self.threads` scoped threads, returning results in rank order.
-    fn run_lanes<I, T, F>(&mut self, inputs: Vec<I>, per_lane: F) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(&mut WorkerLane<'a>, I) -> T + Sync,
-    {
-        assert_eq!(
-            inputs.len(),
-            self.lanes.len(),
-            "need one input per worker lane"
-        );
-        let threads = self.threads.min(self.lanes.len());
-        if threads <= 1 {
-            return self
-                .lanes
-                .iter_mut()
-                .zip(inputs)
-                .map(|(lane, input)| per_lane(lane, input))
-                .collect();
-        }
-        let chunk = self.lanes.len().div_ceil(threads);
-        let f = &per_lane;
-        std::thread::scope(|scope| {
-            let mut inputs = inputs.into_iter();
-            let handles: Vec<_> = self
-                .lanes
-                .chunks_mut(chunk)
-                .map(|group| {
-                    let group_inputs: Vec<I> = inputs.by_ref().take(group.len()).collect();
-                    scope.spawn(move || {
-                        group
-                            .iter_mut()
-                            .zip(group_inputs)
-                            .map(|(lane, input)| f(lane, input))
-                            .collect::<Vec<T>>()
-                    })
-                })
-                .collect();
-            // Joining in spawn order keeps the collection rank-ordered and
-            // therefore deterministic regardless of thread scheduling.
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("exchange lane thread panicked"))
-                .collect()
-        })
+    /// Decodes one tensor's compressed mean on lane 0 (the `Allreduce`
+    /// tail of both session endings).
+    fn decode_mean(&mut self, mean: &[Payload], ctx: &Context, acc: &mut AggAccum) -> Tensor {
+        let t0 = StageTimer::start();
+        let out = self.lanes[0].compressor.decompress(mean, ctx);
+        let ns = t0.finish("decompress", Track::Stage(Stage::Decompress));
+        acc.decompress_ns += ns;
+        acc.decompress_cpu_ns += ns;
+        out
     }
 
-    /// Aggregates one tensor's per-worker contributions under the fleet's
-    /// [`CommStrategy`], folding wire bytes into `bucket` and stage times
-    /// into `acc`.
+    /// Aggregates one tensor when every contribution is held locally,
+    /// folding wire bytes into `bucket` and stage times into `acc`.
     ///
     /// `Allreduce` means payloads while compressed and decodes once on lane
     /// 0 — natively homomorphic, so the plan never changes it (only incast
-    /// accounting applies). `Allgather`/`Broadcast` merge under the
-    /// engine's effective [`AggregationPlan`]:
-    ///
-    /// * [`AggregationPlan::DecodeThenMerge`] — decode each gathered
-    ///   contribution **on its own lane** via the executor (decompression
-    ///   is pure and instance-independent for every registered method, the
-    ///   basis of the threaded/simulated equivalence contract), then the
-    ///   method's `Agg` on lane 0. The wall/CPU split between
-    ///   `decompress_ns` and `decompress_cpu_ns` records the
-    ///   parallel-decode win.
-    /// * [`AggregationPlan::ShardedMerge`] — same parallel decode, then the
-    ///   rank-order sharded fold over the element space in place of the
-    ///   lane-0 `Agg`.
-    /// * [`AggregationPlan::HomomorphicSum`] — no decode at all: encoded
-    ///   contributions fold straight into the accumulator, so decompress
-    ///   time is zero and the whole merge lands in the `Agg` stage.
+    /// accounting applies). `Allgather`/`Broadcast` merge in rank order
+    /// through [`AggMerger::merge_gathered`] under the engine's
+    /// [`AggregationPlan`].
     fn aggregate_group(
         &mut self,
         group: Vec<EncodedTensor>,
@@ -1113,13 +1004,7 @@ impl<'a> GradientExchange<'a> {
                 // Payloads merge while compressed: the aggregator's incast
                 // is the sum of the compressed contributions.
                 acc.incast_bytes += group.iter().map(|e| e.wire_bytes() as u64).sum::<u64>();
-                let mean = mean_payloads(&group);
-                let t0 = StageTimer::start();
-                let out = self.lanes[0].compressor.decompress(&mean, &group[0].ctx);
-                let ns = t0.finish("decompress", Track::Stage(Stage::Decompress));
-                acc.decompress_ns += ns;
-                acc.decompress_cpu_ns += ns;
-                out
+                self.decode_mean(&mean_payloads(&group), &group[0].ctx, acc)
             }
             CommStrategy::Allgather | CommStrategy::Broadcast => {
                 bucket.wire_bytes += group
@@ -1127,47 +1012,68 @@ impl<'a> GradientExchange<'a> {
                     .map(EncodedTensor::wire_bytes)
                     .max()
                     .unwrap_or(0);
-                if self.effective_aggregation() == AggregationPlan::HomomorphicSum {
-                    let t1 = StageTimer::start();
-                    let mut out = Tensor::from_vec(Vec::new());
-                    let GradientExchange { lanes, merger, .. } = self;
-                    acc.incast_bytes +=
-                        merger.fold_homomorphic_into(lanes[0].compressor, &group, &mut out);
-                    let ns = t1.finish("aggregate", Track::Stage(Stage::Aggregate));
-                    acc.aggregate_ns += ns;
-                    acc.aggregate_cpu_ns += ns;
-                    return out;
-                }
-                let plan = self.effective_aggregation();
-                acc.incast_bytes += (group.len() * group[0].ctx.shape.len() * 4) as u64;
-                let wall = StageTimer::start();
-                let parts: Vec<(Tensor, u64)> = self.run_lanes(group, |lane, enc| {
-                    let t = StageTimer::start();
-                    let out = lane.compressor.decompress(&enc.payloads, &enc.ctx);
-                    (out, t.finish("decode_peer", Track::Lane(lane.rank)))
-                });
-                acc.decompress_ns += wall.finish("decompress", Track::Stage(Stage::Decompress));
-                let mut decoded = Vec::with_capacity(parts.len());
-                for (tensor, ns) in parts {
-                    acc.decompress_cpu_ns += ns;
-                    decoded.push(tensor);
-                }
-                let t1 = StageTimer::start();
-                let (out, merge_cpu_ns) = if plan == AggregationPlan::ShardedMerge {
-                    sharded_mean_in_place(decoded, self.threads)
-                } else {
-                    (self.lanes[0].compressor.aggregate(decoded), 0)
-                };
-                let ns = t1.finish("aggregate", Track::Stage(Stage::Aggregate));
-                acc.aggregate_ns += ns;
-                // The lane-0 `Agg` runs serially (CPU == wall); the sharded
-                // fold reports per-shard CPU.
-                acc.aggregate_cpu_ns += if plan == AggregationPlan::ShardedMerge {
-                    merge_cpu_ns
-                } else {
-                    ns
-                };
+                let lane0 = &mut *self.lanes[0].compressor;
+                let (out, stats) = self.merger.merge_gathered(lane0, &group);
+                acc.add_merge(&stats);
                 out
+            }
+        }
+    }
+
+    /// Aggregates one tensor when the other contributions live on peer
+    /// ranks: this process's lane ships its encode through `comm` and
+    /// merges what comes back, degrading gracefully on dropped workers and
+    /// corrupted payloads. A bucket's wire bytes are this rank's own
+    /// contribution; the transport's counter is the byte ledger.
+    fn aggregate_over<C: ClusterIntrospect>(
+        &mut self,
+        comm: &FaultyCollective<C>,
+        encoded: EncodedTensor,
+        bucket: &mut BucketReport,
+        acc: &mut AggAccum,
+    ) -> Result<Tensor, ClusterError> {
+        let wire = encoded.wire_bytes();
+        bucket.wire_bytes += wire;
+        match self.strategy {
+            CommStrategy::Allreduce => {
+                // Average each F32 payload across the live workers while
+                // compressed; the contributor count the collective reports is
+                // the degraded-membership denominator.
+                let mut mean = Vec::with_capacity(encoded.payloads.len());
+                let mut contributors = 0;
+                for p in encoded.payloads {
+                    let reduction = comm.try_allreduce_f32(p.as_f32().to_vec())?;
+                    contributors = reduction.contributors;
+                    mean.push(average_sum(reduction.sum, reduction.contributors));
+                }
+                acc.incast_bytes += (wire * contributors) as u64;
+                Ok(self.decode_mean(&mean, &encoded.ctx, acc))
+            }
+            CommStrategy::Allgather | CommStrategy::Broadcast => {
+                let (rank, op) = (comm.rank(), comm.inner().ops_started());
+                let frame = payload::encode_frame(encoded.payloads, &encoded.ctx.meta);
+                comm.try_allgather_frames(frame, &mut self.frames)?;
+                let frames = &self.frames;
+                let slots = || (0..frames.n_slots()).filter_map(|r| frames.slot(r));
+                let lane0 = &mut *self.lanes[0].compressor;
+                let (merged, rejected) =
+                    match self.merger.merge_frames(lane0, slots(), &encoded.ctx.shape) {
+                        Ok((out, stats, rejected)) => {
+                            acc.add_merge(&stats);
+                            (Ok(out), rejected)
+                        }
+                        Err(e) => {
+                            let detail = e.to_string();
+                            (
+                                Err(ClusterError::Corrupted { rank, op, detail }),
+                                slots().count(),
+                            )
+                        }
+                    };
+                for _ in 0..rejected {
+                    comm.stats().record_detected(rank);
+                }
+                merged
             }
         }
     }
@@ -1178,15 +1084,16 @@ impl<'a> GradientExchange<'a> {
     /// caller's backprop is still running; each lane compensates and
     /// compresses submissions eagerly as fusion buckets fill, so the encode
     /// of bucket *k* hides under the backward pass that produces bucket
-    /// *k + 1*. [`BucketedExchange::finish`] aggregates bucket by bucket and
-    /// returns the aggregated tensors **in plan order** plus the step report.
+    /// *k + 1*. [`BucketedExchange::finish`] (or `finish_over` on a rank of a
+    /// real cluster) aggregates bucket by bucket and returns the aggregated
+    /// tensors **in plan order** plus the step report.
     ///
     /// `plan` is the step's bucket layout — build it once from the streaming
     /// order with [`crate::PlanBuilder`]; boundaries depend only on dense
     /// byte sizes, so every worker derives the identical plan and the
-    /// session stays bit-identical at any fusion threshold and executor
-    /// width. The engine caches the plan and its staging pools across
-    /// steps, so steady-state submits allocate nothing.
+    /// session stays bit-identical at any fusion threshold. The engine
+    /// caches the plan and its pools across steps, so steady-state submits
+    /// allocate nothing.
     ///
     /// An unfinished previous session (e.g. dropped mid-step after a worker
     /// fault) is discarded here; its pools are reset, not leaked.
@@ -1229,26 +1136,16 @@ impl<'a> GradientExchange<'a> {
         let pipe = &mut self.pipeline;
         let mode = pipe.mode.expect("no open pipelined session");
         let plan = pipe.plan.as_ref().expect("open session always has a plan");
-        assert!(worker < self.lanes.len(), "worker rank out of range");
-        let stager = &mut pipe.stagers[worker];
-        // Fast path: submissions arriving in plan order land on the next
-        // unfilled slot directly; anything else falls back to a scan.
-        let hint = stager.submitted;
-        let idx = if plan.matches(hint, name, grad.len()) && !stager.filled[hint] {
-            hint
-        } else {
-            plan.slot_of(name, grad.len(), &stager.filled)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "submission '{name}' ({} elements) does not match the bucket plan",
-                        grad.len()
-                    )
-                })
-        };
-        stager.stage(idx, grad);
-        let completed = stager.advance(&mut self.lanes[worker], plan, mode);
-        if completed > 0 {
-            pipe.in_flight += completed as u64;
+        let slot = worker.wrapping_sub(self.lanes[0].rank);
+        assert!(slot < self.lanes.len(), "worker rank out of range");
+        let stager = &mut pipe.stagers[slot];
+        assert!(
+            plan.matches(stager.submitted, name, grad.len()),
+            "submission '{name}' ({} elements) does not match the bucket plan",
+            grad.len()
+        );
+        if stager.encode(&mut self.lanes[slot], plan, mode, grad) {
+            pipe.in_flight += 1;
             self.metrics.in_flight.set(pipe.in_flight as f64);
         }
     }
@@ -1272,12 +1169,25 @@ impl<'a> GradientExchange<'a> {
                 stager.submitted,
                 plan.n_tensors()
             );
-            debug_assert_eq!(stager.cursor, plan.n_tensors(), "unencoded staged tensors");
         }
         pipe
     }
 
-    fn pipeline_finish(&mut self) -> (Vec<(String, Tensor)>, ExchangeReport) {
+    /// The one bucket walk behind both encoded-session endings: buckets →
+    /// tensors → `arm`, which turns the local lanes' encodes of one tensor
+    /// into its aggregate (from local contributions, or through a
+    /// collective), then per-bucket quality sensors and the step report.
+    /// An `arm` error abandons the step; the next `begin_*` rebuilds the
+    /// pools.
+    fn pipeline_finish<E>(
+        &mut self,
+        mut arm: impl FnMut(
+            &mut Self,
+            Vec<EncodedTensor>,
+            &mut BucketReport,
+            &mut AggAccum,
+        ) -> Result<Tensor, E>,
+    ) -> Result<(Vec<(String, Tensor)>, ExchangeReport), E> {
         let mut pipe = self.pipeline_take(SessionMode::Encoded);
         let plan = pipe.plan.as_ref().expect("open session always has a plan");
         let n = self.lanes.len();
@@ -1295,9 +1205,9 @@ impl<'a> GradientExchange<'a> {
                 let group: Vec<EncodedTensor> = pipe
                     .stagers
                     .iter_mut()
-                    .map(|s| s.encoded[idx].take().expect("cursor covered every slot"))
+                    .map(|s| s.encoded[idx].take().expect("every slot encoded"))
                     .collect();
-                let agg = self.aggregate_group(group, &mut bucket, &mut acc);
+                let agg = arm(self, group, &mut bucket, &mut acc)?;
                 aggregated.push((plan.name(idx).to_string(), agg));
             }
             let bucket_err = pipe
@@ -1315,32 +1225,39 @@ impl<'a> GradientExchange<'a> {
             self.metrics.in_flight.set(pipe.in_flight as f64);
         }
 
-        let compress_seconds: Vec<f64> = self
-            .lanes
-            .iter()
-            .zip(&pipe.stagers)
-            .map(|(lane, s)| lane.codec_seconds() - s.codec_before)
-            .collect();
+        let report = self.step_report(&pipe.stagers, buckets, &acc);
+        self.observe_step(&report, acc.decompress_ns, acc.aggregate_ns);
+        self.pipeline = pipe; // return the pools to the engine
+        Ok((aggregated, report))
+    }
+
+    /// Assembles a step's report from the per-lane stagers, the drained
+    /// buckets and the aggregation accumulators (all zero for decoded
+    /// sessions), and publishes its overlap ratio.
+    fn step_report(
+        &self,
+        stagers: &[LaneStager],
+        buckets: Vec<BucketReport>,
+        acc: &AggAccum,
+    ) -> ExchangeReport {
         let report = ExchangeReport {
             buckets,
-            compress_seconds,
+            compress_seconds: self
+                .lanes
+                .iter()
+                .zip(stagers)
+                .map(|(lane, s)| lane.codec_seconds() - s.codec_before)
+                .collect(),
             decompress_seconds: acc.decompress_ns as f64 / NS_PER_SEC,
             decompress_cpu_seconds: acc.decompress_cpu_ns as f64 / NS_PER_SEC,
             aggregate_seconds: acc.aggregate_ns as f64 / NS_PER_SEC,
             aggregate_cpu_seconds: acc.aggregate_cpu_ns as f64 / NS_PER_SEC,
             incast_bytes: acc.incast_bytes,
-            payload_bytes: pipe.stagers.iter().map(LaneStager::step_bytes).collect(),
-            hidden_encode_seconds: pipe
-                .stagers
-                .iter()
-                .map(LaneStager::hidden_seconds)
-                .collect(),
+            payload_bytes: stagers.iter().map(LaneStager::step_bytes).collect(),
+            hidden_encode_seconds: stagers.iter().map(LaneStager::hidden_seconds).collect(),
         };
         self.metrics.overlap.set(report.overlap_ratio());
-        self.observe_step(&report, acc.decompress_ns, acc.aggregate_ns);
-        self.record_traffic(&report);
-        self.pipeline = pipe; // return the pools to the engine
-        (aggregated, report)
+        report
     }
 
     /// Decoded-session teardown: worker-major views in plan order plus the
@@ -1355,7 +1272,7 @@ impl<'a> GradientExchange<'a> {
             .map(|s| {
                 (0..plan.n_tensors())
                     .map(|i| {
-                        let view = s.decoded[i].take().expect("cursor covered every slot");
+                        let view = s.decoded[i].take().expect("every slot encoded");
                         (plan.name(i).to_string(), view)
                     })
                     .collect()
@@ -1375,30 +1292,9 @@ impl<'a> GradientExchange<'a> {
                     .unwrap_or(0) as usize,
             })
             .collect();
-        let compress_seconds: Vec<f64> = self
-            .lanes
-            .iter()
-            .zip(&pipe.stagers)
-            .map(|(lane, s)| lane.codec_seconds() - s.codec_before)
-            .collect();
-        let report = ExchangeReport {
-            buckets,
-            compress_seconds,
-            decompress_seconds: 0.0,
-            decompress_cpu_seconds: 0.0,
-            aggregate_seconds: 0.0,
-            aggregate_cpu_seconds: 0.0,
-            incast_bytes: 0,
-            payload_bytes: pipe.stagers.iter().map(LaneStager::step_bytes).collect(),
-            hidden_encode_seconds: pipe
-                .stagers
-                .iter()
-                .map(LaneStager::hidden_seconds)
-                .collect(),
-        };
+        let report = self.step_report(&pipe.stagers, buckets, &AggAccum::default());
         pipe.in_flight = 0;
         self.metrics.in_flight.set(0.0);
-        self.metrics.overlap.set(report.overlap_ratio());
         self.pipeline = pipe;
         (views, report)
     }
@@ -1423,9 +1319,12 @@ impl<'a> GradientExchange<'a> {
             self.metrics.ratio_x100.record(ratio);
         }
         // Error-feedback pressure: the adaptive control plane's third
-        // quality signal, next to per-bucket error and ratio.
-        if let Some(norm) = self.residual_norm() {
-            self.quality.record_residual(norm);
+        // quality signal, next to per-bucket error and ratio. A full-model
+        // norm per lane, so only computed when the gauge is live.
+        if enabled(Level::Metrics) {
+            if let Some(norm) = self.residual_norm() {
+                self.quality.record_residual(norm);
+            }
         }
     }
 
@@ -1466,27 +1365,16 @@ pub struct BucketedExchange<'s, 'a> {
 }
 
 impl<'a> BucketedExchange<'_, 'a> {
-    /// Streams one gradient from `worker` into the session. Submissions may
-    /// arrive in any order and interleave freely across workers; each lane
-    /// encodes in *plan* order the moment its next slot fills, so the
-    /// result is bit-identical regardless of arrival interleaving
-    /// (including for sequential-RNG compressors).
+    /// Streams one gradient from `worker` (a world rank this engine holds a
+    /// lane for) into the session and encodes it on the spot. Each worker
+    /// submits in plan order; workers may interleave freely.
     ///
     /// # Panics
     ///
-    /// Panics if the `(name, len)` pair matches no unfilled plan slot or
-    /// `worker` is out of range.
+    /// Panics if the `(name, len)` pair is not the worker's next plan slot
+    /// or `worker` is out of range.
     pub fn submit(&mut self, worker: usize, name: &str, grad: &Tensor) {
         self.engine.pipeline_submit(worker, name, grad);
-    }
-
-    /// The session's bucket plan.
-    pub fn plan(&self) -> &BucketPlan {
-        self.engine
-            .pipeline
-            .plan
-            .as_ref()
-            .expect("open session always has a plan")
     }
 
     /// Aggregates every fusion bucket under the fleet's [`CommStrategy`]
@@ -1498,7 +1386,34 @@ impl<'a> BucketedExchange<'_, 'a> {
     /// Panics if any worker's stream is incomplete or the session was
     /// opened with [`GradientExchange::begin_decoded_step`].
     pub fn finish(self) -> (Vec<(String, Tensor)>, ExchangeReport) {
-        self.engine.pipeline_finish()
+        let walked: Result<_, Infallible> =
+            self.engine.pipeline_finish(|engine, group, bucket, acc| {
+                Ok(engine.aggregate_group(group, bucket, acc))
+            });
+        let (aggregated, report) = walked.unwrap_or_else(|never| match never {});
+        self.engine.record_traffic(&report);
+        (aggregated, report)
+    }
+
+    /// The collective ending of an encoded session on a rank of a real
+    /// cluster: the same bucket walk as [`finish`](Self::finish), with each
+    /// tensor's peer contributions exchanged through `comm`.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ClusterError`] a collective returns (this rank dropped,
+    /// a peer timed out, every gathered frame was corrupt); the step is
+    /// abandoned and the engine stays usable.
+    pub(crate) fn finish_over<C: ClusterIntrospect>(
+        self,
+        comm: &FaultyCollective<C>,
+    ) -> Result<(Vec<(String, Tensor)>, ExchangeReport), ClusterError> {
+        assert_eq!(self.engine.lanes.len(), 1, "a rank holds one lane");
+        self.engine
+            .pipeline_finish(|engine, mut group, bucket, acc| {
+                let encoded = group.pop().expect("one lane");
+                engine.aggregate_over(comm, encoded, bucket, acc)
+            })
     }
 
     /// Ends a decoded session with the local-SGD aggregation: the decoded
@@ -1730,35 +1645,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one executor thread")]
+    #[should_panic(expected = "at least one merge thread")]
     fn zero_threads_rejected() {
         let (mut cs, mut ms) = fleet(1);
         let _ = GradientExchange::from_fleet(&mut cs, &mut ms).with_threads(0);
     }
 
     #[test]
-    fn arbitrary_submission_order_is_bit_identical() {
-        let inputs = grads(2, 3.0);
-        let plan = plan_for(&inputs[0], 1);
-        let run = |orders: [&[usize]; 2]| {
-            let (mut cs, mut ms) = fleet(2);
-            let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms).with_threads(1);
-            let mut session = engine.begin_step(&plan);
-            // Interleave workers, each submitting in its own order.
-            for k in 0..plan.n_tensors() {
-                for (w, order) in orders.iter().enumerate() {
-                    let (name, g) = &inputs[w][order[k]];
-                    session.submit(w, name, g);
-                }
-            }
-            session.finish().0
-        };
-        let forward = run([&[0, 1], &[0, 1]]);
-        let scrambled = run([&[1, 0], &[0, 1]]);
-        for ((na, ta), (nb, tb)) in forward.iter().zip(&scrambled) {
-            assert_eq!(na, nb);
-            assert_eq!(ta.as_slice(), tb.as_slice());
-        }
+    #[should_panic(expected = "does not match the bucket plan")]
+    fn out_of_order_submission_panics() {
+        let inputs = grads(1, 1.0);
+        let plan = plan_for(&inputs[0], usize::MAX);
+        let (mut cs, mut ms) = fleet(1);
+        let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
+        let mut session = engine.begin_step(&plan);
+        let (name, g) = &inputs[0][1];
+        session.submit(0, name, g);
     }
 
     #[test]
@@ -1806,6 +1708,100 @@ mod tests {
         let (name, g) = &inputs[0][0];
         session.submit(0, name, g);
         let _ = session.finish();
+    }
+
+    /// `residual_norm` walks every stored residual tensor; with telemetry
+    /// off (this binary's level) and no monitor asking, nothing reads it.
+    #[test]
+    fn residual_norm_is_not_computed_when_nothing_reads_it() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        struct Counting(Arc<AtomicUsize>);
+        impl Memory for Counting {
+            fn compensate(&mut self, _name: &str, grad: &Tensor) -> Tensor {
+                grad.clone()
+            }
+            fn update(&mut self, _name: &str, _compensated: &Tensor, _decoded: &Tensor) {}
+            fn residual_norm(&self) -> Option<f64> {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                Some(0.0)
+            }
+        }
+
+        assert!(!enabled(Level::Metrics), "unit tests run at Level::Off");
+        let calls = Arc::new(AtomicUsize::new(0));
+        let (mut cs, _) = fleet(2);
+        let mut ms: Vec<Box<dyn Memory>> = (0..2)
+            .map(|_| Box::new(Counting(Arc::clone(&calls))) as Box<dyn Memory>)
+            .collect();
+        let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
+        let _ = run_step(&mut engine, 1, &grads(2, 1.0));
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
+    }
+
+    /// A collective ending that fails mid-walk abandons only that step: the
+    /// next `begin_step` starts clean on the same engine, and a fault-free
+    /// step over the survivors equals a fresh engine's bit for bit.
+    #[test]
+    fn failed_collective_finish_leaves_the_engine_reusable() {
+        use grace_comm::{ClusterOptions, FaultPlan, FaultStats, ThreadedCluster};
+        use std::sync::Arc;
+
+        let inputs = grads(2, 3.0);
+        let plan = plan_for(&inputs[0], 1);
+        let stream = |session: &mut BucketedExchange<'_, '_>, rank: usize| {
+            for (name, g) in &inputs[rank] {
+                session.submit(rank, name, g);
+            }
+        };
+        // Rank 1 drops at its second collective: "a" has already aggregated.
+        let faults = Arc::new(FaultPlan::empty().with_drop(1, 1));
+        let stats = FaultStats::new(2);
+        let outs = ThreadedCluster::run_with(2, ClusterOptions::default(), |endpoint| {
+            let rank = endpoint.rank();
+            let comm = FaultyCollective::new(endpoint, Arc::clone(&faults), stats.clone());
+            let (mut c, mut m) = (NoCompression::new(), NoMemory::new());
+            let mut engine = GradientExchange::for_rank(rank, &mut c, &mut m);
+            let mut session = engine.begin_step(&plan);
+            stream(&mut session, rank);
+            let faulted = session.finish_over(&comm).map(|(agg, _)| agg);
+            // Same engine, next step: the survivor alone over the
+            // collective, the dropped rank with no peers at all.
+            let mut session = engine.begin_step(&plan);
+            stream(&mut session, rank);
+            let next = match faulted {
+                Ok(_) => session.finish_over(&comm).expect("survivor runs alone").0,
+                Err(_) => session.finish().0,
+            };
+            (faulted, next)
+        });
+        assert_eq!(
+            outs[1].0.as_ref().unwrap_err(),
+            &ClusterError::Dropped { rank: 1, op: 1 }
+        );
+        let survivor = outs[0].0.as_ref().expect("rank 0 survives");
+        assert_eq!(
+            survivor[0].1.as_slice(),
+            &[1.5, 1.0, -1.0, 2.0],
+            "mean of both"
+        );
+        assert_eq!(
+            survivor[1].1.as_slice(),
+            &[0.5, 0.0],
+            "rescaled to the survivor"
+        );
+        for (rank, (_, next)) in outs.iter().enumerate() {
+            let (mut c, mut m) = (NoCompression::new(), NoMemory::new());
+            let mut fresh = GradientExchange::for_rank(rank, &mut c, &mut m);
+            let mut session = fresh.begin_step(&plan);
+            stream(&mut session, rank);
+            let (want, _) = session.finish();
+            for ((na, ta), (nb, tb)) in want.iter().zip(next) {
+                assert_eq!(na, nb);
+                assert_eq!(ta.as_slice(), tb.as_slice(), "rank {rank}: '{na}' diverged");
+            }
+        }
     }
 
     #[test]

@@ -172,8 +172,8 @@ pub struct AnomalyEvent {
 }
 
 /// One step's worth of health signals. Optional fields are skipped (their
-/// hysteresis state neither breaches nor clears) — the threaded runtime has
-/// no per-step overlap accounting, lossless fleets have no residual.
+/// hysteresis state neither breaches nor clears) — lossless fleets have no
+/// residual, a single-lane report has no lane skew.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepObservation {
     /// L2 norm of the aggregated gradient applied this step.
@@ -185,15 +185,16 @@ pub struct StepObservation {
     /// The step's pipelined-exchange overlap ratio.
     pub overlap_ratio: Option<f64>,
     /// Per-worker skew this step, in seconds: slowest-vs-fastest encode
-    /// lane (simulated mode) or barrier-wait spread (threaded mode).
+    /// lane (simulated mode), wire-arrival or barrier-wait spread (real
+    /// backends).
     pub straggler_skew_seconds: Option<f64>,
 }
 
 impl StepObservation {
-    /// Builds the simulated-mode observation from one step's
+    /// Builds the observation every backend starts from out of one step's
     /// [`ExchangeReport`]: compression ratio from payload bytes, overlap
     /// from the report, straggler skew from the spread of per-lane encode
-    /// seconds.
+    /// seconds (real backends override it with the transport's view).
     pub fn from_report(
         report: &ExchangeReport,
         uncompressed_bytes: f64,

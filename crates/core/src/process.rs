@@ -26,17 +26,17 @@ use grace_nn::optim::Optimizer;
 use grace_tensor::pack::crc32;
 use grace_tensor::Tensor;
 
-/// Worker factory shared by every cluster entry point: builds, per rank, the
-/// private (network, optimizer, compressor, memory).
-pub type MakeWorker<'a> = dyn Fn(
-        usize,
-    ) -> (
-        Network,
-        Box<dyn Optimizer>,
-        Box<dyn Compressor>,
-        Box<dyn Memory>,
-    ) + Sync
-    + 'a;
+/// One rank's private (network, optimizer, compressor, memory).
+pub type Worker = (
+    Network,
+    Box<dyn Optimizer>,
+    Box<dyn Compressor>,
+    Box<dyn Memory>,
+);
+
+/// Worker factory shared by every cluster entry point: builds, per rank, its
+/// [`Worker`].
+pub type MakeWorker<'a> = dyn Fn(usize) -> Worker + Sync + 'a;
 
 /// Environment variables `grace-launch` uses to hand a child process its
 /// place in the job.
@@ -175,7 +175,7 @@ pub fn run_socket_rank(
     } else {
         None
     };
-    let out = worker_loop(cfg, task, &make_worker, &comm, true);
+    let out = worker_loop(cfg, task, make_worker, &comm, true);
     if out.is_err() {
         comm.leave();
         // A wedged or dropped rank is exactly what the flight recorder
@@ -212,14 +212,7 @@ pub fn run_socket_rank(
 /// cannot bind or a worker that cannot join.
 pub fn run_cluster<F>(cfg: &TrainConfig, task: &dyn Task, make_worker: F) -> ThreadedResult
 where
-    F: Fn(
-            usize,
-        ) -> (
-            Network,
-            Box<dyn Optimizer>,
-            Box<dyn Compressor>,
-            Box<dyn Memory>,
-        ) + Sync,
+    F: Fn(usize) -> Worker + Sync,
 {
     launch(cfg, task, &make_worker, cfg.backend)
 }

@@ -84,10 +84,6 @@ pub struct ReplicatedResult {
     pub consensus_gap: f64,
 }
 
-fn params_as_vec(net: &mut Network) -> Vec<(String, Tensor)> {
-    net.export_params()
-}
-
 /// Builds the fusion plan for a parameter-shaped stream (forward/export
 /// order — replicated schedules submit whole-model snapshots, not a
 /// backprop stream, so plan order is simply export order).
@@ -101,7 +97,7 @@ fn param_plan(params: &[(String, Tensor)]) -> BucketPlan {
 
 fn average_params(replicas: &mut [Network]) -> Vec<(String, Tensor)> {
     let n = replicas.len();
-    let mut acc = params_as_vec(&mut replicas[0]);
+    let mut acc = replicas[0].export_params();
     for other in replicas.iter_mut().skip(1) {
         for (slot, (_, t)) in acc.iter_mut().zip(other.export_params()) {
             slot.1.add_assign(&t);
@@ -124,6 +120,53 @@ fn consensus_gap(replicas: &mut [Network], mean: &[(String, Tensor)]) -> f64 {
         worst = worst.max(sq.sqrt());
     }
     worst
+}
+
+/// One local optimizer step on every replica, each on its own shard's batch.
+fn local_step(
+    cfg: &ReplicatedConfig,
+    task: &dyn Task,
+    replicas: &mut [Network],
+    opts: &mut [Box<dyn Optimizer>],
+    epoch: usize,
+    step: usize,
+) {
+    let n = cfg.n_workers;
+    for (w, (replica, opt)) in replicas.iter_mut().zip(opts).enumerate() {
+        let idx = worker_batch_indices(
+            task.train_len(),
+            w,
+            n,
+            epoch,
+            step,
+            cfg.batch_per_worker,
+            cfg.seed,
+        );
+        let (x, y) = task.train_batch(&idx);
+        let _ = replica.forward_backward(&x, &y);
+        let grads = replica.take_gradients();
+        replica.apply_gradients(&grads, opt.as_mut());
+    }
+}
+
+/// The shared epilogue: evaluates the replica average on `probe` and reports
+/// how far the replicas ended from it.
+fn conclude(
+    replicas: &mut [Network],
+    mut probe: Network,
+    task: &dyn Task,
+    total_bytes: f64,
+    sync_rounds: u64,
+) -> ReplicatedResult {
+    let mean = average_params(replicas);
+    let gap = consensus_gap(replicas, &mean);
+    probe.import_params(&mean);
+    ReplicatedResult {
+        final_quality: task.quality(&mut probe),
+        bytes_per_worker_per_sync: total_bytes / sync_rounds.max(1) as f64,
+        sync_rounds,
+        consensus_gap: gap,
+    }
 }
 
 /// Runs local SGD with compressed periodic synchronization.
@@ -150,36 +193,20 @@ pub fn run_local_sgd(
     assert_eq!(compressors.len(), n, "need one compressor per worker");
     assert_eq!(memories.len(), n, "need one memory per worker");
     // The shared exchange engine drives the compressed delta rounds: the
-    // per-worker compensate → compress → decode → memory-update lanes run
-    // on its scoped-thread executor, the decoded deltas are averaged in
-    // rank order.
+    // per-worker compensate → compress → decode → memory-update lanes, the
+    // decoded deltas averaged in rank order.
     let mut engine = GradientExchange::from_fleet(compressors, memories);
     let mut replicas: Vec<Network> = (0..n).map(&make_net).collect();
     let mut opts: Vec<Box<dyn Optimizer>> = (0..n).map(&make_opt).collect();
     let spe = steps_per_epoch(task.train_len(), n, cfg.batch_per_worker);
-    let mut anchor = params_as_vec(&mut replicas[0]);
+    let mut anchor = replicas[0].export_params();
     let plan = param_plan(&anchor);
     let mut total_bytes = 0.0f64;
     let mut sync_rounds = 0u64;
     let mut since_sync = 0usize;
     for epoch in 0..cfg.epochs {
         for step in 0..spe {
-            // Local steps on every replica.
-            for w in 0..n {
-                let idx = worker_batch_indices(
-                    task.train_len(),
-                    w,
-                    n,
-                    epoch,
-                    step,
-                    cfg.batch_per_worker,
-                    cfg.seed,
-                );
-                let (x, y) = task.train_batch(&idx);
-                let _ = replicas[w].forward_backward(&x, &y);
-                let grads = replicas[w].take_gradients();
-                replicas[w].apply_gradients(&grads, opts[w].as_mut());
-            }
+            local_step(cfg, task, &mut replicas, &mut opts, epoch, step);
             since_sync += 1;
             if since_sync < cfg.sync_every && !(epoch + 1 == cfg.epochs && step + 1 == spe) {
                 continue;
@@ -206,16 +233,7 @@ pub fn run_local_sgd(
             }
         }
     }
-    let mean = average_params(&mut replicas);
-    let gap = consensus_gap(&mut replicas, &mean);
-    let mut probe = make_net(0);
-    probe.import_params(&mean);
-    ReplicatedResult {
-        final_quality: task.quality(&mut probe),
-        bytes_per_worker_per_sync: total_bytes / sync_rounds.max(1) as f64,
-        sync_rounds,
-        consensus_gap: gap,
-    }
+    conclude(&mut replicas, make_net(0), task, total_bytes, sync_rounds)
 }
 
 /// Runs decentralized training with compressed ring gossip.
@@ -242,31 +260,17 @@ pub fn run_gossip(
     assert_eq!(compressors.len(), n, "need one compressor per worker");
     // Gossip compresses raw parameters (no error feedback), so the engine
     // runs memory-less lanes; each round's decoded views come back
-    // rank-ordered from the scoped-thread executor.
+    // rank-ordered.
     let mut engine = GradientExchange::from_compressors(compressors);
     let mut replicas: Vec<Network> = (0..n).map(&make_net).collect();
     let mut opts: Vec<Box<dyn Optimizer>> = (0..n).map(&make_opt).collect();
     let spe = steps_per_epoch(task.train_len(), n, cfg.batch_per_worker);
-    let plan = param_plan(&params_as_vec(&mut replicas[0]));
+    let plan = param_plan(&replicas[0].export_params());
     let mut total_bytes = 0.0f64;
     let mut rounds = 0u64;
     for epoch in 0..cfg.epochs {
         for step in 0..spe {
-            for w in 0..n {
-                let idx = worker_batch_indices(
-                    task.train_len(),
-                    w,
-                    n,
-                    epoch,
-                    step,
-                    cfg.batch_per_worker,
-                    cfg.seed,
-                );
-                let (x, y) = task.train_batch(&idx);
-                let _ = replicas[w].forward_backward(&x, &y);
-                let grads = replicas[w].take_gradients();
-                replicas[w].apply_gradients(&grads, opts[w].as_mut());
-            }
+            local_step(cfg, task, &mut replicas, &mut opts, epoch, step);
             // Gossip round: everyone streams its parameters through a
             // decoded session once; each worker then averages its
             // neighbours' decompressed views.
@@ -295,16 +299,7 @@ pub fn run_gossip(
             }
         }
     }
-    let mean = average_params(&mut replicas);
-    let gap = consensus_gap(&mut replicas, &mean);
-    let mut probe = make_net(0);
-    probe.import_params(&mean);
-    ReplicatedResult {
-        final_quality: task.quality(&mut probe),
-        bytes_per_worker_per_sync: total_bytes / rounds.max(1) as f64,
-        sync_rounds: rounds,
-        consensus_gap: gap,
-    }
+    conclude(&mut replicas, make_net(0), task, total_bytes, rounds)
 }
 
 #[cfg(test)]

@@ -9,9 +9,9 @@
 //! `n` per-worker gradients from the `n` data shards, runs each worker's
 //! compressor + memory (each worker has its own instances and RNG streams),
 //! aggregates exactly as the collective would, and advances a simulated
-//! clock. [`crate::threaded::run_threaded`] executes the same schedule with
-//! real replicas over real collectives and is checked to produce identical
-//! parameters (integration tests).
+//! clock. [`crate::threaded::run_threaded`] runs the same step (`StepDriver`,
+//! below) with real replicas over real collectives and is checked to produce
+//! identical parameters (integration tests).
 //!
 //! # Simulated clock
 //!
@@ -31,14 +31,19 @@
 
 use crate::bucket::{PlanBuilder, DEFAULT_FUSION_BYTES};
 use crate::compressor::{CommStrategy, Compressor};
-use crate::exchange::{GradientExchange, StageHistograms, StageTotals};
+use crate::exchange::{
+    BucketedExchange, ExchangeReport, GradientExchange, StageHistograms, StageTotals,
+};
 use crate::health::{HealthMonitor, StepObservation};
 use crate::memory::Memory;
 use grace_comm::NetworkModel;
 use grace_nn::data::{epoch_order, shard_range, Task};
 use grace_nn::network::Network;
 use grace_nn::optim::Optimizer;
+use grace_telemetry::{recorder, trace, Track};
+use grace_tensor::Tensor;
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 /// Modelled computation time of the training substrate ("GPU" analog).
 ///
@@ -191,10 +196,10 @@ pub struct TrainConfig {
     /// deterministic fault plan plus collective timeout. Ignored by
     /// [`run_simulated`], which models a fault-free cluster.
     pub fault: Option<grace_comm::FaultConfig>,
-    /// Executor width for the exchange engine's gather-side decode and
-    /// sharded merge: `None` runs one thread per worker up to the host's
-    /// parallelism, `Some(1)` forces the sequential path. Results are
-    /// bit-identical either way.
+    /// Shard width of the exchange engine's
+    /// [`ShardedMerge`](crate::AggregationPlan::ShardedMerge) fold: `None`
+    /// runs one shard per worker up to the host's parallelism, `Some(1)`
+    /// forces the serial fold. Results are bit-identical either way.
     pub exchange_threads: Option<usize>,
     /// Tensor-fusion threshold in bytes: gradients stream out of backprop
     /// in reverse layer order and fuse into buckets of up to this many
@@ -410,6 +415,145 @@ pub(crate) fn gradient_l2(aggregated: &[(String, grace_tensor::Tensor)]) -> f64 
     sq.sqrt()
 }
 
+/// What [`StepDriver::run`] hands its caller after each optimizer update.
+pub(crate) struct StepDone<'s> {
+    pub(crate) epoch: usize,
+    /// Step index within the epoch.
+    pub(crate) step: usize,
+    /// Global steps completed, this one included.
+    pub(crate) steps_done: u64,
+    pub(crate) report: ExchangeReport,
+    /// This step's training loss per local rank.
+    pub(crate) losses: &'s [f32],
+    pub(crate) net: &'s mut Network,
+}
+
+/// The one implementation of a training step (Algorithm 1), for every
+/// backend: a process holds one replica and the engine lanes of the world
+/// ranks it computes for — all `n` in the simulator, one on a rank of a real
+/// cluster.
+pub(crate) struct StepDriver<'r, 'a> {
+    pub(crate) cfg: &'r TrainConfig,
+    pub(crate) task: &'r dyn Task,
+    pub(crate) net: &'r mut Network,
+    pub(crate) opt: &'r mut dyn Optimizer,
+    pub(crate) engine: &'r mut GradientExchange<'a>,
+    pub(crate) monitor: Option<HealthMonitor>,
+    /// Whether this driver marks step boundaries (trace marker + flight
+    /// recorder) for its process: one caller per process — rank 0 when
+    /// ranks share one, every rank otherwise.
+    pub(crate) marks_steps: bool,
+}
+
+impl<'a> StepDriver<'_, 'a> {
+    /// Runs every epoch. Per step: learning-rate schedule, each local rank's
+    /// batch → streaming backward into the session, forward-order sort, step
+    /// marker, monitor feed, optimizer update.
+    ///
+    /// Callers supply only what is theirs. `finish` ends the step's session
+    /// — locally, or over a collective, whose error abandons the run; `tune`
+    /// overrides monitor signals the caller measures better (called only
+    /// when a monitor is attached); `after` sees each finished step (the
+    /// simulator's virtual clock and evaluations). Returns the steps run.
+    pub(crate) fn run<E>(
+        mut self,
+        mut finish: impl FnMut(
+            u64,
+            BucketedExchange<'_, 'a>,
+        ) -> Result<(Vec<(String, Tensor)>, ExchangeReport), E>,
+        mut tune: impl FnMut(&mut StepObservation),
+        mut after: impl FnMut(StepDone<'_>),
+    ) -> Result<u64, E> {
+        let (cfg, task) = (self.cfg, self.task);
+        let n = cfg.n_workers;
+        let spe = steps_per_epoch(task.train_len(), n, cfg.batch_per_worker);
+        // Fusion plan over the streaming (reverse-layer) gradient order —
+        // boundaries depend only on dense byte sizes, so every worker derives
+        // the identical plan and the per-tensor collective order stays
+        // rank-consistent.
+        let plan = {
+            let mut builder = PlanBuilder::new(cfg.fusion_bytes);
+            for (name, len) in self.net.streaming_grad_sizes() {
+                builder.push(&name, len);
+            }
+            builder.finish()
+        };
+        // Stream order for the exchange, forward (visit) order for the update.
+        let forward_index: HashMap<String, usize> = self
+            .net
+            .gradient_names()
+            .into_iter()
+            .enumerate()
+            .map(|(i, name)| (name, i))
+            .collect();
+        let uncompressed = 4.0 * self.net.param_count() as f64;
+        let base_lr = self.opt.learning_rate();
+        let ranks = self.engine.ranks();
+        let mut losses = Vec::with_capacity(ranks.len());
+        let mut global_step = 0u64;
+        for epoch in 0..cfg.epochs {
+            if let Some(schedule) = &cfg.lr_schedule {
+                schedule.apply(self.opt, epoch, base_lr);
+            }
+            for step in 0..spe {
+                // Backprop streams each layer's gradients into the session the
+                // moment they exist (reverse layer order); the session
+                // compresses them on the spot, so encoding bucket k overlaps
+                // the backward pass producing bucket k+1 (§V-D).
+                let mut session = self.engine.begin_step(&plan);
+                losses.clear();
+                for w in ranks.clone() {
+                    let idx = worker_batch_indices(
+                        task.train_len(),
+                        w,
+                        n,
+                        epoch,
+                        step,
+                        cfg.batch_per_worker,
+                        cfg.seed,
+                    );
+                    let (x, y) = task.train_batch(&idx);
+                    losses.push(
+                        self.net
+                            .forward_backward_streaming(&x, &y, &mut |name, grad| {
+                                session.submit(w, name, grad);
+                            }),
+                    );
+                }
+                let (mut aggregated, report) = finish(global_step, session)?;
+                aggregated.sort_by_key(|(name, _)| forward_index[name.as_str()]);
+                if self.marks_steps {
+                    trace::instant_arg("step", Track::Step, Some(("step", global_step)));
+                    // Flight recorder: fold the step's counter deltas into the
+                    // ring and poll the on-demand dump request.
+                    recorder::observe_step(global_step);
+                }
+                if let Some(mon) = self.monitor.as_mut() {
+                    let mut obs = StepObservation::from_report(
+                        &report,
+                        uncompressed,
+                        gradient_l2(&aggregated),
+                        self.engine.residual_norm(),
+                    );
+                    tune(&mut obs);
+                    mon.observe_step(global_step, &obs);
+                }
+                self.net.apply_gradients(&aggregated, self.opt);
+                global_step += 1;
+                after(StepDone {
+                    epoch,
+                    step,
+                    steps_done: global_step,
+                    report,
+                    losses: &losses,
+                    net: self.net,
+                });
+            }
+        }
+        Ok(global_step)
+    }
+}
+
 /// Runs Algorithm 1 in the deterministic single-process mode.
 ///
 /// `compressors` and `memories` hold one instance per worker (worker `i`
@@ -445,8 +589,8 @@ pub fn run_simulated(
     // fed once per step. Neither touches the update math.
     let metrics_server = start_metrics_server(cfg);
     let run_tag = cfg.run_tag("sim");
-    grace_telemetry::recorder::configure(&run_tag, None);
-    let mut monitor = cfg
+    recorder::configure(&run_tag, None);
+    let monitor = cfg
         .health
         .clone()
         .map(|hc| HealthMonitor::new(hc).with_identity(0, &run_tag));
@@ -454,187 +598,120 @@ pub fn run_simulated(
     let spe = steps_per_epoch(task.train_len(), n, cfg.batch_per_worker);
     let eval_stride = (spe / cfg.evals_per_epoch).max(1);
 
-    // Fusion plan over the streaming (reverse-layer) gradient order —
-    // boundaries depend only on dense byte sizes, so every worker derives
-    // the identical plan.
-    let plan = {
-        let mut builder = PlanBuilder::new(cfg.fusion_bytes);
-        for (name, len) in net.streaming_grad_sizes() {
-            builder.push(&name, len);
-        }
-        builder.finish()
-    };
-    // The session returns aggregates in stream order; the optimizer applies
-    // them in forward (visit) order.
-    let forward_index: HashMap<String, usize> = net
-        .gradient_names()
-        .into_iter()
-        .enumerate()
-        .map(|(i, name)| (name, i))
-        .collect();
-
     let mut sim_clock = 0.0f64;
     let mut codec_seconds = 0.0f64;
     let mut comm_seconds = 0.0f64;
     let mut compute_seconds = 0.0f64;
     let mut total_bytes = 0.0f64;
     let mut history: Vec<EvalPoint> = Vec::new();
-    let mut loss_acc = 0.0f64;
-    let mut loss_count = 0u64;
-    let mut global_step = 0u64;
     let mut iter_times: Vec<f64> = Vec::new();
     let mut stages = StageTotals::default();
     let mut hidden_codec_seconds = 0.0f64;
     let mut lane_codec_seconds = 0.0f64;
-    let base_lr = opt.learning_rate();
 
-    for epoch in 0..cfg.epochs {
-        if let Some(schedule) = &cfg.lr_schedule {
-            schedule.apply(opt, epoch, base_lr);
-        }
-        for step in 0..spe {
-            let mut iter_time = 0.0f64;
-            // --- 1+2. Pipelined gradient computation + exchange ---
-            // Backprop streams each layer's gradients into the session the
-            // moment they exist (reverse layer order); the session fuses
-            // them into byte-threshold buckets and compresses each sealed
-            // bucket immediately, so encoding bucket k overlaps the
-            // backward pass producing bucket k+1 (§V-D). `finish`
-            // aggregates bucket by bucket.
-            let mut session = engine.begin_step(&plan);
-            for w in 0..n {
-                let idx = worker_batch_indices(
-                    task.train_len(),
-                    w,
-                    n,
-                    epoch,
-                    step,
-                    cfg.batch_per_worker,
-                    cfg.seed,
-                );
-                let (x, y) = task.train_batch(&idx);
-                let loss = net.forward_backward_streaming(&x, &y, &mut |name, grad| {
-                    session.submit(w, name, grad);
-                });
-                loss_acc += f64::from(loss);
-                loss_count += 1;
-            }
-            let compute_t = cfg.compute.batch_seconds(cfg.batch_per_worker);
-            compute_seconds += compute_t;
-            iter_time += compute_t;
-
-            let (mut aggregated, report) = session.finish();
-            aggregated.sort_by_key(|(name, _)| forward_index[name.as_str()]);
-            stages.add(&report);
-            hidden_codec_seconds += report.hidden_encode_seconds.iter().sum::<f64>();
-            lane_codec_seconds += report.compress_seconds.iter().sum::<f64>();
-            total_bytes += report.total_payload_bytes() as f64 / n as f64;
-            let iter_elements = report.elements();
-            // One collective per fused bucket: latency (α) is paid per
-            // bucket, bandwidth (β) per bucket's bytes.
-            let iter_comm: f64 = report
-                .buckets
-                .iter()
-                .map(|bucket| {
-                    let scaled_bytes = (bucket.wire_bytes as f64 * cfg.byte_scale).round() as usize;
-                    match cfg.topology {
-                        Topology::Peer => match strategy {
-                            CommStrategy::Allreduce => {
-                                cfg.network.allreduce_seconds(n, scaled_bytes)
-                            }
-                            CommStrategy::Allgather => {
-                                cfg.network.allgather_seconds(n, scaled_bytes)
-                            }
-                            CommStrategy::Broadcast => {
-                                cfg.network.broadcast_seconds(n, scaled_bytes)
-                            }
-                        },
-                        Topology::ParameterServer => {
-                            // Uplink incast: n compressed uploads share the
-                            // server's link; downlink: the aggregate goes
-                            // back to n workers.
-                            let up = scaled_bytes * n;
-                            let down_each = match strategy {
-                                // The compressed aggregate stays valid (e.g.
-                                // summed PowerSGD factors) and is
-                                // re-broadcast as-is.
-                                CommStrategy::Allreduce => scaled_bytes,
-                                // The server sends whichever is smaller: the
-                                // dense aggregated gradient or the forwarded
-                                // uploads.
-                                _ => ((uncompressed * cfg.byte_scale).round() as usize)
-                                    .min(scaled_bytes * n),
-                            };
-                            cfg.network.p2p_seconds(up) + cfg.network.p2p_seconds(down_each * n)
-                        }
+    let mut loss_acc = 0.0f64;
+    let mut loss_count = 0u64;
+    let after = |done: StepDone<'_>| {
+        let (step, report) = (done.step, &done.report);
+        // --- The virtual clock: compute, then one collective per bucket,
+        // then the codec policy. ---
+        let compute_t = cfg.compute.batch_seconds(cfg.batch_per_worker);
+        compute_seconds += compute_t;
+        stages.add(report);
+        hidden_codec_seconds += report.hidden_encode_seconds.iter().sum::<f64>();
+        lane_codec_seconds += report.compress_seconds.iter().sum::<f64>();
+        total_bytes += report.total_payload_bytes() as f64 / n as f64;
+        // Latency (α) is paid per fused bucket, bandwidth (β) per bucket's
+        // bytes.
+        let iter_comm: f64 = report
+            .buckets
+            .iter()
+            .map(|bucket| {
+                let scaled_bytes = (bucket.wire_bytes as f64 * cfg.byte_scale).round() as usize;
+                match cfg.topology {
+                    Topology::Peer => match strategy {
+                        CommStrategy::Allreduce => cfg.network.allreduce_seconds(n, scaled_bytes),
+                        CommStrategy::Allgather => cfg.network.allgather_seconds(n, scaled_bytes),
+                        CommStrategy::Broadcast => cfg.network.broadcast_seconds(n, scaled_bytes),
+                    },
+                    Topology::ParameterServer => {
+                        // Uplink incast: n compressed uploads share the
+                        // server's link; downlink: the aggregate goes
+                        // back to n workers.
+                        let up = scaled_bytes * n;
+                        let down_each = match strategy {
+                            // The compressed aggregate stays valid (e.g.
+                            // summed PowerSGD factors) and is
+                            // re-broadcast as-is.
+                            CommStrategy::Allreduce => scaled_bytes,
+                            // The server sends whichever is smaller: the
+                            // dense aggregated gradient or the forwarded
+                            // uploads.
+                            _ => ((uncompressed * cfg.byte_scale).round() as usize)
+                                .min(scaled_bytes * n),
+                        };
+                        cfg.network.p2p_seconds(up) + cfg.network.p2p_seconds(down_each * n)
                     }
-                })
-                .sum();
-            comm_seconds += iter_comm;
-            iter_time += iter_comm;
-            let iter_codec = match cfg.codec {
-                CodecTiming::MeasuredWallClock => {
-                    // Workers compress concurrently: charge the slowest
-                    // lane's *exposed* encode (hidden-bucket work already
-                    // overlapped this worker's own backprop) plus the
-                    // serial aggregation decode.
-                    report.codec_wall_seconds_overlapped(compute_t)
                 }
-                CodecTiming::Modeled {
-                    per_op_seconds,
-                    ops_per_tensor,
-                    ns_per_element,
-                    tensor_count,
-                } => {
-                    let dispatch = per_op_seconds * ops_per_tensor * tensor_count as f64;
-                    let arithmetic = ns_per_element * 1e-9 * iter_elements as f64 * cfg.byte_scale;
-                    // The framework overlaps elementwise codec arithmetic
-                    // with the tail of the backward pass (§V-D (ii)).
-                    dispatch + (arithmetic - 0.75 * compute_t).max(0.0)
-                }
-                CodecTiming::Free => 0.0,
-            };
-            codec_seconds += iter_codec;
-            iter_time += iter_codec;
-
-            // --- 3. Optimizer update (line 15) ---
-            grace_telemetry::trace::instant_arg(
-                "step",
-                grace_telemetry::Track::Step,
-                Some(("step", global_step)),
-            );
-            // Flight recorder: fold the step's counter deltas into the ring
-            // and poll the on-demand dump request.
-            grace_telemetry::recorder::observe_step(global_step);
-            if let Some(mon) = monitor.as_mut() {
-                let obs = StepObservation::from_report(
-                    &report,
-                    uncompressed,
-                    gradient_l2(&aggregated),
-                    engine.residual_norm(),
-                );
-                mon.observe_step(global_step, &obs);
+            })
+            .sum();
+        comm_seconds += iter_comm;
+        let iter_codec = match cfg.codec {
+            CodecTiming::MeasuredWallClock => {
+                // Workers compress concurrently: charge the slowest
+                // lane's *exposed* encode (hidden-bucket work already
+                // overlapped this worker's own backprop) plus the
+                // serial aggregation decode.
+                report.codec_wall_seconds_overlapped(compute_t)
             }
-            net.apply_gradients(&aggregated, opt);
-            sim_clock += iter_time;
-            iter_times.push(iter_time);
-            global_step += 1;
-
-            // --- 4. Periodic evaluation ---
-            if (step + 1) % eval_stride == 0 || step + 1 == spe {
-                let quality = task.quality(net);
-                history.push(EvalPoint {
-                    step: global_step,
-                    epoch,
-                    sim_seconds: sim_clock,
-                    quality,
-                    train_loss: (loss_acc / loss_count.max(1) as f64) as f32,
-                });
-                loss_acc = 0.0;
-                loss_count = 0;
+            CodecTiming::Modeled {
+                per_op_seconds,
+                ops_per_tensor,
+                ns_per_element,
+                tensor_count,
+            } => {
+                let dispatch = per_op_seconds * ops_per_tensor * tensor_count as f64;
+                let arithmetic = ns_per_element * 1e-9 * report.elements() as f64 * cfg.byte_scale;
+                // The framework overlaps elementwise codec arithmetic
+                // with the tail of the backward pass (§V-D (ii)).
+                dispatch + (arithmetic - 0.75 * compute_t).max(0.0)
             }
+            CodecTiming::Free => 0.0,
+        };
+        codec_seconds += iter_codec;
+        let iter_time = compute_t + iter_comm + iter_codec;
+        sim_clock += iter_time;
+        iter_times.push(iter_time);
+
+        // --- Periodic evaluation ---
+        for &loss in done.losses {
+            loss_acc += f64::from(loss);
         }
-    }
+        loss_count += done.losses.len() as u64;
+        if (step + 1) % eval_stride == 0 || step + 1 == spe {
+            history.push(EvalPoint {
+                step: done.steps_done,
+                epoch: done.epoch,
+                sim_seconds: sim_clock,
+                quality: task.quality(done.net),
+                train_loss: (loss_acc / loss_count.max(1) as f64) as f32,
+            });
+            loss_acc = 0.0;
+            loss_count = 0;
+        }
+    };
+    let finish = |_, session: BucketedExchange<'_, '_>| Ok::<_, Infallible>(session.finish());
+    let driver = StepDriver {
+        cfg,
+        task,
+        net,
+        opt,
+        engine: &mut engine,
+        monitor,
+        marks_steps: true,
+    };
+    let steps = driver.run(finish, |_| {}, after);
+    let global_step = steps.unwrap_or_else(|never| match never {});
 
     let stage_hists = engine.stage_stats().clone();
     // Step boundaries in this mode run on the caller's thread; drain its
@@ -642,78 +719,33 @@ pub fn run_simulated(
     grace_telemetry::trace::flush_thread();
     drop(metrics_server);
 
-    summarize(
-        compressor_name,
-        history,
-        task.higher_is_better(),
-        global_step,
-        total_bytes,
-        uncompressed,
-        sim_clock,
-        codec_seconds,
-        comm_seconds,
-        compute_seconds,
-        stages,
-        stage_hists,
-        hidden_codec_seconds,
-        lane_codec_seconds,
-        &iter_times,
-        cfg,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn summarize(
-    compressor: String,
-    history: Vec<EvalPoint>,
-    higher_is_better: bool,
-    steps: u64,
-    total_bytes: f64,
-    uncompressed: f64,
-    sim_seconds: f64,
-    codec_seconds: f64,
-    comm_seconds: f64,
-    compute_seconds: f64,
-    stages: StageTotals,
-    stage_hists: StageHistograms,
-    hidden_codec_seconds: f64,
-    lane_codec_seconds: f64,
-    iter_times: &[f64],
-    cfg: &TrainConfig,
-) -> RunResult {
+    let higher_is_better = task.higher_is_better();
+    let qualities = history.iter().map(|e| e.quality);
     let best_quality = if higher_is_better {
-        history
-            .iter()
-            .map(|e| e.quality)
-            .fold(f64::NEG_INFINITY, f64::max)
+        qualities.fold(f64::NEG_INFINITY, f64::max)
     } else {
-        history
-            .iter()
-            .map(|e| e.quality)
-            .fold(f64::INFINITY, f64::min)
+        qualities.fold(f64::INFINITY, f64::min)
     };
-    let final_quality = history.last().map(|e| e.quality).unwrap_or(f64::NAN);
     let tail = iter_times.len().clamp(1, 100);
     let tail_mean: f64 = iter_times[iter_times.len() - tail.min(iter_times.len())..]
         .iter()
         .sum::<f64>()
         / tail as f64;
-    let throughput = if tail_mean > 0.0 {
-        (cfg.n_workers * cfg.batch_per_worker) as f64 / tail_mean
-    } else {
-        f64::INFINITY
-    };
     RunResult {
-        compressor,
-        history,
+        compressor: compressor_name,
         best_quality,
-        final_quality,
+        final_quality: history.last().map(|e| e.quality).unwrap_or(f64::NAN),
+        history,
         higher_is_better,
-        steps,
-        bytes_per_worker_per_iter: total_bytes / steps.max(1) as f64,
+        steps: global_step,
+        bytes_per_worker_per_iter: total_bytes / global_step.max(1) as f64,
         uncompressed_bytes_per_iter: uncompressed,
-        sim_seconds,
-        throughput,
+        sim_seconds: sim_clock,
+        throughput: if tail_mean > 0.0 {
+            (n * cfg.batch_per_worker) as f64 / tail_mean
+        } else {
+            f64::INFINITY
+        },
         codec_seconds,
         comm_seconds,
         compute_seconds,

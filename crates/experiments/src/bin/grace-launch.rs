@@ -39,14 +39,13 @@ use grace_comm::net::{Endpoint, HubServer};
 use grace_comm::ClusterOptions;
 use grace_compressors::{extensions, registry};
 use grace_core::process::{
-    self, net_config_from_env, param_checksum, ENV_RANK, ENV_RENDEZVOUS, ENV_WORLD,
+    self, net_config_from_env, param_checksum, Worker, ENV_RANK, ENV_RENDEZVOUS, ENV_WORLD,
 };
 use grace_core::threaded::run_threaded;
 use grace_core::trainer::CodecTiming;
 use grace_core::{Compressor, Memory, NoCompression, NoMemory, TrainConfig};
 use grace_nn::data::ClassificationDataset;
 use grace_nn::models;
-use grace_nn::network::Network;
 use grace_nn::optim::{Momentum, Optimizer};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -91,16 +90,7 @@ fn parse_drop(s: &str) -> (usize, u64) {
     )
 }
 
-fn make_worker(
-    compressor_id: &str,
-    world: usize,
-    rank: usize,
-) -> (
-    Network,
-    Box<dyn Optimizer>,
-    Box<dyn Compressor>,
-    Box<dyn Memory>,
-) {
+fn make_worker(compressor_id: &str, world: usize, rank: usize) -> Worker {
     let net = models::mlp_classifier("m", 8, &[12], 2, SEED);
     let opt: Box<dyn Optimizer> = Box::new(Momentum::new(0.05, 0.9));
     let (compressor, memory) = if compressor_id == "baseline" {

@@ -95,7 +95,7 @@ fn main() {
                 }
             }
         }
-        std::thread::sleep(Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(1));
     };
     let health_body = serve::scrape(addr, "/health").unwrap_or_default();
     println!(

@@ -4,10 +4,9 @@
 //! exchange is executed — extends to tensor fusion: for every registered
 //! method, streaming gradients through `begin_step`/`submit`/`finish` must
 //! produce exactly the bytes of the unfused (single-bucket) step, at any
-//! fusion threshold, any executor width, and any submission order. The canonical
-//! per-lane encode order is *plan* order, which is what makes the
-//! sequential-RNG methods (QSGD dither, RandomK selection) invariant to
-//! arrival interleavings.
+//! fusion threshold and any merge width. Each lane encodes in plan order —
+//! the order backprop streams — which keeps the sequential-RNG methods
+//! (QSGD dither, RandomK selection) on one draw schedule in every mode.
 
 use grace::compressors::extensions::extension_specs;
 use grace::compressors::registry;
@@ -136,8 +135,8 @@ fn fused_session_matches_single_bucket_for_every_method() {
     }
 }
 
-/// The scoped-thread executor stays invisible through the session path:
-/// `threads = 4` and `threads = 1` produce identical bytes.
+/// The merge width stays invisible through the session path: `threads = 4`
+/// and `threads = 1` produce identical bytes.
 #[test]
 fn session_is_bit_identical_across_executor_widths() {
     for spec in all_specs() {
@@ -150,57 +149,6 @@ fn session_is_bit_identical_across_executor_widths() {
             let (a, _) = run_session(&mut seq, 256, &grads);
             let (b, _) = run_session(&mut par, 256, &grads);
             assert_bit_equal(&a, &b, &format!("{} (threads 1 vs 4)", spec.id));
-        }
-    }
-}
-
-/// Submission order must not matter: the canonical per-lane encode order is
-/// plan order, so any arrival interleaving yields the same bytes. Orders
-/// are derived from a seeded Fisher–Yates shuffle so failures replay.
-#[test]
-fn arbitrary_submission_orders_are_bit_identical() {
-    fn shuffled(n: usize, mut state: u64) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            // SplitMix64 step — cheap, deterministic, and good enough to
-            // exercise every interleaving class over a 5-tensor stream.
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
-            idx.swap(i, (z % (i as u64 + 1)) as usize);
-        }
-        idx
-    }
-
-    // QSGD and RandomK draw from one sequential per-lane RNG substream, so
-    // they are the methods an ordering bug would break first; run the whole
-    // registry anyway.
-    for spec in all_specs() {
-        let (mut c1, mut m1) = fleet(&spec);
-        let mut reference = GradientExchange::from_fleet(&mut c1, &mut m1);
-        let (mut c2, mut m2) = fleet(&spec);
-        let mut scrambled = GradientExchange::from_fleet(&mut c2, &mut m2);
-        for round in 0..4u64 {
-            let grads = worker_grads(round);
-            let (base, _) = run_session(&mut reference, 64, &grads);
-
-            let mut builder = PlanBuilder::new(64);
-            for (name, t) in &grads[0] {
-                builder.push(name, t.len());
-            }
-            let plan = builder.finish();
-            let mut session = scrambled.begin_step(&plan);
-            for (w, stream) in grads.iter().enumerate() {
-                let order = shuffled(stream.len(), round * 1000 + w as u64 * 31 + 1);
-                for &i in &order {
-                    let (name, t) = &stream[i];
-                    session.submit(w, name, t);
-                }
-            }
-            let (piped, _) = session.finish();
-            assert_bit_equal(&base, &piped, &format!("{} (round {round})", spec.id));
         }
     }
 }
@@ -274,12 +222,10 @@ fn homomorphic_fold_skips_decode_and_shrinks_incast() {
     );
 }
 
-/// The Allgather aggregation path decodes each contribution on its owning
-/// lane (fanned over the executor) instead of serially on lane 0; the
-/// report records both the wall-clock and summed per-lane CPU decode time,
-/// so the parallel-decode win is observable.
+/// The Allgather aggregation path attributes its decode time to the report,
+/// wall and CPU.
 #[test]
-fn parallel_decode_win_is_recorded_in_the_report() {
+fn gather_decode_time_is_recorded_in_the_report() {
     let spec = all_specs()
         .into_iter()
         .find(|s| s.id == "topk")
@@ -289,13 +235,12 @@ fn parallel_decode_win_is_recorded_in_the_report() {
     let (_, report) = run_session(&mut engine, 64, &worker_grads(0));
     assert!(
         report.decompress_cpu_seconds > 0.0,
-        "per-lane decode CPU time must be attributed"
+        "decode CPU time must be attributed"
     );
     assert!(
         report.decompress_seconds > 0.0,
         "decode wall time must be attributed"
     );
-    assert!(report.decode_parallel_speedup() >= 1.0);
 }
 
 /// End-to-end golden: the trained parameters are invariant to the fusion

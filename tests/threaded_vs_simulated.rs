@@ -91,6 +91,94 @@ fn powersgd_allreduce_matches() {
     );
 }
 
+/// One rank's run written out from public primitives — no session engine,
+/// no shared step loop — so `run_threaded` is checked against a reference
+/// that shares none of its orchestration.
+fn check_against_hand_rolled_ranks(
+    make_c: impl Fn(usize) -> Box<dyn Compressor> + Sync,
+    make_m: impl Fn() -> Box<dyn Memory> + Sync,
+) {
+    use grace::comm::{ClusterOptions, Collective, GatherFrames, ThreadedCluster};
+    use grace::core::exchange::{average_sum, WorkerLane};
+    use grace::core::payload::encode_frame;
+    use grace::core::trainer::{steps_per_epoch, worker_batch_indices};
+    use grace::core::{param_checksum, AggMerger, CommStrategy, Payload};
+    use std::collections::HashMap;
+
+    let n = 3;
+    let task = ClassificationDataset::synthetic(96, 8, 2, 0.3, 31);
+    let cfg = config(n);
+    let spe = steps_per_epoch(task.train_len(), n, cfg.batch_per_worker);
+    let sums = ThreadedCluster::run_with(n, ClusterOptions::default(), |comm| {
+        let rank = comm.rank();
+        let (mut network, mut optimizer) = (net(), opt());
+        let (mut compressor, mut memory) = (make_c(rank), make_m());
+        let strategy = compressor.strategy();
+        let mut lane = WorkerLane::new(rank, compressor.as_mut(), Some(memory.as_mut()));
+        let mut merger = AggMerger::new(cfg.agg_plan);
+        let mut frames = GatherFrames::new();
+        let forward: HashMap<String, usize> = network
+            .gradient_names()
+            .into_iter()
+            .enumerate()
+            .map(|(i, name)| (name, i))
+            .collect();
+        for (epoch, step) in (0..cfg.epochs).flat_map(|e| (0..spe).map(move |s| (e, s))) {
+            let batch = cfg.batch_per_worker;
+            let idx = worker_batch_indices(task.train_len(), rank, n, epoch, step, batch, cfg.seed);
+            let (x, y) = task.train_batch(&idx);
+            let mut stream = Vec::new();
+            let _ = network.forward_backward_streaming(&x, &y, &mut |name, grad| {
+                stream.push((name.to_string(), lane.encode(name, grad)));
+            });
+            let mut aggregated = Vec::new();
+            for (name, enc) in stream {
+                let agg = if strategy == CommStrategy::Allreduce {
+                    let mean: Vec<Payload> = enc
+                        .payloads
+                        .iter()
+                        .map(|p| {
+                            let r = comm.try_allreduce_f32(p.as_f32().to_vec()).unwrap();
+                            average_sum(r.sum, r.contributors)
+                        })
+                        .collect();
+                    lane.compressor_mut().decompress(&mean, &enc.ctx)
+                } else {
+                    let frame = encode_frame(enc.payloads, &enc.ctx.meta);
+                    comm.try_allgather_frames(frame, &mut frames).unwrap();
+                    let slots = (0..frames.n_slots()).filter_map(|r| frames.slot(r));
+                    let merged = merger.merge_frames(lane.compressor_mut(), slots, &enc.ctx.shape);
+                    merged.unwrap().0
+                };
+                aggregated.push((name, agg));
+            }
+            aggregated.sort_by_key(|(name, _)| forward[name.as_str()]);
+            network.apply_gradients(&aggregated, optimizer.as_mut());
+        }
+        param_checksum(&network.export_params())
+    });
+    let threaded = run_threaded(&cfg, &task, |rank| (net(), opt(), make_c(rank), make_m()));
+    let want = param_checksum(&threaded.final_params);
+    assert!(sums.iter().all(|&s| s == want), "{sums:x?} vs {want:x}");
+}
+
+#[test]
+fn run_threaded_matches_a_hand_rolled_rank_step() {
+    // Allreduce; sequential RNG; error feedback.
+    check_against_hand_rolled_ranks(
+        |_| Box::new(PowerSgd::new(2)),
+        || Box::new(ResidualMemory::new()),
+    );
+    check_against_hand_rolled_ranks(
+        |w| Box::new(Qsgd::new(16, 1000 + w as u64)),
+        || Box::new(NoMemory::new()),
+    );
+    check_against_hand_rolled_ranks(
+        |_| Box::new(TopK::new(0.05)),
+        || Box::new(ResidualMemory::new()),
+    );
+}
+
 #[test]
 fn empty_fault_plan_is_bit_transparent() {
     // Satellite acceptance: wrapping every worker in a FaultyCollective

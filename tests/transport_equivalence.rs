@@ -12,12 +12,11 @@
 //! is caught too.
 
 use grace::compressors::{extensions, registry};
-use grace::core::process::run_cluster;
+use grace::core::process::{run_cluster, Worker};
 use grace::core::trainer::{run_simulated, CodecTiming};
-use grace::core::{param_checksum, Compressor, ExecBackend, Memory, TrainConfig};
+use grace::core::{param_checksum, ExecBackend, TrainConfig};
 use grace::nn::data::ClassificationDataset;
 use grace::nn::models;
-use grace::nn::network::Network;
 use grace::nn::optim::{Momentum, Optimizer};
 use grace::tensor::Tensor;
 
@@ -34,13 +33,6 @@ fn config(backend: ExecBackend) -> TrainConfig {
     cfg.backend = backend;
     cfg
 }
-
-type Worker = (
-    Network,
-    Box<dyn Optimizer>,
-    Box<dyn Compressor>,
-    Box<dyn Memory>,
-);
 
 fn worker_for(spec: &grace::core::CompressorSpec, rank: usize) -> Worker {
     let (mut cs, mut ms) = registry::build_fleet(spec, N, SEED);
