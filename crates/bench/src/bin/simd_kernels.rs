@@ -309,11 +309,51 @@ fn main() {
         });
     }
 
+    // CRC32, the trailer of every payload stream and socket frame: the
+    // bit-at-a-time definition against the slice-by-8 table (`Scalar`) and
+    // against whatever the dispatcher picks (CLMUL folding where the CPU
+    // has it), at a frame header's, a small frame's and a dense tensor's
+    // size. Small inputs repeat so every timed body is 4 MiB of work, and
+    // these rows are reported as MB/s too.
+    const CRC_BODY_BYTES: usize = 4 << 20;
+    let crc_rows_from = rows.len();
+    for (size, table_row, dispatched_row) in [
+        (64usize, "crc32_table_64B", "crc32_64B"),
+        (4 << 10, "crc32_table_4KiB", "crc32_4KiB"),
+        (4 << 20, "crc32_table_4MiB", "crc32_4MiB"),
+    ] {
+        let data: Vec<u8> = (0..size).map(|i| (i * 31 % 251) as u8).collect();
+        let reps = CRC_BODY_BYTES / size;
+        let expect = pack::crc32_bitwise(&data);
+        let reference_ms = time_ms(|| {
+            for _ in 0..reps {
+                std::hint::black_box(pack::crc32_bitwise(std::hint::black_box(&data)));
+            }
+        });
+        for (name, lvl) in [
+            (table_row, simd::Level::Scalar),
+            (dispatched_row, simd::level()),
+        ] {
+            let new_ms = time_ms(|| {
+                for _ in 0..reps {
+                    let crc = simd::crc32_update_at(lvl, !0, std::hint::black_box(&data));
+                    std::hint::black_box(crc);
+                }
+            });
+            assert_eq!(!simd::crc32_update_at(lvl, !0, &data), expect, "{name}");
+            rows.push(Row {
+                name,
+                reference_ms,
+                new_ms,
+            });
+        }
+    }
+
     let host_cpus = std::thread::available_parallelism()
         .map(|nn| nn.get())
         .unwrap_or(1);
     let mut json_rows = Vec::new();
-    for r in &rows {
+    for (i, r) in rows.iter().enumerate() {
         println!(
             "{:>16}  reference {:8.4} ms  new {:8.4} ms  speedup {:6.2}x",
             r.name,
@@ -321,9 +361,19 @@ fn main() {
             r.new_ms,
             r.speedup()
         );
+        let mut mbps = String::new();
+        if i >= crc_rows_from {
+            let rate = |ms: f64| CRC_BODY_BYTES as f64 / 1e3 / ms.max(1e-9);
+            let (reference, new) = (rate(r.reference_ms), rate(r.new_ms));
+            println!(
+                "{:>16}  reference {reference:8.0} MB/s new {new:8.0} MB/s",
+                ""
+            );
+            mbps = format!(", \"reference_MBps\": {reference:.0}, \"new_MBps\": {new:.0}");
+        }
         json_rows.push(format!(
             "    {{\"codec\": \"{}\", \"reference_ms\": {:.4}, \"new_ms\": {:.4}, \
-             \"speedup\": {:.4}}}",
+             \"speedup\": {:.4}{mbps}}}",
             r.name,
             r.reference_ms,
             r.new_ms,

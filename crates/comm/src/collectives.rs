@@ -105,13 +105,16 @@ impl GatherFrames {
         }
     }
 
-    /// Adopts `body` wholesale as the backing buffer. Transport overrides
-    /// that receive one verified response frame push slot ranges first
-    /// ([`push_range`](Self::push_range)), then hand the frame body over —
-    /// no per-slot copy ever happens. Ranges must lie within `body`; they
-    /// are trusted here and bounds-checked on access.
-    pub fn adopt_body(&mut self, body: Vec<u8>) {
-        self.body = body;
+    /// Swaps `body` in as the backing buffer and hands the previous one
+    /// back in its place. Transport overrides that receive one verified
+    /// response frame push slot ranges first
+    /// ([`push_range`](Self::push_range)), then swap their read buffer in
+    /// — no per-slot copy ever happens, and the buffer swapped out is the
+    /// transport's next read buffer, so neither side allocates once warm.
+    /// Ranges must lie within `body`; they are trusted here and
+    /// bounds-checked on access.
+    pub fn swap_body(&mut self, body: &mut Vec<u8>) {
+        std::mem::swap(&mut self.body, body);
     }
 
     /// Appends a present slot covering `range` of the adopted body.

@@ -77,7 +77,7 @@ use crate::error::ClusterError;
 use crate::traffic::TrafficCounter;
 use grace_telemetry::metrics::{self, Counter, HistogramHandle};
 use grace_telemetry::{since_epoch_ns, trace, Track};
-use grace_tensor::pack::crc32;
+use grace_tensor::pack::{add_f32s_le, crc32, extend_f32s_le, read_f32s_le};
 use parking_lot::Mutex;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -86,6 +86,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Frame kinds. Requests carry the sender's op index so the hub can assert
@@ -134,6 +135,11 @@ const ERR_RENDEZVOUS: u8 = 3;
 /// Upper bound on a single frame; a corrupted length prefix must fail fast,
 /// not allocate garbage.
 const MAX_FRAME_BYTES: u32 = 1 << 30;
+
+/// How much of a header's claimed length the reader reserves before any of
+/// it has arrived. A header is four unauthenticated bytes: past this, the
+/// read buffer grows only with bytes actually received.
+const READ_AHEAD_BYTES: usize = 1 << 20;
 
 /// How many corrupted frames / retransmit requests a single logical read
 /// tolerates before giving up on the stream.
@@ -238,6 +244,18 @@ impl Stream {
             Stream::Tcp(s) => s.set_read_timeout(t),
             #[cfg(unix)]
             Stream::Uds(s) => s.set_read_timeout(t),
+        }
+    }
+
+    /// Appends up to `limit` bytes to `buf`, stopping short only at end of
+    /// stream. Dispatches to the socket types themselves so their native
+    /// `read_to_end` fills `buf`'s spare capacity directly: no zero-fill,
+    /// and `buf` grows only as bytes arrive.
+    fn read_up_to(&mut self, limit: usize, buf: &mut Vec<u8>) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.take(limit as u64).read_to_end(buf),
+            #[cfg(unix)]
+            Stream::Uds(s) => s.take(limit as u64).read_to_end(buf),
         }
     }
 }
@@ -348,17 +366,42 @@ pub struct NetStats {
     pub resends: u64,
 }
 
+/// Starts serialising a frame into `buf`, replacing its contents: the
+/// length word is reserved and the kind written; the caller appends the
+/// body in place and then calls [`seal_frame`].
+fn begin_frame(buf: &mut Vec<u8>, kind: u8) {
+    buf.clear();
+    buf.extend_from_slice(&[0; 4]);
+    buf.push(kind);
+}
+
+/// Patches the length word in and appends the CRC: `buf` is now the wire
+/// image, with no second copy.
+fn seal_frame(buf: &mut Vec<u8>) {
+    let len = buf.len() - 4;
+    assert!(len <= MAX_FRAME_BYTES as usize, "frame too large: {len}");
+    buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc32(&buf[4..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
+}
+
 /// One length-prefixed, CRC-trailed frame stream over TCP or UDS.
 ///
-/// Reads and writes are blocking `read_exact` / `write_all` loops, so a
-/// frame is delivered whole or errors — no short-read/short-write
+/// A frame is delivered whole or errors — no short-read/short-write
 /// truncation, which the loopback proptest pins for payloads from zero
-/// bytes to multi-megabyte fused buckets.
+/// bytes to multi-megabyte fused buckets. Each direction works out of one
+/// pooled buffer that grows to the largest frame seen and is then reused,
+/// so a steady-state frame allocates nothing.
 #[derive(Debug)]
 pub struct FramedStream {
     stream: Stream,
-    /// Clean wire image of the last non-NACK frame, for retransmission.
-    last_sent: Vec<u8>,
+    /// Wire image of the last non-NACK frame, length word to CRC trailer:
+    /// serialised in place, written from here and kept as the retransmit
+    /// copy. Behind an `Arc` because the hub hands one response image to
+    /// every stream of a round.
+    tx: Arc<Vec<u8>>,
+    /// `kind ‖ body` of the last frame read.
+    rx: Vec<u8>,
     /// Test hook: corrupt one bit of the next outgoing frame *after* its
     /// CRC is computed, forcing the receiver down the NACK path.
     corrupt_next: bool,
@@ -377,7 +420,8 @@ impl FramedStream {
     fn new(stream: Stream) -> FramedStream {
         FramedStream {
             stream,
-            last_sent: Vec::new(),
+            tx: Arc::default(),
+            rx: Vec::new(),
             corrupt_next: false,
             stats: NetStats::default(),
             track: Track::Hub,
@@ -422,8 +466,25 @@ impl FramedStream {
         self.stats
     }
 
-    fn send_raw(&mut self, wire: &[u8]) -> io::Result<()> {
-        self.stream.write_all(wire)?;
+    /// Bytes of buffer capacity this stream retains between frames —
+    /// bounded by the largest frame it has sent plus the largest it has
+    /// fully received, never by what a header merely claims.
+    pub fn retained_bytes(&self) -> usize {
+        self.tx.capacity() + self.rx.capacity()
+    }
+
+    /// Puts `wire` on the socket; `flip` names a byte that goes out with
+    /// one bit inverted. The flipped byte is its own write because `wire`
+    /// is also the retransmit image (and may be shared): it stays clean.
+    fn send_raw(&mut self, wire: &[u8], flip: Option<usize>) -> io::Result<()> {
+        match flip {
+            None => self.stream.write_all(wire)?,
+            Some(at) => {
+                self.stream.write_all(&wire[..at])?;
+                self.stream.write_all(&[wire[at] ^ 0x10])?;
+                self.stream.write_all(&wire[at + 1..])?;
+            }
+        }
         self.stats.frames_sent += 1;
         self.stats.wire_bytes_sent += wire.len() as u64;
         self.c_frames.add(1);
@@ -431,39 +492,68 @@ impl FramedStream {
         Ok(())
     }
 
-    /// Writes one frame. Non-NACK frames are kept for retransmission until
-    /// the next write.
-    pub fn write_frame(&mut self, kind: u8, body: &[u8]) -> io::Result<()> {
-        let len = 1 + body.len();
-        assert!(len <= MAX_FRAME_BYTES as usize, "frame too large: {len}");
-        let mut wire = Vec::with_capacity(4 + len + 4);
-        wire.extend_from_slice(&(len as u32).to_le_bytes());
-        wire.push(kind);
-        wire.extend_from_slice(body);
-        let crc = crc32(&wire[4..]);
-        wire.extend_from_slice(&crc.to_le_bytes());
-        if kind != KIND_NACK {
-            self.last_sent.clear();
-            self.last_sent.extend_from_slice(&wire);
-        }
-        if std::mem::take(&mut self.corrupt_next) {
-            // Flip a bit inside the checksummed region so the receiver's
-            // CRC (not a length mismatch) catches it.
-            let idx = 4 + (wire.len() - 8) / 2;
-            wire[idx] ^= 0x10;
-        }
+    /// Sends a freshly built wire image, honouring the corruption hook.
+    fn send_image(&mut self, wire: &[u8]) -> io::Result<()> {
         trace::instant_arg(
             "net.frame.send",
             self.track,
             Some(("bytes", wire.len() as u64)),
         );
-        self.send_raw(&wire)
+        // Inside the checksummed region, so the receiver's CRC (not a
+        // length mismatch) catches it.
+        let flip = std::mem::take(&mut self.corrupt_next).then(|| 4 + (wire.len() - 8) / 2);
+        self.send_raw(wire, flip)
     }
 
-    /// Reads the next application frame, transparently handling the
-    /// frame-retry protocol: a CRC reject answers `NACK` and re-reads; an
-    /// incoming `NACK` retransmits our last frame and re-reads.
-    pub fn read_frame(&mut self) -> io::Result<(u8, Vec<u8>)> {
+    /// Writes one frame with `body` as its body. Non-NACK frames are kept
+    /// for retransmission until the next write.
+    pub fn write_frame(&mut self, kind: u8, body: &[u8]) -> io::Result<()> {
+        self.write_frame_with(kind, |buf| buf.extend_from_slice(body))
+    }
+
+    /// Writes one frame whose body `fill` appends in place, so a caller
+    /// holding typed data serialises it exactly once — into the buffer the
+    /// frame is sent (and, if NACKed, re-sent) from.
+    pub fn write_frame_with(
+        &mut self,
+        kind: u8,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> io::Result<()> {
+        if kind == KIND_NACK {
+            // Built aside: a NACK must not displace the frame the peer may
+            // yet ask for again.
+            let mut nack = Vec::new();
+            begin_frame(&mut nack, kind);
+            fill(&mut nack);
+            seal_frame(&mut nack);
+            return self.send_image(&nack);
+        }
+        if Arc::get_mut(&mut self.tx).is_none() {
+            // The last image was a hub fan-out other streams still hold.
+            self.tx = Arc::default();
+        }
+        let buf = Arc::get_mut(&mut self.tx).expect("sole handle checked above");
+        begin_frame(buf, kind);
+        fill(buf);
+        seal_frame(buf);
+        let image = Arc::clone(&self.tx);
+        self.send_image(&image)
+    }
+
+    /// Sends a wire image built once for several streams (the hub's
+    /// response fan-out); this stream keeps a handle as its retransmit
+    /// copy.
+    fn write_shared(&mut self, image: &Arc<Vec<u8>>) -> io::Result<()> {
+        self.tx = Arc::clone(image);
+        self.send_image(image)
+    }
+
+    /// Reads the next application frame as `(kind, body)`, transparently
+    /// handling the frame-retry protocol: a CRC reject answers `NACK` and
+    /// re-reads; an incoming `NACK` retransmits our last frame and re-reads.
+    /// The body borrows this stream's pooled buffer ([`Self::body`] borrows
+    /// it again) and is valid until the next read.
+    pub fn read_frame(&mut self) -> io::Result<(u8, &[u8])> {
         for _ in 0..RETRY_LIMIT {
             let mut len_buf = [0u8; 4];
             self.stream.read_exact(&mut len_buf)?;
@@ -474,11 +564,22 @@ impl FramedStream {
                     format!("frame length {len} out of range"),
                 ));
             }
-            let mut buf = vec![0u8; len as usize];
-            self.stream.read_exact(&mut buf)?;
-            let mut crc_buf = [0u8; 4];
-            self.stream.read_exact(&mut crc_buf)?;
-            if crc32(&buf) != u32::from_le_bytes(crc_buf) {
+            // `kind ‖ body ‖ crc` in one read. The header is four
+            // unauthenticated bytes: trust it for a bounded reservation
+            // only, and beyond that grow as bytes actually arrive.
+            let len = len as usize;
+            self.rx.clear();
+            self.rx.reserve((len + 4).min(READ_AHEAD_BYTES));
+            let got = self.stream.read_up_to(len + 4, &mut self.rx)?;
+            if got < len + 4 {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!("stream ended {got} bytes into a {}-byte frame", len + 4),
+                ));
+            }
+            let trailer = self.rx[len..].try_into().expect("4-byte trailer");
+            self.rx.truncate(len);
+            if crc32(&self.rx) != u32::from_le_bytes(trailer) {
                 self.stats.nacks_sent += 1;
                 self.c_retries.add(1);
                 self.c_nacks.add(1);
@@ -486,33 +587,41 @@ impl FramedStream {
                 self.write_frame(KIND_NACK, &[])?;
                 continue;
             }
-            let kind = buf[0];
-            buf.drain(..1);
-            if kind == KIND_NACK {
-                if self.last_sent.is_empty() {
+            if self.rx[0] == KIND_NACK {
+                if self.tx.is_empty() {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         "peer NACKed before any frame was sent",
                     ));
                 }
                 self.stats.resends += 1;
-                let copy = self.last_sent.clone();
-                self.c_resend_bytes.add(copy.len() as u64);
-                trace::instant_arg("net.resend", self.track, Some(("bytes", copy.len() as u64)));
-                self.send_raw(&copy)?;
+                let image = Arc::clone(&self.tx);
+                self.c_resend_bytes.add(image.len() as u64);
+                trace::instant_arg(
+                    "net.resend",
+                    self.track,
+                    Some(("bytes", image.len() as u64)),
+                );
+                self.send_raw(&image, None)?;
                 continue;
             }
             trace::instant_arg(
                 "net.frame.recv",
                 self.track,
-                Some(("bytes", buf.len() as u64)),
+                Some(("bytes", len as u64 - 1)),
             );
-            return Ok((kind, buf));
+            return Ok((self.rx[0], self.body()));
         }
         Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "frame retry limit exhausted: persistently corrupted stream",
         ))
+    }
+
+    /// The body of the last frame [`Self::read_frame`] returned (empty
+    /// before the first).
+    pub fn body(&self) -> &[u8] {
+        self.rx.get(1..).unwrap_or_default()
     }
 }
 
@@ -615,40 +724,17 @@ fn read_ctx(r: &mut Reader) -> io::Result<TraceCtx> {
     ))
 }
 
-/// Builds the header every collective response starts with: the live
+/// Appends the header every collective response starts with: the live
 /// count, the hub's send timestamp, and each rank's request-arrival stamp
 /// for this round (0 for ranks that sent nothing) — everything a client
 /// needs for an NTP-style clock sample plus fleet-wide arrival skew.
-fn round_header(live: u32, arrivals: &[u64]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(16 + arrivals.len() * 8);
-    put_u32(&mut body, live);
-    put_u64(&mut body, since_epoch_ns(Instant::now()));
-    put_u32(&mut body, arrivals.len() as u32);
+fn put_round_header(body: &mut Vec<u8>, live: u32, arrivals: &[u64]) {
+    put_u32(body, live);
+    put_u64(body, since_epoch_ns(Instant::now()));
+    put_u32(body, arrivals.len() as u32);
     for &a in arrivals {
-        put_u64(&mut body, a);
+        put_u64(body, a);
     }
-    body
-}
-
-fn f32s_to_bytes(data: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 4);
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-fn bytes_to_f32s(bytes: &[u8]) -> io::Result<Vec<f32>> {
-    if !bytes.len().is_multiple_of(4) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "f32 buffer length not a multiple of 4",
-        ));
-    }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -728,11 +814,12 @@ impl HubServer {
         timer.finish("hub.rendezvous", Track::Hub);
         for s in streams.iter_mut() {
             let _ = s.set_read_timeout(self.options.timeout);
-            let mut body = Vec::with_capacity(8);
-            put_u32(&mut body, self.world as u32);
-            put_u32(&mut body, self.world as u32);
-            s.write_frame(KIND_WELCOME, &body)
-                .map_err(|e| transport(0, 0, format!("welcome: {e}")))?;
+            let world = self.world as u32;
+            s.write_frame_with(KIND_WELCOME, |b| {
+                put_u32(b, world);
+                put_u32(b, world);
+            })
+            .map_err(|e| transport(0, 0, format!("welcome: {e}")))?;
         }
         self.op_loop(&mut streams)
     }
@@ -795,7 +882,7 @@ impl HubServer {
         if kind != KIND_HELLO {
             return Err(format!("expected HELLO, got kind {kind}"));
         }
-        let mut r = Reader::new(&body);
+        let mut r = Reader::new(body);
         let rank = r.u32().map_err(|e| e.to_string())? as usize;
         let world = r.u32().map_err(|e| e.to_string())? as usize;
         if world != self.world {
@@ -822,14 +909,13 @@ impl HubServer {
             if kind != KIND_CLOCK_PING {
                 return Err(format!("expected CLOCK_PING, got kind {kind}"));
             }
-            let mut r = Reader::new(&body);
-            let t0 = r.u64().map_err(|e| e.to_string())?;
-            let mut pong = Vec::with_capacity(24);
-            put_u64(&mut pong, t0);
-            put_u64(&mut pong, h1);
-            put_u64(&mut pong, since_epoch_ns(Instant::now()));
+            let t0 = Reader::new(body).u64().map_err(|e| e.to_string())?;
             framed
-                .write_frame(KIND_CLOCK_PONG, &pong)
+                .write_frame_with(KIND_CLOCK_PONG, |b| {
+                    put_u64(b, t0);
+                    put_u64(b, h1);
+                    put_u64(b, since_epoch_ns(Instant::now()));
+                })
                 .map_err(|e| format!("clock pong: {e}"))?;
         }
         Ok(rank)
@@ -837,14 +923,17 @@ impl HubServer {
 
     /// One iteration per collective op: read one request per live rank,
     /// aggregate in rank order (bit-identical to the threaded deposit
-    /// board), answer everyone still listening.
+    /// board), answer everyone still listening. Each request stays in its
+    /// stream's read buffer; `kinds[rank]` says whose holds one this round.
     fn op_loop(&self, streams: &mut [FramedStream]) -> Result<(), ClusterError> {
         let world = self.world;
         let mut alive = vec![true; world];
         let mut hub_op = 0u64;
         let mut arrivals = vec![0u64; world];
+        let mut kinds: Vec<Option<u8>> = vec![None; world];
+        let mut images = ResponseImages::default();
         loop {
-            let mut reqs: Vec<Option<(u8, Vec<u8>)>> = (0..world).map(|_| None).collect();
+            kinds.fill(None);
             arrivals.fill(0);
             for rank in 0..world {
                 if !alive[rank] {
@@ -852,7 +941,7 @@ impl HubServer {
                 }
                 match streams[rank].read_frame() {
                     Ok((KIND_LEAVE, _)) => alive[rank] = false,
-                    Ok(req) => {
+                    Ok((kind, _)) => {
                         // Hub-side observation time of this rank's request.
                         // Reads happen in rank order, so a stalled earlier
                         // rank inflates later stamps; the clock filter's
@@ -860,7 +949,7 @@ impl HubServer {
                         // convoy attribution uses client-side span starts
                         // on the merged timeline instead.
                         arrivals[rank] = since_epoch_ns(Instant::now());
-                        reqs[rank] = Some(req);
+                        kinds[rank] = Some(kind);
                     }
                     // EOF (killed process), timeout (wedged rank) or a
                     // persistently corrupt stream: an implicit leave. The
@@ -868,23 +957,24 @@ impl HubServer {
                     Err(_) => alive[rank] = false,
                 }
             }
-            if reqs.iter().all(Option::is_none) {
+            if kinds.iter().all(Option::is_none) {
                 if alive.iter().any(|a| *a) {
                     // Everyone who was due this round left instead.
                     continue;
                 }
                 return Ok(());
             }
-            let round = self.answer_round(streams, &mut alive, &reqs, hub_op, &arrivals);
+            let image = images.next();
+            let round = self.answer_round(streams, &alive, &kinds, hub_op, &arrivals, image);
             hub_op += 1;
             match round {
-                Ok(()) => {}
+                Ok(()) => fan_out(streams, &mut alive, &kinds, image),
                 Err(detail) => {
                     let mut body = vec![ERR_PROTOCOL];
                     put_u32(&mut body, 0);
                     body.extend_from_slice(detail.as_bytes());
                     for rank in 0..world {
-                        if alive[rank] && reqs[rank].is_some() {
+                        if alive[rank] && kinds[rank].is_some() {
                             let _ = streams[rank].write_frame(KIND_ERROR, &body);
                         }
                     }
@@ -894,116 +984,102 @@ impl HubServer {
         }
     }
 
+    /// Builds the round's one response frame into `image`, straight from
+    /// the requests in the streams' read buffers — serialised and
+    /// checksummed once, however many ranks it then goes to.
     fn answer_round(
         &self,
-        streams: &mut [FramedStream],
-        alive: &mut [bool],
-        reqs: &[Option<(u8, Vec<u8>)>],
+        streams: &[FramedStream],
+        alive: &[bool],
+        kinds: &[Option<u8>],
         hub_op: u64,
         arrivals: &[u64],
+        image: &mut Arc<Vec<u8>>,
     ) -> Result<(), String> {
-        let world = self.world;
         let timer = trace::StageTimer::start();
-        let kind = reqs
-            .iter()
-            .flatten()
-            .map(|(k, _)| *k)
-            .next()
-            .expect("at least one request");
+        let kind = kinds.iter().flatten().next();
+        let kind = *kind.expect("at least one request");
         // SPMD lockstep: every live rank must have issued the same op, and
         // each frame's trace context must agree with the stream it rode in
         // on. The step stamp feeds the hub's aggregate span.
         let mut step = 0u64;
-        for (rank, req) in reqs.iter().enumerate() {
-            if let Some((k, body)) = req {
-                if *k != kind {
-                    return Err(format!(
-                        "SPMD violation at hub op {hub_op}: rank {rank} sent kind {k}, expected {kind}"
-                    ));
-                }
-                let mut r = Reader::new(body);
-                let ctx = read_ctx(&mut r).map_err(|e| e.to_string())?;
-                if ctx.origin as usize != rank {
-                    return Err(format!(
-                        "origin mismatch at hub op {hub_op}: rank {rank}'s stream carried a \
-                         frame from rank {}",
-                        ctx.origin
-                    ));
-                }
-                // Per-rank seq counters may trail the hub's after drops.
-                step = step.max(ctx.step);
+        for (rank, k) in kinds.iter().enumerate() {
+            let Some(k) = *k else { continue };
+            if k != kind {
+                return Err(format!(
+                    "SPMD violation at hub op {hub_op}: rank {rank} sent kind {k}, expected {kind}"
+                ));
             }
+            let ctx =
+                read_ctx(&mut Reader::new(streams[rank].body())).map_err(|e| e.to_string())?;
+            if ctx.origin as usize != rank {
+                return Err(format!(
+                    "origin mismatch at hub op {hub_op}: rank {rank}'s stream carried a \
+                     frame from rank {}",
+                    ctx.origin
+                ));
+            }
+            // Per-rank seq counters may trail the hub's after drops.
+            step = step.max(ctx.step);
         }
         let live = alive.iter().filter(|a| **a).count() as u32;
-        let mut responses: Vec<Option<Vec<u8>>> = (0..world).map(|_| None).collect();
-        match kind {
+        // This round's requests in rank order (`None` for a rank that sent
+        // nothing): what follows the trace context checked above, each
+        // still in its stream's read buffer.
+        let requests = || {
+            let ranks = kinds.iter().zip(streams);
+            ranks.map(|(k, s)| k.map(|_| &s.body()[TraceCtx::WIRE_BYTES..]))
+        };
+        let buf = Arc::get_mut(image).expect("ResponseImages hands out sole handles");
+        let name = match kind {
             KIND_ALLREDUCE => {
-                let mut acc: Option<Vec<f32>> = None;
-                let mut contributors = 0u32;
-                for req in reqs.iter() {
-                    let Some((_, body)) = req else { continue };
-                    let mut r = Reader::new(body);
-                    let _ = read_ctx(&mut r).map_err(|e| e.to_string())?;
-                    let data = bytes_to_f32s(r.rest()).map_err(|e| e.to_string())?;
-                    contributors += 1;
-                    match &mut acc {
-                        None => acc = Some(data),
-                        Some(acc) => {
-                            if acc.len() != data.len() {
-                                return Err(format!(
-                                    "allreduce length mismatch: {} vs {}",
-                                    acc.len(),
-                                    data.len()
-                                ));
-                            }
-                            for (a, b) in acc.iter_mut().zip(&data) {
-                                *a += b;
-                            }
-                        }
+                begin_frame(buf, KIND_R_ALLREDUCE);
+                put_round_header(buf, live, arrivals);
+                put_u32(buf, requests().flatten().count() as u32);
+                // The sum accumulates in the response itself: the first
+                // contribution is copied in, later ones added in place in
+                // rank order — the deposit board's summation order.
+                let sum_at = buf.len();
+                for (i, data) in requests().flatten().enumerate() {
+                    if !data.len().is_multiple_of(4) {
+                        return Err("f32 buffer length not a multiple of 4".to_string());
+                    }
+                    if i == 0 {
+                        buf.extend_from_slice(data);
+                    } else if data.len() != buf.len() - sum_at {
+                        return Err(format!(
+                            "allreduce length mismatch: {} vs {}",
+                            (buf.len() - sum_at) / 4,
+                            data.len() / 4
+                        ));
+                    } else {
+                        add_f32s_le(&mut buf[sum_at..], data);
                     }
                 }
-                let sum = acc.expect("at least one contributor");
-                let mut body = round_header(live, arrivals);
-                body.reserve(4 + sum.len() * 4);
-                put_u32(&mut body, contributors);
-                body.extend_from_slice(&f32s_to_bytes(&sum));
-                for (rank, req) in reqs.iter().enumerate() {
-                    if req.is_some() {
-                        responses[rank] = Some(body.clone());
-                    }
-                }
-                self.write_responses(streams, alive, KIND_R_ALLREDUCE, &mut responses);
+                "hub.allreduce"
             }
             KIND_ALLGATHER => {
-                let mut body = round_header(live, arrivals);
-                put_u32(&mut body, world as u32);
-                for req in reqs.iter() {
+                begin_frame(buf, KIND_R_ALLGATHER);
+                put_round_header(buf, live, arrivals);
+                put_u32(buf, self.world as u32);
+                for req in requests() {
                     match req {
-                        Some((_, b)) => {
-                            let mut r = Reader::new(b);
-                            let _ = read_ctx(&mut r).map_err(|e| e.to_string())?;
-                            let payload = r.rest();
-                            body.push(1);
-                            put_u32(&mut body, payload.len() as u32);
-                            body.extend_from_slice(payload);
+                        Some(payload) => {
+                            buf.push(1);
+                            put_u32(buf, payload.len() as u32);
+                            buf.extend_from_slice(payload);
                         }
-                        None => body.push(0),
+                        None => buf.push(0),
                     }
                 }
-                for (rank, req) in reqs.iter().enumerate() {
-                    if req.is_some() {
-                        responses[rank] = Some(body.clone());
-                    }
-                }
-                self.write_responses(streams, alive, KIND_R_ALLGATHER, &mut responses);
+                "hub.allgather"
             }
             KIND_BROADCAST => {
                 let mut root: Option<usize> = None;
-                let mut payload: Option<Vec<u8>> = None;
-                for (rank, req) in reqs.iter().enumerate() {
-                    let Some((_, b)) = req else { continue };
-                    let mut r = Reader::new(b);
-                    let _ = read_ctx(&mut r).map_err(|e| e.to_string())?;
+                let mut payload: Option<&[u8]> = None;
+                for (rank, req) in requests().enumerate() {
+                    let Some(req) = req else { continue };
+                    let mut r = Reader::new(req);
                     let this_root = r.u32().map_err(|e| e.to_string())? as usize;
                     match root {
                         None => root = Some(this_root),
@@ -1013,70 +1089,72 @@ impl HubServer {
                         Some(_) => {}
                     }
                     if rank == this_root {
-                        payload = Some(r.rest().to_vec());
+                        payload = Some(r.rest());
                     }
                 }
-                let root = root.expect("at least one request");
                 match payload {
                     Some(data) => {
-                        let mut body = round_header(live, arrivals);
-                        body.reserve(data.len());
-                        body.extend_from_slice(&data);
-                        for (rank, req) in reqs.iter().enumerate() {
-                            if req.is_some() {
-                                responses[rank] = Some(body.clone());
-                            }
-                        }
-                        self.write_responses(streams, alive, KIND_R_BROADCAST, &mut responses);
+                        begin_frame(buf, KIND_R_BROADCAST);
+                        put_round_header(buf, live, arrivals);
+                        buf.extend_from_slice(data);
                     }
                     None => {
                         // Same contract as the deposit board: a departed
                         // root is a structured per-op error, not a hang.
-                        let mut body = vec![ERR_ROOT_DROPPED];
-                        put_u32(&mut body, root as u32);
-                        for (rank, req) in reqs.iter().enumerate() {
-                            if req.is_some() {
-                                responses[rank] = Some(body.clone());
-                            }
-                        }
-                        self.write_responses(streams, alive, KIND_ERROR, &mut responses);
+                        begin_frame(buf, KIND_ERROR);
+                        buf.push(ERR_ROOT_DROPPED);
+                        put_u32(buf, root.expect("at least one request") as u32);
                     }
                 }
+                "hub.broadcast"
             }
             KIND_BARRIER => {
-                let body = round_header(live, arrivals);
-                for (rank, req) in reqs.iter().enumerate() {
-                    if req.is_some() {
-                        responses[rank] = Some(body.clone());
-                    }
-                }
-                self.write_responses(streams, alive, KIND_R_BARRIER, &mut responses);
+                begin_frame(buf, KIND_R_BARRIER);
+                put_round_header(buf, live, arrivals);
+                "hub.barrier"
             }
             other => return Err(format!("unexpected request kind {other}")),
-        }
-        let name = match kind {
-            KIND_ALLREDUCE => "hub.allreduce",
-            KIND_ALLGATHER => "hub.allgather",
-            KIND_BROADCAST => "hub.broadcast",
-            _ => "hub.barrier",
         };
+        seal_frame(buf);
         timer.finish_with2(name, Track::Hub, ("step", step), ("op", hub_op));
         Ok(())
     }
+}
 
-    fn write_responses(
-        &self,
-        streams: &mut [FramedStream],
-        alive: &mut [bool],
-        kind: u8,
-        responses: &mut [Option<Vec<u8>>],
-    ) {
-        for (rank, resp) in responses.iter().enumerate() {
-            if let Some(body) = resp {
-                if streams[rank].write_frame(kind, body).is_err() {
-                    alive[rank] = false;
-                }
-            }
+/// The hub's pooled response images. A round's response is built once and
+/// every answered stream keeps a handle to it as its retransmit copy until
+/// that stream's next send — so rounds alternate between two buffers, and
+/// the one handed out is the image of two rounds ago.
+#[derive(Debug, Default)]
+struct ResponseImages {
+    pair: [Arc<Vec<u8>>; 2],
+    turn: usize,
+}
+
+impl ResponseImages {
+    /// The buffer to build the next response in, as its sole handle.
+    fn next(&mut self) -> &mut Arc<Vec<u8>> {
+        self.turn ^= 1;
+        let image = &mut self.pair[self.turn];
+        if Arc::get_mut(image).is_none() {
+            // The stream of a rank that has since departed still holds it.
+            *image = Arc::default();
+        }
+        image
+    }
+}
+
+/// Writes the round's response image to every rank that sent a request; a
+/// rank that cannot be written to has left.
+fn fan_out(
+    streams: &mut [FramedStream],
+    alive: &mut [bool],
+    kinds: &[Option<u8>],
+    image: &Arc<Vec<u8>>,
+) {
+    for (rank, stream) in streams.iter_mut().enumerate() {
+        if kinds[rank].is_some() && stream.write_shared(image).is_err() {
+            alive[rank] = false;
         }
     }
 }
@@ -1211,7 +1289,7 @@ impl SocketCluster {
             match framed.read_frame() {
                 Ok((KIND_CLOCK_PONG, body)) => {
                     let t3 = since_epoch_ns(Instant::now());
-                    let mut r = Reader::new(&body);
+                    let mut r = Reader::new(body);
                     let echo = r.u64().map_err(|e| transport(rank, 0, e.to_string()))?;
                     let h1 = r.u64().map_err(|e| transport(rank, 0, e.to_string()))?;
                     let h2 = r.u64().map_err(|e| transport(rank, 0, e.to_string()))?;
@@ -1219,7 +1297,7 @@ impl SocketCluster {
                         clock.fold(ClockSample { t0, h1, h2, t3 });
                     }
                 }
-                Ok((KIND_ERROR, body)) => return Err(decode_error(rank, 0, &body)),
+                Ok((KIND_ERROR, body)) => return Err(decode_error(rank, 0, body)),
                 Ok((kind, _)) => {
                     return Err(transport(
                         rank,
@@ -1239,7 +1317,7 @@ impl SocketCluster {
         }
         match framed.read_frame() {
             Ok((KIND_WELCOME, body)) => {
-                let mut r = Reader::new(&body);
+                let mut r = Reader::new(body);
                 let world = r.u32().map_err(|e| transport(rank, 0, e.to_string()))? as usize;
                 let live = r.u32().map_err(|e| transport(rank, 0, e.to_string()))? as usize;
                 if world != cfg.world {
@@ -1268,7 +1346,7 @@ impl SocketCluster {
                     arrivals: Mutex::new(Vec::new()),
                 })
             }
-            Ok((KIND_ERROR, body)) => Err(decode_error(rank, 0, &body)),
+            Ok((KIND_ERROR, body)) => Err(decode_error(rank, 0, body)),
             Ok((kind, _)) => Err(transport(
                 rank,
                 0,
@@ -1313,17 +1391,30 @@ impl SocketCluster {
         }
     }
 
-    /// One request/response round trip; the blocked time is this rank's
-    /// barrier wait. The response's round header (live count, hub send
-    /// time, arrival stamps) is absorbed here — callers see only the
-    /// kind-specific remainder.
-    fn roundtrip(&self, op: u64, kind: u8, body: &[u8]) -> Result<(u8, Vec<u8>), ClusterError> {
+    /// One request/response round trip: `fill` appends the request body
+    /// behind this op's [`TraceCtx`], straight into the stream's send
+    /// buffer. The blocked time is this rank's barrier wait. The response
+    /// must be of kind `expect`; its round header (live count, hub send
+    /// time, arrival stamps) is absorbed here, so callers see only the
+    /// kind-specific remainder — still in the stream's read buffer, which
+    /// the returned [`Response`] keeps locked.
+    fn roundtrip(
+        &self,
+        op: u64,
+        kind: u8,
+        expect: u8,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<Response<'_>, ClusterError> {
         let step = self.step.load(Ordering::Relaxed);
+        let ctx = self.ctx(op).to_bytes();
         let timer = trace::StageTimer::start();
         let mut stream = self.stream.lock();
         let t0 = since_epoch_ns(Instant::now());
         let sent = stream
-            .write_frame(kind, body)
+            .write_frame_with(kind, |body| {
+                body.extend_from_slice(&ctx);
+                fill(body);
+            })
             .map_err(|e| transport(self.rank, op, format!("send: {e}")));
         let out = sent.and_then(|()| {
             let wait = Instant::now();
@@ -1332,13 +1423,10 @@ impl SocketCluster {
             let ns = wait.elapsed().as_nanos() as u64;
             self.barrier_ns.fetch_add(ns, Ordering::Relaxed);
             self.barrier_hist.record(ns);
-            drop(stream);
             match result {
-                Ok((KIND_ERROR, body)) => Err(decode_error(self.rank, op, &body)),
-                Ok((kind, body)) => {
-                    let body = self.absorb_round_header(op, body, t0, t3)?;
-                    Ok((kind, body))
-                }
+                Ok((KIND_ERROR, body)) => Err(decode_error(self.rank, op, body)),
+                Ok((got, body)) if got == expect => self.absorb_round_header(op, body, t0, t3),
+                Ok((got, _)) => Err(transport(self.rank, op, format!("bad response kind {got}"))),
                 Err(e) if is_timeout(&e) => Err(ClusterError::Timeout {
                     rank: self.rank,
                     op,
@@ -1353,74 +1441,54 @@ impl SocketCluster {
             ("step", step),
             ("op", op),
         );
-        out
+        out.map(|header| Response { stream, header })
     }
 
-    /// Ships one all-gather request and returns `(op, response body)` with
-    /// the round header absorbed — the shared front half of
-    /// [`Collective::try_allgather_bytes`] and the zero-copy
-    /// [`Collective::try_allgather_frames`].
-    fn allgather_roundtrip(&self, data: Vec<u8>) -> Result<(u64, Vec<u8>), ClusterError> {
+    /// Ships one all-gather request and returns `(op, response)` — the
+    /// shared front half of [`Collective::try_allgather_bytes`] and the
+    /// zero-copy [`Collective::try_allgather_frames`].
+    fn allgather_roundtrip(&self, data: &[u8]) -> Result<(u64, Response<'_>), ClusterError> {
         let op = self.enter()?;
         self.traffic.record(self.rank, data.len() as u64);
-        let mut body = Vec::with_capacity(TraceCtx::WIRE_BYTES + data.len());
-        body.extend_from_slice(&self.ctx(op).to_bytes());
-        body.extend_from_slice(&data);
-        let (kind, resp) = self.roundtrip(op, KIND_ALLGATHER, &body)?;
-        if kind != KIND_R_ALLGATHER {
-            return Err(transport(
-                self.rank,
-                op,
-                format!("bad response kind {kind}"),
-            ));
-        }
+        let resp = self.roundtrip(op, KIND_ALLGATHER, KIND_R_ALLGATHER, |body| {
+            body.extend_from_slice(data)
+        })?;
         Ok((op, resp))
     }
 
-    /// Strips the round header off a collective response: updates the live
-    /// count, remembers the per-rank arrival stamps, and folds one clock
-    /// sample from (local send, hub arrival, hub send, local receive).
+    /// Parses the round header off the front of a collective response body
+    /// and returns its length: updates the live count, remembers the
+    /// per-rank arrival stamps, and folds one clock sample from (local
+    /// send, hub arrival, hub send, local receive).
     fn absorb_round_header(
         &self,
         op: u64,
-        mut body: Vec<u8>,
+        body: &[u8],
         t0: u64,
         t3: u64,
-    ) -> Result<Vec<u8>, ClusterError> {
-        let consumed = {
-            let mut r = Reader::new(&body);
-            let live = r
-                .u32()
-                .map_err(|e| transport(self.rank, op, e.to_string()))?;
-            let h_send = r
-                .u64()
-                .map_err(|e| transport(self.rank, op, e.to_string()))?;
-            let n = r
-                .u32()
-                .map_err(|e| transport(self.rank, op, e.to_string()))? as usize;
-            let mut arrivals = self.arrivals.lock();
-            arrivals.clear();
-            for _ in 0..n {
-                arrivals.push(
-                    r.u64()
-                        .map_err(|e| transport(self.rank, op, e.to_string()))?,
-                );
+    ) -> Result<usize, ClusterError> {
+        let bad = |e: io::Error| transport(self.rank, op, e.to_string());
+        let mut r = Reader::new(body);
+        let live = r.u32().map_err(bad)?;
+        let h_send = r.u64().map_err(bad)?;
+        let n = r.u32().map_err(bad)? as usize;
+        let mut arrivals = self.arrivals.lock();
+        arrivals.clear();
+        for _ in 0..n {
+            arrivals.push(r.u64().map_err(bad)?);
+        }
+        if let Some(&h1) = arrivals.get(self.rank) {
+            if h1 != 0 && h_send >= h1 {
+                self.clock.lock().fold(ClockSample {
+                    t0,
+                    h1,
+                    h2: h_send,
+                    t3,
+                });
             }
-            if let Some(&h1) = arrivals.get(self.rank) {
-                if h1 != 0 && h_send >= h1 {
-                    self.clock.lock().fold(ClockSample {
-                        t0,
-                        h1,
-                        h2: h_send,
-                        t3,
-                    });
-                }
-            }
-            self.update_live(live);
-            r.at
-        };
-        body.drain(..consumed);
-        Ok(body)
+        }
+        self.update_live(live);
+        Ok(r.at)
     }
 
     fn enter(&self) -> Result<u64, ClusterError> {
@@ -1437,6 +1505,41 @@ impl SocketCluster {
     fn update_live(&self, live: u32) {
         self.live.store(live as usize, Ordering::Relaxed);
     }
+}
+
+/// A collective response still in its stream's read buffer: holds the
+/// stream's lock, so the bytes stay put until the caller has decoded them.
+struct Response<'a> {
+    stream: parking_lot::MutexGuard<'a, FramedStream>,
+    /// Length of the round header at the front of the frame body.
+    header: usize,
+}
+
+impl Response<'_> {
+    /// The kind-specific part of the response, past the round header.
+    fn payload(&self) -> &[u8] {
+        &self.stream.body()[self.header..]
+    }
+}
+
+/// Walks the rank slots of an all-gather response in rank order, handing
+/// `slot` each present rank's payload as a byte range of `payload` and
+/// `None` for a rank that has left.
+fn gather_slots(
+    payload: &[u8],
+    mut slot: impl FnMut(Option<std::ops::Range<usize>>),
+) -> io::Result<()> {
+    let mut r = Reader::new(payload);
+    for _ in 0..r.u32()? {
+        if r.take(1)?[0] == 1 {
+            let len = r.u32()? as usize;
+            r.take(len)?;
+            slot(Some(r.at - len..r.at));
+        } else {
+            slot(None);
+        }
+    }
+    Ok(())
 }
 
 fn is_timeout(e: &io::Error) -> bool {
@@ -1490,93 +1593,64 @@ impl Collective for SocketCluster {
         }
     }
 
-    fn try_allreduce_f32(&self, data: Vec<f32>) -> Result<Reduction, ClusterError> {
+    /// `data` is serialised once, straight into the frame that goes on the
+    /// wire, and the response sum is decoded back into its allocation.
+    fn try_allreduce_f32(&self, mut data: Vec<f32>) -> Result<Reduction, ClusterError> {
         let op = self.enter()?;
         self.traffic.record(
             self.rank,
             ring_allreduce_wire_bytes(self.live_workers(), data.len()),
         );
-        let mut body = Vec::with_capacity(TraceCtx::WIRE_BYTES + data.len() * 4);
-        body.extend_from_slice(&self.ctx(op).to_bytes());
-        body.extend_from_slice(&f32s_to_bytes(&data));
-        let (kind, resp) = self.roundtrip(op, KIND_ALLREDUCE, &body)?;
-        if kind != KIND_R_ALLREDUCE {
-            return Err(transport(
-                self.rank,
-                op,
-                format!("bad response kind {kind}"),
-            ));
+        let resp = self.roundtrip(op, KIND_ALLREDUCE, KIND_R_ALLREDUCE, |body| {
+            extend_f32s_le(body, &data)
+        })?;
+        let bad = |e: io::Error| transport(self.rank, op, e.to_string());
+        let mut r = Reader::new(resp.payload());
+        let contributors = r.u32().map_err(bad)? as usize;
+        let sum = r.rest();
+        if !sum.len().is_multiple_of(4) {
+            return Err(bad(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "f32 buffer length not a multiple of 4",
+            )));
         }
-        let mut r = Reader::new(&resp);
-        let contributors =
-            r.u32()
-                .map_err(|e| transport(self.rank, op, e.to_string()))? as usize;
-        let sum = bytes_to_f32s(r.rest()).map_err(|e| transport(self.rank, op, e.to_string()))?;
-        Ok(Reduction { sum, contributors })
+        read_f32s_le(sum, &mut data);
+        Ok(Reduction {
+            sum: data,
+            contributors,
+        })
     }
 
     fn try_allgather_bytes(&self, data: Vec<u8>) -> Result<Vec<Option<Vec<u8>>>, ClusterError> {
-        let (op, resp) = self.allgather_roundtrip(data)?;
-        let mut r = Reader::new(&resp);
-        let world = r
-            .u32()
-            .map_err(|e| transport(self.rank, op, e.to_string()))? as usize;
-        let mut slots = Vec::with_capacity(world);
-        for _ in 0..world {
-            let present = r
-                .take(1)
-                .map_err(|e| transport(self.rank, op, e.to_string()))?[0];
-            if present == 1 {
-                let len = r
-                    .u32()
-                    .map_err(|e| transport(self.rank, op, e.to_string()))?
-                    as usize;
-                let bytes = r
-                    .take(len)
-                    .map_err(|e| transport(self.rank, op, e.to_string()))?;
-                slots.push(Some(bytes.to_vec()));
-            } else {
-                slots.push(None);
-            }
-        }
+        let (op, resp) = self.allgather_roundtrip(&data)?;
+        let payload = resp.payload();
+        let mut slots = Vec::new();
+        gather_slots(payload, |s| slots.push(s.map(|r| payload[r].to_vec())))
+            .map_err(|e| transport(self.rank, op, e.to_string()))?;
         Ok(slots)
     }
 
-    /// Zero-copy all-gather: the CRC-verified response frame body becomes
-    /// the backing buffer and each present rank's payload is recorded as a
-    /// sub-range of it — the per-slot `to_vec()` of the owned path never
-    /// happens.
+    /// Zero-copy all-gather: the CRC-verified response frame is swapped out
+    /// of the stream's read buffer to become `frames`' backing buffer (the
+    /// previous backing buffer becomes the next read buffer), and each
+    /// present rank's payload is recorded as a sub-range of it — the
+    /// per-slot `to_vec()` of the owned path never happens.
     fn try_allgather_frames(
         &self,
         data: Vec<u8>,
         frames: &mut GatherFrames,
     ) -> Result<(), ClusterError> {
-        let (op, resp) = self.allgather_roundtrip(data)?;
+        let (op, mut resp) = self.allgather_roundtrip(&data)?;
         frames.clear();
-        {
-            let mut r = Reader::new(&resp);
-            let world =
-                r.u32()
-                    .map_err(|e| transport(self.rank, op, e.to_string()))? as usize;
-            for _ in 0..world {
-                let present = r
-                    .take(1)
-                    .map_err(|e| transport(self.rank, op, e.to_string()))?[0];
-                if present == 1 {
-                    let len = r
-                        .u32()
-                        .map_err(|e| transport(self.rank, op, e.to_string()))?
-                        as usize;
-                    let start = r.at;
-                    r.take(len)
-                        .map_err(|e| transport(self.rank, op, e.to_string()))?;
-                    frames.push_range(start..start + len);
-                } else {
-                    frames.push_absent();
-                }
-            }
-        }
-        frames.adopt_body(resp);
+        // Ranges are relative to the whole read buffer: kind byte, round
+        // header, then the slots.
+        let base = 1 + resp.header;
+        gather_slots(resp.payload(), |slot| match slot {
+            Some(r) => frames.push_range(base + r.start..base + r.end),
+            None => frames.push_absent(),
+        })
+        .map_err(|e| transport(self.rank, op, e.to_string()))?;
+        frames.swap_body(&mut resp.stream.rx);
         Ok(())
     }
 
@@ -1586,34 +1660,18 @@ impl Collective for SocketCluster {
         if self.rank == root {
             self.traffic.record(self.rank, data.len() as u64);
         }
-        let mut body = Vec::with_capacity(TraceCtx::WIRE_BYTES + 4 + data.len());
-        body.extend_from_slice(&self.ctx(op).to_bytes());
-        put_u32(&mut body, root as u32);
-        if self.rank == root {
-            body.extend_from_slice(&data);
-        }
-        let (kind, resp) = self.roundtrip(op, KIND_BROADCAST, &body)?;
-        if kind != KIND_R_BROADCAST {
-            return Err(transport(
-                self.rank,
-                op,
-                format!("bad response kind {kind}"),
-            ));
-        }
-        Ok(resp)
+        let resp = self.roundtrip(op, KIND_BROADCAST, KIND_R_BROADCAST, |body| {
+            put_u32(body, root as u32);
+            if self.rank == root {
+                body.extend_from_slice(&data);
+            }
+        })?;
+        Ok(resp.payload().to_vec())
     }
 
     fn try_barrier(&self) -> Result<(), ClusterError> {
         let op = self.enter()?;
-        let body = self.ctx(op).to_bytes();
-        let (kind, _resp) = self.roundtrip(op, KIND_BARRIER, &body)?;
-        if kind != KIND_R_BARRIER {
-            return Err(transport(
-                self.rank,
-                op,
-                format!("bad response kind {kind}"),
-            ));
-        }
+        self.roundtrip(op, KIND_BARRIER, KIND_R_BARRIER, |_| {})?;
         Ok(())
     }
 
@@ -1835,6 +1893,89 @@ mod tests {
             "rank 0 must have retransmitted: {:?}",
             out[0].1
         );
+    }
+
+    /// The hub serialises a round's response once and every answered
+    /// stream keeps a handle to that one image as its retransmit copy. With
+    /// the copy to rank 1 corrupted in flight, rank 1 recovers from the
+    /// shared image while rank 0 never notices.
+    #[cfg(unix)]
+    #[test]
+    fn fan_out_retransmits_to_one_rank_from_the_shared_image() {
+        let (mut hub_side, mut rank_side) = (Vec::new(), Vec::new());
+        for _ in 0..2 {
+            let (h, r) = UnixStream::pair().unwrap();
+            hub_side.push(FramedStream::uds(h));
+            rank_side.push(FramedStream::uds(r));
+        }
+        let payload: Vec<u8> = (0..300_000).map(|i| (i * 31 % 251) as u8).collect();
+        let mut images = ResponseImages::default();
+        let image = images.next();
+        let buf = Arc::get_mut(image).unwrap();
+        begin_frame(buf, KIND_R_BROADCAST);
+        buf.extend_from_slice(&payload);
+        seal_frame(buf);
+        hub_side[1].corrupt_next_frame();
+
+        let ranks: Vec<_> = rank_side
+            .into_iter()
+            .map(|mut stream| {
+                std::thread::spawn(move || {
+                    let (kind, body) = stream.read_frame().unwrap();
+                    let got = (kind, body.to_vec());
+                    // The hub services a NACK while waiting for this.
+                    stream.write_frame(KIND_LEAVE, &[]).unwrap();
+                    (got, stream.stats())
+                })
+            })
+            .collect();
+        let mut alive = vec![true; 2];
+        fan_out(&mut hub_side, &mut alive, &[Some(KIND_BROADCAST); 2], image);
+        assert_eq!(alive, [true, true]);
+        assert_eq!(Arc::strong_count(image), 3, "one image, three handles");
+        for stream in hub_side.iter_mut() {
+            assert_eq!(stream.read_frame().unwrap().0, KIND_LEAVE);
+        }
+        let wire = payload.len() as u64 + 9;
+        for (rank, join) in ranks.into_iter().enumerate() {
+            let ((kind, body), stats) = join.join().unwrap();
+            assert_eq!(kind, KIND_R_BROADCAST);
+            assert!(body == payload, "rank {rank} got altered bytes");
+            assert_eq!(stats.nacks_sent, rank as u64);
+            let hub = hub_side[rank].stats();
+            assert_eq!(hub.resends, rank as u64);
+            assert_eq!(hub.wire_bytes_sent, wire * (1 + rank as u64));
+        }
+        // The next round builds in the other buffer; the round after gets
+        // this one back as sole owner once the streams have moved on.
+        assert_eq!(Arc::strong_count(images.next()), 1);
+    }
+
+    /// The wire format is frozen: byte counts for a fixed call sequence are
+    /// derived from the frame layout alone (9 bytes of framing, a 20-byte
+    /// trace context per request) and must never move.
+    #[test]
+    fn wire_bytes_for_a_fixed_call_sequence_are_pinned() {
+        let out = run_socket_local(2, ClusterOptions::default(), None, |c| {
+            let _ = c.try_allreduce_f32(vec![0.5; 50]).unwrap();
+            let _ = c.try_allgather_bytes(vec![1u8; 100]).unwrap();
+            let mut frames = GatherFrames::new();
+            c.try_allgather_frames(vec![2u8; 10], &mut frames).unwrap();
+            assert_eq!(frames.slot(1), Some(&[2u8; 10][..]));
+            let _ = c.try_broadcast_bytes(0, vec![3u8; 7]).unwrap();
+            c.try_barrier().unwrap();
+            (c.rank(), c.net_stats())
+        });
+        for (rank, stats) in out {
+            let hello = 9 + 8;
+            let pings = CLOCK_PINGS as u64 * (9 + 8);
+            let ctx = 9 + TraceCtx::WIRE_BYTES as u64;
+            let bcast = ctx + 4 + if rank == 0 { 7 } else { 0 };
+            let requests = (ctx + 200) + (ctx + 100) + (ctx + 10) + bcast + ctx;
+            assert_eq!(stats.wire_bytes_sent, hello + pings + requests);
+            assert_eq!(stats.frames_sent, 1 + CLOCK_PINGS as u64 + 5);
+            assert_eq!((stats.nacks_sent, stats.resends), (0, 0));
+        }
     }
 
     #[test]

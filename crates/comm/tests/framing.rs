@@ -5,8 +5,10 @@
 
 use grace_comm::net::{FramedStream, KIND_ALLGATHER};
 use proptest::prelude::*;
+use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread;
+use std::time::Duration;
 
 /// One echo round trip over a fresh loopback pair; returns what came back.
 fn echo_roundtrip(payloads: Vec<Vec<u8>>) -> Vec<(u8, Vec<u8>)> {
@@ -18,6 +20,7 @@ fn echo_roundtrip(payloads: Vec<Vec<u8>>) -> Vec<(u8, Vec<u8>)> {
         let mut framed = FramedStream::tcp(stream);
         for _ in 0..count {
             let (kind, body) = framed.read_frame().expect("server read");
+            let body = body.to_vec();
             framed.write_frame(kind, &body).expect("server write");
         }
     });
@@ -25,7 +28,8 @@ fn echo_roundtrip(payloads: Vec<Vec<u8>>) -> Vec<(u8, Vec<u8>)> {
     let mut out = Vec::with_capacity(count);
     for p in &payloads {
         client.write_frame(KIND_ALLGATHER, p).expect("client write");
-        out.push(client.read_frame().expect("client read"));
+        let (kind, body) = client.read_frame().expect("client read");
+        out.push((kind, body.to_vec()));
     }
     server.join().expect("server thread");
     out
@@ -86,7 +90,6 @@ fn torn_stream_is_an_error_not_a_short_read() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = thread::spawn(move || {
-        use std::io::Write;
         let (mut stream, _) = listener.accept().unwrap();
         // A frame header promising 64 KiB, then only 10 bytes, then EOF.
         let mut partial = Vec::new();
@@ -97,6 +100,104 @@ fn torn_stream_is_an_error_not_a_short_read() {
     });
     let mut client = FramedStream::tcp(TcpStream::connect(addr).unwrap());
     let err = client.read_frame().expect_err("truncated frame must error");
-    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
     server.join().unwrap();
+}
+
+fn pattern(n: usize, salt: usize) -> Vec<u8> {
+    (0..n).map(|i| ((i + salt) * 31 % 251) as u8).collect()
+}
+
+/// Both directions of a stream work out of one pooled buffer each. A big
+/// frame followed by an empty, a one-byte and a mid-sized one must not leak
+/// a stale tail of the big one into the small ones, on either side.
+#[test]
+fn shrinking_frames_over_reused_buffers_carry_no_stale_bytes() {
+    let sizes = [4usize << 20, 0, 1, 64 << 10];
+    let payloads: Vec<Vec<u8>> = sizes
+        .iter()
+        .enumerate()
+        .map(|(salt, &n)| pattern(n, salt))
+        .collect();
+    let echoed = echo_roundtrip(payloads.clone());
+    for (sent, (kind, got)) in payloads.iter().zip(&echoed) {
+        assert_eq!(*kind, KIND_ALLGATHER);
+        assert_eq!(got, sent, "{}-byte frame", sent.len());
+    }
+}
+
+/// The send buffer *is* the retransmit image: a corrupted 4 MiB frame must
+/// be NACKed and re-sent byte-identically from it, the bit flip never
+/// having touched the buffer, and the stream must carry on afterwards.
+#[test]
+fn corrupted_large_frame_is_retransmitted_byte_identically() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let big = pattern(4 << 20, 7);
+    let expect = big.clone();
+    let server = thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut framed = FramedStream::tcp(stream);
+        for want in [&expect[..], &b"next"[..]] {
+            let (kind, body) = framed.read_frame().expect("server read");
+            assert_eq!(kind, KIND_ALLGATHER);
+            assert!(body == want, "{}-byte frame arrived altered", want.len());
+            framed.write_frame(kind, &[]).expect("ack");
+        }
+        framed.stats()
+    });
+    let mut client = FramedStream::tcp(TcpStream::connect(addr).unwrap());
+    client.corrupt_next_frame();
+    client.write_frame(KIND_ALLGATHER, &big).unwrap();
+    // Waiting for the ack is what services the NACK.
+    assert!(client.read_frame().unwrap().1.is_empty());
+    client.write_frame(KIND_ALLGATHER, b"next").unwrap();
+    assert!(client.read_frame().unwrap().1.is_empty());
+    let server_stats = server.join().unwrap();
+    let wire = big.len() as u64 + 9;
+    assert_eq!(server_stats.nacks_sent, 1);
+    assert_eq!(client.stats().resends, 1);
+    assert_eq!(client.stats().frames_sent, 3);
+    assert_eq!(client.stats().wire_bytes_sent, 2 * wire + 4 + 9);
+}
+
+/// A frame header is four unauthenticated bytes. One that claims the
+/// 1 GiB maximum and is followed by nothing — the peer dies, or simply goes
+/// quiet — must end in an `io::Error` with the reader having reserved a
+/// bounded amount, not the claimed gigabyte.
+#[test]
+fn forged_gigabyte_header_allocates_a_bounded_buffer() {
+    const BOUND: usize = 2 << 20;
+    for stall in [false, true] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.write_all(&(1u32 << 30).to_le_bytes()).unwrap();
+            stream.write_all(&[KIND_ALLGATHER; 100]).unwrap();
+            if stall {
+                // Keep the connection open past the client's deadline.
+                thread::sleep(Duration::from_millis(400));
+            }
+        });
+        let mut client = FramedStream::tcp(TcpStream::connect(addr).unwrap());
+        client
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let err = client.read_frame().expect_err("no frame ever arrives");
+        if stall {
+            assert!(
+                matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                "stalled peer: {err:?}"
+            );
+        } else {
+            assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "{err:?}");
+        }
+        assert!(
+            client.retained_bytes() <= BOUND,
+            "reader holds {} bytes on the strength of a header",
+            client.retained_bytes()
+        );
+        server.join().unwrap();
+    }
 }

@@ -262,13 +262,7 @@ impl<'a> PayloadView<'a> {
         out.clear();
         match self {
             PayloadView::F32(v) => out.extend_from_slice(v),
-            PayloadView::F32Le(b) => {
-                out.reserve(b.len() / 4);
-                out.extend(
-                    b.chunks_exact(4)
-                        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-                );
-            }
+            PayloadView::F32Le(b) => pack::read_f32s_le(b, out),
             other => panic!("expected an f32 payload, got {other:?}"),
         }
     }
@@ -283,13 +277,7 @@ impl<'a> PayloadView<'a> {
         out.clear();
         match self {
             PayloadView::U32(v) => out.extend_from_slice(v),
-            PayloadView::U32Le(b) => {
-                out.reserve(b.len() / 4);
-                out.extend(
-                    b.chunks_exact(4)
-                        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-                );
-            }
+            PayloadView::U32Le(b) => pack::read_u32s_le(b, out),
             other => panic!("expected a u32 payload, got {other:?}"),
         }
     }
@@ -353,36 +341,49 @@ pub const FRAME_OVERHEAD: usize = 8;
 /// threaded runtime's `Allgather`), ending with a CRC32 trailer over
 /// everything before it.
 pub fn encode(payloads: &[Payload]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
+    // Tag and length words per payload (`Packed` also carries bits and
+    // count), on top of the count word and the trailer.
+    let framing = |p: &Payload| match p {
+        Payload::Packed { .. } => 13,
+        _ => 5,
+    };
+    let len = FRAME_OVERHEAD
+        + payloads
+            .iter()
+            .map(|p| framing(p) + p.encoded_bytes())
+            .sum::<usize>();
+    let mut out = Vec::with_capacity(len);
+    let put_u32 = |out: &mut Vec<u8>, v: u32| out.extend_from_slice(&v.to_le_bytes());
+    put_u32(&mut out, payloads.len() as u32);
     for p in payloads {
         match p {
             Payload::F32(v) => {
                 out.push(TAG_F32);
-                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                out.extend_from_slice(&pack::f32s_to_bytes(v));
+                put_u32(&mut out, v.len() as u32);
+                pack::extend_f32s_le(&mut out, v);
             }
             Payload::U32(v) => {
                 out.push(TAG_U32);
-                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                out.extend_from_slice(&pack::u32s_to_bytes(v));
+                put_u32(&mut out, v.len() as u32);
+                pack::extend_u32s_le(&mut out, v);
             }
             Payload::Packed { data, bits, count } => {
                 out.push(TAG_PACKED);
-                out.extend_from_slice(&bits.to_le_bytes());
-                out.extend_from_slice(&count.to_le_bytes());
-                out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+                put_u32(&mut out, *bits);
+                put_u32(&mut out, *count);
+                put_u32(&mut out, data.len() as u32);
                 out.extend_from_slice(data);
             }
             Payload::Bytes(b) => {
                 out.push(TAG_BYTES);
-                out.extend_from_slice(&(b.len() as u32).to_le_bytes());
+                put_u32(&mut out, b.len() as u32);
                 out.extend_from_slice(b);
             }
         }
     }
     let crc = pack::crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    put_u32(&mut out, crc);
+    debug_assert_eq!(out.len(), len, "encoded length formula drifted");
     out
 }
 

@@ -3,7 +3,7 @@
 //! and restored across runs.
 
 use crate::network::Network;
-use grace_tensor::pack::{bytes_to_f32s, f32s_to_bytes};
+use grace_tensor::pack::{bytes_to_f32s, extend_f32s_le};
 use grace_tensor::{Shape, Tensor};
 use std::io;
 use std::path::Path;
@@ -26,7 +26,7 @@ pub fn to_bytes(params: &[(String, Tensor)]) -> Vec<u8> {
         for &d in dims {
             out.extend_from_slice(&(d as u64).to_le_bytes());
         }
-        out.extend_from_slice(&f32s_to_bytes(tensor.as_slice()));
+        extend_f32s_le(&mut out, tensor.as_slice());
     }
     out
 }

@@ -283,13 +283,81 @@ pub fn packed_len(count: usize, bits: u32) -> usize {
     (count * bits as usize).div_ceil(8)
 }
 
-/// Serializes `f32` values to little-endian bytes.
-pub fn f32s_to_bytes(values: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
+/// Words whose in-memory image is plain bytes: no padding, every byte
+/// initialised. Private, so the two impls below are the whole set.
+#[cfg(target_endian = "little")]
+trait PlainWord: Copy {}
+#[cfg(target_endian = "little")]
+impl PlainWord for f32 {}
+#[cfg(target_endian = "little")]
+impl PlainWord for u32 {}
+
+/// Views words as their in-memory bytes (their little-endian encoding, on
+/// the targets this is compiled for).
+#[cfg(target_endian = "little")]
+fn words_as_bytes<T: PlainWord>(words: &[T]) -> &[u8] {
+    // SAFETY: `PlainWord` types have no padding and no uninitialised bytes,
+    // `u8` has alignment 1, and the view covers exactly the borrowed slice
+    // for the same lifetime.
+    unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), size_of_val(words)) }
+}
+
+/// Appends `values` to `out` as little-endian bytes — one bulk copy where
+/// the target is little-endian, so serialising a tensor costs a `memcpy`.
+pub fn extend_f32s_le(out: &mut Vec<u8>, values: &[f32]) {
+    #[cfg(target_endian = "little")]
+    out.extend_from_slice(words_as_bytes(values));
+    #[cfg(not(target_endian = "little"))]
+    out.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+}
+
+/// [`extend_f32s_le`] for `u32` words.
+pub fn extend_u32s_le(out: &mut Vec<u8>, values: &[u32]) {
+    #[cfg(target_endian = "little")]
+    out.extend_from_slice(words_as_bytes(values));
+    #[cfg(not(target_endian = "little"))]
+    out.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+}
+
+/// Clears `out` and decodes little-endian bytes into it, reusing its
+/// capacity.
+///
+/// # Panics
+///
+/// Panics if the byte length is not a multiple of 4.
+pub fn read_f32s_le(bytes: &[u8], out: &mut Vec<f32>) {
+    let (words, tail) = bytes.as_chunks::<4>();
+    assert!(tail.is_empty(), "byte length must be a multiple of 4");
+    out.clear();
+    out.extend(words.iter().map(|w| f32::from_le_bytes(*w)));
+}
+
+/// [`read_f32s_le`] for `u32` words.
+///
+/// # Panics
+///
+/// Panics if the byte length is not a multiple of 4.
+pub fn read_u32s_le(bytes: &[u8], out: &mut Vec<u32>) {
+    let (words, tail) = bytes.as_chunks::<4>();
+    assert!(tail.is_empty(), "byte length must be a multiple of 4");
+    out.clear();
+    out.extend(words.iter().map(|w| u32::from_le_bytes(*w)));
+}
+
+/// `acc[i] += src[i]` over two equally long buffers of little-endian `f32`
+/// words held as bytes (no alignment assumed) — how the socket hub sums
+/// requests straight out of its read buffers.
+///
+/// # Panics
+///
+/// Panics if the lengths differ or are not a multiple of 4.
+pub fn add_f32s_le(acc: &mut [u8], src: &[u8]) {
+    assert_eq!(acc.len(), src.len(), "add_f32s_le length mismatch");
+    let (acc, tail) = acc.as_chunks_mut::<4>();
+    assert!(tail.is_empty(), "byte length must be a multiple of 4");
+    for (a, s) in acc.iter_mut().zip(src.as_chunks::<4>().0) {
+        *a = (f32::from_le_bytes(*a) + f32::from_le_bytes(*s)).to_le_bytes();
     }
-    out
 }
 
 /// Deserializes little-endian bytes back to `f32` values.
@@ -298,22 +366,8 @@ pub fn f32s_to_bytes(values: &[f32]) -> Vec<u8> {
 ///
 /// Panics if the byte length is not a multiple of 4.
 pub fn bytes_to_f32s(bytes: &[u8]) -> Vec<f32> {
-    assert!(
-        bytes.len().is_multiple_of(4),
-        "byte length must be a multiple of 4"
-    );
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
-}
-
-/// Serializes `u32` values to little-endian bytes.
-pub fn u32s_to_bytes(values: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    let mut out = Vec::new();
+    read_f32s_le(bytes, &mut out);
     out
 }
 
@@ -323,23 +377,59 @@ pub fn u32s_to_bytes(values: &[u32]) -> Vec<u8> {
 ///
 /// Panics if the byte length is not a multiple of 4.
 pub fn bytes_to_u32s(bytes: &[u8]) -> Vec<u32> {
-    assert!(
-        bytes.len().is_multiple_of(4),
-        "byte length must be a multiple of 4"
-    );
-    bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
+    let mut out = Vec::new();
+    read_u32s_le(bytes, &mut out);
+    out
 }
 
-/// CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`.
+/// Incremental CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`).
 ///
-/// Used by the payload codec to detect wire corruption: a flipped bit in a
-/// framed payload stream must surface as an explicit decode error, never as
-/// silently divergent replicas. Matches the common `crc32`/zlib checksum, so
-/// values can be cross-checked with external tools.
+/// Used by the payload codec and the socket framer to detect wire
+/// corruption: a flipped bit in a framed stream must surface as an explicit
+/// reject, never as silently divergent replicas. Matches the common
+/// `crc32`/zlib checksum, so values can be cross-checked with external
+/// tools. The byte loop is [`crate::simd::crc32_update`] (table, or CLMUL
+/// folding on x86-64); feeding the input in any number of pieces gives the
+/// same checksum as one call.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Crc32 {
+    /// A checksum over no bytes yet.
+    pub fn new() -> Self {
+        Crc32 { state: !0 }
+    }
+
+    /// Absorbs `bytes`.
+    pub fn update(&mut self, bytes: &[u8]) {
+        self.state = crate::simd::crc32_update(self.state, bytes);
+    }
+
+    /// The checksum of everything absorbed so far.
+    pub fn finish(self) -> u32 {
+        !self.state
+    }
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// One-shot [`Crc32`] of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// The bit-at-a-time definition of [`crc32`], kept as the oracle the table
+/// and CLMUL kernels are tested (and benchmarked) against.
+#[doc(hidden)]
+pub fn crc32_bitwise(bytes: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &b in bytes {
         crc ^= u32::from(b);
@@ -364,6 +454,20 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn crc32_split_updates_equal_one_shot() {
+        let data: Vec<u8> = (0..1000u32).map(|i| (i * 31 % 251) as u8).collect();
+        let whole = crc32(&data);
+        assert_eq!(whole, crc32_bitwise(&data));
+        for cut in [0, 1, 7, 63, 64, 65, 500, 999, 1000] {
+            let mut crc = Crc32::new();
+            crc.update(&data[..cut]);
+            crc.update(&data[cut..]);
+            assert_eq!(crc.finish(), whole, "cut at {cut}");
+        }
+        assert_eq!(Crc32::default().finish(), 0);
     }
 
     #[test]
@@ -478,15 +582,38 @@ mod tests {
     }
 
     #[test]
-    fn f32_bytes_roundtrip() {
-        let vals = vec![1.5f32, -0.25, f32::MIN_POSITIVE, 1e30];
-        assert_eq!(bytes_to_f32s(&f32s_to_bytes(&vals)), vals);
+    fn le_word_helpers_roundtrip_and_append() {
+        let fs = vec![1.5f32, -0.25, f32::MIN_POSITIVE, 1e30];
+        let us = vec![0u32, 1, u32::MAX, 77];
+        let mut bytes = vec![0xAA];
+        extend_f32s_le(&mut bytes, &fs);
+        extend_u32s_le(&mut bytes, &us);
+        assert_eq!(bytes[0], 0xAA, "appends, never overwrites");
+        assert_eq!(bytes[1..5], 1.5f32.to_le_bytes());
+        assert_eq!(bytes_to_f32s(&bytes[1..17]), fs);
+        assert_eq!(bytes_to_u32s(&bytes[17..]), us);
+        let mut pooled = vec![9.0f32; 100];
+        read_f32s_le(&bytes[1..17], &mut pooled);
+        assert_eq!(pooled, fs, "clears before reading");
     }
 
     #[test]
-    fn u32_bytes_roundtrip() {
-        let vals = vec![0u32, 1, u32::MAX, 77];
-        assert_eq!(bytes_to_u32s(&u32s_to_bytes(&vals)), vals);
+    fn add_f32s_le_is_the_elementwise_sum_at_any_alignment() {
+        let a = [1.5f32, -0.0, 1e-40, f32::MAX, 3.25];
+        let b = [0.25f32, 0.0, 1e-40, f32::MAX, -3.25];
+        let want: Vec<u32> = a.iter().zip(&b).map(|(x, y)| (x + y).to_bits()).collect();
+        for offset in 0..4 {
+            let mut acc = vec![0u8; offset];
+            extend_f32s_le(&mut acc, &a);
+            let mut src = vec![0u8; 3 - offset];
+            extend_f32s_le(&mut src, &b);
+            add_f32s_le(&mut acc[offset..], &src[3 - offset..]);
+            let got: Vec<u32> = bytes_to_f32s(&acc[offset..])
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(got, want, "offset {offset}");
+        }
     }
 
     #[test]

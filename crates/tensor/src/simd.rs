@@ -388,10 +388,95 @@ pub fn gather_f32_at(lvl: Level, src: &[f32], indices: &[u32], out: &mut [f32]) 
         avx2: x86::gather_f32_avx2(src, indices, out))
 }
 
+// ---------------------------------------------------------------------------
+// CRC32 (the trailer of every payload stream and every socket frame)
+// ---------------------------------------------------------------------------
+
+/// Advances a raw CRC32 state (IEEE 802.3, reflected polynomial
+/// `0xEDB88320`; the register *before* the final inversion) over `bytes`.
+/// [`crate::pack::Crc32`] wraps this with the `!0` seed and final inversion.
+///
+/// The scalar body is a slice-by-8 table walk. The x86-64 levels fold 64
+/// bytes per iteration with carry-less multiplies when the CPU reports
+/// `pclmulqdq` and `sse4.1` (every AVX2 part does; an SSE2-only part without
+/// them takes the table). A CRC is a polynomial remainder, exact in any
+/// evaluation order, so all paths agree on every input.
+pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    crc32_update_at(level(), state, bytes)
+}
+
+/// [`crc32_update`] with an explicit dispatch level.
+pub fn crc32_update_at(lvl: Level, state: u32, bytes: &[u8]) -> u32 {
+    dispatch!(lvl,
+        scalar: scalar::crc32_update(state, bytes),
+        sse2: x86::crc32_update_sse2(state, bytes),
+        avx2: x86::crc32_update_sse2(state, bytes))
+}
+
+/// Reflected IEEE CRC32 polynomial (bit 31 is the x^0 coefficient).
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// One bit-step of the reflected CRC register: the residue times x, mod P.
+const fn crc_step(r: u32) -> u32 {
+    (r >> 1) ^ (CRC_POLY & (r & 1).wrapping_neg())
+}
+
 /// Portable scalar bodies — the reference semantics every vector path must
 /// reproduce bit-for-bit.
 mod scalar {
+    use super::crc_step;
+
     const ABS_MASK: u32 = 0x7FFF_FFFF;
+
+    /// `CRC_TABLES[k][b]`: the register after byte `b` followed by `k` zero
+    /// bytes — slice-by-8 consumes eight input bytes per step with one
+    /// lookup each.
+    static CRC_TABLES: [[u32; 256]; 8] = {
+        let mut t = [[0u32; 256]; 8];
+        let mut b = 0;
+        while b < 256 {
+            let mut r = b as u32;
+            let mut bit = 0;
+            while bit < 8 {
+                r = crc_step(r);
+                bit += 1;
+            }
+            t[0][b] = r;
+            b += 1;
+        }
+        let mut k = 1;
+        while k < 8 {
+            let mut b = 0;
+            while b < 256 {
+                let prev = t[k - 1][b];
+                t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+                b += 1;
+            }
+            k += 1;
+        }
+        t
+    };
+
+    pub fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+        let t = &CRC_TABLES;
+        let (words, tail) = bytes.as_chunks::<8>();
+        for w in words {
+            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in tail {
+            crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        crc
+    }
 
     pub fn abs_max_bits(xs: &[f32]) -> u32 {
         let mut m = 0u32;
@@ -967,6 +1052,150 @@ mod x86 {
             i += 8;
         }
         scalar::gather_f32(src, &indices[i..], &mut out[i..]);
+    }
+
+    /// CLMUL is a CPU feature of its own, not implied by a [`super::Level`]:
+    /// both x86 levels take it when present and the table otherwise. Inputs
+    /// under one 64-byte fold block are table work either way.
+    #[target_feature(enable = "sse2")]
+    pub fn crc32_update_sse2(state: u32, bytes: &[u8]) -> u32 {
+        if bytes.len() >= 64
+            && std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+        {
+            // SAFETY: both features the body is compiled for were just
+            // detected on this CPU.
+            unsafe { crc32_update_clmul(state, bytes) }
+        } else {
+            scalar::crc32_update(state, bytes)
+        }
+    }
+
+    /// `x^n mod P` in the reflected domain, shifted one bit left: the form
+    /// in which a carry-less multiply of reflected operands lands aligned
+    /// (Gopal et al., "Fast CRC Computation for Generic Polynomials Using
+    /// PCLMULQDQ Instruction", Intel 2009).
+    const fn crc_fold_const(n: u32) -> i64 {
+        let mut r = 0x8000_0000u32; // x^0
+        let mut i = 0;
+        while i < n {
+            r = super::crc_step(r);
+            i += 1;
+        }
+        (r as i64) << 1
+    }
+
+    /// A 33-bit polynomial (x^32 coefficient in bit 32) bit-reflected.
+    const fn reflect33(p: u64) -> i64 {
+        (p.reverse_bits() >> 31) as i64
+    }
+
+    /// The full CRC polynomial `P(x)`, x^32 term included.
+    const CRC_P33: u64 = 0x1_04C1_1DB7;
+
+    /// Barrett constant `⌊x^64 / P(x)⌋` by long division, reflected.
+    const CRC_MU: i64 = {
+        let mut rem: u128 = 1 << 64;
+        let mut q = 0u64;
+        let mut i = 33;
+        while i > 0 {
+            i -= 1;
+            if (rem >> (i + 32)) & 1 == 1 {
+                q |= 1 << i;
+                rem ^= (CRC_P33 as u128) << i;
+            }
+        }
+        reflect33(q)
+    };
+
+    /// Distances (in bits) a 128-bit lane is carried forward: four lanes
+    /// ahead (±32 for the high and low qword), one lane ahead, and the final
+    /// 96 → 64 bit step.
+    const FOLD_4X_LO: i64 = crc_fold_const(4 * 128 + 32);
+    const FOLD_4X_HI: i64 = crc_fold_const(4 * 128 - 32);
+    const FOLD_1X_LO: i64 = crc_fold_const(128 + 32);
+    const FOLD_1X_HI: i64 = crc_fold_const(128 - 32);
+    const FOLD_64: i64 = crc_fold_const(64);
+
+    #[target_feature(enable = "sse2")]
+    fn load128(block: &[u8; 16]) -> __m128i {
+        // SAFETY: the array type guarantees 16 readable bytes; loadu allows
+        // any alignment.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+
+    /// Carries `acc` forward by the distance baked into `k` and absorbs the
+    /// block it lands on: `acc.lo·k.lo ⊕ acc.hi·k.hi ⊕ next`.
+    #[target_feature(enable = "pclmulqdq,sse2")]
+    fn fold128(acc: __m128i, next: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    /// Folds the input down to one 128-bit lane four lanes at a time, then
+    /// reduces that lane to the 32-bit register; the sub-16-byte tail goes
+    /// through the table.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn crc32_update_clmul(state: u32, bytes: &[u8]) -> u32 {
+        let (blocks, tail) = bytes.as_chunks::<16>();
+        let (quads, singles) = blocks.as_chunks::<4>();
+        let Some((first, quads)) = quads.split_first() else {
+            return scalar::crc32_update(state, bytes);
+        };
+        let k4 = _mm_set_epi64x(FOLD_4X_HI, FOLD_4X_LO);
+        let k1 = _mm_set_epi64x(FOLD_1X_HI, FOLD_1X_LO);
+        let mut x = [
+            // The running register enters as an xor into the first 4 bytes.
+            _mm_xor_si128(load128(&first[0]), _mm_cvtsi32_si128(state as i32)),
+            load128(&first[1]),
+            load128(&first[2]),
+            load128(&first[3]),
+        ];
+        for q in quads {
+            for (lane, block) in x.iter_mut().zip(q) {
+                *lane = fold128(*lane, load128(block), k4);
+            }
+        }
+        let mut acc = x[0];
+        for &lane in &x[1..] {
+            acc = fold128(acc, lane, k1);
+        }
+        for block in singles {
+            acc = fold128(acc, load128(block), k1);
+        }
+        // 128 → 96 → 64 bits: the leading qword, then the leading dword, is
+        // carried onto what follows it (the message's implicit 32 zero bits
+        // included).
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let acc = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(acc, k1),
+            _mm_srli_si128::<8>(acc),
+        );
+        let acc = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(acc, low32), _mm_set_epi64x(0, FOLD_64)),
+            _mm_srli_si128::<4>(acc),
+        );
+        // Barrett reduction, 64 → 32 bits: q = ⌊acc·μ / x^32⌋, then
+        // acc ⊕ q·P leaves the remainder in the second dword.
+        let p_mu = _mm_set_epi64x(CRC_MU, reflect33(CRC_P33));
+        let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(acc, low32), p_mu);
+        let qp = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, low32), p_mu);
+        let crc = _mm_extract_epi32::<1>(_mm_xor_si128(acc, qp)) as u32;
+        scalar::crc32_update(crc, tail)
+    }
+
+    #[cfg(test)]
+    #[test]
+    fn crc_fold_constants_match_the_published_values() {
+        // zlib / Chromium `crc32_simd`, Linux `crc32-pclmul`.
+        assert_eq!(FOLD_4X_LO, 0x1_5444_2bd4);
+        assert_eq!(FOLD_4X_HI, 0x1_c6e4_1596);
+        assert_eq!(FOLD_1X_LO, 0x1_7519_97d0);
+        assert_eq!(FOLD_1X_HI, 0x0_ccaa_009e);
+        assert_eq!(FOLD_64, 0x1_63cd_6124);
+        assert_eq!(reflect33(CRC_P33), 0x1_db71_0641);
+        assert_eq!(CRC_MU, 0x1_f701_1641);
     }
 }
 

@@ -13,14 +13,17 @@
 //!   elements);
 //! * adversarial float bit patterns — NaN, ±∞, ±0, denormals, extreme
 //!   magnitudes — injected into otherwise-random IEEE-754 words;
-//! * all 32 bit-pack widths against the generic bit-cursor reference.
+//! * all 32 bit-pack widths against the generic bit-cursor reference;
+//! * the CRC32 kernels (table and CLMUL) against the bit-at-a-time
+//!   definition, every length up to 4 KiB at every load alignment.
 //!
 //! Inputs are raw `u32` words reinterpreted with `from_bits`, so the float
 //! space is sampled uniformly over *encodings* (heavy on denormals and NaN
 //! payloads), not just over values. All comparisons are on bit patterns.
 
 use grace_tensor::pack::{
-    pack_bits, pack_bits_generic, packed_len, unpack_bits_generic_into, unpack_bits_into,
+    crc32, crc32_bitwise, pack_bits, pack_bits_generic, packed_len, unpack_bits_generic_into,
+    unpack_bits_into, Crc32,
 };
 use grace_tensor::select::{top_k_indices, top_k_indices_with};
 use grace_tensor::simd::{self, available_levels, Level};
@@ -309,5 +312,101 @@ fn dispatch_respects_force_scalar_contract() {
     let forced = std::env::var_os("GRACE_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != *"0");
     if forced {
         assert_eq!(simd::level(), Level::Scalar, "GRACE_FORCE_SCALAR ignored");
+    }
+}
+
+/// Deterministic non-periodic filler for the CRC buffers.
+fn crc_fill(n: usize) -> Vec<u8> {
+    let mut state = 0x9E37_79B9u32;
+    (0..n)
+        .map(|_| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (state >> 24) as u8
+        })
+        .collect()
+}
+
+/// Every length 0..=4 KiB at every start offset 0..32 (all positions of a
+/// 16-byte CLMUL lane and an 8-byte table word against the allocation), at
+/// every level, against the bit-at-a-time definition. The same bytes are
+/// re-laid at each offset, so the oracle runs once per length.
+#[test]
+fn crc32_kernels_match_bitwise_oracle_at_every_length_and_alignment() {
+    const MAX: usize = 4096;
+    let data = crc_fill(MAX);
+    let want: Vec<u32> = (0..=MAX).map(|len| crc32_bitwise(&data[..len])).collect();
+    let mut shifted = vec![0u8; MAX + 32];
+    for offset in 0..32 {
+        shifted[offset..offset + MAX].copy_from_slice(&data);
+        for (len, &want) in want.iter().enumerate() {
+            let input = &shifted[offset..offset + len];
+            for lvl in available_levels() {
+                let got = !simd::crc32_update_at(lvl, !0, input);
+                assert_eq!(got, want, "{lvl}: offset {offset}, len {len}");
+            }
+        }
+    }
+}
+
+/// Multi-megabyte buffers (a dense vgg19 frame is 6 MB): the 4-lane fold
+/// loop runs tens of thousands of iterations and the odd length leaves a
+/// 16-byte lane plus a table tail behind it.
+#[test]
+fn crc32_kernels_match_bitwise_oracle_on_large_buffers() {
+    for len in [(1 << 20) + 3, 4 << 20] {
+        let data = crc_fill(len + 1);
+        for input in [&data[..len], &data[1..]] {
+            let want = crc32_bitwise(input);
+            assert_eq!(crc32(input), want, "dispatched, len {len}");
+            for lvl in available_levels() {
+                let got = !simd::crc32_update_at(lvl, !0, input);
+                assert_eq!(got, want, "{lvl}: len {len}");
+            }
+        }
+    }
+}
+
+/// zlib's reference values, through the dispatched path and every level.
+#[test]
+fn crc32_known_vectors_hold_at_every_level() {
+    let vectors: [(&[u8], u32); 4] = [
+        (b"", 0),
+        (b"a", 0xE8B7_BE43),
+        (b"123456789", 0xCBF4_3926),
+        (b"The quick brown fox jumps over the lazy dog", 0x414F_A339),
+    ];
+    for (input, want) in vectors {
+        assert_eq!(crc32(input), want);
+        assert_eq!(crc32_bitwise(input), want);
+        for lvl in available_levels() {
+            assert_eq!(!simd::crc32_update_at(lvl, !0, input), want, "{lvl}");
+        }
+    }
+    // 32 zero bytes and 32 0xFF bytes (iSCSI-style fixed patterns, IEEE
+    // values): long enough to differ from the empty-string identity.
+    assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+    assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Feeding a buffer to `Crc32::update` in arbitrary pieces — across
+    /// CLMUL/table thresholds in either direction — equals the one-shot.
+    #[test]
+    fn crc32_update_split_anywhere_equals_one_shot(
+        data in proptest::collection::vec(any::<u8>(), 0..3000),
+        cuts in proptest::collection::vec(any::<u16>(), 0..6),
+    ) {
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c as usize % (data.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut crc = Crc32::new();
+        let mut at = 0;
+        for cut in cuts {
+            crc.update(&data[at..cut]);
+            at = cut;
+        }
+        crc.update(&data[at..]);
+        prop_assert_eq!(crc.finish(), crc32_bitwise(&data));
     }
 }
