@@ -1,4 +1,4 @@
-//! Shared helpers for the Criterion benchmark harness.
+//! Shared helpers for the ratio-gate benchmark binaries.
 
 use grace_tensor::rng::seeded;
 use grace_tensor::{Shape, Tensor};

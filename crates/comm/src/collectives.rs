@@ -227,37 +227,6 @@ pub trait Collective {
     /// barrier membership so the survivors keep making progress. Idempotent;
     /// a no-op for implementations without membership.
     fn leave(&self) {}
-
-    /// Reduce-scatter: elementwise-sums all buffers and returns this
-    /// worker's contiguous shard of the sum (the first half of a ring
-    /// all-reduce). Shard boundaries follow the balanced partition used for
-    /// data sharding: the first `len % n` shards get one extra element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffer lengths differ across workers.
-    fn reduce_scatter_f32(&self, data: Vec<f32>) -> Vec<f32> {
-        let n = self.n_workers();
-        let rank = self.rank();
-        let sum = self.allreduce_f32(data);
-        let len = sum.len();
-        let base = len / n;
-        let extra = len % n;
-        let start = rank * base + rank.min(extra);
-        let shard = base + usize::from(rank < extra);
-        sum[start..start + shard].to_vec()
-    }
-
-    /// Gathers every worker's payload at `root`; non-roots receive an empty
-    /// list.
-    fn gather_bytes(&self, root: usize, data: Vec<u8>) -> Vec<Vec<u8>> {
-        let all = self.allgather_bytes(data);
-        if self.rank() == root {
-            all
-        } else {
-            Vec::new()
-        }
-    }
 }
 
 /// Monitoring hooks the training drivers read each step, factored out of
@@ -842,42 +811,6 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn rejects_zero_workers() {
         let _ = ThreadedCluster::run(0, |_| ());
-    }
-
-    #[test]
-    fn reduce_scatter_shards_cover_the_sum() {
-        let n = 3;
-        let len = 10; // 10 = 4 + 3 + 3 across three workers
-        let shards = ThreadedCluster::run(n, |c| {
-            let data: Vec<f32> = (0..len).map(|i| (i + c.rank()) as f32).collect();
-            c.reduce_scatter_f32(data)
-        });
-        let mut combined = Vec::new();
-        for s in &shards {
-            combined.extend_from_slice(s);
-        }
-        assert_eq!(shards[0].len(), 4);
-        assert_eq!(shards[1].len(), 3);
-        let expect: Vec<f32> = (0..len).map(|i| (3 * i + 3) as f32).collect();
-        assert_eq!(combined, expect);
-    }
-
-    #[test]
-    fn gather_delivers_only_to_root() {
-        let results = ThreadedCluster::run(3, |c| {
-            let mine = vec![c.rank() as u8 + 1];
-            c.gather_bytes(1, mine)
-        });
-        assert!(results[0].is_empty());
-        assert_eq!(results[1], vec![vec![1], vec![2], vec![3]]);
-        assert!(results[2].is_empty());
-    }
-
-    #[test]
-    fn single_worker_extended_collectives() {
-        let c = SingleWorker;
-        assert_eq!(c.reduce_scatter_f32(vec![1.0, 2.0]), vec![1.0, 2.0]);
-        assert_eq!(c.gather_bytes(0, vec![5]), vec![vec![5]]);
     }
 
     #[test]

@@ -62,6 +62,6 @@ pub use exchange::{
 pub use health::{AnomalyEvent, AnomalyKind, HealthConfig, HealthMonitor, StepObservation};
 pub use memory::{Memory, NoMemory, ResidualMemory};
 pub use payload::{Payload, PayloadError, PayloadList, PayloadReader, PayloadView};
-pub use process::{net_config_from_env, param_checksum, run_cluster, RankResult};
+pub use process::{param_checksum, run_cluster, RankResult};
 pub use registry::{CompressorClass, CompressorSpec, Nature, OutputSize};
 pub use trainer::{ComputeModel, EvalPoint, ExecBackend, RunResult, Topology, TrainConfig};

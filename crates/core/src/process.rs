@@ -5,9 +5,8 @@
 //! [`worker_loop`] over `grace-comm`'s socket transport, either as N threads
 //! talking through a localhost hub ([`run_cluster`] with a socket
 //! [`crate::ExecBackend`] — what the equivalence tests drive) or as one rank
-//! of a genuinely multi-process job ([`run_socket_rank`] — what the
-//! `grace-launch` binary drives, with rank/world/rendezvous read from the
-//! environment).
+//! of a genuinely multi-process job ([`run_socket_rank`] — what each
+//! `grace-launch rank` child drives, its place in the job given on argv).
 //!
 //! Because the loop, the batch schedule and the aggregation order are all
 //! backend-independent, every backend must land on bit-identical parameters;
@@ -18,7 +17,7 @@ use crate::compressor::Compressor;
 use crate::memory::Memory;
 use crate::threaded::{launch, plan_and_options, worker_loop, ThreadedResult};
 use crate::trainer::{start_metrics_server, TrainConfig};
-use grace_comm::net::{Endpoint, NetConfig, SocketCluster};
+use grace_comm::net::{NetConfig, SocketCluster};
 use grace_comm::{ClusterError, ClusterIntrospect, Collective, FaultStats, FaultyCollective};
 use grace_nn::data::Task;
 use grace_nn::network::Network;
@@ -37,19 +36,6 @@ pub type Worker = (
 /// Worker factory shared by every cluster entry point: builds, per rank, its
 /// [`Worker`].
 pub type MakeWorker<'a> = dyn Fn(usize) -> Worker + Sync + 'a;
-
-/// Environment variables `grace-launch` uses to hand a child process its
-/// place in the job.
-pub const ENV_RANK: &str = "GRACE_RANK";
-/// World size (total rank count).
-pub const ENV_WORLD: &str = "GRACE_WORLD";
-/// Rendezvous endpoint (`tcp://host:port` or `uds:///path`).
-pub const ENV_RENDEZVOUS: &str = "GRACE_RENDEZVOUS";
-/// Directory for per-rank trace exports. When set (and tracing is enabled),
-/// [`run_socket_rank`] writes `rank<k>.trace.json` there on exit, stamped
-/// with this rank's hub-clock offset so `grace-analyze merge` can rebase
-/// every rank onto one timeline.
-pub const ENV_TRACE_DIR: &str = "GRACE_TRACE_DIR";
 
 /// One rank's result from a multi-process run.
 #[derive(Debug)]
@@ -79,54 +65,6 @@ pub fn param_checksum(params: &[(String, Tensor)]) -> u32 {
         }
     }
     crc32(&bytes)
-}
-
-/// Reads this process's [`NetConfig`] from `GRACE_RANK`, `GRACE_WORLD` and
-/// `GRACE_RENDEZVOUS`.
-///
-/// # Errors
-///
-/// Returns a message naming the missing or malformed variable.
-pub fn net_config_from_env() -> Result<NetConfig, String> {
-    let get = |key: &str| std::env::var(key).map_err(|_| format!("{key} is not set"));
-    let rank: usize = get(ENV_RANK)?
-        .parse()
-        .map_err(|e| format!("{ENV_RANK}: {e}"))?;
-    let world: usize = get(ENV_WORLD)?
-        .parse()
-        .map_err(|e| format!("{ENV_WORLD}: {e}"))?;
-    let endpoint = Endpoint::parse(&get(ENV_RENDEZVOUS)?)?;
-    if rank >= world {
-        return Err(format!("rank {rank} out of range for world {world}"));
-    }
-    Ok(NetConfig::new(rank, world, endpoint))
-}
-
-/// Writes this rank's trace to `$GRACE_TRACE_DIR/rank<k>.trace.json`,
-/// stamped with the rank's hub-clock offset estimate so the merge tool can
-/// rebase the timeline. Quiet no-op when tracing is off or the launcher
-/// did not ask for collection.
-fn export_rank_trace<C: grace_comm::ClusterIntrospect>(
-    comm: &FaultyCollective<C>,
-    rank: usize,
-    world: usize,
-) {
-    let Ok(dir) = std::env::var(ENV_TRACE_DIR) else {
-        return;
-    };
-    if dir.is_empty() || !grace_telemetry::enabled(grace_telemetry::Level::Trace) {
-        return;
-    }
-    let (clock_offset_ns, clock_rtt_ns) = comm.inner().clock_sync().unwrap_or((0, 0));
-    grace_telemetry::set_trace_header(Some(grace_telemetry::TraceHeader {
-        rank: Some(rank),
-        world,
-        clock_offset_ns,
-        clock_rtt_ns,
-    }));
-    if let Err(e) = grace_telemetry::export::export_run_to(&dir, &format!("rank{rank}")) {
-        eprintln!("[grace-core] cannot export trace to {dir}: {e}");
-    }
 }
 
 /// Runs one rank of a socket-backed job to completion: connect, rendezvous,
@@ -183,15 +121,6 @@ pub fn run_socket_rank(
         grace_telemetry::recorder::trigger("recorder: cluster error");
     }
     grace_telemetry::trace::flush_thread();
-    export_rank_trace(&comm, net_cfg.rank, net_cfg.world);
-    // On-demand post-mortem even for clean exits (`grace-launch
-    // --dump-on-exit`); a tripped recorder already wrote its bundle.
-    let dump_on_exit = std::env::var_os("GRACE_DUMP_ON_EXIT").is_some_and(|v| v == "1");
-    if dump_on_exit && !grace_telemetry::recorder::tripped() {
-        if let Err(e) = grace_telemetry::recorder::dump() {
-            eprintln!("[grace-core] dump-on-exit bundle failed: {e}");
-        }
-    }
     drop(metrics_server);
     let out = out?;
     Ok(RankResult {
@@ -233,24 +162,5 @@ mod tests {
         let neg = vec![("w".to_string(), Tensor::from_vec(vec![-0.0]))];
         assert_ne!(param_checksum(&pos), param_checksum(&neg));
         assert_eq!(base, param_checksum(&params));
-    }
-
-    #[test]
-    fn env_config_round_trips() {
-        // Serialized env access: set → read → clear under one lock would be
-        // needed if tests ran threaded over the same keys; these keys are
-        // unique to this test binary.
-        std::env::set_var(ENV_RANK, "2");
-        std::env::set_var(ENV_WORLD, "4");
-        std::env::set_var(ENV_RENDEZVOUS, "tcp://127.0.0.1:7777");
-        let cfg = net_config_from_env().unwrap();
-        assert_eq!((cfg.rank, cfg.world), (2, 4));
-        assert_eq!(cfg.endpoint, Endpoint::Tcp("127.0.0.1:7777".into()));
-        std::env::set_var(ENV_RANK, "9");
-        assert!(net_config_from_env().unwrap_err().contains("out of range"));
-        std::env::remove_var(ENV_RANK);
-        assert!(net_config_from_env().unwrap_err().contains(ENV_RANK));
-        std::env::remove_var(ENV_WORLD);
-        std::env::remove_var(ENV_RENDEZVOUS);
     }
 }

@@ -232,7 +232,6 @@ pub struct TrainConfig {
     /// Aggregation plan for `Allgather` merges (downgraded per method by
     /// the capability/algebra chain). Every plan is bit-identical on the
     /// trained parameters; it only moves aggregator CPU and incast bytes.
-    /// Defaults to `GRACE_AGG_PLAN` (reference plan when unset).
     pub agg_plan: crate::AggregationPlan,
 }
 
@@ -259,7 +258,7 @@ impl TrainConfig {
             metrics_addr: None,
             health: None,
             backend: ExecBackend::default(),
-            agg_plan: crate::AggregationPlan::from_env(),
+            agg_plan: crate::AggregationPlan::default(),
         }
     }
 

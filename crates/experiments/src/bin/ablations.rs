@@ -73,7 +73,7 @@ fn run_custom(
         metrics_addr: None,
         health: None,
         backend: grace_core::ExecBackend::Threads,
-        agg_plan: grace_core::AggregationPlan::from_env(),
+        agg_plan: grace_core::AggregationPlan::default(),
     };
     let (mut cs, mut ms) = make(rc.n_workers);
     let mut opt = bench.opt.build("topk");

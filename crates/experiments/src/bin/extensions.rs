@@ -45,7 +45,7 @@ fn run_spec(spec: Option<&CompressorSpec>, rc: &RunnerConfig) -> grace_core::Run
         metrics_addr: None,
         health: None,
         backend: grace_core::ExecBackend::Threads,
-        agg_plan: grace_core::AggregationPlan::from_env(),
+        agg_plan: grace_core::AggregationPlan::default(),
     };
     let mut opt = bench.opt.build(spec.map(|s| s.id).unwrap_or("baseline"));
     let (mut cs, mut ms) = match spec {

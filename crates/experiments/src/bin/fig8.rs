@@ -8,8 +8,8 @@
 //! expensive, threshold methods pay for selection scans, SketchML pays for
 //! sketch construction.
 //!
-//! Run: `cargo run --release -p grace-experiments --bin fig8`
-//! Set `GRACE_FIG8_LARGE=1` to include the 100 MB input size.
+//! Run: `cargo run --release -p grace-experiments --bin fig8 [-- --large]`
+//! (`--large` includes the 100 MB input size).
 
 use grace_compressors::registry;
 use grace_experiments::report;
@@ -38,7 +38,7 @@ fn gradient_of_bytes(bytes: usize, seed: u64) -> Tensor {
 
 fn main() {
     let mut sizes: Vec<(usize, &str)> = vec![(1 << 20, "1MB"), (10 << 20, "10MB")];
-    if std::env::var("GRACE_FIG8_LARGE").is_ok() {
+    if std::env::args().any(|a| a == "--large") {
         sizes.push((100 << 20, "100MB"));
     }
     let mut rows = Vec::new();

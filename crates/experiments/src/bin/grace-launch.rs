@@ -1,18 +1,19 @@
 //! `grace-launch` — run GRACE training as N real OS processes.
 //!
-//! Parent mode (no `GRACE_RANK` in the environment) binds the rendezvous
-//! hub, re-executes itself once per rank with `GRACE_RANK` / `GRACE_WORLD` /
-//! `GRACE_RENDEZVOUS` set, gathers each child's parameter checksum from its
-//! stdout, and asserts all ranks agree; unless `--no-verify` it then replays
-//! the identical workload on the in-process `ThreadedCluster` and asserts
-//! the socket-trained bits match — the acceptance criterion of the
-//! multi-process transport.
+//! Parent mode binds the rendezvous hub, re-executes itself once per rank
+//! as `grace-launch rank …` (the child's whole job — rank, world,
+//! rendezvous, compressor, epochs, fault, trace directory — travels on its
+//! argv; the mode is a function of argv alone), gathers each child's
+//! parameter checksum from its stdout, and asserts all ranks agree; unless
+//! `--no-verify` it then replays the identical workload on the in-process
+//! `ThreadedCluster` and asserts the socket-trained bits match — the
+//! acceptance criterion of the multi-process transport.
 //!
-//! Child mode (`GRACE_RANK` set) joins the hub, trains its rank to
+//! Child mode (first argument `rank`) joins the hub, trains its rank to
 //! completion and prints one machine-readable line:
 //!
 //! ```text
-//! GRACE_RANK_RESULT <rank> <param_crc32:08x> <quality> <live_at_exit>
+//! RANK_RESULT <rank> <param_crc32:08x> <quality> <live_at_exit>
 //! ```
 //!
 //! Usage:
@@ -21,10 +22,12 @@
 //! grace-launch [--ranks N] [--compressor ID|baseline|all] [--epochs E]
 //!              [--uds] [--no-verify] [--trace DIR]
 //!              [--drop RANK@OP] [--dump-on-exit]
+//! grace-launch rank --rank K --world N --rendezvous EP --compressor ID
+//!              --epochs E [--drop RANK@OP] [--trace DIR] [--dump-on-exit]
 //! ```
 //!
-//! `--trace DIR` turns on cross-rank tracing: every child runs with
-//! `GRACE_TELEMETRY=trace` and exports `DIR/<compressor>/rank<k>.trace.json`
+//! `--trace DIR` turns on cross-rank tracing: every child runs at
+//! `Level::Trace` and exports `DIR/<compressor>/rank<k>.trace.json`
 //! (stamped with its hub-clock offset), the parent exports the hub's own
 //! timeline as `DIR/<compressor>/hub.trace.json`, and
 //! `grace-analyze merge DIR/<compressor>` rebases them onto one clock.
@@ -35,12 +38,10 @@
 //! `--dump-on-exit` makes every child write its bundle at exit even
 //! without a trigger; `grace-analyze postmortem` reads the result.
 
-use grace_comm::net::{Endpoint, HubServer};
+use grace_comm::net::{Endpoint, HubServer, NetConfig};
 use grace_comm::ClusterOptions;
 use grace_compressors::{extensions, registry};
-use grace_core::process::{
-    self, net_config_from_env, param_checksum, Worker, ENV_RANK, ENV_RENDEZVOUS, ENV_WORLD,
-};
+use grace_core::process::{self, param_checksum, Worker};
 use grace_core::threaded::run_threaded;
 use grace_core::trainer::CodecTiming;
 use grace_core::{Compressor, Memory, NoCompression, NoMemory, TrainConfig};
@@ -51,9 +52,6 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
-const ENV_COMPRESSOR: &str = "GRACE_LAUNCH_COMPRESSOR";
-const ENV_EPOCHS: &str = "GRACE_LAUNCH_EPOCHS";
-const ENV_DROP: &str = "GRACE_LAUNCH_DROP";
 const SEED: u64 = 31;
 
 /// The fixed cross-process workload. Small on purpose: the point is the
@@ -79,15 +77,14 @@ fn workload(
     (task, cfg)
 }
 
-/// Parses the `RANK@OP` form of `--drop` (also carried in [`ENV_DROP`]).
-fn parse_drop(s: &str) -> (usize, u64) {
-    let (rank, op) = s
-        .split_once('@')
-        .unwrap_or_else(|| panic!("--drop expects RANK@OP, got '{s}'"));
-    (
-        rank.parse().expect("--drop rank"),
-        op.parse().expect("--drop op"),
-    )
+/// Parses the `RANK@OP` form of `--drop`.
+fn parse_drop(s: &str) -> Result<(usize, u64), String> {
+    let err = || format!("--drop expects RANK@OP, got '{s}'");
+    let (rank, op) = s.split_once('@').ok_or_else(err)?;
+    Ok((
+        rank.parse().map_err(|_| err())?,
+        op.parse().map_err(|_| err())?,
+    ))
 }
 
 fn make_worker(compressor_id: &str, world: usize, rank: usize) -> Worker {
@@ -112,27 +109,38 @@ fn make_worker(compressor_id: &str, world: usize, rank: usize) -> Worker {
     (net, opt, compressor, memory)
 }
 
-fn child_main() -> i32 {
-    let net_cfg = match net_config_from_env() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("grace-launch child: {e}");
-            return 2;
+fn child_main(args: &Args, rank: usize, endpoint: &Endpoint) -> i32 {
+    let net_cfg = NetConfig::new(rank, args.ranks, endpoint.clone());
+    let (task, mut cfg) = workload(args.ranks, args.epochs, args.drop);
+    if args.trace_dir.is_some() {
+        cfg.telemetry = Some(grace_telemetry::Level::Trace);
+    }
+    let make = |rank: usize| make_worker(&args.compressor, args.ranks, rank);
+    let out = process::run_socket_rank(&cfg, &task, &make, &net_cfg);
+    // The hub-clock header is stamped when the rank connects, so the export
+    // below and a mid-run bundle rebase onto the same timeline. A rank that
+    // never connected has no header and nothing `grace-analyze merge` could
+    // place, so it leaves no file.
+    let connected = grace_telemetry::export::trace_header().is_some();
+    if let Some(dir) = args.trace_dir.as_ref().filter(|_| connected) {
+        let label = format!("rank{rank}");
+        if let Err(e) = grace_telemetry::export::export_run_to(dir, &label) {
+            eprintln!(
+                "grace-launch: cannot export trace to {}: {e}",
+                dir.display()
+            );
         }
-    };
-    let compressor_id = std::env::var(ENV_COMPRESSOR).unwrap_or_else(|_| "baseline".to_string());
-    let epochs: usize = std::env::var(ENV_EPOCHS)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let drop = std::env::var(ENV_DROP).ok().map(|s| parse_drop(&s));
-    let (task, cfg) = workload(net_cfg.world, epochs, drop);
-    let world = net_cfg.world;
-    let make = move |rank: usize| make_worker(&compressor_id, world, rank);
-    match process::run_socket_rank(&cfg, &task, &make, &net_cfg) {
+    }
+    // A tripped recorder already wrote its bundle.
+    if args.dump_on_exit && !grace_telemetry::recorder::tripped() {
+        if let Err(e) = grace_telemetry::recorder::dump() {
+            eprintln!("grace-launch: dump-on-exit bundle failed: {e}");
+        }
+    }
+    match out {
         Ok(res) => {
             println!(
-                "GRACE_RANK_RESULT {} {:08x} {} {}",
+                "RANK_RESULT {} {:08x} {} {}",
                 res.rank,
                 param_checksum(&res.final_params),
                 res.final_quality,
@@ -141,13 +149,17 @@ fn child_main() -> i32 {
             0
         }
         Err(e) => {
-            eprintln!("grace-launch child rank {}: {e}", net_cfg.rank);
+            eprintln!("grace-launch child rank {rank}: {e}");
             1
         }
     }
 }
 
+#[derive(Debug)]
 struct Args {
+    /// `Some((rank, rendezvous))` in child mode (`grace-launch rank …`).
+    child: Option<(usize, Endpoint)>,
+    /// The world size: `--ranks` to the parent, `--world` to a child.
     ranks: usize,
     compressor: String,
     epochs: usize,
@@ -157,13 +169,17 @@ struct Args {
     /// Seeded mid-run drop fault (`--drop RANK@OP`): that rank leaves the
     /// cluster at collective `OP`, tripping its flight recorder.
     drop: Option<(usize, u64)>,
-    /// Ask every child to write a post-mortem bundle at exit even without
-    /// a trigger (`GRACE_DUMP_ON_EXIT=1`).
+    /// Every child writes a post-mortem bundle at exit even without a
+    /// trigger.
     dump_on_exit: bool,
 }
 
-fn parse_args() -> Args {
+/// Parses the argument list (program name already stripped). The mode is
+/// decided here and by nothing else: a leading `rank` selects child mode.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let is_child = argv.first().is_some_and(|a| a == "rank");
     let mut args = Args {
+        child: None,
         ranks: 4,
         compressor: "all".to_string(),
         epochs: 2,
@@ -173,29 +189,54 @@ fn parse_args() -> Args {
         drop: None,
         dump_on_exit: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
-        match a.as_str() {
-            "--ranks" => args.ranks = value("--ranks").parse().expect("--ranks"),
-            "--compressor" => args.compressor = value("--compressor"),
-            "--epochs" => args.epochs = value("--epochs").parse().expect("--epochs"),
-            "--uds" => args.uds = true,
-            "--no-verify" => args.verify = false,
-            "--trace" => args.trace_dir = Some(PathBuf::from(value("--trace"))),
-            "--drop" => args.drop = Some(parse_drop(&value("--drop"))),
-            "--dump-on-exit" => args.dump_on_exit = true,
-            other => panic!("unknown argument '{other}'"),
+    let (mut rank, mut rendezvous) = (None, None);
+    let mut it = argv[usize::from(is_child)..].iter();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+        let count = |v: &String| v.parse::<usize>().map_err(|e| format!("{flag}: {e}"));
+        match (flag.as_str(), is_child) {
+            ("--ranks", false) | ("--world", true) => args.ranks = count(value()?)?,
+            ("--rank", true) => rank = Some(count(value()?)?),
+            ("--rendezvous", true) => {
+                let ep = Endpoint::parse(value()?).map_err(|e| format!("{flag}: {e}"))?;
+                rendezvous = Some(ep);
+            }
+            ("--compressor", _) => args.compressor = value()?.clone(),
+            ("--epochs", _) => args.epochs = count(value()?)?,
+            ("--uds", false) => args.uds = true,
+            ("--no-verify", false) => args.verify = false,
+            ("--trace", _) => args.trace_dir = Some(PathBuf::from(value()?)),
+            ("--drop", _) => args.drop = Some(parse_drop(value()?)?),
+            ("--dump-on-exit", _) => args.dump_on_exit = true,
+            _ => return Err(format!("unknown argument '{flag}'")),
         }
     }
-    assert!(args.ranks > 0, "--ranks must be positive");
+    if args.ranks == 0 {
+        return Err("--ranks must be positive".to_string());
+    }
     if let Some((rank, _)) = args.drop {
-        assert!(rank < args.ranks, "--drop rank out of range");
+        if rank >= args.ranks {
+            return Err(format!(
+                "--drop rank {rank} out of range for {} ranks",
+                args.ranks
+            ));
+        }
         // A faulted run's parameters are legitimately different from the
         // clean threaded replay; the drop flag is for post-mortem drills.
         args.verify = false;
     }
-    args
+    if is_child {
+        let rank = rank.ok_or("--rank is required")?;
+        let endpoint = rendezvous.ok_or("--rendezvous is required")?;
+        if rank >= args.ranks {
+            return Err(format!(
+                "--rank {rank} out of range for --world {}",
+                args.ranks
+            ));
+        }
+        args.child = Some((rank, endpoint));
+    }
+    Ok(args)
 }
 
 /// Spawns `world` child ranks against a fresh hub and returns the agreed
@@ -224,21 +265,20 @@ fn launch_once(args: &Args, compressor_id: &str, trace_dir: Option<&Path>) -> (u
     let children: Vec<_> = (0..args.ranks)
         .map(|rank| {
             let mut cmd = Command::new(&exe);
-            cmd.env(ENV_RANK, rank.to_string())
-                .env(ENV_WORLD, args.ranks.to_string())
-                .env(ENV_RENDEZVOUS, endpoint.to_string())
-                .env(ENV_COMPRESSOR, compressor_id)
-                .env(ENV_EPOCHS, args.epochs.to_string())
+            cmd.args(["rank", "--rank", &rank.to_string()])
+                .args(["--world", &args.ranks.to_string()])
+                .args(["--rendezvous", &endpoint.to_string()])
+                .args(["--compressor", compressor_id])
+                .args(["--epochs", &args.epochs.to_string()])
                 .stdout(Stdio::piped());
             if let Some(dir) = trace_dir {
-                cmd.env("GRACE_TELEMETRY", "trace")
-                    .env(process::ENV_TRACE_DIR, dir);
+                cmd.arg("--trace").arg(dir);
             }
             if let Some((r, op)) = args.drop {
-                cmd.env(ENV_DROP, format!("{r}@{op}"));
+                cmd.args(["--drop", &format!("{r}@{op}")]);
             }
             if args.dump_on_exit {
-                cmd.env("GRACE_DUMP_ON_EXIT", "1");
+                cmd.arg("--dump-on-exit");
             }
             cmd.spawn()
                 .unwrap_or_else(|e| panic!("spawn rank {rank}: {e}"))
@@ -266,7 +306,7 @@ fn launch_once(args: &Args, compressor_id: &str, trace_dir: Option<&Path>) -> (u
         let stdout = String::from_utf8_lossy(&out.stdout);
         let line = stdout
             .lines()
-            .find(|l| l.starts_with("GRACE_RANK_RESULT"))
+            .find(|l| l.starts_with("RANK_RESULT"))
             .unwrap_or_else(|| panic!("rank {rank} printed no result line:\n{stdout}"));
         let parts: Vec<&str> = line.split_whitespace().collect();
         assert_eq!(parts.len(), 5, "malformed result line: {line}");
@@ -323,8 +363,7 @@ fn verify_against_threaded(args: &Args, compressor_id: &str, socket_crc: u32) {
     );
 }
 
-fn parent_main() -> i32 {
-    let args = parse_args();
+fn parent_main(args: &Args) -> i32 {
     let compressors: Vec<String> = if args.compressor == "all" {
         let mut ids = vec!["baseline".to_string()];
         ids.extend(registry::all_specs().into_iter().map(|s| s.id.to_string()));
@@ -352,9 +391,9 @@ fn parent_main() -> i32 {
     for id in &compressors {
         // One directory per compressor run so rank files never collide.
         let run_dir = args.trace_dir.as_ref().map(|d| d.join(id));
-        let (crc, quality) = launch_once(&args, id, run_dir.as_deref());
+        let (crc, quality) = launch_once(args, id, run_dir.as_deref());
         if args.verify {
-            verify_against_threaded(&args, id, crc);
+            verify_against_threaded(args, id, crc);
         }
         println!("{id:<26} {:>10} {quality:>10.4}", format!("{crc:08x}"));
     }
@@ -375,10 +414,59 @@ fn parent_main() -> i32 {
 }
 
 fn main() {
-    let code = if std::env::var(ENV_RANK).is_ok() {
-        child_main()
-    } else {
-        parent_main()
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let code = match parse_args(&argv) {
+        Ok(args) => match &args.child {
+            Some((rank, endpoint)) => child_main(&args, *rank, endpoint),
+            None => parent_main(&args),
+        },
+        Err(e) => {
+            eprintln!("grace-launch: {e}");
+            2
+        }
     };
     std::process::exit(code);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn mode_and_job_come_from_argv_alone() {
+        let parent = parse("--ranks 2 --compressor topk --drop 1@24 --dump-on-exit").unwrap();
+        assert!(parent.child.is_none());
+        assert_eq!((parent.ranks, parent.compressor.as_str()), (2, "topk"));
+        assert_eq!(parent.drop, Some((1, 24)));
+        assert!(parent.dump_on_exit && !parent.verify);
+
+        let child = parse(
+            "rank --rank 2 --world 4 --rendezvous tcp://127.0.0.1:7777 \
+             --compressor qsgd --epochs 3 --trace out/qsgd",
+        )
+        .unwrap();
+        assert_eq!(
+            child.child,
+            Some((2, Endpoint::Tcp("127.0.0.1:7777".into())))
+        );
+        assert_eq!(child.ranks, 4);
+        assert_eq!((child.compressor.as_str(), child.epochs), ("qsgd", 3));
+        assert_eq!(child.trace_dir, Some(PathBuf::from("out/qsgd")));
+
+        let err = |line: &str| parse(line).unwrap_err();
+        let ep = "--rendezvous tcp://127.0.0.1:1";
+        assert!(err(&format!("rank --rank 9 --world 4 {ep}")).contains("--rank 9 out of range"));
+        assert!(err("rank --rank 0 --world 2 --rendezvous ftp://x").contains("--rendezvous"));
+        assert!(err(&format!("rank --world 2 {ep}")).contains("--rank is required"));
+        assert!(err("--ranks 2 --drop 1-24").contains("--drop"));
+        assert!(err("--ranks 2 --drop 2@5").contains("--drop"));
+        // Child-only flags are not parent flags, and vice versa.
+        assert!(err("--rank 0").contains("unknown argument '--rank'"));
+        assert!(err(&format!("rank --rank 0 --world 2 {ep} --uds")).contains("'--uds'"));
+    }
 }

@@ -58,7 +58,7 @@ fn run(
         metrics_addr: None,
         health: None,
         backend: grace_core::ExecBackend::Threads,
-        agg_plan: grace_core::AggregationPlan::from_env(),
+        agg_plan: grace_core::AggregationPlan::default(),
     };
     let mut opt = bench.opt.build(compressor_id.unwrap_or("baseline"));
     let (mut cs, mut ms): Fleet = match compressor_id {

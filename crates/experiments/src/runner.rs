@@ -24,8 +24,8 @@ pub struct RunnerConfig {
     pub epoch_scale_pct: u32,
     /// Aggregation plan for the gathered merge. Bit-transparent — it moves
     /// aggregator CPU and incast bytes, never the trained parameters — so
-    /// every figure except `fig_agg` (which sweeps it) keeps the
-    /// environment-selected default.
+    /// every figure except `fig_agg` (which sweeps it) keeps the reference
+    /// plan.
     pub agg_plan: grace_core::AggregationPlan,
 }
 
@@ -36,7 +36,7 @@ impl Default for RunnerConfig {
             network: NetworkModel::paper_default(),
             seed: 42,
             epoch_scale_pct: scale_from_env(),
-            agg_plan: grace_core::AggregationPlan::from_env(),
+            agg_plan: grace_core::AggregationPlan::default(),
         }
     }
 }
@@ -50,23 +50,10 @@ pub fn scale_from_env() -> u32 {
         .unwrap_or(100)
 }
 
-/// Reads `GRACE_FUSION_BYTES` from the environment: the tensor-fusion
-/// bucket threshold of the pipelined exchange. It never changes the trained
-/// bits — only how much compression can be hidden under backprop (`1`
-/// isolates every tensor, large values approach one whole-step bucket).
-pub fn fusion_bytes_from_env() -> usize {
-    std::env::var("GRACE_FUSION_BYTES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(grace_core::DEFAULT_FUSION_BYTES)
-}
-
 /// Fusion buckets the model-scaled threshold aims for per step.
 const TARGET_FUSION_BUCKETS: usize = 8;
 
-/// Fusion threshold for a model of `param_count` parameters:
-/// `GRACE_FUSION_BYTES` wins when set; otherwise the threshold scales with
+/// Fusion threshold for a model of `param_count` parameters: it scales with
 /// the model so the stream splits into roughly [`TARGET_FUSION_BUCKETS`]
 /// buckets. The analog models are orders of magnitude smaller than the
 /// paper's — under the global 2 MiB default every one of them fused into a
@@ -74,11 +61,6 @@ const TARGET_FUSION_BUCKETS: usize = 8;
 /// reported `overlap_ratio = 0`. Capped at [`grace_core::DEFAULT_FUSION_BYTES`]
 /// so paper-sized models keep the stock threshold.
 pub fn fusion_bytes_for_model(param_count: usize) -> usize {
-    if let Ok(v) = std::env::var("GRACE_FUSION_BYTES") {
-        if let Some(v) = v.parse().ok().filter(|&v| v > 0) {
-            return v;
-        }
-    }
     (param_count * 4 / TARGET_FUSION_BUCKETS).clamp(1, grace_core::DEFAULT_FUSION_BYTES)
 }
 

@@ -4,9 +4,9 @@
 //!
 //! Tracing ([`crate::Level::Trace`]) retains *everything* and is therefore
 //! opt-in; the recorder instead retains only the most recent events inside
-//! a fixed byte budget (`GRACE_RECORDER_BYTES`, default 4 MiB per rank) so
-//! it can stay on for every run — including `Level::Off` production runs —
-//! without growing memory or allocating on the hot path. When a run dies
+//! a fixed byte budget (4 MiB per rank) so it can stay on for every run —
+//! including `Level::Off` production runs — without growing memory or
+//! allocating on the hot path. When a run dies
 //! (anomaly trip, injected fault, `ClusterError` in a socket rank) the
 //! seconds *leading up to* the failure are exactly what the exported-at-
 //! clean-exit trace loses; the recorder preserves them.
@@ -27,10 +27,10 @@
 //!   number of *concurrent* recording threads (hard-capped at
 //!   [`MAX_SEGMENTS`]), not by thread churn, and late events from a
 //!   returned segment survive into the dump.
-//! * **Ring sizing.** `GRACE_RECORDER_BYTES / 16 / size_of::<TraceEvent>()`
-//!   slots per segment (min 64): the budget is honoured at the sizing
-//!   target of 16 concurrent threads and scales proportionally beyond it.
-//!   `GRACE_RECORDER_BYTES=0` disables the recorder entirely.
+//! * **Ring sizing.** [`BUDGET_BYTES`]` / 16 / size_of::<TraceEvent>()`
+//!   slots per segment: the budget is honoured at the sizing target of 16
+//!   concurrent threads and scales proportionally beyond it.
+//!   [`set_enabled`]`(false)` turns the recorder off entirely.
 //!
 //! # Triggers
 //!
@@ -39,8 +39,7 @@
 //! | `AnomalyEvent` trip             | `HealthMonitor::fire`             |
 //! | `FaultPlan` fault instant       | `FaultStats::observe_injected`    |
 //! | `ClusterError` in a socket rank | `run_socket_rank` error path      |
-//! | `GRACE_DUMP=1`                  | polled in [`observe_step`]        |
-//! | `grace-launch --dump-on-exit`   | `GRACE_DUMP_ON_EXIT` at rank exit |
+//! | `grace-launch --dump-on-exit`   | [`dump`] at rank exit             |
 //!
 //! [`trigger`] is latched: the first trip dumps, later trips are ignored
 //! (the interesting state is what led to the *first* failure). On-demand
@@ -61,12 +60,12 @@ use std::cell::RefCell;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-/// Default ring budget when `GRACE_RECORDER_BYTES` is unset: ~4 MiB/rank.
-const DEFAULT_BUDGET_BYTES: usize = 4 << 20;
+/// Ring budget: ~4 MiB/rank.
+const BUDGET_BYTES: usize = 4 << 20;
 
 /// The byte budget is divided across this many segments; runs with more
 /// concurrent recording threads use proportionally more memory.
@@ -75,14 +74,11 @@ const SIZING_SEGMENTS: usize = 16;
 /// Hard cap on ever-allocated segments; threads beyond it record nothing.
 const MAX_SEGMENTS: usize = 64;
 
-/// Floor on slots per segment so tiny budgets still retain a useful tail.
-const MIN_SLOTS: usize = 64;
+/// Slots per segment.
+const SEGMENT_SLOTS: usize = BUDGET_BYTES / SIZING_SEGMENTS / std::mem::size_of::<TraceEvent>();
 
 /// Bounded anomaly side-buffer (mirrors `HealthMonitor`'s own cap).
 const MAX_ANOMALIES: usize = 256;
-
-/// How often (in steps) [`observe_step`] polls `GRACE_DUMP`.
-const DUMP_POLL_STEPS: u64 = 32;
 
 /// Global counters whose per-step deltas are recorded as instants on the
 /// step track (name → delta since the previous [`observe_step`]).
@@ -115,37 +111,19 @@ const SENTINEL: TraceEvent = TraceEvent {
 // Enablement
 // ---------------------------------------------------------------------------
 
-const STATE_UNSET: u8 = u8::MAX;
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
-static ENABLED: AtomicU8 = AtomicU8::new(STATE_UNSET);
-
-fn budget_bytes() -> usize {
-    static BUDGET: OnceLock<usize> = OnceLock::new();
-    *BUDGET.get_or_init(|| match std::env::var("GRACE_RECORDER_BYTES") {
-        Ok(v) => v.trim().parse::<usize>().unwrap_or(DEFAULT_BUDGET_BYTES),
-        Err(_) => DEFAULT_BUDGET_BYTES,
-    })
-}
-
-/// Fast gate: is the recorder retaining events? On by default; off when
-/// `GRACE_RECORDER_BYTES=0` or after [`set_enabled`]`(false)`.
+/// Fast gate: is the recorder retaining events? On by default; off after
+/// [`set_enabled`]`(false)`.
 #[inline]
 pub fn active() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        0 => false,
-        STATE_UNSET => {
-            let on = budget_bytes() > 0;
-            ENABLED.store(u8::from(on), Ordering::Relaxed);
-            on
-        }
-        _ => true,
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Overrides the recorder gate (benchmarks measure Off vs Recording with
 /// this; tests restore the default with `set_enabled(true)`).
 pub fn set_enabled(on: bool) {
-    ENABLED.store(u8::from(on), Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -224,13 +202,6 @@ fn lock_pool() -> MutexGuard<'static, Pool> {
     pool().lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn slots_per_segment() -> usize {
-    static SLOTS: OnceLock<usize> = OnceLock::new();
-    *SLOTS.get_or_init(|| {
-        (budget_bytes() / SIZING_SEGMENTS / std::mem::size_of::<TraceEvent>()).max(MIN_SLOTS)
-    })
-}
-
 fn acquire_segment() -> Option<Arc<Segment>> {
     let mut p = lock_pool();
     if let Some(seg) = p.free.pop() {
@@ -239,7 +210,7 @@ fn acquire_segment() -> Option<Arc<Segment>> {
     if p.all.len() >= MAX_SEGMENTS {
         return None;
     }
-    let seg = Arc::new(Segment::with_capacity(slots_per_segment()));
+    let seg = Arc::new(Segment::with_capacity(SEGMENT_SLOTS));
     p.all.push(Arc::clone(&seg));
     Some(seg)
 }
@@ -403,59 +374,31 @@ fn watchlist() -> &'static Mutex<Vec<Watch>> {
 }
 
 /// Per-step bookkeeping: records a `(step, delta)` instant on the step
-/// track for every watched counter that moved, and polls `GRACE_DUMP`
-/// every [`DUMP_POLL_STEPS`] steps. Call once per optimisation step from
-/// the rank's step-driving thread; after the first call the steady state
-/// is allocation-free (the env poll stays on the stack when the variable
-/// is unset).
+/// track for every watched counter that moved. Call once per optimisation
+/// step from the rank's step-driving thread; after the first call the
+/// steady state is allocation-free.
 pub fn observe_step(step: u64) {
     if !active() {
         return;
     }
     let now_ns = since_epoch_ns(Instant::now());
-    {
-        let mut watch = watchlist().lock().unwrap_or_else(|e| e.into_inner());
-        for w in watch.iter_mut() {
-            let now = w.counter.get();
-            let delta = now.saturating_sub(w.last);
-            w.last = now;
-            if delta > 0 {
-                record(TraceEvent {
-                    name: w.name,
-                    track: Track::Step,
-                    ts_ns: now_ns,
-                    dur_ns: 0,
-                    kind: EventKind::Instant,
-                    arg: Some(("step", step)),
-                    arg2: Some(("delta", delta)),
-                });
-            }
+    let mut watch = watchlist().lock().unwrap_or_else(|e| e.into_inner());
+    for w in watch.iter_mut() {
+        let now = w.counter.get();
+        let delta = now.saturating_sub(w.last);
+        w.last = now;
+        if delta > 0 {
+            record(TraceEvent {
+                name: w.name,
+                track: Track::Step,
+                ts_ns: now_ns,
+                dur_ns: 0,
+                kind: EventKind::Instant,
+                arg: Some(("step", step)),
+                arg2: Some(("delta", delta)),
+            });
         }
     }
-    if step.is_multiple_of(DUMP_POLL_STEPS) && env_dump_requested() {
-        if let Err(e) = dump() {
-            eprintln!("[grace-telemetry] GRACE_DUMP bundle failed: {e}");
-        }
-    }
-}
-
-static ENV_DUMPED: AtomicBool = AtomicBool::new(false);
-
-fn env_dump_requested() -> bool {
-    if ENV_DUMPED.load(Ordering::Relaxed) {
-        return false;
-    }
-    let fire = std::env::var_os("GRACE_DUMP")
-        .map(|v| {
-            let v = v.to_string_lossy();
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        })
-        .unwrap_or(false);
-    if fire {
-        ENV_DUMPED.store(true, Ordering::Relaxed);
-    }
-    fire
 }
 
 // ---------------------------------------------------------------------------
@@ -543,7 +486,6 @@ pub fn dump() -> io::Result<PathBuf> {
 /// values (call after `metrics::reset_all()` for a fully clean slate).
 pub fn reset() {
     TRIPPED.store(false, Ordering::SeqCst);
-    ENV_DUMPED.store(false, Ordering::Relaxed);
     {
         let p = lock_pool();
         for seg in &p.all {

@@ -128,6 +128,12 @@ fn checked(lvl: Level) -> Level {
     lvl
 }
 
+/// The invariant behind `dispatch!`'s SSE2 arm: the build itself targets
+/// SSE2, so no runtime check can fail there. A build that turns the baseline
+/// off (`-C target-feature=-sse2`) stops compiling instead of faulting.
+#[cfg(target_arch = "x86_64")]
+const _: () = assert!(cfg!(target_feature = "sse2"));
+
 /// Dispatches to a per-level body after validating hardware support. On
 /// non-x86-64 targets only the scalar arm is compiled.
 macro_rules! dispatch {
@@ -136,9 +142,13 @@ macro_rules! dispatch {
         #[cfg(target_arch = "x86_64")]
         {
             match lvl {
-                // SAFETY: `checked` proved the CPU supports the feature the
-                // `#[target_feature]` body was compiled for.
+                // SAFETY: `checked` proved the CPU supports AVX2, the feature
+                // the `#[target_feature]` body was compiled for.
                 Level::Avx2 => unsafe { $a2 },
+                // SAFETY: SSE2 is part of the x86-64 baseline ABI (checked
+                // at compile time beside this macro), so every CPU this arm
+                // is compiled for executes the
+                // `#[target_feature(enable = "sse2")]` body.
                 Level::Sse2 => unsafe { $e2 },
                 Level::Scalar => $s,
             }

@@ -173,7 +173,6 @@ fn injected_fault_instant_dumps_bundle() {
 fn recorder_state_never_perturbs_training() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dir = arm_recorder("equiv");
-    let _ = dir;
 
     let run = || {
         let mut cfg = TrainConfig::new(3, 8, 2, 31);
@@ -193,6 +192,12 @@ fn recorder_state_never_perturbs_training() {
 
     recorder::set_enabled(true);
     let with_recorder = run();
+    // A healthy run trips nothing, and its retained window is still
+    // available on demand.
+    assert!(!recorder::tripped());
+    assert_eq!(recorder::dump().expect("on-demand bundle"), dir);
+    assert_bundle_files(&dir, 0);
+    assert!(!recorder::tripped(), "an on-demand dump is not a trip");
     recorder::set_enabled(false);
     let without_recorder = run();
     recorder::set_enabled(true);

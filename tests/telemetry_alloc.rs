@@ -120,9 +120,8 @@ fn disabled_tracing_wire_context_handling_is_allocation_free() {
 /// The flight recorder's steady state must be allocation-free: with the
 /// ring active (the always-on default) and telemetry at `Metrics`, every
 /// span and instant lands in a pre-sized per-thread ring slot, watched
-/// counter deltas fold into ring instants over pre-resolved handles, and
-/// the periodic `GRACE_DUMP` poll reads an unset variable through a stack
-/// buffer — no trigger, no allocation, for as long as the run lives.
+/// counter deltas fold into ring instants over pre-resolved handles — no
+/// trigger, no allocation, for as long as the run lives.
 #[test]
 fn flight_recorder_steady_state_is_allocation_free() {
     use grace::telemetry::recorder;
