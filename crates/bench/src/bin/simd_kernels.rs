@@ -7,9 +7,12 @@
 //! * `reference` — a frozen copy of the scalar implementation the kernel
 //!   replaced (per-element `partition_point` code-book search, the generic
 //!   bit-cursor pack/unpack loop, the float `max` fold, the comparator
-//!   top-k) — byte-for-byte what the codecs ran before the SIMD module;
-//! * `new` — the runtime-dispatched `grace_tensor::simd` kernel (or the
-//!   pooled selection built on it).
+//!   top-k, QSGD's per-element quantize/dequantize loops) — byte-for-byte
+//!   what the codecs ran before;
+//! * `new` — the runtime-dispatched `grace_tensor::simd` kernel, the pooled
+//!   selection built on it, the word-at-a-time packer of
+//!   `grace_tensor::pack` or the level-quantizer pair of
+//!   `grace_tensor::coding`.
 //!
 //! The gated observable is `speedup = reference_ms / new_ms` — a ratio, so
 //! it divides out host speed; `grace-analyze --check-bench` pins it against
@@ -20,7 +23,8 @@
 //! Run: `cargo run --release -p grace-bench --bin simd_kernels`
 
 use grace_bench::gradient_of_bytes;
-use grace_tensor::{pack, select, simd};
+use grace_tensor::rng::seeded;
+use grace_tensor::{coding, pack, select, simd};
 use std::time::Instant;
 
 const TENSOR_BYTES: usize = 1 << 20;
@@ -31,6 +35,9 @@ const ITERS: usize = 20;
 /// shared with the library: they pin what the codecs used to execute, so
 /// the speedup row keeps meaning even as the library paths evolve.
 mod reference {
+    use rand::rngs::StdRng;
+    use rand::Rng;
+
     /// The float `max` fold `Tensor::norm_inf` used to run.
     pub fn norm_inf(xs: &[f32]) -> f32 {
         xs.iter().fold(0.0f32, |m, v| m.max(v.abs()))
@@ -108,6 +115,127 @@ mod reference {
             let sign = if code >> 7 == 1 { -1.0f32 } else { 1.0 };
             *o = sign * table[(code & 0x7F) as usize] * scale;
         }
+    }
+
+    /// The bit-cursor packer every width outside 1/2/4/8/16/32 used to take
+    /// (QSGD(64)'s 7-bit levels, Natural's 9-bit codes).
+    pub fn pack_bit_cursor(values: &[u32], bits: u32, out: &mut [u8]) {
+        let mask = (1u64 << bits) - 1;
+        out.fill(0);
+        let mut bitpos = 0usize;
+        for &v in values {
+            assert!((v as u64) <= mask, "value {v} does not fit in {bits} bits");
+            let mut remaining = bits as usize;
+            let mut val = v as u64;
+            while remaining > 0 {
+                let byte = bitpos / 8;
+                let offset = bitpos % 8;
+                let take = (8 - offset).min(remaining);
+                out[byte] |= ((val & ((1u64 << take) - 1)) as u8) << offset;
+                val >>= take;
+                bitpos += take;
+                remaining -= take;
+            }
+        }
+    }
+
+    /// The bit-cursor unpacker for those widths.
+    pub fn unpack_bit_cursor(packed: &[u8], bits: u32, count: usize, out: &mut Vec<u32>) {
+        out.clear();
+        let mut bitpos = 0usize;
+        for _ in 0..count {
+            let mut val: u64 = 0;
+            let mut got = 0usize;
+            while got < bits as usize {
+                let byte = bitpos / 8;
+                let offset = bitpos % 8;
+                let take = (8 - offset).min(bits as usize - got);
+                let chunk = ((packed[byte] >> offset) as u64) & ((1u64 << take) - 1);
+                val |= chunk << got;
+                got += take;
+                bitpos += take;
+            }
+            out.push(val as u32);
+        }
+    }
+
+    /// The per-element arm width 1 used to take on unpack.
+    pub fn unpack_1bit(packed: &[u8], count: usize, out: &mut Vec<u32>) {
+        out.clear();
+        for i in 0..count {
+            out.push(u32::from((packed[i / 8] >> (i % 8)) & 1));
+        }
+    }
+
+    /// The byte-fold arm width 1 used to take on pack.
+    fn pack_1bit(values: &[u32]) -> Vec<u8> {
+        let mut out = vec![0u8; values.len().div_ceil(8)];
+        let mut chunks = values.chunks_exact(8);
+        for (o, c) in out.iter_mut().zip(chunks.by_ref()) {
+            *o = c
+                .iter()
+                .enumerate()
+                .fold(0u8, |acc, (i, &v)| acc | ((v as u8) << i));
+        }
+        if let Some(last) = out.last_mut().filter(|_| !chunks.remainder().is_empty()) {
+            for (i, &v) in chunks.remainder().iter().enumerate() {
+                *last |= (v as u8) << i;
+            }
+        }
+        out
+    }
+
+    /// The old `Qsgd::compress`: `floorf` per element, a `Vec<u32>` of signs
+    /// and one of levels, then the packers above. Returns the sign bitmap,
+    /// the level stream and the norm.
+    pub fn qsgd_encode(xs: &[f32], s: u32, bits: u32, rng: &mut StdRng) -> (Vec<u8>, Vec<u8>, f32) {
+        let norm = xs.iter().map(|v| v * v).sum::<f32>().sqrt();
+        let sf = s as f32;
+        let mut signs = Vec::with_capacity(xs.len());
+        let mut levels = Vec::with_capacity(xs.len());
+        for &v in xs {
+            signs.push(u32::from(v < 0.0));
+            if norm == 0.0 {
+                levels.push(0u32);
+                continue;
+            }
+            let scaled = v.abs() / norm * sf;
+            let l = scaled.floor();
+            let p = scaled - l;
+            let level = l as u32 + u32::from(rng.gen::<f32>() < p);
+            levels.push(level.min(s));
+        }
+        let mut level_bytes = vec![0u8; (xs.len() * bits as usize).div_ceil(8)];
+        pack_bit_cursor(&levels, bits, &mut level_bytes);
+        (pack_1bit(&signs), level_bytes, norm)
+    }
+
+    /// The old `Qsgd::decompress`: both streams unpacked to `Vec<u32>`, then
+    /// the expression per element.
+    pub fn qsgd_decode(
+        signs: &[u8],
+        levels: &[u8],
+        bits: u32,
+        s: u32,
+        norm: f32,
+        count: usize,
+    ) -> Vec<f32> {
+        let (mut sign_codes, mut level_codes) = (Vec::new(), Vec::new());
+        unpack_1bit(signs, count, &mut sign_codes);
+        unpack_bit_cursor(levels, bits, count, &mut level_codes);
+        let sf = s as f32;
+        sign_codes
+            .into_iter()
+            .zip(level_codes)
+            .map(|(sign, level)| {
+                let v = norm * level as f32 / sf;
+                if sign == 1 {
+                    -v
+                } else {
+                    v
+                }
+            })
+            .collect()
     }
 
     /// The old comparator-driven top-k selection.
@@ -304,6 +432,104 @@ fn main() {
         assert_eq!(out, expect, "gather diverged");
         rows.push(Row {
             name: "gather",
+            reference_ms,
+            new_ms,
+        });
+    }
+
+    // The word-at-a-time packer at QSGD(64)'s 7-bit level width and at the
+    // sign bitmap's width 1, against the loops those widths used to take.
+    {
+        let codes7: Vec<u32> = xs.iter().map(|v| v.to_bits() >> 9 & 0x7F).collect();
+        let mut packed = vec![0u8; pack::packed_len(n, 7)];
+        let reference_ms = time_ms(|| {
+            reference::pack_bit_cursor(std::hint::black_box(&codes7), 7, &mut packed);
+            std::hint::black_box(&packed);
+        });
+        let mut fast = Vec::new();
+        let new_ms = time_ms(|| {
+            fast = pack::pack_bits(std::hint::black_box(&codes7), 7);
+            std::hint::black_box(&fast);
+        });
+        assert_eq!(fast, packed, "7-bit pack diverged");
+        rows.push(Row {
+            name: "pack_7b",
+            reference_ms,
+            new_ms,
+        });
+
+        let packed1 = pack::pack_bits(&codes7.iter().map(|c| c & 1).collect::<Vec<_>>(), 1);
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for (name, bits, packed) in [("unpack_7b", 7, &packed), ("unpack_1b", 1, &packed1)] {
+            let reference_ms = time_ms(|| {
+                if bits == 1 {
+                    reference::unpack_1bit(std::hint::black_box(packed), n, &mut want);
+                } else {
+                    reference::unpack_bit_cursor(std::hint::black_box(packed), bits, n, &mut want);
+                }
+                std::hint::black_box(&want);
+            });
+            let new_ms = time_ms(|| {
+                pack::unpack_bits_into(std::hint::black_box(packed), bits, n, &mut got);
+                std::hint::black_box(&got);
+            });
+            assert_eq!(got, want, "{name} diverged");
+            rows.push(Row {
+                name,
+                reference_ms,
+                new_ms,
+            });
+        }
+    }
+
+    // QSGD(64) end to end: norm, quantize and pack into fresh payload
+    // buffers (as `Qsgd::compress` allocates them), and back into a fresh
+    // tensor buffer. Both sides continue one RNG stream each from the same
+    // seed, so every timed call sees the same draws as its counterpart.
+    {
+        let (s, bits) = (64, coding::level_bits(64));
+        let (mut rng_ref, mut rng_new) = (seeded(23), seeded(23));
+        let mut want = (Vec::new(), Vec::new(), 0.0);
+        let reference_ms = time_ms(|| {
+            want = reference::qsgd_encode(std::hint::black_box(xs), s, bits, &mut rng_ref);
+            std::hint::black_box(&want);
+        });
+        let mut got = (Vec::new(), Vec::new(), 0.0);
+        let new_ms = time_ms(|| {
+            let mut signs = vec![0u8; pack::packed_len(n, 1)];
+            let mut levels = vec![0u8; pack::packed_len(n, bits)];
+            let xs = std::hint::black_box(xs);
+            let norm = coding::quantize_levels(xs, s, &mut rng_new, &mut signs, &mut levels);
+            got = (signs, levels, norm);
+            std::hint::black_box(&got);
+        });
+        assert_eq!(got, want, "QSGD encode diverged");
+        assert_eq!(rng_new, rng_ref, "QSGD encode drew a different stream");
+        rows.push(Row {
+            name: "qsgd_encode",
+            reference_ms,
+            new_ms,
+        });
+
+        let (signs, levels, norm) = want;
+        let mut want = Vec::new();
+        let reference_ms = time_ms(|| {
+            let signs = std::hint::black_box(&signs);
+            want = reference::qsgd_decode(signs, &levels, bits, s, norm, n);
+            std::hint::black_box(&want);
+        });
+        let mut got = Vec::new();
+        let new_ms = time_ms(|| {
+            let mut out = Vec::new();
+            let signs = std::hint::black_box(&signs);
+            coding::dequantize_levels(signs, &levels, bits, s, norm, n, &mut out);
+            got = out;
+            std::hint::black_box(&got);
+        });
+        let as_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(as_bits(&got), as_bits(&want), "QSGD decode diverged");
+        rows.push(Row {
+            name: "qsgd_decode",
             reference_ms,
             new_ms,
         });

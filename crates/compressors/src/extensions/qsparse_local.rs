@@ -1,11 +1,11 @@
 //! Qsparse-local-SGD (Basu et al., NeurIPS'19) — the compression operator.
 
+use crate::quantization::qsgd::{dequantize_payloads, quantize_to_payloads};
 use grace_core::{Compressor, Context, Payload};
 use grace_tensor::rng::substream;
 use grace_tensor::select::{gather, top_k_indices_with};
 use grace_tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// The Qsparse composition: **quantization ∘ sparsification** — Top-k
 /// selection followed by QSGD-style randomized quantization of the selected
@@ -22,7 +22,6 @@ use rand::Rng;
 pub struct QsparseLocal {
     ratio: f64,
     s: u32,
-    level_bits: u32,
     rng: StdRng,
     /// Pooled selection scratch, reused across same-size compress calls.
     scratch: Vec<u32>,
@@ -41,7 +40,6 @@ impl QsparseLocal {
         QsparseLocal {
             ratio,
             s,
-            level_bits: 32 - s.leading_zeros(),
             rng: substream(seed, 0x95a5e),
             scratch: Vec::new(),
         }
@@ -64,41 +62,19 @@ impl Compressor for QsparseLocal {
         let indices = top_k_indices_with(tensor.as_slice(), k, &mut self.scratch);
         let values = gather(tensor, &indices);
         // QSGD over the selected values only.
-        let norm = values.iter().map(|v| v * v).sum::<f32>().sqrt();
-        let s = self.s as f32;
-        let mut signs = Vec::with_capacity(values.len());
-        let mut levels = Vec::with_capacity(values.len());
-        for &v in &values {
-            signs.push(u32::from(v < 0.0));
-            if norm == 0.0 {
-                levels.push(0);
-                continue;
-            }
-            let scaled = v.abs() / norm * s;
-            let l = scaled.floor();
-            let p = scaled - l;
-            levels.push((l as u32 + u32::from(self.rng.gen::<f32>() < p)).min(self.s));
-        }
+        let ([signs, levels], norm) = quantize_to_payloads(&values, self.s, &mut self.rng);
         (
-            vec![
-                Payload::U32(indices),
-                Payload::packed(&signs, 1),
-                Payload::packed(&levels, self.level_bits),
-            ],
+            vec![Payload::U32(indices), signs, levels],
             Context::with_meta(tensor.shape().clone(), vec![norm]),
         )
     }
 
     fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor {
-        let norm = ctx.meta[0];
         let indices = payloads[0].as_u32();
-        let signs = payloads[1].unpack();
-        let levels = payloads[2].unpack();
-        let s = self.s as f32;
+        let values = dequantize_payloads(&payloads[1], &payloads[2], self.s, ctx.meta[0]);
         let mut out = Tensor::zeros(ctx.shape.clone());
-        for ((&i, sign), level) in indices.iter().zip(signs).zip(levels) {
-            let v = norm * level as f32 / s;
-            out[i as usize] = if sign == 1 { -v } else { v };
+        for (&i, v) in indices.iter().zip(values) {
+            out[i as usize] = v;
         }
         out
     }

@@ -5,7 +5,7 @@ mod eight_bit;
 mod inceptionn;
 mod natural;
 mod one_bit;
-mod qsgd;
+pub(crate) mod qsgd;
 mod sign;
 mod terngrad;
 

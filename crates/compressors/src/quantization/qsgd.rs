@@ -1,6 +1,8 @@
 //! QSGD (Alistarh et al., NeurIPS'17).
 
 use grace_core::{Compressor, Context, Payload};
+use grace_tensor::coding::{dequantize_levels, level_bits, quantize_levels};
+use grace_tensor::pack::packed_len;
 use grace_tensor::rng::substream;
 use grace_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -19,7 +21,6 @@ use rand::Rng;
 #[derive(Debug)]
 pub struct Qsgd {
     s: u32,
-    level_bits: u32,
     rng: StdRng,
 }
 
@@ -32,10 +33,8 @@ impl Qsgd {
     /// Panics if `s == 0`.
     pub fn new(s: u32, seed: u64) -> Self {
         assert!(s >= 1, "need at least one level");
-        let level_bits = 32 - s.leading_zeros(); // ⌈log₂(s+1)⌉ for s ≥ 1
         Qsgd {
             s,
-            level_bits,
             rng: substream(seed, 0x9509d),
         }
     }
@@ -46,54 +45,72 @@ impl Qsgd {
     }
 }
 
+/// Quantizes `values` with [`quantize_levels`] into freshly allocated
+/// payloads: the sign bitmap, the level stream, and the norm for the
+/// context.
+pub(crate) fn quantize_to_payloads(
+    values: &[f32],
+    s: u32,
+    rng: &mut impl Rng,
+) -> ([Payload; 2], f32) {
+    let bits = level_bits(s);
+    let mut signs = vec![0u8; packed_len(values.len(), 1)];
+    let mut levels = vec![0u8; packed_len(values.len(), bits)];
+    let norm = quantize_levels(values, s, rng, &mut signs, &mut levels);
+    let count = values.len() as u32;
+    let packed = |data, bits| Payload::Packed { data, bits, count };
+    ([packed(signs, 1), packed(levels, bits)], norm)
+}
+
+/// Decodes a `[signs, levels]` payload pair produced by
+/// [`quantize_to_payloads`] with [`dequantize_levels`].
+///
+/// # Panics
+///
+/// Panics unless both payloads are `Packed` with one sign bit and one level
+/// per element.
+pub(crate) fn dequantize_payloads(
+    signs: &Payload,
+    levels: &Payload,
+    s: u32,
+    norm: f32,
+) -> Vec<f32> {
+    match (signs, levels) {
+        (
+            Payload::Packed {
+                data: signs,
+                bits: 1,
+                count: sign_count,
+            },
+            Payload::Packed {
+                data: levels,
+                bits,
+                count,
+            },
+        ) if sign_count == count => {
+            let mut out = Vec::new();
+            dequantize_levels(signs, levels, *bits, s, norm, *count as usize, &mut out);
+            out
+        }
+        _ => panic!("expected a packed sign bitmap and a level stream of the same count"),
+    }
+}
+
 impl Compressor for Qsgd {
     fn name(&self) -> String {
         format!("QSGD({})", self.s)
     }
 
     fn compress(&mut self, tensor: &Tensor, _name: &str) -> (Vec<Payload>, Context) {
-        let norm = tensor.norm2();
-        let s = self.s as f32;
-        let mut signs = Vec::with_capacity(tensor.len());
-        let mut levels = Vec::with_capacity(tensor.len());
-        for &v in tensor.as_slice() {
-            signs.push(u32::from(v < 0.0));
-            if norm == 0.0 {
-                levels.push(0u32);
-                continue;
-            }
-            let scaled = v.abs() / norm * s;
-            let l = scaled.floor();
-            let p = scaled - l;
-            let level = l as u32 + u32::from(self.rng.gen::<f32>() < p);
-            levels.push(level.min(self.s));
-        }
+        let (payloads, norm) = quantize_to_payloads(tensor.as_slice(), self.s, &mut self.rng);
         (
-            vec![
-                Payload::packed(&signs, 1),
-                Payload::packed(&levels, self.level_bits),
-            ],
+            payloads.into(),
             Context::with_meta(tensor.shape().clone(), vec![norm]),
         )
     }
 
     fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor {
-        let norm = ctx.meta[0];
-        let signs = payloads[0].unpack();
-        let levels = payloads[1].unpack();
-        let s = self.s as f32;
-        let data: Vec<f32> = signs
-            .into_iter()
-            .zip(levels)
-            .map(|(sign, level)| {
-                let v = norm * level as f32 / s;
-                if sign == 1 {
-                    -v
-                } else {
-                    v
-                }
-            })
-            .collect();
+        let data = dequantize_payloads(&payloads[0], &payloads[1], self.s, ctx.meta[0]);
         Tensor::new(data, ctx.shape.clone())
     }
 }
@@ -105,10 +122,10 @@ mod tests {
 
     #[test]
     fn level_bits_formula() {
-        assert_eq!(Qsgd::new(1, 0).level_bits, 1);
-        assert_eq!(Qsgd::new(4, 0).level_bits, 3); // levels 0..=4 need 3 bits
-        assert_eq!(Qsgd::new(64, 0).level_bits, 7);
-        assert_eq!(Qsgd::new(255, 0).level_bits, 8);
+        assert_eq!(level_bits(1), 1);
+        assert_eq!(level_bits(4), 3); // levels 0..=4 need 3 bits
+        assert_eq!(level_bits(64), 7);
+        assert_eq!(level_bits(255), 8);
     }
 
     #[test]

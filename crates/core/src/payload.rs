@@ -461,7 +461,9 @@ impl<'a> PayloadReader<'a> {
     /// # Errors
     ///
     /// Returns [`PayloadError::Malformed`] on truncation, an unknown tag,
-    /// or trailing bytes after the final payload.
+    /// a `Packed` header whose width is outside 1..=32 or whose body is not
+    /// `packed_len(count, bits)` bytes, or trailing bytes after the final
+    /// payload.
     #[allow(clippy::should_implement_trait)] // Iterator can't return borrows tied to &mut self errors this way
     pub fn next_view(&mut self) -> Result<Option<PayloadView<'a>>, PayloadError> {
         if self.remaining == 0 {
@@ -487,6 +489,18 @@ impl<'a> PayloadReader<'a> {
                 let bits = self.read_u32()?;
                 let count = self.read_u32()?;
                 let len = self.read_u32()? as usize;
+                // The header must describe its own body, or unpacking it
+                // would run off the end (or past the width the packers
+                // support) on the receiving rank.
+                let body_bits = (1..=32)
+                    .contains(&bits)
+                    .then(|| (count as usize).checked_mul(bits as usize))
+                    .flatten();
+                if body_bits.map(|b| b.div_ceil(8)) != Some(len) {
+                    return Err(PayloadError::Malformed(format!(
+                        "packed payload of {count} {bits}-bit codes carries {len} bytes"
+                    )));
+                }
                 PayloadView::Packed {
                     data: self.take(len)?,
                     bits,

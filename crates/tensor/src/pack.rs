@@ -8,6 +8,11 @@
 //! quantization methods"); we implement real packing and account both packed
 //! and unpacked sizes, which preserves the paper's relative comparisons.
 
+/// All-ones in the low `bits` bits (`bits` in 1..=32).
+fn low_mask(bits: u32) -> u32 {
+    u32::MAX >> (32 - bits)
+}
+
 /// Packs `values[i] < 2^bits` code-words of width `bits` (1..=32) into bytes,
 /// little-endian within the stream.
 ///
@@ -28,111 +33,196 @@
 /// ```
 pub fn pack_bits(values: &[u32], bits: u32) -> Vec<u8> {
     assert!((1..=32).contains(&bits), "bit width must be in 1..=32");
-    let total_bits = values.len() * bits as usize;
-    let mut out = vec![0u8; total_bits.div_ceil(8)];
-    match bits {
-        // Byte-aligned and sub-byte power-of-two widths cover every wire
-        // format the compressors emit (sign bitmap, trit/2-bit, nibble,
-        // byte-code quantizers, raw index words); they bypass the
-        // bit-cursor loop entirely. Output is identical to
-        // [`pack_bits_generic`], which stays as the reference (and handles
-        // the odd widths).
-        1 => {
-            validate_fit(values, 1);
-            let mut chunks = values.chunks_exact(8);
-            for (o, c) in out.iter_mut().zip(chunks.by_ref()) {
-                *o = c
-                    .iter()
-                    .enumerate()
-                    .fold(0u8, |acc, (i, &v)| acc | ((v as u8) << i));
-            }
-            let rem = chunks.remainder();
-            if !rem.is_empty() {
-                let last = out.last_mut().expect("remainder implies a final byte");
-                for (i, &v) in rem.iter().enumerate() {
-                    *last |= (v as u8) << i;
-                }
-            }
-        }
-        2 => {
-            validate_fit(values, 2);
-            let mut chunks = values.chunks_exact(4);
-            for (o, c) in out.iter_mut().zip(chunks.by_ref()) {
-                *o = (c[0] as u8) | ((c[1] as u8) << 2) | ((c[2] as u8) << 4) | ((c[3] as u8) << 6);
-            }
-            let rem = chunks.remainder();
-            if !rem.is_empty() {
-                let last = out.last_mut().expect("remainder implies a final byte");
-                for (i, &v) in rem.iter().enumerate() {
-                    *last |= (v as u8) << (2 * i);
-                }
-            }
-        }
-        4 => {
-            validate_fit(values, 4);
-            let mut chunks = values.chunks_exact(2);
-            for (o, c) in out.iter_mut().zip(chunks.by_ref()) {
-                *o = (c[0] as u8) | ((c[1] as u8) << 4);
-            }
-            if let [v] = chunks.remainder() {
-                let last = out.last_mut().expect("remainder implies a final byte");
-                *last = *v as u8;
-            }
-        }
-        8 => {
-            validate_fit(values, 8);
-            crate::simd::narrow_to_bytes(values, &mut out);
-        }
-        16 => {
-            validate_fit(values, 16);
-            for (o, &v) in out.chunks_exact_mut(2).zip(values) {
-                o.copy_from_slice(&(v as u16).to_le_bytes());
-            }
-        }
-        32 => {
-            for (o, &v) in out.chunks_exact_mut(4).zip(values) {
-                o.copy_from_slice(&v.to_le_bytes());
-            }
-        }
-        _ => pack_bits_generic_into(values, bits, &mut out),
+    let mut out = vec![0u8; packed_len(values.len(), bits)];
+    if bits == 8 {
+        // One byte per code: the vector narrowing kernel still measures
+        // faster than the word body (DESIGN.md §16).
+        validate_fit(values, 8);
+        crate::simd::narrow_to_bytes(values, &mut out);
+        return out;
     }
+    let mut writer = BitWriter::new(&mut out, bits);
+    let (groups, tail) = values.as_chunks::<8>();
+    for group in groups {
+        writer.write8(group);
+    }
+    writer.finish(tail);
     out
 }
 
-/// Validates that every value fits in `bits` bits with one branch-free
-/// OR-reduction; only on failure does it rescan to panic at the *first*
-/// offending value with the same message as the generic path.
+/// Panics at the first of `values` that needs more than `bits` bits, with
+/// the message every packing path shares. One OR-reduction decides; the
+/// rescan only runs on failure.
+#[inline(always)]
 fn validate_fit(values: &[u32], bits: u32) {
-    let mask: u32 = if bits == 32 {
-        u32::MAX
-    } else {
-        (1 << bits) - 1
-    };
-    let all = values.iter().fold(0u32, |acc, &v| acc | v);
-    if all & !mask != 0 {
-        for &v in values {
-            assert!(v <= mask, "value {v} does not fit in {bits} bits");
-        }
+    let mask = low_mask(bits);
+    if values.iter().fold(0, |acc, &v| acc | v) > mask {
+        let v = values.iter().find(|&&v| v > mask).expect("an offender");
+        panic!("value {v} does not fit in {bits} bits");
     }
 }
 
-/// The reference bit-cursor implementation of [`pack_bits`], kept for the
-/// odd widths and as the semantics oracle the fast paths are tested against.
+/// Bytes [`pack8`] may write: a 32-bit group's, in whole words.
+const PACK_WINDOW: usize = 32;
+
+/// The one packing body: eight `bits`-wide codes into the first `bits`
+/// bytes of `window`, through a `u64` bit buffer drained a 32-bit word at a
+/// time. Eight codes of any width end on a byte boundary, so groups are
+/// independent. The last word goes out whole, so up to 4 bytes past the
+/// group's are zeroed — bytes of a later group, which the writer has yet
+/// to fill.
+#[inline(always)]
+fn pack8(codes: &[u32; 8], bits: u32, window: &mut [u8; PACK_WINDOW]) {
+    validate_fit(codes, bits);
+    let mut words = window.as_chunks_mut::<4>().0.iter_mut();
+    let mut flush = |acc: u64| {
+        if let Some(word) = words.next() {
+            *word = (acc as u32).to_le_bytes();
+        }
+    };
+    let (mut acc, mut fill) = (0u64, 0u32);
+    for &code in codes {
+        // `fill < 32` here, so the code lands below bit 64.
+        acc |= u64::from(code) << fill;
+        fill += bits;
+        if fill >= 32 {
+            flush(acc);
+            acc >>= 32;
+            fill -= 32;
+        }
+    }
+    flush(acc);
+}
+
+/// Bytes [`unpack8`] may read: the last code of a 32-bit group starts at
+/// byte 28 and is cut out of an 8-byte load.
+const UNPACK_WINDOW: usize = 40;
+
+/// The one unpacking body: the eight codes of the group that starts at
+/// `window[0]`. Code `i` starts at bit `i * bits` and spans at most 7 + 32
+/// bits, so one unaligned 8-byte load holds all of it. The fixed window and
+/// the `min` (a no-op: every caller checked the width) let the compiler
+/// prove each load in bounds.
+#[inline(always)]
+fn unpack8(window: &[u8; UNPACK_WINDOW], bits: u32) -> [u32; 8] {
+    let bits = bits.min(32);
+    let mask = low_mask(bits);
+    std::array::from_fn(|i| {
+        let bit = i * bits as usize;
+        let word: [u8; 8] = window[bit / 8..bit / 8 + 8]
+            .try_into()
+            .expect("eight bytes");
+        (u64::from_le_bytes(word) >> (bit % 8)) as u32 & mask
+    })
+}
+
+/// Streaming form of [`pack_bits`]: a codec hands over its codes eight at a
+/// time and they land in the payload buffer directly, with no `Vec<u32>`
+/// of codes in between. Produces the bytes [`pack_bits`] would.
+#[derive(Debug)]
+pub struct BitWriter<'a> {
+    out: &'a mut [u8],
+    bits: u32,
+}
+
+impl<'a> BitWriter<'a> {
+    /// Writes `bits`-wide codes into `out`, which must be
+    /// `packed_len(count, bits)` bytes for the `count` codes to come.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is outside 1..=32.
+    pub fn new(out: &'a mut [u8], bits: u32) -> Self {
+        assert!((1..=32).contains(&bits), "bit width must be in 1..=32");
+        BitWriter { out, bits }
+    }
+
+    /// Packs the next eight codes into the next `bits` bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a code needs more than `bits` bits or the buffer is full.
+    #[inline(always)]
+    pub fn write8(&mut self, codes: &[u32; 8]) {
+        let out = std::mem::take(&mut self.out);
+        match out.first_chunk_mut() {
+            Some(window) => pack8(codes, self.bits, window),
+            None => {
+                // The last few groups: whole words would run off the end.
+                let mut window = [0u8; PACK_WINDOW];
+                pack8(codes, self.bits, &mut window);
+                out[..self.bits as usize].copy_from_slice(&window[..self.bits as usize]);
+            }
+        }
+        self.out = &mut out[self.bits as usize..];
+    }
+
+    /// Packs the last `tail.len() < 8` codes into what is left of the
+    /// buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a code needs more than `bits` bits, or the bytes left are
+    /// not exactly the tail's.
+    pub fn finish(self, tail: &[u32]) {
+        assert_eq!(
+            self.out.len(),
+            packed_len(tail.len(), self.bits),
+            "packed buffer does not end with its last {} codes",
+            tail.len()
+        );
+        let mut codes = [0u32; 8];
+        codes[..tail.len()].copy_from_slice(tail);
+        let mut window = [0u8; PACK_WINDOW];
+        pack8(&codes, self.bits, &mut window);
+        self.out.copy_from_slice(&window[..self.out.len()]);
+    }
+}
+
+/// Streaming form of [`unpack_bits_into`]: yields the codes of a packed
+/// buffer eight at a time, straight out of the payload bytes.
+#[derive(Debug)]
+pub struct BitReader<'a> {
+    data: &'a [u8],
+    bits: u32,
+}
+
+impl<'a> BitReader<'a> {
+    /// Reads `bits`-wide codes from `data`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is outside 1..=32.
+    pub fn new(data: &'a [u8], bits: u32) -> Self {
+        assert!((1..=32).contains(&bits), "bit width must be in 1..=32");
+        BitReader { data, bits }
+    }
+
+    /// Unpacks the next eight codes. Bytes past the end of the buffer read
+    /// as zero, so the last call may cover fewer than eight real codes.
+    #[inline(always)]
+    pub fn read8(&mut self) -> [u32; 8] {
+        let codes = match self.data.first_chunk() {
+            Some(window) => unpack8(window, self.bits),
+            None => {
+                // The last few groups: the loads would run off the buffer.
+                let mut padded = [0u8; UNPACK_WINDOW];
+                padded[..self.data.len()].copy_from_slice(self.data);
+                unpack8(&padded, self.bits)
+            }
+        };
+        self.data = self.data.get(self.bits as usize..).unwrap_or_default();
+        codes
+    }
+}
+
+/// The bit-cursor definition of [`pack_bits`], kept as the oracle the word
+/// body is tested (and benchmarked) against.
 #[doc(hidden)]
 pub fn pack_bits_generic(values: &[u32], bits: u32) -> Vec<u8> {
     assert!((1..=32).contains(&bits), "bit width must be in 1..=32");
-    let total_bits = values.len() * bits as usize;
-    let mut out = vec![0u8; total_bits.div_ceil(8)];
-    pack_bits_generic_into(values, bits, &mut out);
-    out
-}
-
-fn pack_bits_generic_into(values: &[u32], bits: u32, out: &mut [u8]) {
-    let mask: u64 = if bits == 32 {
-        u32::MAX as u64
-    } else {
-        (1u64 << bits) - 1
-    };
+    let mask = u64::from(low_mask(bits));
+    let mut out = vec![0u8; packed_len(values.len(), bits)];
     let mut bitpos = 0usize;
     for &v in values {
         assert!((v as u64) <= mask, "value {v} does not fit in {bits} bits");
@@ -148,6 +238,7 @@ fn pack_bits_generic_into(values: &[u32], bits: u32, out: &mut [u8]) {
             remaining -= take;
         }
     }
+    out
 }
 
 /// Unpacks `count` code-words of width `bits` from a buffer produced by
@@ -172,7 +263,7 @@ pub fn unpack_bits(packed: &[u8], bits: u32, count: usize) -> Vec<u32> {
 /// Panics if the buffer is too short to contain `count` values.
 pub fn unpack_bits_into(packed: &[u8], bits: u32, count: usize, out: &mut Vec<u32>) {
     assert!((1..=32).contains(&bits), "bit width must be in 1..=32");
-    let need = (count * bits as usize).div_ceil(8);
+    let need = packed_len(count, bits);
     assert!(
         packed.len() >= need,
         "packed buffer too short: have {} bytes, need {need}",
@@ -180,45 +271,22 @@ pub fn unpack_bits_into(packed: &[u8], bits: u32, count: usize, out: &mut Vec<u3
     );
     out.clear();
     out.reserve(count);
-    match bits {
-        // Mirrors of the pack fast paths; identical output to the generic
-        // bit-cursor loop below.
-        1 => {
-            for i in 0..count {
-                out.push(u32::from((packed[i / 8] >> (i % 8)) & 1));
-            }
-        }
-        2 => {
-            for i in 0..count {
-                out.push(u32::from((packed[i / 4] >> (2 * (i % 4))) & 0b11));
-            }
-        }
-        4 => {
-            for i in 0..count {
-                out.push(u32::from((packed[i / 2] >> (4 * (i % 2))) & 0x0F));
-            }
-        }
-        8 => {
-            out.resize(count, 0);
-            crate::simd::widen_from_bytes(&packed[..count], out);
-        }
-        16 => {
-            for c in packed[..count * 2].chunks_exact(2) {
-                out.push(u32::from(u16::from_le_bytes([c[0], c[1]])));
-            }
-        }
-        32 => {
-            for c in packed[..count * 4].chunks_exact(4) {
-                out.push(u32::from_le_bytes([c[0], c[1], c[2], c[3]]));
-            }
-        }
-        _ => unpack_bits_generic_into(packed, bits, count, out),
+    if bits == 8 {
+        // The mirror of `pack_bits`' width-8 shortcut.
+        out.resize(count, 0);
+        crate::simd::widen_from_bytes(&packed[..count], out);
+        return;
     }
+    let mut reader = BitReader::new(&packed[..need], bits);
+    for _ in 0..count / 8 {
+        out.extend_from_slice(&reader.read8());
+    }
+    out.extend_from_slice(&reader.read8()[..count % 8]);
 }
 
-/// The reference bit-cursor implementation of [`unpack_bits_into`], kept for
-/// the odd widths and as the semantics oracle for the fast paths. Assumes
-/// the caller already validated the width, buffer length, and cleared `out`.
+/// The bit-cursor definition of [`unpack_bits_into`], kept as the oracle for
+/// the word body. Assumes the caller already validated the width, buffer
+/// length, and cleared `out`.
 #[doc(hidden)]
 pub fn unpack_bits_generic_into(packed: &[u8], bits: u32, count: usize, out: &mut Vec<u32>) {
     let mut bitpos = 0usize;
@@ -530,7 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_paths_match_generic_reference() {
+    fn word_body_matches_the_bit_cursor_oracle() {
         for bits in 1..=32u32 {
             let max = if bits == 32 {
                 u32::MAX
@@ -555,8 +623,32 @@ mod tests {
     }
 
     #[test]
+    fn streaming_writer_and_reader_agree_with_the_slice_forms() {
+        let values: Vec<u32> = (0..21).map(|i| (i * 37) % 128).collect();
+        let mut streamed = vec![0u8; packed_len(values.len(), 7)];
+        let mut writer = BitWriter::new(&mut streamed, 7);
+        let (groups, tail) = values.as_chunks::<8>();
+        for group in groups {
+            writer.write8(group);
+        }
+        writer.finish(tail);
+        assert_eq!(streamed, pack_bits(&values, 7));
+        let mut reader = BitReader::new(&streamed, 7);
+        let read: Vec<u32> = (0..3).flat_map(|_| reader.read8()).collect();
+        assert_eq!(read[..21], values[..]);
+        assert_eq!(read[21..], [0, 0, 0], "past the end reads as zero");
+    }
+
+    #[test]
+    #[should_panic(expected = "does not end with its last 2 codes")]
+    fn writer_rejects_a_buffer_sized_for_other_codes() {
+        let mut out = [0u8; 3];
+        BitWriter::new(&mut out, 7).finish(&[1, 2]);
+    }
+
+    #[test]
     #[should_panic(expected = "does not fit")]
-    fn fast_path_rejects_overflow_with_same_message() {
+    fn width_8_shortcut_rejects_overflow_with_the_same_message() {
         let _ = pack_bits(&[1, 2, 300, 4], 8);
     }
 

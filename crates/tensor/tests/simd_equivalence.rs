@@ -13,7 +13,11 @@
 //!   elements);
 //! * adversarial float bit patterns — NaN, ±∞, ±0, denormals, extreme
 //!   magnitudes — injected into otherwise-random IEEE-754 words;
-//! * all 32 bit-pack widths against the generic bit-cursor reference;
+//! * all 32 bit-pack widths against the bit-cursor oracle, at every length
+//!   0..=257 (all remainders mod 8 and mod 64) and on a 1 M-code buffer,
+//!   rejection of an oversized code included;
+//! * the level-quantizer kernel pair against its retained per-element
+//!   reference: payload bytes, decoded bit patterns and the RNG state after;
 //! * the CRC32 kernels (table and CLMUL) against the bit-at-a-time
 //!   definition, every length up to 4 KiB at every load alignment.
 //!
@@ -21,13 +25,19 @@
 //! space is sampled uniformly over *encodings* (heavy on denormals and NaN
 //! payloads), not just over values. All comparisons are on bit patterns.
 
+use grace_tensor::coding::{
+    dequantize_levels, dequantize_levels_reference, level_bits, quantize_levels,
+    quantize_levels_reference,
+};
 use grace_tensor::pack::{
     crc32, crc32_bitwise, pack_bits, pack_bits_generic, packed_len, unpack_bits_generic_into,
-    unpack_bits_into, Crc32,
+    unpack_bits_into, BitReader, BitWriter, Crc32,
 };
+use grace_tensor::rng::seeded;
 use grace_tensor::select::{top_k_indices, top_k_indices_with};
 use grace_tensor::simd::{self, available_levels, Level};
 use proptest::prelude::*;
+use rand::Rng;
 
 /// Lengths that straddle every vector-kernel boundary: the f32 lane counts
 /// (4 SSE2, 8 AVX2), the byte-kernel block sizes (16, 32), and MTU-sized
@@ -408,5 +418,187 @@ proptest! {
         }
         crc.update(&data[at..]);
         prop_assert_eq!(crc.finish(), crc32_bitwise(&data));
+    }
+}
+
+/// `len` codes of width `bits` from a fixed multiplicative sequence.
+fn codes_of(len: usize, bits: u32, salt: u32) -> Vec<u32> {
+    let mask = u32::MAX >> (32 - bits);
+    (0..len as u32)
+        .map(|i| (i ^ salt).wrapping_mul(0x9E37_79B9).rotate_left(i % 32) & mask)
+        .collect()
+}
+
+/// Packs and unpacks `vals` through the word body, the streaming
+/// writer/reader and the bit-cursor oracle, and requires all three to agree.
+fn assert_pack_matches_oracle(vals: &[u32], bits: u32) {
+    let len = vals.len();
+    let want = pack_bits_generic(vals, bits);
+    assert_eq!(want.len(), packed_len(len, bits));
+    assert!(pack_bits(vals, bits) == want, "pack {bits}-bit len {len}");
+
+    let mut streamed = vec![0xAAu8; want.len()];
+    let mut writer = BitWriter::new(&mut streamed, bits);
+    let (groups, tail) = vals.as_chunks::<8>();
+    groups.iter().for_each(|group| writer.write8(group));
+    writer.finish(tail);
+    assert!(streamed == want, "BitWriter {bits}-bit len {len}");
+
+    let mut reference = Vec::new();
+    unpack_bits_generic_into(&want, bits, len, &mut reference);
+    assert!(reference == vals, "oracle roundtrip {bits}-bit len {len}");
+    let mut unpacked = vec![7u32; 3];
+    unpack_bits_into(&want, bits, len, &mut unpacked);
+    assert!(unpacked == reference, "unpack {bits}-bit len {len}");
+
+    let mut reader = BitReader::new(&want, bits);
+    let mut read: Vec<u32> = (0..len.div_ceil(8)).flat_map(|_| reader.read8()).collect();
+    assert!(read[len..].iter().all(|&c| c == 0), "padding reads as zero");
+    read.truncate(len);
+    assert!(read == reference, "BitReader {bits}-bit len {len}");
+}
+
+/// Every width × every length 0..=257: all remainders mod 8 (the group) and
+/// mod 64 (the bit buffer), and every distance from the end of the buffer at
+/// which the reader's loads stop fitting.
+#[test]
+fn pack_unpack_match_oracle_at_every_width_and_length() {
+    for bits in 1..=32 {
+        for len in 0..=257 {
+            assert_pack_matches_oracle(&codes_of(len, bits, len as u32), bits);
+        }
+    }
+}
+
+/// A million codes (plus an odd tail) at the widths the codecs emit and the
+/// extremes.
+#[test]
+fn pack_unpack_match_oracle_on_a_large_buffer() {
+    for bits in [1, 2, 7, 8, 9, 16, 31, 32] {
+        assert_pack_matches_oracle(&codes_of((1 << 20) + 5, bits, bits), bits);
+    }
+}
+
+/// The panic message of a closure, or `None` if it returns.
+fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> Option<String> {
+    let payload = std::panic::catch_unwind(f).err()?;
+    let text = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()));
+    Some(text.expect("a string panic payload"))
+}
+
+/// An oversized code is rejected with the oracle's message, naming the
+/// *first* offender — wherever it sits in its group of eight, in the bulk
+/// or in the tail, and with a later offender behind it.
+#[test]
+fn oversized_codes_panic_at_the_same_first_offender_as_the_oracle() {
+    for bits in [1u32, 2, 7, 8, 9, 16, 31] {
+        let limit = 1u32 << bits;
+        for len in [1usize, 7, 8, 9, 64, 77] {
+            for at in [0, len / 2, len - 1] {
+                let mut vals = codes_of(len, bits, 3);
+                vals[at] = limit + at as u32;
+                vals[len - 1] |= limit;
+                let want = panic_message(|| drop(pack_bits_generic(&vals, bits)));
+                assert!(want.as_deref().is_some_and(|m| m.contains("does not fit")));
+                let got = panic_message(|| drop(pack_bits(&vals, bits)));
+                assert_eq!(got, want, "{bits}-bit len {len} offender at {at}");
+            }
+        }
+    }
+    assert!(panic_message(|| drop(pack_bits(&[u32::MAX; 9], 32))).is_none());
+}
+
+/// Gradient-like values spliced with every adversarial encoding, plus a
+/// magnitude far above the rest (its level saturates at `s`).
+fn level_inputs(len: usize, salt: usize) -> Vec<f32> {
+    let mut rng = seeded(salt as u64);
+    let words: Vec<u32> = (0..len)
+        .map(|_| (rng.gen::<f32>() - 0.5).to_bits())
+        .collect();
+    let mut xs = floats_with_tricky(&words, salt);
+    if len > 40 {
+        xs[len / 3] = 3.0e9;
+    }
+    xs
+}
+
+/// Runs the kernel pair and its reference over `xs` from the same RNG state
+/// and requires identical streams, norm, RNG state and decoded bits.
+fn assert_level_kernels_match_reference(xs: &[f32], s: u32) {
+    let n = xs.len();
+    let bits = level_bits(s);
+    let what = format!("s {s} len {n}");
+    let (mut rng, mut rng_ref) = (seeded(42), seeded(42));
+    let (want_signs, want_levels, want_norm) = quantize_levels_reference(xs, s, &mut rng_ref);
+    let mut signs = vec![0x55u8; packed_len(n, 1)];
+    let mut levels = vec![0x55u8; packed_len(n, bits)];
+    let norm = quantize_levels(xs, s, &mut rng, &mut signs, &mut levels);
+    assert_eq!(norm.to_bits(), want_norm.to_bits(), "norm, {what}");
+    assert!(signs == want_signs, "sign bitmap, {what}");
+    assert!(levels == want_levels, "level stream, {what}");
+    assert_eq!(rng, rng_ref, "RNG state afterwards, {what}");
+
+    // A NaN norm must decode to the same NaN bits, so decode with the real
+    // one and with a finite stand-in.
+    for norm in [norm, 1.75] {
+        let want = dequantize_levels_reference(&signs, &levels, bits, s, norm, n);
+        let mut got = vec![9.0f32; 2];
+        dequantize_levels(&signs, &levels, bits, s, norm, n, &mut got);
+        assert!(bits_of(&got) == bits_of(&want), "decode, {what}");
+    }
+}
+
+/// The level-quantizer kernel pair against the per-element loops it
+/// replaced, at level counts on both sides of the decode table's width
+/// limit (and two so large that finite inputs reach the rounding's libm
+/// branch) and lengths on both sides of every group boundary.
+#[test]
+fn level_kernels_match_reference_on_adversarial_inputs() {
+    for s in [1u32, 4, 16, 64, 255, 1000, 5_000_000, u32::MAX] {
+        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 100, 1501] {
+            assert_level_kernels_match_reference(&level_inputs(len, len + 3), s);
+            // Finite inputs only: the norm is finite and every branch of
+            // the rounding runs on ordinary values.
+            let finite: Vec<f32> = level_inputs(len, len + 5)
+                .iter()
+                .map(|v| if v.is_finite() { v % 4.0 } else { 0.25 })
+                .collect();
+            assert_level_kernels_match_reference(&finite, s);
+        }
+        // An all-zero tensor: zero norm, no draw.
+        let zeros = vec![0.0f32; 77];
+        assert_level_kernels_match_reference(&zeros, s);
+        let (mut rng, untouched) = (seeded(9), seeded(9));
+        let (mut signs, mut levels) = (vec![0u8; 10], vec![0u8; packed_len(77, level_bits(s))]);
+        assert_eq!(
+            quantize_levels(&zeros, s, &mut rng, &mut signs, &mut levels),
+            0.0
+        );
+        assert_eq!(rng, untouched, "a zero norm draws nothing");
+        assert!(levels.iter().chain(&signs).all(|&b| b == 0));
+    }
+}
+
+/// A stream is free to carry codes above `s` (a peer wrote it): every
+/// possible code decodes to the reference's `norm * l as f32 / s`.
+#[test]
+fn level_codes_above_s_decode_like_the_reference() {
+    for (s, bits) in [(1u32, 1u32), (4, 3), (64, 7), (255, 8), (1000, 10), (5, 12)] {
+        let n = (1usize << bits) + 3;
+        let codes: Vec<u32> = (0..n as u32).map(|i| i % (1 << bits)).collect();
+        let levels = pack_bits_generic(&codes, bits);
+        let signs = pack_bits_generic(&codes_of(n, 1, 11), 1);
+        for norm in [0.0f32, 2.5, f32::INFINITY, f32::NAN, 1.0e-42] {
+            let want = dequantize_levels_reference(&signs, &levels, bits, s, norm, n);
+            let mut got = Vec::new();
+            dequantize_levels(&signs, &levels, bits, s, norm, n, &mut got);
+            assert!(
+                bits_of(&got) == bits_of(&want),
+                "s {s} bits {bits} norm {norm}"
+            );
+        }
     }
 }

@@ -330,7 +330,20 @@ fn hostile_frames_are_rejected_contributions_under_every_plan() {
     let four_floats = encode(&[Payload::F32(vec![1.0; 4])]);
     let mut flipped = encode(&[Payload::F32(Vec::new())]);
     *flipped.last_mut().unwrap() ^= 0xff;
-    let hostile: [(&str, Vec<u8>); 5] = [
+    // A QSGD-shaped frame (sign bitmap, level stream, norm) whose level
+    // header does not describe its body.
+    let lying_levels = |bits: u32, len: usize| {
+        encode(&[
+            Payload::packed(&[0; 96], 1),
+            Payload::Packed {
+                data: vec![0; len],
+                bits,
+                count: 96,
+            },
+            Payload::F32(vec![1.0]),
+        ])
+    };
+    let hostile: [(&str, Vec<u8>); 7] = [
         ("empty list", encode(&[])),
         ("nine payloads", encode(&vec![Payload::Bytes(vec![0]); 9])),
         (
@@ -341,13 +354,16 @@ fn hostile_frames_are_rejected_contributions_under_every_plan() {
             "truncated body",
             seal(four_floats[..four_floats.len() - 6].to_vec()),
         ),
+        ("3 bytes for 96 7-bit codes", lying_levels(7, 3)),
+        ("zero-width codes", lying_levels(0, 84)),
         ("flipped crc", flipped),
     ];
     let data: Vec<f32> = (0..96)
         .map(|i| ((i * 37) % 101) as f32 / 50.0 - 1.0)
         .collect();
-    // One method with the fold capability (zero-copy path), one without.
-    for id in ["eightbit", "topk"] {
+    // One method with the fold capability (zero-copy path), two without —
+    // `qsgd` unpacks both of its payloads.
+    for id in ["eightbit", "topk", "qsgd"] {
         let spec = registry::find(id).unwrap();
         let parts = gather(&spec, &data);
         let shape = parts[0].ctx.shape.clone();

@@ -327,18 +327,30 @@ fn homomorphic_fold_steady_state_is_allocation_free() {
 /// so a full encode/decode round (norm scan → code-book quantize → byte
 /// pack → byte unpack → dequantize → error-feedback axpy) over pooled
 /// buffers touches no allocator — on whatever dispatch level is active,
-/// including `GRACE_FORCE_SCALAR=1`.
+/// including `GRACE_FORCE_SCALAR=1`. The same holds for the word-at-a-time
+/// packer (streaming writer, pooled unpack) and the level-quantizer kernel
+/// pair, which take their payload and output buffers from the caller.
 #[test]
 fn vectorized_codec_kernels_steady_state_is_allocation_free() {
+    use grace::tensor::coding::{dequantize_levels, level_bits, quantize_levels};
+    use grace::tensor::pack::{packed_len, unpack_bits_into, BitWriter};
     use grace::tensor::simd;
 
     set_level(Level::Off);
     let table: Vec<f32> = (0..128).map(|i| i as f32 / 127.0).collect();
-    let xs: Vec<f32> = (0..1024).map(|i| ((i as f32) * 0.37).sin()).collect();
+    let xs: Vec<f32> = (0..1027).map(|i| ((i as f32) * 0.37).sin()).collect();
     let mut codes = vec![0u32; xs.len()];
     let mut bytes = vec![0u8; xs.len()];
     let mut wide = vec![0u32; xs.len()];
     let mut dec = vec![0f32; xs.len()];
+    // QSGD(64)'s 7-bit levels, and a width past the decode table.
+    let level_counts = [64u32, 1000];
+    let mut packed = vec![0u8; packed_len(xs.len(), 7)];
+    let mut signs = vec![0u8; packed_len(xs.len(), 1)];
+    let mut levels = vec![0u8; packed_len(xs.len(), level_bits(1000))];
+    let mut unpacked: Vec<u32> = Vec::with_capacity(xs.len());
+    let mut decoded: Vec<f32> = Vec::with_capacity(xs.len());
+    let mut rng = grace::tensor::rng::seeded(5);
     // Warm-up also resolves the cached dispatch decision (feature detection
     // and the env-var read) outside the measured window.
     simd::quantize_sign_mag(&table, &xs, 1.0, &mut codes);
@@ -353,15 +365,60 @@ fn vectorized_codec_kernels_steady_state_is_allocation_free() {
         simd::dequant_sign_mag(&table, &wide, max, &mut dec);
         simd::dequant_sign_mag_add(&table, &wide, -0.5, &mut dec);
         simd::axpy(&mut dec, 0.25, &xs);
+
+        codes.iter_mut().for_each(|code| *code &= 0x7F);
+        let mut writer = BitWriter::new(&mut packed, 7);
+        let (groups, tail) = codes.as_chunks::<8>();
+        for group in groups {
+            writer.write8(group);
+        }
+        writer.finish(tail);
+        unpack_bits_into(&packed, 7, xs.len(), &mut unpacked);
+
+        for s in level_counts {
+            let bits = level_bits(s);
+            let levels = &mut levels[..packed_len(xs.len(), bits)];
+            let norm = quantize_levels(&xs, s, &mut rng, &mut signs, levels);
+            dequantize_levels(&signs, levels, bits, s, norm, xs.len(), &mut decoded);
+        }
     }
     let after = allocs_on_this_thread();
-    std::hint::black_box(&dec);
+    std::hint::black_box((&dec, &unpacked, &decoded));
     assert_eq!(
         after - before,
         0,
         "steady-state vectorized codec kernels allocated {} times",
         after - before
     );
+}
+
+/// `Qsgd::compress` allocates what it returns and nothing else: the two
+/// payload buffers, the `Vec<Payload>` and the context. (Through PR 16 it
+/// also built a `Vec<u32>` of signs and one of levels, 8 bytes per element,
+/// before packing them.)
+#[test]
+fn qsgd_compress_allocates_only_what_it_returns() {
+    use grace::compressors::Qsgd;
+
+    set_level(Level::Off);
+    let g = Tensor::from_vec((0..4099).map(|i| ((i as f32) * 0.11).cos()).collect());
+    let mut c = Qsgd::new(64, 3);
+    let _warm = c.compress(&g, "g");
+
+    let before = allocs_on_this_thread();
+    let context = Context::with_meta(g.shape().clone(), vec![0.0]);
+    let context_allocs = allocs_on_this_thread() - before;
+
+    let before = allocs_on_this_thread();
+    let (payloads, ctx) = c.compress(&g, "g");
+    let allocs = allocs_on_this_thread() - before;
+    assert_eq!(
+        allocs,
+        3 + context_allocs,
+        "Qsgd::compress made {allocs} allocations for 2 payload buffers, \
+         1 payload list and a context of {context_allocs}"
+    );
+    assert_eq!((payloads.len(), ctx.shape.len()), (2, context.shape.len()));
 }
 
 /// Zero-copy frame decoding must be allocation-free in steady state: the
