@@ -9,11 +9,14 @@
 //!   backprop);
 //! * `bench_socket_exchange.json` → `frame_efficiency` (payload ÷ raw wire
 //!   bytes on the TCP transport — deterministic, catches wire-format
-//!   bloat).
+//!   bloat) and `calls_per_step` (collectives a step issues — a count).
 //!
-//! A metric passes while `current ≥ baseline · (1 − tolerance)`; improving
-//! is always fine. Rows present in the baseline must exist in the current
-//! file (a codec silently dropping out of a bench is itself a regression).
+//! A ratio passes while `current ≥ baseline · (1 − tolerance)`; improving
+//! is always fine. A count passes only while it *equals* the baseline: it
+//! has no noise, and either direction means the program changed shape and
+//! the baseline is to be re-recorded on purpose. Rows present in the
+//! baseline must exist in the current file (a codec silently dropping out
+//! of a bench is itself a regression).
 
 use grace_telemetry::json::{self, Value};
 
@@ -43,6 +46,14 @@ fn gated_metrics(bench: &str) -> &'static [&'static str] {
     }
 }
 
+/// Count metrics gated for equality per bench kind.
+fn exact_metrics(bench: &str) -> &'static [&'static str] {
+    match bench {
+        "socket_exchange" => &["calls_per_step"],
+        _ => &[],
+    }
+}
+
 /// One metric comparison.
 #[derive(Debug, Clone)]
 pub struct Check {
@@ -54,7 +65,8 @@ pub struct Check {
     pub baseline: f64,
     /// Freshly measured value.
     pub current: f64,
-    /// Lowest passing value at the configured tolerance.
+    /// Lowest passing value at the configured tolerance (the baseline
+    /// itself for a count, which must match exactly).
     pub floor: f64,
     /// Whether the current value passes.
     pub ok: bool,
@@ -88,7 +100,7 @@ impl BenchReport {
         for c in &self.checks {
             let _ = writeln!(
                 out,
-                "  {:<4} {:<12} {:<14} baseline {:>8.4}  current {:>8.4}  floor {:>8.4}",
+                "  {:<4} {:<20} {:<16} baseline {:>8.4}  current {:>8.4}  floor {:>8.4}",
                 if c.ok { "ok" } else { "FAIL" },
                 c.row,
                 c.metric,
@@ -149,15 +161,23 @@ pub fn check_bench(
     let base_rows = rows_by_codec(baseline)?;
     let cur_rows = rows_by_codec(current)?;
 
+    let ratios = metrics.iter().map(|m| (m, false));
+    let gated: Vec<_> = ratios
+        .chain(exact_metrics(bench).iter().map(|m| (m, true)))
+        .collect();
     let mut checks = Vec::new();
     for (codec, base_row) in &base_rows {
         let cur_row = cur_rows.iter().find(|(c, _)| c == codec).map(|(_, r)| *r);
-        for metric in metrics {
+        for &(metric, exact) in &gated {
             let baseline_v = base_row
                 .get(metric)
                 .and_then(Value::as_f64)
                 .ok_or_else(|| format!("baseline row '{codec}' missing {metric}"))?;
-            let floor = baseline_v * (1.0 - tolerance);
+            let floor = if exact {
+                baseline_v
+            } else {
+                baseline_v * (1.0 - tolerance)
+            };
             // A missing row or metric reads as a hard fail, not an error:
             // the check's job is exactly to catch silent disappearance.
             let current_v = cur_row
@@ -170,7 +190,11 @@ pub fn check_bench(
                 baseline: baseline_v,
                 current: current_v,
                 floor,
-                ok: current_v >= floor,
+                ok: if exact {
+                    current_v == baseline_v
+                } else {
+                    current_v >= floor
+                },
             });
         }
     }
@@ -256,19 +280,34 @@ mod tests {
     }
 
     #[test]
-    fn socket_exchange_gates_frame_efficiency() {
-        let base = r#"{"bench": "socket_exchange", "rows": [{"codec": "64KiB", "frame_efficiency": 0.999, "wall_ms": 14.0}]}"#;
-        let cur_ok = r#"{"bench": "socket_exchange", "rows": [{"codec": "64KiB", "frame_efficiency": 0.95, "wall_ms": 99.0}]}"#;
-        let cur_bad = r#"{"bench": "socket_exchange", "rows": [{"codec": "64KiB", "frame_efficiency": 0.60, "wall_ms": 1.0}]}"#;
-        // wall_ms is informational and never gated; only the deterministic
-        // framing ratio is.
-        assert!(check_bench_text(cur_ok, base, 0.25).unwrap().ok());
-        let report = check_bench_text(cur_bad, base, 0.25).unwrap();
+    fn socket_exchange_gates_frame_efficiency_and_the_exact_call_count() {
+        let doc = |calls: u32, eff: f64, wall: f64| {
+            format!(
+                r#"{{"bench": "socket_exchange", "rows": [{{"codec": "fused/per_bucket@2",
+                "calls_per_step": {calls}, "frame_efficiency": {eff}, "wall_ms": {wall}}}]}}"#
+            )
+        };
+        let base = doc(9, 0.979, 0.8);
+        // wall_ms is informational and never gated; the deterministic
+        // framing ratio is, and the call count must not move at all.
+        assert!(check_bench_text(&doc(9, 0.95, 99.0), &base, 0.25)
+            .unwrap()
+            .ok());
+        let report = check_bench_text(&doc(9, 0.60, 1.0), &base, 0.25).unwrap();
         assert!(!report.ok());
         assert_eq!(
             report.regressions().next().unwrap().metric,
             "frame_efficiency"
         );
+        for calls in [68, 8] {
+            let report = check_bench_text(&doc(calls, 0.979, 0.8), &base, 0.25).unwrap();
+            let failed: Vec<_> = report.regressions().map(|c| c.metric.as_str()).collect();
+            assert_eq!(failed, ["calls_per_step"], "{calls} calls against 9");
+        }
+        // A baseline row recorded before the count existed is an error to
+        // fix by re-recording, not a silent pass.
+        let old = r#"{"bench": "socket_exchange", "rows": [{"codec": "64KiB", "frame_efficiency": 0.999}]}"#;
+        assert!(check_bench_text(old, old, 0.25).is_err());
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! faults at collective-op boundaries. Because workers run in SPMD lockstep
 //! (every worker issues the same op sequence), indexing faults by
 //! `(rank, op)` makes the injection point identical across runs regardless
-//! of thread scheduling.
+//! of thread scheduling. An op is one call on this wrapper; a training run
+//! issues one per *fusion bucket* per step (`grace-core` ships a sealed
+//! bucket as a single collective), so a run of `s` steps over a `b`-bucket
+//! plan has ops `0..s·b` and `fusion_bytes = 1` makes an op a tensor.
 //!
 //! Fault model:
 //!
@@ -23,10 +26,14 @@
 //! * **Bit-flip corruption** — one bit of the worker's *outgoing byte
 //!   payload* is flipped before deposit, so every receiver observes the
 //!   same corrupted stream and makes the identical degradation decision
-//!   (detected via the CRC32 payload trailer in `grace-core`). Corruption
-//!   targets byte-carrying ops (`allgather`/`broadcast`); raw `f32`
-//!   all-reduce buffers carry no framing, so a corruption scheduled on a
-//!   non-byte op is deferred to the worker's next byte op.
+//!   (detected in `grace-core`: a bit inside a tensor's frame fails that
+//!   frame's CRC32 trailer and costs that tensor the sender's contribution;
+//!   a bit in the bucket envelope around the frames fails the envelope
+//!   check and costs the whole bucket that sender — one detection per
+//!   receiver either way). Corruption targets byte-carrying ops
+//!   (`allgather`/`broadcast`); raw `f32` all-reduce buffers carry no
+//!   framing, so a corruption scheduled on a non-byte op is deferred to the
+//!   worker's next byte op.
 
 use crate::collectives::{Collective, GatherFrames, Reduction};
 use crate::error::ClusterError;

@@ -179,6 +179,28 @@ impl Compressor for NoCompression {
     }
 }
 
+/// The baseline's dense payload over `Allgather` (the trait's default
+/// strategy), so this crate's tests have a gathered method without
+/// depending on `grace-compressors`.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct Gathered(NoCompression);
+
+#[cfg(test)]
+impl Compressor for Gathered {
+    fn name(&self) -> String {
+        "Gathered".to_string()
+    }
+
+    fn compress(&mut self, tensor: &Tensor, name: &str) -> (Vec<Payload>, Context) {
+        self.0.compress(tensor, name)
+    }
+
+    fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor {
+        self.0.decompress(payloads, ctx)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

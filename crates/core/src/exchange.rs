@@ -24,7 +24,12 @@
 //! lane over a collective (`for_rank`) it is a real rank and the session
 //! ends with `finish_over`. Both endings run the same bucket walk and
 //! differ only in where the contributions the process does not hold come
-//! from.
+//! from: the walk hands each sealed bucket's encodes to one arm, and the
+//! collective arm issues exactly **one collective per bucket** — one
+//! reduction over the bucket's `F32` payloads, or one gather of a
+//! [`payload::encode_bucket_into`] envelope around its tensors' frames — so
+//! the per-message latency is paid per fused bucket on the real backends
+//! exactly as the simulated clock charges it.
 //!
 //! # Determinism
 //!
@@ -58,7 +63,7 @@ use grace_comm::{
 use grace_telemetry::{
     enabled, metrics, recorder, trace, Histogram, HistogramHandle, Level, Stage, StageTimer, Track,
 };
-use grace_tensor::Tensor;
+use grace_tensor::{Shape, Tensor};
 use std::convert::Infallible;
 
 const NS_PER_SEC: f64 = 1e9;
@@ -89,7 +94,8 @@ pub fn wire_bytes(payloads: &[Payload], ctx: &Context) -> usize {
 ///
 /// Horovod fuses gradient tensors into large buckets before the collective,
 /// so per-message latency (α) is paid per bucket, not per tensor; the
-/// trainer charges one collective per bucket.
+/// trainer charges one collective per bucket, and a rank of a real cluster
+/// issues exactly one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BucketReport {
     /// Gradient tensors fused into this bucket.
@@ -813,8 +819,9 @@ pub struct GradientExchange<'a> {
     quality: QualitySensors,
     pipeline: PipelineState,
     merger: AggMerger,
-    /// Pooled gather buffer of the collective ending: every tensor's frames
-    /// land as sub-ranges of one backing allocation the merge borrows from.
+    /// Pooled gather buffer of the collective ending: the ranks' bucket
+    /// envelopes land as sub-ranges of one backing allocation the per-tensor
+    /// merges borrow from.
     frames: GatherFrames,
 }
 
@@ -1020,61 +1027,153 @@ impl<'a> GradientExchange<'a> {
         }
     }
 
-    /// Aggregates one tensor when the other contributions live on peer
-    /// ranks: this process's lane ships its encode through `comm` and
-    /// merges what comes back, degrading gracefully on dropped workers and
-    /// corrupted payloads. A bucket's wire bytes are this rank's own
-    /// contribution; the transport's counter is the byte ledger.
-    fn aggregate_over<C: ClusterIntrospect>(
+    /// Aggregates one sealed bucket when the other contributions live on
+    /// peer ranks: this process's lane ships the bucket's encodes through
+    /// `comm` in **one** collective and merges what comes back tensor by
+    /// tensor, degrading gracefully on dropped workers and corrupted
+    /// payloads. A bucket's wire bytes are this rank's own contribution; the
+    /// transport's counter is the byte ledger.
+    fn aggregate_bucket_over<C: ClusterIntrospect>(
         &mut self,
         comm: &FaultyCollective<C>,
-        encoded: EncodedTensor,
+        encoded: Vec<EncodedTensor>,
         bucket: &mut BucketReport,
         acc: &mut AggAccum,
-    ) -> Result<Tensor, ClusterError> {
-        let wire = encoded.wire_bytes();
+    ) -> Result<Vec<Tensor>, ClusterError> {
+        let wire: usize = encoded.iter().map(EncodedTensor::wire_bytes).sum();
         bucket.wire_bytes += wire;
         match self.strategy {
-            CommStrategy::Allreduce => {
-                // Average each F32 payload across the live workers while
-                // compressed; the contributor count the collective reports is
-                // the degraded-membership denominator.
-                let mut mean = Vec::with_capacity(encoded.payloads.len());
-                let mut contributors = 0;
-                for p in encoded.payloads {
-                    let reduction = comm.try_allreduce_f32(p.as_f32().to_vec())?;
-                    contributors = reduction.contributors;
-                    mean.push(average_sum(reduction.sum, reduction.contributors));
-                }
-                acc.incast_bytes += (wire * contributors) as u64;
-                Ok(self.decode_mean(&mean, &encoded.ctx, acc))
-            }
+            CommStrategy::Allreduce => self.allreduce_bucket(comm, encoded, wire, acc),
             CommStrategy::Allgather | CommStrategy::Broadcast => {
-                let (rank, op) = (comm.rank(), comm.inner().ops_started());
-                let frame = payload::encode_frame(encoded.payloads, &encoded.ctx.meta);
-                comm.try_allgather_frames(frame, &mut self.frames)?;
-                let frames = &self.frames;
-                let slots = || (0..frames.n_slots()).filter_map(|r| frames.slot(r));
-                let lane0 = &mut *self.lanes[0].compressor;
-                let (merged, rejected) =
-                    match self.merger.merge_frames(lane0, slots(), &encoded.ctx.shape) {
-                        Ok((out, stats, rejected)) => {
-                            acc.add_merge(&stats);
-                            (Ok(out), rejected)
-                        }
-                        Err(e) => {
-                            let detail = e.to_string();
-                            (
-                                Err(ClusterError::Corrupted { rank, op, detail }),
-                                slots().count(),
-                            )
-                        }
-                    };
-                for _ in 0..rejected {
-                    comm.stats().record_detected(rank);
-                }
-                merged
+                self.allgather_bucket(comm, encoded, acc)
             }
+        }
+    }
+
+    /// `Allreduce` over a bucket: its `F32` payloads are summed across the
+    /// live workers in one reduction while compressed, averaged in place
+    /// (the contributor count the collective reports is the
+    /// degraded-membership denominator), split back by length and decoded
+    /// once per tensor.
+    fn allreduce_bucket<C: ClusterIntrospect>(
+        &mut self,
+        comm: &FaultyCollective<C>,
+        mut encoded: Vec<EncodedTensor>,
+        wire: usize,
+        acc: &mut AggAccum,
+    ) -> Result<Vec<Tensor>, ClusterError> {
+        let payloads = encoded.iter().flat_map(|e| &e.payloads);
+        let total: usize = payloads.map(|p| p.as_f32().len()).sum();
+        // A bucket of one payload ships the encode's own buffer; only a
+        // bucket of several is copied, into one.
+        let lone = encoded.len() == 1 && encoded[0].payloads.len() == 1;
+        let fused = if lone {
+            let Some(Payload::F32(v)) = encoded[0].payloads.pop() else {
+                unreachable!("as_f32 checked the payload");
+            };
+            v
+        } else {
+            let mut fused = Vec::with_capacity(total);
+            for p in encoded.iter().flat_map(|e| &e.payloads) {
+                fused.extend_from_slice(p.as_f32());
+            }
+            fused
+        };
+        let reduction = comm.try_allreduce_f32(fused)?;
+        acc.incast_bytes += (wire * reduction.contributors) as u64;
+        let mean = average_sum(reduction.sum, reduction.contributors);
+        assert_eq!(
+            mean.as_f32().len(),
+            total,
+            "allreduce changed the bucket's length"
+        );
+        if lone {
+            encoded[0].payloads.push(mean);
+        } else {
+            // Back over the payloads' own buffers: no second allocation.
+            let mut rest = mean.as_f32();
+            for p in encoded.iter_mut().flat_map(|e| &mut e.payloads) {
+                if let Payload::F32(v) = p {
+                    let (head, tail) = rest.split_at(v.len());
+                    v.copy_from_slice(head);
+                    rest = tail;
+                }
+            }
+        }
+        Ok(encoded
+            .iter()
+            .map(|e| self.decode_mean(&e.payloads, &e.ctx, acc))
+            .collect())
+    }
+
+    /// `Allgather`/`Broadcast` over a bucket: one envelope
+    /// ([`payload::encode_bucket_into`]) carries every tensor's frame, one
+    /// collective gathers the ranks' envelopes, and tensor *t* merges the
+    /// *t*-th frame of every present slot in rank order. A slot whose
+    /// envelope is wrong is one rejected contribution — to every tensor of
+    /// the bucket, on every receiver alike; a damaged frame inside a sound
+    /// envelope costs only its own tensor that contribution.
+    fn allgather_bucket<C: ClusterIntrospect>(
+        &mut self,
+        comm: &FaultyCollective<C>,
+        encoded: Vec<EncodedTensor>,
+        acc: &mut AggAccum,
+    ) -> Result<Vec<Tensor>, ClusterError> {
+        let (rank, op) = (comm.rank(), comm.inner().ops_started());
+        let mut envelope = Vec::new();
+        payload::encode_bucket_into(
+            &mut envelope,
+            encoded.iter().map(|e| (&e.payloads[..], &e.ctx.meta[..])),
+        );
+        // The payloads are on the wire now; the merge needs only the shapes.
+        let shapes: Vec<Shape> = encoded.into_iter().map(|e| e.ctx.shape).collect();
+        comm.try_allgather_frames(envelope, &mut self.frames)?;
+        let frames = &self.frames;
+        let mut rejected = 0;
+        let mut bad_envelope = None;
+        let mut slots: Vec<payload::BucketFrames<'_>> = (0..frames.n_slots())
+            .filter_map(|r| frames.slot(r))
+            .filter_map(|slot| match payload::split_bucket(slot, shapes.len()) {
+                Ok(tensor_frames) => Some(tensor_frames),
+                Err(e) => {
+                    rejected += 1;
+                    bad_envelope = Some(e);
+                    None
+                }
+            })
+            .collect();
+        let lane0 = &mut *self.lanes[0].compressor;
+        let mut merged = Vec::with_capacity(shapes.len());
+        let mut failure = None;
+        for shape in &shapes {
+            let parts = slots
+                .iter_mut()
+                .map(|s| s.next().expect("split_bucket checked the count"));
+            match self.merger.merge_frames(lane0, parts, shape) {
+                Ok((out, stats, bad_frames)) => {
+                    acc.add_merge(&stats);
+                    rejected += bad_frames;
+                    merged.push(out);
+                }
+                Err(no_survivor) => {
+                    rejected += slots.len();
+                    // With no sound envelope at all, that is the story.
+                    let envelope = bad_envelope.take().filter(|_| slots.is_empty());
+                    failure = Some(envelope.unwrap_or(no_survivor));
+                    break;
+                }
+            }
+        }
+        for _ in 0..rejected {
+            comm.stats().record_detected(rank);
+        }
+        match failure {
+            None => Ok(merged),
+            Some(e) => Err(ClusterError::Corrupted {
+                rank,
+                op,
+                detail: e.to_string(),
+            }),
         }
     }
 
@@ -1173,20 +1272,21 @@ impl<'a> GradientExchange<'a> {
         pipe
     }
 
-    /// The one bucket walk behind both encoded-session endings: buckets →
-    /// tensors → `arm`, which turns the local lanes' encodes of one tensor
-    /// into its aggregate (from local contributions, or through a
-    /// collective), then per-bucket quality sensors and the step report.
+    /// The one bucket walk behind both encoded-session endings: per sealed
+    /// bucket, `arm` turns the local lanes' encodes of its tensors (plan
+    /// order; per tensor, one encode per lane in rank order) into the
+    /// bucket's aggregates — from local contributions, or through one
+    /// collective — then per-bucket quality sensors and the step report.
     /// An `arm` error abandons the step; the next `begin_*` rebuilds the
     /// pools.
     fn pipeline_finish<E>(
         &mut self,
         mut arm: impl FnMut(
             &mut Self,
-            Vec<EncodedTensor>,
+            Vec<Vec<EncodedTensor>>,
             &mut BucketReport,
             &mut AggAccum,
-        ) -> Result<Tensor, E>,
+        ) -> Result<Vec<Tensor>, E>,
     ) -> Result<(Vec<(String, Tensor)>, ExchangeReport), E> {
         let mut pipe = self.pipeline_take(SessionMode::Encoded);
         let plan = pipe.plan.as_ref().expect("open session always has a plan");
@@ -1196,20 +1296,28 @@ impl<'a> GradientExchange<'a> {
         let mut buckets = Vec::with_capacity(plan.n_buckets());
         let mut acc = AggAccum::default();
         for b in 0..plan.n_buckets() {
+            let range = plan.bucket_range(b);
             let mut bucket = BucketReport {
-                tensors: plan.bucket_range(b).len(),
+                tensors: range.len(),
                 elements: plan.bucket_elements(b),
                 wire_bytes: 0,
             };
-            for idx in plan.bucket_range(b) {
-                let group: Vec<EncodedTensor> = pipe
-                    .stagers
-                    .iter_mut()
-                    .map(|s| s.encoded[idx].take().expect("every slot encoded"))
-                    .collect();
-                let agg = arm(self, group, &mut bucket, &mut acc)?;
-                aggregated.push((plan.name(idx).to_string(), agg));
-            }
+            let groups: Vec<Vec<EncodedTensor>> = range
+                .clone()
+                .map(|idx| {
+                    let lanes = pipe.stagers.iter_mut();
+                    lanes
+                        .map(|s| s.encoded[idx].take().expect("every slot encoded"))
+                        .collect()
+                })
+                .collect();
+            let aggs = arm(self, groups, &mut bucket, &mut acc)?;
+            debug_assert_eq!(aggs.len(), range.len(), "one aggregate per tensor");
+            aggregated.extend(
+                range
+                    .zip(aggs)
+                    .map(|(idx, agg)| (plan.name(idx).to_string(), agg)),
+            );
             let bucket_err = pipe
                 .stagers
                 .iter()
@@ -1387,8 +1495,9 @@ impl<'a> BucketedExchange<'_, 'a> {
     /// opened with [`GradientExchange::begin_decoded_step`].
     pub fn finish(self) -> (Vec<(String, Tensor)>, ExchangeReport) {
         let walked: Result<_, Infallible> =
-            self.engine.pipeline_finish(|engine, group, bucket, acc| {
-                Ok(engine.aggregate_group(group, bucket, acc))
+            self.engine.pipeline_finish(|engine, groups, bucket, acc| {
+                let aggregate = |group| engine.aggregate_group(group, bucket, acc);
+                Ok(groups.into_iter().map(aggregate).collect())
             });
         let (aggregated, report) = walked.unwrap_or_else(|never| match never {});
         self.engine.record_traffic(&report);
@@ -1397,7 +1506,8 @@ impl<'a> BucketedExchange<'_, 'a> {
 
     /// The collective ending of an encoded session on a rank of a real
     /// cluster: the same bucket walk as [`finish`](Self::finish), with each
-    /// tensor's peer contributions exchanged through `comm`.
+    /// bucket's peer contributions exchanged through `comm` — exactly one
+    /// collective per fusion bucket.
     ///
     /// # Errors
     ///
@@ -1409,11 +1519,11 @@ impl<'a> BucketedExchange<'_, 'a> {
         comm: &FaultyCollective<C>,
     ) -> Result<(Vec<(String, Tensor)>, ExchangeReport), ClusterError> {
         assert_eq!(self.engine.lanes.len(), 1, "a rank holds one lane");
-        self.engine
-            .pipeline_finish(|engine, mut group, bucket, acc| {
-                let encoded = group.pop().expect("one lane");
-                engine.aggregate_over(comm, encoded, bucket, acc)
-            })
+        self.engine.pipeline_finish(|engine, groups, bucket, acc| {
+            let own = |mut group: Vec<EncodedTensor>| group.pop().expect("one lane");
+            let encoded = groups.into_iter().map(own).collect();
+            engine.aggregate_bucket_over(comm, encoded, bucket, acc)
+        })
     }
 
     /// Ends a decoded session with the local-SGD aggregation: the decoded
@@ -1457,8 +1567,9 @@ impl<'a> BucketedExchange<'_, 'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compressor::NoCompression;
+    use crate::compressor::{Gathered, NoCompression};
     use crate::memory::{NoMemory, ResidualMemory};
+    use grace_comm::FaultPlan;
     use grace_tensor::Shape;
 
     type Fleet = (Vec<Box<dyn Compressor>>, Vec<Box<dyn Memory>>);
@@ -1802,6 +1913,132 @@ mod tests {
                 assert_eq!(ta.as_slice(), tb.as_slice(), "rank {rank}: '{na}' diverged");
             }
         }
+    }
+
+    /// Two ranks run one step of `inputs` over the board under `faults`;
+    /// returns each rank's `finish_over` outcome, its endpoint's op count and
+    /// the shared fault counters.
+    #[allow(clippy::type_complexity)]
+    fn collective_step(
+        gathered: bool,
+        fusion_bytes: usize,
+        faults: grace_comm::FaultPlan,
+    ) -> (
+        Vec<(Result<Vec<(String, Tensor)>, ClusterError>, u64)>,
+        grace_comm::FaultSummary,
+    ) {
+        use grace_comm::{ClusterOptions, FaultStats, ThreadedCluster};
+        use std::sync::Arc;
+
+        let inputs = grads(2, 3.0);
+        let plan = plan_for(&inputs[0], fusion_bytes);
+        let faults = Arc::new(faults);
+        let stats = FaultStats::new(2);
+        let outs = ThreadedCluster::run_with(2, ClusterOptions::default(), |endpoint| {
+            let rank = endpoint.rank();
+            let comm = FaultyCollective::new(endpoint, Arc::clone(&faults), stats.clone());
+            let mut c: Box<dyn Compressor> = if gathered {
+                Box::new(Gathered::default())
+            } else {
+                Box::new(NoCompression::new())
+            };
+            let mut m = NoMemory::new();
+            let mut engine = GradientExchange::for_rank(rank, c.as_mut(), &mut m);
+            let mut session = engine.begin_step(&plan);
+            for (name, g) in &inputs[rank] {
+                session.submit(rank, name, g);
+            }
+            let out = session.finish_over(&comm).map(|(agg, _)| agg);
+            (out, comm.inner().ops_started())
+        });
+        (outs, stats.summary())
+    }
+
+    /// One collective per sealed bucket, whatever the strategy and however
+    /// many tensors the bucket holds — and the same bits as the local ending
+    /// over the whole fleet.
+    #[test]
+    fn collective_ending_issues_one_op_per_bucket_and_matches_the_local_one() {
+        let inputs = grads(2, 3.0);
+        for gathered in [false, true] {
+            for (fusion_bytes, n_buckets) in [(1, 2), (usize::MAX, 1)] {
+                let (mut cs, mut ms) = fleet(2);
+                if gathered {
+                    for c in &mut cs {
+                        *c = Box::new(Gathered::default());
+                    }
+                }
+                let mut local = GradientExchange::from_fleet(&mut cs, &mut ms).with_threads(1);
+                let (want, _) = run_step(&mut local, fusion_bytes, &inputs);
+                let (outs, _) = collective_step(gathered, fusion_bytes, FaultPlan::empty());
+                for (rank, (got, ops)) in outs.into_iter().enumerate() {
+                    assert_eq!(
+                        ops, n_buckets,
+                        "rank {rank}, gathered {gathered}: ops ≠ buckets"
+                    );
+                    assert_eq!(got.expect("fault-free"), want, "rank {rank}");
+                }
+            }
+        }
+    }
+
+    /// Where a flipped bit lands decides what it costs: inside one tensor's
+    /// frame, that tensor loses the sender's contribution and its bucket
+    /// mates do not; in the envelope, the whole rank-bucket is rejected — by
+    /// every receiver alike, one detection each; with no sound envelope left
+    /// the step is a typed `Corrupted` error.
+    #[test]
+    fn a_flipped_frame_costs_one_tensor_a_flipped_envelope_the_rank_bucket() {
+        let inputs = grads(2, 3.0);
+        let frame_a = {
+            let (payloads, ctx) = NoCompression::new().compress(&inputs[0][0].1, "a");
+            payload::encode_frame(payloads, &ctx.meta).len() as u64
+        };
+        let both = [1.5, 1.0, -1.0, 2.0];
+        let (a1, b1) = (inputs[1][0].1.as_slice(), inputs[1][1].1.as_slice());
+        let run = |plan: FaultPlan| collective_step(true, usize::MAX, plan);
+
+        // Envelope: u32 n ‖ u32 len ‖ frame a ‖ u32 len ‖ frame b. Ten bytes
+        // into frame b is its first payload's data.
+        let in_frame_b = 8 * (4 + 4 + frame_a + 4 + 10);
+        let (outs, faults) = run(FaultPlan::empty().with_bit_flip(0, 0, in_frame_b));
+        for (got, _) in outs {
+            let got = got.expect("rank 1's frames survive");
+            assert_eq!(got[0].1.as_slice(), &both, "'a' keeps both contributions");
+            assert_eq!(got[1].1.as_slice(), b1, "'b' is rank 1's alone");
+        }
+        assert_eq!(faults.injected_corruptions, vec![1, 0]);
+        assert_eq!(faults.detected_corruptions, vec![1, 1]);
+
+        // Bit 0 is the count word, bit 8·(8 + frame a) tensor b's length.
+        for in_envelope in [0, 8 * (4 + 4 + frame_a)] {
+            let (outs, faults) = run(FaultPlan::empty().with_bit_flip(0, 0, in_envelope));
+            for (got, _) in outs {
+                let got = got.expect("rank 1's envelope survives");
+                assert_eq!(got[0].1.as_slice(), a1, "bit {in_envelope}");
+                assert_eq!(got[1].1.as_slice(), b1, "bit {in_envelope}");
+            }
+            assert_eq!(faults.detected_corruptions, vec![1, 1], "one per receiver");
+        }
+
+        let all_bad = FaultPlan::empty()
+            .with_bit_flip(0, 0, 0)
+            .with_bit_flip(1, 0, 1);
+        let (outs, faults) = run(all_bad);
+        for (rank, (got, _)) in outs.into_iter().enumerate() {
+            match got {
+                Err(ClusterError::Corrupted {
+                    rank: r,
+                    op,
+                    detail,
+                }) => {
+                    assert_eq!((r, op), (rank, 0));
+                    assert!(detail.contains("the plan has 2"), "{detail}");
+                }
+                other => panic!("rank {rank}: expected Corrupted, got {other:?}"),
+            }
+        }
+        assert_eq!(faults.detected_corruptions, vec![2, 2]);
     }
 
     #[test]

@@ -12,6 +12,14 @@
 //! trailer ([`grace_tensor::pack::crc32`]): a corrupted stream surfaces as a
 //! [`PayloadError`] from [`decode_checked`] instead of silently diverging
 //! replicas.
+//!
+//! Two layouts sit on top of the stream, each written and parsed here and
+//! nowhere else: a rank's contribution to one gathered **tensor**
+//! ([`encode_frame`] / [`decode_frame`]: the payloads plus one trailing
+//! `F32` payload of context scalars), and its contribution to one fusion
+//! **bucket** — the wire unit of a gathered collective
+//! ([`encode_bucket_into`] / [`split_bucket`]: a counted, length-prefixed
+//! run of tensor frames).
 
 use grace_tensor::pack;
 
@@ -337,53 +345,78 @@ const TAG_BYTES: u8 = 3;
 /// word plus the CRC32 trailer (per-payload tag/length framing comes on top).
 pub const FRAME_OVERHEAD: usize = 8;
 
-/// Serializes a payload list to a self-describing byte stream (used by the
-/// threaded runtime's `Allgather`), ending with a CRC32 trailer over
-/// everything before it.
-pub fn encode(payloads: &[Payload]) -> Vec<u8> {
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_f32s(out: &mut Vec<u8>, v: &[f32]) {
+    out.push(TAG_F32);
+    put_u32(out, v.len() as u32);
+    pack::extend_f32s_le(out, v);
+}
+
+/// Exact length of the stream [`append_stream`] writes.
+fn stream_len(payloads: &[Payload], meta: Option<&[f32]>) -> usize {
     // Tag and length words per payload (`Packed` also carries bits and
     // count), on top of the count word and the trailer.
     let framing = |p: &Payload| match p {
         Payload::Packed { .. } => 13,
         _ => 5,
     };
-    let len = FRAME_OVERHEAD
+    FRAME_OVERHEAD
         + payloads
             .iter()
             .map(|p| framing(p) + p.encoded_bytes())
-            .sum::<usize>();
-    let mut out = Vec::with_capacity(len);
-    let put_u32 = |out: &mut Vec<u8>, v: u32| out.extend_from_slice(&v.to_le_bytes());
-    put_u32(&mut out, payloads.len() as u32);
+            .sum::<usize>()
+        + meta.map_or(0, |m| 5 + m.len() * 4)
+}
+
+/// Appends one self-describing stream to `out`: `payloads`, then `meta` as
+/// one more `F32` payload when given, then a CRC32 trailer over exactly the
+/// bytes appended here.
+fn append_stream(out: &mut Vec<u8>, payloads: &[Payload], meta: Option<&[f32]>) {
+    let start = out.len();
+    put_u32(out, (payloads.len() + usize::from(meta.is_some())) as u32);
     for p in payloads {
         match p {
-            Payload::F32(v) => {
-                out.push(TAG_F32);
-                put_u32(&mut out, v.len() as u32);
-                pack::extend_f32s_le(&mut out, v);
-            }
+            Payload::F32(v) => put_f32s(out, v),
             Payload::U32(v) => {
                 out.push(TAG_U32);
-                put_u32(&mut out, v.len() as u32);
-                pack::extend_u32s_le(&mut out, v);
+                put_u32(out, v.len() as u32);
+                pack::extend_u32s_le(out, v);
             }
             Payload::Packed { data, bits, count } => {
                 out.push(TAG_PACKED);
-                put_u32(&mut out, *bits);
-                put_u32(&mut out, *count);
-                put_u32(&mut out, data.len() as u32);
+                put_u32(out, *bits);
+                put_u32(out, *count);
+                put_u32(out, data.len() as u32);
                 out.extend_from_slice(data);
             }
             Payload::Bytes(b) => {
                 out.push(TAG_BYTES);
-                put_u32(&mut out, b.len() as u32);
+                put_u32(out, b.len() as u32);
                 out.extend_from_slice(b);
             }
         }
     }
-    let crc = pack::crc32(&out);
-    put_u32(&mut out, crc);
-    debug_assert_eq!(out.len(), len, "encoded length formula drifted");
+    if let Some(meta) = meta {
+        put_f32s(out, meta);
+    }
+    let crc = pack::crc32(&out[start..]);
+    put_u32(out, crc);
+    debug_assert_eq!(
+        out.len() - start,
+        stream_len(payloads, meta),
+        "encoded length formula drifted"
+    );
+}
+
+/// Serializes a payload list to a self-describing byte stream (used by the
+/// threaded runtime's `Allgather`), ending with a CRC32 trailer over
+/// everything before it.
+pub fn encode(payloads: &[Payload]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(stream_len(payloads, None));
+    append_stream(&mut out, payloads, None);
     out
 }
 
@@ -546,9 +579,114 @@ pub const FRAME_MAX_PAYLOADS: usize = 8;
 /// Serializes one rank's contribution to a gathered tensor: the compressor's
 /// payloads followed by one trailing `F32` payload carrying the context
 /// scalars. [`decode_frame`] is the only other place that knows this layout.
-pub fn encode_frame(mut payloads: Vec<Payload>, meta: &[f32]) -> Vec<u8> {
-    payloads.push(Payload::F32(meta.to_vec()));
-    encode(&payloads)
+pub fn encode_frame(payloads: Vec<Payload>, meta: &[f32]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(stream_len(&payloads, Some(meta)));
+    encode_frame_into(&mut out, &payloads, meta);
+    out
+}
+
+/// Appends exactly the bytes [`encode_frame`] returns to `out` (own CRC32
+/// included), so a bucket's frames land in one buffer with no per-tensor
+/// `Vec`.
+pub fn encode_frame_into(out: &mut Vec<u8>, payloads: &[Payload], meta: &[f32]) {
+    append_stream(out, payloads, Some(meta));
+}
+
+/// Appends one rank's contribution to a fusion bucket — the wire unit of an
+/// `Allgather` collective — to `out`:
+///
+/// ```text
+/// u32 n ‖ n × ( u32 len ‖ <encode_frame bytes of tensor t, len of them> )
+/// ```
+///
+/// `tensors` yields each tensor's `(payloads, meta)` in plan order. The
+/// envelope carries no checksum of its own: every frame keeps its CRC32, and
+/// a damaged count or length cannot pass [`split_bucket`], because the
+/// lengths must tile the buffer exactly. `out` grows once, by the exact
+/// total.
+pub fn encode_bucket_into<'p>(
+    out: &mut Vec<u8>,
+    tensors: impl ExactSizeIterator<Item = (&'p [Payload], &'p [f32])> + Clone,
+) {
+    let total: usize = tensors
+        .clone()
+        .map(|(payloads, meta)| 4 + stream_len(payloads, Some(meta)))
+        .sum();
+    out.reserve(4 + total);
+    put_u32(out, tensors.len() as u32);
+    for (payloads, meta) in tensors {
+        put_u32(out, stream_len(payloads, Some(meta)) as u32);
+        encode_frame_into(out, payloads, meta);
+    }
+}
+
+/// One rank's bucket contribution, already checked by [`split_bucket`]:
+/// yields the tensors' frames in plan order.
+#[derive(Debug, Clone)]
+pub struct BucketFrames<'a> {
+    rest: &'a [u8],
+    remaining: usize,
+}
+
+impl<'a> Iterator for BucketFrames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        // `split_bucket` walked these exact lengths.
+        let (len, rest) = self.rest.split_first_chunk::<4>()?;
+        let (frame, rest) = rest.split_at(u32::from_le_bytes(*len) as usize);
+        self.rest = rest;
+        Some(frame)
+    }
+}
+
+/// Splits bytes produced by [`encode_bucket_into`] into the `tensors` frames
+/// the receiver's own plan puts in this bucket. The bytes come from a peer:
+/// the walk is sized by the caller's count, never by the header, and every
+/// disagreement is an error, not a panic.
+///
+/// # Errors
+///
+/// [`PayloadError::Malformed`] when the count word is missing or is not
+/// `tensors`, a length word is cut short or overruns the buffer, or bytes
+/// remain after the last frame. The frames themselves are not inspected —
+/// [`decode_frame`] does that per tensor.
+pub fn split_bucket(bytes: &[u8], tensors: usize) -> Result<BucketFrames<'_>, PayloadError> {
+    let malformed = |why: String| Err(PayloadError::Malformed(why));
+    let Some((count, body)) = bytes.split_first_chunk::<4>() else {
+        return malformed(format!("bucket of {} bytes has no count word", bytes.len()));
+    };
+    let count = u32::from_le_bytes(*count);
+    if count as usize != tensors {
+        return malformed(format!(
+            "bucket carries {count} tensor frames, the plan has {tensors}"
+        ));
+    }
+    let mut rest = body;
+    for t in 0..tensors {
+        let Some((len, after)) = rest.split_first_chunk::<4>() else {
+            return malformed(format!("bucket ends before tensor {t}'s length word"));
+        };
+        let len = u32::from_le_bytes(*len) as usize;
+        if len > after.len() {
+            return malformed(format!(
+                "tensor {t}'s frame claims {len} bytes, {} remain",
+                after.len()
+            ));
+        }
+        rest = &after[len..];
+    }
+    if !rest.is_empty() {
+        return malformed(format!(
+            "{} trailing bytes after the bucket's last frame",
+            rest.len()
+        ));
+    }
+    Ok(BucketFrames {
+        rest: body,
+        remaining: tensors,
+    })
 }
 
 /// One gathered frame parsed in place by [`decode_frame`].
@@ -716,6 +854,43 @@ mod tests {
     #[test]
     fn frame_overhead_is_exact_for_empty_list() {
         assert_eq!(encode(&[]).len(), FRAME_OVERHEAD);
+    }
+
+    #[test]
+    fn bucket_envelope_holds_the_frames_encode_frame_writes() {
+        let tensors = [
+            (vec![Payload::packed(&[1, 0, 1], 1)], vec![0.5f32]),
+            (vec![Payload::U32(vec![7]), Payload::F32(vec![2.0])], vec![]),
+            (Vec::new(), vec![1.0, 2.0]),
+        ];
+        let frames: Vec<Vec<u8>> = tensors
+            .iter()
+            .map(|(payloads, meta)| encode_frame(payloads.clone(), meta))
+            .collect();
+        // Appending leaves what is already there alone and adds those bytes.
+        let mut out = vec![0xEE];
+        encode_frame_into(&mut out, &tensors[0].0, &tensors[0].1);
+        assert_eq!(out[1..], frames[0][..]);
+
+        let mut bucket = Vec::new();
+        encode_bucket_into(&mut bucket, tensors.iter().map(|(p, m)| (&p[..], &m[..])));
+        let framed: usize = frames.iter().map(|f| 4 + f.len()).sum();
+        assert_eq!(bucket.len(), 4 + framed);
+        assert_eq!(bucket.capacity(), bucket.len(), "one exact reservation");
+        let split: Vec<&[u8]> = split_bucket(&bucket, 3).unwrap().collect();
+        assert_eq!(split, frames.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        for frame in split {
+            assert!(decode_frame(frame).is_ok());
+        }
+        // Every way the envelope can be wrong is `Malformed`; the integration
+        // suite (tests/aggregation.rs) walks the hostile cases.
+        for wrong in [2, 4] {
+            assert!(matches!(
+                split_bucket(&bucket, wrong),
+                Err(PayloadError::Malformed(_))
+            ));
+        }
+        assert!(split_bucket(&bucket[..bucket.len() - 1], 3).is_err());
     }
 
     #[test]

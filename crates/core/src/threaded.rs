@@ -16,9 +16,10 @@
 //! * a **dropped** worker returns [`ClusterError::Dropped`] from its loop and
 //!   the survivors rescale every aggregate by the live-worker count;
 //! * a **corrupted** or malformed gathered frame is rejected by
-//!   [`crate::AggMerger::merge_frames`] (the session's collective ending);
+//!   [`crate::AggMerger::merge_frames`], a damaged bucket envelope by
+//!   [`crate::payload::split_bucket`] (the session's collective ending);
 //!   since the sender's bytes are
-//!   damaged *before* deposit, every receiver rejects the identical frame
+//!   damaged *before* deposit, every receiver rejects the identical bytes
 //!   and drops that contribution in lockstep — replicas stay bit-identical;
 //! * a worker stuck waiting on a dead peer times out with a structured
 //!   [`ClusterError::Timeout`] rather than deadlocking.
@@ -331,5 +332,64 @@ mod tests {
         assert!(threaded.bytes_sent > 0);
         assert_eq!(threaded.survivors, 3);
         assert_eq!(threaded.faults.total_injected(), 0);
+    }
+
+    /// The sealed bucket is the wire unit: a run's endpoints have started
+    /// steps × buckets collectives — 9 a step, not one per tensor (68), on
+    /// the benchmark's resnet50 plan — whichever collective the method uses
+    /// and whichever transport carries it.
+    #[test]
+    fn a_run_issues_one_collective_per_bucket_per_step_on_every_transport() {
+        use crate::compressor::Gathered;
+        use crate::trainer::{fusion_plan, steps_per_epoch};
+
+        type Job<'j> = (
+            &'j TrainConfig,
+            &'j dyn Task,
+            &'j MakeWorker<'j>,
+            &'j Arc<FaultPlan>,
+            &'j FaultStats,
+        );
+        /// Trains one rank to the end, then reads its endpoint's counter.
+        fn ops_after_run<C: ClusterIntrospect>(endpoint: C, job: Job<'_>) -> u64 {
+            let (cfg, task, make, faults, stats) = job;
+            let comm = FaultyCollective::new(endpoint, Arc::clone(faults), stats.clone());
+            worker_loop(cfg, task, make, &comm, false).expect("fault-free run");
+            comm.inner().ops_started()
+        }
+
+        let task = ClassificationDataset::synthetic(64, 48, 8, 0.4, 7);
+        let mut cfg = TrainConfig::new(2, 8, 1, 7);
+        cfg.codec = CodecTiming::Free;
+        let mut model = models::resnet50_analog(48, 8, 7);
+        cfg.fusion_bytes = model.param_count() * 4 / 8;
+        let plan = fusion_plan(&cfg, &mut model);
+        assert_eq!((plan.n_tensors(), plan.n_buckets()), (68, 9));
+        let steps = steps_per_epoch(task.train_len(), 2, cfg.batch_per_worker);
+        assert_eq!(steps, 4);
+
+        for gathered in [false, true] {
+            let make = |_rank: usize| -> Worker {
+                let compressor: Box<dyn Compressor> = if gathered {
+                    Box::new(Gathered::default())
+                } else {
+                    Box::new(NoCompression::new())
+                };
+                (
+                    models::resnet50_analog(48, 8, 7),
+                    Box::new(Momentum::new(0.05, 0.9)),
+                    compressor,
+                    Box::new(NoMemory::new()),
+                )
+            };
+            let (faults, options) = plan_and_options(&cfg);
+            let stats = FaultStats::new(2);
+            let job: Job<'_> = (&cfg, &task, &make, &faults, &stats);
+            let board = ThreadedCluster::run_with(2, options, |e| ops_after_run(e, job));
+            let tcp = net::run_socket_local(2, options, None, |e| ops_after_run(e, job));
+            let want = (steps * plan.n_buckets()) as u64;
+            assert_eq!(board, vec![want; 2], "board, gathered {gathered}");
+            assert_eq!(tcp, vec![want; 2], "tcp, gathered {gathered}");
+        }
     }
 }

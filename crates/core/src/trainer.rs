@@ -29,7 +29,7 @@
 //! This reproduces the paper's central systems observation: compression
 //! compute cost is real and can exceed the communication it saves (§V-D).
 
-use crate::bucket::{PlanBuilder, DEFAULT_FUSION_BYTES};
+use crate::bucket::{BucketPlan, PlanBuilder, DEFAULT_FUSION_BYTES};
 use crate::compressor::{CommStrategy, Compressor};
 use crate::exchange::{
     BucketedExchange, ExchangeReport, GradientExchange, StageHistograms, StageTotals,
@@ -384,6 +384,20 @@ pub fn steps_per_epoch(train_len: usize, n_workers: usize, batch: usize) -> usiz
     (min_shard / batch).max(1)
 }
 
+/// The fusion plan of a run's steps: `net`'s gradients in streaming
+/// (reverse-layer) order under [`TrainConfig::fusion_bytes`]. Boundaries
+/// depend only on dense byte sizes, so every worker derives the identical
+/// plan and the per-bucket collective order stays rank-consistent — a real
+/// backend issues exactly one collective per bucket of it per step, which is
+/// also what a fault plan's op index counts.
+pub fn fusion_plan(cfg: &TrainConfig, net: &mut Network) -> BucketPlan {
+    let mut builder = PlanBuilder::new(cfg.fusion_bytes);
+    for (name, len) in net.streaming_grad_sizes() {
+        builder.push(&name, len);
+    }
+    builder.finish()
+}
+
 /// Starts the live metrics endpoint for a run: the explicit config address
 /// wins, else `GRACE_METRICS_ADDR`. Bind failures warn and return `None` —
 /// monitoring must never abort training.
@@ -466,17 +480,7 @@ impl<'a> StepDriver<'_, 'a> {
         let (cfg, task) = (self.cfg, self.task);
         let n = cfg.n_workers;
         let spe = steps_per_epoch(task.train_len(), n, cfg.batch_per_worker);
-        // Fusion plan over the streaming (reverse-layer) gradient order —
-        // boundaries depend only on dense byte sizes, so every worker derives
-        // the identical plan and the per-tensor collective order stays
-        // rank-consistent.
-        let plan = {
-            let mut builder = PlanBuilder::new(cfg.fusion_bytes);
-            for (name, len) in self.net.streaming_grad_sizes() {
-                builder.push(&name, len);
-            }
-            builder.finish()
-        };
+        let plan = fusion_plan(cfg, self.net);
         // Stream order for the exchange, forward (visit) order for the update.
         let forward_index: HashMap<String, usize> = self
             .net

@@ -33,8 +33,11 @@
 //! `grace-analyze merge DIR/<compressor>` rebases them onto one clock.
 //!
 //! `--drop RANK@OP` seeds a mid-run drop fault (a post-mortem drill): the
-//! victim's flight recorder trips and leaves a bundle, the survivors
-//! degrade and finish, and threaded verification is skipped.
+//! victim leaves at its `OP`-th collective — one per fusion bucket per step,
+//! and this workload's model is one bucket, so `OP` is a step index — its
+//! flight recorder trips and leaves a bundle, the survivors degrade and
+//! finish, and threaded verification is skipped. An `OP` the run never
+//! reaches is refused up front (exit 2).
 //! `--dump-on-exit` makes every child write its bundle at exit even
 //! without a trigger; `grace-analyze postmortem` reads the result.
 
@@ -43,10 +46,11 @@ use grace_comm::ClusterOptions;
 use grace_compressors::{extensions, registry};
 use grace_core::process::{self, param_checksum, Worker};
 use grace_core::threaded::run_threaded;
-use grace_core::trainer::CodecTiming;
+use grace_core::trainer::{fusion_plan, steps_per_epoch, CodecTiming};
 use grace_core::{Compressor, Memory, NoCompression, NoMemory, TrainConfig};
-use grace_nn::data::ClassificationDataset;
+use grace_nn::data::{ClassificationDataset, Task};
 use grace_nn::models;
+use grace_nn::network::Network;
 use grace_nn::optim::{Momentum, Optimizer};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -77,6 +81,18 @@ fn workload(
     (task, cfg)
 }
 
+fn model() -> Network {
+    models::mlp_classifier("m", 8, &[12], 2, SEED)
+}
+
+/// Collectives each rank issues over the whole workload: one per fusion
+/// bucket per step — the range a fault's op index lives in.
+fn run_ops(world: usize, epochs: usize) -> u64 {
+    let (task, cfg) = workload(world, epochs, None);
+    let steps = epochs * steps_per_epoch(task.train_len(), world, cfg.batch_per_worker);
+    (steps * fusion_plan(&cfg, &mut model()).n_buckets()) as u64
+}
+
 /// Parses the `RANK@OP` form of `--drop`.
 fn parse_drop(s: &str) -> Result<(usize, u64), String> {
     let err = || format!("--drop expects RANK@OP, got '{s}'");
@@ -88,7 +104,7 @@ fn parse_drop(s: &str) -> Result<(usize, u64), String> {
 }
 
 fn make_worker(compressor_id: &str, world: usize, rank: usize) -> Worker {
-    let net = models::mlp_classifier("m", 8, &[12], 2, SEED);
+    let net = model();
     let opt: Box<dyn Optimizer> = Box::new(Momentum::new(0.05, 0.9));
     let (compressor, memory) = if compressor_id == "baseline" {
         (
@@ -211,14 +227,27 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             _ => return Err(format!("unknown argument '{flag}'")),
         }
     }
-    if args.ranks == 0 {
-        return Err("--ranks must be positive".to_string());
+    if args.ranks == 0 || args.epochs == 0 {
+        return Err("--ranks and --epochs must be positive".to_string());
     }
-    if let Some((rank, _)) = args.drop {
+    if let Some((rank, op)) = args.drop {
         if rank >= args.ranks {
             return Err(format!(
                 "--drop rank {rank} out of range for {} ranks",
                 args.ranks
+            ));
+        }
+        // Found here, not after the whole job as a rank that "was scheduled
+        // to drop but exited cleanly".
+        let ops = run_ops(args.ranks, args.epochs);
+        if op >= ops {
+            return Err(format!(
+                "--drop op {op} is never reached: {} ranks × {} epochs run {ops} \
+                 collectives per rank (one per fusion bucket per step), so the last \
+                 valid op is {}",
+                args.ranks,
+                args.epochs,
+                ops - 1
             ));
         }
         // A faulted run's parameters are legitimately different from the
@@ -437,12 +466,41 @@ mod tests {
         parse_args(&argv)
     }
 
+    /// A drop scheduled past the run's last collective is refused before
+    /// anything is launched, naming the flag and the last op that exists —
+    /// in the parent and, from the same argv, in a child.
+    #[test]
+    fn a_drop_the_run_never_reaches_is_refused_up_front() {
+        // 96 examples ÷ (ranks × batch 8) steps an epoch, one bucket a step.
+        assert_eq!(run_ops(4, 4), 12);
+        assert_eq!(run_ops(2, 2), 12);
+        assert_eq!(run_ops(3, 2), 8);
+        assert_eq!(
+            parse("--ranks 4 --epochs 4 --drop 1@11").unwrap().drop,
+            Some((1, 11))
+        );
+        for line in [
+            "--ranks 4 --epochs 4 --drop 1@12",
+            "--ranks 4 --epochs 4 --drop 1@24",
+            "rank --rank 0 --world 4 --rendezvous tcp://127.0.0.1:1 --epochs 4 --drop 1@12",
+        ] {
+            let e = parse(line).unwrap_err();
+            assert!(
+                e.contains("--drop op") && e.contains("never reached"),
+                "{e}"
+            );
+            assert!(e.contains("last valid op is 11"), "{e}");
+        }
+        // The count follows the job: more epochs, more ops.
+        assert!(parse("--ranks 4 --epochs 8 --drop 1@12").is_ok());
+    }
+
     #[test]
     fn mode_and_job_come_from_argv_alone() {
-        let parent = parse("--ranks 2 --compressor topk --drop 1@24 --dump-on-exit").unwrap();
+        let parent = parse("--ranks 2 --compressor topk --drop 1@9 --dump-on-exit").unwrap();
         assert!(parent.child.is_none());
         assert_eq!((parent.ranks, parent.compressor.as_str()), (2, "topk"));
-        assert_eq!(parent.drop, Some((1, 24)));
+        assert_eq!(parent.drop, Some((1, 9)));
         assert!(parent.dump_on_exit && !parent.verify);
 
         let child = parse(
@@ -465,6 +523,7 @@ mod tests {
         assert!(err(&format!("rank --world 2 {ep}")).contains("--rank is required"));
         assert!(err("--ranks 2 --drop 1-24").contains("--drop"));
         assert!(err("--ranks 2 --drop 2@5").contains("--drop"));
+        assert!(err("--ranks 2 --epochs 0").contains("--epochs"));
         // Child-only flags are not parent flags, and vice versa.
         assert!(err("--rank 0").contains("unknown argument '--rank'"));
         assert!(err(&format!("rank --rank 0 --world 2 {ep} --uds")).contains("'--uds'"));

@@ -399,3 +399,161 @@ fn hostile_frames_are_rejected_contributions_under_every_plan() {
         }
     }
 }
+
+/// The wire unit of a gathered collective is a bucket envelope around the
+/// tensors' frames, and it too is bytes a peer wrote. A receiver splits
+/// every slot against its *own* plan's tensor count and merges tensor `t`
+/// over the `t`-th frame of the slots that split — so a wrong envelope
+/// rejects that rank for the whole bucket, a damaged frame inside a sound
+/// envelope rejects it for that one tensor, and neither can panic or size an
+/// allocation. (`exchange.rs`'s unit tests pin the engine's side of this:
+/// one detection per rejection, `ClusterError::Corrupted` when nothing is
+/// left.)
+#[test]
+fn hostile_bucket_envelopes_are_rejected_rank_buckets_under_every_plan() {
+    use grace::core::payload::{encode_bucket_into, encode_frame, split_bucket};
+    use grace::core::PayloadError;
+
+    /// What a receiving rank does with one gathered bucket of `shapes.len()`
+    /// tensors: the merged tensors, and how many slots failed to split.
+    fn receive(
+        merger: &mut AggMerger,
+        c: &mut dyn Compressor,
+        slots: &[Vec<u8>],
+        shapes: &[grace::tensor::Shape],
+    ) -> Result<(Vec<(Tensor, usize)>, usize), PayloadError> {
+        let mut bad_envelope = None;
+        let mut sound: Vec<_> = slots
+            .iter()
+            .filter_map(|slot| {
+                split_bucket(slot, shapes.len())
+                    .map_err(|e| bad_envelope = Some(e))
+                    .ok()
+            })
+            .collect();
+        let rejected = slots.len() - sound.len();
+        if let (true, Some(e)) = (sound.is_empty(), bad_envelope) {
+            return Err(e);
+        }
+        let mut out = Vec::new();
+        for shape in shapes {
+            let frames = sound.iter_mut().map(|s| s.next().unwrap());
+            let (t, _, bad_frames) = merger.merge_frames(c, frames, shape)?;
+            out.push((t, bad_frames));
+        }
+        assert!(sound.iter_mut().all(|s| s.next().is_none()));
+        Ok((out, rejected))
+    }
+
+    let data_a: Vec<f32> = (0..96)
+        .map(|i| ((i * 37) % 101) as f32 / 50.0 - 1.0)
+        .collect();
+    let data_b: Vec<f32> = (0..40)
+        .map(|i| ((i * 53) % 89) as f32 / 40.0 - 1.0)
+        .collect();
+    for id in ["eightbit", "topk", "qsgd"] {
+        let spec = registry::find(id).unwrap();
+        let (a, b) = (gather(&spec, &data_a), gather(&spec, &data_b));
+        let shapes = [a[0].ctx.shape.clone(), b[0].ctx.shape.clone()];
+        let bucket_of = |tensors: &[&EncodedTensor]| {
+            let mut out = Vec::new();
+            let parts = tensors.iter().map(|e| (&e.payloads[..], &e.ctx.meta[..]));
+            encode_bucket_into(&mut out, parts);
+            out
+        };
+        let envelope = |w: usize| bucket_of(&[&a[w], &b[w]]);
+        // The frames inside are exactly what `encode_frame` always wrote.
+        let good = envelope(1);
+        let frames: Vec<&[u8]> = split_bucket(&good, 2).unwrap().collect();
+        let frame_a = encode_frame(a[1].payloads.clone(), &a[1].ctx.meta);
+        let frame_b = encode_frame(b[1].payloads.clone(), &b[1].ctx.meta);
+        assert_eq!(frames, [&frame_a[..], &frame_b[..]], "{id}");
+        assert_eq!(good.len(), 4 + 4 + frame_a.len() + 4 + frame_b.len());
+
+        let with_len = |at: usize, len: u32| {
+            let mut bad = good.clone();
+            bad[at..at + 4].copy_from_slice(&len.to_le_bytes());
+            bad
+        };
+        let one_tensor = bucket_of(&[&a[1]]);
+        let three_tensors = bucket_of(&[&a[1], &b[1], &a[1]]);
+        let second_len = 8 + frame_a.len();
+        let hostile: [(&str, Vec<u8>); 11] = [
+            ("empty slot", Vec::new()),
+            ("half a count word", vec![2, 0]),
+            ("n = 0", vec![0; 4]),
+            ("n = 0 before the frames", with_len(0, 0)),
+            ("one tensor for a plan of two", one_tensor),
+            ("three tensors for a plan of two", three_tensors),
+            (
+                "len one past the end",
+                with_len(second_len, frame_b.len() as u32 + 1),
+            ),
+            ("len = u32::MAX", with_len(4, u32::MAX)),
+            (
+                "first len short by one",
+                with_len(4, frame_a.len() as u32 - 1),
+            ),
+            ("cut inside the last frame", good[..good.len() - 3].to_vec()),
+            ("trailing byte", [&good[..], &[0]].concat()),
+        ];
+        let mut broken_b = good.clone();
+        *broken_b.last_mut().unwrap() ^= 0x01;
+
+        for plan in AggregationPlan::ALL {
+            let mut c = (spec.build)(100);
+            let mut merger = AggMerger::new(plan);
+            let mut want =
+                |parts: &[EncodedTensor]| bits(&merger.merge_gathered(c.as_mut(), parts).0);
+            let all = [want(&a), want(&b)];
+            let without_1 = [
+                want(&[a[0].clone(), a[2].clone()]),
+                want(&[b[0].clone(), b[2].clone()]),
+            ];
+            let what_of = |what: &str| format!("{id} under {plan}, {what}");
+
+            let clean = [envelope(0), good.clone(), envelope(2)];
+            let (got, rejected) = receive(&mut merger, c.as_mut(), &clean, &shapes).unwrap();
+            assert_eq!(rejected, 0);
+            for (t, (tensor, bad_frames)) in got.iter().enumerate() {
+                assert_eq!((bits(tensor), *bad_frames), (all[t].clone(), 0), "{id}");
+            }
+
+            for (what, bad) in &hostile {
+                assert!(
+                    matches!(split_bucket(bad, 2), Err(PayloadError::Malformed(_))),
+                    "{}",
+                    what_of(what)
+                );
+                let slots = [envelope(0), bad.clone(), envelope(2)];
+                let (got, rejected) = receive(&mut merger, c.as_mut(), &slots, &shapes)
+                    .unwrap_or_else(|e| panic!("{}: {e}", what_of(what)));
+                assert_eq!(rejected, 1, "{}", what_of(what));
+                for (t, (tensor, bad_frames)) in got.iter().enumerate() {
+                    assert_eq!(*bad_frames, 0, "{}", what_of(what));
+                    assert_eq!(bits(tensor), without_1[t], "{}", what_of(what));
+                }
+            }
+
+            // A sound envelope around one damaged frame: only that tensor
+            // loses the contribution.
+            let slots = [envelope(0), broken_b.clone(), envelope(2)];
+            let (got, rejected) = receive(&mut merger, c.as_mut(), &slots, &shapes).unwrap();
+            assert_eq!(rejected, 0, "{}", what_of("broken frame b"));
+            assert_eq!((bits(&got[0].0), got[0].1), (all[0].clone(), 0));
+            assert_eq!((bits(&got[1].0), got[1].1), (without_1[1].clone(), 1));
+
+            // Nothing left: the typed error of the last rejection.
+            let all_bad: Vec<Vec<u8>> = hostile.iter().map(|(_, bad)| bad.clone()).collect();
+            assert!(matches!(
+                receive(&mut merger, c.as_mut(), &all_bad, &shapes),
+                Err(PayloadError::Malformed(_))
+            ));
+            let every_b_broken = vec![broken_b.clone(); 3];
+            assert!(matches!(
+                receive(&mut merger, c.as_mut(), &every_b_broken, &shapes),
+                Err(PayloadError::ChecksumMismatch { .. })
+            ));
+        }
+    }
+}

@@ -51,10 +51,14 @@ fn worker(_rank: usize) -> Worker {
 /// Runs a faulty training job under a hard test-level deadline, so a
 /// deadlock in the degraded path fails the test instead of hanging it.
 fn run_with_deadline(fault: FaultConfig, limit: Duration) -> ThreadedResult {
+    run_config_with_deadline(config(Some(fault)), limit)
+}
+
+fn run_config_with_deadline(cfg: TrainConfig, limit: Duration) -> ThreadedResult {
     let (tx, rx) = std::sync::mpsc::channel();
     let handle = std::thread::spawn(move || {
         let task = ClassificationDataset::synthetic(96, 8, 2, 0.3, 31);
-        let result = run_threaded(&config(Some(fault)), &task, worker);
+        let result = run_threaded(&cfg, &task, worker);
         let _ = tx.send(result);
     });
     match rx.recv_timeout(limit) {
@@ -103,10 +107,12 @@ fn corrupted_payload_is_detected_by_every_receiver_and_excluded() {
 
 #[test]
 fn straggler_only_plan_is_bit_transparent() {
+    // An op is one bucket's collective: the 4-tensor model fuses into one
+    // bucket, so 2 epochs × 4 steps run ops 0..=7.
     let plan = FaultPlan::empty()
         .with_straggler(0, 2, Duration::from_millis(2))
         .with_straggler(2, 7, Duration::from_millis(1))
-        .with_straggler(1, 11, Duration::from_millis(1));
+        .with_straggler(1, 5, Duration::from_millis(1));
     let fault = FaultConfig {
         plan,
         timeout: Some(Duration::from_secs(10)),
@@ -144,18 +150,7 @@ fn worker_killed_mid_step_drains_in_flight_buckets_and_rescales() {
     };
     let mut cfg = config(Some(fault));
     cfg.fusion_bytes = 1; // isolate every tensor into its own bucket
-    let (tx, rx) = std::sync::mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        let task = ClassificationDataset::synthetic(96, 8, 2, 0.3, 31);
-        let _ = tx.send(run_threaded(&cfg, &task, worker));
-    });
-    let result = match rx.recv_timeout(Duration::from_secs(60)) {
-        Ok(result) => {
-            handle.join().expect("worker panicked after reporting");
-            result
-        }
-        Err(_) => panic!("mid-step kill deadlocked the pipelined exchange"),
-    };
+    let result = run_config_with_deadline(cfg, Duration::from_secs(60));
     assert_eq!(result.survivors, N - 1, "exactly one worker dies");
     assert_eq!(result.faults.injected_drops, vec![0, 0, 1]);
     assert_params_finite(&result);
@@ -391,7 +386,9 @@ fn same_fault_seed_yields_identical_counters_across_runs() {
         corrupt: 0.12,
         max_delay: Duration::from_micros(500),
     };
-    // 2 epochs × 4 steps × 4 tensors = 32 collective ops per worker.
+    // An op is one bucket's collective. One bucket per tensor: 2 epochs ×
+    // 4 steps × 4 tensors = 32 ops per worker; at the default threshold the
+    // model is one bucket and the run reaches the plan's first 8.
     let plan = FaultPlan::seeded(0xC0FFEE, N, 32, &rates);
     assert!(!plan.is_empty(), "rates this high must schedule faults");
     assert_eq!(
@@ -400,23 +397,24 @@ fn same_fault_seed_yields_identical_counters_across_runs() {
         "plan must be a pure function of its seed"
     );
 
-    let run = |plan: FaultPlan| {
-        run_with_deadline(
-            FaultConfig {
+    for fusion_bytes in [1, grace::core::DEFAULT_FUSION_BYTES] {
+        let run = |plan: FaultPlan| {
+            let mut cfg = config(Some(FaultConfig {
                 plan,
                 timeout: Some(Duration::from_secs(10)),
-            },
-            Duration::from_secs(60),
-        )
-    };
-    let first = run(plan.clone());
-    let second = run(plan);
-    assert_eq!(
-        first.faults, second.faults,
-        "same seed, same injected and detected counters"
-    );
-    assert_eq!(first.survivors, second.survivors);
-    assert!(first.faults.total_injected() > 0, "the matrix must inject");
-    assert_params_finite(&first);
-    assert_params_finite(&second);
+            }));
+            cfg.fusion_bytes = fusion_bytes;
+            run_config_with_deadline(cfg, Duration::from_secs(60))
+        };
+        let first = run(plan.clone());
+        let second = run(plan.clone());
+        assert_eq!(
+            first.faults, second.faults,
+            "same seed, same injected and detected counters"
+        );
+        assert_eq!(first.survivors, second.survivors);
+        assert!(first.faults.total_injected() > 0, "the matrix must inject");
+        assert_params_finite(&first);
+        assert_params_finite(&second);
+    }
 }

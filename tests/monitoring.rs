@@ -206,13 +206,14 @@ fn straggler_faults_trip_the_monitor_and_clean_runs_stay_silent() {
         );
     }
 
-    // --- Faulty run: rank 1 stalls 20 ms before every collective from the
-    // 4th step on (4 gradient tensors → 4 collectives per step), so its
-    // peers pile up ~80 ms of barrier wait per step while rank 1 itself
-    // waits least — a sustained skew far over the 10 ms floor.
+    // --- Faulty run: rank 1 stalls 40 ms before every collective from the
+    // 4th step on (the 4 gradient tensors fuse into one bucket → one
+    // collective per step, ops 3..=7), so its peers pile up ~40 ms of
+    // barrier wait per step while rank 1 itself waits least — a sustained
+    // skew far over the 10 ms floor.
     let mut fault_plan = FaultPlan::empty();
-    for op in 12..32 {
-        fault_plan = fault_plan.with_straggler(1, op, Duration::from_millis(20));
+    for op in 3..8 {
+        fault_plan = fault_plan.with_straggler(1, op, Duration::from_millis(40));
     }
     let fault_log = temp_log("faulty");
     let mut faulty_cfg = config();

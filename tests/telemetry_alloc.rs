@@ -509,3 +509,130 @@ fn sharded_merge_steady_state_is_allocation_free() {
         .collect::<Vec<f32>>();
     assert_eq!(out.as_slice(), &expect[..]);
 }
+
+/// The wire unit of a gathered bucket is one buffer, not one frame `Vec` per
+/// tensor: `encode_bucket_into` grows an empty buffer exactly once however
+/// many tensors the bucket holds, and a buffer that already has the room not
+/// at all.
+#[test]
+fn bucket_envelope_is_one_allocation_however_many_tensors() {
+    use grace::core::payload::encode_bucket_into;
+
+    for tensors in [1usize, 2, 8, 32] {
+        let encoded: Vec<(Vec<Payload>, Vec<f32>)> = (0..tensors)
+            .map(|t| {
+                let payloads = vec![
+                    Payload::U32((0..t as u32 + 3).collect()),
+                    Payload::F32(vec![0.5; t + 3]),
+                ];
+                (payloads, vec![t as f32])
+            })
+            .collect();
+        let parts = || encoded.iter().map(|(p, m)| (&p[..], &m[..]));
+
+        let mut cold = Vec::new();
+        let before = allocs_on_this_thread();
+        encode_bucket_into(&mut cold, parts());
+        assert_eq!(
+            allocs_on_this_thread() - before,
+            1,
+            "{tensors} tensors: one exact reservation"
+        );
+
+        let mut warm = Vec::with_capacity(cold.len());
+        let before = allocs_on_this_thread();
+        encode_bucket_into(&mut warm, parts());
+        assert_eq!(allocs_on_this_thread() - before, 0, "{tensors} tensors");
+        assert_eq!(warm, cold);
+    }
+}
+
+/// A warm step of a real rank — streaming backward, encode, the collective
+/// ending over the deposit board, optimizer — allocates `base + p × buckets`
+/// times: every allocation the wire costs is per *collective* (the bucket
+/// buffer, the gathered slots, the per-bucket walk), none is per tensor in a
+/// bucket, so the count does not depend on how the plan spreads the same 4
+/// tensors over its buckets and fusing them saves `p` per collective saved.
+#[test]
+fn collective_ending_allocations_are_per_bucket_not_per_tensor() {
+    use grace::compressors::TopK;
+    use grace::core::threaded::run_threaded;
+    use grace::core::trainer::{fusion_plan, CodecTiming};
+    use grace::core::{Memory, ResidualMemory, TrainConfig};
+    use grace::nn::data::{ClassificationDataset, Task};
+    use grace::nn::models;
+    use grace::nn::network::Network;
+    use grace::nn::optim::{Momentum, Optimizer};
+    use grace::nn::Targets;
+    use std::sync::Mutex;
+
+    /// Notes the worker thread's allocation count at the top of every step.
+    struct StepMarks {
+        task: ClassificationDataset,
+        marks: Mutex<Vec<u64>>,
+    }
+    impl Task for StepMarks {
+        fn train_len(&self) -> usize {
+            self.task.train_len()
+        }
+        fn train_batch(&self, indices: &[usize]) -> (Tensor, Targets) {
+            self.marks.lock().unwrap().push(allocs_on_this_thread());
+            self.task.train_batch(indices)
+        }
+        fn quality(&self, net: &mut Network) -> f64 {
+            self.task.quality(net)
+        }
+        fn quality_name(&self) -> &'static str {
+            self.task.quality_name()
+        }
+        fn higher_is_better(&self) -> bool {
+            self.task.higher_is_better()
+        }
+    }
+
+    set_level(Level::Off);
+    let net = || models::mlp_classifier("m", 8, &[12], 2, 31);
+    // Allocations of the last (warm) step of a 1-rank run, and its buckets.
+    let warm_step = |fusion_bytes: usize| -> (u64, usize) {
+        let task = StepMarks {
+            task: ClassificationDataset::synthetic(96, 8, 2, 0.3, 31),
+            marks: Mutex::new(Vec::with_capacity(64)),
+        };
+        let mut cfg = TrainConfig::new(1, 8, 1, 31);
+        cfg.codec = CodecTiming::Free;
+        cfg.fusion_bytes = fusion_bytes;
+        cfg.telemetry = Some(Level::Off);
+        run_threaded(&cfg, &task, |_rank| {
+            (
+                net(),
+                Box::new(Momentum::new(0.05, 0.9)) as Box<dyn Optimizer>,
+                Box::new(TopK::new(0.05)) as Box<dyn Compressor>,
+                Box::new(ResidualMemory::new()) as Box<dyn Memory>,
+            )
+        });
+        let marks = task.marks.into_inner().unwrap();
+        let [.., a, b] = marks[..] else {
+            panic!("a 12-step run marks 12 steps");
+        };
+        (b - a, fusion_plan(&cfg, &mut net()).n_buckets())
+    };
+    // The 4 gradient tensors stream as 96, 8, 384 and 48 dense bytes.
+    let (split, fused_2, fused_3, fused_4) = (
+        warm_step(1),
+        warm_step(128),
+        warm_step(512),
+        warm_step(usize::MAX),
+    );
+    assert_eq!(
+        [split.1, fused_2.1, fused_3.1, fused_4.1],
+        [4, 3, 2, 1],
+        "buckets per plan"
+    );
+    let per_bucket = split.0 - fused_2.0;
+    assert!(
+        (1..=16).contains(&per_bucket),
+        "one collective fewer must save a few allocations, saved {per_bucket}"
+    );
+    assert_eq!(split.0 - fused_3.0, 2 * per_bucket, "2+1+1 → 3+1 tensors");
+    assert_eq!(split.0 - fused_4.0, 3 * per_bucket, "all 4 in one bucket");
+}

@@ -92,8 +92,10 @@ fn powersgd_allreduce_matches() {
 }
 
 /// One rank's run written out from public primitives — no session engine,
-/// no shared step loop — so `run_threaded` is checked against a reference
-/// that shares none of its orchestration.
+/// no shared step loop, no buckets: it exchanges tensor by tensor — so
+/// `run_threaded`, which ships one collective per fusion bucket, is checked
+/// at every `fusion_bytes` against a reference that shares none of its
+/// orchestration.
 fn check_against_hand_rolled_ranks(
     make_c: impl Fn(usize) -> Box<dyn Compressor> + Sync,
     make_m: impl Fn() -> Box<dyn Memory> + Sync,
@@ -101,7 +103,7 @@ fn check_against_hand_rolled_ranks(
     use grace::comm::{ClusterOptions, Collective, GatherFrames, ThreadedCluster};
     use grace::core::exchange::{average_sum, WorkerLane};
     use grace::core::payload::encode_frame;
-    use grace::core::trainer::{steps_per_epoch, worker_batch_indices};
+    use grace::core::trainer::{fusion_plan, steps_per_epoch, worker_batch_indices};
     use grace::core::{param_checksum, AggMerger, CommStrategy, Payload};
     use std::collections::HashMap;
 
@@ -157,9 +159,27 @@ fn check_against_hand_rolled_ranks(
         }
         param_checksum(&network.export_params())
     });
-    let threaded = run_threaded(&cfg, &task, |rank| (net(), opt(), make_c(rank), make_m()));
-    let want = param_checksum(&threaded.final_params);
-    assert!(sums.iter().all(|&s| s == want), "{sums:x?} vs {want:x}");
+    // The 4 gradient tensors stream as 96, 8, 384 and 48 dense bytes: one
+    // bucket each, two mixed plans, and everything in one bucket.
+    let plans = [
+        (1, 4),
+        (64, 4),
+        (128, 3),
+        (512, 2),
+        (64 << 10, 1),
+        (usize::MAX, 1),
+    ];
+    for (fusion_bytes, n_buckets) in plans {
+        let mut cfg = cfg.clone();
+        cfg.fusion_bytes = fusion_bytes;
+        assert_eq!(fusion_plan(&cfg, &mut net()).n_buckets(), n_buckets);
+        let threaded = run_threaded(&cfg, &task, |rank| (net(), opt(), make_c(rank), make_m()));
+        let want = param_checksum(&threaded.final_params);
+        assert!(
+            sums.iter().all(|&s| s == want),
+            "fusion_bytes {fusion_bytes}: {sums:x?} vs {want:x}"
+        );
+    }
 }
 
 #[test]
@@ -176,6 +196,11 @@ fn run_threaded_matches_a_hand_rolled_rank_step() {
     check_against_hand_rolled_ranks(
         |_| Box::new(TopK::new(0.05)),
         || Box::new(ResidualMemory::new()),
+    );
+    // The dense baseline: one F32 payload per tensor through all-reduce.
+    check_against_hand_rolled_ranks(
+        |_| Box::new(grace::core::NoCompression::new()),
+        || Box::new(NoMemory::new()),
     );
 }
 
