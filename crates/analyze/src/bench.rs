@@ -25,15 +25,11 @@ fn gated_metrics(bench: &str) -> &'static [&'static str] {
     match bench {
         "pipeline_overlap" => &["overlap_ratio"],
         "socket_exchange" => &["frame_efficiency"],
-        // Fraction of untraced throughput retained with full tracing on.
-        // Gated conservatively: wall-clock ratios wobble on loaded hosts,
-        // but a per-frame allocation or syscall regression craters it.
-        "trace_overhead" => &["tracing_throughput_ratio"],
-        // Fraction of recorder-off throughput retained with the always-on
-        // flight-recorder ring active (telemetry otherwise Off). The ring
-        // is lock-free and allocation-free at steady state, so a crater
-        // here means a lock or allocation crept into the record path.
-        "recorder_overhead" => &["recorder_throughput_ratio"],
+        // Fraction of store-nothing throughput retained with the always-on
+        // flight-recorder ring, and with full tracing. The bench interleaves
+        // its arms so the ratios measure the event path, not run order; a
+        // per-event allocation, lock or syscall regression craters them.
+        "telemetry_overhead" => &["recorder_throughput_ratio", "tracing_throughput_ratio"],
         // `agg_cpu_speedup` is recorded but not gated: merge wall-clock on a
         // loaded CI host is too noisy; the deterministic byte ratio is the
         // claim worth pinning.

@@ -20,8 +20,12 @@ use std::collections::BTreeMap;
 
 /// Stage-track label prefix in the trace metadata.
 pub(crate) const STAGE_PREFIX: &str = "stage: ";
-/// Step-boundary track label.
-const STEPS_TRACK: &str = "steps";
+/// Step-boundary track label (`Track::Step`).
+pub(crate) const STEPS_TRACK: &str = "steps";
+/// Name of the per-step boundary marker. The track also carries the
+/// flight recorder's per-step counter-delta instants, which are not
+/// boundaries.
+pub(crate) const STEP_MARKER: &str = "step";
 
 /// Spans and step markers extracted from one trace file.
 #[derive(Debug, Default)]
@@ -111,7 +115,9 @@ pub fn parse_trace(text: &str) -> Result<TraceData, String> {
                         .push((ts, ts + dur));
                 }
             }
-            "i" if track == STEPS_TRACK => {
+            "i" if track == STEPS_TRACK
+                && ev.get("name").and_then(Value::as_str) == Some(STEP_MARKER) =>
+            {
                 let step = ev
                     .get("args")
                     .and_then(|a| a.get("step"))
@@ -340,6 +346,12 @@ mod tests {
         )
     }
 
+    /// A flight-recorder counter delta: same track, same `step` arg, not a
+    /// step boundary.
+    fn delta(tid: u64, ts: f64, step: u64) -> String {
+        mark(tid, ts, step).replace("\"name\":\"step\"", "\"name\":\"traffic.bytes_total\"")
+    }
+
     fn doc(events: &[String]) -> String {
         format!("{{\"traceEvents\":[{}]}}", events.join(","))
     }
@@ -365,6 +377,7 @@ mod tests {
             span(1, 0.0, 40.0),
             span(4, 30.0, 60.0),
             mark(7, 100.0, 0),
+            delta(7, 101.0, 0),
             // Step 1 window [100, 200): only encode runs.
             span(1, 120.0, 30.0),
             mark(7, 200.0, 1),

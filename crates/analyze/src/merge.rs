@@ -22,14 +22,14 @@
 //! recorded arrival time of every later rank, while each client's own send
 //! timestamp is unaffected by its peers.
 
-use crate::critical::{merge as merge_intervals, overlap_len, total_len, STAGE_PREFIX};
+use crate::critical::{
+    merge as merge_intervals, overlap_len, total_len, STAGE_PREFIX, STEPS_TRACK, STEP_MARKER,
+};
 use grace_telemetry::json::{self, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// Step markers land on this track label (`Track::Step`).
-const STEPS_TRACK: &str = "steps";
 /// Merged-document track id for overlaid health-anomaly instants. Chosen
 /// outside every exporter-assigned tid (stages 1–5, buckets 6, steps 7,
 /// hub 8, lanes 16+, net 4096+) so the overlay gets its own named lane.
@@ -118,7 +118,8 @@ impl RankTrace {
         let tracks = self.track_names();
         self.events
             .iter()
-            .filter(|e| e.ph == "i" && tracks.get(&e.tid).copied() == Some(STEPS_TRACK))
+            .filter(|e| e.ph == "i" && e.name == STEP_MARKER)
+            .filter(|e| tracks.get(&e.tid).copied() == Some(STEPS_TRACK))
             .filter_map(|e| Some((e.arg_num("step")? as u64, self.rebase_us(e.ts_us))))
             .collect()
     }
@@ -688,6 +689,26 @@ mod tests {
         let hub = "{\"traceEvents\":[],\"grace\":{\"rank\":null,\"world\":2,\"clock_offset_ns\":0,\"clock_rtt_ns\":0}}";
         assert_eq!(parse_rank_trace(hub).unwrap().rank, None);
         assert!(parse_rank_trace("{\"traceEvents\":[]}").is_err());
+    }
+
+    /// The `steps` track also carries the flight recorder's counter-delta
+    /// instants (same `step` arg, a moment later); only the marker named
+    /// `step` places a step.
+    #[test]
+    fn step_marks_ignore_counter_delta_instants() {
+        let delta = mark(7, 1600.0, 0).replace("\"name\":\"step\"", "\"name\":\"comm.net.frames\"");
+        let r0 = rank_doc(
+            0,
+            0,
+            &[
+                meta(7, "steps"),
+                mark(7, 1500.0, 0),
+                delta,
+                mark(7, 2500.0, 1),
+            ],
+        );
+        let marks = parse_rank_trace(&r0).unwrap().step_marks();
+        assert_eq!(marks, BTreeMap::from([(0, 1500.0), (1, 2500.0)]));
     }
 
     #[test]

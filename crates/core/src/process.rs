@@ -120,7 +120,6 @@ pub fn run_socket_rank(
         // exists for: snapshot the last retained window before exiting.
         grace_telemetry::recorder::trigger("recorder: cluster error");
     }
-    grace_telemetry::trace::flush_thread();
     drop(metrics_server);
     let out = out?;
     Ok(RankResult {

@@ -138,9 +138,6 @@ pub(crate) fn launch(
         })
     };
     drop(metrics_server);
-    // Worker-thread trace buffers drained on thread exit (Drop); pick up
-    // anything recorded on the caller's thread too.
-    grace_telemetry::trace::flush_thread();
     let survivors = results.iter().filter(|r| r.is_ok()).count();
     let first_ok = results
         .into_iter()

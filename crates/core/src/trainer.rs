@@ -717,9 +717,6 @@ pub fn run_simulated(
     let global_step = steps.unwrap_or_else(|never| match never {});
 
     let stage_hists = engine.stage_stats().clone();
-    // Step boundaries in this mode run on the caller's thread; drain its
-    // trace buffer so an export right after the run sees every span.
-    grace_telemetry::trace::flush_thread();
     drop(metrics_server);
 
     let higher_is_better = task.higher_is_better();

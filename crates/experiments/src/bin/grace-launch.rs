@@ -365,7 +365,8 @@ fn launch_once(args: &Args, compressor_id: &str, trace_dir: Option<&Path>) -> (u
 }
 
 /// Exports the parent's (hub's) trace as `dir/hub.trace.json` and drains
-/// the sink so the next compressor's run starts from an empty timeline.
+/// the event store so the next compressor's run starts from an empty
+/// timeline.
 /// The hub *is* the reference clock, so its header offset is zero.
 fn export_hub_trace(dir: &Path, world: usize) {
     grace_telemetry::set_trace_header(Some(grace_telemetry::TraceHeader {
@@ -413,7 +414,7 @@ fn parent_main(args: &Args) -> i32 {
         if args.verify { "threaded" } else { "no" },
     );
     if args.trace_dir.is_some() {
-        // The hub threads live in this process; give them a trace sink.
+        // The hub threads live in this process; keep every event of theirs.
         grace_telemetry::set_level(grace_telemetry::Level::Trace);
     }
     println!("{:<26} {:>10} {:>10}", "method", "crc32", "quality");

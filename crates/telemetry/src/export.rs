@@ -48,8 +48,9 @@ pub struct TraceHeader {
 
 static TRACE_HEADER: Mutex<Option<TraceHeader>> = Mutex::new(None);
 
-/// Installs the header stamped onto subsequent [`export_run_to`] calls in
-/// this process. `None` clears it (the default: headerless trace).
+/// Installs the header stamped onto subsequent [`export_run_to`] calls and
+/// post-mortem bundles in this process. `None` clears it (the default:
+/// headerless trace).
 pub fn set_trace_header(header: Option<TraceHeader>) {
     *TRACE_HEADER.lock().unwrap_or_else(|e| e.into_inner()) = header;
 }
@@ -255,26 +256,34 @@ pub(crate) fn sanitize(label: &str) -> String {
     }
 }
 
-/// Writes the current trace events and metrics registry to
+/// Writes the stored trace events and the metrics registry to
 /// `<dir>/<label>.trace.json` and `<dir>/<label>.metrics.jsonl`, creating
-/// `dir` if needed. The trace sink is left untouched (use
-/// [`trace::take_events`] to drain it).
+/// `dir` if needed, with the installed [`trace_header`] (if any). The event
+/// store is left untouched (use [`trace::take_events`] to drain it).
 pub fn export_run_to(dir: impl AsRef<Path>, label: &str) -> io::Result<ExportPaths> {
-    let dir = dir.as_ref();
+    write_run(dir.as_ref(), label, trace_header().as_ref())
+}
+
+/// [`export_run_to`] with an explicit header — the one place a
+/// `*.trace.json` is written (a post-mortem bundle passes a synthesized
+/// identity header when none is installed).
+pub(crate) fn write_run(
+    dir: &Path,
+    label: &str,
+    header: Option<&TraceHeader>,
+) -> io::Result<ExportPaths> {
     fs::create_dir_all(dir)?;
     let stem = sanitize(label);
-    let events = trace::snapshot_events();
-    let snaps = metrics::snapshot_all();
     let paths = ExportPaths {
         trace: dir.join(format!("{stem}.trace.json")),
         metrics: dir.join(format!("{stem}.metrics.jsonl")),
     };
-    let header = trace_header();
+    let events = trace::snapshot_events();
+    fs::write(&paths.trace, trace_json_string_with_header(&events, header))?;
     fs::write(
-        &paths.trace,
-        trace_json_string_with_header(&events, header.as_ref()),
+        &paths.metrics,
+        metrics_jsonl_string(&metrics::snapshot_all()),
     )?;
-    fs::write(&paths.metrics, metrics_jsonl_string(&snaps))?;
     Ok(paths)
 }
 
@@ -443,15 +452,5 @@ mod tests {
     fn labels_are_sanitized() {
         assert_eq!(sanitize("bandwidth sweep/qsgd"), "bandwidth-sweep-qsgd");
         assert_eq!(sanitize(""), "run");
-    }
-
-    #[test]
-    fn export_writes_both_files() {
-        let dir = std::env::temp_dir().join("grace-telemetry-export-test");
-        let paths = export_run_to(&dir, "unit test").unwrap();
-        let trace_text = fs::read_to_string(&paths.trace).unwrap();
-        json::parse(&trace_text).unwrap();
-        let _ = fs::read_to_string(&paths.metrics).unwrap();
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -5,11 +5,11 @@
 //! compression compute overhead (§V). This crate is the single accounting
 //! path behind all of those numbers:
 //!
-//! 1. [`trace`] — a low-overhead span/event tracer. Spans are recorded into
-//!    per-thread `Vec`-backed buffers (no locks on the hot path) and drained
-//!    into a global sink at step boundaries or on thread exit. When tracing
-//!    is disabled the recording calls are branch-out no-ops that never
-//!    allocate.
+//! 1. [`trace`] — a low-overhead span/event tracer: the recording calls
+//!    (`span`, `instant`, [`StageTimer`]) and the read side
+//!    (`snapshot_events` / `take_events` / `clear`) of the one event store
+//!    in [`recorder`]. When nothing is stored the recording calls are
+//!    branch-out no-ops that never allocate.
 //! 2. [`metrics`] — a registry of counters, gauges and fixed-bucket log₂
 //!    [`Histogram`]s (per-stage latency, per-lane encode time, compression
 //!    ratio, wire bytes per step, fault injections observed).
@@ -21,9 +21,11 @@
 //! 5. [`serve`] — an opt-in live metrics endpoint (`GRACE_METRICS_ADDR`)
 //!    exposing the registry in Prometheus text format plus a `/health`
 //!    JSON view, with zero hot-path cost.
-//! 6. [`recorder`] — the black-box flight recorder: a bounded, always-on
-//!    ring of the most recent events (independent of the level) that a
-//!    trigger drains into a post-mortem bundle under `postmortem/`.
+//! 6. [`recorder`] — the one event store (pooled per-thread segments)
+//!    and the black-box flight recorder on top of it: below `Trace` a
+//!    segment is a bounded, always-on ring of the most recent events that
+//!    a trigger writes into a post-mortem bundle under `postmortem/`; at
+//!    `Trace` the same segment keeps everything.
 //!
 //! # Levels
 //!
@@ -34,11 +36,12 @@
 //!
 //! * `Off` — spans that feed structured reports (the exchange engine's
 //!   `ExchangeReport`) still *measure* time, because the reports exist at
-//!   every level; nothing is retained or aggregated, and the hot path is
-//!   allocation-free.
+//!   every level; nothing is aggregated, only the flight recorder's
+//!   bounded ring retains events (nothing at all after
+//!   `recorder::set_enabled(false)`), and the hot path is allocation-free.
 //! * `Metrics` — counters/gauges/histograms additionally aggregate.
-//! * `Trace` — individual span and instant events are additionally retained
-//!   for timeline export.
+//! * `Trace` — every span and instant event is retained for timeline
+//!   export (the ring stops overwriting and grows instead).
 //!
 //! # Example
 //!
@@ -50,7 +53,6 @@
 //!     let _span = telemetry::trace::span("compress", Track::Lane(0));
 //!     // ... work ...
 //! }
-//! telemetry::trace::flush_thread();
 //! let events = telemetry::trace::snapshot_events();
 //! assert!(events.iter().any(|e| e.name == "compress"));
 //! assert_eq!(Track::Stage(Stage::Encode).tid(), 1);
@@ -76,7 +78,8 @@ use std::time::Instant;
 /// How much the telemetry layer records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
-    /// No aggregation, no retention. Report-feeding spans still measure.
+    /// No aggregation; only the flight recorder's ring retains events.
+    /// Report-feeding spans still measure.
     Off = 0,
     /// Counters, gauges and histograms aggregate.
     Metrics = 1,
@@ -155,11 +158,11 @@ pub fn since_epoch_ns(at: Instant) -> u64 {
         .unwrap_or(0)
 }
 
-/// Serialises tests that mutate the process-global level. `trace::tests`
-/// and `metrics::tests` both flip [`set_level`] inside the same test
-/// binary; a module-local mutex lets one module's test turn telemetry off
-/// mid-window of the other's (the historical flake in
-/// `scoped_thread_events_flush_on_exit`). One crate-wide gate closes that.
+/// Serialises tests that mutate the process-global level or count what is
+/// in the process-global event store. `trace::tests`, `recorder::tests`
+/// and `metrics::tests` run inside the same test binary; a module-local
+/// mutex lets one module's test turn telemetry off, or record an event,
+/// mid-window of another's. One crate-wide gate closes that.
 #[cfg(test)]
 pub(crate) fn test_level_gate() -> std::sync::MutexGuard<'static, ()> {
     static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());

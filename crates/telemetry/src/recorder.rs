@@ -1,36 +1,46 @@
-//! Black-box flight recorder: an always-on, bounded ring of the most
-//! recent telemetry events, drained into a post-mortem bundle on a
-//! trigger.
+//! The one event store — pooled per-thread segments holding every span and
+//! instant the process retains — and the black-box flight recorder that
+//! writes them into a post-mortem bundle on a trigger.
 //!
-//! Tracing ([`crate::Level::Trace`]) retains *everything* and is therefore
-//! opt-in; the recorder instead retains only the most recent events inside
-//! a fixed byte budget (4 MiB per rank) so it can stay on for every run —
-//! including `Level::Off` production runs — without growing memory or
-//! allocating on the hot path. When a run dies
-//! (anomaly trip, injected fault, `ClusterError` in a socket rank) the
-//! seconds *leading up to* the failure are exactly what the exported-at-
-//! clean-exit trace loses; the recorder preserves them.
+//! The level and the recorder gate decide only *how much* a segment keeps:
+//!
+//! | level / recorder  | on (default) | off ([`set_enabled`]`(false)`) |
+//! |-------------------|--------------|--------------------------------|
+//! | `Off` / `Metrics` | bounded ring | nothing                        |
+//! | `Trace`           | everything   | everything                     |
+//!
+//! The ring retains only the most recent events inside a fixed byte budget
+//! (4 MiB per rank) so it can stay on for every run — including
+//! `Level::Off` production runs — without growing memory or allocating on
+//! the hot path. When a run dies (anomaly trip, injected fault,
+//! `ClusterError` in a socket rank) the seconds *leading up to* the
+//! failure are exactly what the exported-at-clean-exit trace loses; the
+//! ring preserves them. Under `Level::Trace` the same segment stops
+//! overwriting and grows, and [`crate::trace::take_events`] /
+//! [`crate::export::export_run_to`] read the whole run out of it.
 //!
 //! # Architecture
 //!
 //! * **Per-thread SPSC segments.** Each recording thread owns one
-//!   [`Segment`]: a fixed-capacity ring of [`TraceEvent`] slots guarded by
-//!   a `Mutex` that the owning thread only ever `try_lock`s. In steady
-//!   state the lock is uncontended — one atomic CAS per event, no
-//!   syscall, no allocation. The only other contender is a dump draining
-//!   the ring; during that instant the producer *drops* the event rather
-//!   than block (a flight recorder must never stall the plane).
+//!   [`Segment`]: a pre-sized ring of [`TraceEvent`]s guarded by a `Mutex`
+//!   that the owning thread `try_lock`s. In steady state the lock is
+//!   uncontended — one atomic CAS per event, no syscall, no allocation.
+//!   The only other contender is a reader copying the segment out; during
+//!   that instant a ring-mode producer *drops* the event rather than
+//!   block (a flight recorder must never stall the plane), while a traced
+//!   producer waits (a trace must not lose one).
 //! * **Segment pool.** Worker lanes run on short-lived scoped threads
 //!   (fresh threads every step), so segments are pooled: a thread acquires
 //!   a segment lazily on first record and its TLS destructor returns it to
-//!   the free list with contents intact. Allocation is bounded by the peak
-//!   number of *concurrent* recording threads (hard-capped at
-//!   [`MAX_SEGMENTS`]), not by thread churn, and late events from a
-//!   returned segment survive into the dump.
+//!   the free list with contents intact. Every segment stays registered in
+//!   the pool, so a read sees all threads' events at any time, exited
+//!   threads' included. Ring allocation is bounded by the peak number of
+//!   *concurrent* recording threads (hard-capped at [`MAX_SEGMENTS`]), not
+//!   by thread churn; a traced run allocates past the cap and
+//!   [`crate::trace::clear`] hands the excess back.
 //! * **Ring sizing.** [`BUDGET_BYTES`]` / 16 / size_of::<TraceEvent>()`
 //!   slots per segment: the budget is honoured at the sizing target of 16
 //!   concurrent threads and scales proportionally beyond it.
-//!   [`set_enabled`]`(false)` turns the recorder off entirely.
 //!
 //! # Triggers
 //!
@@ -43,26 +53,27 @@
 //!
 //! [`trigger`] is latched: the first trip dumps, later trips are ignored
 //! (the interesting state is what led to the *first* failure). On-demand
-//! [`dump`]s are not latched.
+//! [`dump`]s are not latched, and no dump removes an event from the store.
 //!
 //! # Bundle layout
 //!
 //! `postmortem/<run_tag>/rank<k>.{trace.json,metrics.jsonl,health.jsonl}`
-//! (or directly under `GRACE_POSTMORTEM_DIR` when set). The trace carries
-//! the same `"grace"` clock-offset header as a clean-exit export, so rank
-//! bundles merge onto the hub clock with the existing tooling.
+//! (or directly under `GRACE_POSTMORTEM_DIR` when set). The first two are
+//! an [`crate::export::export_run_to`] of that instant, with the same
+//! `"grace"` clock-offset header as a clean-exit export, so rank bundles
+//! merge onto the hub clock with the existing tooling.
 
 use crate::export::{self, sanitize};
 use crate::metrics::{self, Counter};
-use crate::since_epoch_ns;
-use crate::trace::{EventKind, Stage, TraceEvent, Track};
+use crate::trace::{self, Stage, TraceEvent, Track};
+use crate::{enabled, Level};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::Instant;
 
 /// Ring budget: ~4 MiB/rank.
 const BUDGET_BYTES: usize = 4 << 20;
@@ -95,25 +106,13 @@ const WATCHED_COUNTERS: &[&str] = &[
     "net.retransmit_bytes_total",
 ];
 
-/// Sentinel filling unwritten ring slots; never observable in a drain
-/// (drains stop at the write head).
-const SENTINEL: TraceEvent = TraceEvent {
-    name: "",
-    track: Track::Step,
-    ts_ns: 0,
-    dur_ns: 0,
-    kind: EventKind::Instant,
-    arg: None,
-    arg2: None,
-};
-
 // ---------------------------------------------------------------------------
 // Enablement
 // ---------------------------------------------------------------------------
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Fast gate: is the recorder retaining events? On by default; off after
+/// Fast gate: is the flight recorder on? On by default; off after
 /// [`set_enabled`]`(false)`.
 #[inline]
 pub fn active() -> bool {
@@ -126,68 +125,68 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-// ---------------------------------------------------------------------------
-// Ring segments + pool
-// ---------------------------------------------------------------------------
-
-struct Ring {
-    slots: Box<[TraceEvent]>,
-    /// Total events ever written; the next write lands at `head % cap`.
-    head: u64,
+/// Fast gate: would an event built now be stored anywhere? The recording
+/// front doors in [`crate::trace`] skip the clock read when not.
+#[inline]
+pub(crate) fn retains() -> bool {
+    active() || enabled(Level::Trace)
 }
 
-/// One thread's ring. The owner `try_lock`s (uncontended in steady state);
-/// a dump `lock`s briefly to drain.
-struct Segment {
-    ring: Mutex<Ring>,
-}
+// ---------------------------------------------------------------------------
+// Segments + pool
+// ---------------------------------------------------------------------------
+
+/// One thread's events, oldest first: a ring of [`SEGMENT_SLOTS`] while the
+/// level is below `Trace`, a growing log while it is `Trace`. The owner
+/// `try_lock`s (uncontended in steady state); a reader `lock`s briefly to
+/// copy it out.
+struct Segment(Mutex<VecDeque<TraceEvent>>);
 
 impl Segment {
-    fn with_capacity(cap: usize) -> Segment {
-        Segment {
-            ring: Mutex::new(Ring {
-                slots: vec![SENTINEL; cap].into_boxed_slice(),
-                head: 0,
-            }),
-        }
+    fn new() -> Segment {
+        Segment(Mutex::new(VecDeque::with_capacity(SEGMENT_SLOTS)))
     }
 
-    fn record(&self, ev: TraceEvent) {
-        // Contended only while a dump drains this ring; dropping the event
-        // there keeps the producer wait-free.
-        if let Ok(mut r) = self.ring.try_lock() {
-            let cap = r.slots.len() as u64;
-            let idx = (r.head % cap) as usize;
-            r.slots[idx] = ev;
-            r.head += 1;
-        }
+    fn lock(&self) -> MutexGuard<'_, VecDeque<TraceEvent>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn drain_into(&self, out: &mut Vec<TraceEvent>) {
-        let r = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        let cap = r.slots.len() as u64;
-        if r.head <= cap {
-            out.extend_from_slice(&r.slots[..r.head as usize]);
-        } else {
-            let at = (r.head % cap) as usize;
-            out.extend_from_slice(&r.slots[at..]);
-            out.extend_from_slice(&r.slots[..at]);
+    fn record(&self, ev: TraceEvent, keep_all: bool) {
+        // Contended only while a reader copies this ring. Dropping the
+        // event there keeps a ring-mode producer wait-free; a trace may
+        // not lose an event, so a traced producer waits the copy out.
+        let mut ring = match self.0.try_lock() {
+            Ok(ring) => ring,
+            Err(_) if keep_all => self.lock(),
+            Err(_) => return,
+        };
+        // Below `Trace` the oldest event makes room (one for one, also in
+        // a segment a fallen level left longer than a ring), so the push
+        // stays inside the reserved capacity and never allocates.
+        if !keep_all && ring.len() >= SEGMENT_SLOTS {
+            ring.pop_front();
         }
+        ring.push_back(ev);
     }
+}
 
-    fn clear(&self) {
-        self.ring.lock().unwrap_or_else(|e| e.into_inner()).head = 0;
-    }
+/// Empties a segment and gives back what it grew by under `Trace`.
+fn clear(ring: &mut VecDeque<TraceEvent>) {
+    ring.clear();
+    ring.shrink_to(SEGMENT_SLOTS);
 }
 
 struct Pool {
-    /// Every segment ever allocated — dumps drain all of them, so events
-    /// recorded by since-exited threads still make it into the bundle.
+    /// Every live segment — readers visit all of them, so events recorded
+    /// by since-exited threads are still there to read.
     all: Vec<Arc<Segment>>,
     /// Segments returned by exited threads, ready for reuse.
     free: Vec<Arc<Segment>>,
 }
 
+/// The bookkeeping vectors are pre-sized: left to grow, their small blocks
+/// land between the 256 KiB segments and fragment the allocator's arena
+/// (measured: +0.75 MB peak RSS on the `solo-dense` benchmark workload).
 fn pool() -> &'static Mutex<Pool> {
     static POOL: OnceLock<Mutex<Pool>> = OnceLock::new();
     POOL.get_or_init(|| {
@@ -202,21 +201,22 @@ fn lock_pool() -> MutexGuard<'static, Pool> {
     pool().lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn acquire_segment() -> Option<Arc<Segment>> {
+/// `keep_all` lifts the cap: it bounds ring memory, not a trace.
+fn acquire_segment(keep_all: bool) -> Option<Arc<Segment>> {
     let mut p = lock_pool();
     if let Some(seg) = p.free.pop() {
         return Some(seg);
     }
-    if p.all.len() >= MAX_SEGMENTS {
+    if p.all.len() >= MAX_SEGMENTS && !keep_all {
         return None;
     }
-    let seg = Arc::new(Segment::with_capacity(SEGMENT_SLOTS));
+    let seg = Arc::new(Segment::new());
     p.all.push(Arc::clone(&seg));
     Some(seg)
 }
 
 /// Returns the thread's segment to the free list on thread exit. Contents
-/// stay drainable via `Pool::all`.
+/// stay readable via `Pool::all`.
 struct SegmentHandle(Arc<Segment>);
 
 impl Drop for SegmentHandle {
@@ -229,7 +229,8 @@ enum Slot {
     /// Thread has not recorded yet.
     Unset,
     Active(SegmentHandle),
-    /// Pool is at [`MAX_SEGMENTS`]; this thread records nothing.
+    /// Pool was at [`MAX_SEGMENTS`]; this thread records nothing below
+    /// `Trace`.
     Exhausted,
 }
 
@@ -237,38 +238,56 @@ thread_local! {
     static SLOT: RefCell<Slot> = const { RefCell::new(Slot::Unset) };
 }
 
-/// Records one event into this thread's ring (no-op when inactive).
-/// After the first call on a thread — which may acquire/allocate a pooled
-/// segment — the path is allocation-free and wait-free.
+/// Stores one event in this thread's segment; callers have checked
+/// [`retains`]. After the first call on a thread — which may
+/// acquire/allocate a pooled segment — the path below `Trace` is
+/// allocation-free and wait-free.
 #[inline]
 pub(crate) fn record(ev: TraceEvent) {
-    if !active() {
-        return;
-    }
+    let keep_all = enabled(Level::Trace);
     // `try_with` so late events during TLS teardown degrade to drops.
     let _ = SLOT.try_with(|s| {
         let mut s = s.borrow_mut();
-        if matches!(&*s, Slot::Unset) {
-            *s = match acquire_segment() {
+        if !matches!(&*s, Slot::Active(_)) && (keep_all || matches!(&*s, Slot::Unset)) {
+            *s = match acquire_segment(keep_all) {
                 Some(seg) => Slot::Active(SegmentHandle(seg)),
                 None => Slot::Exhausted,
             };
         }
         if let Slot::Active(h) = &*s {
-            h.0.record(ev);
+            h.0.record(ev, keep_all);
         }
     });
 }
 
-fn drain_events() -> Vec<TraceEvent> {
-    let mut out = Vec::new();
-    let p = lock_pool();
-    for seg in &p.all {
-        seg.drain_into(&mut out);
+/// Every stored event, sorted by completion time (stable, so one thread's
+/// events keep their recording order); `take` also removes them, each
+/// segment under the same lock hold that copied it.
+pub(crate) fn events(take: bool) -> Vec<TraceEvent> {
+    let mut out: Vec<TraceEvent> = Vec::new();
+    for seg in &lock_pool().all {
+        let mut ring = seg.lock();
+        out.extend(ring.iter());
+        if take {
+            clear(&mut ring);
+        }
     }
-    drop(p);
-    out.sort_by_key(|e| e.ts_ns);
+    out.sort_by_key(|e| e.ts_ns + e.dur_ns);
     out
+}
+
+/// Discards every stored event, returns grown segments to ring size and
+/// hands back the segments a traced run allocated past [`MAX_SEGMENTS`]
+/// whose threads have exited.
+pub(crate) fn clear_events() {
+    let mut p = lock_pool();
+    for seg in &p.all {
+        clear(&mut seg.lock());
+    }
+    while p.all.len() > MAX_SEGMENTS {
+        let Some(seg) = p.free.pop() else { break };
+        p.all.retain(|s| !Arc::ptr_eq(s, &seg));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -378,25 +397,21 @@ fn watchlist() -> &'static Mutex<Vec<Watch>> {
 /// step from the rank's step-driving thread; after the first call the
 /// steady state is allocation-free.
 pub fn observe_step(step: u64) {
-    if !active() {
+    if !retains() {
         return;
     }
-    let now_ns = since_epoch_ns(Instant::now());
     let mut watch = watchlist().lock().unwrap_or_else(|e| e.into_inner());
     for w in watch.iter_mut() {
         let now = w.counter.get();
         let delta = now.saturating_sub(w.last);
         w.last = now;
         if delta > 0 {
-            record(TraceEvent {
-                name: w.name,
-                track: Track::Step,
-                ts_ns: now_ns,
-                dur_ns: 0,
-                kind: EventKind::Instant,
-                arg: Some(("step", step)),
-                arg2: Some(("delta", delta)),
-            });
+            trace::instant_args(
+                w.name,
+                Track::Step,
+                Some(("step", step)),
+                Some(("delta", delta)),
+            );
         }
     }
 }
@@ -420,15 +435,7 @@ pub fn trigger(reason: &'static str) {
     if !active() {
         return;
     }
-    record(TraceEvent {
-        name: reason,
-        track: Track::Stage(Stage::Fault),
-        ts_ns: since_epoch_ns(Instant::now()),
-        dur_ns: 0,
-        kind: EventKind::Instant,
-        arg: None,
-        arg2: None,
-    });
+    trace::instant(reason, Track::Stage(Stage::Fault));
     if TRIPPED.swap(true, Ordering::SeqCst) {
         return;
     }
@@ -447,17 +454,16 @@ fn bundle_dir(run_tag: &str) -> PathBuf {
     }
 }
 
-/// Drains the ring into a self-contained bundle
+/// Writes the stored events into a self-contained bundle
 /// (`rank<k>.{trace.json,metrics.jsonl,health.jsonl}`) and returns its
-/// directory. On-demand — not latched; callable any number of times.
+/// directory. On-demand — not latched; callable any number of times, and
+/// the events stay in the store.
 pub fn dump() -> io::Result<PathBuf> {
     let (rank, run_tag) = {
         let id = IDENTITY.lock().unwrap_or_else(|e| e.into_inner());
         (id.rank.unwrap_or(0), id.run_tag.clone())
     };
     let dir = bundle_dir(&run_tag);
-    fs::create_dir_all(&dir)?;
-    let events = drain_events();
     // Single-process modes never learn a hub-clock offset; synthesize an
     // identity header so the merge tool still accepts the bundle.
     let header = export::trace_header().unwrap_or(export::TraceHeader {
@@ -466,14 +472,7 @@ pub fn dump() -> io::Result<PathBuf> {
         clock_offset_ns: 0,
         clock_rtt_ns: 0,
     });
-    fs::write(
-        dir.join(format!("rank{rank}.trace.json")),
-        export::trace_json_string_with_header(&events, Some(&header)),
-    )?;
-    fs::write(
-        dir.join(format!("rank{rank}.metrics.jsonl")),
-        export::metrics_jsonl_string(&metrics::snapshot_all()),
-    )?;
+    export::write_run(&dir, &format!("rank{rank}"), Some(&header))?;
     fs::write(
         dir.join(format!("rank{rank}.health.jsonl")),
         health_jsonl_string(rank, &run_tag),
@@ -481,17 +480,13 @@ pub fn dump() -> io::Result<PathBuf> {
     Ok(dir)
 }
 
-/// Test/bench hook: unlatches triggers, empties every pooled ring and the
-/// anomaly buffer, and re-bases counter deltas on the counters' current
-/// values (call after `metrics::reset_all()` for a fully clean slate).
+/// Test/bench hook: unlatches triggers, empties the event store
+/// ([`crate::trace::clear`]) and the anomaly buffer, and re-bases counter
+/// deltas on the counters' current values (call after
+/// `metrics::reset_all()` for a fully clean slate).
 pub fn reset() {
     TRIPPED.store(false, Ordering::SeqCst);
-    {
-        let p = lock_pool();
-        for seg in &p.all {
-            seg.clear();
-        }
-    }
+    clear_events();
     anomalies()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
@@ -505,6 +500,9 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::set_level;
+    use crate::trace::EventKind;
+    use std::sync::Barrier;
 
     fn ev(name: &'static str, ts_ns: u64) -> TraceEvent {
         TraceEvent {
@@ -518,48 +516,109 @@ mod tests {
         }
     }
 
+    /// While a reader holds a segment, a ring-mode producer drops the
+    /// event instead of waiting, and a traced producer waits instead of
+    /// dropping.
     #[test]
-    fn ring_overwrites_oldest_and_drains_in_order() {
-        let seg = Segment::with_capacity(4);
-        for i in 0..6u64 {
-            seg.record(ev("e", i));
+    fn contended_segment_drops_in_ring_mode_and_waits_under_trace() {
+        let seg = Arc::new(Segment::new());
+        let reader = seg.lock();
+        seg.record(ev("ring", 1), false);
+        let (started, has_started) = std::sync::mpsc::channel();
+        let traced = std::thread::spawn({
+            let seg = Arc::clone(&seg);
+            move || {
+                started.send(()).expect("main thread listens");
+                seg.record(ev("trace", 2), true);
+            }
+        });
+        has_started.recv().expect("producer thread started");
+        assert!(reader.is_empty(), "nothing lands under the reader");
+        drop(reader);
+        traced.join().expect("traced producer");
+        let stored: Vec<u64> = seg.lock().iter().map(|e| e.ts_ns).collect();
+        assert_eq!(stored, vec![2]);
+    }
+
+    /// `THREADS` threads that all hold a segment at once, one event each;
+    /// returns how many events were stored. Joined, not scoped: `join`
+    /// also waits for the TLS destructors that return the segments.
+    fn record_concurrently(name: &'static str) -> usize {
+        const THREADS: usize = MAX_SEGMENTS + 6;
+        let barrier = Arc::new(Barrier::new(THREADS));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|lane| {
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    trace::instant(name, Track::Lane(lane));
+                    barrier.wait(); // nobody exits before everybody recorded
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("recording thread");
         }
-        let mut out = Vec::new();
-        seg.drain_into(&mut out);
-        // Capacity 4, 6 writes: the two oldest are gone, order retained.
-        let ts: Vec<u64> = out.iter().map(|e| e.ts_ns).collect();
-        assert_eq!(ts, vec![2, 3, 4, 5]);
-        seg.clear();
-        out.clear();
-        seg.drain_into(&mut out);
-        assert!(out.is_empty());
+        events(false).iter().filter(|e| e.name == name).count()
     }
 
+    /// The segment cap bounds ring memory, never a trace: 70 concurrent
+    /// threads all record under `Trace`, at most `MAX_SEGMENTS` of the
+    /// same 70 under `Off`, and a clear hands the excess segments back.
     #[test]
-    fn partial_ring_drains_without_sentinels() {
-        let seg = Segment::with_capacity(8);
-        seg.record(ev("only", 42));
-        let mut out = Vec::new();
-        seg.drain_into(&mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].ts_ns, 42);
-    }
-
-    #[test]
-    fn pool_reuses_returned_segments() {
-        // Exercised indirectly: spawn several short-lived threads that all
-        // record; the pool must not grow past the concurrency level.
+    fn segment_cap_applies_to_the_ring_not_to_a_trace() {
+        let _g = crate::test_level_gate();
         set_enabled(true);
-        for _ in 0..8 {
-            std::thread::scope(|s| {
-                s.spawn(|| record(ev("pooled", 1)));
-            });
-        }
-        let p = lock_pool();
-        // Other tests in the process may hold segments; the bound here is
-        // generous but finite — churn must not leak one segment per thread.
-        assert!(p.all.len() <= MAX_SEGMENTS);
-        assert!(!p.all.is_empty());
+        set_level(Level::Trace);
+        clear_events();
+        assert_eq!(record_concurrently("cap-trace"), MAX_SEGMENTS + 6);
+        set_level(Level::Off);
+        clear_events();
+        assert!(lock_pool().all.len() <= MAX_SEGMENTS);
+        let ringed = record_concurrently("cap-off");
+        assert!((1..=MAX_SEGMENTS).contains(&ringed), "{ringed} stored");
+        assert!(lock_pool().all.len() <= MAX_SEGMENTS);
+        clear_events();
+    }
+
+    /// `Trace → Off → Trace` on one thread with a ring wrap in the middle:
+    /// nothing panics, the ring overwrote its oldest events only, what
+    /// survives is contiguous and in recording order, and a clear empties
+    /// the grown segment and returns it to its ring size.
+    #[test]
+    fn level_flips_keep_order_and_clear_restores_ring_size() {
+        let _g = crate::test_level_gate();
+        set_enabled(true);
+        clear_events();
+        let slots = SEGMENT_SLOTS as u64;
+        let mut seq = 0..;
+        let mut mark = |n: u64| {
+            for i in seq.by_ref().take(n as usize) {
+                trace::instant_arg("flip", Track::Lane(0), Some(("seq", i)));
+            }
+        };
+        set_level(Level::Trace);
+        mark(10);
+        set_level(Level::Off);
+        mark(slots + 5); // fills the ring, then overwrites the 15 oldest
+        set_level(Level::Trace);
+        mark(7); // appends to the wrapped ring and grows past it
+        let capacity = || {
+            SLOT.with(|s| match &*s.borrow() {
+                Slot::Active(h) => h.0.lock().capacity(),
+                _ => panic!("this thread recorded, it owns a segment"),
+            })
+        };
+        assert!(capacity() > SEGMENT_SLOTS);
+        let kept: Vec<u64> = events(false)
+            .iter()
+            .filter(|e| e.name == "flip")
+            .map(|e| e.arg.expect("seq arg").1)
+            .collect();
+        set_level(Level::Off);
+        assert_eq!(kept, (15..slots + 22).collect::<Vec<_>>());
+        clear_events();
+        assert_eq!(capacity(), SEGMENT_SLOTS);
+        assert!(events(false).iter().all(|e| e.name != "flip"));
     }
 
     #[test]

@@ -1,22 +1,18 @@
-//! Span/event tracer with per-thread lock-free buffers.
+//! Span/event tracer: the recording front doors and the read side of the
+//! one event store.
 //!
-//! Recording never takes a lock: events go into a thread-local `Vec` and are
-//! drained into the global sink when the buffer fills, when the thread exits
-//! (worker lanes run on short-lived scoped threads), or when the caller
-//! flushes explicitly at a step boundary. With [`crate::Level::Trace`]
-//! disabled, [`span`] and [`instant`] are branch-out no-ops that never
-//! allocate; [`StageTimer`] still measures (structured reports need the
-//! duration at every level) but retains nothing.
-//!
-//! Independently of the level, every retained-or-not event is offered to
-//! the flight [`recorder`](crate::recorder): when it is active (the
-//! default), the most recent events additionally land in its bounded ring
-//! — also allocation-free — so a post-mortem bundle can be drained after
-//! a failure even when full tracing was off.
+//! Every [`span`], [`instant`] and [`StageTimer`] finish builds one
+//! [`TraceEvent`] and hands it to the pooled per-thread segments in
+//! [`crate::recorder`], which keep nothing (recorder off below
+//! [`crate::Level::Trace`]), the most recent window (the always-on flight
+//! recorder ring — allocation-free, lock-free in steady state) or
+//! everything (`Level::Trace`). When nothing is kept the recording calls
+//! are branch-out no-ops that never read the clock or allocate;
+//! [`StageTimer`] still measures (structured reports need the duration at
+//! every level). [`snapshot_events`], [`take_events`] and [`clear`] read
+//! that store, and see every thread's events the moment they are recorded.
 
-use crate::{enabled, since_epoch_ns, Level};
-use std::cell::RefCell;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use crate::{recorder, since_epoch_ns};
 use std::time::Instant;
 
 /// The pipeline stages that get a dedicated timeline track (in addition to
@@ -141,98 +137,51 @@ pub struct TraceEvent {
     pub arg2: Option<(&'static str, u64)>,
 }
 
-/// Thread-local buffer size at which events are drained to the sink.
-const FLUSH_AT: usize = 4096;
-
-fn sink() -> &'static Mutex<Vec<TraceEvent>> {
-    static SINK: OnceLock<Mutex<Vec<TraceEvent>>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn lock_sink() -> MutexGuard<'static, Vec<TraceEvent>> {
-    sink().lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Per-thread buffer; drains itself into the sink on thread exit so events
-/// from short-lived scoped lane threads are never lost.
-struct ThreadBuf(Vec<TraceEvent>);
-
-impl Drop for ThreadBuf {
-    fn drop(&mut self) {
-        if !self.0.is_empty() {
-            lock_sink().append(&mut self.0);
-        }
-    }
-}
-
-thread_local! {
-    static BUF: RefCell<ThreadBuf> = const { RefCell::new(ThreadBuf(Vec::new())) };
-}
-
-fn push(ev: TraceEvent) {
-    // `try_with` so recording during thread teardown (after the TLS
-    // destructor ran) degrades to dropping the event instead of panicking.
-    let _ = BUF.try_with(|b| {
-        let mut b = b.borrow_mut();
-        b.0.push(ev);
-        if b.0.len() >= FLUSH_AT {
-            lock_sink().append(&mut b.0);
-        }
+/// Builds the event and stores it; callers have checked
+/// [`recorder::retains`] (before reading the clock, where they read one).
+#[inline]
+fn emit(
+    kind: EventKind,
+    name: &'static str,
+    track: Track,
+    start: Instant,
+    dur_ns: u64,
+    args: [Option<(&'static str, u64)>; 2],
+) {
+    recorder::record(TraceEvent {
+        name,
+        track,
+        ts_ns: since_epoch_ns(start),
+        dur_ns,
+        kind,
+        arg: args[0],
+        arg2: args[1],
     });
 }
 
-/// Whether an event built now would be retained anywhere: the trace sink
-/// (under [`Level::Trace`]) or the flight recorder's ring.
-#[inline]
-fn should_retain() -> bool {
-    enabled(Level::Trace) || crate::recorder::active()
-}
-
-/// Routes one event to every active consumer: the per-thread trace buffer
-/// when tracing is enabled, and the flight recorder's ring when it is
-/// active (the recorder re-checks its own gate).
-#[inline]
-fn retain(ev: TraceEvent) {
-    if enabled(Level::Trace) {
-        push(ev);
-    }
-    crate::recorder::record(ev);
-}
-
-/// Drains this thread's buffer into the global sink. Call at step
-/// boundaries on long-lived threads; scoped lane threads flush on exit.
-pub fn flush_thread() {
-    let _ = BUF.try_with(|b| {
-        let mut b = b.borrow_mut();
-        if !b.0.is_empty() {
-            lock_sink().append(&mut b.0);
-        }
-    });
-}
-
-/// Copies every event drained so far (flushes the calling thread first).
+/// Copies every stored event — all threads', exited ones included — in
+/// completion order (per thread: recording order).
 pub fn snapshot_events() -> Vec<TraceEvent> {
-    flush_thread();
-    lock_sink().clone()
+    recorder::events(false)
 }
 
-/// Removes and returns every event drained so far (flushes the calling
-/// thread first).
+/// Removes and returns every stored event, ordered as
+/// [`snapshot_events`].
 pub fn take_events() -> Vec<TraceEvent> {
-    flush_thread();
-    std::mem::take(&mut *lock_sink())
+    recorder::events(true)
 }
 
-/// Discards all buffered events on this thread and in the sink.
+/// Discards every stored event and returns segments that grew under
+/// `Level::Trace` to their ring size.
 pub fn clear() {
-    let _ = BUF.try_with(|b| b.borrow_mut().0.clear());
-    lock_sink().clear();
+    recorder::clear_events();
 }
 
-/// Records a point-in-time marker (no-op unless tracing is enabled).
+/// Records a point-in-time marker (no-op when nothing is stored: recorder
+/// off and level below `Trace`).
 #[inline]
 pub fn instant(name: &'static str, track: Track) {
-    instant_arg(name, track, None);
+    instant_args(name, track, None, None);
 }
 
 /// Records a point-in-time marker with one small argument.
@@ -249,26 +198,19 @@ pub fn instant_args(
     arg: Option<(&'static str, u64)>,
     arg2: Option<(&'static str, u64)>,
 ) {
-    if !should_retain() {
-        return;
+    if recorder::retains() {
+        let now = Instant::now();
+        emit(EventKind::Instant, name, track, now, 0, [arg, arg2]);
     }
-    retain(TraceEvent {
-        name,
-        track,
-        ts_ns: since_epoch_ns(Instant::now()),
-        dur_ns: 0,
-        kind: EventKind::Instant,
-        arg,
-        arg2,
-    });
 }
 
-/// Opens a span closed by the guard's `Drop`. When tracing is disabled the
-/// guard is inert: no clock read, no allocation.
+/// Opens a span closed by the guard's `Drop`. When nothing is stored
+/// (recorder off and level below `Trace`) the guard is inert: no clock
+/// read, no allocation.
 #[inline]
 pub fn span(name: &'static str, track: Track) -> SpanGuard {
-    let start = should_retain().then(Instant::now);
-    SpanGuard { name, track, start }
+    let timer = recorder::retains().then(StageTimer::start);
+    SpanGuard { name, track, timer }
 }
 
 /// Guard returned by [`span`]; records the event when dropped.
@@ -276,28 +218,21 @@ pub fn span(name: &'static str, track: Track) -> SpanGuard {
 pub struct SpanGuard {
     name: &'static str,
     track: Track,
-    start: Option<Instant>,
+    timer: Option<StageTimer>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
-            retain(TraceEvent {
-                name: self.name,
-                track: self.track,
-                ts_ns: since_epoch_ns(start),
-                dur_ns: start.elapsed().as_nanos() as u64,
-                kind: EventKind::Span,
-                arg: None,
-                arg2: None,
-            });
+        if let Some(timer) = self.timer {
+            timer.finish(self.name, self.track);
         }
     }
 }
 
 /// A timer that **always** measures — structured reports
 /// (`ExchangeReport`) are built from its return value at every telemetry
-/// level — and additionally retains a span event when tracing is enabled.
+/// level — and additionally records a span event whenever events are
+/// stored (flight recorder on, or `Level::Trace`).
 ///
 /// This is the single accounting path the exchange engine uses: timings in
 /// reports and spans on the timeline come from the same clock reads and can
@@ -316,42 +251,32 @@ impl StageTimer {
         }
     }
 
-    /// Stops the timer, returning elapsed nanoseconds; retains a span on
-    /// `track` when tracing is enabled.
     #[inline]
-    pub fn finish(self, name: &'static str, track: Track) -> u64 {
+    fn finish_args(
+        self,
+        name: &'static str,
+        track: Track,
+        args: [Option<(&'static str, u64)>; 2],
+    ) -> u64 {
         let dur_ns = self.start.elapsed().as_nanos() as u64;
-        if should_retain() {
-            retain(TraceEvent {
-                name,
-                track,
-                ts_ns: since_epoch_ns(self.start),
-                dur_ns,
-                kind: EventKind::Span,
-                arg: None,
-                arg2: None,
-            });
+        if recorder::retains() {
+            emit(EventKind::Span, name, track, self.start, dur_ns, args);
         }
         dur_ns
     }
 
+    /// Stops the timer, returning elapsed nanoseconds; records a span on
+    /// `track` when events are stored.
+    #[inline]
+    pub fn finish(self, name: &'static str, track: Track) -> u64 {
+        self.finish_args(name, track, [None; 2])
+    }
+
     /// Like [`finish`](Self::finish) with one small argument attached to
-    /// the retained span.
+    /// the recorded span.
     #[inline]
     pub fn finish_with(self, name: &'static str, track: Track, key: &'static str, val: u64) -> u64 {
-        let dur_ns = self.start.elapsed().as_nanos() as u64;
-        if should_retain() {
-            retain(TraceEvent {
-                name,
-                track,
-                ts_ns: since_epoch_ns(self.start),
-                dur_ns,
-                kind: EventKind::Span,
-                arg: Some((key, val)),
-                arg2: None,
-            });
-        }
-        dur_ns
+        self.finish_args(name, track, [Some((key, val)), None])
     }
 
     /// Like [`finish`](Self::finish) with two small arguments — the wire
@@ -365,29 +290,19 @@ impl StageTimer {
         arg: (&'static str, u64),
         arg2: (&'static str, u64),
     ) -> u64 {
-        let dur_ns = self.start.elapsed().as_nanos() as u64;
-        if should_retain() {
-            retain(TraceEvent {
-                name,
-                track,
-                ts_ns: since_epoch_ns(self.start),
-                dur_ns,
-                kind: EventKind::Span,
-                arg: Some(arg),
-                arg2: Some(arg2),
-            });
-        }
-        dur_ns
+        self.finish_args(name, track, [Some(arg), Some(arg2)])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::set_level;
+    use crate::{set_level, Level};
+    use std::sync::MutexGuard;
 
-    /// Tests in this module mutate the global level; serialise them against
-    /// every other level-flipping test in the crate, not just this module.
+    /// Tests in this module mutate the global level and read the global
+    /// event store; serialise them against every other test in the crate
+    /// that does either, not just this module.
     fn serial() -> MutexGuard<'static, ()> {
         crate::test_level_gate()
     }
@@ -413,19 +328,26 @@ mod tests {
         assert_eq!(events[2].kind, EventKind::Instant);
     }
 
+    /// The retention table's `Off` row: nothing with the recorder off, the
+    /// ring with it on.
     #[test]
-    fn disabled_recording_retains_nothing() {
+    fn off_level_stores_only_what_the_recorder_keeps() {
         let _g = serial();
         set_level(Level::Off);
-        clear();
-        {
-            let _s = span("ghost", Track::Lane(0));
+        for (recorder_on, kept) in [(true, 3), (false, 0)] {
+            recorder::set_enabled(recorder_on);
+            clear();
+            {
+                let _s = span("ghost", Track::Lane(0));
+            }
+            instant("ghost", Track::Lane(0));
+            let t = StageTimer::start();
+            let ns = t.finish("measured", Track::Stage(Stage::Encode));
+            let _ = ns; // duration is still real
+            assert_eq!(snapshot_events().len(), kept, "recorder on: {recorder_on}");
         }
-        instant("ghost", Track::Lane(0));
-        let t = StageTimer::start();
-        let ns = t.finish("measured", Track::Stage(Stage::Encode));
-        let _ = ns; // duration is still real
-        assert!(snapshot_events().is_empty());
+        recorder::set_enabled(true);
+        clear();
     }
 
     #[test]
@@ -444,8 +366,11 @@ mod tests {
         assert_eq!(events[0].arg, Some(("bytes", 7)));
     }
 
+    /// A scoped thread's span is in the store — registered in the pool, not
+    /// parked in the thread — the moment `scope` returns; no flush, no TLS
+    /// teardown to wait for.
     #[test]
-    fn scoped_thread_events_flush_on_exit() {
+    fn scoped_thread_events_are_stored_when_scope_returns() {
         let _g = serial();
         set_level(Level::Trace);
         clear();
@@ -454,26 +379,12 @@ mod tests {
                 let _sp = span("lane-work", Track::Lane(3));
             });
         });
-        // `scope` returns once the closure finished, but the spawned
-        // thread's TLS teardown — where `ThreadBuf::drop` drains into the
-        // sink — can still be in flight for a moment. Poll instead of
-        // racing it, and filter by the unique name so unrelated events
-        // recorded elsewhere in the process can't disturb the count.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let lane = loop {
-            let lane: Vec<TraceEvent> = snapshot_events()
-                .into_iter()
-                .filter(|e| e.name == "lane-work")
-                .collect();
-            if !lane.is_empty() || std::time::Instant::now() >= deadline {
-                break lane;
-            }
-            std::thread::yield_now();
-        };
+        let events = snapshot_events();
         set_level(Level::Off);
         clear();
-        assert_eq!(lane.len(), 1);
-        assert_eq!(lane[0].track, Track::Lane(3));
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].name, "lane-work");
+        assert_eq!(events[0].track, Track::Lane(3));
     }
 
     #[test]

@@ -110,7 +110,6 @@ fn trace_enabled_run_matches_goldens() {
         |_w| Box::new(TopK::new(0.05)),
         || Box::new(ResidualMemory::new()),
     );
-    trace::flush_thread();
     let spans = trace::take_events();
     set_level(Level::Off);
     assert_eq!(crc, GOLDEN_TOPK, "tracing changed the trained model");

@@ -269,3 +269,61 @@ fn wedged_socket_rank_dumps_bundle_on_cluster_error() {
 
     disarm_recorder();
 }
+
+/// A traced run loses no event to a dump: while another thread dumps in a
+/// loop, a `Level::Trace` producer waits out the copy instead of dropping
+/// (the ring's never-stall rule is for the ring), and a dump never removes
+/// what it wrote. One store, one writer: a bundle and an `export_run_to`
+/// of the same instant then carry the same events byte for byte (they
+/// differ only in the header a bundle synthesizes).
+#[test]
+fn dumps_cost_a_trace_nothing_and_match_its_export() {
+    use grace::telemetry::{export, trace, Track};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = arm_recorder("dump-race");
+    recorder::configure("fr-dump-race", Some(0));
+    set_level(Level::Trace);
+    trace::clear();
+
+    const EVENTS: usize = 50_000;
+    let done = AtomicBool::new(false);
+    let dumps = std::thread::scope(|s| {
+        let dumper = s.spawn(|| {
+            let mut dumps = 0;
+            loop {
+                recorder::dump().expect("dump beside a live producer");
+                dumps += 1;
+                if done.load(Ordering::SeqCst) {
+                    break dumps;
+                }
+            }
+        });
+        for seq in 0..EVENTS {
+            trace::instant_arg("dump-race", Track::Lane(0), Some(("seq", seq as u64)));
+        }
+        done.store(true, Ordering::SeqCst);
+        dumper.join().expect("dumper")
+    });
+    recorder::dump().expect("bundle of the finished run");
+    let exported = export::export_run_to(dir.join("export"), "rank0").expect("export");
+    let kept = trace::take_events()
+        .iter()
+        .filter(|e| e.name == "dump-race")
+        .count();
+    set_level(Level::Metrics);
+
+    assert!(dumps >= 1);
+    assert_eq!(kept, EVENTS, "a dump cost the trace an event");
+    let events_of = |path: &Path| {
+        let text = std::fs::read_to_string(path).expect("trace file");
+        let end = text.find("],\"").expect("end of traceEvents");
+        text[..end].to_string()
+    };
+    let bundled = events_of(&dir.join("rank0.trace.json"));
+    assert!(bundled == events_of(&exported.trace), "bundle != export");
+    assert!(bundled.contains("\"seq\":49999"));
+    disarm_recorder();
+    let _ = std::fs::remove_dir_all(&dir);
+}
