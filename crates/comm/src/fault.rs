@@ -444,12 +444,6 @@ impl<C: Collective> Collective for FaultyCollective<C> {
         self.inner.try_allreduce_f32(data)
     }
 
-    fn try_allgather_bytes(&self, mut data: Vec<u8>) -> Result<Vec<Option<Vec<u8>>>, ClusterError> {
-        self.enter_op()?;
-        self.corrupt_outgoing(&mut data);
-        self.inner.try_allgather_bytes(data)
-    }
-
     fn try_allgather_frames(
         &self,
         mut data: Vec<u8>,
@@ -471,27 +465,6 @@ impl<C: Collective> Collective for FaultyCollective<C> {
     fn try_barrier(&self) -> Result<(), ClusterError> {
         self.enter_op()?;
         self.inner.try_barrier()
-    }
-
-    fn allreduce_f32(&self, data: Vec<f32>) -> Vec<f32> {
-        self.try_allreduce_f32(data).expect("fault injected").sum
-    }
-
-    fn allgather_bytes(&self, data: Vec<u8>) -> Vec<Vec<u8>> {
-        self.try_allgather_bytes(data)
-            .expect("fault injected")
-            .into_iter()
-            .map(|slot| slot.expect("departed worker in allgather"))
-            .collect()
-    }
-
-    fn broadcast_bytes(&self, root: usize, data: Vec<u8>) -> Vec<u8> {
-        self.try_broadcast_bytes(root, data)
-            .expect("fault injected")
-    }
-
-    fn barrier(&self) {
-        self.try_barrier().expect("fault injected");
     }
 }
 

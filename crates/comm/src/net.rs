@@ -1444,18 +1444,6 @@ impl SocketCluster {
         out.map(|header| Response { stream, header })
     }
 
-    /// Ships one all-gather request and returns `(op, response)` — the
-    /// shared front half of [`Collective::try_allgather_bytes`] and the
-    /// zero-copy [`Collective::try_allgather_frames`].
-    fn allgather_roundtrip(&self, data: &[u8]) -> Result<(u64, Response<'_>), ClusterError> {
-        let op = self.enter()?;
-        self.traffic.record(self.rank, data.len() as u64);
-        let resp = self.roundtrip(op, KIND_ALLGATHER, KIND_R_ALLGATHER, |body| {
-            body.extend_from_slice(data)
-        })?;
-        Ok((op, resp))
-    }
-
     /// Parses the round header off the front of a collective response body
     /// and returns its length: updates the live count, remembers the
     /// per-rank arrival stamps, and folds one clock sample from (local
@@ -1621,26 +1609,21 @@ impl Collective for SocketCluster {
         })
     }
 
-    fn try_allgather_bytes(&self, data: Vec<u8>) -> Result<Vec<Option<Vec<u8>>>, ClusterError> {
-        let (op, resp) = self.allgather_roundtrip(&data)?;
-        let payload = resp.payload();
-        let mut slots = Vec::new();
-        gather_slots(payload, |s| slots.push(s.map(|r| payload[r].to_vec())))
-            .map_err(|e| transport(self.rank, op, e.to_string()))?;
-        Ok(slots)
-    }
-
     /// Zero-copy all-gather: the CRC-verified response frame is swapped out
     /// of the stream's read buffer to become `frames`' backing buffer (the
     /// previous backing buffer becomes the next read buffer), and each
-    /// present rank's payload is recorded as a sub-range of it — the
-    /// per-slot `to_vec()` of the owned path never happens.
+    /// present rank's payload is recorded as a sub-range of it — no
+    /// per-slot copy ever happens.
     fn try_allgather_frames(
         &self,
         data: Vec<u8>,
         frames: &mut GatherFrames,
     ) -> Result<(), ClusterError> {
-        let (op, mut resp) = self.allgather_roundtrip(&data)?;
+        let op = self.enter()?;
+        self.traffic.record(self.rank, data.len() as u64);
+        let mut resp = self.roundtrip(op, KIND_ALLGATHER, KIND_R_ALLGATHER, |body| {
+            body.extend_from_slice(&data)
+        })?;
         frames.clear();
         // Ranges are relative to the whole read buffer: kind byte, round
         // header, then the slots.
@@ -1673,27 +1656,6 @@ impl Collective for SocketCluster {
         let op = self.enter()?;
         self.roundtrip(op, KIND_BARRIER, KIND_R_BARRIER, |_| {})?;
         Ok(())
-    }
-
-    fn allreduce_f32(&self, data: Vec<f32>) -> Vec<f32> {
-        self.try_allreduce_f32(data).expect("collective failed").sum
-    }
-
-    fn allgather_bytes(&self, data: Vec<u8>) -> Vec<Vec<u8>> {
-        self.try_allgather_bytes(data)
-            .expect("collective failed")
-            .into_iter()
-            .map(|slot| slot.expect("allgather with departed workers needs try_allgather_bytes"))
-            .collect()
-    }
-
-    fn broadcast_bytes(&self, root: usize, data: Vec<u8>) -> Vec<u8> {
-        self.try_broadcast_bytes(root, data)
-            .expect("collective failed")
-    }
-
-    fn barrier(&self) {
-        self.try_barrier().expect("collective failed");
     }
 }
 

@@ -39,39 +39,8 @@ pub use spectral::SpectralLowRank;
 pub use three_lc::ThreeLc;
 pub use variance::VarianceSparsifier;
 
-use grace_core::{
-    Compressor, CompressorClass, CompressorSpec, Memory, Nature, NoMemory, OutputSize,
-    ResidualMemory,
-};
-
-#[allow(clippy::too_many_arguments)]
-fn make_spec(
-    id: &'static str,
-    display: &'static str,
-    class: CompressorClass,
-    output_size: OutputSize,
-    nature: Nature,
-    ef_default: bool,
-    codec_cost: (f64, f64),
-    build: impl Fn(u64) -> Box<dyn Compressor> + Send + Sync + 'static,
-) -> CompressorSpec {
-    CompressorSpec {
-        id,
-        display,
-        class,
-        output_size,
-        nature,
-        ef_default,
-        ops_per_tensor: codec_cost.0,
-        ns_per_element: codec_cost.1,
-        build: Box::new(build),
-        build_memory: if ef_default {
-            Box::new(|| Box::new(ResidualMemory::new()) as Box<dyn Memory>)
-        } else {
-            Box::new(|| Box::new(NoMemory::new()) as Box<dyn Memory>)
-        },
-    }
-}
+use crate::registry::spec;
+use grace_core::{CompressorClass, CompressorSpec, Nature, OutputSize};
 
 /// The extension methods' specs (not part of the paper's implemented 16).
 pub fn extension_specs() -> Vec<CompressorSpec> {
@@ -79,7 +48,7 @@ pub fn extension_specs() -> Vec<CompressorSpec> {
     use Nature::*;
     use OutputSize::*;
     vec![
-        make_spec(
+        spec(
             "variance",
             "Variance(0.01)",
             Sparsification,
@@ -89,7 +58,7 @@ pub fn extension_specs() -> Vec<CompressorSpec> {
             (6.0, 6.0),
             |seed| Box::new(VarianceSparsifier::new(0.01, seed)),
         ),
-        make_spec(
+        spec(
             "sketchedsgd",
             "SketchedSGD(5x256)",
             Sparsification,
@@ -99,7 +68,7 @@ pub fn extension_specs() -> Vec<CompressorSpec> {
             (8.0, 12.0),
             |_| Box::new(SketchedSgd::new(5, 256, 0.01)),
         ),
-        make_spec(
+        spec(
             "threelc",
             "3LC(1.0)",
             Hybrid,
@@ -109,7 +78,7 @@ pub fn extension_specs() -> Vec<CompressorSpec> {
             (6.0, 5.0),
             |_| Box::new(ThreeLc::new(1.0)),
         ),
-        make_spec(
+        spec(
             "qsparselocal",
             "Qsparse(0.01,8)",
             Hybrid,
@@ -119,7 +88,7 @@ pub fn extension_specs() -> Vec<CompressorSpec> {
             (7.0, 6.0),
             |seed| Box::new(QsparseLocal::new(0.01, 8, seed)),
         ),
-        make_spec(
+        spec(
             "lpcsvrg",
             "LPC-SVRG(4)",
             Quantization,
@@ -129,7 +98,7 @@ pub fn extension_specs() -> Vec<CompressorSpec> {
             (5.0, 4.0),
             |seed| Box::new(LpcSvrg::new(4, seed)),
         ),
-        make_spec(
+        spec(
             "atomo",
             "ATOMO(2)",
             LowRank,
@@ -139,7 +108,7 @@ pub fn extension_specs() -> Vec<CompressorSpec> {
             (9.0, 8.0),
             |seed| Box::new(Atomo::new(2.0, 6, seed)),
         ),
-        make_spec(
+        spec(
             "ecqsgd",
             "QSGD(64)+EC",
             Quantization,
@@ -149,7 +118,7 @@ pub fn extension_specs() -> Vec<CompressorSpec> {
             (7.0, 7.0), // extra encode/decode passes over the code-words
             |seed| Box::new(EntropyCoded::new(crate::Qsgd::new(64, seed))),
         ),
-        make_spec(
+        spec(
             "spectral",
             "Spectral(4)",
             LowRank,

@@ -11,8 +11,8 @@ use crate::{
     RandomK, SignSgd, Signum, SketchMl, TernGrad, ThresholdV, TopK,
 };
 use grace_core::{
-    Compressor, CompressorClass, CompressorSpec, Memory, Nature, NoMemory, OutputSize,
-    ResidualMemory,
+    Compressor, CompressorClass, CompressorSpec, Memory, Nature, NoCompression, NoMemory,
+    OutputSize, ResidualMemory,
 };
 
 fn ef_memory() -> Box<dyn Memory> {
@@ -23,8 +23,11 @@ fn no_memory() -> Box<dyn Memory> {
     Box::new(NoMemory::new())
 }
 
+/// One registry row (core or extension): metadata, codec cost model
+/// `(ops_per_tensor, ns_per_element)`, builder, and the memory `ef_default`
+/// pairs it with.
 #[allow(clippy::too_many_arguments)]
-fn spec(
+pub(crate) fn spec(
     id: &'static str,
     display: &'static str,
     class: CompressorClass,
@@ -230,6 +233,33 @@ pub fn find(id: &str) -> Option<CompressorSpec> {
     all_specs().into_iter().find(|s| s.id == id)
 }
 
+/// Answers every compressor id a run can name: `"baseline"` (no
+/// compression, no memory, a codec that costs nothing), then the 16 core
+/// methods, then the extension methods.
+///
+/// The baseline spec is built on the spot and is deliberately not a member
+/// of [`all_specs`]: it is the thing Table I's methods are compared
+/// against, not one of them (its `class` is a placeholder nothing prints).
+pub fn resolve(id: &str) -> Option<CompressorSpec> {
+    if id == "baseline" {
+        return Some(spec(
+            "baseline",
+            "Baseline",
+            CompressorClass::Quantization,
+            OutputSize::Full,
+            Nature::Deterministic,
+            false,
+            (0.0, 0.0),
+            |_| Box::new(NoCompression::new()),
+        ));
+    }
+    find(id).or_else(|| {
+        crate::extensions::extension_specs()
+            .into_iter()
+            .find(|s| s.id == id)
+    })
+}
+
 /// Builds a fleet of `n` per-worker compressor instances (worker `i` gets
 /// seed `base_seed + i` derived streams) plus their paired memories.
 pub fn build_fleet(spec: &CompressorSpec, n_workers: usize, base_seed: u64) -> grace_core::Fleet {
@@ -338,6 +368,27 @@ mod tests {
         assert_eq!(cs.len(), 4);
         assert_eq!(ms.len(), 4);
         assert!(find("nonexistent").is_none());
+    }
+
+    #[test]
+    fn resolve_answers_every_id_a_run_can_name() {
+        let mut ids: Vec<&str> = all_specs().iter().map(|s| s.id).collect();
+        assert!(!ids.contains(&"baseline"), "baseline is not a Table I row");
+        ids.extend(crate::extensions::extension_specs().iter().map(|s| s.id));
+        ids.push("baseline");
+        for id in ids {
+            assert_eq!(resolve(id).map(|s| s.id), Some(id));
+        }
+        assert!(resolve("bogus").is_none());
+
+        let baseline = resolve("baseline").unwrap();
+        assert_eq!(
+            (baseline.ops_per_tensor, baseline.ns_per_element),
+            (0.0, 0.0)
+        );
+        let (cs, ms) = build_fleet(&baseline, 2, 1);
+        assert_eq!(cs[1].name(), "Baseline");
+        assert!(!ms[1].is_active());
     }
 
     #[test]

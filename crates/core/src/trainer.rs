@@ -75,19 +75,6 @@ impl ComputeModel {
         }
     }
 
-    /// Scales a paper-reported per-example time by the ratio of gradient
-    /// sizes, preserving the paper's compute-to-communication ratio for the
-    /// analog model.
-    pub fn scaled_from_paper(
-        paper_seconds_per_example: f64,
-        paper_params: u64,
-        analog_params: u64,
-    ) -> Self {
-        assert!(paper_params > 0, "paper parameter count must be positive");
-        let ratio = analog_params as f64 / paper_params as f64;
-        ComputeModel::new(paper_seconds_per_example * ratio)
-    }
-
     /// Modelled time for one minibatch.
     pub fn batch_seconds(&self, batch: usize) -> f64 {
         self.seconds_per_example * batch as f64
@@ -871,9 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn compute_model_scaling() {
-        let m = ComputeModel::scaled_from_paper(2.8e-3, 25_559_081, 500_000);
-        assert!((m.seconds_per_example - 2.8e-3 * 500_000.0 / 25_559_081.0).abs() < 1e-12);
+    fn compute_model_charges_per_example() {
         assert_eq!(ComputeModel::new(0.5).batch_seconds(4), 2.0);
     }
 

@@ -47,7 +47,7 @@ use grace_compressors::{extensions, registry};
 use grace_core::process::{self, param_checksum, Worker};
 use grace_core::threaded::run_threaded;
 use grace_core::trainer::{fusion_plan, steps_per_epoch, CodecTiming};
-use grace_core::{Compressor, Memory, NoCompression, NoMemory, TrainConfig};
+use grace_core::TrainConfig;
 use grace_nn::data::{ClassificationDataset, Task};
 use grace_nn::models;
 use grace_nn::network::Network;
@@ -106,22 +106,9 @@ fn parse_drop(s: &str) -> Result<(usize, u64), String> {
 fn make_worker(compressor_id: &str, world: usize, rank: usize) -> Worker {
     let net = model();
     let opt: Box<dyn Optimizer> = Box::new(Momentum::new(0.05, 0.9));
-    let (compressor, memory) = if compressor_id == "baseline" {
-        (
-            Box::new(NoCompression::new()) as Box<dyn Compressor>,
-            Box::new(NoMemory::new()) as Box<dyn Memory>,
-        )
-    } else {
-        let spec = registry::find(compressor_id)
-            .or_else(|| {
-                extensions::extension_specs()
-                    .into_iter()
-                    .find(|s| s.id == compressor_id)
-            })
-            .unwrap_or_else(|| panic!("unknown compressor id '{compressor_id}'"));
-        let (mut cs, mut ms) = registry::build_fleet(&spec, world, SEED);
-        (cs.swap_remove(rank), ms.swap_remove(rank))
-    };
+    let spec = grace_experiments::runner::resolve(compressor_id);
+    let (mut cs, mut ms) = registry::build_fleet(&spec, world, SEED);
+    let (compressor, memory) = (cs.swap_remove(rank), ms.swap_remove(rank));
     (net, opt, compressor, memory)
 }
 
@@ -395,14 +382,11 @@ fn verify_against_threaded(args: &Args, compressor_id: &str, socket_crc: u32) {
 
 fn parent_main(args: &Args) -> i32 {
     let compressors: Vec<String> = if args.compressor == "all" {
-        let mut ids = vec!["baseline".to_string()];
-        ids.extend(registry::all_specs().into_iter().map(|s| s.id.to_string()));
-        ids.extend(
-            extensions::extension_specs()
-                .into_iter()
-                .map(|s| s.id.to_string()),
-        );
-        ids
+        let specs = registry::all_specs()
+            .into_iter()
+            .chain(extensions::extension_specs());
+        let ids = std::iter::once("baseline").chain(specs.map(|s| s.id));
+        ids.map(String::from).collect()
     } else {
         vec![args.compressor.clone()]
     };
@@ -427,19 +411,15 @@ fn parent_main(args: &Args) -> i32 {
         }
         println!("{id:<26} {:>10} {quality:>10.4}", format!("{crc:08x}"));
     }
-    if args.drop.is_some() {
-        println!(
-            "all {} methods: survivors bit-identical across {} OS-process ranks (1 seeded drop)",
-            compressors.len(),
-            args.ranks
-        );
-    } else {
-        println!(
-            "all {} methods bit-identical across {} OS-process ranks",
-            compressors.len(),
-            args.ranks
-        );
-    }
+    let (who, drill) = match args.drop {
+        Some(_) => (": survivors", " (1 seeded drop)"),
+        None => ("", ""),
+    };
+    println!(
+        "all {} methods{who} bit-identical across {} OS-process ranks{drill}",
+        compressors.len(),
+        args.ranks
+    );
     0
 }
 

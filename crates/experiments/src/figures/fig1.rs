@@ -7,33 +7,30 @@
 //! baseline while 8-bit quantization is *slower than no compression* because
 //! its compute overhead exceeds its bandwidth savings at 25 Gbps.
 //!
-//! Run: `cargo run --release -p grace-experiments --bin fig1`
+//! Run: `cargo run --release -p grace-experiments --bin grace-exp -- fig1`
 
+use crate::report;
+use crate::runner::{resolve, run_specs, RunnerConfig};
+use crate::suite;
 use grace_comm::{NetworkModel, Transport};
-use grace_experiments::report;
-use grace_experiments::runner::{run_cell, RunnerConfig};
-use grace_experiments::suite;
 
-fn main() {
-    let mut rc = RunnerConfig {
+/// Prints Fig. 1's two panels and headline; writes `fig1a.csv`, `fig1b.csv`
+/// and `fig1_summary.csv`.
+pub fn run(rc: &RunnerConfig) {
+    let rc = RunnerConfig {
         network: NetworkModel::new(25.0, Transport::Tcp),
-        ..RunnerConfig::default()
+        // Fig. 1 is a convergence-vs-time plot: give the sparsifier enough
+        // iterations to cycle through coordinates (the paper trains 328
+        // epochs).
+        epoch_scale_pct: rc.epoch_scale_pct.saturating_mul(5) / 2,
+        ..*rc
     };
-    // Fig. 1 is a convergence-vs-time plot: give the sparsifier enough
-    // iterations to cycle through coordinates (the paper trains 328 epochs).
-    rc.epoch_scale_pct = rc.epoch_scale_pct.saturating_mul(5) / 2;
     let bench = suite::find("vgg16").expect("vgg16 benchmark registered");
-    let methods: [(&str, Option<&str>); 3] = [
-        ("Baseline", None),
-        ("Randk(0.01)", Some("randomk")),
-        ("8-bit", Some("eightbit")),
-    ];
-
-    let mut results = Vec::new();
-    for (label, id) in methods {
-        eprintln!("[fig1] running {label} …");
-        results.push((label, run_cell(&bench, id, &rc)));
-    }
+    let results = run_specs(
+        &bench,
+        ["baseline", "randomk", "eightbit"].map(resolve),
+        &rc,
+    );
 
     // (a) accuracy vs epochs.
     let mut rows_a = Vec::new();
@@ -45,14 +42,15 @@ fn main() {
         }
         rows_a.push(row);
     }
-    report::print_table(
+    report::publish(
         "Fig. 1(a) — Top-1 accuracy vs epochs (VGG16 analog, 8 workers, 25 Gbps)",
-        &["Epoch", "Baseline", "Randk(0.01)", "8-bit"],
-        &rows_a,
-    );
-    report::write_csv(
         "fig1a.csv",
-        &["epoch", "baseline", "randk", "eightbit"],
+        &[
+            ("Epoch", "epoch"),
+            ("Baseline", "baseline"),
+            ("Randk(0.01)", "randk"),
+            ("8-bit", "eightbit"),
+        ],
         &rows_a,
     );
 
@@ -67,44 +65,39 @@ fn main() {
             ]);
         }
     }
-    report::print_table(
+    report::publish(
         "Fig. 1(b) — Top-1 accuracy vs simulated wall-time (s)",
-        &["Method", "Sim time (s)", "Accuracy"],
+        "fig1b.csv",
+        &[
+            ("Method", "method"),
+            ("Sim time (s)", "sim_seconds"),
+            ("Accuracy", "accuracy"),
+        ],
         &rows_b,
     );
-    report::write_csv("fig1b.csv", &["method", "sim_seconds", "accuracy"], &rows_b);
 
     // Headline: time to reach a common target accuracy (the paper annotates
-    // 0.86; we use 95% of the baseline's best).
+    // 0.86; we use 93% of the baseline's best).
     let target = results[0].1.best_quality * 0.93;
     let mut summary = Vec::new();
     for (label, r) in &results {
-        let t = r
-            .history
-            .iter()
-            .find(|e| e.quality >= target)
-            .map(|e| report::fmt(e.sim_seconds, 3))
-            .unwrap_or_else(|| "never".to_string());
+        let reached = r.history.iter().find(|e| e.quality >= target);
         summary.push(vec![
             label.to_string(),
             report::fmt(target, 4),
-            t,
+            reached.map_or("never".to_string(), |e| report::fmt(e.sim_seconds, 3)),
             report::fmt(r.sim_seconds, 3),
         ]);
     }
-    report::print_table(
+    report::publish(
         "Fig. 1 headline — time to target accuracy",
-        &[
-            "Method",
-            "Target acc",
-            "Time-to-target (s)",
-            "Total sim time (s)",
-        ],
-        &summary,
-    );
-    report::write_csv(
         "fig1_summary.csv",
-        &["method", "target", "time_to_target_s", "total_s"],
+        &[
+            ("Method", "method"),
+            ("Target acc", "target"),
+            ("Time-to-target (s)", "time_to_target_s"),
+            ("Total sim time (s)", "total_s"),
+        ],
         &summary,
     );
 }

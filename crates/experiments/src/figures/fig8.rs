@@ -8,11 +8,11 @@
 //! expensive, threshold methods pay for selection scans, SketchML pays for
 //! sketch construction.
 //!
-//! Run: `cargo run --release -p grace-experiments --bin fig8 [-- --large]`
+//! Run: `cargo run --release -p grace-experiments --bin grace-exp -- fig8 [--large]`
 //! (`--large` includes the 100 MB input size).
 
+use crate::report;
 use grace_compressors::registry;
-use grace_experiments::report;
 use grace_tensor::rng::seeded;
 use grace_tensor::stats::percentile;
 use grace_tensor::{Shape, Tensor};
@@ -36,9 +36,10 @@ fn gradient_of_bytes(bytes: usize, seed: u64) -> Tensor {
     Tensor::new(data[..rows * cols].to_vec(), Shape::matrix(rows, cols))
 }
 
-fn main() {
+/// Prints Fig. 8 and writes `fig8.csv`; `large` adds the 100 MB input size.
+pub fn run(large: bool) {
     let mut sizes: Vec<(usize, &str)> = vec![(1 << 20, "1MB"), (10 << 20, "10MB")];
-    if std::env::args().any(|a| a == "--large") {
+    if large {
         sizes.push((100 << 20, "100MB"));
     }
     let mut rows = Vec::new();
@@ -64,14 +65,16 @@ fn main() {
             ]);
         }
     }
-    report::print_table(
+    report::publish(
         "Fig. 8 — compress+decompress latency (ms), 30 reps per cell",
-        &["Method", "Input", "min", "median", "max"],
-        &rows,
-    );
-    report::write_csv(
         "fig8.csv",
-        &["method", "input", "min_ms", "median_ms", "max_ms"],
+        &[
+            ("Method", "method"),
+            ("Input", "input"),
+            ("min", "min_ms"),
+            ("median", "median_ms"),
+            ("max", "max_ms"),
+        ],
         &rows,
     );
 }

@@ -16,28 +16,39 @@
 //!   the method's compression ratio. Methods without the capability
 //!   downgrade (the plan column shows what actually ran).
 //!
-//! Run: `cargo run --release -p grace-experiments --bin fig_agg`
-//! (`GRACE_SCALE=25` for a quicker pass.)
+//! Run: `cargo run --release -p grace-experiments --bin grace-exp -- fig_agg`
+//! (`--scale 25` for a quicker pass.)
 
+use crate::report;
+use crate::runner::{run_cell, RunnerConfig};
+use crate::suite;
 use grace_core::AggregationPlan;
-use grace_experiments::report;
-use grace_experiments::runner::{run_cell, RunnerConfig};
-use grace_experiments::suite;
 
 /// Gather-side methods whose merge point the plans actually move. The
 /// allreduce families (PowerSGD, SketchedSGD, …) sum payloads natively and
 /// are unaffected, so sweeping them would only pad the figure.
 const METHODS: &[&str] = &["eightbit", "topk", "qsgd", "randomk", "sketchml", "dgc"];
 
-fn main() {
-    let mut rc = RunnerConfig::default();
+const COLUMNS: [&str; 7] = [
+    "method",
+    "plan",
+    "agg_cpu_s",
+    "decode_cpu_s",
+    "merge_cpu_s",
+    "incast_bytes",
+    "quality",
+];
+
+/// Prints one table per fig6 benchmark and writes `fig_agg_<benchmark>.csv`.
+pub fn run(rc: &RunnerConfig) {
+    let mut rc = *rc;
     for bench in suite::fig6_benchmarks() {
         eprintln!("[fig_agg] {} — plans × methods …", bench.id);
         let mut table: Vec<Vec<String>> = Vec::new();
         for id in METHODS {
             for plan in AggregationPlan::ALL {
                 rc.agg_plan = plan;
-                let res = run_cell(&bench, Some(id), &rc);
+                let res = run_cell(&bench, id, &rc);
                 table.push(vec![
                     id.to_string(),
                     plan.to_string(),
@@ -49,33 +60,13 @@ fn main() {
                 ]);
             }
         }
-        report::print_table(
+        report::publish(
             &format!(
                 "Fig. AGG — {} / {} — aggregator cost per plan",
                 bench.paper_model, bench.paper_dataset
             ),
-            &[
-                "method",
-                "plan",
-                "agg_cpu_s",
-                "decode_cpu_s",
-                "merge_cpu_s",
-                "incast_bytes",
-                "quality",
-            ],
-            &table,
-        );
-        report::write_csv(
             &format!("fig_agg_{}.csv", bench.id),
-            &[
-                "method",
-                "plan",
-                "agg_cpu_s",
-                "decode_cpu_s",
-                "merge_cpu_s",
-                "incast_bytes",
-                "quality",
-            ],
+            &COLUMNS.map(|c| (c, c)),
             &table,
         );
     }

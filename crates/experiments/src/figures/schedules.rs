@@ -3,27 +3,22 @@
 //! Qsparse-local-SGD) vs compressed ring gossip (the paper's §VI "ad-hoc
 //! P2P overlays" future work).
 //!
-//! Run: `cargo run --release -p grace-experiments --bin schedules`
+//! Run: `cargo run --release -p grace-experiments --bin grace-exp -- schedules`
 
-use grace_compressors::TopK;
+use crate::report;
+use crate::runner::{custom_fleet, resolve};
+use grace_compressors::{registry, TopK};
 use grace_core::replicated::{run_gossip, run_local_sgd, ReplicatedConfig};
 use grace_core::trainer::{run_simulated, CodecTiming};
-use grace_core::{Compressor, Memory, NoCompression, NoMemory, ResidualMemory, TrainConfig};
-use grace_experiments::report;
+use grace_core::TrainConfig;
 use grace_nn::data::ClassificationDataset;
 use grace_nn::models;
 use grace_nn::network::Network;
 use grace_nn::optim::{Optimizer, Sgd};
 
-type Fleet = (Vec<Box<dyn Compressor>>, Vec<Box<dyn Memory>>);
-
 const SEED: u64 = 77;
 const WORKERS: usize = 4;
 const EPOCHS: usize = 10;
-
-fn task() -> ClassificationDataset {
-    ClassificationDataset::synthetic(640, 32, 4, 0.35, SEED)
-}
 
 fn net(_w: usize) -> Network {
     models::resnet20_analog(32, 4, SEED)
@@ -33,19 +28,9 @@ fn opt(_w: usize) -> Box<dyn Optimizer> {
     Box::new(Sgd::new(0.05))
 }
 
-fn topk_fleet(n: usize) -> Fleet {
-    (
-        (0..n)
-            .map(|_| Box::new(TopK::new(0.05)) as Box<dyn Compressor>)
-            .collect(),
-        (0..n)
-            .map(|_| Box::new(ResidualMemory::new()) as Box<dyn Memory>)
-            .collect(),
-    )
-}
-
-fn main() {
-    let t = task();
+/// Prints the schedule comparison and writes `schedules.csv`.
+pub fn run() {
+    let t = ClassificationDataset::synthetic(640, 32, 4, 0.35, SEED);
     let mut rows = Vec::new();
 
     // Synchronous baseline (Algorithm 1, no compression).
@@ -53,12 +38,7 @@ fn main() {
     let mut cfg = TrainConfig::new(WORKERS, 32, EPOCHS, SEED);
     cfg.codec = CodecTiming::Free;
     let mut o = Sgd::new(0.05);
-    let mut cs: Vec<Box<dyn Compressor>> = (0..WORKERS)
-        .map(|_| Box::new(NoCompression::new()) as Box<dyn Compressor>)
-        .collect();
-    let mut ms: Vec<Box<dyn Memory>> = (0..WORKERS)
-        .map(|_| Box::new(NoMemory::new()) as Box<dyn Memory>)
-        .collect();
+    let (mut cs, mut ms) = registry::build_fleet(&resolve("baseline"), WORKERS, SEED);
     let sync = run_simulated(&cfg, &mut sync_net, &t, &mut o, &mut cs, &mut ms);
     let steps = sync.steps as f64;
     rows.push(vec![
@@ -74,7 +54,7 @@ fn main() {
         eprintln!("[schedules] local SGD H={h} …");
         let mut rcfg = ReplicatedConfig::new(WORKERS, 32, EPOCHS, SEED);
         rcfg.sync_every = h;
-        let (mut cs, mut ms) = topk_fleet(WORKERS);
+        let (mut cs, mut ms) = custom_fleet(WORKERS, true, |_| Box::new(TopK::new(0.05)));
         let res = run_local_sgd(&rcfg, net, opt, &t, &mut cs, &mut ms);
         rows.push(vec![
             format!("Local SGD H={h} + Topk(0.05)"),
@@ -89,9 +69,7 @@ fn main() {
     eprintln!("[schedules] ring gossip …");
     let mut gcfg = ReplicatedConfig::new(WORKERS, 32, EPOCHS, SEED);
     gcfg.gossip_gamma = 0.5;
-    let mut gcs: Vec<Box<dyn Compressor>> = (0..WORKERS)
-        .map(|_| Box::new(NoCompression::new()) as Box<dyn Compressor>)
-        .collect();
+    let (mut gcs, _) = registry::build_fleet(&resolve("baseline"), WORKERS, SEED);
     let gossip = run_gossip(&gcfg, net, opt, &t, &mut gcs);
     rows.push(vec![
         "Ring gossip (γ=0.5)".to_string(),
@@ -101,25 +79,15 @@ fn main() {
         report::fmt(gossip.consensus_gap, 6),
     ]);
 
-    report::print_table(
+    report::publish(
         "Communication schedules — ResNet-20 analog, 4 workers",
-        &[
-            "Schedule",
-            "Top-1 acc",
-            "Comm rounds",
-            "Total bytes/worker",
-            "Consensus gap",
-        ],
-        &rows,
-    );
-    report::write_csv(
         "schedules.csv",
         &[
-            "schedule",
-            "accuracy",
-            "rounds",
-            "total_bytes",
-            "consensus_gap",
+            ("Schedule", "schedule"),
+            ("Top-1 acc", "accuracy"),
+            ("Comm rounds", "rounds"),
+            ("Total bytes/worker", "total_bytes"),
+            ("Consensus gap", "consensus_gap"),
         ],
         &rows,
     );

@@ -2,12 +2,13 @@
 //! gradient-compression methods, restricted (like the paper's
 //! "Implementation" column) to the 16 methods implemented in this workspace.
 //!
-//! Run: `cargo run -p grace-experiments --bin table1`
+//! Run: `cargo run --release -p grace-experiments --bin grace-exp -- table1`
 
+use crate::report;
 use grace_compressors::registry;
-use grace_experiments::report;
 
-fn main() {
+/// Prints Table I and writes `table1.csv`.
+pub fn run() {
     let specs = registry::all_specs();
     let rows: Vec<Vec<String>> = specs
         .iter()
@@ -18,34 +19,20 @@ fn main() {
                 s.output_size.to_string(),
                 s.nature.to_string(),
                 if s.ef_default { "yes" } else { "no" }.to_string(),
-                {
-                    let c = (s.build)(0);
-                    c.strategy().to_string()
-                },
+                (s.build)(0).strategy().to_string(),
             ]
         })
         .collect();
-    report::print_table(
+    report::publish(
         "Table I — classification of implemented gradient compression methods",
-        &[
-            "Class",
-            "Method",
-            "‖g̃‖₀",
-            "Nature of Q",
-            "EF-On",
-            "Strategy",
-        ],
-        &rows,
-    );
-    report::write_csv(
         "table1.csv",
         &[
-            "class",
-            "method",
-            "output_size",
-            "nature",
-            "ef_on",
-            "strategy",
+            ("Class", "class"),
+            ("Method", "method"),
+            ("‖g̃‖₀", "output_size"),
+            ("Nature of Q", "nature"),
+            ("EF-On", "ef_on"),
+            ("Strategy", "strategy"),
         ],
         &rows,
     );

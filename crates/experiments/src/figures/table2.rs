@@ -2,20 +2,20 @@
 //! paper reference numbers side by side with this reproduction's analog
 //! models, plus the measured baseline quality of each analog.
 //!
-//! Run: `cargo run -p grace-experiments --bin table2`
-//! (`GRACE_SCALE=25` for a quicker pass.)
+//! Run: `cargo run --release -p grace-experiments --bin grace-exp -- table2`
+//! (`--scale 25` for a quicker pass.)
 
-use grace_experiments::report;
-use grace_experiments::runner::{run_cell, RunnerConfig};
-use grace_experiments::suite;
+use crate::report;
+use crate::runner::{run_cell, RunnerConfig};
+use crate::suite;
 
-fn main() {
-    let rc = RunnerConfig::default();
+/// Prints Table II and writes `table2.csv`.
+pub fn run(rc: &RunnerConfig) {
     let mut rows = Vec::new();
     for bench in suite::all_benchmarks() {
         eprintln!("[table2] training baseline for {} …", bench.id);
         let mut net = (bench.build_net)(rc.seed);
-        let res = run_cell(&bench, None, &rc);
+        let res = run_cell(&bench, "baseline", rc);
         rows.push(vec![
             bench.task.to_string(),
             format!("{} (analog)", bench.paper_model),
@@ -32,33 +32,19 @@ fn main() {
             report::fmt(res.best_quality, 4),
         ]);
     }
-    report::print_table(
+    report::publish(
         "Table II — benchmark suite (paper / analog)",
-        &[
-            "Task",
-            "Model",
-            "Dataset (paper)",
-            "Params p/a",
-            "Grad vectors p/a",
-            "Epochs p/a",
-            "Metric",
-            "Paper baseline",
-            "Analog baseline",
-        ],
-        &rows,
-    );
-    report::write_csv(
         "table2.csv",
         &[
-            "task",
-            "model",
-            "dataset",
-            "params",
-            "gradient_vectors",
-            "epochs",
-            "metric",
-            "paper_baseline",
-            "analog_baseline",
+            ("Task", "task"),
+            ("Model", "model"),
+            ("Dataset (paper)", "dataset"),
+            ("Params p/a", "params"),
+            ("Grad vectors p/a", "gradient_vectors"),
+            ("Epochs p/a", "epochs"),
+            ("Metric", "metric"),
+            ("Paper baseline", "paper_baseline"),
+            ("Analog baseline", "analog_baseline"),
         ],
         &rows,
     );

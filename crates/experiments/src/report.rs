@@ -8,46 +8,28 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
         }
     }
-    let line = |cells: &[String]| {
-        let mut s = String::new();
-        for (i, cell) in cells.iter().enumerate() {
-            s.push_str(&format!(
-                "{:<w$}  ",
-                cell,
-                w = widths.get(i).copied().unwrap_or(8)
-            ));
-        }
-        println!("{}", s.trim_end());
+    let line = |cells: &mut dyn Iterator<Item = &str>| {
+        let padded = cells.zip(&widths).map(|(c, w)| format!("{c:<w$}  "));
+        println!("{}", padded.collect::<String>().trim_end());
     };
-    line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
-    );
+    line(&mut headers.iter().copied());
+    let rule = widths.iter().sum::<usize>() + 2 * widths.len();
+    println!("{}", "-".repeat(rule));
     for row in rows {
-        line(row);
+        line(&mut row.iter().map(String::as_str));
     }
 }
 
-/// The results directory (`results/` at the repo root, created on demand).
-pub fn results_dir() -> PathBuf {
-    let dir = Path::new("results");
-    let _ = fs::create_dir_all(dir);
-    dir.to_path_buf()
-}
-
-/// Writes rows as a CSV file under `results/`, returning the path.
+/// Writes rows as a CSV file under `results/` (in the current directory,
+/// created on demand), returning the path.
 pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> PathBuf {
-    let path = results_dir().join(name);
-    let mut out = String::new();
-    out.push_str(&headers.join(","));
-    out.push('\n');
+    let _ = fs::create_dir_all("results");
+    let path = Path::new("results").join(name);
+    let mut out = headers.join(",") + "\n";
     for row in rows {
         let escaped: Vec<String> = row
             .iter()
@@ -65,6 +47,15 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> PathBuf 
     fs::write(&path, out).expect("write results csv");
     println!("[written] {}", path.display());
     path
+}
+
+/// Prints `rows` as a table and writes them to `results/<csv>`. Each column
+/// is declared once, as a `(printed header, CSV column)` pair, so the two
+/// views cannot drift apart.
+pub fn publish(title: &str, csv: &str, columns: &[(&str, &str)], rows: &[Vec<String>]) -> PathBuf {
+    let (printed, named): (Vec<&str>, Vec<&str>) = columns.iter().copied().unzip();
+    print_table(title, &printed, rows);
+    write_csv(csv, &named, rows)
 }
 
 /// Formats a float with fixed precision.

@@ -3,13 +3,15 @@
 use crate::suite::Benchmark;
 use grace_comm::NetworkModel;
 use grace_compressors::registry;
-use grace_core::trainer::run_simulated;
-use grace_core::{Compressor, Memory, NoCompression, NoMemory, RunResult, TrainConfig};
+use grace_core::trainer::{run_simulated, CodecTiming};
+use grace_core::{
+    Compressor, CompressorSpec, Fleet, Memory, NoMemory, ResidualMemory, RunResult, TrainConfig,
+};
+use grace_nn::data::Task;
+use grace_nn::network::Network;
+use grace_nn::optim::Optimizer;
 
-/// One compressor + error-feedback memory per worker.
-type Fleet = (Vec<Box<dyn Compressor>>, Vec<Box<dyn Memory>>);
-
-/// Experiment-wide knobs shared by the figure binaries.
+/// Experiment-wide knobs shared by the experiments.
 #[derive(Debug, Clone, Copy)]
 pub struct RunnerConfig {
     /// Number of data-parallel workers (paper: 8).
@@ -18,9 +20,8 @@ pub struct RunnerConfig {
     pub network: NetworkModel,
     /// Master seed.
     pub seed: u64,
-    /// Epoch multiplier in percent (100 = benchmark default). The
-    /// `GRACE_SCALE` environment variable overrides this for quicker or more
-    /// thorough runs.
+    /// Epoch multiplier in percent (100 = benchmark default); `grace-exp
+    /// --scale` sets it for quicker or more thorough runs.
     pub epoch_scale_pct: u32,
     /// Aggregation plan for the gathered merge. Bit-transparent — it moves
     /// aggregator CPU and incast bytes, never the trained parameters — so
@@ -35,105 +36,119 @@ impl Default for RunnerConfig {
             n_workers: 8,
             network: NetworkModel::paper_default(),
             seed: 42,
-            epoch_scale_pct: scale_from_env(),
+            epoch_scale_pct: 100,
             agg_plan: grace_core::AggregationPlan::default(),
         }
     }
 }
 
-/// Reads `GRACE_SCALE` (percent) from the environment, defaulting to 100.
-pub fn scale_from_env() -> u32 {
-    std::env::var("GRACE_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(100)
-}
-
-/// Fusion buckets the model-scaled threshold aims for per step.
+/// Fusion buckets a cell's model-scaled threshold aims for per step.
 const TARGET_FUSION_BUCKETS: usize = 8;
 
-/// Fusion threshold for a model of `param_count` parameters: it scales with
-/// the model so the stream splits into roughly [`TARGET_FUSION_BUCKETS`]
-/// buckets. The analog models are orders of magnitude smaller than the
-/// paper's — under the global 2 MiB default every one of them fused into a
-/// single bucket, so nothing could be sealed early and the fig7 CSVs all
-/// reported `overlap_ratio = 0`. Capped at [`grace_core::DEFAULT_FUSION_BYTES`]
-/// so paper-sized models keep the stock threshold.
-pub fn fusion_bytes_for_model(param_count: usize) -> usize {
-    (param_count * 4 / TARGET_FUSION_BUCKETS).clamp(1, grace_core::DEFAULT_FUSION_BYTES)
+/// Looks `id` up through the one registry look-up (`"baseline"`, the 16 core
+/// methods, the extensions); panics on an id the registry does not know.
+pub fn resolve(id: &str) -> CompressorSpec {
+    registry::resolve(id).unwrap_or_else(|| panic!("unknown compressor id '{id}'"))
 }
 
-/// Runs one benchmark with one compressor (`None` = the no-compression
-/// baseline) and returns the trainer's summary.
-pub fn run_cell(bench: &Benchmark, compressor_id: Option<&str>, rc: &RunnerConfig) -> RunResult {
-    let task = (bench.build_task)(rc.seed);
-    let mut net = (bench.build_net)(rc.seed);
-    let epochs = ((bench.epochs as u64 * rc.epoch_scale_pct as u64) / 100).max(1) as usize;
-    // The simulated clock runs at *paper scale*: compute is the paper's
-    // per-example time, byte counts are scaled by paper/analog parameter
-    // ratio, and codec cost follows each method's calibrated op model. This
-    // makes simulated times directly comparable to the paper's figures.
-    let byte_scale = bench.paper_params as f64 / net.param_count() as f64;
-    let codec = match compressor_id {
-        None => grace_core::trainer::CodecTiming::Free,
-        Some(id) => {
-            let spec = registry::find(id).unwrap_or_else(|| panic!("unknown compressor id '{id}'"));
-            grace_core::trainer::CodecTiming::Modeled {
-                per_op_seconds: 1.0e-4,
-                ops_per_tensor: spec.ops_per_tensor,
-                ns_per_element: spec.ns_per_element,
-                tensor_count: bench.paper_gradient_vectors as usize,
-            }
+/// One paper-scale cell, built and ready to [`run`](Cell::run) — the single
+/// place the evaluation's common ground is written down. An experiment that
+/// varies something else (topology, schedule, fleet) sets that field on the
+/// built cell and nothing more.
+pub struct Cell {
+    /// The run's configuration.
+    pub cfg: TrainConfig,
+    /// The model replica.
+    pub net: Network,
+    /// The synthetic dataset.
+    pub task: Box<dyn Task>,
+    /// The optimizer the benchmark's policy assigns to the compressor.
+    pub opt: Box<dyn Optimizer>,
+    /// One compressor + error-feedback memory per worker.
+    pub fleet: Fleet,
+}
+
+impl Cell {
+    /// Builds the cell for one benchmark and one compressor spec.
+    ///
+    /// The simulated clock runs at *paper scale*: compute is the paper's
+    /// per-example time, byte counts are scaled by the paper/analog parameter
+    /// ratio, and codec cost follows the spec's calibrated op model (zero
+    /// for the baseline). This makes simulated times directly comparable to
+    /// the paper's figures. Telemetry and the live metrics endpoint stay
+    /// inherited from the process-wide environment, so one variable covers a
+    /// whole sweep.
+    pub fn new(bench: &Benchmark, spec: &CompressorSpec, rc: &RunnerConfig) -> Cell {
+        let mut net = (bench.build_net)(rc.seed);
+        let epochs = ((bench.epochs as u64 * rc.epoch_scale_pct as u64) / 100).max(1) as usize;
+        let mut cfg = TrainConfig::new(rc.n_workers, bench.batch, epochs, rc.seed);
+        cfg.network = rc.network;
+        cfg.compute = grace_core::ComputeModel::new(bench.paper_sec_per_example);
+        cfg.codec = CodecTiming::Modeled {
+            per_op_seconds: 1.0e-4,
+            ops_per_tensor: spec.ops_per_tensor,
+            ns_per_element: spec.ns_per_element,
+            tensor_count: bench.paper_gradient_vectors as usize,
+        };
+        cfg.byte_scale = bench.paper_params as f64 / net.param_count() as f64;
+        // The fusion threshold scales with the model so the stream splits
+        // into roughly `TARGET_FUSION_BUCKETS` buckets. The analog models are
+        // orders of magnitude smaller than the paper's — under the global
+        // 2 MiB default every one of them fused into a single bucket, so
+        // nothing could be sealed early and the fig7 CSVs all reported
+        // `overlap_ratio = 0`. Capped at the default so paper-sized models
+        // keep the stock threshold.
+        cfg.fusion_bytes = (net.param_count() * 4 / TARGET_FUSION_BUCKETS)
+            .clamp(1, grace_core::DEFAULT_FUSION_BYTES);
+        cfg.backend = grace_core::ExecBackend::Threads;
+        cfg.agg_plan = rc.agg_plan;
+        Cell {
+            cfg,
+            net,
+            task: (bench.build_task)(rc.seed),
+            opt: bench.opt.build(spec.id),
+            fleet: registry::build_fleet(spec, rc.n_workers, rc.seed),
+        }
+    }
+
+    /// Trains the cell on the simulator and returns the trainer's summary.
+    pub fn run(mut self) -> RunResult {
+        let (compressors, memories) = &mut self.fleet;
+        run_simulated(
+            &self.cfg,
+            &mut self.net,
+            self.task.as_ref(),
+            self.opt.as_mut(),
+            compressors,
+            memories,
+        )
+    }
+}
+
+/// A hand-built fleet for cells that vary the compressor's parameters:
+/// worker `w` compresses with `build(w)`, with error feedback iff `ef`.
+pub(crate) fn custom_fleet(
+    n_workers: usize,
+    ef: bool,
+    build: impl Fn(usize) -> Box<dyn Compressor>,
+) -> Fleet {
+    let memory = |_| -> Box<dyn Memory> {
+        if ef {
+            Box::new(ResidualMemory::new())
+        } else {
+            Box::new(NoMemory::new())
         }
     };
-    let cfg = TrainConfig {
-        n_workers: rc.n_workers,
-        batch_per_worker: bench.batch,
-        epochs,
-        seed: rc.seed,
-        network: rc.network,
-        compute: grace_core::ComputeModel::new(bench.paper_sec_per_example),
-        codec,
-        topology: grace_core::trainer::Topology::Peer,
-        byte_scale,
-        evals_per_epoch: 1,
-        lr_schedule: None,
-        fault: None,
-        exchange_threads: None,
-        fusion_bytes: fusion_bytes_for_model(net.param_count()),
-        // Cells inherit the process-wide GRACE_TELEMETRY choice so one env
-        // var covers a whole sweep, and likewise GRACE_METRICS_ADDR for the
-        // live endpoint.
-        telemetry: None,
-        metrics_addr: None,
-        health: None,
-        backend: grace_core::ExecBackend::Threads,
-        agg_plan: rc.agg_plan,
-    };
-    let (mut compressors, mut memories): Fleet = match compressor_id {
-        None => (
-            (0..rc.n_workers)
-                .map(|_| Box::new(NoCompression::new()) as Box<dyn Compressor>)
-                .collect(),
-            (0..rc.n_workers)
-                .map(|_| Box::new(NoMemory::new()) as Box<dyn Memory>)
-                .collect(),
-        ),
-        Some(id) => {
-            let spec = registry::find(id).unwrap_or_else(|| panic!("unknown compressor id '{id}'"));
-            registry::build_fleet(&spec, rc.n_workers, rc.seed)
-        }
-    };
-    let mut opt = bench.opt.build(compressor_id.unwrap_or("baseline"));
-    run_simulated(
-        &cfg,
-        &mut net,
-        task.as_ref(),
-        opt.as_mut(),
-        &mut compressors,
-        &mut memories,
+    (
+        (0..n_workers).map(build).collect(),
+        (0..n_workers).map(memory).collect(),
     )
+}
+
+/// Runs one benchmark with one compressor id (`"baseline"` = no
+/// compression) and returns the trainer's summary.
+pub fn run_cell(bench: &Benchmark, compressor_id: &str, rc: &RunnerConfig) -> RunResult {
+    Cell::new(bench, &resolve(compressor_id), rc).run()
 }
 
 /// Trains one benchmark cell for real over localhost TCP sockets and
@@ -146,33 +161,22 @@ pub fn run_cell(bench: &Benchmark, compressor_id: Option<&str>, rc: &RunnerConfi
 /// cheap; the trained bits are asserted bit-identical to the threaded
 /// backend elsewhere (`tests/transport_equivalence.rs`), so this function
 /// only times.
-pub fn run_cell_measured_tcp(
-    bench: &Benchmark,
-    compressor_id: Option<&str>,
-    rc: &RunnerConfig,
-) -> f64 {
+pub fn run_cell_measured_tcp(bench: &Benchmark, compressor_id: &str, rc: &RunnerConfig) -> f64 {
     use grace_core::trainer::steps_per_epoch;
     let task = (bench.build_task)(rc.seed);
     let mut cfg = TrainConfig::new(rc.n_workers, bench.batch, 1, rc.seed);
-    cfg.codec = grace_core::trainer::CodecTiming::Free;
+    cfg.codec = CodecTiming::Free;
     cfg.backend = grace_core::ExecBackend::SocketTcp;
-    let spec = compressor_id
-        .map(|id| registry::find(id).unwrap_or_else(|| panic!("unknown compressor id '{id}'")));
+    let spec = resolve(compressor_id);
     let start = std::time::Instant::now();
     let result = grace_core::process::run_cluster(&cfg, task.as_ref(), |rank| {
-        let net = (bench.build_net)(rc.seed);
-        let opt = bench.opt.build(compressor_id.unwrap_or("baseline"));
-        let (compressor, memory) = match &spec {
-            None => (
-                Box::new(NoCompression::new()) as Box<dyn Compressor>,
-                Box::new(NoMemory::new()) as Box<dyn Memory>,
-            ),
-            Some(spec) => {
-                let (mut cs, mut ms) = registry::build_fleet(spec, rc.n_workers, rc.seed);
-                (cs.swap_remove(rank), ms.swap_remove(rank))
-            }
-        };
-        (net, opt, compressor, memory)
+        let (mut cs, mut ms) = registry::build_fleet(&spec, rc.n_workers, rc.seed);
+        (
+            (bench.build_net)(rc.seed),
+            bench.opt.build(spec.id),
+            cs.swap_remove(rank),
+            ms.swap_remove(rank),
+        )
     });
     let elapsed = start.elapsed().as_secs_f64();
     assert_eq!(
@@ -184,65 +188,28 @@ pub fn run_cell_measured_tcp(
     images / elapsed.max(1e-9)
 }
 
-/// Runs the baseline plus every registered compressor on one benchmark,
-/// returning `(display_name, result)` rows; the baseline row comes first.
+/// Runs `specs` in order on one benchmark, returning `(display_name,
+/// result)` rows.
+pub fn run_specs(
+    bench: &Benchmark,
+    specs: impl IntoIterator<Item = CompressorSpec>,
+    rc: &RunnerConfig,
+) -> Vec<(String, RunResult)> {
+    let run = |spec: CompressorSpec| {
+        eprintln!("[{}] {} …", bench.id, spec.display);
+        (spec.display.to_string(), Cell::new(bench, &spec, rc).run())
+    };
+    specs.into_iter().map(run).collect()
+}
+
+/// Runs the baseline plus every registered compressor on one benchmark; the
+/// baseline row — what [`relative`] normalizes to — comes first.
 pub fn run_all_compressors(bench: &Benchmark, rc: &RunnerConfig) -> Vec<(String, RunResult)> {
-    let mut rows = Vec::new();
-    let base = run_cell(bench, None, rc);
-    rows.push(("Baseline".to_string(), base));
-    for spec in registry::all_specs() {
-        let res = run_cell(bench, Some(spec.id), rc);
-        rows.push((spec.display.to_string(), res));
-    }
-    rows
+    let baseline = std::iter::once(resolve("baseline"));
+    run_specs(bench, baseline.chain(registry::all_specs()), rc)
 }
 
-/// Relative throughput / volume helpers against the baseline row.
-pub fn relative(rows: &[(String, RunResult)]) -> Vec<RelativeRow> {
-    assert!(!rows.is_empty(), "need at least the baseline row");
-    let base = &rows[0].1;
-    rows.iter()
-        .map(|(name, r)| RelativeRow {
-            name: name.clone(),
-            quality: r.best_quality,
-            relative_throughput: r.throughput / base.throughput,
-            relative_volume: r.bytes_per_worker_per_iter / base.bytes_per_worker_per_iter,
-            sim_seconds: r.sim_seconds,
-            compress_seconds: r.stages.compress_seconds,
-            decompress_seconds: r.stages.decompress_seconds,
-            aggregate_seconds: r.stages.aggregate_seconds,
-            compress_tail: StageTail::of(&r.stage_hists.compress),
-            decompress_tail: StageTail::of(&r.stage_hists.decompress),
-            aggregate_tail: StageTail::of(&r.stage_hists.aggregate),
-            overlap_ratio: r.overlap_ratio,
-        })
-        .collect()
-}
-
-/// Latency tail (p50/p95/p99) of one exchange stage's per-step wall-clock,
-/// in microseconds — summed means hide straggler skew; these don't.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageTail {
-    /// Median per-step latency, microseconds.
-    pub p50_us: f64,
-    /// 95th-percentile per-step latency, microseconds.
-    pub p95_us: f64,
-    /// 99th-percentile per-step latency, microseconds.
-    pub p99_us: f64,
-}
-
-impl StageTail {
-    fn of(h: &grace_telemetry::Histogram) -> Self {
-        let us = |q: f64| h.percentile(q) as f64 / 1e3;
-        StageTail {
-            p50_us: us(0.50),
-            p95_us: us(0.95),
-            p99_us: us(0.99),
-        }
-    }
-}
-
-/// One normalized row of a Fig. 6 / Fig. 7-style plot.
+/// One row normalized to the baseline row — a point of Figs. 6, 7 and 10.
 #[derive(Debug, Clone)]
 pub struct RelativeRow {
     /// Compressor display name.
@@ -253,31 +220,19 @@ pub struct RelativeRow {
     pub relative_throughput: f64,
     /// Mean per-iteration data volume normalized to the baseline.
     pub relative_volume: f64,
-    /// Total simulated seconds.
-    pub sim_seconds: f64,
-    /// Measured encode wall-clock summed over the run (exchange engine,
-    /// slowest lane per step).
-    pub compress_seconds: f64,
-    /// Measured decode wall-clock summed over the run.
-    pub decompress_seconds: f64,
-    /// Measured `Agg` wall-clock summed over the run (allgather methods).
-    pub aggregate_seconds: f64,
-    /// Per-step compress latency tail over the run.
-    pub compress_tail: StageTail,
-    /// Per-step decompress latency tail over the run.
-    pub decompress_tail: StageTail,
-    /// Per-step aggregate latency tail over the run.
-    pub aggregate_tail: StageTail,
-    /// Fraction of per-lane encode time hidden under backprop by the
-    /// pipelined exchange (0 when the stream fuses into a single bucket).
-    pub overlap_ratio: f64,
 }
 
-impl RelativeRow {
-    /// Total measured codec + aggregation wall-clock for this row.
-    pub fn codec_seconds(&self) -> f64 {
-        self.compress_seconds + self.decompress_seconds + self.aggregate_seconds
-    }
+/// Normalizes `rows` to their first row, the baseline.
+pub fn relative(rows: &[(String, RunResult)]) -> Vec<RelativeRow> {
+    let base = &rows.first().expect("need at least the baseline row").1;
+    rows.iter()
+        .map(|(name, r)| RelativeRow {
+            name: name.clone(),
+            quality: r.best_quality,
+            relative_throughput: r.throughput / base.throughput,
+            relative_volume: r.bytes_per_worker_per_iter / base.bytes_per_worker_per_iter,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -288,17 +243,16 @@ mod tests {
     fn quick_rc() -> RunnerConfig {
         RunnerConfig {
             n_workers: 2,
-            network: NetworkModel::paper_default(),
             seed: 7,
             epoch_scale_pct: 20,
-            agg_plan: grace_core::AggregationPlan::default(),
+            ..RunnerConfig::default()
         }
     }
 
     #[test]
     fn baseline_cell_runs_and_converges_reasonably() {
         let bench = suite::find("resnet20").unwrap();
-        let res = run_cell(&bench, None, &quick_rc());
+        let res = run_cell(&bench, "baseline", &quick_rc());
         assert!(res.best_quality > 0.4, "accuracy {}", res.best_quality);
         assert!(res.sim_seconds > 0.0);
         assert_eq!(res.compressor, "Baseline");
@@ -308,8 +262,8 @@ mod tests {
     fn topk_cell_reduces_volume() {
         let bench = suite::find("resnet20").unwrap();
         let rc = quick_rc();
-        let base = run_cell(&bench, None, &rc);
-        let topk = run_cell(&bench, Some("topk"), &rc);
+        let base = run_cell(&bench, "baseline", &rc);
+        let topk = run_cell(&bench, "topk", &rc);
         assert!(
             topk.bytes_per_worker_per_iter < 0.1 * base.bytes_per_worker_per_iter,
             "topk volume {} vs baseline {}",
@@ -327,9 +281,9 @@ mod tests {
         let bench = suite::find("resnet20").unwrap();
         let mut rc = quick_rc();
         rc.agg_plan = grace_core::AggregationPlan::DecodeThenMerge;
-        let reference = run_cell(&bench, Some("eightbit"), &rc);
+        let reference = run_cell(&bench, "eightbit", &rc);
         rc.agg_plan = grace_core::AggregationPlan::HomomorphicSum;
-        let hom = run_cell(&bench, Some("eightbit"), &rc);
+        let hom = run_cell(&bench, "eightbit", &rc);
 
         assert_eq!(
             reference.best_quality, hom.best_quality,
@@ -355,23 +309,63 @@ mod tests {
     #[should_panic(expected = "unknown compressor id")]
     fn unknown_compressor_panics() {
         let bench = suite::find("resnet20").unwrap();
-        let _ = run_cell(&bench, Some("bogus"), &quick_rc());
+        let _ = run_cell(&bench, "bogus", &quick_rc());
     }
 
     #[test]
     fn relative_rows_normalize_to_baseline() {
         let bench = suite::find("lstm").unwrap();
-        let rc = quick_rc();
-        let rows = vec![
-            ("Baseline".to_string(), run_cell(&bench, None, &rc)),
-            (
-                "Topk(0.01)".to_string(),
-                run_cell(&bench, Some("topk"), &rc),
-            ),
-        ];
+        let rows = run_specs(&bench, [resolve("baseline"), resolve("topk")], &quick_rc());
         let rel = relative(&rows);
         assert!((rel[0].relative_throughput - 1.0).abs() < 1e-9);
         assert!((rel[0].relative_volume - 1.0).abs() < 1e-9);
         assert!(rel[1].relative_volume < 1.0);
+    }
+
+    /// Bit patterns of `(best_quality, sim_seconds, bytes_per_worker_per_iter)`
+    /// recorded at the commit before the four hand-copied cells became one:
+    /// `run_cell` itself, and what the `topology`, `ablations` and
+    /// `extensions` binaries each did with their own `TrainConfig` literal.
+    #[test]
+    fn unified_cell_reproduces_the_four_pre_merge_code_paths() {
+        use crate::figures::{ablations, topology};
+        use grace_core::trainer::Topology;
+        let rc = quick_rc();
+        let bits = |r: RunResult| {
+            [r.best_quality, r.sim_seconds, r.bytes_per_worker_per_iter].map(f64::to_bits)
+        };
+        let resnet20 = suite::find("resnet20").unwrap();
+        assert_eq!(
+            bits(run_cell(&resnet20, "baseline", &rc)),
+            [0x3fed800000000000, 0x3fd9a3146a17c948, 0x41058a8000000000]
+        );
+        assert_eq!(
+            bits(run_cell(&resnet20, "topk", &rc)),
+            [0x3fe8400000000000, 0x3ff282846af50238, 0x40ad600000000000]
+        );
+
+        // topology: parameter server, half the epoch budget.
+        assert_eq!(
+            bits(topology::run_under(Topology::ParameterServer, "qsgd", &rc)),
+            [0x3fd5e83714a7bee8, 0x4015ba5b0026bc55, 0x4120177600000000]
+        );
+        // ablations: a hand-built Top-k(0.001) fleet without error feedback,
+        // on the full epoch budget so the step-decay milestone fires.
+        let full = RunnerConfig {
+            epoch_scale_pct: 100,
+            ..rc
+        };
+        let topk_0001 = |_| Box::new(grace_compressors::TopK::new(0.001)) as Box<dyn Compressor>;
+        let res = ablations::run_custom(&full, false, topk_0001);
+        assert_eq!(res.final_quality.to_bits(), 0x3fec000000000000);
+        assert_eq!(
+            bits(res),
+            [0x3fec400000000000, 0x401bbf55aa14d03e, 0x4083400000000000]
+        );
+        // extensions: a spec from outside the core 16.
+        assert_eq!(
+            bits(run_cell(&resnet20, "atomo", &rc)),
+            [0x3fcd000000000000, 0x4001706088c4a2f6, 0x40cb6f199999999a]
+        );
     }
 }

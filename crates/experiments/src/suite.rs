@@ -2,11 +2,11 @@
 //!
 //! Every benchmark carries both the paper's reference numbers (parameters,
 //! gradient-vector count, epochs, baseline quality) and the laptop-scale
-//! analog configuration. Compute time is scaled from paper-reported V100
-//! throughput by the ratio of gradient sizes, preserving each benchmark's
-//! compute-vs-communication regime (see `ComputeModel::scaled_from_paper`).
+//! analog configuration. The simulated clock runs at paper scale — the
+//! paper's per-example compute time, analog byte counts scaled up by the
+//! parameter ratio — which preserves each benchmark's
+//! compute-vs-communication regime (see [`crate::runner::Cell`]).
 
-use grace_core::ComputeModel;
 use grace_nn::data::{
     ClassificationDataset, RecommendationDataset, SegmentationDataset, Task, TextDataset,
 };
@@ -105,7 +105,7 @@ pub struct Benchmark {
     pub paper_metric: &'static str,
     /// Paper's baseline quality (as printed in Table II).
     pub paper_baseline: &'static str,
-    /// Paper-scale V100 seconds per training example (compute model input).
+    /// Paper-scale V100 seconds per training example (the compute model).
     pub paper_sec_per_example: f64,
     /// Analog epochs (scaled down for laptop runtimes).
     pub epochs: usize,
@@ -117,18 +117,6 @@ pub struct Benchmark {
     pub build_task: fn(u64) -> Box<dyn Task>,
     /// Builds the model replica.
     pub build_net: fn(u64) -> Network,
-}
-
-impl Benchmark {
-    /// The compute model for this benchmark's analog.
-    pub fn compute_model(&self, seed: u64) -> ComputeModel {
-        let mut net = (self.build_net)(seed);
-        ComputeModel::scaled_from_paper(
-            self.paper_sec_per_example,
-            self.paper_params,
-            net.param_count() as u64,
-        )
-    }
 }
 
 impl std::fmt::Debug for Benchmark {
@@ -359,24 +347,6 @@ mod tests {
             assert!(loss.is_finite(), "{}: non-finite loss", b.id);
             assert!(net.param_count() > 1000, "{}: trivially small model", b.id);
         }
-    }
-
-    #[test]
-    fn compute_models_preserve_regime_ordering() {
-        // NCF must be far more communication-bound (low compute per gradient
-        // byte) than ResNet-50.
-        let ncf = find("ncf").unwrap();
-        let r50 = find("resnet50").unwrap();
-        let ncf_cm = ncf.compute_model(1).seconds_per_example;
-        let r50_cm = r50.compute_model(1).seconds_per_example;
-        let mut ncf_net = (ncf.build_net)(1);
-        let mut r50_net = (r50.build_net)(1);
-        let ncf_ratio = ncf_cm / (ncf_net.param_count() as f64 * 4.0);
-        let r50_ratio = r50_cm / (r50_net.param_count() as f64 * 4.0);
-        assert!(
-            r50_ratio > 20.0 * ncf_ratio,
-            "resnet50 must be much more compute-bound: {r50_ratio} vs {ncf_ratio}"
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! onto `s` levels: one pass from gradient values to the packed sign bitmap
 //! and level stream, and one pass back. Both are bit-identical to the
 //! per-element loops they replaced, which stay as the `#[doc(hidden)]`
-//! `*_reference` oracles (DESIGN.md §16 gives the argument).
+//! `*_reference` oracles (DESIGN.md §14 gives the argument).
 //!
 //! Gajjala et al. (the paper's reference 81) show that Huffman-coding the
 //! code-words of quantized gradients (QSGD levels, TernGrad trits, …) packs

@@ -36,7 +36,7 @@ pub fn pack_bits(values: &[u32], bits: u32) -> Vec<u8> {
     let mut out = vec![0u8; packed_len(values.len(), bits)];
     if bits == 8 {
         // One byte per code: the vector narrowing kernel still measures
-        // faster than the word body (DESIGN.md §16).
+        // faster than the word body (DESIGN.md §14).
         validate_fit(values, 8);
         crate::simd::narrow_to_bytes(values, &mut out);
         return out;

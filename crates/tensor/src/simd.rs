@@ -586,7 +586,7 @@ mod x86 {
 
     // SSE2 has no gather instruction and no cheap 128-entry table probe, so
     // the table-driven kernels delegate to the scalar body at that level
-    // (see the fallback matrix in DESIGN.md §16). The forwarders keep the
+    // (see the fallback matrix in DESIGN.md §14). The forwarders keep the
     // dispatch macro uniform.
     #[target_feature(enable = "sse2")]
     pub fn quantize_sign_mag_sse2(table: &[f32], xs: &[f32], inv: f32, out: &mut [u32]) {
