@@ -8,7 +8,9 @@
 //!   replaced (per-element `partition_point` code-book search, the generic
 //!   bit-cursor pack/unpack loop, the float `max` fold, the comparator
 //!   top-k, QSGD's per-element quantize/dequantize loops) — byte-for-byte
-//!   what the codecs ran before;
+//!   what the codecs ran before; for `gemm_nt` and the CRC tables, the
+//!   library's own retained reference body (`Level::Scalar`,
+//!   `crc32_bitwise`);
 //! * `new` — the runtime-dispatched `grace_tensor::simd` kernel, the pooled
 //!   selection built on it, the word-at-a-time packer of
 //!   `grace_tensor::pack` or the level-quantizer pair of
@@ -533,6 +535,52 @@ fn main() {
             reference_ms,
             new_ms,
         });
+    }
+
+    // dX = dY · Wᵀ over vgg19-analog's seven layers — the product every
+    // backward pass makes per layer — against the scalar body, which is the
+    // loop `matmul_transpose_b` ran through PR 22. `gemm_nt` is the
+    // benchmark's shape (batch 16: one 16-row panel); `gemm_nt_skinny` is a
+    // batch under one vector (4: all reference, so ≈1×) plus one a row past
+    // it (9: an 8-row panel and a reference row) and must never lose.
+    {
+        let widths = [96usize, 768, 768, 512, 512, 256, 256, 10];
+        let (weights, dys) = (
+            gradient_of_bytes(4 * 768 * 768, 29),
+            gradient_of_bytes(4 * 16 * 768, 31),
+        );
+        let (weights, dys) = (weights.as_slice(), dys.as_slice());
+        // One slot per (batch, layer) product, so the comparison below
+        // covers every output either side wrote.
+        let outputs = 16 * widths[..7].iter().sum::<usize>();
+        let mut want = vec![0f32; outputs];
+        let mut got = vec![f32::NAN; outputs];
+        for (name, batches) in [("gemm_nt", &[16usize][..]), ("gemm_nt_skinny", &[4, 9])] {
+            let run = |lvl: simd::Level, mut c: &mut [f32]| {
+                for &m in batches {
+                    for layer in widths.windows(2) {
+                        let (k, n) = (layer[0], layer[1]);
+                        let (a, b) = (&dys[..m * n], &weights[..k * n]);
+                        let (slot, rest) = c.split_at_mut(m * k);
+                        simd::gemm_nt_at(lvl, std::hint::black_box(a), b, slot, m, n, k);
+                        std::hint::black_box(&slot);
+                        c = rest;
+                    }
+                }
+            };
+            let reference_ms = time_ms(|| run(simd::Level::Scalar, &mut want));
+            let new_ms = time_ms(|| run(simd::level(), &mut got));
+            let same = got
+                .iter()
+                .zip(&want)
+                .all(|(g, w)| g.to_bits() == w.to_bits());
+            assert!(same, "{name} diverged");
+            rows.push(Row {
+                name,
+                reference_ms,
+                new_ms,
+            });
+        }
     }
 
     // CRC32, the trailer of every payload stream and socket frame: the

@@ -1,4 +1,5 @@
-//! Small dense linear algebra for low-rank compressors (§III-D).
+//! Small dense linear algebra: the low-rank compressors' products (§III-D)
+//! and the three GEMMs of every `grace-nn` layer.
 //!
 //! PowerSGD views each gradient tensor as an `m × l` matrix `M`, maintains a
 //! rank-`r` sketch via one step of subspace (power) iteration, and transmits
@@ -7,6 +8,26 @@
 //!
 //! Matrices are row-major `&[f32]` buffers with explicit dimensions, matching
 //! [`crate::Tensor`] layout so gradients can be viewed without copies.
+//!
+//! # Summation order
+//!
+//! [`matmul`] is the forward pass and [`matmul_transpose_a`] the weight
+//! gradient of `Dense`, `Conv2d` and `Lstm` (and PowerSGD's and the spectral
+//! compressor's products); [`matmul_transpose_b`] is called by those three
+//! backward passes only, for the input gradient `dX = dY · Wᵀ`. The order in
+//! which each of them sums is therefore part of every trained model's bits:
+//! every `param_checksum`, golden constant and cross-backend equivalence
+//! suite downstream pins it. The rule for a faster body is:
+//!
+//! * lanes across *output elements* are free — an element's value depends
+//!   only on its own chain of operations, not on what its neighbours do;
+//! * lanes along the *reduction index* are forbidden (a lane tree
+//!   reassociates the sum), and so is FMA (one rounding instead of two);
+//! * [`matmul_transpose_b`] has no zero-skip, so `0 · ∞ = NaN` propagates;
+//!   the other two skip `a == 0.0` rows of work, which makes that product
+//!   *not* propagate — both behaviours are part of the contract.
+//!
+//! [`crate::simd::gemm_nt`] is the one product with a vector body so far.
 
 /// `C (m×n) = A (m×k) · B (k×n)`.
 ///
@@ -57,29 +78,15 @@ pub fn matmul_transpose_a(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) ->
     c
 }
 
-/// `C (m×k) = A (m×n) · Bᵀ` where `B` is `k×n`.
+/// `C (m×k) = A (m×n) · Bᵀ` where `B` is `k×n`: a fresh buffer filled by
+/// [`crate::simd::gemm_nt`].
 ///
 /// # Panics
 ///
 /// Panics if buffer sizes do not match the dimensions.
 pub fn matmul_transpose_b(a: &[f32], b: &[f32], m: usize, n: usize, k: usize) -> Vec<f32> {
-    assert_eq!(a.len(), m * n, "A buffer size mismatch");
-    assert_eq!(b.len(), k * n, "B buffer size mismatch");
     let mut c = vec![0.0f32; m * k];
-    for i in 0..m {
-        let arow = &a[i * n..(i + 1) * n];
-        for j in 0..k {
-            let brow = &b[j * n..(j + 1) * n];
-            // Deliberately scalar: this is a sequential f32 reduction whose
-            // accumulation order is pinned by the PowerSGD payload golden;
-            // a lane tree would reassociate the sum and change the bits.
-            let mut acc = 0.0f32;
-            for p in 0..n {
-                acc += arow[p] * brow[p];
-            }
-            c[i * k + j] = acc;
-        }
-    }
+    crate::simd::gemm_nt(a, b, &mut c, m, n, k);
     c
 }
 
@@ -173,6 +180,49 @@ mod tests {
         let eye = vec![1.0, 0.0, 0.0, 1.0];
         assert_eq!(matmul(&a, &eye, 2, 2, 2), a);
         assert_eq!(matmul(&eye, &a, 2, 2, 2), a);
+    }
+
+    /// Small integers: every sum is exact in any order, so the explicit
+    /// transpose through `matmul` is an independent oracle for the indexing.
+    fn small_ints(len: usize, salt: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| ((i * 7 + salt * 3) % 11) as f32 - 5.0)
+            .collect()
+    }
+
+    #[test]
+    fn transpose_b_with_an_empty_dimension_is_zero_or_empty() {
+        use crate::simd::{available_levels, gemm_nt_at};
+        for (m, n, k) in [(0, 5, 3), (9, 0, 5), (16, 0, 4), (9, 5, 0), (0, 0, 0)] {
+            let (a, b) = (small_ints(m * n, 1), small_ints(k * n, 2));
+            assert_eq!(matmul_transpose_b(&a, &b, m, n, k), vec![0.0; m * k]);
+            for lvl in available_levels() {
+                // `c` sits inside a larger buffer: nothing around it moves.
+                let mut buf = vec![7.0f32; m * k + 2];
+                gemm_nt_at(lvl, &a, &b, &mut buf[1..m * k + 1], m, n, k);
+                assert_eq!(buf[0], 7.0, "{lvl} ({m},{n},{k})");
+                assert_eq!(buf[m * k + 1], 7.0, "{lvl} ({m},{n},{k})");
+                assert!(buf[1..m * k + 1].iter().all(|v| v.to_bits() == 0));
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_b_handles_every_row_remainder() {
+        // m = 8q + r walks the 16-row panel, the 8-row panel and the
+        // reference rows in every combination; k = 6 leaves a 4-column pass
+        // plus two single columns.
+        let (n, k) = (5, 6);
+        let b = small_ints(k * n, 4);
+        let bt = transpose(&b, k, n);
+        for m in 0..=41 {
+            let a = small_ints(m * n, m);
+            assert_eq!(
+                matmul_transpose_b(&a, &b, m, n, k),
+                matmul(&a, &bt, m, n, k),
+                "m = {m}"
+            );
+        }
     }
 
     #[test]

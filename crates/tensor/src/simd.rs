@@ -23,7 +23,10 @@
 //!   from `mul` + `add`);
 //! * reductions that would need a lane-reassociated tree (`dot`, the f32
 //!   sum) are deliberately **not** vectorized here — their sequential
-//!   accumulation order is pinned by golden checksums;
+//!   accumulation order is pinned by golden checksums; [`gemm_nt`] is a
+//!   reduction per output element, so it keeps every element's chain
+//!   sequential and spreads its lanes over *different* elements instead
+//!   (the rule is stated once, in [`crate::linalg`]'s module docs);
 //! * the max-reduction in [`abs_max_bits`] operates on absolute-value *bit
 //!   patterns* (sign bit cleared, compared as integers), which is
 //!   associative and exact, so the lane-parallel tree equals the scalar
@@ -227,6 +230,42 @@ pub fn axpy_at(lvl: Level, y: &mut [f32], a: f32, x: &[f32]) {
         scalar: scalar::axpy(y, a, x),
         sse2: x86::axpy_sse2(y, a, x),
         avx2: x86::axpy_avx2(y, a, x))
+}
+
+// ---------------------------------------------------------------------------
+// gemm_nt (A·Bᵀ: the dX product of every backward pass)
+// ---------------------------------------------------------------------------
+
+/// `C (m×k) = A (m×n) · Bᵀ` where `B` is `k×n`; all three row-major. `c` is
+/// overwritten, never read.
+///
+/// Every output element is the sequential chain `acc = 0.0; for p in 0..n
+/// { acc = acc + a[i][p] * b[j][p] }` — one `mul` then one `add` per `p`,
+/// `p` ascending, no zero-skip (so `0 · ∞ = NaN` propagates). The order
+/// rule this kernel lives by, and who depends on it, is in
+/// [`crate::linalg`]'s module docs. The AVX2 body runs eight (sixteen)
+/// *rows of `A`* per vector — independent output elements — and leaves
+/// each element's chain exactly as written above, so every level returns
+/// the scalar body's bits (a NaN is a NaN at every level; which payload
+/// survives `NaN · NaN` is the compiler's operand-order choice in any
+/// body, scalar included).
+///
+/// # Panics
+///
+/// Panics if a buffer size does not match the dimensions.
+pub fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
+    gemm_nt_at(level(), a, b, c, m, n, k);
+}
+
+/// [`gemm_nt`] with an explicit dispatch level.
+pub fn gemm_nt_at(lvl: Level, a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
+    assert_eq!(a.len(), m * n, "A buffer size mismatch");
+    assert_eq!(b.len(), k * n, "B buffer size mismatch");
+    assert_eq!(c.len(), m * k, "C buffer size mismatch");
+    dispatch!(lvl,
+        scalar: scalar::gemm_nt(a, b, c, m, n, k),
+        sse2: x86::gemm_nt_sse2(a, b, c, m, n, k),
+        avx2: x86::gemm_nt_avx2(a, b, c, m, n, k))
 }
 
 // ---------------------------------------------------------------------------
@@ -508,6 +547,23 @@ mod scalar {
         }
     }
 
+    /// The reference order of [`super::gemm_nt`]: per output element one
+    /// sequential `mul` + `add` chain from `0.0`, `p` ascending, no
+    /// zero-skip.
+    pub fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
+        for i in 0..m {
+            let arow = &a[i * n..(i + 1) * n];
+            for j in 0..k {
+                let brow = &b[j * n..(j + 1) * n];
+                let mut acc = 0.0f32;
+                for p in 0..n {
+                    acc += arow[p] * brow[p];
+                }
+                c[i * k + j] = acc;
+            }
+        }
+    }
+
     pub fn narrow_to_bytes(values: &[u32], out: &mut [u8]) {
         for (o, &v) in out.iter_mut().zip(values) {
             *o = v as u8;
@@ -606,6 +662,13 @@ mod x86 {
     #[target_feature(enable = "sse2")]
     pub fn gather_f32_sse2(src: &[f32], indices: &[u32], out: &mut [f32]) {
         scalar::gather_f32(src, indices, out);
+    }
+
+    /// Four rows per vector leave the row-panel body with too little work
+    /// per broadcast to beat the scalar chain; SSE2 takes the reference.
+    #[target_feature(enable = "sse2")]
+    pub fn gemm_nt_sse2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
+        scalar::gemm_nt(a, b, c, m, n, k);
     }
 
     /// SSE2 lacks `pmaxud`; abs bit patterns have the top bit clear, so the
@@ -725,6 +788,141 @@ mod x86 {
             i += 8;
         }
         scalar::axpy(&mut y[i..], a, &x[i..]);
+    }
+
+    /// Reduction steps per transposed `A` panel: the panel is a stack
+    /// buffer of `GEMM_P_CHUNK` × 16 (or 8) floats — 16 KiB at most,
+    /// whatever `n` is.
+    const GEMM_P_CHUNK: usize = 256;
+
+    /// Rows of `B` one pass carries against the panel, each in its own
+    /// accumulators: 4 × 2 vectors hide the 4-cycle add latency behind
+    /// eight independent chains.
+    const GEMM_B_ROWS: usize = 4;
+
+    #[target_feature(enable = "avx")]
+    fn load8(lanes: &[f32; 8]) -> __m256 {
+        debug_assert_eq!(size_of_val(lanes), size_of::<__m256>());
+        // SAFETY: the array type guarantees 8 f32s = 32 readable bytes;
+        // loadu allows any alignment.
+        unsafe { _mm256_loadu_ps(lanes.as_ptr()) }
+    }
+
+    #[target_feature(enable = "avx")]
+    fn store8(lanes: &mut [f32; 8], v: __m256) {
+        debug_assert_eq!(size_of_val(lanes), size_of::<__m256>());
+        // SAFETY: the array type guarantees 8 f32s = 32 writable bytes;
+        // storeu allows any alignment.
+        unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), v) }
+    }
+
+    /// Lanes across rows of `A`: 16-row panels, then one 8-row panel, then
+    /// the reference loop for the last `m % 8` rows (and for all of a call
+    /// with `m < 8`). Lane `l` of a panel's accumulator for column `j` *is*
+    /// the scalar `acc` of the panel's `c[l][j]`: it starts at `0.0` and
+    /// takes `acc + a[l][p] * b[j][p]` for `p = 0, 1, …` in that order.
+    #[target_feature(enable = "avx2")]
+    pub fn gemm_nt_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
+        let mut i0 = 0;
+        while m - i0 >= 16 {
+            gemm_nt_panel::<2>(&a[i0 * n..][..16 * n], b, &mut c[i0 * k..][..16 * k], n, k);
+            i0 += 16;
+        }
+        if m - i0 >= 8 {
+            gemm_nt_panel::<1>(&a[i0 * n..][..8 * n], b, &mut c[i0 * k..][..8 * k], n, k);
+            i0 += 8;
+        }
+        scalar::gemm_nt(&a[i0 * n..], b, &mut c[i0 * k..], m - i0, n, k);
+    }
+
+    /// `c (8V×k) = a (8V×n) · bᵀ`. The panel of `A` is copied transposed
+    /// (`panel[p][v][l] = a[8v + l][p0 + p]`) one `p`-chunk at a time, so a
+    /// step of the reduction is one contiguous vector load per eight rows,
+    /// and `B` is streamed once per panel instead of once per row of `A`.
+    /// Between chunks the partial sums rest in `c` itself (an f32 store and
+    /// reload is exact), so the only scratch is the panel.
+    #[target_feature(enable = "avx2")]
+    fn gemm_nt_panel<const V: usize>(a: &[f32], b: &[f32], c: &mut [f32], n: usize, k: usize) {
+        let mut panel = [[[0.0f32; 8]; V]; GEMM_P_CHUNK];
+        let mut p0 = 0;
+        // Runs once for n == 0 too: every element is then the empty chain's
+        // 0.0, which still has to overwrite what `c` held.
+        loop {
+            let steps = (n - p0).min(GEMM_P_CHUNK);
+            for r in 0..8 * V {
+                let arow = &a[r * n + p0..][..steps];
+                for (slot, &x) in panel.iter_mut().zip(arow) {
+                    slot[r / 8][r % 8] = x;
+                }
+            }
+            let panel = &panel[..steps];
+            let mut j0 = 0;
+            while k - j0 >= GEMM_B_ROWS {
+                gemm_nt_block::<V, GEMM_B_ROWS>(panel, b, c, j0, p0, n, k);
+                j0 += GEMM_B_ROWS;
+            }
+            while j0 < k {
+                gemm_nt_block::<V, 1>(panel, b, c, j0, p0, n, k);
+                j0 += 1;
+            }
+            p0 += steps;
+            if p0 >= n {
+                break;
+            }
+        }
+    }
+
+    /// Advances columns `j0 .. j0 + J` of the panel's `c` by the panel's
+    /// `p`-chunk: from `0.0` when the chunk starts at `p0 == 0`, from the
+    /// partial sums in `c` otherwise. `mul` then `add`, operands in the
+    /// reference's order, never fused.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn gemm_nt_block<const V: usize, const J: usize>(
+        panel: &[[[f32; 8]; V]],
+        b: &[f32],
+        c: &mut [f32],
+        j0: usize,
+        p0: usize,
+        n: usize,
+        k: usize,
+    ) {
+        let mut brows: [&[f32]; J] = [&[]; J];
+        for (jj, brow) in brows.iter_mut().enumerate() {
+            *brow = &b[(j0 + jj) * n + p0..][..panel.len()];
+        }
+        let mut acc = [[_mm256_setzero_ps(); V]; J];
+        let mut lanes = [0.0f32; 8];
+        if p0 > 0 {
+            for (jj, accj) in acc.iter_mut().enumerate() {
+                for (v, accjv) in accj.iter_mut().enumerate() {
+                    for (l, lane) in lanes.iter_mut().enumerate() {
+                        *lane = c[(8 * v + l) * k + j0 + jj];
+                    }
+                    *accjv = load8(&lanes);
+                }
+            }
+        }
+        for (p, slot) in panel.iter().enumerate() {
+            let mut av = [_mm256_setzero_ps(); V];
+            for (avv, rows) in av.iter_mut().zip(slot) {
+                *avv = load8(rows);
+            }
+            for (accj, brow) in acc.iter_mut().zip(&brows) {
+                let bv = _mm256_set1_ps(brow[p]);
+                for (accjv, &avv) in accj.iter_mut().zip(&av) {
+                    *accjv = _mm256_add_ps(*accjv, _mm256_mul_ps(avv, bv));
+                }
+            }
+        }
+        for (jj, accj) in acc.iter().enumerate() {
+            for (v, &accjv) in accj.iter().enumerate() {
+                store8(&mut lanes, accjv);
+                for (l, &lane) in lanes.iter().enumerate() {
+                    c[(8 * v + l) * k + j0 + jj] = lane;
+                }
+            }
+        }
     }
 
     #[target_feature(enable = "sse2")]

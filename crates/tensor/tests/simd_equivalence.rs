@@ -20,6 +20,9 @@
 //!   reference: payload bytes, decoded bit patterns and the RNG state after;
 //! * the CRC32 kernels (table and CLMUL) against the bit-at-a-time
 //!   definition, every length up to 4 KiB at every load alignment.
+//! * `gemm_nt` (A·Bᵀ) against its scalar body over every combination of
+//!   row-tile remainders, the panel's `p`-chunk edge and the shapes the
+//!   models' backward passes really produce, into a NaN-filled output.
 //!
 //! Inputs are raw `u32` words reinterpreted with `from_bits`, so the float
 //! space is sampled uniformly over *encodings* (heavy on denormals and NaN
@@ -418,6 +421,91 @@ proptest! {
         }
         crc.update(&data[at..]);
         prop_assert_eq!(crc.finish(), crc32_bitwise(&data));
+    }
+}
+
+/// Bit patterns with every NaN folded to one: which payload survives
+/// `NaN · NaN` or `NaN + NaN` depends on operand order, which the compiler
+/// is free to pick differently per body (scalar included).
+fn bits_nan_folded(xs: &[f32]) -> Vec<u32> {
+    xs.iter()
+        .map(|v| if v.is_nan() { 0x7FC0_0000 } else { v.to_bits() })
+        .collect()
+}
+
+/// Runs `gemm_nt_at` at every level into a NaN-filled `c` — the kernel
+/// overwrites, it never accumulates into what it was handed — and requires
+/// the `Scalar` body's bits.
+fn assert_gemm_nt_matches_scalar(a: &[f32], b: &[f32], m: usize, n: usize, k: usize) {
+    let mut want = vec![f32::NAN; m * k];
+    simd::gemm_nt_at(Level::Scalar, a, b, &mut want, m, n, k);
+    for lvl in available_levels() {
+        let mut got = vec![f32::NAN; m * k];
+        simd::gemm_nt_at(lvl, a, b, &mut got, m, n, k);
+        assert!(
+            bits_nan_folded(&got) == bits_nan_folded(&want),
+            "gemm_nt {lvl} m {m} n {n} k {k}"
+        );
+    }
+}
+
+/// Two input families per shape: raw IEEE-754 words (sums overflow, cancel
+/// to NaN, sit in the denormals) and gradient-sized finite values, where a
+/// reassociated or fused sum would show in the last bit — both with the
+/// adversarial encodings spliced in.
+fn gemm_inputs(len: usize, salt: usize) -> [Vec<f32>; 2] {
+    let mut rng = seeded(salt as u64 ^ 0x6e74);
+    let words: Vec<u32> = (0..len).map(|_| rng.gen()).collect();
+    let small: Vec<u32> = (0..len)
+        .map(|_| (rng.gen::<f32>() - 0.5).to_bits())
+        .collect();
+    [
+        floats_with_tricky(&words, salt),
+        floats_with_tricky(&small, salt + 1),
+    ]
+}
+
+/// Every combination of row-tile remainder (m around 8 and 16), column
+/// remainder (k around the 4-row pass) and reduction length, zero included;
+/// then the panel's 256-step `p`-chunk edge and a three-chunk reduction.
+#[test]
+fn gemm_nt_matches_scalar_at_every_tile_remainder() {
+    const DIMS: [usize; 11] = [0, 1, 3, 7, 8, 9, 15, 16, 17, 24, 33];
+    let mut shapes = Vec::new();
+    for m in DIMS {
+        for n in DIMS {
+            shapes.extend(DIMS.map(|k| (m, n, k)));
+        }
+        for n in [255, 256, 257, 768] {
+            shapes.extend([0, 1, 4, 5, 9].map(|k| (m, n, k)));
+        }
+    }
+    for (at, &(m, n, k)) in shapes.iter().enumerate() {
+        let [a_words, a_small] = gemm_inputs(m * n, at);
+        let [b_words, b_small] = gemm_inputs(k * n, at + 7);
+        assert_gemm_nt_matches_scalar(&a_words, &b_words, m, n, k);
+        assert_gemm_nt_matches_scalar(&a_small, &b_small, m, n, k);
+        // A finite operand against the adversarial one: 0 · ∞ and ∞ − ∞
+        // appear mid-chain instead of saturating the whole output.
+        assert_gemm_nt_matches_scalar(&a_small, &b_words, m, n, k);
+    }
+}
+
+/// The products the models' backward passes make: `Dense` dX for
+/// vgg19-analog's seven layers and a resnet50-analog block at batch 16
+/// (`m = batch, n = out, k = in`), a `Conv2d` input gradient
+/// (`m = out_ch, n = output positions, k = in_ch·kh·kw`) and an LSTM step
+/// (`m = batch, n = 4·hidden, k = in`).
+#[test]
+fn gemm_nt_matches_scalar_on_the_models_shapes() {
+    let vgg19 = [96usize, 768, 768, 512, 512, 256, 256, 10];
+    let mut shapes: Vec<(usize, usize, usize)> =
+        vgg19.windows(2).map(|w| (16, w[1], w[0])).collect();
+    shapes.extend([(16, 96, 96), (12, 36, 8 * 3 * 3), (20, 4 * 32, 24)]);
+    for (at, &(m, n, k)) in shapes.iter().enumerate() {
+        let [_, a] = gemm_inputs(m * n, at + 100);
+        let [_, b] = gemm_inputs(k * n, at + 200);
+        assert_gemm_nt_matches_scalar(&a, &b, m, n, k);
     }
 }
 

@@ -517,6 +517,7 @@ fn sharded_merge_steady_state_is_allocation_free() {
 #[test]
 fn bucket_envelope_is_one_allocation_however_many_tensors() {
     use grace::core::payload::encode_bucket_into;
+    grace::tensor::simd::level(); // cached now: its one env read allocates when the variable is set
 
     for tensors in [1usize, 2, 8, 32] {
         let encoded: Vec<(Vec<Payload>, Vec<f32>)> = (0..tensors)
