@@ -214,7 +214,7 @@ mod tests {
     }
 
     #[test]
-    fn vectorized_codec_matches_reference_encode_decode() {
+    fn vectorized_codec_matches_reference_roundtrip() {
         let mut q = EightBit::new();
         let g = gradient(777, 5);
         let scale = g.norm_inf();

@@ -13,12 +13,16 @@
 //!   each worker averages compressed parameters with its ring neighbours
 //!   every step, and the replicas only *approach* consensus.
 //!
-//! Both run the same [`Compressor`]/[`Memory`] stack as Algorithm 1, so any
-//! registered method drops in unchanged.
+//! Both are one replica loop (*n* replicas, each a local optimizer step per
+//! step) with a different synchronization round. Local SGD's round *is*
+//! Algorithm 1's exchange — `begin_step` → `submit` → `finish` over the
+//! deltas — so they aggregate under the method's own strategy; gossip's
+//! round has no collective, only each worker's own codec. Any registered
+//! method drops in unchanged.
 
 use crate::bucket::{BucketPlan, PlanBuilder, DEFAULT_FUSION_BYTES};
 use crate::compressor::Compressor;
-use crate::exchange::GradientExchange;
+use crate::exchange::{wire_bytes, GradientExchange};
 use crate::memory::Memory;
 use crate::trainer::{steps_per_epoch, worker_batch_indices};
 use grace_nn::data::Task;
@@ -149,17 +153,38 @@ fn local_step(
     }
 }
 
-/// The shared epilogue: evaluates the replica average on `probe` and reports
-/// how far the replicas ended from it.
-fn conclude(
-    replicas: &mut [Network],
-    mut probe: Network,
+/// The one replica loop both schedules run: every step of every epoch is a
+/// [`local_step`] on each replica followed by the schedule's `sync` round,
+/// which is told whether this is the run's last step and returns the
+/// payload bytes it moved per worker (`None` when it did not synchronize).
+/// Ends by evaluating the replica average on a fresh `make_net(0)` and
+/// reporting how far the replicas ended from it.
+fn train_replicas(
+    cfg: &ReplicatedConfig,
+    make_net: impl Fn(usize) -> Network,
+    make_opt: impl Fn(usize) -> Box<dyn Optimizer>,
     task: &dyn Task,
-    total_bytes: f64,
-    sync_rounds: u64,
+    mut sync: impl FnMut(&mut [Network], bool) -> Option<f64>,
 ) -> ReplicatedResult {
-    let mean = average_params(replicas);
-    let gap = consensus_gap(replicas, &mean);
+    let n = cfg.n_workers;
+    let mut replicas: Vec<Network> = (0..n).map(&make_net).collect();
+    let mut opts: Vec<Box<dyn Optimizer>> = (0..n).map(&make_opt).collect();
+    let spe = steps_per_epoch(task.train_len(), n, cfg.batch_per_worker);
+    let mut total_bytes = 0.0f64;
+    let mut sync_rounds = 0u64;
+    for epoch in 0..cfg.epochs {
+        for step in 0..spe {
+            local_step(cfg, task, &mut replicas, &mut opts, epoch, step);
+            let last = epoch + 1 == cfg.epochs && step + 1 == spe;
+            if let Some(bytes) = sync(&mut replicas, last) {
+                total_bytes += bytes;
+                sync_rounds += 1;
+            }
+        }
+    }
+    let mean = average_params(&mut replicas);
+    let gap = consensus_gap(&mut replicas, &mean);
+    let mut probe = make_net(0);
     probe.import_params(&mean);
     ReplicatedResult {
         final_quality: task.quality(&mut probe),
@@ -171,10 +196,13 @@ fn conclude(
 
 /// Runs local SGD with compressed periodic synchronization.
 ///
-/// Every `sync_every` steps, each worker compresses the *delta* of its
-/// parameters since the last synchronization (with per-worker error
-/// feedback), the decompressed deltas are averaged, and all replicas rebase
-/// to `anchor + mean(Δ)` — exact consensus at every synchronization point.
+/// Every `sync_every` steps (and after the last), each worker submits the
+/// *delta* of its parameters since the last synchronization to Algorithm
+/// 1's own exchange — per-worker error feedback, compression, and the
+/// method's [`CommStrategy`](crate::CommStrategy): `Allreduce` methods
+/// average the deltas while compressed and decode once, `Allgather` methods
+/// decode each and combine them with `Agg`. All replicas then rebase to
+/// `anchor + mean(Δ)` — exact consensus at every synchronization point.
 ///
 /// # Panics
 ///
@@ -192,48 +220,33 @@ pub fn run_local_sgd(
     let n = cfg.n_workers;
     assert_eq!(compressors.len(), n, "need one compressor per worker");
     assert_eq!(memories.len(), n, "need one memory per worker");
-    // The shared exchange engine drives the compressed delta rounds: the
-    // per-worker compensate → compress → decode → memory-update lanes, the
-    // decoded deltas averaged in rank order.
     let mut engine = GradientExchange::from_fleet(compressors, memories);
-    let mut replicas: Vec<Network> = (0..n).map(&make_net).collect();
-    let mut opts: Vec<Box<dyn Optimizer>> = (0..n).map(&make_opt).collect();
-    let spe = steps_per_epoch(task.train_len(), n, cfg.batch_per_worker);
-    let mut anchor = replicas[0].export_params();
+    // The first anchor is where replica 0 (`make_net(0)`) starts.
+    let mut anchor = make_net(0).export_params();
     let plan = param_plan(&anchor);
-    let mut total_bytes = 0.0f64;
-    let mut sync_rounds = 0u64;
     let mut since_sync = 0usize;
-    for epoch in 0..cfg.epochs {
-        for step in 0..spe {
-            local_step(cfg, task, &mut replicas, &mut opts, epoch, step);
-            since_sync += 1;
-            if since_sync < cfg.sync_every && !(epoch + 1 == cfg.epochs && step + 1 == spe) {
-                continue;
-            }
-            since_sync = 0;
-            sync_rounds += 1;
-            // Compressed delta exchange: every worker streams Q(param −
-            // anchor) into a decoded session, so the per-bucket compress /
-            // decode lanes run while later deltas are still being formed.
-            let mut session = engine.begin_decoded_step(&plan);
-            for (w, r) in replicas.iter_mut().enumerate() {
-                for ((name, p), (_, a)) in r.export_params().into_iter().zip(anchor.iter()) {
-                    session.submit(w, &name, &p.sub(a));
-                }
-            }
-            let (mean_delta, report) = session.finish_decoded_mean();
-            total_bytes += report.total_payload_bytes() as f64 / n as f64;
-            // Rebase every replica on anchor + mean delta (exact consensus).
-            for ((_, a), (_, d)) in anchor.iter_mut().zip(mean_delta.iter()) {
-                a.add_assign(d);
-            }
-            for r in replicas.iter_mut() {
-                r.import_params(&anchor);
+    train_replicas(cfg, make_net, make_opt, task, |replicas, last| {
+        since_sync += 1;
+        if since_sync < cfg.sync_every && !last {
+            return None;
+        }
+        since_sync = 0;
+        let mut session = engine.begin_step(&plan);
+        for (w, r) in replicas.iter_mut().enumerate() {
+            for ((name, p), (_, a)) in r.export_params().into_iter().zip(&anchor) {
+                session.submit(w, &name, &p.sub(a));
             }
         }
-    }
-    conclude(&mut replicas, make_net(0), task, total_bytes, sync_rounds)
+        let (mean_delta, report) = session.finish();
+        // Rebase every replica on anchor + mean delta (exact consensus).
+        for ((_, a), (_, d)) in anchor.iter_mut().zip(&mean_delta) {
+            a.add_assign(d);
+        }
+        for r in replicas.iter_mut() {
+            r.import_params(&anchor);
+        }
+        Some(report.total_payload_bytes() as f64 / n as f64)
+    })
 }
 
 /// Runs decentralized training with compressed ring gossip.
@@ -241,6 +254,8 @@ pub fn run_local_sgd(
 /// After each local step, worker `i` pulls the *compressed* parameters of
 /// its ring neighbours `i±1` and moves toward their average:
 /// `xᵢ ← xᵢ + γ·(mean(Q(x_{i−1}), Q(x_{i+1})) − Q(xᵢ))`.
+/// There is no collective: each worker compresses its raw parameters (no
+/// error feedback) and `Q(x)` is that worker's own compressor's decode.
 /// Replicas never reach exact consensus; the result reports the residual
 /// [`ReplicatedResult::consensus_gap`].
 ///
@@ -258,48 +273,37 @@ pub fn run_gossip(
     let n = cfg.n_workers;
     assert!(n >= 2, "gossip needs at least two workers");
     assert_eq!(compressors.len(), n, "need one compressor per worker");
-    // Gossip compresses raw parameters (no error feedback), so the engine
-    // runs memory-less lanes; each round's decoded views come back
-    // rank-ordered.
-    let mut engine = GradientExchange::from_compressors(compressors);
-    let mut replicas: Vec<Network> = (0..n).map(&make_net).collect();
-    let mut opts: Vec<Box<dyn Optimizer>> = (0..n).map(&make_opt).collect();
-    let spe = steps_per_epoch(task.train_len(), n, cfg.batch_per_worker);
-    let plan = param_plan(&replicas[0].export_params());
-    let mut total_bytes = 0.0f64;
-    let mut rounds = 0u64;
-    for epoch in 0..cfg.epochs {
-        for step in 0..spe {
-            local_step(cfg, task, &mut replicas, &mut opts, epoch, step);
-            // Gossip round: everyone streams its parameters through a
-            // decoded session once; each worker then averages its
-            // neighbours' decompressed views.
-            rounds += 1;
-            let mut session = engine.begin_decoded_step(&plan);
-            for (w, r) in replicas.iter_mut().enumerate() {
-                for (name, p) in r.export_params() {
-                    session.submit(w, &name, &p);
-                }
+    train_replicas(cfg, make_net, make_opt, task, |replicas, _| {
+        let mut bytes = 0usize;
+        let views: Vec<Vec<Tensor>> = replicas
+            .iter_mut()
+            .zip(compressors.iter_mut())
+            .map(|(r, c)| {
+                r.export_params()
+                    .into_iter()
+                    .map(|(name, p)| {
+                        let (payloads, ctx) = c.compress(&p, &name);
+                        bytes += wire_bytes(&payloads, &ctx);
+                        c.decompress(&payloads, &ctx)
+                    })
+                    .collect()
+            })
+            .collect();
+        for (w, replica) in replicas.iter_mut().enumerate() {
+            let (left, right) = (&views[(w + n - 1) % n], &views[(w + 1) % n]);
+            let mut updated = replica.export_params();
+            for (k, (_, p)) in updated.iter_mut().enumerate() {
+                // neighbour mean of compressed views minus own view.
+                let mut target = left[k].clone();
+                target.add_assign(&right[k]);
+                target.scale(0.5);
+                target.sub_assign(&views[w][k]);
+                p.axpy(cfg.gossip_gamma, &target);
             }
-            let (views, report) = session.finish_decoded_views();
-            total_bytes += report.total_payload_bytes() as f64 / n as f64;
-            for w in 0..n {
-                let left = (w + n - 1) % n;
-                let right = (w + 1) % n;
-                let mut updated = replicas[w].export_params();
-                for (k, (_, p)) in updated.iter_mut().enumerate() {
-                    // neighbour mean of compressed views minus own view.
-                    let mut target = views[left][k].1.clone();
-                    target.add_assign(&views[right][k].1);
-                    target.scale(0.5);
-                    target.sub_assign(&views[w][k].1);
-                    p.axpy(cfg.gossip_gamma, &target);
-                }
-                replicas[w].import_params(&updated);
-            }
+            replica.import_params(&updated);
         }
-    }
-    conclude(&mut replicas, make_net(0), task, total_bytes, rounds)
+        Some(bytes as f64 / n as f64)
+    })
 }
 
 #[cfg(test)]

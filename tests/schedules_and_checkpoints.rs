@@ -145,3 +145,31 @@ fn decoded_session_goldens() {
         "gossip, qsgd"
     );
 }
+
+/// Local SGD under an `Allreduce` method: the deltas' PowerSGD factors are
+/// averaged while compressed and decoded once — the method's own
+/// aggregation rule — not averaged as per-worker reconstructions.
+#[test]
+fn local_sgd_allreduce_golden() {
+    let task = ClassificationDataset::synthetic(192, 8, 2, 0.3, 74);
+    let mut cfg = ReplicatedConfig::new(3, 8, 4, 74);
+    cfg.sync_every = 2;
+    let (mut cs, mut ms) = registry::build_fleet(&registry::find("powersgd").unwrap(), 3, 74);
+    let r = run_local_sgd(
+        &cfg,
+        |_| models::mlp_classifier("m", 8, &[16], 2, 74),
+        |_| Box::new(Sgd::new(0.05)) as Box<dyn Optimizer>,
+        &task,
+        &mut cs,
+        &mut ms,
+    );
+    assert_eq!(
+        (
+            r.final_quality.to_bits(),
+            r.consensus_gap.to_bits(),
+            r.bytes_per_worker_per_sync
+        ),
+        (0x3ff0000000000000, 0x3e9194cb76890093, 648.0),
+        "local SGD, powersgd"
+    );
+}
