@@ -1,6 +1,6 @@
 //! The compressor API (paper §IV-B).
 
-use crate::aggregation::{AggAlgebra, HomomorphicAggregate};
+use crate::aggregation::HomomorphicAggregate;
 use crate::payload::Payload;
 use grace_tensor::{Shape, Tensor};
 
@@ -97,18 +97,6 @@ pub trait Compressor: Send {
     /// for methods with built-in memory such as 1-bit SGD, DGC, EFsignSGD).
     fn supports_error_feedback(&self) -> bool {
         true
-    }
-
-    /// The associativity/commutativity audit of this method's
-    /// [`aggregate`](Self::aggregate) — the machine-readable gate the
-    /// aggregation planner consults before sharding the merge. The default
-    /// matches the default `aggregate` ([`mean_of`]): elementwise, exact at
-    /// any shard grain. Methods overriding `aggregate` with anything
-    /// data-dependent (threshold re-selection, ranking) must also override
-    /// this to [`AggAlgebra::DataDependent`] so they keep the reference
-    /// decode-then-merge path.
-    fn agg_algebra(&self) -> AggAlgebra {
-        AggAlgebra::MeanElementwise
     }
 
     /// The [`HomomorphicAggregate`] capability: `Some` when this method's

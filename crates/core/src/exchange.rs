@@ -35,8 +35,9 @@
 //! Each lane encodes on the submitting thread in plan order (submissions
 //! must arrive in plan order), every randomized method owns a per-worker
 //! seeded RNG, and contributions merge in rank order, so the outcome is
-//! bit-identical at any fusion threshold and shard width — asserted by
-//! `tests/exchange_equivalence.rs` and `tests/pipeline_equivalence.rs`.
+//! bit-identical at any fusion threshold and under either aggregation plan —
+//! asserted by `tests/exchange_equivalence.rs` and
+//! `tests/pipeline_equivalence.rs`.
 //!
 //! # Telemetry
 //!
@@ -117,15 +118,8 @@ pub struct ExchangeReport {
     pub compress_seconds: Vec<f64>,
     /// Wall-clock seconds spent decompressing for aggregation.
     pub decompress_seconds: f64,
-    /// CPU seconds spent decompressing for aggregation (contributions
-    /// decode serially, so this equals
-    /// [`decompress_seconds`](Self::decompress_seconds)).
-    pub decompress_cpu_seconds: f64,
     /// Wall-clock seconds spent in `Agg` proper.
     pub aggregate_seconds: f64,
-    /// CPU seconds spent in `Agg` proper, summed over merge shards. Equals
-    /// [`aggregate_seconds`](Self::aggregate_seconds) on serial merges.
-    pub aggregate_cpu_seconds: f64,
     /// Bytes of representation that entered the aggregation merge point:
     /// `n × dense` when contributions decode before merging, the sum of
     /// compressed wire sizes under
@@ -205,10 +199,10 @@ impl ExchangeReport {
     }
 
     /// Total CPU seconds the aggregator spent on this step's merge:
-    /// contribution decode plus the `Agg` fold — the "aggregator CPU" axis
-    /// of the plan-comparison figure.
+    /// contribution decode plus the `Agg` fold, both serial on the merging
+    /// thread — the "aggregator CPU" axis of the plan-comparison figure.
     pub fn aggregator_cpu_seconds(&self) -> f64 {
-        self.decompress_cpu_seconds + self.aggregate_cpu_seconds
+        self.decompress_seconds + self.aggregate_seconds
     }
 }
 
@@ -220,12 +214,8 @@ pub struct StageTotals {
     pub compress_seconds: f64,
     /// Σ aggregation decompress time.
     pub decompress_seconds: f64,
-    /// Σ aggregation decompress CPU time over lanes.
-    pub decompress_cpu_seconds: f64,
     /// Σ `Agg` time.
     pub aggregate_seconds: f64,
-    /// Σ `Agg` CPU time over merge shards.
-    pub aggregate_cpu_seconds: f64,
     /// Σ bytes entering the aggregation merge point.
     pub incast_bytes: u64,
 }
@@ -235,15 +225,13 @@ impl StageTotals {
     pub fn add(&mut self, report: &ExchangeReport) {
         self.compress_seconds += report.max_compress_seconds();
         self.decompress_seconds += report.decompress_seconds;
-        self.decompress_cpu_seconds += report.decompress_cpu_seconds;
         self.aggregate_seconds += report.aggregate_seconds;
-        self.aggregate_cpu_seconds += report.aggregate_cpu_seconds;
         self.incast_bytes += report.incast_bytes;
     }
 
     /// Σ aggregator CPU seconds (decode + merge fold).
     pub fn aggregator_cpu_seconds(&self) -> f64 {
-        self.decompress_cpu_seconds + self.aggregate_cpu_seconds
+        self.decompress_seconds + self.aggregate_seconds
     }
 }
 
@@ -717,19 +705,14 @@ struct PipelineState {
 #[derive(Debug, Default, Clone, Copy)]
 struct AggAccum {
     decompress_ns: u64,
-    decompress_cpu_ns: u64,
     aggregate_ns: u64,
-    aggregate_cpu_ns: u64,
     incast_bytes: u64,
 }
 
 impl AggAccum {
     fn add_merge(&mut self, stats: &MergeStats) {
-        // Contributions decode serially: wall == CPU.
         self.decompress_ns += stats.decode_cpu_ns;
-        self.decompress_cpu_ns += stats.decode_cpu_ns;
-        self.aggregate_ns += stats.merge_wall_ns;
-        self.aggregate_cpu_ns += stats.merge_cpu_ns;
+        self.aggregate_ns += stats.merge_ns;
         self.incast_bytes += stats.incast_bytes;
     }
 }
@@ -813,12 +796,6 @@ impl<'a> GradientExchange<'a> {
         // All lanes must share worker 0's strategy.
         let strategy = lanes[0].compressor.strategy();
         let n = lanes.len();
-        let auto = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(n);
-        let mut merger = AggMerger::new(AggregationPlan::default());
-        merger.set_shards(auto);
         GradientExchange {
             lanes,
             strategy,
@@ -827,26 +804,13 @@ impl<'a> GradientExchange<'a> {
             metrics: EngineMetrics::resolve(),
             quality: QualitySensors::resolve(),
             pipeline: PipelineState::default(),
-            merger,
+            merger: AggMerger::new(AggregationPlan::default()),
             frames: GatherFrames::new(),
         }
     }
 
-    /// Overrides the shard width of [`AggregationPlan::ShardedMerge`]
-    /// folds. `1` forces the serial fold; any width produces bit-identical
-    /// results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one merge thread");
-        self.merger.set_shards(threads);
-        self
-    }
-
     /// Selects the aggregation plan for `Allgather` merges (downgraded per
-    /// method by [`crate::effective_plan`]); every plan is bit-identical on
+    /// method by [`crate::effective_plan`]); both plans are bit-identical on
     /// the aggregated output, so this only moves CPU and incast bytes
     /// around.
     pub fn with_aggregation(mut self, plan: AggregationPlan) -> Self {
@@ -917,9 +881,7 @@ impl<'a> GradientExchange<'a> {
     fn decode_mean(&mut self, mean: &[Payload], ctx: &Context, acc: &mut AggAccum) -> Tensor {
         let t0 = StageTimer::start();
         let out = self.lanes[0].compressor.decompress(mean, ctx);
-        let ns = t0.finish("decompress", Track::Stage(Stage::Decompress));
-        acc.decompress_ns += ns;
-        acc.decompress_cpu_ns += ns;
+        acc.decompress_ns += t0.finish("decompress", Track::Stage(Stage::Decompress));
         out
     }
 
@@ -1246,9 +1208,7 @@ impl<'a> GradientExchange<'a> {
                 .map(|(lane, s)| lane.codec_seconds() - s.codec_before)
                 .collect(),
             decompress_seconds: acc.decompress_ns as f64 / NS_PER_SEC,
-            decompress_cpu_seconds: acc.decompress_cpu_ns as f64 / NS_PER_SEC,
             aggregate_seconds: acc.aggregate_ns as f64 / NS_PER_SEC,
-            aggregate_cpu_seconds: acc.aggregate_cpu_ns as f64 / NS_PER_SEC,
             incast_bytes: acc.incast_bytes,
             payload_bytes: stagers.iter().map(LaneStager::step_bytes).collect(),
             hidden_encode_seconds: stagers.iter().map(LaneStager::hidden_seconds).collect(),
@@ -1443,7 +1403,7 @@ mod tests {
     #[test]
     fn baseline_exchange_averages_and_accounts_bytes() {
         let (mut cs, mut ms) = fleet(2);
-        let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms).with_threads(1);
+        let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
         let (agg, report) = run_step(&mut engine, usize::MAX, &grads(2, 2.0));
         assert_eq!(agg.len(), 2);
         assert_eq!(agg[0].0, "a");
@@ -1461,30 +1421,6 @@ mod tests {
         // Reports feed the traffic counter: one bucket message per worker.
         assert_eq!(engine.traffic().total_bytes(), 48);
         assert_eq!(engine.traffic().messages(0), 1);
-    }
-
-    #[test]
-    fn parallel_and_sequential_exchanges_are_bit_identical() {
-        let run = |threads: usize| {
-            let (mut cs, mut ms) = fleet(3);
-            let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms).with_threads(threads);
-            let mut out = Vec::new();
-            for step in 0..4 {
-                let (agg, report) = run_step(&mut engine, 8, &grads(3, step as f32));
-                out.push((agg, report.wire_bytes(), report.total_payload_bytes()));
-            }
-            out
-        };
-        let seq = run(1);
-        let par = run(3);
-        for ((agg_s, wire_s, bytes_s), (agg_p, wire_p, bytes_p)) in seq.iter().zip(par.iter()) {
-            assert_eq!(wire_s, wire_p);
-            assert_eq!(bytes_s, bytes_p);
-            for ((na, ta), (nb, tb)) in agg_s.iter().zip(agg_p.iter()) {
-                assert_eq!(na, nb);
-                assert_eq!(ta.as_slice(), tb.as_slice());
-            }
-        }
     }
 
     #[test]
@@ -1536,13 +1472,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one merge thread")]
-    fn zero_threads_rejected() {
-        let (mut cs, mut ms) = fleet(1);
-        let _ = GradientExchange::from_fleet(&mut cs, &mut ms).with_threads(0);
-    }
-
-    #[test]
     #[should_panic(expected = "does not match the bucket plan")]
     fn out_of_order_submission_panics() {
         let inputs = grads(1, 1.0);
@@ -1557,7 +1486,7 @@ mod tests {
     #[test]
     fn session_pools_persist_and_overlap_is_reported() {
         let (mut cs, mut ms) = fleet(2);
-        let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms).with_threads(1);
+        let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
         let inputs = grads(2, 1.0);
         let plan = plan_for(&inputs[0], 1); // two buckets → bucket 0 is hidden
         for _ in 0..3 {
@@ -1748,7 +1677,7 @@ mod tests {
                         *c = Box::new(Gathered::default());
                     }
                 }
-                let mut local = GradientExchange::from_fleet(&mut cs, &mut ms).with_threads(1);
+                let mut local = GradientExchange::from_fleet(&mut cs, &mut ms);
                 let (want, _) = run_step(&mut local, fusion_bytes, &inputs);
                 let (outs, _) = collective_step(gathered, fusion_bytes, FaultPlan::empty());
                 for (rank, (got, ops)) in outs.into_iter().enumerate() {
@@ -1826,7 +1755,7 @@ mod tests {
         let inputs = grads(2, 1.0);
         let plan = plan_for(&inputs[0], usize::MAX);
         let (mut cs, mut ms) = fleet(2);
-        let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms).with_threads(1);
+        let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
         {
             let mut session = engine.begin_step(&plan);
             let (name, g) = &inputs[0][0];

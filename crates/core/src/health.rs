@@ -771,9 +771,7 @@ mod tests {
             buckets: Vec::new(),
             compress_seconds: vec![0.010, 0.002],
             decompress_seconds: 0.0,
-            decompress_cpu_seconds: 0.0,
             aggregate_seconds: 0.0,
-            aggregate_cpu_seconds: 0.0,
             incast_bytes: 0,
             payload_bytes: vec![100, 100],
             hidden_encode_seconds: vec![0.006, 0.001],

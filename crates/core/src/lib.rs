@@ -50,8 +50,7 @@ pub mod threaded;
 pub mod trainer;
 
 pub use aggregation::{
-    effective_plan, AggAlgebra, AggMerger, AggregationPlan, FoldScratch, HomomorphicAggregate,
-    MergeStats,
+    effective_plan, AggMerger, AggregationPlan, FoldScratch, HomomorphicAggregate, MergeStats,
 };
 pub use bucket::{BucketPlan, PlanBuilder, DEFAULT_FUSION_BYTES};
 pub use compressor::{CommStrategy, Compressor, Context, Fleet, NoCompression};

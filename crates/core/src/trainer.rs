@@ -183,10 +183,9 @@ pub struct TrainConfig {
     /// deterministic fault plan plus collective timeout. Ignored by
     /// [`run_simulated`], which models a fault-free cluster.
     pub fault: Option<grace_comm::FaultConfig>,
-    /// Shard width of the exchange engine's
-    /// [`ShardedMerge`](crate::AggregationPlan::ShardedMerge) fold: `None`
-    /// runs one shard per worker up to the host's parallelism, `Some(1)`
-    /// forces the serial fold. Results are bit-identical either way.
+    /// Unused: nothing reads this field. It is kept only because the
+    /// separate `benchmark/` workspace still assigns it; it goes when that
+    /// assignment does.
     pub exchange_threads: Option<usize>,
     /// Tensor-fusion threshold in bytes: gradients stream out of backprop
     /// in reverse layer order and fuse into buckets of up to this many
@@ -217,8 +216,9 @@ pub struct TrainConfig {
     /// real sockets. [`run_simulated`] ignores it.
     pub backend: ExecBackend,
     /// Aggregation plan for `Allgather` merges (downgraded per method by
-    /// the capability/algebra chain). Every plan is bit-identical on the
-    /// trained parameters; it only moves aggregator CPU and incast bytes.
+    /// [`crate::effective_plan`]). Both plans are bit-identical on the
+    /// trained parameters; the choice only moves aggregator CPU and incast
+    /// bytes.
     pub agg_plan: crate::AggregationPlan,
 }
 
@@ -569,9 +569,6 @@ pub fn run_simulated(
     assert_eq!(memories.len(), n, "need one memory per worker");
     let mut engine =
         GradientExchange::from_fleet(compressors, memories).with_aggregation(cfg.agg_plan);
-    if let Some(threads) = cfg.exchange_threads {
-        engine = engine.with_threads(threads);
-    }
     let strategy = engine.strategy();
     let compressor_name = engine.compressor_name();
     let uncompressed = 4.0 * net.param_count() as f64;

@@ -2,19 +2,17 @@
 //! pluggable-`AggregationPlan` refactor.
 //!
 //! For every fig6 benchmark and every gather-side compression method, this
-//! sweeps `decode_then_merge` / `sharded_merge` / `homomorphic_sum` and
-//! reports what each plan costs at the aggregation point: summed aggregator
-//! CPU-seconds (decode + merge fold) and incast bytes (what actually enters
-//! the merge). Trained parameters are bit-identical across plans — that is
-//! asserted by the equivalence suites — so the only thing this figure can
-//! show is *where the work went*:
-//!
-//! * `sharded_merge` keeps incast at `n × dense` but spreads the fold over
-//!   executor shards (CPU column shrinks on wide hosts);
-//! * `homomorphic_sum` never materializes decoded contributions, so for the
-//!   shared-scale quantizers and the sketch both columns drop by roughly
-//!   the method's compression ratio. Methods without the capability
-//!   downgrade (the plan column shows what actually ran).
+//! sweeps `decode_then_merge` / `homomorphic_sum` and reports what each plan
+//! costs at the aggregation point: summed aggregator CPU-seconds (decode +
+//! merge fold, both serial on the merging thread) and incast bytes (what
+//! actually enters the merge). Trained parameters are bit-identical across
+//! plans — that is asserted by the equivalence suites — so the only thing
+//! this figure can show is *where the work went*: `homomorphic_sum` never
+//! materializes decoded contributions, so for the shared-scale quantizers
+//! and the sketch both columns drop by roughly the method's compression
+//! ratio. Methods without the capability run the reference under either
+//! requested plan (the plan column is the requested one), so their two rows
+//! differ only by timing noise.
 //!
 //! Run: `cargo run --release -p grace-experiments --bin grace-exp -- fig_agg`
 //! (`--scale 25` for a quicker pass.)
@@ -53,8 +51,8 @@ pub fn run(rc: &RunnerConfig) {
                     id.to_string(),
                     plan.to_string(),
                     report::fmt(res.stages.aggregator_cpu_seconds(), 6),
-                    report::fmt(res.stages.decompress_cpu_seconds, 6),
-                    report::fmt(res.stages.aggregate_cpu_seconds, 6),
+                    report::fmt(res.stages.decompress_seconds, 6),
+                    report::fmt(res.stages.aggregate_seconds, 6),
                     format!("{}", res.stages.incast_bytes),
                     report::fmt(res.best_quality, 4),
                 ]);

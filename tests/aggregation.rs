@@ -1,15 +1,15 @@
-//! `AggAlgebra` conformance suite: the audit that gates which aggregation
-//! plans a method may run under.
+//! Aggregation-plan conformance suite: the audit of which methods may fold
+//! encoded contributions, and the proof that doing so never moves a bit.
 //!
-//! Three pluggable plans ([`grace::core::AggregationPlan`]) must produce
-//! **bit-identical** merges for every registered method whose `Agg` is the
-//! elementwise mean — at any shard grain, for any gathered contribution set.
-//! Worker *permutation* is only approximately invariant (f32 addition is
-//! commutative but not associative), and that tolerance is asserted too.
-//! The opt-out list is machine-readable: a method whose `Agg` is
-//! data-dependent must declare [`grace::core::AggAlgebra::DataDependent`]
-//! and appears in `AGG_OPT_OUT` below; the downgrade chain then pins it to
-//! the reference plan.
+//! Both pluggable plans ([`grace::core::AggregationPlan`]) must produce
+//! **bit-identical** merges for every registered and extension method, for
+//! any gathered contribution set. Worker *permutation* is only
+//! approximately invariant (f32 addition is commutative but not
+//! associative), and that tolerance is asserted too. The capability table
+//! is machine-readable: a method advertising
+//! [`grace::core::HomomorphicAggregate`] must appear in `HOMOMORPHIC` below,
+//! and every other method — including one whose `Agg` is data-dependent —
+//! runs the reference plan.
 //!
 //! Gradients come from seeded proptest strategies, so failures replay.
 
@@ -17,21 +17,13 @@ use grace::compressors::extensions::extension_specs;
 use grace::compressors::registry;
 use grace::core::exchange::decode_gathered;
 use grace::core::{
-    AggAlgebra, AggMerger, AggregationPlan, CommStrategy, Compressor, CompressorSpec, Context,
-    EncodedTensor, Payload,
+    AggMerger, AggregationPlan, CommStrategy, Compressor, CompressorSpec, Context, EncodedTensor,
+    Payload,
 };
 use grace::tensor::Tensor;
 use proptest::prelude::*;
 
 const N_WORKERS: usize = 3;
-
-/// Methods whose `Agg` inspects the whole decoded set (threshold
-/// re-selection, ranking, any data-dependent reduction) and therefore only
-/// run the reference `DecodeThenMerge` plan. Every registered method uses
-/// the default elementwise mean today, so the list is empty — adding a
-/// data-dependent method without registering it here fails
-/// `algebra_audit_matches_the_opt_out_list`.
-const AGG_OPT_OUT: &[&str] = &[];
 
 /// Methods advertising the [`grace::core::HomomorphicAggregate`] capability:
 /// codebook-space accumulation for the shared-scale quantizers, linear
@@ -98,31 +90,6 @@ proptest! {
         }
     }
 
-    /// Shard-order invariance: the sharded fold is exact at every grain —
-    /// shard boundaries never change the per-element fold order.
-    #[test]
-    fn sharded_merge_is_exact_at_any_shard_count(
-        data in gradient_values(),
-        shards in 1usize..9,
-    ) {
-        for spec in all_specs() {
-            let parts = gather(&spec, &data);
-            let mut reference_c = (spec.build)(100);
-            let expect = decode_gathered(reference_c.as_mut(), &parts);
-            let mut c = (spec.build)(100);
-            let mut merger = AggMerger::new(AggregationPlan::ShardedMerge);
-            merger.set_shards(shards);
-            let (got, _) = merger.merge_gathered(c.as_mut(), &parts);
-            prop_assert_eq!(
-                bits(&got),
-                bits(&expect),
-                "{} at {} shards",
-                spec.id,
-                shards
-            );
-        }
-    }
-
     /// Worker permutation is *approximately* invariant (f32 addition
     /// commutes but does not associate): reversing the gathered rank order
     /// moves the mean by at most a few ulps per contribution.
@@ -149,20 +116,12 @@ proptest! {
     }
 }
 
-/// The machine-readable audit: a method's declared [`AggAlgebra`] must agree
-/// with the opt-out list, and the homomorphic capability set must match the
-/// documented table exactly.
+/// The machine-readable audit: the homomorphic capability set must match
+/// the documented table exactly, and only gathered merges may fold.
 #[test]
 fn algebra_audit_matches_the_opt_out_list() {
     for spec in all_specs() {
         let mut c = (spec.build)(1);
-        let data_dependent = c.agg_algebra() == AggAlgebra::DataDependent;
-        assert_eq!(
-            data_dependent,
-            AGG_OPT_OUT.contains(&spec.id),
-            "'{}' algebra audit disagrees with AGG_OPT_OUT",
-            spec.id
-        );
         let homomorphic = c.homomorphic().is_some();
         assert_eq!(
             homomorphic,
@@ -181,8 +140,8 @@ fn algebra_audit_matches_the_opt_out_list() {
     }
 }
 
-/// A synthetic method whose `Agg` re-ranks the decoded set — the shape of
-/// compressor the opt-out exists for.
+/// A synthetic method whose `Agg` re-ranks the decoded set — a reduction no
+/// rank-order fold reproduces, so it must never be folded while encoded.
 struct DataDependentAgg;
 
 impl Compressor for DataDependentAgg {
@@ -218,30 +177,21 @@ impl Compressor for DataDependentAgg {
         }
         out
     }
-
-    fn agg_algebra(&self) -> AggAlgebra {
-        AggAlgebra::DataDependent
-    }
 }
 
-/// The downgrade chain: homomorphic-incapable methods degrade to the
-/// sharded fold; data-dependent methods degrade all the way to the
-/// reference — and the merge output proves the declared `Agg` actually ran.
+/// The one downgrade: a method without the fold capability runs the
+/// reference under `HomomorphicSum` — and for a data-dependent `Agg` the
+/// merge output proves the method's own `Agg` actually ran.
 #[test]
 fn downgrade_chain_respects_capability_and_algebra() {
     use grace::core::effective_plan;
 
-    // A mean-elementwise method without the fold capability: HomomorphicSum
-    // degrades one step, to ShardedMerge.
+    // A mean-elementwise method without the fold capability.
     let topk = registry::find("topk").unwrap();
     let mut c = (topk.build)(1);
     assert_eq!(
         effective_plan(AggregationPlan::HomomorphicSum, c.as_mut()),
-        AggregationPlan::ShardedMerge
-    );
-    assert_eq!(
-        effective_plan(AggregationPlan::ShardedMerge, c.as_mut()),
-        AggregationPlan::ShardedMerge
+        AggregationPlan::DecodeThenMerge
     );
 
     // A capable method runs the requested plan unchanged.
@@ -252,15 +202,11 @@ fn downgrade_chain_respects_capability_and_algebra() {
         AggregationPlan::HomomorphicSum
     );
 
-    // Data-dependent `Agg`: both non-reference plans degrade to the
-    // reference, and the merge truly runs the method's own `Agg`.
+    // Data-dependent `Agg`: the fold plan degrades to the reference, and
+    // the merge truly runs the method's own `Agg`.
     let mut dd = DataDependentAgg;
     assert_eq!(
         effective_plan(AggregationPlan::HomomorphicSum, &mut dd),
-        AggregationPlan::DecodeThenMerge
-    );
-    assert_eq!(
-        effective_plan(AggregationPlan::ShardedMerge, &mut dd),
         AggregationPlan::DecodeThenMerge
     );
     let parts: Vec<EncodedTensor> = [[1.0f32, -5.0], [-3.0, 2.0]]

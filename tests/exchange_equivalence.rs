@@ -2,11 +2,8 @@
 //!
 //! The golden checksums below were captured from `run_simulated` *before* the
 //! exchange loops were extracted into [`grace::core::exchange`]; the refactor
-//! (and its scoped-thread executor) must keep the trained parameters
-//! bit-identical for one quantization, one sparsification and one low-rank
-//! method. A second set of tests asserts that running the engine with
-//! `threads = n` produces exactly the same parameters and `ExchangeReport`
-//! byte counts as `threads = 1`.
+//! must keep the trained parameters bit-identical for one quantization, one
+//! sparsification and one low-rank method, with tracing on or off.
 
 use grace::compressors::{PowerSgd, Qsgd, TopK};
 use grace::core::trainer::{run_simulated, CodecTiming};
@@ -94,7 +91,7 @@ fn powersgd_parameters_match_pre_refactor_golden() {
 /// sequential per-lane RNG substream, so feeding gradients in reverse layer
 /// order (deepest first, the overlap-friendly order) permutes the draws.
 /// The value is order-dependent but still fully deterministic — the
-/// equivalence tests below pin it across executor widths and fusion sizes.
+/// pipeline and transport equivalence suites pin it across fusion sizes.
 const GOLDEN_QSGD: u32 = 0xaa5f_d836;
 const GOLDEN_TOPK: u32 = 0xe0ae_0255;
 const GOLDEN_POWERSGD: u32 = 0xfc95_aeee;
@@ -121,78 +118,4 @@ fn trace_enabled_run_matches_goldens() {
         spans.iter().any(|e| e.name == "bucket"),
         "the pipelined exchange must leave per-bucket spans"
     );
-}
-
-/// Full training run with an explicit executor width; returns the parameter
-/// checksum plus the byte accounting the `ExchangeReport`s fed into the
-/// result, so the determinism tests can compare both.
-fn threaded_run(
-    threads: usize,
-    make_c: impl Fn(usize) -> Box<dyn Compressor>,
-    make_m: impl Fn() -> Box<dyn Memory>,
-) -> (u32, f64) {
-    let n = 4;
-    let task = ClassificationDataset::synthetic(128, 8, 2, 0.3, SEED);
-    let mut net = models::mlp_classifier("m", 8, &[16], 2, SEED);
-    let mut opt = Momentum::new(0.05, 0.9);
-    let mut cfg = TrainConfig::new(n, 8, 2, SEED);
-    cfg.codec = CodecTiming::Free;
-    cfg.exchange_threads = Some(threads);
-    let (mut cs, mut ms) = fleet(n, make_c, make_m);
-    let res = run_simulated(&cfg, &mut net, &task, &mut opt, &mut cs, &mut ms);
-    let mut bytes = Vec::new();
-    for (name, t) in net.export_params() {
-        bytes.extend_from_slice(name.as_bytes());
-        for v in t.as_slice() {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    (crc32(&bytes), res.bytes_per_worker_per_iter)
-}
-
-/// The scoped-thread executor must be invisible: `threads = n` and
-/// `threads = 1` produce bit-identical parameters and identical
-/// `ExchangeReport`-derived byte accounting.
-#[test]
-fn parallel_executor_is_bit_identical_to_sequential() {
-    for (name, make_c) in [
-        (
-            "qsgd",
-            (|w: usize| Box::new(Qsgd::new(16, 1000 + w as u64)) as Box<dyn Compressor>)
-                as fn(usize) -> Box<dyn Compressor>,
-        ),
-        ("topk", |_w| Box::new(TopK::new(0.05))),
-        ("powersgd", |_w| Box::new(PowerSgd::new(2))),
-    ] {
-        let make_m = || -> Box<dyn Memory> {
-            if name == "qsgd" {
-                Box::new(NoMemory::new())
-            } else {
-                Box::new(ResidualMemory::new())
-            }
-        };
-        let (seq_crc, seq_bytes) = threaded_run(1, make_c, make_m);
-        let (par_crc, par_bytes) = threaded_run(4, make_c, make_m);
-        assert_eq!(
-            seq_crc, par_crc,
-            "{name}: parameters diverged under parallelism"
-        );
-        assert_eq!(
-            seq_bytes.to_bits(),
-            par_bytes.to_bits(),
-            "{name}: byte accounting diverged under parallelism"
-        );
-    }
-}
-
-/// The sequential executor path must itself match the pre-refactor goldens
-/// (i.e. `threads = 1` is not a differently-ordered code path).
-#[test]
-fn explicit_sequential_executor_matches_goldens() {
-    let (crc, _) = threaded_run(
-        1,
-        |_w| Box::new(PowerSgd::new(2)),
-        || Box::new(ResidualMemory::new()),
-    );
-    assert_eq!(crc, GOLDEN_POWERSGD);
 }

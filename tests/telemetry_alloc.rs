@@ -7,7 +7,6 @@
 //! after a warm-up step, `begin_step` + every `submit` reuse the engine's
 //! pooled staging buffers and allocate nothing.
 
-use grace::core::aggregation::sharded_mean_into;
 use grace::core::{
     AggMerger, AggregationPlan, Compressor, Context, EncodedTensor, GradientExchange, HealthConfig,
     HealthMonitor, Payload, PayloadReader, PlanBuilder, StepObservation,
@@ -464,50 +463,6 @@ fn zero_copy_decode_steady_state_is_allocation_free() {
     );
     assert_eq!(codes.len(), 512);
     assert_eq!(meta.len(), 16);
-}
-
-/// Steady-state sharded merging must be allocation-free on the serial path
-/// (`shards <= 1`): the fold writes into a caller-pooled output tensor that
-/// `reset_for` resizes without reallocating once capacity exists. (The
-/// multi-shard path spawns scoped threads and is measured by the bench, not
-/// this harness — thread spawn allocates by design.)
-#[test]
-fn sharded_merge_steady_state_is_allocation_free() {
-    set_level(Level::Off);
-    let parts: Vec<Tensor> = (0..4)
-        .map(|w| {
-            Tensor::from_vec(
-                (0..768)
-                    .map(|i| ((i * 13 + w * 7) % 29) as f32 - 14.0)
-                    .collect(),
-            )
-        })
-        .collect();
-    let mut out = Tensor::from_vec(Vec::new());
-
-    // Warm-up sizes the pooled output.
-    let _ = sharded_mean_into(&parts, &mut out, 1);
-
-    let before = allocs_on_this_thread();
-    for _ in 0..1_000 {
-        let _ = sharded_mean_into(&parts, &mut out, 1);
-    }
-    let after = allocs_on_this_thread();
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state sharded merge allocated {} times",
-        after - before
-    );
-    let expect = (0..768)
-        .map(|i| {
-            (0..4)
-                .map(|w| ((i * 13 + w * 7) % 29) as f32 - 14.0)
-                .sum::<f32>()
-                / 4.0
-        })
-        .collect::<Vec<f32>>();
-    assert_eq!(out.as_slice(), &expect[..]);
 }
 
 /// The wire unit of a gathered bucket is one buffer, not one frame `Vec` per

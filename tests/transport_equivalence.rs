@@ -3,7 +3,7 @@
 //!
 //! This is the transport PR's centerpiece harness. The training loop is
 //! backend-independent, so for every registered compression method (plus
-//! the extension set), every executor width and every fusion threshold, the
+//! the extension set), every aggregation plan and every fusion threshold, the
 //! final parameter vector — digested to a CRC32 by
 //! [`grace::core::param_checksum`] — must be identical whether the
 //! collectives run over shared memory, crossbeam-style threads, localhost
@@ -81,40 +81,35 @@ fn every_method_is_bit_identical_threaded_vs_socket() {
 /// The three-way check (simulated ↔ threaded ↔ socket ↔ unix-socket) on a
 /// representative trio covering allgather (TopK), randomized quantization
 /// (QSGD, per-worker seeds) and low-rank allreduce (PowerSGD) — swept over
-/// executor widths and fusion thresholds, which must never change bits.
+/// fusion thresholds, which must never change bits.
 #[test]
 fn widths_and_fusion_thresholds_never_change_bits() {
     for id in ["topk", "qsgd", "powersgd"] {
         let spec = registry::find(id).unwrap();
         let mut reference: Option<u32> = None;
-        for width in [None, Some(1)] {
-            for fusion in [1usize, grace::core::DEFAULT_FUSION_BYTES] {
-                let mut backends = vec![ExecBackend::Threads, ExecBackend::SocketTcp];
-                if cfg!(unix) {
-                    backends.push(ExecBackend::SocketUds);
-                }
-                for backend in backends {
-                    let mut cfg = config(backend);
-                    cfg.exchange_threads = width;
-                    cfg.fusion_bytes = fusion;
-                    let (crc, _) = run_backend(&spec, &cfg);
-                    match reference {
-                        None => {
-                            // The deterministic simulator anchors the cell.
-                            let mut sim_cfg = config(ExecBackend::Threads);
-                            sim_cfg.exchange_threads = width;
-                            sim_cfg.fusion_bytes = fusion;
-                            let (sim_crc, _) = run_sim(&spec, &sim_cfg);
-                            assert_eq!(
-                                sim_crc, crc,
-                                "'{id}' diverged from the simulator (width {width:?}, fusion {fusion})"
-                            );
-                            reference = Some(crc);
-                        }
-                        Some(r) => assert_eq!(
-                            r, crc,
-                            "'{id}' diverged at width {width:?}, fusion {fusion}, {backend:?}"
-                        ),
+        for fusion in [1usize, grace::core::DEFAULT_FUSION_BYTES] {
+            let mut backends = vec![ExecBackend::Threads, ExecBackend::SocketTcp];
+            if cfg!(unix) {
+                backends.push(ExecBackend::SocketUds);
+            }
+            for backend in backends {
+                let mut cfg = config(backend);
+                cfg.fusion_bytes = fusion;
+                let (crc, _) = run_backend(&spec, &cfg);
+                match reference {
+                    None => {
+                        // The deterministic simulator anchors the cell.
+                        let mut sim_cfg = config(ExecBackend::Threads);
+                        sim_cfg.fusion_bytes = fusion;
+                        let (sim_crc, _) = run_sim(&spec, &sim_cfg);
+                        assert_eq!(
+                            sim_crc, crc,
+                            "'{id}' diverged from the simulator (fusion {fusion})"
+                        );
+                        reference = Some(crc);
+                    }
+                    Some(r) => {
+                        assert_eq!(r, crc, "'{id}' diverged at fusion {fusion}, {backend:?}")
                     }
                 }
             }
