@@ -8,8 +8,8 @@
 //!   replaced (per-element `partition_point` code-book search, the generic
 //!   bit-cursor pack/unpack loop, the float `max` fold, the comparator
 //!   top-k, QSGD's per-element quantize/dequantize loops) — byte-for-byte
-//!   what the codecs ran before; for `gemm_nt` and the CRC tables, the
-//!   library's own retained reference body (`Level::Scalar`,
+//!   what the codecs ran before; for `gemm_nt`, `gemm_tn` and the CRC
+//!   tables, the library's own retained reference body (`Level::Scalar`,
 //!   `crc32_bitwise`);
 //! * `new` — the runtime-dispatched `grace_tensor::simd` kernel, the pooled
 //!   selection built on it, the word-at-a-time packer of
@@ -581,6 +581,45 @@ fn main() {
                 new_ms,
             });
         }
+    }
+
+    // dW = Xᵀ · dY over the same seven layers at batch 16, X ReLU-like
+    // (about half zeros, which both bodies skip), against the scalar body:
+    // the loop `matmul_transpose_a` ran before it had a vector body.
+    {
+        let widths = [96usize, 768, 768, 512, 512, 256, 256, 10];
+        let batch = 16;
+        let xs: Vec<f32> = gradient_of_bytes(4 * batch * 768, 37)
+            .as_slice()
+            .iter()
+            .map(|v| v.max(0.0))
+            .collect();
+        let dys = gradient_of_bytes(4 * batch * 768, 41);
+        let outputs: usize = widths.windows(2).map(|w| w[0] * w[1]).sum();
+        let mut want = vec![0f32; outputs];
+        let mut got = vec![f32::NAN; outputs];
+        let run = |lvl: simd::Level, mut c: &mut [f32]| {
+            for layer in widths.windows(2) {
+                let (k, n) = (layer[0], layer[1]);
+                let (a, b) = (&xs[..batch * k], &dys.as_slice()[..batch * n]);
+                let (slot, rest) = c.split_at_mut(k * n);
+                simd::gemm_tn_at(lvl, std::hint::black_box(a), b, slot, batch, k, n);
+                std::hint::black_box(&slot);
+                c = rest;
+            }
+        };
+        let reference_ms = time_ms(|| run(simd::Level::Scalar, &mut want));
+        let new_ms = time_ms(|| run(simd::level(), &mut got));
+        let same = got
+            .iter()
+            .zip(&want)
+            .all(|(g, w)| g.to_bits() == w.to_bits());
+        assert!(same, "gemm_tn diverged");
+        rows.push(Row {
+            name: "gemm_tn",
+            reference_ms,
+            new_ms,
+        });
     }
 
     // CRC32, the trailer of every payload stream and socket frame: the

@@ -25,6 +25,20 @@ pub trait Optimizer: Send {
     fn set_learning_rate(&mut self, lr: f32);
 }
 
+/// The state an optimizer keeps under `name`, created by `init` on the
+/// first call. A hit — every call after a parameter's first — looks the
+/// name up as a `&str` and allocates nothing.
+fn state<'a, T>(
+    map: &'a mut HashMap<String, T>,
+    name: &str,
+    init: impl FnOnce() -> T,
+) -> &'a mut T {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), init());
+    }
+    map.get_mut(name).expect("inserted above")
+}
+
 /// Vanilla SGD: `x ← x − η·g`.
 #[derive(Debug, Clone)]
 pub struct Sgd {
@@ -93,17 +107,27 @@ impl Momentum {
 
 impl Optimizer for Momentum {
     fn update(&mut self, name: &str, value: &mut Tensor, grad: &Tensor) {
-        let v = self
-            .velocity
-            .entry(name.to_string())
-            .or_insert_with(|| grad.zeros_like());
-        v.scale(self.gamma);
-        v.add_assign(grad);
+        assert_eq!(value.len(), grad.len(), "tensor length mismatch in axpy");
+        let v = state(&mut self.velocity, name, || grad.zeros_like());
+        assert_eq!(v.len(), grad.len(), "tensor length mismatch in add");
+        let (gamma, step) = (self.gamma, -self.lr);
+        let zs = v.as_mut_slice().iter_mut().zip(grad.as_slice());
+        let elems = value.as_mut_slice().iter_mut().zip(zs);
+        // Per element, exactly `Tensor::{scale, add_assign, axpy}` in that
+        // order — `z·γ`, `+ g`, `x + (−η)·z`, never fused — the bits every
+        // golden was recorded with.
         if self.nesterov {
-            value.axpy(-self.lr, grad);
-            value.axpy(-self.lr * self.gamma, v);
+            let look_ahead = -self.lr * self.gamma;
+            for (x, (z, &g)) in elems {
+                *z = *z * gamma + g;
+                *x += step * g;
+                *x += look_ahead * *z;
+            }
         } else {
-            value.axpy(-self.lr, v);
+            for (x, (z, &g)) in elems {
+                *z = *z * gamma + g;
+                *x += step * *z;
+            }
         }
     }
 
@@ -150,17 +174,11 @@ impl Adam {
 
 impl Optimizer for Adam {
     fn update(&mut self, name: &str, value: &mut Tensor, grad: &Tensor) {
-        let t = self.t.entry(name.to_string()).or_insert(0);
+        let t = state(&mut self.t, name, || 0);
         *t += 1;
         let step = *t;
-        let m = self
-            .m
-            .entry(name.to_string())
-            .or_insert_with(|| grad.zeros_like());
-        let v = self
-            .v
-            .entry(name.to_string())
-            .or_insert_with(|| grad.zeros_like());
+        let m = state(&mut self.m, name, || grad.zeros_like());
+        let v = state(&mut self.v, name, || grad.zeros_like());
         let bc1 = 1.0 - self.beta1.powi(step as i32);
         let bc2 = 1.0 - self.beta2.powi(step as i32);
         for i in 0..grad.len() {
@@ -210,10 +228,7 @@ impl RmsProp {
 
 impl Optimizer for RmsProp {
     fn update(&mut self, name: &str, value: &mut Tensor, grad: &Tensor) {
-        let s = self
-            .mean_sq
-            .entry(name.to_string())
-            .or_insert_with(|| grad.zeros_like());
+        let s = state(&mut self.mean_sq, name, || grad.zeros_like());
         for i in 0..grad.len() {
             let g = grad[i];
             s[i] = self.decay * s[i] + (1.0 - self.decay) * g * g;
@@ -256,10 +271,7 @@ impl Adagrad {
 
 impl Optimizer for Adagrad {
     fn update(&mut self, name: &str, value: &mut Tensor, grad: &Tensor) {
-        let a = self
-            .accum
-            .entry(name.to_string())
-            .or_insert_with(|| grad.zeros_like());
+        let a = state(&mut self.accum, name, || grad.zeros_like());
         for i in 0..grad.len() {
             let g = grad[i];
             a[i] += g * g;
@@ -313,6 +325,73 @@ mod tests {
     fn nesterov_converges_on_quadratic() {
         let mut opt = Momentum::new(0.05, 0.9).nesterov();
         assert!(run_quadratic(&mut opt, 200) < 1e-2);
+    }
+
+    /// The three passes `Momentum::update` made before it was fused: the
+    /// oracle for the one-pass loop.
+    fn three_pass(v: &mut Tensor, x: &mut Tensor, g: &Tensor, lr: f32, gamma: f32, nesterov: bool) {
+        v.scale(gamma);
+        v.add_assign(g);
+        if nesterov {
+            x.axpy(-lr, g);
+            x.axpy(-lr * gamma, v);
+        } else {
+            x.axpy(-lr, v);
+        }
+    }
+
+    #[test]
+    fn fused_momentum_matches_the_three_pass_sequence_bit_for_bit() {
+        const SPECIAL: [f32; 8] = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f32::from_bits(1),           // smallest subnormal
+            f32::from_bits(0x807F_FFFF), // largest negative subnormal
+            -f32::MIN_POSITIVE,
+        ];
+        // 37 elements: four 8-lane vectors of `axpy` plus a scalar tail.
+        // Elements 0..8 take the special values every seventh step, 8..16
+        // stay subnormal-sized, the rest are ordinary gradients.
+        let len = 37;
+        // Every NaN folds to one: which payload survives `NaN + NaN` is the
+        // compiler's operand-order choice in either body (debug and release
+        // builds pick differently). Every other bit must match.
+        let bits = |t: &Tensor| {
+            let fold = |v: &f32| if v.is_nan() { 0x7FC0_0000 } else { v.to_bits() };
+            t.as_slice().iter().map(fold).collect::<Vec<_>>()
+        };
+        for nesterov in [false, true] {
+            let (lr, gamma) = (0.05, 0.9);
+            let mut opt = Momentum::new(lr, gamma);
+            opt.nesterov = nesterov;
+            let init: Vec<f32> = (0..len).map(|i| (i as f32 - 18.0) * 0.01).collect();
+            let mut fused = Tensor::from_vec(init.clone());
+            let mut want = Tensor::from_vec(init);
+            let mut v = Tensor::from_vec(vec![0.0; len]);
+            let mut seed = 0x9e37_79b9u32;
+            for step in 0..300 {
+                let g: Vec<f32> = (0..len)
+                    .map(|i| {
+                        seed = seed.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                        let u = (seed >> 8) as f32 / (1u32 << 24) as f32 - 0.5;
+                        match i {
+                            0..8 if step % 7 == 0 => SPECIAL[(i + step) % SPECIAL.len()],
+                            8..16 => u * 1e-38,
+                            _ => u,
+                        }
+                    })
+                    .collect();
+                let g = Tensor::from_vec(g);
+                opt.update("w", &mut fused, &g);
+                three_pass(&mut v, &mut want, &g, lr, gamma, nesterov);
+                assert_eq!(bits(&fused), bits(&want), "nesterov {nesterov} step {step}");
+                assert_eq!(bits(&opt.velocity["w"]), bits(&v), "nesterov {nesterov}");
+            }
+            assert!(want.as_slice()[16..].iter().all(|x| x.is_finite()));
+        }
     }
 
     #[test]

@@ -27,7 +27,14 @@
 //!   the other two skip `a == 0.0` rows of work, which makes that product
 //!   *not* propagate — both behaviours are part of the contract.
 //!
-//! [`crate::simd::gemm_nt`] is the one product with a vector body so far.
+//! Two of the three have vector bodies: [`crate::simd::gemm_nt`] (dX) and
+//! [`crate::simd::gemm_tn`] (dW). `gemm_tn` keeps the zero-skip without
+//! any non-finite detector: its lanes run across columns of `C`, so the
+//! skipped value `a[row][i]` is one scalar shared by every lane, and the
+//! kernel simply compacts the nonzero rows into a list before it runs the
+//! chains — the reference's terms, in the reference's order. [`matmul`]
+//! keeps its `axpy` rows: its skip already halves the work on ReLU inputs,
+//! and a register tile that kept it measured slower than the loop.
 
 /// `C (m×n) = A (m×k) · B (k×n)`.
 ///
@@ -54,27 +61,15 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     c
 }
 
-/// `C (k×n) = Aᵀ · B` where `A` is `m×k` and `B` is `m×n`.
+/// `C (k×n) = Aᵀ · B` where `A` is `m×k` and `B` is `m×n`: a fresh buffer
+/// filled by [`crate::simd::gemm_tn`].
 ///
 /// # Panics
 ///
 /// Panics if buffer sizes do not match the dimensions.
 pub fn matmul_transpose_a(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    assert_eq!(a.len(), m * k, "A buffer size mismatch");
-    assert_eq!(b.len(), m * n, "B buffer size mismatch");
     let mut c = vec![0.0f32; k * n];
-    for row in 0..m {
-        let arow = &a[row * k..(row + 1) * k];
-        let brow = &b[row * n..(row + 1) * n];
-        for i in 0..k {
-            let av = arow[i];
-            if av == 0.0 {
-                continue;
-            }
-            let crow = &mut c[i * n..(i + 1) * n];
-            crate::simd::axpy(crow, av, brow);
-        }
-    }
+    crate::simd::gemm_tn(a, b, &mut c, m, k, n);
     c
 }
 
@@ -204,6 +199,48 @@ mod tests {
                 assert_eq!(buf[m * k + 1], 7.0, "{lvl} ({m},{n},{k})");
                 assert!(buf[1..m * k + 1].iter().all(|v| v.to_bits() == 0));
             }
+        }
+    }
+
+    #[test]
+    fn transpose_a_with_an_empty_dimension_is_zero_or_empty() {
+        use crate::simd::{available_levels, gemm_tn_at};
+        for (m, k, n) in [(0, 5, 9), (0, 3, 40), (9, 0, 16), (4, 5, 0), (0, 0, 0)] {
+            let (a, b) = (small_ints(m * k, 1), small_ints(m * n, 2));
+            assert_eq!(matmul_transpose_a(&a, &b, m, k, n), vec![0.0; k * n]);
+            for lvl in available_levels() {
+                // `c` sits inside a larger buffer: nothing around it moves.
+                let mut buf = vec![7.0f32; k * n + 2];
+                gemm_tn_at(lvl, &a, &b, &mut buf[1..k * n + 1], m, k, n);
+                assert_eq!(buf[0], 7.0, "{lvl} ({m},{k},{n})");
+                assert_eq!(buf[k * n + 1], 7.0, "{lvl} ({m},{k},{n})");
+                assert!(buf[1..k * n + 1].iter().all(|v| v.to_bits() == 0));
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_a_skips_zero_entries_of_a_even_against_inf_and_nan() {
+        use crate::simd::{available_levels, gemm_tn_at};
+        // Row 0 of A is ±0 and row 0 of B is ±∞/NaN: every term that pairs
+        // them is skipped, not `0 · ∞ = NaN`, so C is row 1's products alone
+        // — finite — at every level and on both sides of the 8-column strip.
+        let (m, k, n) = (2, 3, 11);
+        let a = [0.0, -0.0, 0.0, 2.0, -1.5, 0.25];
+        let mut b = vec![f32::INFINITY; m * n];
+        b[1] = f32::NEG_INFINITY;
+        b[4] = f32::NAN;
+        b[10] = -f32::NAN;
+        b[n..].copy_from_slice(&small_ints(n, 5));
+        let want: Vec<f32> = (0..k * n)
+            .map(|at| 0.0 + a[k + at / n] * b[n + at % n])
+            .collect();
+        assert!(want.iter().all(|v| v.is_finite()));
+        for lvl in available_levels() {
+            let mut c = vec![f32::NAN; k * n];
+            gemm_tn_at(lvl, &a, &b, &mut c, m, k, n);
+            let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&c), bits(&want), "{lvl}");
         }
     }
 

@@ -23,10 +23,12 @@
 //!   from `mul` + `add`);
 //! * reductions that would need a lane-reassociated tree (`dot`, the f32
 //!   sum) are deliberately **not** vectorized here — their sequential
-//!   accumulation order is pinned by golden checksums; [`gemm_nt`] is a
-//!   reduction per output element, so it keeps every element's chain
-//!   sequential and spreads its lanes over *different* elements instead
-//!   (the rule is stated once, in [`crate::linalg`]'s module docs);
+//!   accumulation order is pinned by golden checksums; [`gemm_nt`] and
+//!   [`gemm_tn`] are reductions per output element, so they keep every
+//!   element's chain sequential and spread their lanes over *different*
+//!   elements instead (the rule is stated once, in [`crate::linalg`]'s
+//!   module docs); `gemm_tn`'s zero-skip is kept by compacting the
+//!   nonzero rows before the chains run, a decision every lane shares;
 //! * the max-reduction in [`abs_max_bits`] operates on absolute-value *bit
 //!   patterns* (sign bit cleared, compared as integers), which is
 //!   associative and exact, so the lane-parallel tree equals the scalar
@@ -266,6 +268,42 @@ pub fn gemm_nt_at(lvl: Level, a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: 
         scalar: scalar::gemm_nt(a, b, c, m, n, k),
         sse2: x86::gemm_nt_sse2(a, b, c, m, n, k),
         avx2: x86::gemm_nt_avx2(a, b, c, m, n, k))
+}
+
+// ---------------------------------------------------------------------------
+// gemm_tn (Aᵀ·B: the dW product of every backward pass)
+// ---------------------------------------------------------------------------
+
+/// `C (k×n) = Aᵀ · B` where `A` is `m×k` and `B` is `m×n`; all three
+/// row-major. `c` is overwritten, never read.
+///
+/// Every output element is the sequential chain `acc = 0.0; for row in
+/// 0..m { if a[row][i] != 0.0 { acc = acc + a[row][i] * b[row][j] } }` —
+/// one `mul` then one `add` per term, rows ascending. The zero-skip means
+/// `0 · ∞` does *not* propagate: an `a = ±0` term is absent, whatever `b`
+/// holds. The AVX2 body runs eight columns of `C` per vector, so the skipped
+/// value `a[row][i]` is one scalar shared by every lane: it compacts the
+/// nonzero rows of column `i` of `A` into a list, ascending, and runs each
+/// element's chain over that list — the reference's terms in the
+/// reference's order, so every level returns the scalar body's bits (NaN
+/// payloads aside, as in [`gemm_nt`]).
+///
+/// # Panics
+///
+/// Panics if a buffer size does not match the dimensions.
+pub fn gemm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_tn_at(level(), a, b, c, m, k, n);
+}
+
+/// [`gemm_tn`] with an explicit dispatch level.
+pub fn gemm_tn_at(lvl: Level, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "A buffer size mismatch");
+    assert_eq!(b.len(), m * n, "B buffer size mismatch");
+    assert_eq!(c.len(), k * n, "C buffer size mismatch");
+    dispatch!(lvl,
+        scalar: scalar::gemm_tn(a, b, c, m, k, n),
+        sse2: x86::gemm_tn_sse2(a, b, c, m, k, n),
+        avx2: x86::gemm_tn_avx2(a, b, c, m, k, n))
 }
 
 // ---------------------------------------------------------------------------
@@ -564,6 +602,26 @@ mod scalar {
         }
     }
 
+    /// The reference order of [`super::gemm_tn`]: the loop
+    /// `linalg::matmul_transpose_a` ran before it had a vector body — per
+    /// row of `A`, one
+    /// `axpy` of that row of `B` into every row `i` of `C` whose
+    /// `a[row][i]` is nonzero.
+    pub fn gemm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        c.fill(0.0);
+        for row in 0..m {
+            let arow = &a[row * k..(row + 1) * k];
+            let brow = &b[row * n..(row + 1) * n];
+            for i in 0..k {
+                let av = arow[i];
+                if av == 0.0 {
+                    continue;
+                }
+                axpy(&mut c[i * n..(i + 1) * n], av, brow);
+            }
+        }
+    }
+
     pub fn narrow_to_bytes(values: &[u32], out: &mut [u8]) {
         for (o, &v) in out.iter_mut().zip(values) {
             *o = v as u8;
@@ -669,6 +727,13 @@ mod x86 {
     #[target_feature(enable = "sse2")]
     pub fn gemm_nt_sse2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
         scalar::gemm_nt(a, b, c, m, n, k);
+    }
+
+    /// Four columns per vector leave too little work per broadcast to beat
+    /// the reference's `axpy` rows; SSE2 takes the reference.
+    #[target_feature(enable = "sse2")]
+    pub fn gemm_tn_sse2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        scalar::gemm_tn(a, b, c, m, k, n);
     }
 
     /// SSE2 lacks `pmaxud`; abs bit patterns have the top bit clear, so the
@@ -923,6 +988,97 @@ mod x86 {
                 }
             }
         }
+    }
+
+    /// Rows of `A` one compacted list covers: the list is a stack buffer of
+    /// `GEMM_TN_CHUNK` values and row slices (5 KiB), whatever `m` is.
+    const GEMM_TN_CHUNK: usize = 256;
+
+    /// Lanes across columns of `C`. For each output row `i` the nonzero
+    /// `a[row][i]` of a `GEMM_TN_CHUNK`-row chunk are listed in ascending
+    /// row order beside their rows of `B`; then 64-column strips (eight
+    /// accumulators: enough independent chains to cover the add latency),
+    /// 8-column strips and the last `n % 8` columns each run every element's
+    /// chain over that list, holding it in registers and storing it once.
+    /// The first chunk starts each chain at `0.0`; later chunks resume from
+    /// the partial sums in `c` (an f32 store and reload is exact). With
+    /// `n < 8` no strip fits and the whole call takes the reference.
+    #[target_feature(enable = "avx2")]
+    pub fn gemm_tn_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        if n < 8 {
+            return scalar::gemm_tn(a, b, c, m, k, n);
+        }
+        let mut vals = [0.0f32; GEMM_TN_CHUNK];
+        let mut rows: [&[f32]; GEMM_TN_CHUNK] = [&[]; GEMM_TN_CHUNK];
+        let mut r0 = 0;
+        // Runs once for m == 0 too: every element is then the empty chain's
+        // 0.0, which still has to overwrite what `c` held.
+        loop {
+            let r1 = m.min(r0 + GEMM_TN_CHUNK);
+            let resume = r0 > 0;
+            for (i, crow) in c.chunks_exact_mut(n).enumerate() {
+                let mut len = 0;
+                for row in r0..r1 {
+                    let av = a[row * k + i];
+                    if av == 0.0 {
+                        continue;
+                    }
+                    vals[len] = av;
+                    rows[len] = &b[row * n..][..n];
+                    len += 1;
+                }
+                let (vals, rows) = (&vals[..len], &rows[..len]);
+                let j0 = gemm_tn_strips::<8>(vals, rows, crow, 0, resume);
+                let j0 = gemm_tn_strips::<1>(vals, rows, crow, j0, resume);
+                for (j, out) in crow.iter_mut().enumerate().skip(j0) {
+                    let mut acc = if resume { *out } else { 0.0 };
+                    for (&av, brow) in vals.iter().zip(rows) {
+                        acc += av * brow[j];
+                    }
+                    *out = acc;
+                }
+            }
+            r0 = r1;
+            if r0 >= m {
+                break;
+            }
+        }
+    }
+
+    /// Runs the chains of `crow`'s `8V`-column strips from column `j0` on
+    /// while a whole strip fits; returns the first column it left. Lane `l`
+    /// of accumulator `v` *is* the reference's `c[i][j + 8v + l]`: `mul`
+    /// then `add`, operands in `axpy`'s order, never fused.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn gemm_tn_strips<const V: usize>(
+        vals: &[f32],
+        rows: &[&[f32]],
+        crow: &mut [f32],
+        mut j0: usize,
+        resume: bool,
+    ) -> usize {
+        while crow.len() - j0 >= 8 * V {
+            let (out, _) = crow[j0..j0 + 8 * V].as_chunks_mut::<8>();
+            let mut acc = [_mm256_setzero_ps(); V];
+            if resume {
+                for (accv, lanes) in acc.iter_mut().zip(out.iter()) {
+                    *accv = load8(lanes);
+                }
+            }
+            for (&av, brow) in vals.iter().zip(rows) {
+                let av = _mm256_set1_ps(av);
+                let (strip, _) = brow[j0..j0 + 8 * V].as_chunks::<8>();
+                for (accv, lanes) in acc.iter_mut().zip(strip) {
+                    *accv = _mm256_add_ps(*accv, _mm256_mul_ps(av, load8(lanes)));
+                }
+            }
+            for (lanes, &accv) in out.iter_mut().zip(&acc) {
+                store8(lanes, accv);
+            }
+            j0 += 8 * V;
+        }
+        j0
     }
 
     #[target_feature(enable = "sse2")]

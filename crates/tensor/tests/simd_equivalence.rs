@@ -23,6 +23,9 @@
 //! * `gemm_nt` (A·Bᵀ) against its scalar body over every combination of
 //!   row-tile remainders, the panel's `p`-chunk edge and the shapes the
 //!   models' backward passes really produce, into a NaN-filled output.
+//! * `gemm_tn` (Aᵀ·B) likewise: every strip remainder, reductions crossing
+//!   its row-list chunk, ReLU-like zeros in either operand against ±∞ and
+//!   NaN in the other, and the models' dW and low-rank shapes.
 //!
 //! Inputs are raw `u32` words reinterpreted with `from_bits`, so the float
 //! space is sampled uniformly over *encodings* (heavy on denormals and NaN
@@ -506,6 +509,94 @@ fn gemm_nt_matches_scalar_on_the_models_shapes() {
         let [_, a] = gemm_inputs(m * n, at + 100);
         let [_, b] = gemm_inputs(k * n, at + 200);
         assert_gemm_nt_matches_scalar(&a, &b, m, n, k);
+    }
+}
+
+/// Runs `gemm_tn_at` at every level into a NaN-filled `c` and requires the
+/// `Scalar` body's bits.
+fn assert_gemm_tn_matches_scalar(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    let mut want = vec![f32::NAN; k * n];
+    simd::gemm_tn_at(Level::Scalar, a, b, &mut want, m, k, n);
+    for lvl in available_levels() {
+        let mut got = vec![f32::NAN; k * n];
+        simd::gemm_tn_at(lvl, a, b, &mut got, m, k, n);
+        assert!(
+            bits_nan_folded(&got) == bits_nan_folded(&want),
+            "gemm_tn {lvl} m {m} k {k} n {n}"
+        );
+    }
+}
+
+/// Half of `xs` set to ±0 (ReLU's output, and the entries `gemm_tn` skips),
+/// the adversarial encodings elsewhere left in place.
+fn relu_like(mut xs: Vec<f32>, salt: usize) -> Vec<f32> {
+    for (i, x) in xs.iter_mut().enumerate() {
+        if (i * 7 + salt) % 4 < 2 {
+            *x = if i % 3 == 0 { -0.0 } else { 0.0 };
+        }
+    }
+    xs
+}
+
+/// Checks one `gemm_tn` shape over four input families: raw words against
+/// raw words, gradient-sized values, finite `A` against the adversarial
+/// `B`, and ReLU-like operands (half ±0) against the adversarial other side
+/// — so `a = 0` meets `b = ±∞`/NaN (skipped: the term is absent) and
+/// `a = ±∞`/NaN meets `b = 0` (not skipped: the term is NaN).
+fn check_gemm_tn(m: usize, k: usize, n: usize, salt: usize) {
+    let [a_words, a_small] = gemm_inputs(m * k, salt);
+    let [b_words, b_small] = gemm_inputs(m * n, salt + 7);
+    assert_gemm_tn_matches_scalar(&a_words, &b_words, m, k, n);
+    assert_gemm_tn_matches_scalar(&a_small, &b_small, m, k, n);
+    assert_gemm_tn_matches_scalar(&a_small, &b_words, m, k, n);
+    let a_relu = relu_like(a_small, salt);
+    assert_gemm_tn_matches_scalar(&a_relu, &b_words, m, k, n);
+    assert_gemm_tn_matches_scalar(&a_words, &relu_like(b_small, salt), m, k, n);
+}
+
+/// Every combination of column remainder (n around the 8- and 64-column
+/// strips, and under one vector, where the whole call is the reference),
+/// output row count and reduction length, zero included; then reductions
+/// that cross the kernel's 256-row list into a second and third chunk.
+#[test]
+fn gemm_tn_matches_scalar_at_every_tile_remainder() {
+    const DIMS: [usize; 12] = [0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33];
+    let mut shapes = Vec::new();
+    for m in DIMS {
+        for k in DIMS {
+            shapes.extend(DIMS.map(|n| (m, k, n)));
+            shapes.extend([63, 64, 65, 73].map(|n| (m, k, n)));
+        }
+    }
+    for m in [255, 256, 257, 600] {
+        for k in [1, 3] {
+            shapes.extend([0, 7, 8, 9, 65, 75].map(|n| (m, k, n)));
+        }
+    }
+    for (at, &(m, k, n)) in shapes.iter().enumerate() {
+        check_gemm_tn(m, k, n, at);
+    }
+}
+
+/// The products the models make: `Dense` dW for vgg19-analog's seven layers
+/// and resnet50-analog's stem, block and head at batch 16 (`m = batch,
+/// k = in, n = out`), the `Conv2d` input-column gradient `Wᵀ · dY`
+/// (`m = out_ch, k = in_ch·kh·kw, n = output positions`), an LSTM step's
+/// `d1`/`d2` (`m = batch, k = in` or `hidden, n = 4·hidden`) and
+/// PowerSGD's `Mᵀ · P` at ranks 1, 2 and 4 (`n = r`: the reference path).
+#[test]
+fn gemm_tn_matches_scalar_on_the_models_shapes() {
+    let vgg19 = [96usize, 768, 768, 512, 512, 256, 256, 10];
+    let mut shapes: Vec<(usize, usize, usize)> =
+        vgg19.windows(2).map(|w| (16, w[0], w[1])).collect();
+    shapes.extend([(16, 48, 96), (16, 96, 96), (16, 96, 8)]);
+    shapes.extend([(12, 8 * 3 * 3, 36), (20, 24, 4 * 32), (20, 32, 4 * 32)]);
+    shapes.extend([1, 2, 4].map(|r| (64, 48, r)));
+    for (at, &(m, k, n)) in shapes.iter().enumerate() {
+        let [_, a] = gemm_inputs(m * k, at + 300);
+        let [_, b] = gemm_inputs(m * n, at + 400);
+        assert_gemm_tn_matches_scalar(&relu_like(a.clone(), at), &b, m, k, n);
+        assert_gemm_tn_matches_scalar(&a, &b, m, k, n);
     }
 }
 
