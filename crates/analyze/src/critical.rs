@@ -1,9 +1,9 @@
-//! Per-step critical-path attribution over a Chrome trace-event export.
+//! Per-step critical-path attribution over one trace file.
 //!
 //! The exchange pipeline records complete (`"X"`) spans on per-stage tracks
 //! (`stage: encode`, `stage: decompress`, `stage: aggregate`, `stage: comm`)
 //! and one instant marker per optimisation step on the `steps` track. This
-//! module segments the timeline at those markers and, inside each step
+//! module segments a file's timeline at those markers and, inside each step
 //! window, computes for every stage:
 //!
 //! * **busy** — the union length of the stage's spans (self-overlap between
@@ -15,7 +15,7 @@
 //! stage you must shrink to make the step faster. Hidden time is free —
 //! optimising it moves nothing.
 
-use grace_telemetry::json::{self, Value};
+use crate::merge::RankTrace;
 use std::collections::BTreeMap;
 
 /// Stage-track label prefix in the trace metadata.
@@ -26,15 +26,6 @@ pub(crate) const STEPS_TRACK: &str = "steps";
 /// flight recorder's per-step counter-delta instants, which are not
 /// boundaries.
 pub(crate) const STEP_MARKER: &str = "step";
-
-/// Spans and step markers extracted from one trace file.
-#[derive(Debug, Default)]
-pub struct TraceData {
-    /// Per stage name (e.g. `"encode"`): raw `[start_us, end_us)` spans.
-    pub stage_spans: BTreeMap<String, Vec<(f64, f64)>>,
-    /// Step markers as `(step_index, ts_us)`, sorted by time.
-    pub step_marks: Vec<(u64, f64)>,
-}
 
 /// One step window's attribution.
 #[derive(Debug, Clone)]
@@ -60,80 +51,6 @@ pub struct Summary {
     pub totals: BTreeMap<String, (f64, f64)>,
     /// How many steps each stage bounds.
     pub bound_counts: BTreeMap<String, usize>,
-}
-
-/// Parses a Chrome trace-event JSON document into [`TraceData`].
-///
-/// # Errors
-///
-/// Returns a message when the document is not the trace-event object
-/// format or track metadata is missing.
-pub fn parse_trace(text: &str) -> Result<TraceData, String> {
-    let doc = json::parse(text)?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(Value::as_array)
-        .ok_or("missing traceEvents array — not a Chrome trace export?")?;
-
-    // First pass: thread_name metadata maps tid → track label.
-    let mut track_names: BTreeMap<u64, String> = BTreeMap::new();
-    for ev in events {
-        if ev.get("ph").and_then(Value::as_str) == Some("M")
-            && ev.get("name").and_then(Value::as_str) == Some("thread_name")
-        {
-            let tid = ev
-                .get("tid")
-                .and_then(Value::as_f64)
-                .ok_or("metadata event without tid")? as u64;
-            let name = ev
-                .get("args")
-                .and_then(|a| a.get("name"))
-                .and_then(Value::as_str)
-                .ok_or("thread_name metadata without args.name")?;
-            track_names.insert(tid, name.to_string());
-        }
-    }
-
-    let mut data = TraceData::default();
-    for ev in events {
-        let ph = ev.get("ph").and_then(Value::as_str).unwrap_or("");
-        let tid = match ev.get("tid").and_then(Value::as_f64) {
-            Some(t) => t as u64,
-            None => continue,
-        };
-        let Some(track) = track_names.get(&tid) else {
-            continue;
-        };
-        let ts = ev.get("ts").and_then(Value::as_f64).unwrap_or(0.0);
-        match ph {
-            "X" => {
-                if let Some(stage) = track.strip_prefix(STAGE_PREFIX) {
-                    let dur = ev.get("dur").and_then(Value::as_f64).unwrap_or(0.0);
-                    data.stage_spans
-                        .entry(stage.to_string())
-                        .or_default()
-                        .push((ts, ts + dur));
-                }
-            }
-            "i" if track == STEPS_TRACK
-                && ev.get("name").and_then(Value::as_str) == Some(STEP_MARKER) =>
-            {
-                let step = ev
-                    .get("args")
-                    .and_then(|a| a.get("step"))
-                    .and_then(Value::as_f64)
-                    .unwrap_or(data.step_marks.len() as f64) as u64;
-                data.step_marks.push((step, ts));
-            }
-            _ => {}
-        }
-    }
-    data.step_marks
-        .sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-    for spans in data.stage_spans.values_mut() {
-        spans.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    }
-    Ok(data)
 }
 
 /// Merges sorted `[start, end)` intervals into a disjoint union.
@@ -181,30 +98,49 @@ fn clip(union: &[(f64, f64)], lo: f64, hi: f64) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Attributes each step window. With no step markers the whole trace is
-/// treated as a single window (step 0) so short captures still analyse.
-pub fn critical_path(data: &TraceData) -> Vec<StepAttribution> {
+/// Attributes each step window of one file, on that file's own clock. With
+/// no step markers the whole trace is treated as a single window (step 0)
+/// so short captures still analyse; a file without stage spans (the hub's)
+/// has no windows.
+pub fn critical_path(trace: &RankTrace) -> Vec<StepAttribution> {
+    let tracks = trace.track_names();
+    let mut stage_spans: BTreeMap<&str, Vec<(f64, f64)>> = BTreeMap::new();
+    for ev in trace.events.iter().filter(|e| e.ph == "X") {
+        if let Some(stage) = tracks
+            .get(&ev.tid)
+            .and_then(|t| t.strip_prefix(STAGE_PREFIX))
+        {
+            stage_spans
+                .entry(stage)
+                .or_default()
+                .push((ev.ts_us, ev.ts_us + ev.dur_us));
+        }
+    }
     // Disjoint per-stage unions over the whole trace, clipped per window.
-    let unions: BTreeMap<&str, Vec<(f64, f64)>> = data
-        .stage_spans
-        .iter()
-        .map(|(name, spans)| (name.as_str(), merge(spans)))
+    let unions: BTreeMap<&str, Vec<(f64, f64)>> = stage_spans
+        .into_iter()
+        .map(|(name, mut spans)| {
+            spans.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            (name, merge(&spans))
+        })
         .collect();
-
-    let t_end = unions
-        .values()
-        .flat_map(|u| u.iter().map(|(_, e)| *e))
-        .fold(0.0f64, f64::max)
-        .max(data.step_marks.last().map(|(_, ts)| *ts).unwrap_or(0.0));
+    if unions.is_empty() {
+        return Vec::new();
+    }
 
     // Window k ends at marker k; the first window starts at the timeline
     // origin. A trailing window past the last marker would hold no step.
+    let marks = trace.step_marks();
     let mut windows: Vec<(u64, f64, f64)> = Vec::new();
-    if data.step_marks.is_empty() {
+    if marks.is_empty() {
+        let t_end = unions
+            .values()
+            .flat_map(|u| u.iter().map(|(_, e)| *e))
+            .fold(0.0f64, f64::max);
         windows.push((0, 0.0, t_end));
     } else {
         let mut lo = 0.0;
-        for &(step, ts) in &data.step_marks {
+        for (&step, &ts) in &marks {
             windows.push((step, lo, ts));
             lo = ts;
         }
@@ -268,8 +204,8 @@ pub fn summarize(steps: &[StepAttribution]) -> Summary {
     summary
 }
 
-/// Renders the summary (and optionally each step) as a text report.
-pub fn report(steps: &[StepAttribution], per_step: bool) -> String {
+/// Renders the summary table (and optionally each step).
+pub fn render(steps: &[StepAttribution], per_step: bool) -> String {
     use std::fmt::Write as _;
     let summary = summarize(steps);
     let mut out = String::new();
@@ -329,6 +265,8 @@ pub fn report(steps: &[StepAttribution], per_step: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::parse_rank_trace;
+    use crate::report::Report;
 
     fn meta(tid: u64, name: &str) -> String {
         format!(
@@ -382,7 +320,7 @@ mod tests {
             span(1, 120.0, 30.0),
             mark(7, 200.0, 1),
         ]);
-        let data = parse_trace(&text).unwrap();
+        let data = parse_rank_trace(&text).unwrap();
         let steps = critical_path(&data);
         assert_eq!(steps.len(), 2);
 
@@ -404,17 +342,33 @@ mod tests {
         let summary = summarize(&steps);
         assert_eq!(summary.bound_counts["comm"], 1);
         assert_eq!(summary.bound_counts["encode"], 1);
-        let text = report(&steps, true);
+        let text = render(&steps, true);
         assert!(text.contains("critical path over 2 step(s)"));
         assert!(text.contains("step      0"));
+
+        // The run report of this headerless file is its step count and the
+        // table, byte for byte what the retired per-file command printed.
+        let report = Report::build(&[data], &[]);
+        assert_eq!(
+            report.render(false),
+            "complete steps: 2\n\
+             critical path over 2 step(s)\n\
+             stage               busy ms     exposed ms bounds steps\n\
+             comm                  0.060          0.050            1\n\
+             encode                0.070          0.060            1\n\
+             dominant bound: encode (1/2 steps) — hidden time is already free; shrink the exposed column\n"
+        );
     }
 
     #[test]
     fn no_markers_falls_back_to_one_window() {
         let text = doc(&[meta(1, "stage: encode"), span(1, 0.0, 10.0)]);
-        let steps = critical_path(&parse_trace(&text).unwrap());
+        let steps = critical_path(&parse_rank_trace(&text).unwrap());
         assert_eq!(steps.len(), 1);
         assert_eq!(steps[0].bound, "encode");
+        // A timeline without stage spans (the hub's) has no windows.
+        let hub = doc(&[meta(7, "steps"), mark(7, 5.0, 0)]);
+        assert!(critical_path(&parse_rank_trace(&hub).unwrap()).is_empty());
     }
 
     #[test]
@@ -426,7 +380,7 @@ mod tests {
             span(1, 0.0, 50.0),
             span(1, 25.0, 50.0),
         ]);
-        let steps = critical_path(&parse_trace(&text).unwrap());
+        let steps = critical_path(&parse_rank_trace(&text).unwrap());
         let (busy, exposed) = steps[0].stages["encode"];
         assert!((busy - 75.0).abs() < 1e-9);
         assert!((exposed - 75.0).abs() < 1e-9);
@@ -434,7 +388,7 @@ mod tests {
 
     #[test]
     fn rejects_non_trace_documents() {
-        assert!(parse_trace("[1,2,3]").is_err());
-        assert!(parse_trace("{\"rows\":[]}").is_err());
+        assert!(parse_rank_trace("[1,2,3]").is_err());
+        assert!(parse_rank_trace("{\"rows\":[]}").is_err());
     }
 }

@@ -1,8 +1,7 @@
 //! `grace-analyze` — post-process GRACE telemetry artefacts.
 //!
 //! ```text
-//! grace-analyze trace <trace.json> [--per-step]
-//! grace-analyze merge <dir> [--out merged.trace.json] [--per-step] [--require-steps N]
+//! grace-analyze report <trace.json | dir> [--out PATH] [--per-step] [--require-steps N]
 //! grace-analyze --check-bench <current.json> --baseline <baseline.json> [--tolerance 0.25]
 //! ```
 //!
@@ -10,28 +9,22 @@
 //! `2` usage or input error — so CI can gate directly on the process
 //! status.
 
-use grace_analyze::{bench, critical, merge, postmortem};
+use grace_analyze::{bench, merge, report::Report};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:
-  grace-analyze trace <trace.json> [--per-step]
-      Per-step critical-path attribution of a Chrome trace export:
-      which stage bounds each step, time hidden vs exposed.
-
-  grace-analyze merge <dir> [--out merged.trace.json] [--per-step] [--require-steps N]
-      Merge a traced grace-launch run's rank<k>.trace.json (+ hub) files
-      onto the hub clock: writes one fleet-wide Perfetto timeline (default
-      <dir>/merged.trace.json) with any health.jsonl anomalies overlaid on
-      a dedicated fault track, and prints the cross-rank step report.
-      Exits 1 when fewer than N steps were completed by every rank.
-
-  grace-analyze postmortem <dir> [--out merged.trace.json] [--require-steps N] [--last N]
-      Analyze a flight-recorder bundle directory
-      (rank<k>.{trace.json,metrics.jsonl,health.jsonl}): merges the ranks
-      onto one timeline with the anomaly overlay and prints what tripped,
-      the last N retained steps' critical path, and the quality trend.
-      Exits 2 on a malformed bundle, 1 when fewer than N complete steps
-      were retained.
+  grace-analyze report <trace.json | dir> [--out PATH] [--per-step] [--require-steps N]
+      Where a run's time went and whether its compression was healthy.
+      A file is one trace export. A directory is a traced grace-launch run
+      (rank<k>.trace.json + hub.trace.json) or a flight-recorder bundle
+      (rank<k>.{trace.json,health.jsonl}): its ranks are rebased onto the
+      hub clock into one Perfetto timeline (default <dir>/merged.trace.json)
+      with health anomalies overlaid. Prints the complete steps, the
+      cross-rank convoy, exposed network time and retransmits, the trip,
+      last anomaly and quality trend, and the critical path: which stage's
+      exposed time bounds each step (--per-step: every step). Exits 1 when
+      fewer than N steps are complete (for a file: its step markers).
 
   grace-analyze --check-bench <current.json> --baseline <baseline.json> [--tolerance 0.25]
       Diff a bench result against a committed baseline; exits 1 when a
@@ -42,131 +35,71 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-fn read(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+fn read(path: impl AsRef<Path>) -> Result<String, String> {
+    let path = path.as_ref();
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
 
-fn run_trace(args: &[String]) -> ExitCode {
+fn run_report(args: &[String]) -> ExitCode {
     let mut path = None;
+    let mut out = None;
     let mut per_step = false;
-    for a in args {
+    let mut require_steps = 0usize;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
         match a.as_str() {
             "--per-step" => per_step = true,
-            _ if path.is_none() => path = Some(a.clone()),
+            "--out" => match it.next() {
+                Some(p) => out = Some(PathBuf::from(p)),
+                None => return fail("--out needs a path"),
+            },
+            "--require-steps" => match it.next().map(|n| n.parse::<usize>()) {
+                Some(Ok(n)) => require_steps = n,
+                _ => return fail("--require-steps needs a count"),
+            },
+            _ if path.is_none() => path = Some(PathBuf::from(a)),
             _ => return fail(USAGE),
         }
     }
     let Some(path) = path else {
         return fail(USAGE);
     };
-    let text = match read(&path) {
-        Ok(t) => t,
+    let is_dir = path.is_dir();
+    if out.is_some() && !is_dir {
+        return fail("--out names the merged timeline, which only a directory has");
+    }
+    let loaded = if is_dir {
+        merge::load_dir(&path).map(|traces| (traces, merge::load_health_events(&path)))
+    } else {
+        read(&path).and_then(|text| {
+            merge::parse_rank_trace(&text)
+                .map(|trace| (vec![trace], Vec::new()))
+                .map_err(|e| format!("{}: {e}", path.display()))
+        })
+    };
+    let (traces, health) = match loaded {
+        Ok(l) => l,
         Err(e) => return fail(&e),
     };
-    let data = match critical::parse_trace(&text) {
-        Ok(d) => d,
-        Err(e) => return fail(&format!("{path}: {e}")),
-    };
-    let steps = critical::critical_path(&data);
-    print!("{}", critical::report(&steps, per_step));
-    ExitCode::SUCCESS
-}
-
-fn run_merge(args: &[String]) -> ExitCode {
-    let mut dir = None;
-    let mut out = None;
-    let mut per_step = false;
-    let mut require_steps = 0usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--per-step" => per_step = true,
-            "--out" => match it.next() {
-                Some(p) => out = Some(std::path::PathBuf::from(p)),
-                None => return fail("--out needs a path"),
-            },
-            "--require-steps" => match it.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) => require_steps = n,
-                _ => return fail("--require-steps needs a count"),
-            },
-            _ if dir.is_none() => dir = Some(std::path::PathBuf::from(a)),
-            _ => return fail(USAGE),
+    let report = Report::build(&traces, &health);
+    print!("{}", report.render(per_step));
+    if is_dir {
+        let out = out.unwrap_or_else(|| path.join("merged.trace.json"));
+        if let Err(e) = std::fs::write(&out, merge::merged_trace_json(&traces, &health)) {
+            return fail(&format!("cannot write {}: {e}", out.display()));
         }
+        if !health.is_empty() {
+            println!(
+                "overlaid {} anomaly event(s) on the health track",
+                health.len()
+            );
+        }
+        println!("merged timeline: {}", out.display());
     }
-    let Some(dir) = dir else {
-        return fail(USAGE);
-    };
-    let traces = match merge::load_dir(&dir) {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
-    let out = out.unwrap_or_else(|| dir.join("merged.trace.json"));
-    let health = merge::load_health_events(&dir);
-    if let Err(e) = std::fs::write(&out, merge::merged_trace_json_with_health(&traces, &health)) {
-        return fail(&format!("cannot write {}: {e}", out.display()));
-    }
-    let report = merge::analyze(&traces);
-    print!("{}", merge::render_report(&report, per_step));
-    if !health.is_empty() {
-        println!(
-            "overlaid {} anomaly event(s) on the health track",
-            health.len()
-        );
-    }
-    println!("merged timeline: {}", out.display());
     if report.complete_steps.len() < require_steps {
         eprintln!(
             "grace-analyze: only {} complete step(s), required {require_steps}",
             report.complete_steps.len()
-        );
-        return ExitCode::from(1);
-    }
-    ExitCode::SUCCESS
-}
-
-fn run_postmortem(args: &[String]) -> ExitCode {
-    let mut dir = None;
-    let mut out = None;
-    let mut require_steps = 0usize;
-    let mut last = 10usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => match it.next() {
-                Some(p) => out = Some(std::path::PathBuf::from(p)),
-                None => return fail("--out needs a path"),
-            },
-            "--require-steps" => match it.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) => require_steps = n,
-                _ => return fail("--require-steps needs a count"),
-            },
-            "--last" => match it.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) => last = n,
-                _ => return fail("--last needs a count"),
-            },
-            _ if dir.is_none() => dir = Some(std::path::PathBuf::from(a)),
-            _ => return fail(USAGE),
-        }
-    }
-    let Some(dir) = dir else {
-        return fail(USAGE);
-    };
-    let traces = match merge::load_dir(&dir) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("malformed bundle: {e}")),
-    };
-    let health = merge::load_health_events(&dir);
-    let out = out.unwrap_or_else(|| dir.join("merged.trace.json"));
-    if let Err(e) = std::fs::write(&out, merge::merged_trace_json_with_health(&traces, &health)) {
-        return fail(&format!("cannot write {}: {e}", out.display()));
-    }
-    let pm = postmortem::analyze(&traces, &health);
-    print!("{}", postmortem::render(&pm, last));
-    println!("merged timeline: {}", out.display());
-    if pm.report.complete_steps.len() < require_steps {
-        eprintln!(
-            "grace-analyze: bundle retained only {} complete step(s), required {require_steps}",
-            pm.report.complete_steps.len()
         );
         return ExitCode::from(1);
     }
@@ -218,9 +151,7 @@ fn run_check_bench(args: &[String]) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("trace") => run_trace(&args[1..]),
-        Some("merge") => run_merge(&args[1..]),
-        Some("postmortem") => run_postmortem(&args[1..]),
+        Some("report") => run_report(&args[1..]),
         Some("--check-bench" | "check-bench") => run_check_bench(&args[1..]),
         Some("--help" | "-h" | "help") => {
             println!("{USAGE}");

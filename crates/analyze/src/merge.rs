@@ -1,43 +1,30 @@
-//! Cross-rank trace merge: one hub-clock timeline from per-process exports.
+//! The one trace loader, and the cross-rank merged timeline.
 //!
-//! A traced `grace-launch` run leaves a directory of per-process Chrome
-//! trace exports — `rank<k>.trace.json` for every socket rank plus the
-//! parent's `hub.trace.json` — each stamped (in its `"grace"` header) with
-//! that process's NTP-style offset from the hub's telemetry clock. This
-//! module loads them all, **rebases** every timestamp onto the hub clock
-//! (`ts += clock_offset_ns`), and emits:
-//!
-//! 1. a single merged Perfetto document — one *process* per rank (the hub
-//!    is pid 1, rank *k* is pid *k*+2) so the UI lays the fleet out as
-//!    parallel process lanes on one shared time axis;
-//! 2. a cross-rank step report: for every step observed by *all* ranks,
-//!    which rank's request reached the wire last (the barrier convoy's
-//!    straggler) and by how much; how much collective round-trip time was
-//!    *exposed* versus hidden under codec work (encode/decompress); and
-//!    what frame corruption cost in NACKs and retransmitted bytes.
-//!
-//! Convoy attribution deliberately uses the **client-side** `net.roundtrip`
-//! span starts rebased onto the hub clock, not the hub's arrival stamps:
-//! the hub reads ranks in rank order, so a stalled early rank inflates the
-//! recorded arrival time of every later rank, while each client's own send
-//! timestamp is unaffected by its peers.
+//! [`parse_rank_trace`] is the only place a Chrome trace-event export
+//! becomes events. A single-process export (a simulated or threaded run)
+//! carries no identity header and loads on its own clock. A traced
+//! `grace-launch` run leaves a directory of per-process exports —
+//! `rank<k>.trace.json` for every socket rank plus the parent's
+//! `hub.trace.json` — each stamped (in its `"grace"` header) with that
+//! process's NTP-style offset from the hub's telemetry clock; a
+//! flight-recorder bundle is the same kind of directory. [`load_dir`]
+//! loads one, and [`merged_trace_json`] **rebases** every timestamp onto
+//! the hub clock (`ts += clock_offset_ns`) into a single Perfetto document
+//! — one *process* per rank (the hub is pid 1, rank *k* is pid *k*+2) so
+//! the UI lays the fleet out as parallel process lanes on one shared time
+//! axis.
 
-use crate::critical::{
-    merge as merge_intervals, overlap_len, total_len, STAGE_PREFIX, STEPS_TRACK, STEP_MARKER,
-};
-use grace_telemetry::json::{self, Value};
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
+use crate::critical::{STEPS_TRACK, STEP_MARKER};
+use grace_telemetry::json::{self, escape_into, push_f64, Value};
+use grace_telemetry::TraceHeader;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 use std::path::Path;
 
 /// Merged-document track id for overlaid health-anomaly instants. Chosen
 /// outside every exporter-assigned tid (stages 1–5, buckets 6, steps 7,
 /// hub 8, lanes 16+, net 4096+) so the overlay gets its own named lane.
 pub const HEALTH_TID: u64 = 9;
-/// Per-rank wire tracks are labelled `net <rank>` (`Track::Net`).
-const NET_PREFIX: &str = "net ";
-/// Stage tracks counted as codec time when computing exposed network time.
-const CODEC_STAGES: [&str; 2] = ["encode", "decompress"];
 
 /// One event lifted out of a per-rank export, timestamps still in that
 /// rank's own clock (microseconds, as exported).
@@ -76,56 +63,56 @@ impl RawEvent {
     }
 }
 
-/// One per-process export: its identity header and its events.
+/// One loaded export: its identity header and its events.
 #[derive(Debug, Clone)]
 pub struct RankTrace {
-    /// `Some(k)` for rank *k*, `None` for the hub.
-    pub rank: Option<usize>,
-    /// World size stamped at export time.
-    pub world: usize,
-    /// `hub_clock − this_clock` in nanoseconds (0 for the hub itself).
-    pub clock_offset_ns: i64,
-    /// RTT of the offset estimate's best sample, in nanoseconds.
-    pub clock_rtt_ns: u64,
+    /// The checked `"grace"` header — rank (`None` for the hub), world
+    /// size, `hub_clock − this_clock` and the RTT of that estimate. `None`
+    /// for a headerless single-process export, which keeps its own clock.
+    pub header: Option<TraceHeader>,
     /// Events in recording order, timestamps *not* yet rebased.
     pub events: Vec<RawEvent>,
 }
 
 impl RankTrace {
-    /// Display label: `hub` or `rank <k>`.
+    /// `Some(k)` for rank *k*; `None` for the hub or a headerless export.
+    pub fn rank(&self) -> Option<usize> {
+        self.header.and_then(|h| h.rank)
+    }
+
+    /// Display label: `rank <k>`, `hub`, or `process` when headerless.
     pub fn label(&self) -> String {
-        match self.rank {
-            Some(k) => format!("rank {k}"),
-            None => "hub".to_string(),
+        match self.header {
+            Some(TraceHeader { rank: Some(k), .. }) => format!("rank {k}"),
+            Some(_) => "hub".to_string(),
+            None => "process".to_string(),
         }
     }
 
     /// Merged-document pid: hub is 1, rank *k* is *k* + 2.
     pub fn pid(&self) -> u64 {
-        match self.rank {
-            Some(k) => k as u64 + 2,
-            None => 1,
-        }
+        self.rank().map_or(1, |k| k as u64 + 2)
     }
 
     /// A source timestamp rebased onto the hub clock, in µs.
     pub fn rebase_us(&self, ts_us: f64) -> f64 {
-        ts_us + self.clock_offset_ns as f64 / 1_000.0
+        ts_us + self.header.map_or(0, |h| h.clock_offset_ns) as f64 / 1_000.0
     }
 
-    /// step → rebased step-marker timestamp (µs), from the `steps` track.
-    fn step_marks(&self) -> BTreeMap<u64, f64> {
+    /// step → step-marker timestamp on this file's own clock (µs), from
+    /// the `steps` track.
+    pub(crate) fn step_marks(&self) -> BTreeMap<u64, f64> {
         let tracks = self.track_names();
         self.events
             .iter()
             .filter(|e| e.ph == "i" && e.name == STEP_MARKER)
             .filter(|e| tracks.get(&e.tid).copied() == Some(STEPS_TRACK))
-            .filter_map(|e| Some((e.arg_num("step")? as u64, self.rebase_us(e.ts_us))))
+            .filter_map(|e| Some((e.arg_num("step")? as u64, e.ts_us)))
             .collect()
     }
 
     /// tid → track label, from this file's `thread_name` metadata.
-    fn track_names(&self) -> BTreeMap<u64, &str> {
+    pub(crate) fn track_names(&self) -> BTreeMap<u64, &str> {
         self.events
             .iter()
             .filter(|e| e.ph == "M" && e.name == "thread_name")
@@ -139,39 +126,46 @@ impl RankTrace {
     }
 }
 
-/// Parses one per-rank export. The `"grace"` header is required — a trace
-/// without it cannot be placed on the shared clock.
+/// Why a trace file cannot be loaded.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TraceError {
+    /// The text is not a Chrome trace-event export.
+    Format(String),
+    /// A `"grace"` header field is missing or outside its range.
+    Header {
+        /// The field, e.g. `"rank"`.
+        field: &'static str,
+        /// What it must be.
+        want: &'static str,
+    },
+}
+
+impl fmt::Display for TraceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceError::Format(msg) => f.write_str(msg),
+            TraceError::Header { field, want } => write!(f, "grace.{field} must be {want}"),
+        }
+    }
+}
+
+/// Parses one trace export. The `"grace"` header is optional — without it
+/// the file is one process on its own clock — but a header that is present
+/// is checked field by field, so no file can claim a rank outside its world.
 ///
 /// # Errors
 ///
-/// Returns a message when the document is not a trace export or the
-/// header is missing/malformed.
-pub fn parse_rank_trace(text: &str) -> Result<RankTrace, String> {
-    let doc = json::parse(text)?;
-    let header = doc
-        .get("grace")
-        .ok_or("missing \"grace\" header — re-export with tracing enabled")?;
-    let rank = match header.get("rank") {
-        Some(v) if v.is_null() => None,
-        Some(v) => Some(v.as_f64().ok_or("grace.rank must be a number or null")? as usize),
-        None => return Err("grace header without rank".into()),
-    };
-    let world = header
-        .get("world")
-        .and_then(Value::as_f64)
-        .ok_or("grace header without world")? as usize;
-    let clock_offset_ns = header
-        .get("clock_offset_ns")
-        .and_then(Value::as_f64)
-        .ok_or("grace header without clock_offset_ns")? as i64;
-    let clock_rtt_ns = header
-        .get("clock_rtt_ns")
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0) as u64;
+/// [`TraceError::Format`] when the text is not a trace export,
+/// [`TraceError::Header`] naming the first bad header field.
+pub fn parse_rank_trace(text: &str) -> Result<RankTrace, TraceError> {
+    let doc = json::parse(text).map_err(TraceError::Format)?;
+    let header = doc.get("grace").map(parse_header).transpose()?;
     let events = doc
         .get("traceEvents")
         .and_then(Value::as_array)
-        .ok_or("missing traceEvents array — not a Chrome trace export?")?
+        .ok_or_else(|| {
+            TraceError::Format("missing traceEvents array — not a Chrome trace export?".into())
+        })?
         .iter()
         .filter_map(|ev| {
             let ph = ev.get("ph").and_then(Value::as_str)?;
@@ -201,22 +195,48 @@ pub fn parse_rank_trace(text: &str) -> Result<RankTrace, String> {
             })
         })
         .collect();
-    Ok(RankTrace {
+    Ok(RankTrace { header, events })
+}
+
+/// Checks a `"grace"` header: `world` an integer in `1..=u32::MAX`, `rank`
+/// `null` (the hub) or an integer in `0..world`, `clock_offset_ns` a number.
+fn parse_header(h: &Value) -> Result<TraceHeader, TraceError> {
+    let bad = |field, want| TraceError::Header { field, want };
+    let int_below = |key: &str, end: f64| {
+        h.get(key)
+            .and_then(Value::as_f64)
+            .filter(|x| x.fract() == 0.0 && (0.0..end).contains(x))
+    };
+    let world = int_below("world", f64::from(u32::MAX) + 1.0)
+        .filter(|w| *w >= 1.0)
+        .ok_or_else(|| bad("world", "an integer in 1..=4294967295"))? as usize;
+    let rank = match h.get("rank") {
+        Some(Value::Null) => None,
+        _ => Some(
+            int_below("rank", world as f64)
+                .ok_or_else(|| bad("rank", "null or an integer in 0..world"))? as usize,
+        ),
+    };
+    let clock_offset_ns = h
+        .get("clock_offset_ns")
+        .and_then(Value::as_f64)
+        .ok_or_else(|| bad("clock_offset_ns", "a number"))? as i64;
+    Ok(TraceHeader {
         rank,
         world,
         clock_offset_ns,
-        clock_rtt_ns,
-        events,
+        clock_rtt_ns: h.get("clock_rtt_ns").and_then(Value::as_f64).unwrap_or(0.0) as u64,
     })
 }
 
 /// Loads every `rank<k>.trace.json` (and `hub.trace.json`, if present)
-/// from `dir`, sorted hub-first then by rank.
+/// from `dir`, sorted hub-first then by rank. Every file must carry its
+/// `"grace"` header: placing it on the shared clock needs the offset.
 ///
 /// # Errors
 ///
-/// Propagates IO and parse failures with the offending path, and rejects
-/// directories containing no rank files at all.
+/// Names the offending file on an IO failure, a parse failure or a
+/// missing header, and rejects directories containing no rank files.
 pub fn load_dir(dir: &Path) -> Result<Vec<RankTrace>, String> {
     let entries =
         std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
@@ -234,9 +254,15 @@ pub fn load_dir(dir: &Path) -> Result<Vec<RankTrace>, String> {
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let trace = parse_rank_trace(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        if trace.header.is_none() {
+            return Err(format!(
+                "{}: missing \"grace\" header — re-export with tracing enabled",
+                path.display()
+            ));
+        }
         traces.push(trace);
     }
-    if !traces.iter().any(|t| t.rank.is_some()) {
+    if !traces.iter().any(|t| t.rank().is_some()) {
         return Err(format!(
             "no rank*.trace.json files in {} — was the run launched with --trace?",
             dir.display()
@@ -248,6 +274,13 @@ pub fn load_dir(dir: &Path) -> Result<Vec<RankTrace>, String> {
 
 fn push_us(out: &mut String, us: f64) {
     let _ = write!(out, "{us:.3}");
+}
+
+/// Appends `s` as a JSON string literal.
+fn push_quoted(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
 }
 
 /// One anomaly line lifted from a `health.jsonl` / `rank<k>.health.jsonl`
@@ -320,24 +353,20 @@ pub fn load_health_events(dir: &Path) -> Vec<HealthEvent> {
 
 /// Renders the merged Perfetto document: every process's events rebased
 /// onto the hub clock, one pid per process, `process_name` metadata naming
-/// each lane.
-pub fn merged_trace_json(traces: &[RankTrace]) -> String {
-    merged_trace_json_with_health(traces, &[])
-}
-
-/// [`merged_trace_json`] plus an anomaly overlay: every [`HealthEvent`] is
-/// placed as an instant on a dedicated `health` track ([`HEALTH_TID`]) of
-/// the rank that observed it, at that rank's step-marker timestamp — so a
-/// `grad_spike` lines up visually with the spans that produced it.
-pub fn merged_trace_json_with_health(traces: &[RankTrace], health: &[HealthEvent]) -> String {
+/// each lane. Every [`HealthEvent`] is overlaid as an instant on a
+/// dedicated `health` track ([`HEALTH_TID`]) of the rank that observed it,
+/// at that rank's step-marker timestamp — so a `grad_spike` lines up
+/// visually with the spans that produced it. Strings taken from the input
+/// files are re-escaped, so the document always parses.
+pub fn merged_trace_json(traces: &[RankTrace], health: &[HealthEvent]) -> String {
     // Attribute each anomaly to its observing rank's process lane; events
     // without a resolvable rank ride on the lowest-ranked timeline.
-    let fallback = traces.iter().position(|t| t.rank.is_some());
+    let fallback = traces.iter().position(|t| t.rank().is_some());
     let mut per_trace: Vec<Vec<&HealthEvent>> = vec![Vec::new(); traces.len()];
     for h in health {
         let idx = traces
             .iter()
-            .position(|t| t.rank.is_some() && t.rank == h.rank)
+            .position(|t| t.rank().is_some() && t.rank() == h.rank)
             .or(fallback);
         if let Some(i) = idx {
             per_trace[i].push(h);
@@ -367,11 +396,10 @@ pub fn merged_trace_json_with_health(traces: &[RankTrace], health: &[HealthEvent
         );
         for ev in &trace.events {
             sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"ph\":\"{}\",\"pid\":{pid},\"tid\":{},\"name\":\"{}\"",
-                ev.ph, ev.tid, ev.name
-            );
+            out.push_str("{\"ph\":");
+            push_quoted(&mut out, &ev.ph);
+            let _ = write!(out, ",\"pid\":{pid},\"tid\":{},\"name\":", ev.tid);
+            push_quoted(&mut out, &ev.name);
             if ev.ph != "M" {
                 out.push_str(",\"ts\":");
                 push_us(&mut out, trace.rebase_us(ev.ts_us));
@@ -389,14 +417,11 @@ pub fn merged_trace_json_with_health(traces: &[RankTrace], health: &[HealthEvent
                     if i > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "\"{k}\":");
+                    push_quoted(&mut out, k);
+                    out.push(':');
                     match v {
-                        ArgVal::Num(n) => {
-                            let _ = write!(out, "{n}");
-                        }
-                        ArgVal::Str(s) => {
-                            let _ = write!(out, "{s:?}");
-                        }
+                        ArgVal::Num(n) => push_f64(&mut out, *n),
+                        ArgVal::Str(s) => push_quoted(&mut out, s),
                     }
                 }
                 out.push('}');
@@ -405,26 +430,31 @@ pub fn merged_trace_json_with_health(traces: &[RankTrace], health: &[HealthEvent
         }
         if !overlay.is_empty() {
             let marks = trace.step_marks();
-            let last_mark = marks.values().copied().next_back().unwrap_or(0.0);
+            let last_mark = marks.values().next_back().copied();
             sep(&mut out);
             let _ = write!(
                 out,
                 "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{HEALTH_TID},\"name\":\"thread_name\",\"args\":{{\"name\":\"health\"}}}}"
             );
             for h in overlay {
-                let ts = marks.get(&h.step).copied().unwrap_or(last_mark);
+                let ts = marks.get(&h.step).copied().or(last_mark);
                 sep(&mut out);
                 let _ = write!(
                     out,
-                    "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{HEALTH_TID},\"name\":\"anomaly: {}\",\"ts\":",
-                    h.kind
+                    "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{HEALTH_TID},\"name\":"
                 );
-                push_us(&mut out, ts);
+                push_quoted(&mut out, &format!("anomaly: {}", h.kind));
+                out.push_str(",\"ts\":");
+                push_us(&mut out, ts.map_or(0.0, |t| trace.rebase_us(t)));
                 let _ = write!(
                     out,
-                    ",\"s\":\"t\",\"args\":{{\"step\":{},\"value\":{},\"threshold\":{}}}}}",
-                    h.step, h.value, h.threshold
+                    ",\"s\":\"t\",\"args\":{{\"step\":{},\"value\":",
+                    h.step
                 );
+                push_f64(&mut out, h.value);
+                out.push_str(",\"threshold\":");
+                push_f64(&mut out, h.threshold);
+                out.push_str("}}");
             }
         }
     }
@@ -432,218 +462,31 @@ pub fn merged_trace_json_with_health(traces: &[RankTrace], health: &[HealthEvent
     out
 }
 
-/// One step's convoy attribution across the fleet.
-#[derive(Debug, Clone)]
-pub struct StepConvoy {
-    /// Step index.
-    pub step: u64,
-    /// Per-rank first `net.roundtrip` start this step, rebased (µs).
-    pub arrivals_us: Vec<(usize, f64)>,
-    /// The rank whose request hit the wire last.
-    pub last_rank: usize,
-    /// How far the last rank trailed the first, in µs.
-    pub gap_us: f64,
-}
-
-/// Whole-run cross-rank report.
-#[derive(Debug, Clone, Default)]
-pub struct MergeReport {
-    /// Rank files merged (hub excluded).
-    pub ranks: usize,
-    /// Whether the hub's own timeline was present.
-    pub has_hub: bool,
-    /// Worst clock-offset estimate RTT across ranks (alignment error is
-    /// bounded by half of this), in nanoseconds.
-    pub worst_rtt_ns: u64,
-    /// Steps every rank completed, ascending.
-    pub complete_steps: Vec<u64>,
-    /// Convoy attribution for each complete step.
-    pub convoys: Vec<StepConvoy>,
-    /// Union length of all ranks' `net.roundtrip` spans (µs, summed over
-    /// ranks — wall-clock a rank spent inside a collective).
-    pub net_busy_us: f64,
-    /// Portion of `net_busy_us` not covered by codec work on the same
-    /// rank: time the network alone accounts for.
-    pub net_exposed_us: f64,
-    /// Corrupted frames rejected fleet-wide (`net.nack` instants).
-    pub nacks: u64,
-    /// Bytes retransmitted verbatim after NACKs (`net.resend` args).
-    pub resend_bytes: u64,
-}
-
-/// Computes the cross-rank report from loaded (unrebased) traces.
-pub fn analyze(traces: &[RankTrace]) -> MergeReport {
-    let mut report = MergeReport {
-        ranks: traces.iter().filter(|t| t.rank.is_some()).count(),
-        has_hub: traces.iter().any(|t| t.rank.is_none()),
-        ..MergeReport::default()
-    };
-    // Per rank: step set, step → first roundtrip start, interval unions.
-    let mut step_sets: Vec<BTreeSet<u64>> = Vec::new();
-    let mut first_roundtrip: Vec<(usize, BTreeMap<u64, f64>)> = Vec::new();
-    for trace in traces {
-        let Some(rank) = trace.rank else {
-            continue;
-        };
-        report.worst_rtt_ns = report.worst_rtt_ns.max(trace.clock_rtt_ns);
-        let tracks = trace.track_names();
-        let mut steps = BTreeSet::new();
-        let mut firsts: BTreeMap<u64, f64> = BTreeMap::new();
-        let mut net_spans: Vec<(f64, f64)> = Vec::new();
-        let mut codec_spans: Vec<(f64, f64)> = Vec::new();
-        for ev in &trace.events {
-            let track = tracks.get(&ev.tid).copied().unwrap_or("");
-            match ev.ph.as_str() {
-                "i" if track == STEPS_TRACK => {
-                    if let Some(s) = ev.arg_num("step") {
-                        steps.insert(s as u64);
-                    }
-                }
-                "i" if ev.name == "net.nack" => report.nacks += 1,
-                "i" if ev.name == "net.resend" => {
-                    report.resend_bytes += ev.arg_num("bytes").unwrap_or(0.0) as u64;
-                }
-                "X" if track.starts_with(NET_PREFIX) && ev.name == "net.roundtrip" => {
-                    let start = trace.rebase_us(ev.ts_us);
-                    net_spans.push((start, start + ev.dur_us));
-                    if let Some(s) = ev.arg_num("step") {
-                        let e = firsts.entry(s as u64).or_insert(start);
-                        *e = e.min(start);
-                    }
-                }
-                "X" => {
-                    if let Some(stage) = track.strip_prefix(STAGE_PREFIX) {
-                        if CODEC_STAGES.contains(&stage) {
-                            let start = trace.rebase_us(ev.ts_us);
-                            codec_spans.push((start, start + ev.dur_us));
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        net_spans.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        codec_spans.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let net = merge_intervals(&net_spans);
-        let codec = merge_intervals(&codec_spans);
-        let busy = total_len(&net);
-        report.net_busy_us += busy;
-        report.net_exposed_us += (busy - overlap_len(&net, &codec)).max(0.0);
-        step_sets.push(steps);
-        first_roundtrip.push((rank, firsts));
-    }
-    // A step counts only when every rank both marked it and reached the
-    // wire for it — partial steps (startup, teardown) are excluded.
-    let mut complete: Option<BTreeSet<u64>> = None;
-    for set in &step_sets {
-        complete = Some(match complete {
-            None => set.clone(),
-            Some(acc) => acc.intersection(set).copied().collect(),
-        });
-    }
-    for step in complete.unwrap_or_default() {
-        let mut arrivals: Vec<(usize, f64)> = first_roundtrip
-            .iter()
-            .filter_map(|(rank, firsts)| firsts.get(&step).map(|ts| (*rank, *ts)))
-            .collect();
-        if arrivals.len() < report.ranks {
-            continue;
-        }
-        arrivals.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        let (first_ts, last) = (arrivals[0].1, arrivals[arrivals.len() - 1]);
-        report.complete_steps.push(step);
-        report.convoys.push(StepConvoy {
-            step,
-            last_rank: last.0,
-            gap_us: last.1 - first_ts,
-            arrivals_us: arrivals,
-        });
-    }
-    report
-}
-
-/// Renders the report as a text summary (optionally one line per step).
-pub fn render_report(report: &MergeReport, per_step: bool) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "merged {} rank timeline(s){} onto the hub clock (alignment error ≤ {:.1} µs)",
-        report.ranks,
-        if report.has_hub { " + hub" } else { "" },
-        report.worst_rtt_ns as f64 / 2_000.0
-    );
-    let _ = writeln!(out, "complete steps: {}", report.complete_steps.len());
-    if !report.convoys.is_empty() {
-        let mut last_counts: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut gap_sum = 0.0;
-        for convoy in &report.convoys {
-            *last_counts.entry(convoy.last_rank).or_insert(0) += 1;
-            gap_sum += convoy.gap_us;
-        }
-        let (worst_rank, n) = last_counts
-            .iter()
-            .max_by_key(|(_, n)| **n)
-            .map(|(r, n)| (*r, *n))
-            .unwrap_or((0, 0));
-        let _ = writeln!(
-            out,
-            "convoy: rank {worst_rank} arrived last in {n}/{} steps; mean last-arrival gap {:.3} ms",
-            report.convoys.len(),
-            gap_sum / report.convoys.len() as f64 / 1e3
-        );
-    }
-    let hidden = (report.net_busy_us - report.net_exposed_us).max(0.0);
-    let _ = writeln!(
-        out,
-        "network: busy {:.3} ms, exposed {:.3} ms, hidden under codec {:.3} ms",
-        report.net_busy_us / 1e3,
-        report.net_exposed_us / 1e3,
-        hidden / 1e3
-    );
-    let _ = writeln!(
-        out,
-        "retransmits: {} NACK(s), {} byte(s) resent",
-        report.nacks, report.resend_bytes
-    );
-    if per_step {
-        for convoy in &report.convoys {
-            let _ = writeln!(
-                out,
-                "step {:>6}: last arrival rank {} (+{:.3} ms behind rank {})",
-                convoy.step,
-                convoy.last_rank,
-                convoy.gap_us / 1e3,
-                convoy.arrivals_us.first().map(|(r, _)| *r).unwrap_or(0)
-            );
-        }
-    }
-    out
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
-    fn rank_doc(rank: usize, offset_ns: i64, events: &[String]) -> String {
+    pub(crate) fn rank_doc(rank: usize, offset_ns: i64, events: &[String]) -> String {
         format!(
             "{{\"traceEvents\":[{}],\"grace\":{{\"rank\":{rank},\"world\":2,\"clock_offset_ns\":{offset_ns},\"clock_rtt_ns\":1000}},\"displayTimeUnit\":\"ms\"}}",
             events.join(",")
         )
     }
 
-    fn meta(tid: u64, name: &str) -> String {
+    pub(crate) fn meta(tid: u64, name: &str) -> String {
         format!(
             "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{name}\"}}}}"
         )
     }
 
-    fn roundtrip(tid: u64, ts: f64, dur: f64, step: u64) -> String {
+    pub(crate) fn roundtrip(tid: u64, ts: f64, dur: f64, step: u64) -> String {
         format!(
             "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"name\":\"net.roundtrip\",\"ts\":{ts},\"dur\":{dur},\"args\":{{\"step\":{step},\"op\":1}}}}"
         )
     }
 
-    fn mark(tid: u64, ts: f64, step: u64) -> String {
+    pub(crate) fn mark(tid: u64, ts: f64, step: u64) -> String {
         format!(
             "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"name\":\"step\",\"ts\":{ts},\"s\":\"t\",\"args\":{{\"step\":{step}}}}}"
         )
@@ -652,7 +495,7 @@ mod tests {
     /// Two ranks, rank 1's clock 5 ms *behind* the hub (offset +5 ms).
     /// On its own clock rank 1 sends at 90 µs — *earlier* than rank 0's
     /// 1000 µs — but rebased it lands at 5090 µs: rank 1 is the straggler.
-    fn two_rank_traces() -> Vec<RankTrace> {
+    pub(crate) fn two_rank_traces() -> Vec<RankTrace> {
         let r0 = rank_doc(
             0,
             0,
@@ -682,13 +525,68 @@ mod tests {
     #[test]
     fn header_round_trips_and_rebases() {
         let traces = two_rank_traces();
-        assert_eq!(traces[0].rank, Some(0));
-        assert_eq!(traces[1].clock_offset_ns, 5_000_000);
+        assert_eq!(traces[0].rank(), Some(0));
+        assert_eq!(traces[1].header.unwrap().clock_offset_ns, 5_000_000);
         assert!((traces[1].rebase_us(90.0) - 5090.0).abs() < 1e-9);
         // Hub headers carry rank: null.
         let hub = "{\"traceEvents\":[],\"grace\":{\"rank\":null,\"world\":2,\"clock_offset_ns\":0,\"clock_rtt_ns\":0}}";
-        assert_eq!(parse_rank_trace(hub).unwrap().rank, None);
-        assert!(parse_rank_trace("{\"traceEvents\":[]}").is_err());
+        let hub = parse_rank_trace(hub).unwrap();
+        assert_eq!((hub.rank(), hub.label()), (None, "hub".to_string()));
+        // A headerless export is one process on its own clock.
+        let solo = parse_rank_trace("{\"traceEvents\":[]}").unwrap();
+        assert!(solo.header.is_none());
+        assert_eq!(solo.rebase_us(90.0), 90.0);
+    }
+
+    /// A header is outside input: a rank that overflows, is negative or is
+    /// fractional, or a world of zero, is an error naming the field —
+    /// never a wrapped pid or a silent rank 0.
+    #[test]
+    fn header_rank_must_be_an_integer_inside_the_world() {
+        let header = |rank: &str, world: &str| {
+            parse_rank_trace(&format!(
+                "{{\"traceEvents\":[],\"grace\":{{\"rank\":{rank},\"world\":{world},\"clock_offset_ns\":0}}}}"
+            ))
+        };
+        for (rank, world, field) in [
+            ("1e300", "2", "rank"),
+            ("-1", "2", "rank"),
+            ("0.5", "2", "rank"),
+            ("2", "2", "rank"),
+            ("\"0\"", "2", "rank"),
+            ("0", "0", "world"),
+            ("0", "1e300", "world"),
+        ] {
+            match header(rank, world) {
+                Err(TraceError::Header { field: f, .. }) => assert_eq!(f, field, "{rank}/{world}"),
+                other => panic!("rank {rank} of world {world} loaded: {other:?}"),
+            }
+        }
+        let err = header("-1", "2").unwrap_err().to_string();
+        assert_eq!(err, "grace.rank must be null or an integer in 0..world");
+        assert_eq!(header("1", "2").unwrap().pid(), 3);
+    }
+
+    /// Every file of a directory needs its header, and a bad one takes the
+    /// directory down with an error naming the file, not a panic.
+    #[test]
+    fn load_dir_names_the_file_it_cannot_place() {
+        let dir = std::env::temp_dir().join(format!("grace_load_dir_{}", std::process::id()));
+        for (body, complaint) in [
+            ("{\"traceEvents\":[]}", "missing \"grace\" header"),
+            (
+                "{\"traceEvents\":[],\"grace\":{\"rank\":1e300,\"world\":2,\"clock_offset_ns\":0}}",
+                "grace.rank must be",
+            ),
+        ] {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join("rank0.trace.json"), body).unwrap();
+            let err = load_dir(&dir).unwrap_err();
+            assert!(err.contains("rank0.trace.json"), "{err}");
+            assert!(err.contains(complaint), "{err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The `steps` track also carries the flight recorder's counter-delta
@@ -712,26 +610,9 @@ mod tests {
     }
 
     #[test]
-    fn convoy_uses_rebased_client_send_times() {
-        let report = analyze(&two_rank_traces());
-        assert_eq!(report.ranks, 2);
-        assert_eq!(report.complete_steps, vec![0]);
-        let convoy = &report.convoys[0];
-        // Raw timestamps say rank 1 sent first; the clock offset says
-        // otherwise. Rebasing must win.
-        assert_eq!(convoy.last_rank, 1);
-        assert!(
-            (convoy.gap_us - 4090.0).abs() < 1e-6,
-            "gap {}",
-            convoy.gap_us
-        );
-        assert_eq!(report.worst_rtt_ns, 1000);
-    }
-
-    #[test]
     fn merged_document_is_valid_and_multi_process() {
         let traces = two_rank_traces();
-        let merged = merged_trace_json(&traces);
+        let merged = merged_trace_json(&traces, &[]);
         let doc = json::parse(&merged).unwrap();
         let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
         // Every rank contributes a process_name and its own pid space.
@@ -763,72 +644,33 @@ mod tests {
         assert!((ts - 5090.0).abs() < 1e-6);
     }
 
+    /// Names, arg keys, string args and anomaly kinds come from input
+    /// files; the merged document must escape them and still parse, with
+    /// every string coming back unchanged.
     #[test]
-    fn incomplete_steps_are_excluded() {
-        // Rank 1 never marked step 1: only step 0 is complete.
-        let r0 = rank_doc(
-            0,
-            0,
-            &[
-                meta(4096, "net 0"),
-                meta(7, "steps"),
-                roundtrip(4096, 100.0, 10.0, 0),
-                mark(7, 200.0, 0),
-                roundtrip(4096, 300.0, 10.0, 1),
-                mark(7, 400.0, 1),
-            ],
-        );
-        let r1 = rank_doc(
-            1,
-            0,
-            &[
-                meta(4097, "net 1"),
-                meta(7, "steps"),
-                roundtrip(4097, 110.0, 10.0, 0),
-                mark(7, 210.0, 0),
-            ],
-        );
-        let report = analyze(&[
-            parse_rank_trace(&r0).unwrap(),
-            parse_rank_trace(&r1).unwrap(),
-        ]);
-        assert_eq!(report.complete_steps, vec![0]);
-        let text = render_report(&report, true);
-        assert!(text.contains("complete steps: 1"));
-        assert!(text.contains("step      0"));
-    }
-
-    #[test]
-    fn exposed_network_excludes_codec_overlap() {
-        // net busy [0,100); encode covers [60,100): exposed = 60.
-        let r0 = rank_doc(
-            0,
-            0,
-            &[
-                meta(4096, "net 0"),
-                meta(1, "stage: encode"),
-                meta(7, "steps"),
-                roundtrip(4096, 0.0, 100.0, 0),
-                r#"{"ph":"X","pid":1,"tid":1,"name":"s","ts":60.0,"dur":40.0}"#.to_string(),
-                mark(7, 120.0, 0),
-            ],
-        );
-        let report = analyze(&[parse_rank_trace(&r0).unwrap()]);
-        assert!((report.net_busy_us - 100.0).abs() < 1e-9);
-        assert!((report.net_exposed_us - 60.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn retransmit_cost_is_tallied() {
-        let nack = "{\"ph\":\"i\",\"pid\":1,\"tid\":4096,\"name\":\"net.nack\",\"ts\":5.0,\"s\":\"t\",\"args\":{\"bytes\":64}}";
-        let resend = "{\"ph\":\"i\",\"pid\":1,\"tid\":4096,\"name\":\"net.resend\",\"ts\":6.0,\"s\":\"t\",\"args\":{\"bytes\":128}}";
-        let r0 = rank_doc(
-            0,
-            0,
-            &[meta(4096, "net 0"), nack.to_string(), resend.to_string()],
-        );
-        let report = analyze(&[parse_rank_trace(&r0).unwrap()]);
-        assert_eq!(report.nacks, 1);
-        assert_eq!(report.resend_bytes, 128);
+    fn merged_document_escapes_strings_from_input_files() {
+        let odd = r#"{"ph":"i","tid":7,"name":"a\"b\\c","ts":1.0,"s":"t","args":{"k\"ey":"x\u001by","step":0}}"#;
+        let trace =
+            parse_rank_trace(&rank_doc(0, 0, &[meta(7, "steps"), odd.to_string()])).unwrap();
+        let health = [HealthEvent {
+            rank: Some(0),
+            step: 0,
+            kind: "spike\"\n".into(),
+            value: 1.0,
+            threshold: 0.5,
+        }];
+        let merged = merged_trace_json(&[trace], &health);
+        let doc = json::parse(&merged).expect("merged document parses");
+        let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
+        let find = |name: &str| {
+            events
+                .iter()
+                .find(|e| e.get("name").and_then(Value::as_str) == Some(name))
+                .unwrap_or_else(|| panic!("{name:?} missing from {merged}"))
+        };
+        let args = find("a\"b\\c").get("args").unwrap();
+        assert_eq!(args.get("k\"ey").and_then(Value::as_str), Some("x\u{1b}y"));
+        assert_eq!(args.get("step").and_then(Value::as_f64), Some(0.0));
+        assert!(find("anomaly: spike\"\n").get("ts").is_some());
     }
 }

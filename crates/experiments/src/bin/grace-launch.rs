@@ -30,7 +30,7 @@
 //! `Level::Trace` and exports `DIR/<compressor>/rank<k>.trace.json`
 //! (stamped with its hub-clock offset), the parent exports the hub's own
 //! timeline as `DIR/<compressor>/hub.trace.json`, and
-//! `grace-analyze merge DIR/<compressor>` rebases them onto one clock.
+//! `grace-analyze report DIR/<compressor>` rebases them onto one clock.
 //!
 //! `--drop RANK@OP` seeds a mid-run drop fault (a post-mortem drill): the
 //! victim leaves at its `OP`-th collective — one per fusion bucket per step,
@@ -39,7 +39,7 @@
 //! finish, and threaded verification is skipped. An `OP` the run never
 //! reaches is refused up front (exit 2).
 //! `--dump-on-exit` makes every child write its bundle at exit even
-//! without a trigger; `grace-analyze postmortem` reads the result.
+//! without a trigger; `grace-analyze report` reads the result.
 
 use grace_comm::net::{Endpoint, HubServer, NetConfig};
 use grace_comm::ClusterOptions;
@@ -122,8 +122,8 @@ fn child_main(args: &Args, rank: usize, endpoint: &Endpoint) -> i32 {
     let out = process::run_socket_rank(&cfg, &task, &make, &net_cfg);
     // The hub-clock header is stamped when the rank connects, so the export
     // below and a mid-run bundle rebase onto the same timeline. A rank that
-    // never connected has no header and nothing `grace-analyze merge` could
-    // place, so it leaves no file.
+    // never connected has no header and nothing `grace-analyze report` could
+    // place on the hub clock, so it leaves no file.
     let connected = grace_telemetry::export::trace_header().is_some();
     if let Some(dir) = args.trace_dir.as_ref().filter(|_| connected) {
         let label = format!("rank{rank}");

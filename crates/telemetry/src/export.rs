@@ -11,6 +11,7 @@
 //! count/sum/min/max/mean plus p50/p95/p99 so downstream tooling never has
 //! to re-derive percentiles from buckets.
 
+use crate::json::{escape_into, push_f64};
 use crate::metrics::{self, MetricSnapshot};
 use crate::trace::{self, EventKind, TraceEvent};
 use std::collections::BTreeMap;
@@ -58,30 +59,6 @@ pub fn set_trace_header(header: Option<TraceHeader>) {
 /// The currently installed export header, if any.
 pub fn trace_header() -> Option<TraceHeader> {
     *TRACE_HEADER.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
 }
 
 /// Microseconds with sub-µs precision preserved (ns → µs, 3 decimals).

@@ -1,4 +1,5 @@
-//! Minimal JSON parser for validating exported artefacts.
+//! Minimal JSON parser for validating exported artefacts, and the one
+//! string/number writer every exporter uses.
 //!
 //! The workspace is offline (no serde); tests and CI still need to check
 //! that the Chrome trace JSON and the metrics JSONL are well-formed and
@@ -7,8 +8,42 @@
 //! deserialisation framework. It also reads files from outside the program
 //! (`grace-analyze`'s inputs), so nesting is capped at `MAX_DEPTH`: a
 //! hostile document is an `Err`, never a stack overflow.
+//!
+//! The writers ([`escape_into`], [`push_f64`]) emit only what [`parse`]
+//! accepts: every string goes through [`escape_into`], every float through
+//! [`push_f64`].
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+/// Appends `s` escaped for use inside a JSON string literal (quotes,
+/// backslashes and every control character; the surrounding quotes are the
+/// caller's).
+pub fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
+
+/// Appends `v` as a JSON number, or `null` when it is not finite (JSON has
+/// no NaN or infinity).
+pub fn push_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
+    }
+}
 
 /// Deepest array/object nesting [`parse`] accepts. The program's own exports
 /// nest only a few levels (the committed bench files at most 5).
@@ -295,9 +330,13 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|e| format!("bad number '{text}': {e}"))
+        // JSON has no infinity: a literal past f64's range is refused here,
+        // so no reader carries one into a document it writes.
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Value::Number(v)),
+            Ok(_) => Err(format!("number '{text}' is out of range")),
+            Err(e) => Err(format!("bad number '{text}': {e}")),
+        }
     }
 }
 
@@ -330,6 +369,25 @@ mod tests {
     fn handles_unicode_and_escapes() {
         let v = parse(r#""café λ""#).unwrap();
         assert_eq!(v.as_str(), Some("café λ"));
+    }
+
+    #[test]
+    fn writers_emit_what_the_parser_reads_back() {
+        let nasty = "q\"b\\s\n\r\t\u{1}\u{1b}\u{7f} café";
+        let mut text = String::from("[\"");
+        escape_into(&mut text, nasty);
+        text.push_str("\",");
+        push_f64(&mut text, f64::INFINITY);
+        text.push(',');
+        push_f64(&mut text, -0.25);
+        text.push(']');
+        let v = parse(&text).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_str(), Some(nasty));
+        assert!(items[1].is_null());
+        assert_eq!(items[2].as_f64(), Some(-0.25));
+        // A literal past f64's range would come back as infinity.
+        assert!(parse("1e999").is_err());
     }
 
     #[test]

@@ -464,11 +464,12 @@ pub fn dump() -> io::Result<PathBuf> {
         (id.rank.unwrap_or(0), id.run_tag.clone())
     };
     let dir = bundle_dir(&run_tag);
-    // Single-process modes never learn a hub-clock offset; synthesize an
-    // identity header so the merge tool still accepts the bundle.
+    // Single-process modes never learn a hub-clock offset or the world;
+    // synthesize an identity header (the smallest world holding this rank)
+    // so the analyzer, which checks `rank < world`, still accepts the bundle.
     let header = export::trace_header().unwrap_or(export::TraceHeader {
         rank: Some(rank),
-        world: 1,
+        world: rank + 1,
         clock_offset_ns: 0,
         clock_rtt_ns: 0,
     });

@@ -19,6 +19,7 @@
 //! thread; no instrumentation site ever blocks on, or even knows about, the
 //! listener. When nothing scrapes, the server thread sleeps in `accept`.
 
+use crate::json;
 use crate::metrics::{self, MetricSnapshot, BUCKETS};
 use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -196,30 +197,6 @@ pub fn parse_exposition(text: &str) -> Result<Vec<Sample>, String> {
     Ok(samples)
 }
 
-fn escape_json_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 /// Renders the `/health` JSON document from metric snapshots: overall
 /// status (`"alert"` while the monitor's `health.tripped` gauge is
 /// nonzero, `"ok"` otherwise), the total anomaly count, and every
@@ -255,13 +232,13 @@ pub fn health_json(snaps: &[MetricSnapshot]) -> String {
         }
         first = false;
         out.push('"');
-        escape_json_into(&mut out, snap.name());
+        json::escape_into(&mut out, snap.name());
         out.push_str("\":");
         match snap {
             MetricSnapshot::Counter { value, .. } => {
                 let _ = write!(out, "{value}");
             }
-            MetricSnapshot::Gauge { value, .. } => push_json_f64(&mut out, *value),
+            MetricSnapshot::Gauge { value, .. } => json::push_f64(&mut out, *value),
             MetricSnapshot::Histogram { hist, .. } => {
                 let _ = write!(out, "{}", hist.count());
             }

@@ -3,7 +3,7 @@
 //! **while the run is in flight**, and assert the exposition carries the
 //! series a dashboard needs — wire traffic, pipeline overlap, and the health
 //! gauges. Afterwards the trace is exported under a config-derived run tag
-//! so CI can hand it to `grace-analyze` for critical-path attribution.
+//! so CI can hand it to `grace-analyze report` for critical-path attribution.
 //!
 //! Run: `cargo run --example monitoring_smoke`
 //! (CI runs this as the `monitoring` gate; it exits non-zero on violation.)

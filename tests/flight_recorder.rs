@@ -10,7 +10,7 @@
 //! `GRACE_POSTMORTEM_DIR`), so the tests serialise on a mutex and reset
 //! the recorder around each scenario.
 
-use grace::analyze::{merge, postmortem};
+use grace::analyze::{merge, report::Report};
 use grace::comm::{FaultConfig, FaultPlan, FaultStats};
 use grace::core::health::{HealthConfig, HealthMonitor, StepObservation};
 use grace::core::process::run_cluster;
@@ -102,7 +102,7 @@ fn anomaly_trip_dumps_window_ending_at_trip_step() {
 
     let traces = merge::load_dir(&dir).expect("bundle trace must parse");
     assert_eq!(traces.len(), 1);
-    assert_eq!(traces[0].rank, Some(0));
+    assert_eq!(traces[0].rank(), Some(0));
     assert_eq!(newest_step(&traces), Some(trip_step));
     assert!(has_instant(&traces, "recorder: anomaly trip"));
 
@@ -112,12 +112,12 @@ fn anomaly_trip_dumps_window_ending_at_trip_step() {
     assert_eq!(last.kind, "grad_norm_spike");
     assert_eq!(last.rank, Some(0));
 
-    let pm = postmortem::analyze(&traces, &health);
+    let report = Report::build(&traces, &health);
     assert_eq!(
-        pm.triggers.first().map(|t| t.1.as_str()),
+        report.triggers.first().map(|t| t.1.as_str()),
         Some("recorder: anomaly trip")
     );
-    let text = postmortem::render(&pm, 5);
+    let text = report.render(false);
     assert!(text.contains("trip: \"recorder: anomaly trip\" on rank 0"));
     assert!(text.contains(&format!("grad_norm_spike at step {trip_step}")));
 
@@ -144,16 +144,16 @@ fn injected_fault_instant_dumps_bundle() {
     assert_bundle_files(&dir, 1);
 
     let traces = merge::load_dir(&dir).expect("bundle trace must parse");
-    assert_eq!(traces[0].rank, Some(1));
+    assert_eq!(traces[0].rank(), Some(1));
     assert_eq!(newest_step(&traces), Some(trip_step));
     assert!(has_instant(&traces, "fault: drop"));
 
-    let pm = postmortem::analyze(&traces, &merge::load_health_events(&dir));
+    let report = Report::build(&traces, &merge::load_health_events(&dir));
     assert_eq!(
-        pm.triggers.first().map(|t| t.1.as_str()),
+        report.triggers.first().map(|t| t.1.as_str()),
         Some("fault: drop")
     );
-    assert!(postmortem::render(&pm, 5).contains("trip: \"fault: drop\""));
+    assert!(report.render(false).contains("trip: \"fault: drop\""));
 
     // A second drop is latched out: the instant is retained but the bundle
     // written at the *first* trip is not overwritten.
@@ -249,9 +249,10 @@ fn wedged_socket_rank_dumps_bundle_on_cluster_error() {
 
     // The bundle written at trip time parses and names the root trigger.
     let traces = merge::load_dir(&dir).expect("bundle trace must parse");
-    let pm = postmortem::analyze(&traces, &merge::load_health_events(&dir));
+    let report = Report::build(&traces, &merge::load_health_events(&dir));
     assert!(
-        pm.triggers
+        report
+            .triggers
             .iter()
             .any(|(_, reason, _)| reason == "fault: drop"),
         "trip-time bundle must carry the injected-fault trigger"

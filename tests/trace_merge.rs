@@ -8,6 +8,7 @@
 //! so it must not share a process with other telemetry tests.
 
 use grace::analyze::merge;
+use grace::analyze::report::Report;
 use grace::comm::{ClockEstimator, ClockSample};
 use grace::telemetry::json::{self, Value};
 use grace::telemetry::trace::{self, StageTimer};
@@ -110,10 +111,15 @@ fn rank_file_round_trips_preserving_every_span() {
 
     let text = std::fs::read_to_string(dir.join("rank3.trace.json")).unwrap();
     let parsed = merge::parse_rank_trace(&text).expect("parse rank export");
-    assert_eq!(parsed.rank, Some(3));
-    assert_eq!(parsed.world, 4);
-    assert_eq!(parsed.clock_offset_ns, -2_500_000);
-    assert_eq!(parsed.clock_rtt_ns, 9_000);
+    assert_eq!(
+        parsed.header,
+        Some(TraceHeader {
+            rank: Some(3),
+            world: 4,
+            clock_offset_ns: -2_500_000,
+            clock_rtt_ns: 9_000,
+        })
+    );
 
     let parsed_spans: Vec<&merge::RawEvent> =
         parsed.events.iter().filter(|e| e.ph == "X").collect();
@@ -159,7 +165,7 @@ fn four_rank_merged_trace_passes_perfetto_schema_check() {
 
     let traces = merge::load_dir(&dir).expect("load rank files");
     assert_eq!(traces.len(), 4);
-    let merged = merge::merged_trace_json(&traces);
+    let merged = merge::merged_trace_json(&traces, &[]);
     std::fs::write(dir.join("merged.trace.json"), &merged).unwrap();
 
     let doc = json::parse(&merged).expect("merged trace is valid JSON");
@@ -202,7 +208,7 @@ fn four_rank_merged_trace_passes_perfetto_schema_check() {
     assert_eq!(pids, BTreeSet::from([2, 3, 4, 5]));
     assert_eq!(process_names, vec!["rank 0", "rank 1", "rank 2", "rank 3"]);
 
-    let report = merge::analyze(&traces);
+    let report = Report::build(&traces, &[]);
     assert_eq!(report.ranks, 4);
     assert!(!report.has_hub);
     assert_eq!(report.complete_steps, vec![0, 1]);
