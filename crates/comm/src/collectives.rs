@@ -555,11 +555,20 @@ impl Collective for WorkerHandle {
         self.board.f32_slots.lock()[self.rank] = data;
         self.wait_barrier(op)?;
         let reduction = {
-            let slots = self.board.f32_slots.lock();
+            let mut slots = self.board.f32_slots.lock();
             let alive = self.board.alive.lock();
-            let mut live = slots.iter().zip(alive.iter()).filter(|(_, a)| **a);
-            let (first, _) = live.next().expect("at least the caller is alive");
-            Reduction::sum_in_rank_order(first.clone(), live.map(|(slot, _)| slot))
+            if alive[self.rank] && alive.iter().filter(|a| **a).count() == 1 {
+                // The only live contributor: its deposit is the sum, and no
+                // one else reads the slot — the buffer goes straight back.
+                Reduction {
+                    sum: std::mem::take(&mut slots[self.rank]),
+                    contributors: 1,
+                }
+            } else {
+                let mut live = slots.iter().zip(alive.iter()).filter(|(_, a)| **a);
+                let (first, _) = live.next().expect("at least the caller is alive");
+                Reduction::sum_in_rank_order(first.clone(), live.map(|(slot, _)| slot))
+            }
         };
         // Second barrier: nobody deposits for the next round before all read.
         self.wait_barrier(op)?;
@@ -779,6 +788,27 @@ mod tests {
             assert_eq!(gathered.len(), 4);
             assert!(gathered[2].is_none(), "dead slot must be masked");
             assert_eq!(gathered[0].as_deref(), Some(&[0u8][..]));
+        }
+    }
+
+    /// A lone live contributor gets its own buffer back as the sum — from a
+    /// board of one, and from a board whose peers have left — not a copy.
+    #[test]
+    fn a_lone_contributor_gets_its_own_buffer_back() {
+        for world in [1, 3] {
+            let results = ThreadedCluster::run(world, |c| {
+                if c.rank() > 0 {
+                    c.leave();
+                    return true;
+                }
+                (0..3).all(|round| {
+                    let data = vec![round as f32; 4];
+                    let sent = data.as_ptr();
+                    let r = c.try_allreduce_f32(data).unwrap();
+                    (r.sum.as_ptr(), r.sum, r.contributors) == (sent, vec![round as f32; 4], 1)
+                })
+            });
+            assert!(results.iter().all(|&ok| ok), "world {world}");
         }
     }
 

@@ -83,6 +83,24 @@ pub trait Compressor: Send {
     /// Reconstructs a dense tensor of the original shape.
     fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor;
 
+    /// [`compress`](Self::compress) into a payload list the caller owns.
+    /// The exchange engine passes each plan slot's list from the previous
+    /// step, so a method that overrides this may write into the buffers it
+    /// finds there instead of allocating. The default replaces `out` with
+    /// `compress`'s payloads.
+    fn compress_into(&mut self, tensor: &Tensor, name: &str, out: &mut Vec<Payload>) -> Context {
+        let (payloads, ctx) = self.compress(tensor, name);
+        *out = payloads;
+        ctx
+    }
+
+    /// [`decompress`](Self::decompress) of payloads the caller gives up, so
+    /// a method that overrides this may move a payload's buffer into the
+    /// tensor instead of copying it. The default borrows them.
+    fn decompress_owned(&mut self, payloads: Vec<Payload>, ctx: &Context) -> Tensor {
+        self.decompress(&payloads, ctx)
+    }
+
     /// Aggregates decompressed per-worker gradients (`Agg`, Algorithm 1 line
     /// 13). The default is the mean, matching `Allreduce` semantics.
     ///
@@ -162,6 +180,28 @@ impl Compressor for NoCompression {
         Tensor::new(payloads[0].as_f32().to_vec(), ctx.shape.clone())
     }
 
+    /// Copies the gradient into the `F32` buffer `out` already holds, if
+    /// any.
+    fn compress_into(&mut self, tensor: &Tensor, _name: &str, out: &mut Vec<Payload>) -> Context {
+        let mut values = match out.pop() {
+            Some(Payload::F32(v)) => v,
+            _ => Vec::new(),
+        };
+        out.clear();
+        values.clear();
+        values.extend_from_slice(tensor.as_slice());
+        out.push(Payload::F32(values));
+        Context::shape_only(tensor.shape().clone())
+    }
+
+    /// Moves the payload's buffer into the tensor.
+    fn decompress_owned(&mut self, mut payloads: Vec<Payload>, ctx: &Context) -> Tensor {
+        match payloads.swap_remove(0) {
+            Payload::F32(v) => Tensor::new(v, ctx.shape.clone()),
+            other => panic!("expected an f32 payload, got {other:?}"),
+        }
+    }
+
     fn supports_error_feedback(&self) -> bool {
         false
     }
@@ -211,6 +251,31 @@ mod tests {
         assert_eq!(c.strategy(), CommStrategy::Allreduce);
         assert!(!c.supports_error_feedback());
         assert_eq!(c.name(), "Baseline");
+    }
+
+    /// The baseline's owning calls give the same bits as the borrowing ones
+    /// and move one buffer through: encode into the list's buffer, decode
+    /// out of it.
+    #[test]
+    fn baseline_owning_calls_circulate_one_buffer() {
+        let mut c = NoCompression::new();
+        let g = Tensor::new(vec![1.0, -2.5, 0.0, 7.5], Shape::matrix(2, 2));
+        let mut out = vec![Payload::F32(Vec::with_capacity(8))];
+        let buffer = out[0].as_f32().as_ptr();
+        let ctx = c.compress_into(&g, "w", &mut out);
+        assert_eq!((out.clone(), ctx.clone()), c.compress(&g, "w"));
+        assert_eq!(
+            out[0].as_f32().as_ptr(),
+            buffer,
+            "the list's buffer is reused"
+        );
+        let back = c.decompress_owned(out, &ctx);
+        assert_eq!(back, g);
+        assert_eq!(back.as_slice().as_ptr(), buffer, "the buffer moves out");
+
+        let mut stale = vec![Payload::U32(vec![9]), Payload::F32(vec![3.0; 9])];
+        let ctx = c.compress_into(&g, "w", &mut stale);
+        assert_eq!((stale, ctx), c.compress(&g, "w"));
     }
 
     #[test]

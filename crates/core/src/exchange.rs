@@ -31,6 +31,20 @@
 //! simulated clock charges it. The simulator runs the ranks' wire format,
 //! and the tail after the meet is the same code.
 //!
+//! # The `Allreduce` buffer cycle
+//!
+//! A warm `Allreduce` step allocates no gradient-sized buffer. Each plan
+//! slot keeps its payload list on the lane's stager across steps, and the
+//! encode writes into it ([`Compressor::compress_into`]). A lone bucket
+//! lends that buffer to the meet, a multi-tensor bucket fuses into a
+//! per-bucket buffer the stager keeps, and the sum comes back in the buffer
+//! that was sent. The mean is split back, each decode moves its payload's
+//! buffer into the aggregate ([`Compressor::decompress_owned`]), and once
+//! the optimizer has read the aggregates the step driver hands them back
+//! (`GradientExchange::recycle`) as the next step's payload lists. Other
+//! strategies' aggregates are dropped there, and a new plan starts from
+//! empty stagers.
+//!
 //! # Determinism
 //!
 //! Each lane encodes on the submitting thread in plan order (submissions
@@ -65,7 +79,9 @@ use grace_comm::{
 use grace_telemetry::{
     enabled, metrics, recorder, trace, Histogram, HistogramHandle, Level, Stage, StageTimer, Track,
 };
-use grace_tensor::Tensor;
+use grace_tensor::{Shape, Tensor};
+use std::collections::HashMap;
+use std::ops::Range;
 
 const NS_PER_SEC: f64 = 1e9;
 
@@ -498,36 +514,41 @@ impl<'a> WorkerLane<'a> {
         self.last_rel_err.take()
     }
 
-    /// Algorithm 1 lines 5–7 for one tensor: compensate, compress, and — if
-    /// the memory is active — decompress the lane's own payload and update
-    /// the residual. Only compress/decompress are timed (compensate and the
-    /// memory update are elementwise bookkeeping, as before the refactor).
+    /// Algorithm 1 lines 5–7 for one tensor into a fresh payload list:
+    /// compress and — for an active memory — compensate first, then
+    /// decompress the lane's own payload to update the residual.
     pub fn encode(&mut self, name: &str, grad: &Tensor) -> EncodedTensor {
+        let mut payloads = Vec::new();
+        let ctx = self.encode_into(name, grad, &mut payloads);
+        EncodedTensor { payloads, ctx }
+    }
+
+    /// Algorithm 1 lines 5–7 for one tensor, into `payloads` (a plan slot's
+    /// list from the previous step, handed to
+    /// [`Compressor::compress_into`]): compensate, compress, and decompress
+    /// the lane's own payload to update the residual — the first and last
+    /// only for an *active* memory, since an inactive one's compensate is
+    /// the identity and its update a no-op. Only compress/decompress are
+    /// timed (compensate and the memory update are elementwise bookkeeping).
+    fn encode_into(&mut self, name: &str, grad: &Tensor, payloads: &mut Vec<Payload>) -> Context {
         let lane = Track::Lane(self.rank);
-        match self.memory.as_mut() {
-            Some(mem) => {
-                let compensated = mem.compensate(name, grad);
-                let t0 = StageTimer::start();
-                let (payloads, ctx) = self.compressor.compress(&compensated, name);
-                let mut ns = t0.finish("compress", lane);
-                if mem.is_active() {
-                    let t1 = StageTimer::start();
-                    let own = self.compressor.decompress(&payloads, &ctx);
-                    ns += t1.finish("decode_own", lane);
-                    mem.update(name, &compensated, &own);
-                    self.sample_quality(&compensated, &own);
-                }
-                self.observe(ns);
-                EncodedTensor { payloads, ctx }
-            }
-            None => {
-                let t0 = StageTimer::start();
-                let (payloads, ctx) = self.compressor.compress(grad, name);
-                let ns = t0.finish("compress", lane);
-                self.observe(ns);
-                EncodedTensor { payloads, ctx }
-            }
+        let compensated = match self.memory.as_mut() {
+            Some(mem) if mem.is_active() => Some(mem.compensate(name, grad)),
+            _ => None,
+        };
+        let t0 = StageTimer::start();
+        let input = compensated.as_ref().unwrap_or(grad);
+        let ctx = self.compressor.compress_into(input, name, payloads);
+        let mut ns = t0.finish("compress", lane);
+        if let (Some(mem), Some(compensated)) = (self.memory.as_mut(), &compensated) {
+            let t1 = StageTimer::start();
+            let own = self.compressor.decompress(payloads, &ctx);
+            ns += t1.finish("decode_own", lane);
+            mem.update(name, compensated, &own);
+            self.sample_quality(compensated, &own);
         }
+        self.observe(ns);
+        ctx
     }
 }
 
@@ -566,8 +587,12 @@ pub fn decode_gathered(compressor: &mut dyn Compressor, parts: &[EncodedTensor])
 /// persists across steps on the engine, so the steady-state submit path
 /// allocates nothing once the plan's shapes have been seen.
 struct LaneStager {
-    /// Plan-indexed encode outputs.
-    encoded: Vec<Option<EncodedTensor>>,
+    /// Plan-indexed encode outputs. A slot's payload list outlives the step:
+    /// the next encode of the slot writes into it
+    /// ([`Compressor::compress_into`]).
+    encoded: Vec<EncodedTensor>,
+    /// Per-bucket fusion buffers of multi-tensor `Allreduce` buckets.
+    fused: Vec<Vec<f32>>,
     /// Tensors encoded so far this step — the next plan slot.
     submitted: usize,
     /// Encode nanoseconds attributed to each bucket this step.
@@ -588,6 +613,7 @@ impl LaneStager {
     fn new() -> Self {
         LaneStager {
             encoded: Vec::new(),
+            fused: Vec::new(),
             submitted: 0,
             bucket_ns: Vec::new(),
             bucket_bytes: Vec::new(),
@@ -598,13 +624,15 @@ impl LaneStager {
     }
 
     /// Sizes every pool for `plan` and clears per-step state, reusing
-    /// existing capacity (allocates only when the plan grew).
+    /// existing capacity and the slots' buffers (the stager is new when
+    /// the plan is).
     fn reset(&mut self, plan: &BucketPlan, codec_before: f64) {
-        let n = plan.n_tensors();
-        self.encoded.iter_mut().for_each(|s| *s = None);
-        if self.encoded.len() < n {
-            self.encoded.resize_with(n, || None);
-        }
+        self.encoded
+            .resize_with(plan.n_tensors(), || EncodedTensor {
+                payloads: Vec::new(),
+                ctx: Context::shape_only(Shape::scalar()),
+            });
+        self.fused.resize_with(plan.n_buckets(), Vec::new);
         self.bucket_ns.clear();
         self.bucket_ns.resize(plan.n_buckets(), 0);
         self.bucket_bytes.clear();
@@ -627,10 +655,10 @@ impl LaneStager {
             self.window = Some(StageTimer::start());
         }
         let before_ns = lane.codec_ns;
-        let enc = lane.encode(plan.name(idx), grad);
+        let slot = &mut self.encoded[idx];
+        slot.ctx = lane.encode_into(plan.name(idx), grad, &mut slot.payloads);
         self.bucket_ns[b] += lane.codec_ns - before_ns;
-        self.bucket_bytes[b] += enc.wire_bytes() as u64;
-        self.encoded[idx] = Some(enc);
+        self.bucket_bytes[b] += slot.wire_bytes() as u64;
         if let Some(e) = lane.take_quality_error() {
             if e > self.bucket_err[b] {
                 self.bucket_err[b] = e;
@@ -644,6 +672,42 @@ impl LaneStager {
             }
         }
         sealed
+    }
+
+    /// This lane's contribution to `Allreduce` bucket `b` (plan slots
+    /// `range`): its `F32` payloads, in plan order, as one buffer. A `lone`
+    /// bucket (one payload) lends the encode's own buffer; several are
+    /// copied into the bucket's pooled buffer. [`unfuse`](Self::unfuse)
+    /// takes the buffer back.
+    fn fuse(&mut self, b: usize, range: Range<usize>, lone: bool) -> Vec<f32> {
+        if lone {
+            return match self.encoded[range.start].payloads.pop() {
+                Some(Payload::F32(v)) => v,
+                other => panic!("expected an f32 payload, got {other:?}"),
+            };
+        }
+        let mut fused = std::mem::take(&mut self.fused[b]);
+        fused.clear();
+        let payloads = self.encoded[range].iter().flat_map(|e| &e.payloads);
+        // Sized exactly on the first step: grown by doubling, the pooled
+        // buffer would stay up to 2× too large.
+        fused.reserve_exact(payloads.clone().map(|p| p.as_f32().len()).sum());
+        for p in payloads {
+            fused.extend_from_slice(p.as_f32());
+        }
+        fused
+    }
+
+    /// Returns the buffer [`fuse`](Self::fuse) lent for bucket `b` to where
+    /// it came from.
+    fn unfuse(&mut self, b: usize, range: Range<usize>, lone: bool, buffer: Vec<f32>) {
+        if lone {
+            self.encoded[range.start]
+                .payloads
+                .push(Payload::F32(buffer));
+        } else {
+            self.fused[b] = buffer;
+        }
     }
 
     /// Payload bytes this lane generated this step.
@@ -666,6 +730,8 @@ impl LaneStager {
 #[derive(Default)]
 struct PipelineState {
     plan: Option<BucketPlan>,
+    /// The plan slot of each tensor name, for [`GradientExchange::recycle`].
+    slot_of: HashMap<String, usize>,
     stagers: Vec<LaneStager>,
     /// Sealed-but-unaggregated bucket instances across lanes (the queue
     /// depth mirrored into the `exchange.buckets_in_flight` gauge).
@@ -699,15 +765,18 @@ enum Meet<'c, C> {
 
 impl<C: ClusterIntrospect> Meet<'_, C> {
     /// Sums the held lanes' fused buffers, in rank order, with the peers'.
-    fn allreduce(
-        &self,
-        mut fused: impl Iterator<Item = Vec<f32>>,
-    ) -> Result<Reduction, ClusterError> {
-        let first = fused.next().expect("an engine holds a lane");
-        match self {
-            Meet::Lanes => Ok(Reduction::sum_in_rank_order(first, fused)),
-            Meet::Over(comm) => comm.try_allreduce_f32(first),
-        }
+    /// The sum comes back in the first lane's place — the buffer it sent,
+    /// on every transport that can return it — and the other lanes' buffers
+    /// are only read. Returns the contributor count.
+    fn allreduce(&self, fused: &mut [Vec<f32>]) -> Result<usize, ClusterError> {
+        let (first, rest) = fused.split_first_mut().expect("an engine holds a lane");
+        let own = std::mem::take(first);
+        let reduction = match self {
+            Meet::Lanes => Reduction::sum_in_rank_order(own, rest.iter()),
+            Meet::Over(comm) => comm.try_allreduce_f32(own)?,
+        };
+        *first = reduction.sum;
+        Ok(reduction.contributors)
     }
 
     /// Gathers the held lanes' envelopes, in rank order, with the peers'.
@@ -750,23 +819,6 @@ impl<C: ClusterIntrospect> Meet<'_, C> {
             })
         })
     }
-}
-
-/// One lane's contribution to an `Allreduce` bucket: its `F32` payloads, in
-/// plan order, as one buffer of `total` elements. A `lone` bucket (one
-/// payload) moves the encode's own buffer out; only several are copied.
-fn fuse(encoded: &mut [EncodedTensor], lone: bool, total: usize) -> Vec<f32> {
-    if lone {
-        match encoded[0].payloads.pop() {
-            Some(Payload::F32(v)) => return v,
-            other => panic!("expected an f32 payload, got {other:?}"),
-        }
-    }
-    let mut fused = Vec::with_capacity(total);
-    for p in encoded.iter().flat_map(|e| &e.payloads) {
-        fused.extend_from_slice(p.as_f32());
-    }
-    fused
 }
 
 /// The engine: owns the lanes this process computes for and performs whole
@@ -928,10 +980,10 @@ impl<'a> GradientExchange<'a> {
         self.stage_hists = StageHistograms::default();
     }
 
-    /// The one aggregation arm behind both session endings, for one sealed
-    /// bucket. `held` is each held lane's encodes of the bucket's tensors,
-    /// lanes in rank order. Each lane's contribution is built exactly as a
-    /// rank builds it, the contributions [`Meet`], and the tail is shared.
+    /// The one aggregation arm behind both session endings, for sealed
+    /// bucket `b` (plan slots `range`) of every held lane's stager, lanes in
+    /// rank order. Each lane's contribution is built exactly as a rank
+    /// builds it, the contributions [`Meet`], and the tail is shared.
     ///
     /// The bucket's wire bytes are, summed over its tensors, the largest
     /// held contribution: the ring drains at its largest member, and a rank
@@ -939,48 +991,57 @@ impl<'a> GradientExchange<'a> {
     fn aggregate_bucket<C: ClusterIntrospect>(
         &mut self,
         meet: &Meet<'_, C>,
-        held: Vec<Vec<EncodedTensor>>,
+        stagers: &mut [LaneStager],
+        (b, range): (usize, Range<usize>),
         bucket: &mut BucketReport,
         acc: &mut AggAccum,
     ) -> Result<Vec<Tensor>, ClusterError> {
-        bucket.wire_bytes += (0..held[0].len())
-            .filter_map(|t| held.iter().map(|lane| lane[t].wire_bytes()).max())
+        bucket.wire_bytes += range
+            .clone()
+            .filter_map(|t| stagers.iter().map(|s| s.encoded[t].wire_bytes()).max())
             .sum::<usize>();
         match self.strategy {
-            CommStrategy::Allreduce => self.allreduce_bucket(meet, held, acc),
+            CommStrategy::Allreduce => self.allreduce_bucket(meet, stagers, (b, range), acc),
             // `Broadcast` has no collective of its own.
-            _ => self.allgather_bucket(meet, held, acc),
+            _ => self.allgather_bucket(meet, stagers, range, acc),
         }
     }
 
     /// `Allreduce` over a bucket: each lane's `F32` payloads fuse into one
     /// buffer, the buffers are summed while compressed and averaged in place
     /// (the contributor count is the degraded-membership denominator), and
-    /// the mean is split back by length over lane 0's payloads and decoded
-    /// once per tensor.
+    /// the mean is split back by length over lane 0's payloads, whose
+    /// buffers each decode moves into its aggregate. Every buffer ends where
+    /// it started, so [`recycle`](Self::recycle) closes the cycle.
     fn allreduce_bucket<C: ClusterIntrospect>(
         &mut self,
         meet: &Meet<'_, C>,
-        mut held: Vec<Vec<EncodedTensor>>,
+        stagers: &mut [LaneStager],
+        (b, range): (usize, Range<usize>),
         acc: &mut AggAccum,
     ) -> Result<Vec<Tensor>, ClusterError> {
-        let wire: usize = held.iter().flatten().map(EncodedTensor::wire_bytes).sum();
-        let payloads = held[0].iter().flat_map(|e| &e.payloads);
-        let total: usize = payloads.map(|p| p.as_f32().len()).sum();
-        let lone = matches!(&held[0][..], [e] if e.payloads.len() == 1);
-        let reduction = meet.allreduce(held.iter_mut().map(|lane| fuse(lane, lone, total)))?;
+        let held = stagers.iter().flat_map(|s| &s.encoded[range.clone()]);
+        let wire: usize = held.map(EncodedTensor::wire_bytes).sum();
+        let lone = matches!(&stagers[0].encoded[range.clone()], [e] if e.payloads.len() == 1);
+        let mut fused: Vec<Vec<f32>> = stagers
+            .iter_mut()
+            .map(|s| s.fuse(b, range.clone(), lone))
+            .collect();
+        let contributors = meet.allreduce(&mut fused)?;
         // Payloads merge while compressed: every contributor's bucket enters
         // the merge point, a held lane's size standing in for a peer's.
-        acc.incast_bytes += (wire * reduction.contributors / held.len()) as u64;
+        acc.incast_bytes += (wire * contributors / stagers.len()) as u64;
+        let mut fused = fused.into_iter();
         // The transports guarantee the sum has the request's length.
-        let mean = average_sum(reduction.sum, reduction.contributors);
-        let mut own = held.swap_remove(0);
-        if lone {
-            own[0].payloads.push(mean);
-        } else {
-            // Back over the payloads' own buffers: no second allocation.
-            let mut rest = mean.as_f32();
-            for p in own.iter_mut().flat_map(|e| &mut e.payloads) {
+        let sum = fused.next().expect("an engine holds a lane");
+        let Payload::F32(mean) = average_sum(sum, contributors) else {
+            unreachable!("a mean is f32")
+        };
+        if !lone {
+            // Back over lane 0's payloads' own buffers: no second allocation.
+            let mut rest = &mean[..];
+            let own = stagers[0].encoded[range.clone()].iter_mut();
+            for p in own.flat_map(|e| &mut e.payloads) {
                 if let Payload::F32(v) = p {
                     let (head, tail) = rest.split_at(v.len());
                     v.copy_from_slice(head);
@@ -988,14 +1049,17 @@ impl<'a> GradientExchange<'a> {
                 }
             }
         }
+        for (s, buffer) in stagers.iter_mut().zip(std::iter::once(mean).chain(fused)) {
+            s.unfuse(b, range.clone(), lone, buffer);
+        }
         let lane0 = &mut *self.lanes[0].compressor;
-        let decode = |e: &EncodedTensor| {
+        let decode = |e: &mut EncodedTensor| {
             let t0 = StageTimer::start();
-            let out = lane0.decompress(&e.payloads, &e.ctx);
+            let out = lane0.decompress_owned(std::mem::take(&mut e.payloads), &e.ctx);
             acc.decompress_ns += t0.finish("decompress", Track::Stage(Stage::Decompress));
             out
         };
-        Ok(own.iter().map(decode).collect())
+        Ok(stagers[0].encoded[range].iter_mut().map(decode).collect())
     }
 
     /// `Allgather` over a bucket: each lane's encodes travel as one envelope
@@ -1007,22 +1071,22 @@ impl<'a> GradientExchange<'a> {
     fn allgather_bucket<C: ClusterIntrospect>(
         &mut self,
         meet: &Meet<'_, C>,
-        held: Vec<Vec<EncodedTensor>>,
+        stagers: &mut [LaneStager],
+        range: Range<usize>,
         acc: &mut AggAccum,
     ) -> Result<Vec<Tensor>, ClusterError> {
-        let mut shapes = Vec::new();
-        let envelopes = held.into_iter().map(|lane| {
+        let envelopes = stagers.iter_mut().map(|s| {
+            let lane = &mut s.encoded[range.clone()];
             let mut envelope = Vec::new();
             let tensors = lane.iter().map(|e| (&e.payloads[..], &e.ctx.meta[..]));
             payload::encode_bucket_into(&mut envelope, tensors);
-            if shapes.is_empty() {
-                // The payloads are in the envelope; the merge needs only
-                // the shapes.
-                shapes = lane.into_iter().map(|e| e.ctx.shape).collect();
-            }
+            // The payloads are in the envelope; the merge needs only the
+            // shapes, and the slots hold nothing past the step.
+            lane.iter_mut().for_each(|e| e.payloads.clear());
             envelope
         });
         meet.allgather(envelopes, &mut self.frames)?;
+        let shapes = stagers[0].encoded[range].iter().map(|e| &e.ctx.shape);
         let frames = &self.frames;
         let mut rejected = 0;
         let mut bad_envelope = None;
@@ -1040,7 +1104,7 @@ impl<'a> GradientExchange<'a> {
         let lane0 = &mut *self.lanes[0].compressor;
         let mut merged = Vec::with_capacity(shapes.len());
         let mut failure = None;
-        for shape in &shapes {
+        for shape in shapes {
             let parts = slots
                 .iter_mut()
                 .map(|s| s.next().expect("split_bucket checked the count"));
@@ -1087,6 +1151,11 @@ impl<'a> GradientExchange<'a> {
         let pipe = &mut self.pipeline;
         if pipe.plan.as_ref() != Some(plan) {
             pipe.plan = Some(plan.clone());
+            pipe.slot_of = (0..plan.n_tensors())
+                .map(|idx| (plan.name(idx).to_string(), idx))
+                .collect();
+            // No slot or buffer of another layout carries over.
+            pipe.stagers.clear();
         }
         if pipe.stagers.len() != n {
             pipe.stagers.clear();
@@ -1100,6 +1169,27 @@ impl<'a> GradientExchange<'a> {
         }
         self.metrics.in_flight.set(0.0);
         BucketedExchange { engine: self }
+    }
+
+    /// Takes back a finished step's aggregates once the optimizer has read
+    /// them. Under `Allreduce` each becomes the payload buffer that lane 0
+    /// encodes the same plan slot into next step — the last leg of the
+    /// cycle that lets a warm step allocate no gradient-sized buffer. Any
+    /// other strategy's aggregates are dropped here, so a run holds nothing
+    /// more between steps than it did.
+    pub(crate) fn recycle(&mut self, aggregated: Vec<(String, Tensor)>) {
+        if self.strategy != CommStrategy::Allreduce {
+            return;
+        }
+        let pipe = &mut self.pipeline;
+        let Some(stager) = pipe.stagers.first_mut() else {
+            return;
+        };
+        for (name, agg) in aggregated {
+            if let Some(&idx) = pipe.slot_of.get(&name) {
+                stager.encoded[idx].payloads = vec![Payload::F32(agg.into_vec())];
+            }
+        }
     }
 
     fn pipeline_submit(&mut self, worker: usize, name: &str, grad: &Tensor) {
@@ -1156,13 +1246,9 @@ impl<'a> GradientExchange<'a> {
                 elements: plan.bucket_elements(b),
                 wire_bytes: 0,
             };
-            let held = pipe.stagers.iter_mut().map(|s| {
-                let slots = s.encoded[range.clone()].iter_mut();
-                slots
-                    .map(|e| e.take().expect("every slot encoded"))
-                    .collect()
-            });
-            let aggs = self.aggregate_bucket(&meet, held.collect(), &mut bucket, &mut acc)?;
+            let slots = (b, range.clone());
+            let aggs =
+                self.aggregate_bucket(&meet, &mut pipe.stagers, slots, &mut bucket, &mut acc)?;
             debug_assert_eq!(aggs.len(), range.len(), "one aggregate per tensor");
             aggregated.extend(
                 range
@@ -1788,6 +1874,75 @@ mod tests {
             }
         }
         assert_eq!(faults.detected_corruptions, vec![2, 2]);
+    }
+
+    /// Aggregates handed back with `recycle` become the next step's payload
+    /// buffers, and never show through: an engine that finishes a step on
+    /// one plan and then runs steps on a differently shaped one (the same
+    /// names at other sizes, one more tensor, another order) gives every
+    /// step the bits of a fresh engine — at either fusion extreme, over
+    /// one lane and over three.
+    #[test]
+    fn recycled_buffers_never_leak_across_plans_lanes_or_steps() {
+        let tensor = |name: &str, len: usize, seed: usize| {
+            let values = (0..len).map(|i| ((seed * 31 + i * 7) % 23) as f32 * 0.25 - 2.0);
+            (name.to_string(), Tensor::from_vec(values.collect()))
+        };
+        // Step 0 streams plan A, every later step plan B.
+        let stream = |step: usize, seed: usize| match step {
+            0 => vec![tensor("a", 4, seed), tensor("b", 2, seed + 1)],
+            _ => vec![
+                tensor("b", 5, seed),
+                tensor("c", 1, seed + 1),
+                tensor("a", 3, seed + 2),
+            ],
+        };
+        for lanes in [1, 3] {
+            for fusion_bytes in [1, usize::MAX] {
+                let (mut cs, mut ms) = fleet(lanes);
+                let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
+                for step in 0..4 {
+                    let inputs: Vec<_> = (0..lanes)
+                        .map(|w| stream(step, 10 * step + 3 * w))
+                        .collect();
+                    let (mut fresh_cs, mut fresh_ms) = fleet(lanes);
+                    let mut fresh = GradientExchange::from_fleet(&mut fresh_cs, &mut fresh_ms);
+                    let (want, _) = run_step(&mut fresh, fusion_bytes, &inputs);
+                    let (got, _) = run_step(&mut engine, fusion_bytes, &inputs);
+                    assert_eq!(
+                        got, want,
+                        "{lanes} lanes, fusion {fusion_bytes}, step {step}"
+                    );
+                    engine.recycle(got);
+                }
+            }
+        }
+    }
+
+    /// Only `Allreduce` aggregates go back to the engine: lane 0 holds one
+    /// buffer per plan slot after `recycle`, while a gathered method's
+    /// slots are empty — its payloads went into the envelopes and its
+    /// aggregates are dropped, so nothing is held between steps.
+    #[test]
+    fn only_allreduce_aggregates_are_retained() {
+        for gathered in [false, true] {
+            let (mut cs, mut ms) = fleet(2);
+            if gathered {
+                cs = vec![Box::new(Gathered::default()), Box::new(Gathered::default())];
+            }
+            let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
+            let (agg, _) = run_step(&mut engine, 1, &grads(2, 1.0));
+            engine.recycle(agg);
+            let held = |lane: usize| -> Vec<usize> {
+                let slots = &engine.pipeline.stagers[lane].encoded;
+                slots.iter().map(|e| e.payloads.len()).collect()
+            };
+            let lane0 = if gathered { vec![0, 0] } else { vec![1, 1] };
+            assert_eq!(held(0), lane0, "gathered {gathered}");
+            if gathered {
+                assert_eq!(held(1), vec![0, 0]);
+            }
+        }
     }
 
     #[test]

@@ -50,8 +50,9 @@ impl NoMemory {
 }
 
 impl Memory for NoMemory {
+    /// The identity, as [`Memory::is_active`] promises for an inactive
+    /// memory; the exchange engine relies on that and never calls it.
     fn compensate(&mut self, _name: &str, grad: &Tensor) -> Tensor {
-        // Deliberate copy: eliding it cost solo-dense 5–17 % (minor faults 99k → 155k; ROADMAP 9(c)).
         grad.clone()
     }
 

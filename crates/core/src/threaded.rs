@@ -276,6 +276,9 @@ pub(crate) fn worker_loop<C: ClusterIntrospect>(
         },
         |_| {},
     )?;
+    // The exchange's pooled buffers must not sit under evaluation's
+    // activations at the run's peak.
+    drop(engine);
     let quality = task.quality(&mut net);
     Ok(WorkerOut {
         final_params: net.export_params(),

@@ -448,7 +448,8 @@ pub(crate) struct StepDriver<'r, 'a> {
 impl<'a> StepDriver<'_, 'a> {
     /// Runs every epoch. Per step: learning-rate schedule, each local rank's
     /// batch → streaming backward into the session, forward-order sort, step
-    /// marker, monitor feed, optimizer update.
+    /// marker, monitor feed, optimizer update, and the aggregates handed
+    /// back to the engine ([`GradientExchange::recycle`]).
     ///
     /// Callers supply only what is theirs. `finish` ends the step's session
     /// — locally, or over a collective, whose error abandons the run; `tune`
@@ -529,6 +530,8 @@ impl<'a> StepDriver<'_, 'a> {
                     mon.observe_step(global_step, &obs);
                 }
                 self.net.apply_gradients(&aggregated, self.opt);
+                // Back to the engine: next step's payload buffers.
+                self.engine.recycle(aggregated);
                 global_step += 1;
                 after(StepDone {
                     epoch,

@@ -5,35 +5,48 @@
 //!
 //! The same harness also proves the pipelined exchange's steady-state claim:
 //! after a warm-up step, `begin_step` + every `submit` reuse the engine's
-//! pooled staging buffers and allocate nothing.
+//! pooled staging buffers and allocate nothing, and a warm dense step of a
+//! whole run requests no gradient-sized buffer.
 
 use grace::core::{
     AggMerger, AggregationPlan, Compressor, Context, EncodedTensor, GradientExchange, HealthConfig,
     HealthMonitor, Payload, PayloadReader, PlanBuilder, StepObservation,
 };
+use grace::nn::data::{ClassificationDataset, Task};
+use grace::nn::network::Network;
+use grace::nn::Targets;
 use grace::telemetry::trace::{self, StageTimer};
 use grace::telemetry::{metrics, set_level, Level, Stage, Track};
 use grace::tensor::{Shape, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Mutex;
 
 struct CountingAlloc;
 
 // Counting per thread keeps each test's measured window immune to harness
 // threads (libtest prints results concurrently). A const-initialized
-// `Cell<u64>` has no destructor, so the TLS access inside the allocator can
+// `Cell` has no destructor, so the TLS access inside the allocator can
 // never itself allocate or run during teardown.
 std::thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 fn allocs_on_this_thread() -> u64 {
     ALLOCS.with(|c| c.get())
 }
 
+/// The largest single request this thread has made since the last call.
+fn take_largest_on_this_thread() -> usize {
+    LARGEST.with(|c| c.replace(0))
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
+    // The provided `alloc_zeroed` and `realloc` allocate through this.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        let _ = LARGEST.try_with(|c| c.set(c.get().max(layout.size())));
         unsafe { System.alloc(layout) }
     }
 
@@ -503,6 +516,141 @@ fn bucket_envelope_is_one_allocation_however_many_tensors() {
     }
 }
 
+/// A task that notes, at the top of every step (its batch request), the
+/// calling thread's allocation count and the largest single request since
+/// the previous note — so the window between the last two notes is one
+/// warm step.
+struct StepMarks {
+    task: ClassificationDataset,
+    marks: Mutex<Vec<(u64, usize)>>,
+}
+
+impl StepMarks {
+    fn new(task: ClassificationDataset) -> Self {
+        StepMarks {
+            task,
+            marks: Mutex::new(Vec::with_capacity(64)),
+        }
+    }
+
+    /// Allocations and largest request of the run's last full step.
+    fn warm_step(self) -> (u64, usize) {
+        let marks = self.marks.into_inner().unwrap();
+        let [.., (a, _), (b, largest)] = marks[..] else {
+            panic!("a run of at least 2 steps");
+        };
+        (b - a, largest)
+    }
+}
+
+impl Task for StepMarks {
+    fn train_len(&self) -> usize {
+        self.task.train_len()
+    }
+    fn train_batch(&self, indices: &[usize]) -> (Tensor, Targets) {
+        let mark = (allocs_on_this_thread(), take_largest_on_this_thread());
+        self.marks.lock().unwrap().push(mark);
+        self.task.train_batch(indices)
+    }
+    fn quality(&self, net: &mut Network) -> f64 {
+        self.task.quality(net)
+    }
+    fn quality_name(&self) -> &'static str {
+        self.task.quality_name()
+    }
+    fn higher_is_better(&self) -> bool {
+        self.task.higher_is_better()
+    }
+}
+
+/// A warm dense step allocates no gradient-sized buffer: each exchange
+/// buffer circulates from encode through the collective and the decoded
+/// aggregate to the optimizer and back. The model is one layer,
+/// `y = x + Σ w`, over large parameters and 2-wide activations, whose
+/// backward writes its gradients in place — so any request as large as the
+/// smallest gradient tensor would be the exchange's. Checked on a 1-rank
+/// `run_threaded` (the board's collective ending) and a 1-lane
+/// `run_simulated` session, with every tensor its own bucket and all in one.
+#[test]
+fn a_warm_dense_step_requests_no_gradient_sized_buffer() {
+    use grace::core::threaded::run_threaded;
+    use grace::core::trainer::{run_simulated, CodecTiming};
+    use grace::core::{Memory, NoCompression, NoMemory, TrainConfig};
+    use grace::nn::optim::{Momentum, Optimizer};
+    use grace::nn::{Layer, Loss, Param};
+
+    struct Offset(Vec<Param>);
+    impl Layer for Offset {
+        fn name(&self) -> &str {
+            "offset"
+        }
+        fn forward(&mut self, input: &Tensor) -> Tensor {
+            let shift: f32 = self
+                .0
+                .iter()
+                .map(|p| p.value.as_slice().iter().sum::<f32>())
+                .sum();
+            input.map(|v| v + shift)
+        }
+        fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+            let g: f32 = grad_output.as_slice().iter().sum();
+            for p in &mut self.0 {
+                p.grad.as_mut_slice().fill(g);
+            }
+            grad_output.clone()
+        }
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+            for p in &mut self.0 {
+                f(p);
+            }
+        }
+    }
+
+    set_level(Level::Off);
+    const SIZES: [usize; 3] = [3072, 2048, 4096];
+    let smallest_gradient = 4 * SIZES.iter().min().unwrap();
+    let net = || {
+        let params = SIZES
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| Param::new(format!("offset/w{i}"), Tensor::zeros(Shape::vector(len))));
+        let layers: Vec<Box<dyn Layer>> = vec![Box::new(Offset(params.collect()))];
+        Network::new("offset", layers, Loss::SoftmaxCrossEntropy)
+    };
+    let task = || StepMarks::new(ClassificationDataset::synthetic(96, 2, 2, 0.3, 5));
+    for fusion_bytes in [1, usize::MAX] {
+        let mut cfg = TrainConfig::new(1, 8, 1, 5);
+        cfg.codec = CodecTiming::Free;
+        cfg.fusion_bytes = fusion_bytes;
+        cfg.telemetry = Some(Level::Off);
+
+        let threaded = task();
+        run_threaded(&cfg, &threaded, |_rank| {
+            (
+                net(),
+                Box::new(Momentum::new(0.05, 0.9)) as Box<dyn Optimizer>,
+                Box::new(NoCompression::new()) as Box<dyn Compressor>,
+                Box::new(NoMemory::new()) as Box<dyn Memory>,
+            )
+        });
+        let simulated = task();
+        let mut cs: Vec<Box<dyn Compressor>> = vec![Box::new(NoCompression::new())];
+        let mut ms: Vec<Box<dyn Memory>> = vec![Box::new(NoMemory::new())];
+        let (mut model, mut opt) = (net(), Momentum::new(0.05, 0.9));
+        run_simulated(&cfg, &mut model, &simulated, &mut opt, &mut cs, &mut ms);
+
+        for (run, marks) in [("run_threaded", threaded), ("run_simulated", simulated)] {
+            let (allocs, largest) = marks.warm_step();
+            assert!(allocs > 0, "{run}: the window holds a step");
+            assert!(
+                largest < smallest_gradient,
+                "{run}, fusion {fusion_bytes}: a warm step requested {largest} bytes at once, \
+                 the smallest gradient is {smallest_gradient}"
+            );
+        }
+    }
+}
+
 /// A warm step of a real rank — streaming backward, encode, the collective
 /// ending over the deposit board, optimizer — allocates `base + p × buckets`
 /// times: every allocation the wire costs is per *collective* (the bucket
@@ -515,45 +663,14 @@ fn collective_ending_allocations_are_per_bucket_not_per_tensor() {
     use grace::core::threaded::run_threaded;
     use grace::core::trainer::{fusion_plan, CodecTiming};
     use grace::core::{Memory, ResidualMemory, TrainConfig};
-    use grace::nn::data::{ClassificationDataset, Task};
     use grace::nn::models;
-    use grace::nn::network::Network;
     use grace::nn::optim::{Momentum, Optimizer};
-    use grace::nn::Targets;
-    use std::sync::Mutex;
-
-    /// Notes the worker thread's allocation count at the top of every step.
-    struct StepMarks {
-        task: ClassificationDataset,
-        marks: Mutex<Vec<u64>>,
-    }
-    impl Task for StepMarks {
-        fn train_len(&self) -> usize {
-            self.task.train_len()
-        }
-        fn train_batch(&self, indices: &[usize]) -> (Tensor, Targets) {
-            self.marks.lock().unwrap().push(allocs_on_this_thread());
-            self.task.train_batch(indices)
-        }
-        fn quality(&self, net: &mut Network) -> f64 {
-            self.task.quality(net)
-        }
-        fn quality_name(&self) -> &'static str {
-            self.task.quality_name()
-        }
-        fn higher_is_better(&self) -> bool {
-            self.task.higher_is_better()
-        }
-    }
 
     set_level(Level::Off);
     let net = || models::mlp_classifier("m", 8, &[12], 2, 31);
     // Allocations of the last (warm) step of a 1-rank run, and its buckets.
     let warm_step = |fusion_bytes: usize| -> (u64, usize) {
-        let task = StepMarks {
-            task: ClassificationDataset::synthetic(96, 8, 2, 0.3, 31),
-            marks: Mutex::new(Vec::with_capacity(64)),
-        };
+        let task = StepMarks::new(ClassificationDataset::synthetic(96, 8, 2, 0.3, 31));
         let mut cfg = TrainConfig::new(1, 8, 1, 31);
         cfg.codec = CodecTiming::Free;
         cfg.fusion_bytes = fusion_bytes;
@@ -566,11 +683,8 @@ fn collective_ending_allocations_are_per_bucket_not_per_tensor() {
                 Box::new(ResidualMemory::new()) as Box<dyn Memory>,
             )
         });
-        let marks = task.marks.into_inner().unwrap();
-        let [.., a, b] = marks[..] else {
-            panic!("a 12-step run marks 12 steps");
-        };
-        (b - a, fusion_plan(&cfg, &mut net()).n_buckets())
+        let (allocs, _) = task.warm_step();
+        (allocs, fusion_plan(&cfg, &mut net()).n_buckets())
     };
     // The 4 gradient tensors stream as 96, 8, 384 and 48 dense bytes.
     let (split, fused_2, fused_3, fused_4) = (
