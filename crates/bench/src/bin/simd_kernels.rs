@@ -10,7 +10,8 @@
 //!   top-k, QSGD's per-element quantize/dequantize loops) — byte-for-byte
 //!   what the codecs ran before; for `gemm_nt`, `gemm_tn` and the CRC
 //!   tables, the library's own retained reference body (`Level::Scalar`,
-//!   `crc32_bitwise`);
+//!   `crc32_bitwise`), and for the `*_lanes` rows the level-quantizer
+//!   pair's own scalar body (`Level::Scalar`) at the vgg19-analog size;
 //! * `new` — the runtime-dispatched `grace_tensor::simd` kernel, the pooled
 //!   selection built on it, the word-at-a-time packer of
 //!   `grace_tensor::pack` or the level-quantizer pair of
@@ -532,6 +533,59 @@ fn main() {
         assert_eq!(as_bits(&got), as_bits(&want), "QSGD decode diverged");
         rows.push(Row {
             name: "qsgd_decode",
+            reference_ms,
+            new_ms,
+        });
+    }
+
+    // The level-quantizer pair's vector bodies against its scalar body
+    // (`Level::Scalar`, what `GRACE_FORCE_SCALAR` runs), QSGD(64) over the
+    // vgg19-analog gradient's 1 521 162 elements into warm buffers: the
+    // lane-parallel SplitMix64 dither and level arithmetic on encode, the
+    // per-lane `norm * l / s` on decode. Encode keeps the serial norm sum
+    // on both sides, by design.
+    {
+        const VGG19_ELEMENTS: usize = 1_521_162;
+        let g = gradient_of_bytes(4 * VGG19_ELEMENTS.next_multiple_of(256), 43);
+        let xs = &g.as_slice()[..VGG19_ELEMENTS];
+        let (n, s, bits) = (xs.len(), 64, coding::level_bits(64));
+        let encode = |lvl: simd::Level, rng: &mut rand::rngs::StdRng| {
+            let mut signs = vec![0u8; pack::packed_len(n, 1)];
+            let mut levels = vec![0u8; pack::packed_len(n, bits)];
+            let mut norm = 0.0;
+            let ms = time_ms(|| {
+                let xs = std::hint::black_box(xs);
+                norm = simd::quantize_levels_at(lvl, xs, s, rng, &mut signs, &mut levels);
+                std::hint::black_box((&signs, &levels));
+            });
+            (ms, (signs, levels, norm))
+        };
+        let (mut rng_ref, mut rng_new) = (seeded(47), seeded(47));
+        let (reference_ms, want) = encode(simd::Level::Scalar, &mut rng_ref);
+        let (new_ms, got) = encode(simd::level(), &mut rng_new);
+        assert_eq!(got, want, "QSGD lane encode diverged");
+        assert_eq!(rng_new, rng_ref, "QSGD lane encode drew a different stream");
+        rows.push(Row {
+            name: "qsgd_encode_lanes",
+            reference_ms,
+            new_ms,
+        });
+
+        let (signs, levels, norm) = want;
+        let decode = |lvl: simd::Level| {
+            let mut out = Vec::with_capacity(n);
+            let ms = time_ms(|| {
+                let signs = std::hint::black_box(&signs);
+                simd::dequantize_levels_at(lvl, signs, &levels, bits, s, norm, n, &mut out);
+                std::hint::black_box(&out);
+            });
+            (ms, out.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        let (reference_ms, want) = decode(simd::Level::Scalar);
+        let (new_ms, got) = decode(simd::level());
+        assert!(got == want, "QSGD lane decode diverged");
+        rows.push(Row {
+            name: "qsgd_decode_lanes",
             reference_ms,
             new_ms,
         });

@@ -6,7 +6,6 @@ use grace_tensor::pack::packed_len;
 use grace_tensor::rng::substream;
 use grace_tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// QSGD: randomized rounding onto `s + 1` code-words `{0, 1/s, …, 1}` of the
 /// normalized magnitude `|g[i]|/‖g‖₂` (paper Fig. 3):
@@ -51,7 +50,7 @@ impl Qsgd {
 pub(crate) fn quantize_to_payloads(
     values: &[f32],
     s: u32,
-    rng: &mut impl Rng,
+    rng: &mut StdRng,
 ) -> ([Payload; 2], f32) {
     let bits = level_bits(s);
     let mut signs = vec![0u8; packed_len(values.len(), 1)];

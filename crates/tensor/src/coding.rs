@@ -4,9 +4,13 @@
 //! [`quantize_levels`] / [`dequantize_levels`] are the QSGD-style stochastic
 //! level quantizer shared by every codec that rounds normalized magnitudes
 //! onto `s` levels: one pass from gradient values to the packed sign bitmap
-//! and level stream, and one pass back. Both are bit-identical to the
-//! per-element loops they replaced, which stay as the `#[doc(hidden)]`
-//! `*_reference` oracles (DESIGN.md §14 gives the argument).
+//! and level stream, and one pass back. Their bodies live in
+//! [`crate::simd`] beside the other dispatched kernels (a scalar body, and
+//! an AVX2 one for codes up to 8 bits wide); the dither is drawn a block at
+//! a time there, still one draw per element in element order. Both are
+//! bit-identical to the per-element loops they replaced, which stay as the
+//! `#[doc(hidden)]` `*_reference` oracles (DESIGN.md §14 gives the
+//! argument).
 //!
 //! Gajjala et al. (the paper's reference 81) show that Huffman-coding the
 //! code-words of quantized gradients (QSGD levels, TernGrad trits, …) packs
@@ -15,7 +19,9 @@
 //! codec over `u32` symbols with a self-describing header, used by the
 //! entropy-coded compressor variants.
 
-use crate::pack::{pack_bits_generic, packed_len, unpack_bits_generic_into, BitReader, BitWriter};
+use crate::pack::{pack_bits_generic, unpack_bits_generic_into};
+use crate::simd;
+use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BinaryHeap;
 
@@ -25,125 +31,38 @@ pub fn level_bits(s: u32) -> u32 {
     32 - s.leading_zeros()
 }
 
-/// `2^23`: from here to `2^24` the spacing of `f32` is exactly 1.
-const ROUND_MAGIC: f32 = 8_388_608.0;
-
-/// `2^22`: the bound below which [`floor_small`] is exact.
-const FLOOR_LIMIT: f32 = 4_194_304.0;
-
-/// Widest level code decoded through a value table (`2^8` entries on the
-/// stack); wider codes evaluate the expression per element.
-const TABLE_BITS: u32 = 8;
-
-/// `⌊x⌋` for `0 ≤ x < 2^22`, as the float and as the integer, without the
-/// libm `floorf` call (or a float → int conversion) per element: `x + 2^23`
-/// lands where the spacing is 1, so the addition itself rounds `x` to the
-/// nearest integer and the subtraction gives it back exactly; one step down
-/// where that rounded up is the floor. `⌊x⌋ + 2^23` is again exact, and its
-/// mantissa field *is* `⌊x⌋`.
-#[inline(always)]
-fn floor_small(x: f32) -> (f32, u32) {
-    let nearest = (x + ROUND_MAGIC) - ROUND_MAGIC;
-    let floor = if nearest > x { nearest - 1.0 } else { nearest };
-    (floor, (floor + ROUND_MAGIC).to_bits() & 0x007F_FFFF)
-}
-
-/// Quantizes up to eight elements: their sign bits (`v < 0`, LSB first) and
-/// level codes `min(⌊x⌋ + [draw < x − ⌊x⌋], s)` for `x = |v|·s/norm`, one
-/// draw per element in element order. A zero norm yields level 0 everywhere
-/// and draws nothing. `x` is never negative (`|v|`, a norm and `s` are
-/// not); a group holding an `x ≥ 2^22`, ∞ or NaN takes the libm expression.
-#[inline(always)]
-fn quantize_group<R: Rng + ?Sized>(
-    group: &[f32],
-    norm: f32,
-    sf: f32,
-    s: u32,
-    rng: &mut R,
-) -> (u8, [u32; 8]) {
-    let mut sign_byte = 0u8;
-    for (i, &v) in group.iter().enumerate() {
-        sign_byte |= u8::from(v < 0.0) << i;
-    }
-    let mut levels = [0u32; 8];
-    if norm == 0.0 {
-        return (sign_byte, levels);
-    }
-    // Three straight-line passes, so the arithmetic ones vectorize around
-    // the scalar generator.
-    let mut scaled = [0f32; 8];
-    for (x, &v) in scaled.iter_mut().zip(group) {
-        *x = v.abs() / norm * sf;
-    }
-    let mut draws = [0f32; 8];
-    for draw in &mut draws[..group.len()] {
-        *draw = rng.gen();
-    }
-    // Branch-free over the group, so the test itself vectorizes.
-    let small = scaled
-        .iter()
-        .fold(true, |small, &x| small & (x < FLOOR_LIMIT));
-    for ((level, &x), &draw) in levels.iter_mut().zip(&scaled).zip(&draws) {
-        let (floor, whole) = if small {
-            floor_small(x)
-        } else {
-            (x.floor(), x.floor() as u32)
-        };
-        *level = (whole + u32::from(draw < x - floor)).min(s);
-    }
-    (sign_byte, levels)
-}
-
 /// Stochastic level quantization (QSGD, paper Fig. 3) of `xs` onto the
 /// code-words `0..=s` of `|x|/‖xs‖₂`, written as two packed streams: one
 /// sign bit per element into `signs` and one [`level_bits`]`(s)`-wide level
 /// per element into `levels`. Returns `‖xs‖₂`.
 ///
 /// The dither is one `rng.gen::<f32>()` per element, in element order, and
-/// none at all when the norm is zero.
+/// none at all when the norm is zero. A vector body draws it a block at a
+/// time — it skips the generator past a whole block and computes the
+/// block's draws from the counter — which yields the same values in the
+/// same element order and leaves the same state behind. The body is picked
+/// by [`crate::simd::level`]; [`crate::simd::quantize_levels_at`] pins one.
 ///
 /// # Panics
 ///
 /// Panics if `s == 0`, or unless `signs` and `levels` are exactly
 /// `packed_len(xs.len(), 1)` and `packed_len(xs.len(), level_bits(s))`
 /// bytes.
-pub fn quantize_levels<R: Rng + ?Sized>(
+pub fn quantize_levels(
     xs: &[f32],
     s: u32,
-    rng: &mut R,
+    rng: &mut StdRng,
     signs: &mut [u8],
     levels: &mut [u8],
 ) -> f32 {
-    assert!(s >= 1, "need at least one level");
-    let bits = level_bits(s);
-    assert_eq!(signs.len(), packed_len(xs.len(), 1), "sign bitmap length");
-    assert_eq!(
-        levels.len(),
-        packed_len(xs.len(), bits),
-        "level stream length"
-    );
-    let norm = xs.iter().map(|v| v * v).sum::<f32>().sqrt();
-    let sf = s as f32;
-    let mut level_out = BitWriter::new(levels, bits);
-    let (groups, tail) = xs.as_chunks::<8>();
-    for (group, sign_out) in groups.iter().zip(signs.iter_mut()) {
-        let (sign_byte, codes) = quantize_group(group, norm, sf, s, rng);
-        *sign_out = sign_byte;
-        level_out.write8(&codes);
-    }
-    let (sign_byte, codes) = quantize_group(tail, norm, sf, s, rng);
-    if let Some(sign_out) = signs.get_mut(groups.len()) {
-        *sign_out = sign_byte;
-    }
-    level_out.finish(&codes[..tail.len()]);
-    norm
+    simd::quantize_levels_at(simd::level(), xs, s, rng, signs, levels)
 }
 
 /// Inverse of [`quantize_levels`]: clears `out` and fills it with the
 /// `count` values `±norm · level[i] / s`, the sign applied by flipping the
-/// sign bit. Codes at most [`TABLE_BITS`] wide go through a table holding
-/// that expression for every possible code (including codes above `s`,
-/// which a well-formed stream never carries).
+/// sign bit. Every possible code decodes to that expression, including
+/// codes above `s`, which a well-formed stream never carries.
+/// [`crate::simd::dequantize_levels_at`] pins the dispatch level.
 ///
 /// # Panics
 ///
@@ -158,50 +77,7 @@ pub fn dequantize_levels(
     count: usize,
     out: &mut Vec<f32>,
 ) {
-    let sf = s as f32;
-    if bits <= TABLE_BITS {
-        let mut table = [0f32; 1 << TABLE_BITS];
-        for (level, value) in table.iter_mut().enumerate().take(1 << bits) {
-            *value = norm * level as f32 / sf;
-        }
-        decode_levels(signs, levels, bits, count, out, |code| {
-            table[code as usize % table.len()]
-        });
-    } else {
-        decode_levels(signs, levels, bits, count, out, |code| {
-            norm * code as f32 / sf
-        });
-    }
-}
-
-/// The decode walk of [`dequantize_levels`] over a code → magnitude map.
-fn decode_levels(
-    signs: &[u8],
-    levels: &[u8],
-    bits: u32,
-    count: usize,
-    out: &mut Vec<f32>,
-    value: impl Fn(u32) -> f32,
-) {
-    assert_eq!(signs.len(), packed_len(count, 1), "sign bitmap length");
-    assert_eq!(levels.len(), packed_len(count, bits), "level stream length");
-    out.clear();
-    out.reserve(count);
-    let mut reader = BitReader::new(levels, bits);
-    let mut decode_group = |sign_byte: u8| -> [f32; 8] {
-        let codes = reader.read8();
-        std::array::from_fn(|i| {
-            let sign_bit = u32::from(sign_byte >> i & 1) << 31;
-            f32::from_bits(value(codes[i]).to_bits() ^ sign_bit)
-        })
-    };
-    let (full, last) = signs.split_at(count / 8);
-    for &sign_byte in full {
-        out.extend_from_slice(&decode_group(sign_byte));
-    }
-    if let [sign_byte] = *last {
-        out.extend_from_slice(&decode_group(sign_byte)[..count % 8]);
-    }
+    simd::dequantize_levels_at(simd::level(), signs, levels, bits, s, norm, count, out);
 }
 
 /// The per-element loop [`quantize_levels`] replaced (`floorf`, a `Vec<u32>`

@@ -1,11 +1,19 @@
-//! Runtime-dispatched SIMD kernels for the codec hot paths.
+//! Runtime-dispatched SIMD kernels for the codec and backward-pass hot
+//! paths.
 //!
 //! Every compressor funnels through a handful of primitive loops: the ‖g‖∞
-//! scan, code-book binary search, byte-width bit packing, sparse gather, and
-//! the axpy-shaped matmul rows of PowerSGD. This module provides those
-//! kernels with `core::arch` x86-64 bodies (SSE2 baseline, AVX2 when the CPU
-//! reports it) behind one runtime dispatch point, plus a portable scalar
-//! fallback used on other architectures and when `GRACE_FORCE_SCALAR` is set.
+//! scan ([`abs_max_bits`], [`abs_bits_into`]), code-book binary search and
+//! its decode ([`quantize_sign_mag`], [`dequant_sign_mag`]), byte-width bit
+//! packing ([`narrow_to_bytes`], [`widen_from_bytes`]), sparse gather
+//! ([`gather_f32`]), the axpy-shaped rows of PowerSGD ([`axpy`]), and the
+//! QSGD / Qsparse level quantizer with its stochastic dither
+//! ([`quantize_levels_at`], [`dequantize_levels_at`]). Beside them sit the
+//! CRC32 under every payload and frame ([`crc32_update`]) and the two
+//! gradient products of every backward pass ([`gemm_nt`], [`gemm_tn`]).
+//! This module provides those kernels with `core::arch` x86-64 bodies (SSE2
+//! baseline, AVX2 when the CPU reports it) behind one runtime dispatch
+//! point, plus a portable scalar fallback used on other architectures and
+//! when `GRACE_FORCE_SCALAR` is set.
 //!
 //! # Bit identity
 //!
@@ -32,13 +40,20 @@
 //! * the max-reduction in [`abs_max_bits`] operates on absolute-value *bit
 //!   patterns* (sign bit cleared, compared as integers), which is
 //!   associative and exact, so the lane-parallel tree equals the scalar
-//!   left fold bit-for-bit.
+//!   left fold bit-for-bit;
+//! * the level quantizer's dither comes from a counter-based generator
+//!   (SplitMix64: draw `k` is a pure function of `state + k·γ`), so the
+//!   AVX2 body computes a group's eight draws side by side from the counter
+//!   and leaves the generator where the scalar draws would.
 //!
 //! Each kernel is also exposed as an `*_at(Level, …)` variant so the
 //! equivalence suite (and the bench harness) can pin a path explicitly and
 //! compare levels inside one process, independently of the cached dispatch
 //! decision.
 
+use crate::coding::level_bits;
+use crate::pack::packed_len;
+use rand::rngs::StdRng;
 use std::sync::OnceLock;
 
 /// An instruction-set tier the dispatcher can select.
@@ -476,6 +491,76 @@ pub fn gather_f32_at(lvl: Level, src: &[f32], indices: &[u32], out: &mut [f32]) 
 }
 
 // ---------------------------------------------------------------------------
+// level quantizer (QSGD's stochastic rounding and its decode)
+// ---------------------------------------------------------------------------
+
+/// [`crate::coding::quantize_levels`] with an explicit dispatch level: the
+/// same contract, streams and RNG state at every level.
+///
+/// `Level::Avx2` runs codes 1..=8 bits wide (`s ≤ 255`: every QSGD and
+/// Qsparse configuration) eight elements per vector, and draws a full
+/// group's eight dither values as two 4×u64 SplitMix64 vectors from the
+/// counter [`StdRng::skip`] hands over, so the draws are the scalar body's
+/// in the scalar body's order. Wider codes, a zero norm, the last partial
+/// group and the other levels take the scalar body.
+///
+/// # Panics
+///
+/// As [`crate::coding::quantize_levels`].
+pub fn quantize_levels_at(
+    lvl: Level,
+    xs: &[f32],
+    s: u32,
+    rng: &mut StdRng,
+    signs: &mut [u8],
+    levels: &mut [u8],
+) -> f32 {
+    assert!(s >= 1, "need at least one level");
+    assert_eq!(signs.len(), packed_len(xs.len(), 1), "sign bitmap length");
+    assert_eq!(
+        levels.len(),
+        packed_len(xs.len(), level_bits(s)),
+        "level stream length"
+    );
+    // Serial, left to right: goldens pin this order.
+    let norm = xs.iter().map(|v| v * v).sum::<f32>().sqrt();
+    dispatch!(lvl,
+        scalar: scalar::quantize_levels(xs, norm, s, rng, signs, levels),
+        sse2: x86::quantize_levels_sse2(xs, norm, s, rng, signs, levels),
+        avx2: x86::quantize_levels_avx2(xs, norm, s, rng, signs, levels));
+    norm
+}
+
+/// [`crate::coding::dequantize_levels`] with an explicit dispatch level.
+///
+/// `Level::Avx2` decodes codes 1..=8 bits wide eight per vector, each lane
+/// evaluating the scalar body's `norm * l as f32 / s` (the expression its
+/// table holds, for codes above `s` too); wider codes and the other levels
+/// take the scalar body.
+///
+/// # Panics
+///
+/// As [`crate::coding::dequantize_levels`].
+#[allow(clippy::too_many_arguments)]
+pub fn dequantize_levels_at(
+    lvl: Level,
+    signs: &[u8],
+    levels: &[u8],
+    bits: u32,
+    s: u32,
+    norm: f32,
+    count: usize,
+    out: &mut Vec<f32>,
+) {
+    assert_eq!(signs.len(), packed_len(count, 1), "sign bitmap length");
+    assert_eq!(levels.len(), packed_len(count, bits), "level stream length");
+    dispatch!(lvl,
+        scalar: scalar::dequantize_levels(signs, levels, bits, s, norm, count, out),
+        sse2: x86::dequantize_levels_sse2(signs, levels, bits, s, norm, count, out),
+        avx2: x86::dequantize_levels_avx2(signs, levels, bits, s, norm, count, out))
+}
+
+// ---------------------------------------------------------------------------
 // CRC32 (the trailer of every payload stream and every socket frame)
 // ---------------------------------------------------------------------------
 
@@ -512,6 +597,10 @@ const fn crc_step(r: u32) -> u32 {
 /// reproduce bit-for-bit.
 mod scalar {
     use super::crc_step;
+    use crate::coding::level_bits;
+    use crate::pack::{BitReader, BitWriter};
+    use rand::rngs::StdRng;
+    use rand::Rng;
 
     const ABS_MASK: u32 = 0x7FFF_FFFF;
 
@@ -689,11 +778,166 @@ mod scalar {
             *o = src[i as usize];
         }
     }
+
+    /// `2^23`: from here to `2^24` the spacing of `f32` is exactly 1.
+    pub const ROUND_MAGIC: f32 = 8_388_608.0;
+
+    /// `2^22`: the bound below which [`floor_small`] is exact.
+    pub const FLOOR_LIMIT: f32 = 4_194_304.0;
+
+    /// Widest level code decoded through a value table (`2^8` entries on
+    /// the stack); wider codes evaluate the expression per element.
+    const TABLE_BITS: u32 = 8;
+
+    /// `⌊x⌋` for `0 ≤ x < 2^22`, as the float and as the integer, without
+    /// the libm `floorf` call (or a float → int conversion) per element:
+    /// `x + 2^23` lands where the spacing is 1, so the addition itself
+    /// rounds `x` to the nearest integer and the subtraction gives it back
+    /// exactly; one step down where that rounded up is the floor.
+    /// `⌊x⌋ + 2^23` is again exact, and its mantissa field *is* `⌊x⌋`.
+    #[inline(always)]
+    fn floor_small(x: f32) -> (f32, u32) {
+        let nearest = (x + ROUND_MAGIC) - ROUND_MAGIC;
+        let floor = if nearest > x { nearest - 1.0 } else { nearest };
+        (floor, (floor + ROUND_MAGIC).to_bits() & 0x007F_FFFF)
+    }
+
+    /// Quantizes up to eight elements: their sign bits (`v < 0`, LSB first)
+    /// and level codes `min(⌊x⌋ + [draw < x − ⌊x⌋], s)` for `x = |v|·s/norm`,
+    /// one draw per element in element order. A zero norm yields level 0
+    /// everywhere and draws nothing. `x` is never negative (`|v|`, a norm
+    /// and `s` are not); a group holding an `x ≥ 2^22`, ∞ or NaN takes the
+    /// libm expression.
+    #[inline(always)]
+    pub fn quantize_group<R: Rng + ?Sized>(
+        group: &[f32],
+        norm: f32,
+        sf: f32,
+        s: u32,
+        rng: &mut R,
+    ) -> (u8, [u32; 8]) {
+        let mut sign_byte = 0u8;
+        for (i, &v) in group.iter().enumerate() {
+            sign_byte |= u8::from(v < 0.0) << i;
+        }
+        let mut levels = [0u32; 8];
+        if norm == 0.0 {
+            return (sign_byte, levels);
+        }
+        // Three straight-line passes, so the arithmetic ones vectorize
+        // around the scalar generator.
+        let mut scaled = [0f32; 8];
+        for (x, &v) in scaled.iter_mut().zip(group) {
+            *x = v.abs() / norm * sf;
+        }
+        let mut draws = [0f32; 8];
+        for draw in &mut draws[..group.len()] {
+            *draw = rng.gen();
+        }
+        // Branch-free over the group, so the test itself vectorizes.
+        let small = scaled
+            .iter()
+            .fold(true, |small, &x| small & (x < FLOOR_LIMIT));
+        for ((level, &x), &draw) in levels.iter_mut().zip(&scaled).zip(&draws) {
+            let (floor, whole) = if small {
+                floor_small(x)
+            } else {
+                (x.floor(), x.floor() as u32)
+            };
+            *level = (whole + u32::from(draw < x - floor)).min(s);
+        }
+        (sign_byte, levels)
+    }
+
+    /// The level quantizer's reference body over a precomputed norm: one
+    /// [`quantize_group`] per eight elements, packed as it goes.
+    pub fn quantize_levels(
+        xs: &[f32],
+        norm: f32,
+        s: u32,
+        rng: &mut StdRng,
+        signs: &mut [u8],
+        levels: &mut [u8],
+    ) {
+        let sf = s as f32;
+        let mut level_out = BitWriter::new(levels, level_bits(s));
+        let (groups, tail) = xs.as_chunks::<8>();
+        for (group, sign_out) in groups.iter().zip(signs.iter_mut()) {
+            let (sign_byte, codes) = quantize_group(group, norm, sf, s, rng);
+            *sign_out = sign_byte;
+            level_out.write8(&codes);
+        }
+        let (sign_byte, codes) = quantize_group(tail, norm, sf, s, rng);
+        if let Some(sign_out) = signs.get_mut(groups.len()) {
+            *sign_out = sign_byte;
+        }
+        level_out.finish(&codes[..tail.len()]);
+    }
+
+    /// The level decode's reference body. Codes at most [`TABLE_BITS`] wide
+    /// go through a table holding `norm * l as f32 / s` for every possible
+    /// code (including codes above `s`, which a well-formed stream never
+    /// carries).
+    pub fn dequantize_levels(
+        signs: &[u8],
+        levels: &[u8],
+        bits: u32,
+        s: u32,
+        norm: f32,
+        count: usize,
+        out: &mut Vec<f32>,
+    ) {
+        let sf = s as f32;
+        if bits <= TABLE_BITS {
+            let mut table = [0f32; 1 << TABLE_BITS];
+            for (level, value) in table.iter_mut().enumerate().take(1 << bits) {
+                *value = norm * level as f32 / sf;
+            }
+            decode_levels(signs, levels, bits, count, out, |code| {
+                table[code as usize % table.len()]
+            });
+        } else {
+            decode_levels(signs, levels, bits, count, out, |code| {
+                norm * code as f32 / sf
+            });
+        }
+    }
+
+    /// The decode walk of [`dequantize_levels`] over a code → magnitude map.
+    fn decode_levels(
+        signs: &[u8],
+        levels: &[u8],
+        bits: u32,
+        count: usize,
+        out: &mut Vec<f32>,
+        value: impl Fn(u32) -> f32,
+    ) {
+        out.clear();
+        out.reserve(count);
+        let mut reader = BitReader::new(levels, bits);
+        let mut decode_group = |sign_byte: u8| -> [f32; 8] {
+            let codes = reader.read8();
+            std::array::from_fn(|i| {
+                let sign_bit = u32::from(sign_byte >> i & 1) << 31;
+                f32::from_bits(value(codes[i]).to_bits() ^ sign_bit)
+            })
+        };
+        let (full, last) = signs.split_at(count / 8);
+        for &sign_byte in full {
+            out.extend_from_slice(&decode_group(sign_byte));
+        }
+        if let [sign_byte] = *last {
+            out.extend_from_slice(&decode_group(sign_byte)[..count % 8]);
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::scalar;
+    use crate::coding::level_bits;
+    use crate::pack::BitWriter;
+    use rand::rngs::StdRng;
     use std::arch::x86_64::*;
 
     const ABS_MASK: i32 = 0x7FFF_FFFF;
@@ -1416,6 +1660,321 @@ mod x86 {
             i += 8;
         }
         scalar::gather_f32(src, &indices[i..], &mut out[i..]);
+    }
+
+    /// The level pair's per-element arithmetic is what SSE2 autovectorizes
+    /// in the scalar body already, and its draws are scalar: SSE2 takes the
+    /// reference.
+    #[target_feature(enable = "sse2")]
+    pub fn quantize_levels_sse2(
+        xs: &[f32],
+        norm: f32,
+        s: u32,
+        rng: &mut StdRng,
+        signs: &mut [u8],
+        levels: &mut [u8],
+    ) {
+        scalar::quantize_levels(xs, norm, s, rng, signs, levels);
+    }
+
+    #[target_feature(enable = "sse2")]
+    pub fn dequantize_levels_sse2(
+        signs: &[u8],
+        levels: &[u8],
+        bits: u32,
+        s: u32,
+        norm: f32,
+        count: usize,
+        out: &mut Vec<f32>,
+    ) {
+        scalar::dequantize_levels(signs, levels, bits, s, norm, count, out);
+    }
+
+    /// `x · m` modulo `2^64` in each u64 lane. AVX2 multiplies only 32 × 32
+    /// → 64 bits, so the product is `lo·lo + ((hi·lo_m + lo·hi_m) << 32)`:
+    /// three `vpmuludq`, the `hi·hi_m` term falling off the top.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn mul_u64(x: __m256i, m: u64) -> __m256i {
+        let m_lo = _mm256_set1_epi64x((m & 0xFFFF_FFFF) as i64);
+        let m_hi = _mm256_set1_epi64x((m >> 32) as i64);
+        let lo = _mm256_mul_epu32(x, m_lo);
+        let cross = _mm256_add_epi64(
+            _mm256_mul_epu32(_mm256_srli_epi64::<32>(x), m_lo),
+            _mm256_mul_epu32(x, m_hi),
+        );
+        _mm256_add_epi64(lo, _mm256_slli_epi64::<32>(cross))
+    }
+
+    /// [`StdRng::mix`] in each u64 lane.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn mix_u64(z: __m256i) -> __m256i {
+        let z = mul_u64(
+            _mm256_xor_si256(z, _mm256_srli_epi64::<30>(z)),
+            StdRng::MIX[0],
+        );
+        let z = mul_u64(
+            _mm256_xor_si256(z, _mm256_srli_epi64::<27>(z)),
+            StdRng::MIX[1],
+        );
+        _mm256_xor_si256(z, _mm256_srli_epi64::<31>(z))
+    }
+
+    /// The eight `f32` draws `rng.gen()` would return next from a generator
+    /// whose state is `counter`, in element order: draw `k` (from 1) is
+    /// `mix(counter + k·GAMMA)`, and the shim's `f32` is its top 24 bits
+    /// times `2^-24` — an integer below `2^24` converts exactly and the
+    /// power-of-two scale is exact, so each lane holds the scalar value.
+    /// Draws 1, 3, 5, 7 run in one vector and 2, 4, 6, 8 in the other; the
+    /// second's values move to the high half of their u64 lanes, so one
+    /// blend interleaves them into element order.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn dither8(counter: u64) -> __m256 {
+        let step = |k: u64| k.wrapping_mul(StdRng::GAMMA) as i64;
+        let base = _mm256_set1_epi64x(counter as i64);
+        let odd = _mm256_add_epi64(base, _mm256_setr_epi64x(step(1), step(3), step(5), step(7)));
+        let even = _mm256_add_epi64(base, _mm256_setr_epi64x(step(2), step(4), step(6), step(8)));
+        let odd = _mm256_srli_epi64::<40>(mix_u64(odd));
+        let even = _mm256_slli_epi64::<32>(_mm256_srli_epi64::<40>(mix_u64(even)));
+        let top24 = _mm256_blend_epi32::<0b1010_1010>(odd, even);
+        _mm256_mul_ps(
+            _mm256_cvtepi32_ps(top24),
+            _mm256_set1_ps(1.0 / (1u64 << 24) as f32),
+        )
+    }
+
+    /// Lane-parallel replay of `scalar::quantize_group` over a full group:
+    /// the sign byte from `v < 0.0` (so −0.0 and NaN are positive, whatever
+    /// their sign bit), `x = |v| / norm · s` (`div` then `mul`, never
+    /// fused), and either `floor_small`'s three exact steps or, when any
+    /// lane fails `x < 2^22` (∞ and NaN included), the libm expression
+    /// lane by lane — with the same eight draws either way.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn quantize_group_avx2(
+        group: &[f32; 8],
+        norm: __m256,
+        sf: __m256,
+        s: u32,
+        draws: __m256,
+    ) -> (u8, __m256i) {
+        let magic = _mm256_set1_ps(scalar::ROUND_MAGIC);
+        let v = load8(group);
+        let sign_byte = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(v, _mm256_setzero_ps()));
+        let abs = _mm256_and_ps(v, _mm256_castsi256_ps(_mm256_set1_epi32(ABS_MASK)));
+        let x = _mm256_mul_ps(_mm256_div_ps(abs, norm), sf);
+        let small = _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(scalar::FLOOR_LIMIT));
+        let codes = if _mm256_movemask_ps(small) == 0xFF {
+            let nearest = _mm256_sub_ps(_mm256_add_ps(x, magic), magic);
+            let above = _mm256_cmp_ps::<_CMP_GT_OQ>(nearest, x);
+            let floor =
+                _mm256_blendv_ps(nearest, _mm256_sub_ps(nearest, _mm256_set1_ps(1.0)), above);
+            let whole = _mm256_and_si256(
+                _mm256_castps_si256(_mm256_add_ps(floor, magic)),
+                _mm256_set1_epi32(0x007F_FFFF),
+            );
+            // All ones (−1) where the draw rounds up.
+            let up = _mm256_cmp_ps::<_CMP_LT_OQ>(draws, _mm256_sub_ps(x, floor));
+            let level = _mm256_sub_epi32(whole, _mm256_castps_si256(up));
+            _mm256_min_epu32(level, _mm256_set1_epi32(s as i32))
+        } else {
+            let (mut xs, mut ds) = ([0f32; 8], [0f32; 8]);
+            store8(&mut xs, x);
+            store8(&mut ds, draws);
+            let c: [u32; 8] = std::array::from_fn(|i| {
+                let (floor, whole) = (xs[i].floor(), xs[i].floor() as u32);
+                (whole + u32::from(ds[i] < xs[i] - floor)).min(s)
+            });
+            let c = c.map(|code| code as i32);
+            _mm256_setr_epi32(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7])
+        };
+        (sign_byte as u8, codes)
+    }
+
+    /// Where code `i` of a `bits`-wide group starts, for the packers below:
+    /// bit `i·bits`, as the u64 shift counts of codes 0..4 and 4..8, and as
+    /// the byte `i·bits / 8` plus the shift `i·bits % 8` within it.
+    struct CodeLayout {
+        shift_lo: __m256i,
+        shift_hi: __m256i,
+        byte_pick: __m256i,
+        bit_shift: __m256i,
+        mask: __m256i,
+    }
+
+    impl CodeLayout {
+        #[target_feature(enable = "avx2")]
+        fn new(bits: u32) -> Self {
+            let at = |i: u32| i * bits;
+            let shift = |i: u32| i64::from(at(i));
+            // Bytes `k` and `k + 1` into the lane's low half, zeros above
+            // (a `vpshufb` index with its top bit set writes zero). Both
+            // 128-bit halves of the source hold the same word, so the
+            // in-half indexes of lanes 4..8 read the same bytes.
+            let pick = |i: u32| ((at(i) / 8) | ((at(i) / 8 + 1) << 8) | 0x8080_0000) as i32;
+            let bit = |i: u32| (at(i) % 8) as i32;
+            CodeLayout {
+                shift_lo: _mm256_setr_epi64x(shift(0), shift(1), shift(2), shift(3)),
+                shift_hi: _mm256_setr_epi64x(shift(4), shift(5), shift(6), shift(7)),
+                byte_pick: _mm256_setr_epi32(
+                    pick(0),
+                    pick(1),
+                    pick(2),
+                    pick(3),
+                    pick(4),
+                    pick(5),
+                    pick(6),
+                    pick(7),
+                ),
+                bit_shift: _mm256_setr_epi32(
+                    bit(0),
+                    bit(1),
+                    bit(2),
+                    bit(3),
+                    bit(4),
+                    bit(5),
+                    bit(6),
+                    bit(7),
+                ),
+                mask: _mm256_set1_epi32((1 << bits) - 1),
+            }
+        }
+
+        /// Eight codes, each below `2^bits`, packed LSB first into the low
+        /// `8·bits` bits of a word: the `bits` bytes `pack8` writes for
+        /// them.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn pack(&self, codes: __m256i) -> u64 {
+            let lo = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(codes));
+            let hi = _mm256_cvtepu32_epi64(_mm256_extracti128_si256::<1>(codes));
+            let v = _mm256_or_si256(
+                _mm256_sllv_epi64(lo, self.shift_lo),
+                _mm256_sllv_epi64(hi, self.shift_hi),
+            );
+            let v = _mm_or_si128(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+            _mm_cvtsi128_si64(_mm_or_si128(v, _mm_unpackhi_epi64(v, v))) as u64
+        }
+
+        /// The eight codes a group's `bits` bytes (the low bytes of `word`)
+        /// hold: a code spans at most `7 + 8` bits, so two bytes shifted
+        /// down and masked give it.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn unpack(&self, word: u64) -> __m256i {
+            let bytes = _mm256_shuffle_epi8(_mm256_set1_epi64x(word as i64), self.byte_pick);
+            _mm256_and_si256(_mm256_srlv_epi32(bytes, self.bit_shift), self.mask)
+        }
+    }
+
+    /// Full groups of eight lane-parallel, their draws computed from the
+    /// counter one `skip` over all of them returned; then the last partial
+    /// group through the scalar body, drawing from the advanced generator.
+    /// A full group's codes fill exactly `bits` bytes, which one 8-byte
+    /// store writes (its zero high bytes land where the next group's go,
+    /// and that group overwrites them).
+    #[target_feature(enable = "avx2")]
+    pub fn quantize_levels_avx2(
+        xs: &[f32],
+        norm: f32,
+        s: u32,
+        rng: &mut StdRng,
+        signs: &mut [u8],
+        levels: &mut [u8],
+    ) {
+        let bits = level_bits(s);
+        // A zero norm draws nothing; the scalar body writes its zeros.
+        if bits > 8 || norm == 0.0 {
+            return scalar::quantize_levels(xs, norm, s, rng, signs, levels);
+        }
+        let sf = s as f32;
+        let (normv, sfv) = (_mm256_set1_ps(norm), _mm256_set1_ps(sf));
+        let layout = CodeLayout::new(bits);
+        let width = bits as usize;
+        let (groups, tail) = xs.as_chunks::<8>();
+        let (packed, packed_tail) = levels.split_at_mut(groups.len() * width);
+        let mut counter = rng.skip(8 * groups.len() as u64);
+        for (g, (group, sign_out)) in groups.iter().zip(signs.iter_mut()).enumerate() {
+            let draws = dither8(counter);
+            counter = counter.wrapping_add(StdRng::GAMMA.wrapping_mul(8));
+            let (sign_byte, codes) = quantize_group_avx2(group, normv, sfv, s, draws);
+            *sign_out = sign_byte;
+            let word = layout.pack(codes).to_le_bytes();
+            let at = g * width;
+            match packed[at..].first_chunk_mut::<8>() {
+                Some(out) => *out = word,
+                None => packed[at..at + width].copy_from_slice(&word[..width]),
+            }
+        }
+        let (sign_byte, codes) = scalar::quantize_group(tail, norm, sf, s, rng);
+        if let Some(sign_out) = signs.get_mut(groups.len()) {
+            *sign_out = sign_byte;
+        }
+        BitWriter::new(packed_tail, bits).finish(&codes[..tail.len()]);
+    }
+
+    /// Eight decoded values: `norm * l as f32 / s` per lane (`mul` then
+    /// `div`, the scalar operands; a code below `2^24` converts exactly),
+    /// then sign bit `i` of the byte XORed into lane `i`'s bit 31.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn dequantize_group_avx2(codes: __m256i, sign_byte: u8, norm: __m256, sf: __m256) -> __m256 {
+        let value = _mm256_div_ps(_mm256_mul_ps(norm, _mm256_cvtepi32_ps(codes)), sf);
+        let to_bit31 = _mm256_setr_epi32(31, 30, 29, 28, 27, 26, 25, 24);
+        let sign = _mm256_and_si256(
+            _mm256_sllv_epi32(_mm256_set1_epi32(i32::from(sign_byte)), to_bit31),
+            _mm256_set1_epi32(i32::MIN),
+        );
+        _mm256_xor_ps(value, _mm256_castsi256_ps(sign))
+    }
+
+    /// The scalar decode walk with the table lookup replaced by the
+    /// expression the table holds, eight lanes at a time. Group `g`'s codes
+    /// are the `bits` bytes at `g·bits`, read as one 8-byte word (zero
+    /// padded past the end of the stream, as `BitReader` reads).
+    #[target_feature(enable = "avx2")]
+    pub fn dequantize_levels_avx2(
+        signs: &[u8],
+        levels: &[u8],
+        bits: u32,
+        s: u32,
+        norm: f32,
+        count: usize,
+        out: &mut Vec<f32>,
+    ) {
+        // Width 0 takes the scalar body too, whose reader rejects it.
+        if !(1..=8).contains(&bits) {
+            return scalar::dequantize_levels(signs, levels, bits, s, norm, count, out);
+        }
+        let (normv, sfv) = (_mm256_set1_ps(norm), _mm256_set1_ps(s as f32));
+        let layout = CodeLayout::new(bits);
+        let width = bits as usize;
+        let word_at = |at: usize| match levels[at..].first_chunk::<8>() {
+            Some(word) => u64::from_le_bytes(*word),
+            None => {
+                let mut padded = [0u8; 8];
+                padded[..levels.len() - at].copy_from_slice(&levels[at..]);
+                u64::from_le_bytes(padded)
+            }
+        };
+        out.clear();
+        out.reserve(count);
+        let mut lanes = [0f32; 8];
+        let (full, last) = signs.split_at(count / 8);
+        for (g, &sign_byte) in full.iter().enumerate() {
+            let codes = layout.unpack(word_at(g * width));
+            let values = dequantize_group_avx2(codes, sign_byte, normv, sfv);
+            store8(&mut lanes, values);
+            out.extend_from_slice(&lanes);
+        }
+        if let [sign_byte] = *last {
+            let codes = layout.unpack(word_at(full.len() * width));
+            let values = dequantize_group_avx2(codes, sign_byte, normv, sfv);
+            store8(&mut lanes, values);
+            out.extend_from_slice(&lanes[..count % 8]);
+        }
     }
 
     /// CLMUL is a CPU feature of its own, not implied by a [`super::Level`]:

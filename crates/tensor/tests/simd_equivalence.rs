@@ -16,8 +16,11 @@
 //! * all 32 bit-pack widths against the bit-cursor oracle, at every length
 //!   0..=257 (all remainders mod 8 and mod 64) and on a 1 M-code buffer,
 //!   rejection of an oversized code included;
-//! * the level-quantizer kernel pair against its retained per-element
-//!   reference: payload bytes, decoded bit patterns and the RNG state after;
+//! * the level-quantizer kernel pair, at every level, against its retained
+//!   per-element reference: payload bytes, decoded bits and the RNG state
+//!   after every call, at every code width the vector body takes and one
+//!   wider, every slice offset within a group, and groups holding −0.0,
+//!   ±∞ or NaN or a zero norm;
 //! * the CRC32 kernels (table and CLMUL) against the bit-at-a-time
 //!   definition, every length up to 4 KiB at every load alignment.
 //! * `gemm_nt` (A·Bᵀ) against its scalar body over every combination of
@@ -704,80 +707,194 @@ fn level_inputs(len: usize, salt: usize) -> Vec<f32> {
     xs
 }
 
-/// Runs the kernel pair and its reference over `xs` from the same RNG state
-/// and requires identical streams, norm, RNG state and decoded bits.
-fn assert_level_kernels_match_reference(xs: &[f32], s: u32) {
-    let n = xs.len();
-    let bits = level_bits(s);
-    let what = format!("s {s} len {n}");
-    let (mut rng, mut rng_ref) = (seeded(42), seeded(42));
-    let (want_signs, want_levels, want_norm) = quantize_levels_reference(xs, s, &mut rng_ref);
-    let mut signs = vec![0x55u8; packed_len(n, 1)];
-    let mut levels = vec![0x55u8; packed_len(n, bits)];
-    let norm = quantize_levels(xs, s, &mut rng, &mut signs, &mut levels);
-    assert_eq!(norm.to_bits(), want_norm.to_bits(), "norm, {what}");
-    assert!(signs == want_signs, "sign bitmap, {what}");
-    assert!(levels == want_levels, "level stream, {what}");
-    assert_eq!(rng, rng_ref, "RNG state afterwards, {what}");
+/// Finite gradient-like values: the norm is finite, so every group takes
+/// the rounding's fast branch at widths up to 8.
+fn finite_level_inputs(len: usize, salt: usize) -> Vec<f32> {
+    level_inputs(len, salt)
+        .iter()
+        .map(|v| if v.is_finite() { v % 4.0 } else { 0.25 })
+        .collect()
+}
 
-    // A NaN norm must decode to the same NaN bits, so decode with the real
-    // one and with a finite stand-in.
-    for norm in [norm, 1.75] {
-        let want = dequantize_levels_reference(&signs, &levels, bits, s, norm, n);
-        let mut got = vec![9.0f32; 2];
-        dequantize_levels(&signs, &levels, bits, s, norm, n, &mut got);
-        assert!(bits_of(&got) == bits_of(&want), "decode, {what}");
+/// Level counts whose codes are 1, 2, …, 8 bits wide (the widths the
+/// vector body takes, some at both ends of a width), one wider (10 bits,
+/// past the decode table), and two so large that finite inputs reach the
+/// rounding's libm branch.
+const LEVEL_COUNTS: [u32; 14] = [
+    1,
+    2,
+    3,
+    4,
+    7,
+    15,
+    16,
+    31,
+    63,
+    64,
+    255,
+    1000,
+    5_000_000,
+    u32::MAX,
+];
+
+/// Lengths on both sides of the 4- and 8-lane boundaries and of a few
+/// whole groups, and one that leaves a partial group after many.
+const LEVEL_LENGTHS: [usize; 17] = [
+    0, 1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 63, 64, 65, 100, 1501,
+];
+
+/// Runs the kernel pair at every available level, and its reference, over
+/// `xs` and then `more` from one RNG stream each, and requires identical
+/// streams, norms, decoded bits and RNG state after every call.
+fn assert_level_kernels_match_reference(xs: &[f32], more: &[f32], s: u32) {
+    let bits = level_bits(s);
+    let mut rng_ref = seeded(42);
+    let want: Vec<_> = [xs, more]
+        .iter()
+        .map(|xs| {
+            (
+                quantize_levels_reference(xs, s, &mut rng_ref),
+                rng_ref.clone(),
+            )
+        })
+        .collect();
+    for lvl in available_levels() {
+        let mut rng = seeded(42);
+        for (xs, ((want_signs, want_levels, want_norm), want_rng)) in [xs, more].iter().zip(&want) {
+            let n = xs.len();
+            let what = format!("{lvl} s {s} len {n}");
+            let mut signs = vec![0x55u8; packed_len(n, 1)];
+            let mut levels = vec![0x55u8; packed_len(n, bits)];
+            let norm = simd::quantize_levels_at(lvl, xs, s, &mut rng, &mut signs, &mut levels);
+            assert_eq!(norm.to_bits(), want_norm.to_bits(), "norm, {what}");
+            assert!(signs == *want_signs, "sign bitmap, {what}");
+            assert!(levels == *want_levels, "level stream, {what}");
+            assert_eq!(rng, *want_rng, "RNG state afterwards, {what}");
+
+            // A NaN norm must decode to the same NaN bits, so decode with
+            // the real one and with a finite stand-in.
+            for norm in [norm, 1.75] {
+                let want = dequantize_levels_reference(&signs, &levels, bits, s, norm, n);
+                let mut got = vec![9.0f32; 2];
+                simd::dequantize_levels_at(lvl, &signs, &levels, bits, s, norm, n, &mut got);
+                assert!(bits_of(&got) == bits_of(&want), "decode, {what}");
+            }
+        }
+    }
+    // The dispatched entry points take the cached level's body.
+    let mut rng = seeded(42);
+    let n = xs.len();
+    let mut signs = vec![0u8; packed_len(n, 1)];
+    let mut levels = vec![0u8; packed_len(n, bits)];
+    let norm = quantize_levels(xs, s, &mut rng, &mut signs, &mut levels);
+    let ((want_signs, want_levels, want_norm), want_rng) = &want[0];
+    assert!(norm.to_bits() == want_norm.to_bits() && signs == *want_signs);
+    assert!(
+        levels == *want_levels && rng == *want_rng,
+        "dispatched, s {s} len {n}"
+    );
+    let mut got = Vec::new();
+    dequantize_levels(&signs, &levels, bits, s, norm, n, &mut got);
+    let want = dequantize_levels_reference(&signs, &levels, bits, s, norm, n);
+    assert!(
+        bits_of(&got) == bits_of(&want),
+        "dispatched decode, s {s} len {n}"
+    );
+}
+
+/// The level-quantizer kernel pair at every level against the per-element
+/// loops it replaced: every code width the vector body takes and one
+/// wider, lengths around every lane and group boundary, slices starting at
+/// every offset within a group, adversarial encodings (NaN and ∞ make the
+/// norm non-finite, so every group takes the libm branch) and finite
+/// inputs (the norm is finite and every branch of the rounding runs on
+/// ordinary values).
+#[test]
+fn level_kernels_match_reference_on_adversarial_inputs() {
+    for s in LEVEL_COUNTS {
+        for len in LEVEL_LENGTHS {
+            let more = finite_level_inputs(len + 11, len + 7);
+            assert_level_kernels_match_reference(&level_inputs(len, len + 3), &more, s);
+            let finite = finite_level_inputs(len + 7, len + 5);
+            for offset in 0..8 {
+                let xs = &finite[offset..][..len];
+                assert_level_kernels_match_reference(xs, &more, s);
+            }
+        }
     }
 }
 
-/// The level-quantizer kernel pair against the per-element loops it
-/// replaced, at level counts on both sides of the decode table's width
-/// limit (and two so large that finite inputs reach the rounding's libm
-/// branch) and lengths on both sides of every group boundary.
+/// Groups that hold a value the fast branch must not take, among finite
+/// values: −0.0 (sign bit set, yet not `< 0.0`: its sign bit in the stream
+/// is 0), +∞ (the norm is ∞, so that group's `x` is NaN and it alone takes
+/// the libm branch, with the draws it would have had), NaN (a NaN norm:
+/// every group takes it) and a zero norm (no draw at all).
 #[test]
-fn level_kernels_match_reference_on_adversarial_inputs() {
-    for s in [1u32, 4, 16, 64, 255, 1000, 5_000_000, u32::MAX] {
-        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 100, 1501] {
-            assert_level_kernels_match_reference(&level_inputs(len, len + 3), s);
-            // Finite inputs only: the norm is finite and every branch of
-            // the rounding runs on ordinary values.
-            let finite: Vec<f32> = level_inputs(len, len + 5)
-                .iter()
-                .map(|v| if v.is_finite() { v % 4.0 } else { 0.25 })
-                .collect();
-            assert_level_kernels_match_reference(&finite, s);
+fn level_kernels_keep_signs_draws_and_branches_on_special_values() {
+    for s in LEVEL_COUNTS {
+        for len in [1usize, 7, 8, 9, 16, 17, 40] {
+            for at in 0..len.min(17) {
+                let more = finite_level_inputs(19, at);
+                for special in [-0.0f32, f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+                    let mut xs = finite_level_inputs(len, at + len);
+                    xs[at] = special;
+                    assert_level_kernels_match_reference(&xs, &more, s);
+                }
+                // Negative zeros among positive ones at a finite norm: every
+                // sign bit in the stream stays 0.
+                let mut xs: Vec<f32> = (0..len).map(|i| (i % 3) as f32 * 0.5).collect();
+                xs[at] = -0.0;
+                assert_level_kernels_match_reference(&xs, &more, s);
+            }
         }
-        // An all-zero tensor: zero norm, no draw.
-        let zeros = vec![0.0f32; 77];
-        assert_level_kernels_match_reference(&zeros, s);
-        let (mut rng, untouched) = (seeded(9), seeded(9));
-        let (mut signs, mut levels) = (vec![0u8; 10], vec![0u8; packed_len(77, level_bits(s))]);
-        assert_eq!(
-            quantize_levels(&zeros, s, &mut rng, &mut signs, &mut levels),
-            0.0
-        );
-        assert_eq!(rng, untouched, "a zero norm draws nothing");
-        assert!(levels.iter().chain(&signs).all(|&b| b == 0));
+        // An all-zero tensor, signed zeros included: zero norm, no draw.
+        let zeros: Vec<f32> = (0..77)
+            .map(|i| if i % 3 == 0 { -0.0 } else { 0.0 })
+            .collect();
+        assert_level_kernels_match_reference(&zeros, &zeros[..9], s);
+        for lvl in available_levels() {
+            let (mut rng, untouched) = (seeded(9), seeded(9));
+            let mut signs = vec![0xFFu8; 10];
+            let mut levels = vec![0xFFu8; packed_len(77, level_bits(s))];
+            let norm = simd::quantize_levels_at(lvl, &zeros, s, &mut rng, &mut signs, &mut levels);
+            assert_eq!(norm, 0.0);
+            assert_eq!(rng, untouched, "a zero norm draws nothing, {lvl} s {s}");
+            assert!(levels.iter().chain(&signs).all(|&b| b == 0), "{lvl} s {s}");
+        }
     }
 }
 
 /// A stream is free to carry codes above `s` (a peer wrote it): every
-/// possible code decodes to the reference's `norm * l as f32 / s`.
+/// possible code decodes to the reference's `norm * l as f32 / s`, at every
+/// level.
 #[test]
 fn level_codes_above_s_decode_like_the_reference() {
-    for (s, bits) in [(1u32, 1u32), (4, 3), (64, 7), (255, 8), (1000, 10), (5, 12)] {
+    for (s, bits) in [
+        (1u32, 1u32),
+        (2, 2),
+        (4, 3),
+        (9, 4),
+        (17, 5),
+        (40, 6),
+        (64, 7),
+        (255, 8),
+        (1000, 10),
+        (5, 12),
+    ] {
         let n = (1usize << bits) + 3;
         let codes: Vec<u32> = (0..n as u32).map(|i| i % (1 << bits)).collect();
         let levels = pack_bits_generic(&codes, bits);
         let signs = pack_bits_generic(&codes_of(n, 1, 11), 1);
         for norm in [0.0f32, 2.5, f32::INFINITY, f32::NAN, 1.0e-42] {
             let want = dequantize_levels_reference(&signs, &levels, bits, s, norm, n);
-            let mut got = Vec::new();
-            dequantize_levels(&signs, &levels, bits, s, norm, n, &mut got);
-            assert!(
-                bits_of(&got) == bits_of(&want),
-                "s {s} bits {bits} norm {norm}"
-            );
+            for lvl in available_levels() {
+                let mut got = Vec::new();
+                simd::dequantize_levels_at(lvl, &signs, &levels, bits, s, norm, n, &mut got);
+                assert!(
+                    bits_of(&got) == bits_of(&want),
+                    "{lvl} s {s} bits {bits} norm {norm}"
+                );
+            }
         }
     }
 }

@@ -4,6 +4,10 @@
 //! a small, API-compatible implementation of the slice of `rand` it actually
 //! uses: [`rngs::StdRng`], the [`Rng`] / [`SeedableRng`] / [`RngCore`]
 //! traits, [`seq::SliceRandom::shuffle`] and [`seq::index::sample`].
+//! Beyond upstream's API, `StdRng` exposes its counter: the constants
+//! [`rngs::StdRng::GAMMA`] / [`rngs::StdRng::MIX`], the output function
+//! [`rngs::StdRng::mix`] and the skip-ahead [`rngs::StdRng::skip`], which
+//! vector kernels use to compute a block of draws lane-parallel.
 //!
 //! The generator is SplitMix64 — not cryptographic, but statistically solid
 //! for simulation workloads and, crucially, **deterministic**: every seeded
