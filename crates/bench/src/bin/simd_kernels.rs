@@ -26,6 +26,7 @@
 //! Run: `cargo run --release -p grace-bench --bin simd_kernels`
 
 use grace_bench::gradient_of_bytes;
+use grace_nn::models;
 use grace_tensor::rng::seeded;
 use grace_tensor::{coding, pack, select, simd};
 use std::time::Instant;
@@ -407,6 +408,44 @@ fn main() {
         );
         rows.push(Row {
             name: "top_k",
+            reference_ms,
+            new_ms,
+        });
+    }
+
+    // Top-k over resnet50-analog's 68 gradient shapes at ratio 0.01, the
+    // selection `sparse-tcp`'s Top-k makes each step: the candidate-set body
+    // against the full quickselect it replaced, kept as the oracle.
+    {
+        let shapes = models::resnet50_analog(48, 8, 1).streaming_grad_sizes();
+        let total: usize = shapes.iter().map(|(_, len)| len).sum();
+        let pool = gradient_of_bytes(4 * total.next_multiple_of(256), 53);
+        let mut grads = Vec::new();
+        let mut rest = pool.as_slice();
+        for (_, len) in &shapes {
+            let (grad, tail) = rest.split_at(*len);
+            grads.push((grad, ((*len as f64) * 0.01).ceil() as usize));
+            rest = tail;
+        }
+        let mut scratch = Vec::new();
+        let mut run = |select: fn(&[f32], usize, &mut Vec<u32>) -> Vec<u32>| {
+            let mut picked = Vec::new();
+            let ms = time_ms(|| {
+                picked.clear();
+                for &(grad, k) in &grads {
+                    picked.push(select(std::hint::black_box(grad), k, &mut scratch));
+                }
+                std::hint::black_box(&picked);
+            });
+            (ms, picked)
+        };
+        let (reference_ms, want) = run(|xs, k, scratch| {
+            select::top_k_indices_quickselect_at(simd::level(), xs, k, scratch)
+        });
+        let (new_ms, got) = run(select::top_k_indices_with);
+        assert!(got == want, "resnet50 top-k selection diverged");
+        rows.push(Row {
+            name: "top_k_resnet50",
             reference_ms,
             new_ms,
         });

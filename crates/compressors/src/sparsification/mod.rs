@@ -12,7 +12,7 @@ pub use threshold_v::ThresholdV;
 pub use top_k::TopK;
 
 use grace_core::{Context, Payload};
-use grace_tensor::select::{desparsify, SparseSelection};
+use grace_tensor::select::scatter;
 use grace_tensor::Tensor;
 
 /// Builds the standard sparse wire format: values + indices payloads.
@@ -20,14 +20,14 @@ pub(crate) fn sparse_payloads(values: Vec<f32>, indices: Vec<u32>) -> Vec<Payloa
     vec![Payload::F32(values), Payload::U32(indices)]
 }
 
-/// Restores a dense tensor from the standard sparse wire format.
+/// Restores a dense tensor from the standard sparse wire format, scattering
+/// straight from the payloads: the output is the one allocation.
 pub(crate) fn sparse_decompress(payloads: &[Payload], ctx: &Context) -> Tensor {
-    let selection = SparseSelection {
-        values: payloads[0].as_f32().to_vec(),
-        indices: payloads[1].as_u32().to_vec(),
-        shape: ctx.shape.clone(),
-    };
-    desparsify(&selection)
+    scatter(
+        payloads[0].as_f32(),
+        payloads[1].as_u32(),
+        ctx.shape.clone(),
+    )
 }
 
 /// Resolves a sparsity ratio into an element count `k ≥ 1`.

@@ -112,25 +112,47 @@ impl Default for ResidualMemory {
 }
 
 impl Memory for ResidualMemory {
+    /// One pass into the returned tensor: `m·β + γ·g` per element, each
+    /// product rounded and then the sum, in that operand order (no FMA) —
+    /// the roundings of `Tensor::scale` then `Tensor::axpy`, which the
+    /// golden checksums pin.
     fn compensate(&mut self, name: &str, grad: &Tensor) -> Tensor {
+        let (beta, gamma) = (self.beta, self.gamma);
         match self.store.get(name) {
             Some(m) => {
-                let mut out = m.clone();
-                out.scale(self.beta);
-                out.axpy(self.gamma, grad);
-                out
+                assert_eq!(m.len(), grad.len(), "tensor length mismatch in axpy");
+                let data = (m.as_slice().iter().zip(grad.as_slice()))
+                    .map(|(&m, &g)| m * beta + gamma * g)
+                    .collect();
+                Tensor::new(data, m.shape().clone())
             }
             None => {
-                let mut out = grad.clone();
-                out.scale(self.gamma);
-                out
+                let data = grad.as_slice().iter().map(|&g| g * gamma).collect();
+                Tensor::new(data, grad.shape().clone())
             }
         }
     }
 
+    /// Writes `c − d` over the stored residual; only a tensor's first
+    /// update (or one that changes its shape) allocates.
     fn update(&mut self, name: &str, compensated: &Tensor, decompressed: &Tensor) {
-        let residual = compensated.sub(decompressed);
-        self.store.insert(name.to_string(), residual);
+        assert_eq!(
+            compensated.len(),
+            decompressed.len(),
+            "tensor length mismatch in sub"
+        );
+        match self.store.get_mut(name) {
+            Some(r) if r.shape() == compensated.shape() => {
+                let pairs = compensated.as_slice().iter().zip(decompressed.as_slice());
+                for (r, (&c, &d)) in r.as_mut_slice().iter_mut().zip(pairs) {
+                    *r = c - d;
+                }
+            }
+            _ => {
+                self.store
+                    .insert(name.to_string(), compensated.sub(decompressed));
+            }
+        }
     }
 
     fn residual_norm(&self) -> Option<f64> {
@@ -187,6 +209,26 @@ mod tests {
         let c2 = m.compensate("w", &g);
         // β·m + γ·g = 0.5·2 + 2·1 = 3.
         assert_eq!(c2.as_slice(), &[3.0]);
+    }
+
+    #[test]
+    fn compensate_rounds_like_scale_then_axpy() {
+        let mut m = ResidualMemory::with_decay(0.9, 0.7);
+        let g = Tensor::from_vec((0..37).map(|i| (i as f32 * 0.37).sin()).collect());
+        let mut want = g.clone();
+        want.scale(0.7);
+        let c = m.compensate("w", &g);
+        assert_eq!(c.as_slice(), want.as_slice());
+        let dec = Tensor::from_vec((0..37).map(|i| (i % 3) as f32 * 0.1).collect());
+        m.update("w", &c, &dec);
+        m.update("w", &c, &dec);
+        let mut want = c.sub(&dec);
+        assert_eq!(m.residual("w"), Some(&want));
+        want.scale(0.9);
+        want.axpy(0.7, &g);
+        let got = m.compensate("w", &g);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! Sparsification methods (§III-B) select a subset of gradient elements and
 //! transmit two rank-1 tensors: the selected values and their indices.
 
+use crate::simd::{self, Level};
 use crate::{Shape, Tensor};
 use rand::seq::index::sample;
 use rand::Rng;
@@ -46,18 +47,131 @@ pub fn top_k_indices(values: &[f32], k: usize) -> Vec<u32> {
 
 /// [`top_k_indices`] with a caller-pooled scratch buffer.
 ///
-/// The selection needs one `u32` per input element; steady-state callers
-/// (the per-bucket compress loop) keep the scratch on the compressor so the
-/// dominant `O(d)` allocation happens once, not per step. The returned
-/// index vector is still fresh — it is moved into the payload.
+/// Steady-state callers (the per-bucket compress loop) keep the scratch on
+/// the compressor, so the selection allocates nothing but the index vector
+/// it returns (which is moved into the payload).
 ///
 /// The selection key is the absolute-value *bit pattern* (sign bit cleared,
 /// compared as an integer), which orders finite floats exactly like `|v|`
-/// and lets the magnitude scan vectorize. The quickselect runs on the
-/// integer keys directly — no float comparator, no index permutation — and
-/// a final ascending sweep collects strictly-greater elements plus
-/// lowest-index ties, reproducing the stable selection contract.
+/// and places NaN above +∞. The selection works on a candidate set:
+///
+/// * the keys are cut into chunks of [`CHUNK`] and each chunk's largest key
+///   is kept (the last chunk may be partial);
+/// * `M`, the k-th largest chunk maximum, bounds the k-th largest key `P`
+///   from below — the chunks holding the k largest maxima contribute k
+///   distinct elements, each `≥ M`, so `P ≥ M`;
+/// * every key `≥ P` therefore sits in a chunk whose maximum is `≥ M`, and
+///   those chunks' keys `≥ M` are the candidates, collected in index order;
+/// * `P` is selected exactly among the candidates, and an ascending sweep
+///   over them keeps every key above `P` plus the lowest-index ties at `P`.
+///
+/// Every element the stable selection keeps is a candidate, so the result
+/// is the same for every input. Where the candidate set cannot be small —
+/// fewer than `2k` chunks, or more than half the chunks reaching `M` (an
+/// all-equal input) — the full quickselect
+/// ([`top_k_indices_quickselect_at`]) runs instead.
 pub fn top_k_indices_with(values: &[f32], k: usize, scratch: &mut Vec<u32>) -> Vec<u32> {
+    let d = values.len();
+    if k >= d {
+        return (0..d as u32).collect();
+    }
+    if k == 0 {
+        return Vec::new();
+    }
+    let chunks = d.div_ceil(CHUNK);
+    if chunks < 2 * k {
+        return top_k_indices_quickselect_at(simd::level(), values, k, scratch);
+    }
+    scratch.clear();
+    let (full, tail) = values.as_chunks::<CHUNK>();
+    scratch.extend(full.iter().map(|c| chunk_max_key(c)));
+    if !tail.is_empty() {
+        scratch.push(chunk_max_key(tail));
+    }
+    // M, the k-th largest chunk maximum, selected on a copy so the maxima
+    // stay in chunk order.
+    scratch.extend_from_within(..chunks);
+    let (_, &mut bound, _) = scratch[chunks..].select_nth_unstable(chunks - k);
+    scratch.truncate(chunks);
+    let hot = scratch.iter().filter(|&&m| m >= bound).count();
+    if 2 * hot > chunks {
+        return top_k_indices_quickselect_at(simd::level(), values, k, scratch);
+    }
+
+    // Candidate indices in index order beside their keys, which P is
+    // selected on (and so permuted). Hot chunks and candidates are found
+    // as bit masks: both are sparse, so a compare per key and a scan per
+    // set bit beat a branch per key.
+    let room = hot * CHUNK;
+    scratch.resize(chunks + 2 * room, 0);
+    let (maxima, rest) = scratch.split_at_mut(chunks);
+    let (candidates, keys) = rest.split_at_mut(room);
+    let mut n = 0;
+    for (group, group_maxima) in maxima.chunks(64).enumerate() {
+        let mut hot_chunks = mask_at_or_above(group_maxima.iter().copied(), bound);
+        while hot_chunks != 0 {
+            let start = (group * 64 + hot_chunks.trailing_zeros() as usize) * CHUNK;
+            hot_chunks &= hot_chunks - 1;
+            let chunk = &values[start..d.min(start + CHUNK)];
+            let mut picked = mask_at_or_above(chunk.iter().map(|&v| abs_key(v)), bound);
+            while picked != 0 {
+                let j = picked.trailing_zeros() as usize;
+                picked &= picked - 1;
+                candidates[n] = (start + j) as u32;
+                keys[n] = abs_key(chunk[j]);
+                n += 1;
+            }
+        }
+    }
+    let (candidates, keys) = (&candidates[..n], &mut keys[..n]);
+    let (_, &mut pivot, right) = keys.select_nth_unstable(n - k);
+    let above = right.iter().filter(|&&b| b > pivot).count();
+    let mut ties = k - above;
+    let mut out = Vec::with_capacity(k);
+    for &i in candidates.iter() {
+        let b = abs_key(values[i as usize]);
+        if b > pivot {
+            out.push(i);
+        } else if b == pivot && ties > 0 {
+            out.push(i);
+            ties -= 1;
+        }
+    }
+    out
+}
+
+/// Keys per chunk in [`top_k_indices_with`]'s candidate-set selection.
+pub const CHUNK: usize = 16;
+
+/// The selection key: the absolute-value bit pattern.
+fn abs_key(v: f32) -> u32 {
+    v.to_bits() & 0x7FFF_FFFF
+}
+
+/// Bit `j` set where the `j`-th of at most 64 keys is `>= bound`.
+fn mask_at_or_above(keys: impl Iterator<Item = u32>, bound: u32) -> u64 {
+    keys.enumerate()
+        .fold(0, |mask, (j, key)| mask | u64::from(key >= bound) << j)
+}
+
+/// The largest key of a chunk.
+fn chunk_max_key(chunk: &[f32]) -> u32 {
+    chunk.iter().fold(0, |m, &v| m.max(abs_key(v)))
+}
+
+/// Top-k by a full quickselect, with the key extraction's dispatch level
+/// explicit: every key is extracted, `select_nth_unstable` runs over all
+/// `d` of them, and a final ascending sweep collects the strictly-greater
+/// elements plus the lowest-index ties. It is [`top_k_indices_with`]'s
+/// fallback, and the oracle its candidate-set selection is tested and
+/// benchmarked against.
+#[doc(hidden)]
+pub fn top_k_indices_quickselect_at(
+    lvl: Level,
+    values: &[f32],
+    k: usize,
+    scratch: &mut Vec<u32>,
+) -> Vec<u32> {
     let d = values.len();
     if k >= d {
         return (0..d as u32).collect();
@@ -67,7 +181,7 @@ pub fn top_k_indices_with(values: &[f32], k: usize, scratch: &mut Vec<u32>) -> V
     }
     scratch.clear();
     scratch.resize(d, 0);
-    crate::simd::abs_bits_into(values, scratch);
+    simd::abs_bits_into_at(lvl, values, scratch);
     // The k-th largest key is the (d-k)-th smallest. After partitioning,
     // every key strictly above the pivot sits in the right partition.
     let (_, &mut pivot, right) = scratch.select_nth_unstable(d - k);
@@ -141,14 +255,28 @@ pub fn sparsify(tensor: &Tensor, indices: Vec<u32>) -> SparseSelection {
 ///
 /// Panics if values/indices lengths differ or an index is out of bounds.
 pub fn desparsify(selection: &SparseSelection) -> Tensor {
+    scatter(
+        &selection.values,
+        &selection.indices,
+        selection.shape.clone(),
+    )
+}
+
+/// [`desparsify`] from borrowed parts: a zero tensor of `shape` with
+/// `values[j]` written at `indices[j]`. The output is the only allocation.
+///
+/// # Panics
+///
+/// Panics if values/indices lengths differ or an index is out of bounds.
+pub fn scatter(values: &[f32], indices: &[u32], shape: Shape) -> Tensor {
     assert_eq!(
-        selection.values.len(),
-        selection.indices.len(),
+        values.len(),
+        indices.len(),
         "values/indices length mismatch"
     );
-    let mut out = Tensor::zeros(selection.shape.clone());
+    let mut out = Tensor::zeros(shape);
     let data = out.as_mut_slice();
-    for (&i, &v) in selection.indices.iter().zip(selection.values.iter()) {
+    for (&i, &v) in indices.iter().zip(values) {
         data[i as usize] = v;
     }
     out

@@ -29,6 +29,10 @@
 //! * `gemm_tn` (Aᵀ·B) likewise: every strip remainder, reductions crossing
 //!   its row-list chunk, ReLU-like zeros in either operand against ±∞ and
 //!   NaN in the other, and the models' dW and low-rank shapes.
+//! * top-k's candidate-set selection against the full quickselect it
+//!   replaced, at every level: lengths around the chunk width, partial tail
+//!   chunks and the `2k`-chunk switch, all-equal input, signed-zero runs,
+//!   NaN and ±∞, and ties at the pivot that straddle a chunk boundary.
 //!
 //! Inputs are raw `u32` words reinterpreted with `from_bits`, so the float
 //! space is sampled uniformly over *encodings* (heavy on denormals and NaN
@@ -43,7 +47,9 @@ use grace_tensor::pack::{
     unpack_bits_into, BitReader, BitWriter, Crc32,
 };
 use grace_tensor::rng::seeded;
-use grace_tensor::select::{top_k_indices, top_k_indices_with};
+use grace_tensor::select::{
+    top_k_indices, top_k_indices_quickselect_at, top_k_indices_with, CHUNK,
+};
 use grace_tensor::simd::{self, available_levels, Level};
 use proptest::prelude::*;
 use rand::Rng;
@@ -894,6 +900,162 @@ fn level_codes_above_s_decode_like_the_reference() {
                     bits_of(&got) == bits_of(&want),
                     "{lvl} s {s} bits {bits} norm {norm}"
                 );
+            }
+        }
+    }
+}
+
+/// Lengths for the top-k selection: around the chunk width, around partial
+/// tail chunks, a few thousand (4 096 ± 1) and resnet50-analog's 96 × 96
+/// weight.
+fn top_k_lengths() -> Vec<usize> {
+    let mut out = vec![0, 1, 2];
+    for chunks in [1usize, 2, 3, 6, 48] {
+        let len = chunks * CHUNK;
+        out.extend([len - 1, len, len + 1]);
+    }
+    out.extend([100, 1501, 4095, 4096, 4097, 9216]);
+    out
+}
+
+/// The `k`s every input is selected at: the edges, resnet50's 1 % and
+/// heavier ratios, and both sides of the switch to the full quickselect
+/// (fewer than `2k` chunks).
+fn top_k_ks(len: usize) -> Vec<usize> {
+    let half_chunks = len.div_ceil(CHUNK) / 2;
+    let mut ks = vec![0, 1, 2, len / 100, len.div_ceil(100), len / 16, len / 2];
+    ks.extend([half_chunks.saturating_sub(1), half_chunks, half_chunks + 1]);
+    ks.extend([len.saturating_sub(1), len, len + 1]);
+    ks
+}
+
+/// Requires the candidate-set selection to return what the full quickselect
+/// returns at every level, and the stable-sort definition to agree.
+fn assert_top_k_matches_oracle(xs: &[f32], k: usize, what: &str) {
+    let mut scratch = vec![0xDEAD_BEEF; 3];
+    let got = top_k_indices_with(xs, k, &mut scratch);
+    for lvl in available_levels() {
+        let want = top_k_indices_quickselect_at(lvl, xs, k, &mut Vec::new());
+        assert!(got == want, "{what}: len {} k {k} at {lvl}", xs.len());
+    }
+    let mut order: Vec<u32> = (0..xs.len() as u32).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(xs[i as usize].to_bits() & 0x7FFF_FFFF));
+    order.truncate(k);
+    order.sort_unstable();
+    assert!(
+        got == order,
+        "{what}: len {} k {k} vs stable sort",
+        xs.len()
+    );
+    assert_eq!(got, top_k_indices(xs, k), "pooled vs fresh");
+}
+
+/// Named inputs of length `len`: random encodings with every tricky bit
+/// pattern spliced in, gradient-like values, all-equal values, signed-zero
+/// runs among a few values, NaN and ±∞ among gradient-like values, and a
+/// handful of distinct magnitudes (ties everywhere).
+fn top_k_inputs(len: usize) -> Vec<(&'static str, Vec<f32>)> {
+    let mut rng = seeded(len as u64 + 17);
+    let words: Vec<u32> = (0..len).map(|_| rng.gen()).collect();
+    let gradient: Vec<f32> = (0..len)
+        .map(|_| {
+            let u = rng.gen::<f32>() * 2.0 - 1.0;
+            u * u * u * 0.01
+        })
+        .collect();
+    let mut specials = gradient.clone();
+    for (j, v) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -f32::NAN]
+        .into_iter()
+        .enumerate()
+    {
+        if len > 0 {
+            specials[(j * 37 + len / 3) % len] = v;
+        }
+    }
+    let zeros = (0..len)
+        .map(|i| match (i / 5) % 4 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => gradient[i],
+            _ => {
+                if i % 2 == 0 {
+                    0.0
+                } else {
+                    -0.0
+                }
+            }
+        })
+        .collect();
+    let few = (0..len)
+        .map(|i| [0.5f32, -0.25, 0.5, 1.0, -0.0][(i * 7) % 5])
+        .collect();
+    vec![
+        ("tricky encodings", floats_with_tricky(&words, len)),
+        ("gradient", gradient),
+        ("all equal", vec![-0.75; len]),
+        ("signed-zero runs", zeros),
+        ("NaN and infinities", specials),
+        ("few magnitudes", few),
+    ]
+}
+
+/// The candidate-set selection returns the full quickselect's indices, bit
+/// for bit, on every input at every `k`.
+#[test]
+fn top_k_candidate_set_matches_quickselect_oracle() {
+    for len in top_k_lengths() {
+        for (what, xs) in top_k_inputs(len) {
+            for k in top_k_ks(len) {
+                assert_top_k_matches_oracle(&xs, k, what);
+            }
+        }
+    }
+}
+
+/// Ties at the pivot that straddle a chunk boundary: `above` magnitudes
+/// larger than the tie, `ties` equal magnitudes around the boundary of
+/// chunks `c − 1` and `c` (some of them negative), and `k` taking some but
+/// not all of them — the kept ties are the lowest-indexed, whichever chunk
+/// they sit in. A second tie run in a later chunk, and ties spread over
+/// every third chunk, must not be preferred over earlier ones.
+#[test]
+fn top_k_pivot_ties_straddling_a_chunk_boundary_keep_the_lowest_indices() {
+    for len in [4 * CHUNK, 48 * CHUNK + 5, 4097, 9216] {
+        let background: Vec<f32> = (0..len).map(|i| (i % 97) as f32 * 1.0e-4).collect();
+        for c in [1, len / CHUNK / 2, len.div_ceil(CHUNK) - 1] {
+            let boundary = c * CHUNK;
+            for ties in [2usize, 3, 6, 9] {
+                let mut xs = background.clone();
+                let from = boundary.saturating_sub(ties / 2);
+                for (j, x) in xs[from..(from + ties).min(len)].iter_mut().enumerate() {
+                    *x = if j % 2 == 0 { 1.0 } else { -1.0 };
+                }
+                // Larger magnitudes, in earlier and later chunks.
+                for at in [0, len - 1, len / 3] {
+                    if !(from..from + ties).contains(&at) {
+                        xs[at] = 2.0 + at as f32;
+                    }
+                }
+                let above = xs.iter().filter(|v| v.abs() > 1.0).count();
+                for take in 1..ties {
+                    assert_top_k_matches_oracle(&xs, above + take, "tie run");
+                }
+                // A second run of the same magnitude in a later chunk, and
+                // the same magnitude in every third chunk or so.
+                let mut later = xs.clone();
+                later[len - 1 - CHUNK / 2..len - 1]
+                    .iter_mut()
+                    .for_each(|x| *x = -1.0);
+                assert_top_k_matches_oracle(&later, above + ties, "two tie runs");
+                let mut spread = xs.clone();
+                spread
+                    .iter_mut()
+                    .skip(2 * CHUNK + 5)
+                    .step_by(3 * CHUNK + 1)
+                    .for_each(|x| *x = 1.0);
+                for take in [1, ties, ties + 2] {
+                    assert_top_k_matches_oracle(&spread, above + take, "spread ties");
+                }
             }
         }
     }

@@ -433,6 +433,85 @@ fn qsgd_compress_allocates_only_what_it_returns() {
     assert_eq!((payloads.len(), ctx.shape.len()), (2, context.shape.len()));
 }
 
+/// `TopK::compress` allocates what it returns and nothing else: the index
+/// and value payload buffers, the `Vec<Payload>` and the context — the
+/// selection's chunk maxima and candidates live in the compressor's pooled
+/// scratch. Its decode allocates the output tensor (data and shape) and
+/// nothing else: it scatters straight from the payload slices.
+#[test]
+fn topk_compress_allocates_only_what_it_returns() {
+    use grace::compressors::TopK;
+
+    set_level(Level::Off);
+    // resnet50-analog's 96 × 96 weight at the paper's 1 %, and a length
+    // with a partial last chunk.
+    for len in [9216, 4099] {
+        let g = Tensor::from_vec((0..len).map(|i| ((i as f32) * 0.11).cos()).collect());
+        let mut c = TopK::new(0.01);
+        let _warm = c.compress(&g, "g");
+
+        let before = allocs_on_this_thread();
+        let context = Context::shape_only(g.shape().clone());
+        let context_allocs = allocs_on_this_thread() - before;
+
+        let before = allocs_on_this_thread();
+        let (payloads, ctx) = c.compress(&g, "g");
+        let allocs = allocs_on_this_thread() - before;
+        assert_eq!(
+            allocs,
+            3 + context_allocs,
+            "TopK::compress made {allocs} allocations for 2 payload buffers, \
+             1 payload list and a context of {context_allocs} (len {len})"
+        );
+        assert_eq!((payloads.len(), ctx.shape.len()), (2, context.shape.len()));
+
+        let before = allocs_on_this_thread();
+        let out = c.decompress(&payloads, &ctx);
+        let allocs = allocs_on_this_thread() - before;
+        assert_eq!(
+            allocs,
+            1 + context_allocs,
+            "TopK::decompress made {allocs} allocations for an output of \
+             1 buffer and a shape of {context_allocs} (len {len})"
+        );
+        assert_eq!(out.norm0(), payloads[0].as_f32().len());
+    }
+}
+
+/// Error feedback allocates only what it returns: once a tensor has a
+/// residual, `ResidualMemory::update` writes `c − d` over it, and
+/// `compensate` builds its output (data and shape) in one pass.
+#[test]
+fn residual_memory_allocates_only_what_it_returns() {
+    use grace::core::{Memory, ResidualMemory};
+
+    set_level(Level::Off);
+    let g = Tensor::from_vec((0..4099).map(|i| ((i as f32) * 0.11).cos()).collect());
+    let d = Tensor::from_vec((0..4099).map(|i| ((i % 7) as f32) * 0.01).collect());
+    let mut memory = ResidualMemory::with_decay(0.9, 1.0);
+    let c = memory.compensate("g", &g);
+    memory.update("g", &c, &d);
+
+    let before = allocs_on_this_thread();
+    let shape = g.shape().clone();
+    let shape_allocs = allocs_on_this_thread() - before;
+
+    let before = allocs_on_this_thread();
+    let c = memory.compensate("g", &g);
+    let allocs = allocs_on_this_thread() - before;
+    assert_eq!(
+        allocs,
+        1 + shape_allocs,
+        "compensate allocated {allocs} times"
+    );
+
+    let before = allocs_on_this_thread();
+    memory.update("g", &c, &d);
+    let allocs = allocs_on_this_thread() - before;
+    assert_eq!(allocs, 0, "a warm update allocated {allocs} times");
+    assert_eq!(memory.residual("g").map(|r| r.shape()), Some(&shape));
+}
+
 /// Zero-copy frame decoding must be allocation-free in steady state: the
 /// [`PayloadReader`] validates the CRC envelope and yields borrowed
 /// [`grace::core::PayloadView`]s over the frame body, and the pooled
