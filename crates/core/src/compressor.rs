@@ -2,7 +2,7 @@
 
 use crate::aggregation::HomomorphicAggregate;
 use crate::payload::Payload;
-use grace_tensor::{Shape, Tensor};
+use grace_tensor::{pool, Shape, Tensor};
 
 /// Opaque decompression context: everything `decompress` needs to restore a
 /// tensor of the original shape and dtype (paper: "ctx").
@@ -181,15 +181,19 @@ impl Compressor for NoCompression {
     }
 
     /// Copies the gradient into the `F32` buffer `out` already holds, if
-    /// any.
+    /// any, element ranges split across the calling thread's pool.
     fn compress_into(&mut self, tensor: &Tensor, _name: &str, out: &mut Vec<Payload>) -> Context {
         let mut values = match out.pop() {
             Some(Payload::F32(v)) => v,
             _ => Vec::new(),
         };
         out.clear();
-        values.clear();
-        values.extend_from_slice(tensor.as_slice());
+        let src = tensor.as_slice();
+        // A circulating buffer already has the gradient's length.
+        values.resize(src.len(), 0.0);
+        pool::split_rows(&mut values, src.len(), 16, src.len(), |r, dst| {
+            dst.copy_from_slice(&src[r]);
+        });
         out.push(Payload::F32(values));
         Context::shape_only(tensor.shape().clone())
     }

@@ -79,7 +79,7 @@ use grace_comm::{
 use grace_telemetry::{
     enabled, metrics, recorder, trace, Histogram, HistogramHandle, Level, Stage, StageTimer, Track,
 };
-use grace_tensor::{Shape, Tensor};
+use grace_tensor::{pool, Shape, Tensor};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -191,29 +191,6 @@ impl ExchangeReport {
         self.hidden_encode_seconds
             .iter()
             .fold(0.0f64, |a, &b| a.max(b))
-    }
-
-    /// Wall codec cost of a pipelined step: the slowest rank's *exposed*
-    /// encode (final-bucket work that cannot overlap backprop), plus
-    /// whatever hidden encode exceeded the compute it hid under, plus the
-    /// serial decode/aggregate tail.
-    pub fn codec_wall_seconds_overlapped(&self, compute_seconds: f64) -> f64 {
-        let mut max_exposed = 0.0f64;
-        let mut max_hidden = 0.0f64;
-        for (r, &c) in self.compress_seconds.iter().enumerate() {
-            let h = self
-                .hidden_encode_seconds
-                .get(r)
-                .copied()
-                .unwrap_or(0.0)
-                .min(c);
-            max_exposed = max_exposed.max(c - h);
-            max_hidden = max_hidden.max(h);
-        }
-        max_exposed
-            + (max_hidden - compute_seconds).max(0.0)
-            + self.decompress_seconds
-            + self.aggregate_seconds
     }
 
     /// Total CPU seconds the aggregator spent on this step's merge:
@@ -562,9 +539,12 @@ impl<'a> WorkerLane<'a> {
 pub fn average_sum(mut sum: Vec<f32>, contributors: usize) -> Payload {
     assert!(contributors > 0, "mean over zero contributors");
     let denom = contributors as f32;
-    for v in &mut sum {
-        *v /= denom;
-    }
+    let len = sum.len();
+    pool::split_rows(&mut sum, len, 16, len, |_, part| {
+        for v in part {
+            *v /= denom;
+        }
+    });
     Payload::F32(sum)
 }
 

@@ -23,7 +23,7 @@ use grace_nn::data::Task;
 use grace_nn::network::Network;
 use grace_nn::optim::Optimizer;
 use grace_tensor::pack::crc32;
-use grace_tensor::Tensor;
+use grace_tensor::{pool, Tensor};
 
 /// One rank's private (network, optimizer, compressor, memory).
 pub type Worker = (
@@ -113,7 +113,7 @@ pub fn run_socket_rank(
     } else {
         None
     };
-    let out = worker_loop(cfg, task, make_worker, &comm, true);
+    let out = worker_loop(cfg, task, make_worker, &comm, true, pool::width());
     if out.is_err() {
         comm.leave();
         // A wedged or dropped rank is exactly what the flight recorder

@@ -34,7 +34,7 @@ use grace_comm::{
 };
 use grace_nn::data::Task;
 use grace_telemetry::recorder;
-use grace_tensor::Tensor;
+use grace_tensor::{pool, Tensor};
 use std::sync::Arc;
 
 /// Result of a threaded run (as observed by the lowest surviving rank; in a
@@ -116,6 +116,7 @@ pub(crate) fn launch(
         None,
     );
     let n = cfg.n_workers;
+    let cores = pool::width();
     let stats = FaultStats::new(n);
     let (plan, options) = plan_and_options(cfg);
     // One endpoint for the whole cluster, alive until every worker joins.
@@ -126,7 +127,7 @@ pub(crate) fn launch(
         #[cfg(not(unix))]
         let endpoint = None;
         net::run_socket_local(n, options, endpoint, |e| {
-            let out = run_rank(e, cfg, task, make_worker, &plan, &stats);
+            let out = run_rank(e, cfg, task, make_worker, &plan, &stats, cores);
             if out.is_err() {
                 recorder::trigger("recorder: cluster error");
             }
@@ -134,7 +135,7 @@ pub(crate) fn launch(
         })
     } else {
         ThreadedCluster::run_with(n, options, |e| {
-            run_rank(e, cfg, task, make_worker, &plan, &stats)
+            run_rank(e, cfg, task, make_worker, &plan, &stats, cores)
         })
     };
     drop(metrics_server);
@@ -154,7 +155,7 @@ pub(crate) fn launch(
 }
 
 /// One in-process rank of [`launch`]: wraps the endpoint in the fault layer
-/// and trains.
+/// and trains on its share of the launching thread's `cores`.
 fn run_rank<C: ClusterIntrospect>(
     endpoint: C,
     cfg: &TrainConfig,
@@ -162,9 +163,10 @@ fn run_rank<C: ClusterIntrospect>(
     make_worker: &MakeWorker<'_>,
     plan: &Arc<FaultPlan>,
     stats: &FaultStats,
+    cores: usize,
 ) -> Result<WorkerOut, ClusterError> {
     let comm = FaultyCollective::new(endpoint, Arc::clone(plan), stats.clone());
-    let out = worker_loop(cfg, task, make_worker, &comm, false);
+    let out = worker_loop(cfg, task, make_worker, &comm, false, cores);
     if out.is_err() {
         // Dead or wedged: withdraw from the barrier so survivors keep
         // making progress instead of timing out behind us.
@@ -190,15 +192,22 @@ pub(crate) struct WorkerOut {
 /// processes each own a trace file, so each needs its own timeline); the
 /// threaded board keeps the historical rank-0-only markers so per-process
 /// critical-path windows stay unambiguous.
+///
+/// The rank computes on its share of `cores` — the width of the thread that
+/// launched the run — among the run's `cfg.n_workers` ranks, from set-up to
+/// evaluation: every rank of a run computes on one host, in-process or as
+/// its own process.
 pub(crate) fn worker_loop<C: ClusterIntrospect>(
     cfg: &TrainConfig,
     task: &dyn Task,
     make_worker: &MakeWorker<'_>,
     comm: &FaultyCollective<C>,
     per_rank_steps: bool,
+    cores: usize,
 ) -> Result<WorkerOut, ClusterError> {
     let n = cfg.n_workers;
     let rank = comm.rank();
+    let _width = pool::take_share(cores, n);
     let (mut net, mut opt, mut compressor, mut memory) = make_worker(rank);
     let mut engine = GradientExchange::for_rank(rank, compressor.as_mut(), memory.as_mut())
         .with_aggregation(cfg.agg_plan);
@@ -354,7 +363,7 @@ mod tests {
         fn ops_after_run<C: ClusterIntrospect>(endpoint: C, job: Job<'_>) -> u64 {
             let (cfg, task, make, faults, stats) = job;
             let comm = FaultyCollective::new(endpoint, Arc::clone(faults), stats.clone());
-            worker_loop(cfg, task, make, &comm, false).expect("fault-free run");
+            worker_loop(cfg, task, make, &comm, false, pool::width()).expect("fault-free run");
             comm.inner().ops_started()
         }
 

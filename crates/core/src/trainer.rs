@@ -19,10 +19,9 @@
 //! 1. **compute** — the modelled forward+backward time of one minibatch
 //!    ([`ComputeModel`]); workers run in parallel so the batch cost is
 //!    charged once;
-//! 2. **compression** — per the [`CodecTiming`] policy: either the
-//!    *measured* wall-clock time of this crate's codecs (max over workers,
-//!    as they compress concurrently) or the paper-calibrated analytic op
-//!    model;
+//! 2. **compression** — per the [`CodecTiming`] policy: the
+//!    paper-calibrated analytic op model, or nothing; the simulated clock
+//!    never reads a stopwatch, so it is the same on every host;
 //! 3. **communication** — the α–β collective cost of the byte-exact payloads
 //!    ([`grace_comm::NetworkModel`]).
 //!
@@ -89,12 +88,10 @@ impl ComputeModel {
 /// a per-element arithmetic cost which the framework largely overlaps with
 /// the still-running backward pass (paper §V-D (ii)/(iii): "TensorFlow can
 /// schedule … so that it overlaps with GPU computation"). `Modeled`
-/// reproduces exactly that structure; `MeasuredWallClock` charges this
-/// crate's real (much faster, tightly-coded Rust) codec time instead.
+/// reproduces exactly that structure; `Free` charges nothing. Neither reads
+/// a stopwatch: simulated seconds depend on the run, not on the host.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CodecTiming {
-    /// Charge the measured wall-clock cost of this crate's implementations.
-    MeasuredWallClock,
     /// Charge the paper-calibrated analytic cost per iteration:
     /// `per_op_seconds · ops_per_tensor · tensor_count` (never overlapped)
     /// `+ max(0, ns_per_element · elements · byte_scale − 0.75 · compute)`.
@@ -223,7 +220,7 @@ pub struct TrainConfig {
 }
 
 impl TrainConfig {
-    /// A small default configuration: 10 Gbps TCP, measured codec time,
+    /// A small default configuration: 10 Gbps TCP, free codecs,
     /// analog-scale bytes.
     pub fn new(n_workers: usize, batch_per_worker: usize, epochs: usize, seed: u64) -> Self {
         TrainConfig {
@@ -233,7 +230,7 @@ impl TrainConfig {
             seed,
             network: NetworkModel::paper_default(),
             compute: ComputeModel::new(0.0),
-            codec: CodecTiming::MeasuredWallClock,
+            codec: CodecTiming::Free,
             topology: Topology::Peer,
             byte_scale: 1.0,
             evals_per_epoch: 1,
@@ -646,13 +643,6 @@ pub fn run_simulated(
             .sum();
         comm_seconds += iter_comm;
         let iter_codec = match cfg.codec {
-            CodecTiming::MeasuredWallClock => {
-                // Workers compress concurrently: charge the slowest
-                // lane's *exposed* encode (hidden-bucket work already
-                // overlapped this worker's own backprop) plus the
-                // serial aggregation decode.
-                report.codec_wall_seconds_overlapped(compute_t)
-            }
             CodecTiming::Modeled {
                 per_op_seconds,
                 ops_per_tensor,

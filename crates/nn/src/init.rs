@@ -1,6 +1,7 @@
 //! Weight initialisation schemes.
 
 use grace_tensor::{rng, Shape, Tensor};
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Xavier/Glorot uniform initialisation: `U(−a, a)` with
@@ -19,7 +20,7 @@ pub fn xavier_uniform<R: Rng + ?Sized>(
 
 /// He/Kaiming normal initialisation: `N(0, 2/fan_in)`. Suitable for ReLU
 /// layers.
-pub fn he_normal<R: Rng + ?Sized>(rng_: &mut R, shape: Shape, fan_in: usize) -> Tensor {
+pub fn he_normal(rng_: &mut StdRng, shape: Shape, fan_in: usize) -> Tensor {
     let std = (2.0 / fan_in.max(1) as f32).sqrt();
     let mut t = Tensor::zeros(shape);
     rng::fill_gaussian(rng_, t.as_mut_slice(), std);
@@ -27,7 +28,7 @@ pub fn he_normal<R: Rng + ?Sized>(rng_: &mut R, shape: Shape, fan_in: usize) -> 
 }
 
 /// Small-scale normal initialisation `N(0, std²)`, used for embeddings.
-pub fn normal<R: Rng + ?Sized>(rng_: &mut R, shape: Shape, std: f32) -> Tensor {
+pub fn normal(rng_: &mut StdRng, shape: Shape, std: f32) -> Tensor {
     let mut t = Tensor::zeros(shape);
     rng::fill_gaussian(rng_, t.as_mut_slice(), std);
     t

@@ -4,7 +4,7 @@ use super::{Layer, Param};
 use crate::init;
 use grace_tensor::linalg::{matmul, matmul_transpose_a, matmul_transpose_b};
 use grace_tensor::{Shape, Tensor};
-use rand::Rng;
+use rand::rngs::StdRng;
 
 /// A 2-D convolution layer with square kernels.
 ///
@@ -37,7 +37,7 @@ impl Conv2d {
     /// Panics if any dimension is zero, if `stride == 0`, or if the padded
     /// input is smaller than the kernel.
     #[allow(clippy::too_many_arguments)]
-    pub fn new<R: Rng + ?Sized>(
+    pub fn new(
         name: impl Into<String>,
         in_ch: usize,
         h: usize,
@@ -46,7 +46,7 @@ impl Conv2d {
         k: usize,
         stride: usize,
         pad: usize,
-        rng: &mut R,
+        rng: &mut StdRng,
     ) -> Self {
         assert!(
             in_ch > 0 && h > 0 && w > 0 && out_ch > 0 && k > 0,

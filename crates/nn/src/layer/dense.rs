@@ -4,7 +4,7 @@ use super::{Layer, Param};
 use crate::init;
 use grace_tensor::linalg::{matmul, matmul_transpose_a, matmul_transpose_b};
 use grace_tensor::{Shape, Tensor};
-use rand::Rng;
+use rand::rngs::StdRng;
 
 /// A dense (fully-connected) layer: `Y = X · W + b`.
 ///
@@ -26,12 +26,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn new<R: Rng + ?Sized>(
-        name: impl Into<String>,
-        in_dim: usize,
-        out_dim: usize,
-        rng: &mut R,
-    ) -> Self {
+    pub fn new(name: impl Into<String>, in_dim: usize, out_dim: usize, rng: &mut StdRng) -> Self {
         assert!(in_dim > 0 && out_dim > 0, "dense dims must be positive");
         let name = name.into();
         let weight = Param::new(

@@ -3,7 +3,7 @@
 use super::{Layer, Param};
 use crate::init;
 use grace_tensor::{Shape, Tensor};
-use rand::Rng;
+use rand::rngs::StdRng;
 
 /// An embedding table: maps integer ids (carried as `f32` values) to learned
 /// vectors.
@@ -30,12 +30,7 @@ impl Embedding {
     /// # Panics
     ///
     /// Panics if `vocab` or `dim` is zero.
-    pub fn new<R: Rng + ?Sized>(
-        name: impl Into<String>,
-        vocab: usize,
-        dim: usize,
-        rng: &mut R,
-    ) -> Self {
+    pub fn new(name: impl Into<String>, vocab: usize, dim: usize, rng: &mut StdRng) -> Self {
         assert!(vocab > 0 && dim > 0, "embedding dims must be positive");
         let name = name.into();
         let table = Param::new(

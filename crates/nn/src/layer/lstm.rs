@@ -4,7 +4,7 @@ use super::{sigmoid, Layer, Param};
 use crate::init;
 use grace_tensor::linalg::{matmul, matmul_transpose_a, matmul_transpose_b};
 use grace_tensor::{Shape, Tensor};
-use rand::Rng;
+use rand::rngs::StdRng;
 
 /// A single-layer LSTM unrolled over a fixed sequence length.
 ///
@@ -46,12 +46,12 @@ impl Lstm {
     /// # Panics
     ///
     /// Panics if any dimension is zero.
-    pub fn new<R: Rng + ?Sized>(
+    pub fn new(
         name: impl Into<String>,
         in_dim: usize,
         hidden: usize,
         seq: usize,
-        rng: &mut R,
+        rng: &mut StdRng,
     ) -> Self {
         assert!(
             in_dim > 0 && hidden > 0 && seq > 0,

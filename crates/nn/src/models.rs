@@ -43,7 +43,7 @@ pub fn mlp_classifier(
     Network::new(name, layers, Loss::SoftmaxCrossEntropy)
 }
 
-fn residual_block(idx: usize, width: usize, rng: &mut impl rand::Rng) -> Box<dyn Layer> {
+fn residual_block(idx: usize, width: usize, rng: &mut rand::rngs::StdRng) -> Box<dyn Layer> {
     // Down-scale the branch output at init (the "zero-gamma" trick) so deep
     // stacks start close to the identity and activations stay bounded.
     let mut fc2 = Dense::new(format!("res{idx}/fc2"), width, width, rng);

@@ -6,8 +6,12 @@
 //! is keyed by parameter name so the same optimizer instance serves a whole
 //! network.
 
-use grace_tensor::Tensor;
+use grace_tensor::{pool, simd, Tensor};
 use std::collections::HashMap;
+
+/// Range boundaries of a pooled update fall on multiples of this many
+/// elements: a cache line's worth of `f32`s.
+const GRAIN: usize = 16;
 
 /// A stateful first-order optimizer.
 ///
@@ -59,7 +63,12 @@ impl Sgd {
 
 impl Optimizer for Sgd {
     fn update(&mut self, _name: &str, value: &mut Tensor, grad: &Tensor) {
-        value.axpy(-self.lr, grad);
+        assert_eq!(value.len(), grad.len(), "tensor length mismatch in axpy");
+        let (step, g) = (-self.lr, grad.as_slice());
+        // `Tensor::axpy` per element range, one range per pool thread.
+        pool::split_rows(value.as_mut_slice(), g.len(), GRAIN, 2 * g.len(), |r, x| {
+            simd::axpy(x, step, &g[r]);
+        });
     }
 
     fn learning_rate(&self) -> f32 {
@@ -110,25 +119,28 @@ impl Optimizer for Momentum {
         assert_eq!(value.len(), grad.len(), "tensor length mismatch in axpy");
         let v = state(&mut self.velocity, name, || grad.zeros_like());
         assert_eq!(v.len(), grad.len(), "tensor length mismatch in add");
-        let (gamma, step) = (self.gamma, -self.lr);
-        let zs = v.as_mut_slice().iter_mut().zip(grad.as_slice());
-        let elems = value.as_mut_slice().iter_mut().zip(zs);
+        let (gamma, step, nesterov) = (self.gamma, -self.lr, self.nesterov);
+        let look_ahead = -self.lr * self.gamma;
+        let g = grad.as_slice();
+        let (xs, zs) = (value.as_mut_slice(), v.as_mut_slice());
         // Per element, exactly `Tensor::{scale, add_assign, axpy}` in that
         // order — `z·γ`, `+ g`, `x + (−η)·z`, never fused — the bits every
-        // golden was recorded with.
-        if self.nesterov {
-            let look_ahead = -self.lr * self.gamma;
-            for (x, (z, &g)) in elems {
-                *z = *z * gamma + g;
-                *x += step * g;
-                *x += look_ahead * *z;
+        // golden was recorded with; element ranges split across the pool.
+        pool::split_rows2(xs, zs, g.len(), GRAIN, 4 * g.len(), |r, xs, zs| {
+            let elems = xs.iter_mut().zip(zs.iter_mut().zip(&g[r]));
+            if nesterov {
+                for (x, (z, &g)) in elems {
+                    *z = *z * gamma + g;
+                    *x += step * g;
+                    *x += look_ahead * *z;
+                }
+            } else {
+                for (x, (z, &g)) in elems {
+                    *z = *z * gamma + g;
+                    *x += step * *z;
+                }
             }
-        } else {
-            for (x, (z, &g)) in elems {
-                *z = *z * gamma + g;
-                *x += step * *z;
-            }
-        }
+        });
     }
 
     fn learning_rate(&self) -> f32 {
@@ -301,6 +313,77 @@ mod tests {
             opt.update("x", &mut x, &g);
         }
         x.sub(&c).norm2()
+    }
+
+    /// Lengths either side of the pool's splits: the inline threshold
+    /// (`INLINE_WORK` element-operations, 2 per element for SGD and 4 for
+    /// momentum), range grains, and a split five ways.
+    fn split_lengths() -> Vec<usize> {
+        let t = pool::INLINE_WORK;
+        let mut out = vec![0, 1, 15, 16, 17, 1000];
+        for edge in [t / 4, t / 2, t, 5 * t / 2, 5 * t / 4] {
+            out.extend([edge - 1, edge, edge + 1]);
+        }
+        out.push(100_003);
+        out
+    }
+
+    fn gradient(len: usize, salt: u32) -> Tensor {
+        Tensor::from_vec(
+            (0..len as u32)
+                .map(|i| ((i.wrapping_mul(2_654_435_761) ^ salt) % 2001) as f32 / 1000.0 - 1.0)
+                .collect(),
+        )
+    }
+
+    /// Three steps of the `name`d optimizer at `width`: the parameters, as
+    /// bits.
+    fn three_steps(name: &str, len: usize, width: usize) -> Vec<u32> {
+        pool::with_width(width, || {
+            let mut opt: Box<dyn Optimizer> = match name {
+                "sgd" => Box::new(Sgd::new(0.1)),
+                "momentum" => Box::new(Momentum::new(0.05, 0.9)),
+                _ => Box::new(Momentum::new(0.05, 0.9).nesterov()),
+            };
+            let mut x = gradient(len, 7);
+            for step in 0..3 {
+                opt.update("p", &mut x, &gradient(len, step));
+            }
+            x.as_slice().iter().map(|v| v.to_bits()).collect()
+        })
+    }
+
+    #[test]
+    fn pooled_updates_are_bit_identical_to_the_serial_loop_at_every_width() {
+        for len in split_lengths() {
+            // The serial reference: the loops these updates ran before the
+            // pool, element by element.
+            let (mut sgd, mut mom, mut nes) =
+                (gradient(len, 7), gradient(len, 7), gradient(len, 7));
+            let (mut z, mut zn) = (vec![0.0f32; len], vec![0.0f32; len]);
+            for step in 0..3 {
+                let g = gradient(len, step);
+                for i in 0..len {
+                    sgd[i] += -0.1 * g[i];
+                    z[i] = z[i] * 0.9 + g[i];
+                    mom[i] += -0.05f32 * z[i];
+                    zn[i] = zn[i] * 0.9 + g[i];
+                    nes[i] += -0.05f32 * g[i];
+                    nes[i] += (-0.05f32 * 0.9) * zn[i];
+                }
+            }
+            let oracles = [sgd, mom, nes];
+            for (name, oracle) in ["sgd", "momentum", "nesterov"].iter().zip(&oracles) {
+                let want: Vec<u32> = oracle.as_slice().iter().map(|v| v.to_bits()).collect();
+                for width in [1, 2, 3, 5] {
+                    assert_eq!(
+                        three_steps(name, len, width),
+                        want,
+                        "{name} len {len} width {width}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

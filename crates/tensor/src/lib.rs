@@ -14,6 +14,8 @@
 //!   compressors (matmul, Gram–Schmidt orthonormalization);
 //! - [`simd`]: runtime-dispatched (SSE2/AVX2/scalar) kernels for the codec
 //!   hot paths, bit-identical across dispatch levels;
+//! - [`pool`]: a per-thread intra-op pool that splits a kernel's output
+//!   into disjoint ranges, bit-identical at every width;
 //! - [`sketch`]: a Greenwald–Khanna quantile sketch (used by SketchML);
 //! - [`rng`]: seeded RNG construction so every experiment is reproducible.
 //!
@@ -30,6 +32,7 @@
 pub mod coding;
 pub mod linalg;
 pub mod pack;
+pub mod pool;
 pub mod rng;
 pub mod select;
 pub mod shape;

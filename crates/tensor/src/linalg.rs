@@ -34,9 +34,24 @@
 //! kernel simply compacts the nonzero rows into a list before it runs the
 //! chains — the reference's terms, in the reference's order. [`matmul`]
 //! keeps its `axpy` rows: its skip already halves the work on ReLU inputs,
-//! and a register tile that kept it measured slower than the loop.
+//! and a register tile that kept it measured slower than the loop. It runs
+//! them `p`-outer over a block of rows, which reads each row of `B` once per
+//! block and leaves every element's chain as it was.
+//!
+//! All three split their output rows across the calling thread's
+//! [`crate::pool`]; an element is computed by one thread, in the order
+//! above, so the width never shows in the bits.
 
-/// `C (m×n) = A (m×k) · B (k×n)`.
+use crate::pool;
+use std::ops::Range;
+
+/// Rows of `C` one pass of [`matmul`] carries: each row of `B` is read once
+/// per block, and the block's rows of `C` (8 × 768 floats at the widest
+/// model layer) stay in L1 while it streams.
+const MATMUL_ROW_BLOCK: usize = 8;
+
+/// `C (m×n) = A (m×k) · B (k×n)`, its rows of `C` split across this
+/// thread's [`crate::pool`].
 ///
 /// # Panics
 ///
@@ -44,45 +59,66 @@
 pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     assert_eq!(a.len(), m * k, "A buffer size mismatch");
     assert_eq!(b.len(), k * n, "B buffer size mismatch");
-    let mut c = vec![0.0f32; m * n];
-    for i in 0..m {
-        for p in 0..k {
-            let aip = a[i * k + p];
-            if aip == 0.0 {
-                continue;
+    pool::fresh_rows(m * n, m, 1, m * k * n, |rows, c| {
+        matmul_rows(a, b, c, rows, k, n);
+    })
+}
+
+/// Rows `rows` of `A · B` into the zeroed `c`, a block of rows at a time
+/// and `p` outermost within a block. Each element still takes one `mul` +
+/// `add` per nonzero `a[i][p]`, `p` ascending — the `axpy` rows' order.
+fn matmul_rows(a: &[f32], b: &[f32], c: &mut [f32], rows: Range<usize>, k: usize, n: usize) {
+    if n == 0 {
+        return;
+    }
+    let blocks = c.chunks_mut(MATMUL_ROW_BLOCK * n);
+    for (i0, block) in rows.step_by(MATMUL_ROW_BLOCK).zip(blocks) {
+        for (p, brow) in b.chunks_exact(n).enumerate() {
+            for (i, crow) in (i0..).zip(block.chunks_exact_mut(n)) {
+                let aip = a[i * k + p];
+                if aip == 0.0 {
+                    continue;
+                }
+                // Each output element accumulates exactly one mul + add per
+                // p, so the vectorized axpy is bit-identical to the scalar
+                // loop.
+                crate::simd::axpy(crow, aip, brow);
             }
-            let brow = &b[p * n..(p + 1) * n];
-            let crow = &mut c[i * n..(i + 1) * n];
-            // Each output element accumulates exactly one mul + add per p,
-            // so the vectorized axpy is bit-identical to the scalar loop.
-            crate::simd::axpy(crow, aip, brow);
         }
     }
-    c
 }
 
 /// `C (k×n) = Aᵀ · B` where `A` is `m×k` and `B` is `m×n`: a fresh buffer
-/// filled by [`crate::simd::gemm_tn`].
+/// filled by [`crate::simd::gemm_tn`], its rows of `C` split across this
+/// thread's [`crate::pool`].
 ///
 /// # Panics
 ///
 /// Panics if buffer sizes do not match the dimensions.
 pub fn matmul_transpose_a(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut c = vec![0.0f32; k * n];
-    crate::simd::gemm_tn(a, b, &mut c, m, k, n);
-    c
+    assert_eq!(a.len(), m * k, "A buffer size mismatch");
+    assert_eq!(b.len(), m * n, "B buffer size mismatch");
+    let lvl = crate::simd::level();
+    pool::fresh_rows(k * n, k, 1, m * k * n, |rows, c| {
+        crate::simd::gemm_tn_rows_at(lvl, a, b, c, m, k, n, rows);
+    })
 }
 
 /// `C (m×k) = A (m×n) · Bᵀ` where `B` is `k×n`: a fresh buffer filled by
-/// [`crate::simd::gemm_nt`].
+/// [`crate::simd::gemm_nt`], eight-row blocks of `A` (the kernel's vector
+/// panel) split across this thread's [`crate::pool`].
 ///
 /// # Panics
 ///
 /// Panics if buffer sizes do not match the dimensions.
 pub fn matmul_transpose_b(a: &[f32], b: &[f32], m: usize, n: usize, k: usize) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * k];
-    crate::simd::gemm_nt(a, b, &mut c, m, n, k);
-    c
+    assert_eq!(a.len(), m * n, "A buffer size mismatch");
+    assert_eq!(b.len(), k * n, "B buffer size mismatch");
+    let lvl = crate::simd::level();
+    pool::fresh_rows(m * k, m, 8, m * n * k, |rows, c| {
+        let a = &a[rows.start * n..rows.end * n];
+        crate::simd::gemm_nt_at(lvl, a, b, c, rows.len(), n, k);
+    })
 }
 
 /// Transposes an `m×n` row-major matrix.

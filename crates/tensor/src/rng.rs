@@ -53,12 +53,23 @@ pub fn named_substream(seed: u64, name: &str) -> StdRng {
 }
 
 /// Fills a slice with samples from `N(0, std²)`.
-pub fn fill_gaussian<R: Rng + ?Sized>(rng: &mut R, out: &mut [f32], std: f32) {
+///
+/// Element `k` is the sample of draws `2k + 1` and `2k + 2`, whichever
+/// thread of [`crate::pool`] computes it: each range starts its own
+/// generator where the sequential draws would be ([`StdRng::skip`]), and
+/// `rng` ends as `2 · out.len()` draws would leave it.
+pub fn fill_gaussian(rng: &mut StdRng, out: &mut [f32], std: f32) {
     use rand_distr::{Distribution, Normal};
     let normal = Normal::new(0.0f32, std.max(f32::MIN_POSITIVE)).expect("std must be finite");
-    for v in out {
-        *v = normal.sample(rng);
-    }
+    let counter = rng.skip(2 * out.len() as u64);
+    // A sample is a log, a square root and a cosine: ~64 element-operations.
+    crate::pool::split_rows(out, out.len(), 16, 64 * out.len(), |range, out| {
+        let mut rng = StdRng::seed_from_u64(counter);
+        rng.skip(2 * range.start as u64);
+        for v in out {
+            *v = normal.sample(&mut rng);
+        }
+    });
 }
 
 /// Fills a slice with samples from `U(lo, hi)`.

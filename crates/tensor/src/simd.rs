@@ -312,13 +312,40 @@ pub fn gemm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
 
 /// [`gemm_tn`] with an explicit dispatch level.
 pub fn gemm_tn_at(lvl: Level, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_tn_rows_at(lvl, a, b, c, m, k, n, 0..k);
+}
+
+/// Rows `rows` of [`gemm_tn`]'s `C` into `c` (`rows.len() × n`): the same
+/// per-element chains, for the output rows one thread of
+/// [`crate::linalg::matmul_transpose_a`] owns. `c` is overwritten, never
+/// read.
+///
+/// # Panics
+///
+/// Panics if a buffer size does not match the dimensions or `rows` is not
+/// inside `0..k`.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_tn_rows_at(
+    lvl: Level,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    rows: std::ops::Range<usize>,
+) {
     assert_eq!(a.len(), m * k, "A buffer size mismatch");
     assert_eq!(b.len(), m * n, "B buffer size mismatch");
-    assert_eq!(c.len(), k * n, "C buffer size mismatch");
+    assert!(
+        rows.start <= rows.end && rows.end <= k,
+        "C rows outside 0..k"
+    );
+    assert_eq!(c.len(), rows.len() * n, "C buffer size mismatch");
     dispatch!(lvl,
-        scalar: scalar::gemm_tn(a, b, c, m, k, n),
-        sse2: x86::gemm_tn_sse2(a, b, c, m, k, n),
-        avx2: x86::gemm_tn_avx2(a, b, c, m, k, n))
+        scalar: scalar::gemm_tn(a, b, c, m, k, n, rows),
+        sse2: x86::gemm_tn_sse2(a, b, c, m, k, n, rows),
+        avx2: x86::gemm_tn_avx2(a, b, c, m, k, n, rows))
 }
 
 // ---------------------------------------------------------------------------
@@ -601,6 +628,7 @@ mod scalar {
     use crate::pack::{BitReader, BitWriter};
     use rand::rngs::StdRng;
     use rand::Rng;
+    use std::ops::Range;
 
     const ABS_MASK: u32 = 0x7FFF_FFFF;
 
@@ -695,18 +723,26 @@ mod scalar {
     /// `linalg::matmul_transpose_a` ran before it had a vector body — per
     /// row of `A`, one
     /// `axpy` of that row of `B` into every row `i` of `C` whose
-    /// `a[row][i]` is nonzero.
-    pub fn gemm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    /// `a[row][i]` is nonzero — over the output rows `rows`.
+    pub fn gemm_tn(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        rows: Range<usize>,
+    ) {
         c.fill(0.0);
         for row in 0..m {
             let arow = &a[row * k..(row + 1) * k];
             let brow = &b[row * n..(row + 1) * n];
-            for i in 0..k {
+            for (i, crow) in rows.clone().zip(c.chunks_exact_mut(n.max(1))) {
                 let av = arow[i];
                 if av == 0.0 {
                     continue;
                 }
-                axpy(&mut c[i * n..(i + 1) * n], av, brow);
+                axpy(crow, av, brow);
             }
         }
     }
@@ -939,6 +975,7 @@ mod x86 {
     use crate::pack::BitWriter;
     use rand::rngs::StdRng;
     use std::arch::x86_64::*;
+    use std::ops::Range;
 
     const ABS_MASK: i32 = 0x7FFF_FFFF;
 
@@ -976,8 +1013,16 @@ mod x86 {
     /// Four columns per vector leave too little work per broadcast to beat
     /// the reference's `axpy` rows; SSE2 takes the reference.
     #[target_feature(enable = "sse2")]
-    pub fn gemm_tn_sse2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        scalar::gemm_tn(a, b, c, m, k, n);
+    pub fn gemm_tn_sse2(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        rows: Range<usize>,
+    ) {
+        scalar::gemm_tn(a, b, c, m, k, n, rows);
     }
 
     /// SSE2 lacks `pmaxud`; abs bit patterns have the top bit clear, so the
@@ -1248,9 +1293,17 @@ mod x86 {
     /// the partial sums in `c` (an f32 store and reload is exact). With
     /// `n < 8` no strip fits and the whole call takes the reference.
     #[target_feature(enable = "avx2")]
-    pub fn gemm_tn_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    pub fn gemm_tn_avx2(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        c_rows: Range<usize>,
+    ) {
         if n < 8 {
-            return scalar::gemm_tn(a, b, c, m, k, n);
+            return scalar::gemm_tn(a, b, c, m, k, n, c_rows);
         }
         let mut vals = [0.0f32; GEMM_TN_CHUNK];
         let mut rows: [&[f32]; GEMM_TN_CHUNK] = [&[]; GEMM_TN_CHUNK];
@@ -1260,7 +1313,7 @@ mod x86 {
         loop {
             let r1 = m.min(r0 + GEMM_TN_CHUNK);
             let resume = r0 > 0;
-            for (i, crow) in c.chunks_exact_mut(n).enumerate() {
+            for (i, crow) in c_rows.clone().zip(c.chunks_exact_mut(n)) {
                 let mut len = 0;
                 for row in r0..r1 {
                     let av = a[row * k + i];

@@ -404,6 +404,60 @@ fn vectorized_codec_kernels_steady_state_is_allocation_free() {
     );
 }
 
+/// A warm dispatch of the intra-op pool allocates nothing: the job is
+/// borrowed from the caller's stack, the helpers persist, and the slot they
+/// read it from is reused. `fresh_rows` allocates exactly the buffer it
+/// returns, and a warm momentum step — on the pool, at width 2 — nothing.
+#[test]
+fn warm_pool_dispatch_is_allocation_free() {
+    use grace::nn::optim::{Momentum, Optimizer};
+    use grace::tensor::pool;
+
+    set_level(Level::Off);
+    pool::with_width(2, || {
+        let len = 1 << 17;
+        let mut a = vec![1.0f32; len];
+        let mut b = vec![2.0f32; len];
+        let g = Tensor::from_vec(vec![0.5f32; len]);
+        let mut x = Tensor::from_vec(vec![0.0f32; len]);
+        let mut opt = Momentum::new(0.1, 0.9);
+        let step = |a: &mut [f32], b: &mut [f32]| {
+            pool::split_rows(a, len, 16, usize::MAX, |r, part| {
+                for (v, i) in part.iter_mut().zip(r) {
+                    *v += i as f32;
+                }
+            });
+            pool::split_rows2(a, b, len, 16, usize::MAX, |_, pa, pb| {
+                for (x, y) in pa.iter_mut().zip(pb) {
+                    *y = *x * 0.5;
+                }
+            });
+        };
+        // Warm-up spawns the helper and creates the optimizer's state.
+        step(&mut a, &mut b);
+        opt.update("x", &mut x, &g);
+        let fresh = |rows| pool::fresh_rows(len, rows, 1, usize::MAX, |_, c| c.fill(1.0));
+        std::hint::black_box(fresh(len));
+
+        let before = allocs_on_this_thread();
+        for _ in 0..200 {
+            step(&mut a, &mut b);
+            opt.update("x", &mut x, &g);
+        }
+        let warm = allocs_on_this_thread() - before;
+        let before = allocs_on_this_thread();
+        for _ in 0..200 {
+            std::hint::black_box(fresh(len / 64));
+        }
+        let fresh_allocs = allocs_on_this_thread() - before;
+        assert_eq!(warm, 0, "warm pool dispatches allocated {warm} times");
+        assert_eq!(
+            fresh_allocs, 200,
+            "fresh_rows allocates only what it returns"
+        );
+    });
+}
+
 /// `Qsgd::compress` allocates what it returns and nothing else: the two
 /// payload buffers, the `Vec<Payload>` and the context. (Through PR 16 it
 /// also built a `Vec<u32>` of signs and one of levels, 8 bytes per element,

@@ -344,3 +344,40 @@ fn threaded_traffic_matches_simulated_volume_up_to_codec_framing() {
         "framing overhead too large: {threaded_total} vs {sim_total}"
     );
 }
+
+/// The intra-op pool never shows in the bits: a 1-rank vgg19-analog run —
+/// every product, optimizer step, the He-normal init and the final
+/// evaluation on the pool — trains the same parameters at width 1 as at
+/// width 2. A rank's width is its share of the launching thread's.
+#[test]
+fn vgg19_analog_run_is_bit_identical_at_widths_one_and_two() {
+    use grace::core::param_checksum;
+    use grace::core::NoCompression;
+    use grace::tensor::pool;
+
+    let task = ClassificationDataset::synthetic(32, 96, 10, 0.3, 5);
+    let cfg = {
+        let mut cfg = TrainConfig::new(1, 16, 1, 5);
+        cfg.codec = CodecTiming::Free;
+        cfg
+    };
+    let run = |width: usize| {
+        pool::with_width(width, || {
+            run_threaded(&cfg, &task, |_rank| {
+                assert_eq!(pool::width(), width, "the rank's share");
+                (
+                    models::vgg19_analog(96, 10, 5),
+                    opt(),
+                    Box::new(NoCompression::new()) as Box<dyn Compressor>,
+                    Box::new(NoMemory::new()) as Box<dyn Memory>,
+                )
+            })
+        })
+    };
+    let (serial, pooled) = (run(1), run(2));
+    assert_eq!(
+        param_checksum(&pooled.final_params),
+        param_checksum(&serial.final_params)
+    );
+    assert_eq!(pooled.final_quality, serial.final_quality);
+}

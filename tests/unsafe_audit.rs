@@ -1,13 +1,19 @@
 //! The kernels' `unsafe` stays audited: every `unsafe {` block in
-//! `grace-tensor`'s `simd.rs` and `linalg.rs` carries a `SAFETY:` comment in
-//! the comment lines directly above it, and neither file names a fused
-//! multiply-add intrinsic (one rounding where the scalar reference has two —
-//! the bit-identity contract forbids it).
+//! `grace-tensor`'s `simd.rs`, `linalg.rs` and `pool.rs` carries a `SAFETY:`
+//! comment in the comment lines directly above it, and no file names a
+//! fused multiply-add intrinsic (one rounding where the scalar reference has
+//! two — the bit-identity contract forbids it). `pool.rs` is the one place
+//! the intra-op pool hands a helper a borrowed job and disjoint ranges of
+//! one output.
 
 use std::fs;
 use std::path::Path;
 
-const FILES: [&str; 2] = ["crates/tensor/src/simd.rs", "crates/tensor/src/linalg.rs"];
+const FILES: [&str; 3] = [
+    "crates/tensor/src/simd.rs",
+    "crates/tensor/src/linalg.rs",
+    "crates/tensor/src/pool.rs",
+];
 
 /// `(unsafe blocks, blocks whose comment run above lacks SAFETY:)`.
 fn audit(text: &str) -> (usize, Vec<usize>) {
@@ -47,7 +53,7 @@ fn every_unsafe_block_has_a_safety_comment_and_nothing_is_fused() {
     }
     // ROADMAP records this total; a change to it is a change to the audit
     // surface and moves both.
-    assert_eq!(total, 21, "unsafe blocks in {FILES:?}");
+    assert_eq!(total, 28, "unsafe blocks in {FILES:?}");
 }
 
 #[test]
