@@ -12,6 +12,8 @@
 //!   tables, the library's own retained reference body (`Level::Scalar`,
 //!   `crc32_bitwise`), and for the `*_lanes` rows the level-quantizer
 //!   pair's own scalar body (`Level::Scalar`) at the vgg19-analog size;
+//!   for `gaussian_vgg19`, `rng::fill_gaussian_per_element`, the
+//!   per-element Box–Muller loop `fill_gaussian` ran before its kernel;
 //! * `new` — the runtime-dispatched `grace_tensor::simd` kernel, the pooled
 //!   selection built on it, the word-at-a-time packer of
 //!   `grace_tensor::pack` or the level-quantizer pair of
@@ -710,6 +712,45 @@ fn main() {
         assert!(same, "gemm_tn diverged");
         rows.push(Row {
             name: "gemm_tn",
+            reference_ms,
+            new_ms,
+        });
+    }
+
+    // Gaussian init of vgg19-analog's seven layers, weights and biases at
+    // He(fan-in) std (1 521 162 samples), at width 1: the certified
+    // Box–Muller kernel against the per-element `Normal::sample` loop that
+    // `fill_gaussian` ran before it, which it keeps as its oracle.
+    {
+        let widths = [96usize, 768, 768, 512, 512, 256, 256, 10];
+        let layers: Vec<(usize, f32)> = widths
+            .windows(2)
+            .map(|w| ((w[0] + 1) * w[1], (2.0 / w[0] as f32).sqrt()))
+            .collect();
+        let total: usize = layers.iter().map(|(len, _)| len).sum();
+        let mut want = vec![0f32; total];
+        let mut got = vec![f32::NAN; total];
+        let run = |fill: fn(&mut rand::rngs::StdRng, &mut [f32], f32), out: &mut [f32]| {
+            time_ms(|| {
+                let mut rng = seeded(19);
+                let mut rest = &mut *out;
+                for &(len, std) in &layers {
+                    let (layer, tail) = rest.split_at_mut(len);
+                    grace_tensor::pool::with_width(1, || fill(&mut rng, layer, std));
+                    rest = tail;
+                }
+                std::hint::black_box(&out);
+            })
+        };
+        let reference_ms = run(grace_tensor::rng::fill_gaussian_per_element, &mut want);
+        let new_ms = run(grace_tensor::rng::fill_gaussian, &mut got);
+        let same = got
+            .iter()
+            .zip(&want)
+            .all(|(g, w)| g.to_bits() == w.to_bits());
+        assert!(same, "gaussian fill diverged");
+        rows.push(Row {
+            name: "gaussian_vgg19",
             reference_ms,
             new_ms,
         });

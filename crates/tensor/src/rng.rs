@@ -52,24 +52,47 @@ pub fn named_substream(seed: u64, name: &str) -> StdRng {
     substream(seed, h)
 }
 
+/// Estimated element-operations of one sample, for [`crate::pool`]: fills
+/// under 4 096 samples — a dataset row, a low-rank factor — run inline. A
+/// certified sample takes ≈11 ns with AVX2 (2-vCPU x86-64 host), so that is
+/// ≈45 µs, about what a parked helper needs to wake and take its range.
+const GAUSSIAN_WORK: usize = 8;
+
 /// Fills a slice with samples from `N(0, std²)`.
 ///
-/// Element `k` is the sample of draws `2k + 1` and `2k + 2`, whichever
-/// thread of [`crate::pool`] computes it: each range starts its own
-/// generator where the sequential draws would be ([`StdRng::skip`]), and
-/// `rng` ends as `2 · out.len()` draws would leave it.
+/// Element `k` is `rand_distr::Normal`'s sample of draws `2k + 1` and
+/// `2k + 2`, bit for bit, whichever thread of [`crate::pool`] computes it
+/// and whichever [`crate::simd`] level runs: each range computes its draws
+/// from the counter [`StdRng::skip`] returns, and `rng` ends as
+/// `2 · out.len()` draws would leave it. The certified kernel is
+/// [`crate::simd::fill_gaussian_at`]; [`fill_gaussian_per_element`] is the
+/// loop it replaced.
+///
+/// # Panics
+///
+/// Panics if `std` is not finite.
 pub fn fill_gaussian(rng: &mut StdRng, out: &mut [f32], std: f32) {
-    use rand_distr::{Distribution, Normal};
-    let normal = Normal::new(0.0f32, std.max(f32::MIN_POSITIVE)).expect("std must be finite");
+    let std = std.max(f32::MIN_POSITIVE);
+    assert!(std.is_finite(), "std must be finite");
     let counter = rng.skip(2 * out.len() as u64);
-    // A sample is a log, a square root and a cosine: ~64 element-operations.
-    crate::pool::split_rows(out, out.len(), 16, 64 * out.len(), |range, out| {
-        let mut rng = StdRng::seed_from_u64(counter);
-        rng.skip(2 * range.start as u64);
-        for v in out {
-            *v = normal.sample(&mut rng);
-        }
+    let lvl = crate::simd::level();
+    let work = GAUSSIAN_WORK * out.len();
+    crate::pool::split_rows(out, out.len(), 64, work, |range, out| {
+        let at = counter.wrapping_add((2 * range.start as u64).wrapping_mul(StdRng::GAMMA));
+        crate::simd::fill_gaussian_at(lvl, at, std, out);
     });
+}
+
+/// [`fill_gaussian`]'s oracle: `Normal::sample` per element, in order, on
+/// `rng` itself.
+#[doc(hidden)]
+pub fn fill_gaussian_per_element(rng: &mut StdRng, out: &mut [f32], std: f32) {
+    use rand_distr::Distribution;
+    let normal =
+        rand_distr::Normal::new(0.0f32, std.max(f32::MIN_POSITIVE)).expect("std must be finite");
+    for v in out {
+        *v = normal.sample(rng);
+    }
 }
 
 /// Fills a slice with samples from `U(lo, hi)`.

@@ -8,8 +8,10 @@
 //! ([`gather_f32`]), the axpy-shaped rows of PowerSGD ([`axpy`]), and the
 //! QSGD / Qsparse level quantizer with its stochastic dither
 //! ([`quantize_levels_at`], [`dequantize_levels_at`]). Beside them sit the
-//! CRC32 under every payload and frame ([`crc32_update`]) and the two
-//! gradient products of every backward pass ([`gemm_nt`], [`gemm_tn`]).
+//! CRC32 under every payload and frame ([`crc32_update`]), the two
+//! gradient products of every backward pass ([`gemm_nt`], [`gemm_tn`]) and
+//! the Box–Muller fill under every weight init and synthetic dataset
+//! ([`fill_gaussian_at`]).
 //! This module provides those kernels with `core::arch` x86-64 bodies (SSE2
 //! baseline, AVX2 when the CPU reports it) behind one runtime dispatch
 //! point, plus a portable scalar fallback used on other architectures and
@@ -44,7 +46,11 @@
 //! * the level quantizer's dither comes from a counter-based generator
 //!   (SplitMix64: draw `k` is a pure function of `state + k·γ`), so the
 //!   AVX2 body computes a group's eight draws side by side from the counter
-//!   and leaves the generator where the scalar draws would.
+//!   and leaves the generator where the scalar draws would;
+//! * the Gaussian fill is the one kernel that does not replay its reference
+//!   (libm's `ln` and `cos`): its lanes use polynomials, and keep a result
+//!   only where an error bound *certifies* that libm rounds to the same
+//!   `f32`, recomputing every other element by the reference itself.
 //!
 //! Each kernel is also exposed as an `*_at(Level, …)` variant so the
 //! equivalence suite (and the bench harness) can pin a path explicitly and
@@ -265,7 +271,9 @@ pub fn axpy_at(lvl: Level, y: &mut [f32], a: f32, x: &[f32]) {
 /// each element's chain exactly as written above, so every level returns
 /// the scalar body's bits (a NaN is a NaN at every level; which payload
 /// survives `NaN · NaN` is the compiler's operand-order choice in any
-/// body, scalar included).
+/// body, scalar included). Its panels return every NaN as the default
+/// quiet NaN, so a row's bits do not depend on which panel — where its
+/// pool range starts — computed it.
 ///
 /// # Panics
 ///
@@ -585,6 +593,33 @@ pub fn dequantize_levels_at(
         scalar: scalar::dequantize_levels(signs, levels, bits, s, norm, count, out),
         sse2: x86::dequantize_levels_sse2(signs, levels, bits, s, norm, count, out),
         avx2: x86::dequantize_levels_avx2(signs, levels, bits, s, norm, count, out))
+}
+
+// ---------------------------------------------------------------------------
+// Gaussian fill (Box–Muller: every weight init and every synthetic dataset)
+// ---------------------------------------------------------------------------
+
+/// Fills `out` with `N(0, std²)` samples, element `k` being exactly what
+/// `rand_distr::Normal::new(0.0, std)` samples from a generator at state
+/// `counter + 2k·γ` — draws `2k + 1` and `2k + 2` after `counter` — and
+/// returns how many elements took the fallback below. `std` must be finite
+/// and positive (the caller validates it).
+///
+/// Every level runs the same blocked body (`Avx2` compiles it for AVX2):
+/// each lane evaluates Box–Muller with polynomial `ln` and `cos` within
+/// 2⁻⁴⁶ of the true values, and keeps its `f32` only when that is
+/// *certified* — the whole interval `y·(1 ± 2⁻⁴⁰)` rounds to one `f32`.
+/// The libm path lies inside that interval whenever the platform `ln` and
+/// `cos` are within 2⁻⁴⁴ (glibc documents 1–2 ulp), so it rounds to the
+/// same bits. A lane that is not certified, or whose draw is an edge of the
+/// derivation (`u1 = 0`, a reduced angle under 2⁻²⁰, a zero, tiny or
+/// non-finite `y`), is recomputed by `Normal::sample` itself on its own two
+/// draws. The argument is DESIGN.md §14's.
+pub fn fill_gaussian_at(lvl: Level, counter: u64, std: f32, out: &mut [f32]) -> usize {
+    dispatch!(lvl,
+        scalar: gaussian::fill(counter, std, out),
+        sse2: x86::fill_gaussian_sse2(counter, std, out),
+        avx2: x86::fill_gaussian_avx2(counter, std, out))
 }
 
 // ---------------------------------------------------------------------------
@@ -968,6 +1003,199 @@ mod scalar {
     }
 }
 
+/// The blocked Box–Muller body of [`super::fill_gaussian_at`]. Everything is
+/// `#[inline(always)]`, so the AVX2 forwarder compiles the same code for
+/// AVX2; the passes over a block's lanes are straight-line, so they
+/// vectorize at either level. `mul` and `add` only, never fused.
+mod gaussian {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use rand_distr::{Distribution, Normal};
+
+    /// Lanes per block.
+    const LANES: usize = 64;
+
+    /// `(2l + 1)·γ` and `(2l + 2)·γ`: the counter offsets of lane `l`'s two
+    /// draws within a block.
+    const STEPS: [[u64; LANES]; 2] = {
+        let mut t = [[0; LANES]; 2];
+        let mut l = 0;
+        while l < LANES {
+            t[0][l] = (2 * l as u64 + 1).wrapping_mul(StdRng::GAMMA);
+            t[1][l] = (2 * l as u64 + 2).wrapping_mul(StdRng::GAMMA);
+            l += 1;
+        }
+        t
+    };
+
+    /// The certificate's relative half-width.
+    const TAU: f64 = 1.0 / (1u64 << 40) as f64;
+
+    /// Below this `|y|`, `|y|·τ` is no longer a normal `f64`.
+    const TINY: f64 = f64::MIN_POSITIVE / TAU;
+
+    /// Reduced angles below this are declined: there `cos θ` is a sine of
+    /// a tiny argument, whose relative error the reduction does not bound.
+    pub const MIN_REDUCED: f64 = 1.0 / (1u64 << 20) as f64;
+
+    /// `2⁻⁵³`, the scale of the shim's 53-bit uniform.
+    const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+
+    /// A `u64` of at most `2⁵³` as an `f64`, exactly, without an int →
+    /// float instruction (SSE2 and AVX2 have none for 64-bit lanes): its
+    /// high 22 and low 32 bits become the mantissas of `2⁸⁴ + hi·2³²` and
+    /// `2⁵² + lo`, and the sum of those minus `2⁸⁴ + 2⁵²` is exact.
+    #[inline(always)]
+    fn exact_f64(v: u64) -> f64 {
+        const BIAS: f64 = 19_342_813_118_337_666_422_669_312.0; // 2⁸⁴ + 2⁵²
+        let hi = f64::from_bits(0x4530_0000_0000_0000 | (v >> 32));
+        let lo = f64::from_bits(0x4330_0000_0000_0000 | (v & 0xFFFF_FFFF));
+        (hi - BIAS) + lo
+    }
+
+    /// `ln x` for a normal `x > 0` (within 2⁻⁴⁹ of libm's, relative, on
+    /// `1 − u1`'s range): `x = 2ᵏ·m` with `m ∈ [√½, √2)`, `ln m =
+    /// 2·atanh(s)` for `s = (m − 1)/(m + 1)` (|s| ≤ 0.172) by its series
+    /// through `s¹⁷`, and `k·ln 2` from a split whose high part times `k` is
+    /// exact.
+    #[inline(always)]
+    pub fn ln(x: f64) -> f64 {
+        const SQRT_HALF: u64 = 0x3FE6_A09E_667F_3BCD;
+        // fdlibm's split of ln 2: the high part ends in 21 zero bits.
+        const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000);
+        const LN2_LO: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76);
+        // Adding `1.0 − √½` (as bits) carries into the exponent exactly
+        // when the mantissa is ≥ √2; the low bits plus `√½` are then `m`.
+        let ix = x.to_bits().wrapping_add(0x3FF0_0000_0000_0000 - SQRT_HALF);
+        let m = f64::from_bits((ix & 0x000F_FFFF_FFFF_FFFF) + SQRT_HALF);
+        // `k` as a float: the biased exponent in the mantissa of 2⁵², less
+        // 2⁵² and the bias.
+        let k = f64::from_bits(0x4330_0000_0000_0000 | (ix >> 52)) - 4_503_599_627_371_519.0;
+        let f = m - 1.0;
+        let s = f / (2.0 + f);
+        let s2 = s * s;
+        let series = 2.0 / 3.0
+            + s2 * (2.0 / 5.0
+                + s2 * (2.0 / 7.0
+                    + s2 * (2.0 / 9.0
+                        + s2 * (2.0 / 11.0
+                            + s2 * (2.0 / 13.0 + s2 * (2.0 / 15.0 + s2 * (2.0 / 17.0)))))));
+        let ln_m = s * (2.0 + s2 * series);
+        k * LN2_HI + (k * LN2_LO + ln_m)
+    }
+
+    /// `cos θ` for `0 ≤ θ < 2π` (within 2⁻⁴⁹ of libm's, relative, where the
+    /// reduced angle is at least [`MIN_REDUCED`]) and that angle: `θ =
+    /// j·π/2 + r` with `j` rounded by the `1.5·2⁵²` shift and `r` by a
+    /// three-part Cody–Waite reduction (each part times `j ≤ 4` is exact),
+    /// then Taylor's `sin r` through `r¹⁵` or `cos r` through `r¹⁴` on
+    /// `|r| ≤ π/4` and the quadrant's sign.
+    #[inline(always)]
+    pub fn cos(theta: f64) -> (f64, f64) {
+        const SHIFT: f64 = 6_755_399_441_055_744.0;
+        // fdlibm's three-part split of π/2: each part ends in 20 or more
+        // zero bits, so `j` times it is exact.
+        const PIO2_1: f64 = f64::from_bits(0x3FF9_21FB_5440_0000);
+        const PIO2_2: f64 = f64::from_bits(0x3DD0_B461_1A60_0000);
+        const PIO2_3: f64 = f64::from_bits(0x3BA3_198A_2E00_0000);
+        let shifted = theta * std::f64::consts::FRAC_2_PI + SHIFT;
+        let j = shifted - SHIFT;
+        let quadrant = shifted.to_bits() & 3;
+        let r = ((theta - j * PIO2_1) - j * PIO2_2) - j * PIO2_3;
+        let r2 = r * r;
+        let sin = r + r
+            * r2
+            * (-1.0 / 6.0
+                + r2 * (1.0 / 120.0
+                    + r2 * (-1.0 / 5040.0
+                        + r2 * (1.0 / 362_880.0
+                            + r2 * (-1.0 / 39_916_800.0
+                                + r2 * (1.0 / 6_227_020_800.0
+                                    + r2 * (-1.0 / 1_307_674_368_000.0)))))));
+        let cos = 1.0
+            + r2 * (-1.0 / 2.0
+                + r2 * (1.0 / 24.0
+                    + r2 * (-1.0 / 720.0
+                        + r2 * (1.0 / 40_320.0
+                            + r2 * (-1.0 / 3_628_800.0
+                                + r2 * (1.0 / 479_001_600.0 + r2 * (-1.0 / 87_178_291_200.0)))))));
+        // Quadrants 0..4 give cos r, −sin r, −cos r, sin r.
+        let v = if quadrant & 1 == 0 { cos } else { sin };
+        let negate = ((quadrant + 1) & 2) << 62;
+        (f64::from_bits(v.to_bits() ^ negate), r)
+    }
+
+    /// One block: lane `l`'s `f32` sample of the generator at `base +
+    /// 2l·γ`, and whether it is certified. Four straight-line passes over
+    /// the lanes — the draws, `ln`, `cos`, the shim's finish — because one
+    /// fused pass vectorizes to half the speed.
+    #[inline(always)]
+    fn block(base: u64, std: f64, y: &mut [f32; LANES], certified: &mut [bool; LANES]) {
+        let (mut x, mut theta) = ([0f64; LANES], [0f64; LANES]);
+        for l in 0..LANES {
+            let a = StdRng::mix(base.wrapping_add(STEPS[0][l]));
+            let b = StdRng::mix(base.wrapping_add(STEPS[1][l]));
+            // `1 − u1 = (2⁵³ − (a >> 11))·2⁻⁵³`, exactly, as the shim's
+            // subtraction also is; `max(MIN_POSITIVE)` never binds.
+            x[l] = exact_f64((1 << 53) - (a >> 11)) * UNIT;
+            theta[l] = 2.0 * std::f64::consts::PI * (exact_f64(b >> 11) * UNIT);
+        }
+        let mut log = [0f64; LANES];
+        for l in 0..LANES {
+            log[l] = ln(x[l]);
+        }
+        let (mut c, mut r) = ([0f64; LANES], [0f64; LANES]);
+        for l in 0..LANES {
+            (c[l], r[l]) = cos(theta[l]);
+        }
+        for l in 0..LANES {
+            // The shim's sequence, operation for operation.
+            let v = 0.0 + std * ((-2.0 * log[l]).sqrt() * c[l]);
+            let (lo, hi) = (v - v.abs() * TAU, v + v.abs() * TAU);
+            y[l] = v as f32;
+            certified[l] = x[l] < 1.0
+                && r[l].abs() >= MIN_REDUCED
+                && v.abs() >= TINY
+                && v.abs() <= f64::MAX
+                && (lo as f32).to_bits() == (hi as f32).to_bits();
+        }
+    }
+
+    /// The reference sample of the generator at `state`.
+    #[cold]
+    #[inline(never)]
+    fn fallback(state: u64, std: f32) -> f32 {
+        let normal = Normal::new(0.0f32, std).expect("std is validated by the caller");
+        normal.sample(&mut StdRng::seed_from_u64(state))
+    }
+
+    /// [`super::fill_gaussian_at`]'s body: a block per 64 elements (the
+    /// last one partly used), its certified lanes copied out and every other
+    /// element recomputed by [`fallback`].
+    #[inline(always)]
+    pub fn fill(counter: u64, std: f32, out: &mut [f32]) -> usize {
+        let stdf = f64::from(std);
+        let mut fallbacks = 0;
+        let mut base = counter;
+        let (mut y, mut certified) = ([0f32; LANES], [false; LANES]);
+        for chunk in out.chunks_mut(LANES) {
+            block(base, stdf, &mut y, &mut certified);
+            chunk.copy_from_slice(&y[..chunk.len()]);
+            if !certified.iter().fold(true, |all, &c| all & c) {
+                for (l, slot) in chunk.iter_mut().enumerate() {
+                    if !certified[l] {
+                        fallbacks += 1;
+                        let state = base.wrapping_add((2 * l as u64).wrapping_mul(StdRng::GAMMA));
+                        *slot = fallback(state, std);
+                    }
+                }
+            }
+            base = base.wrapping_add((2 * LANES as u64).wrapping_mul(StdRng::GAMMA));
+        }
+        fallbacks
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::scalar;
@@ -996,6 +1224,19 @@ mod x86 {
     #[target_feature(enable = "sse2")]
     pub fn dequant_sign_mag_add_sse2(table: &[f32], codes: &[u32], scale: f32, out: &mut [f32]) {
         scalar::dequant_sign_mag_add(table, codes, scale, out);
+    }
+
+    /// The portable Gaussian body (already SSE2 code on x86-64).
+    #[target_feature(enable = "sse2")]
+    pub fn fill_gaussian_sse2(counter: u64, std: f32, out: &mut [f32]) -> usize {
+        super::gaussian::fill(counter, std, out)
+    }
+
+    /// The same Gaussian body, compiled for AVX2: four `f64` lanes per
+    /// vector.
+    #[target_feature(enable = "avx2")]
+    pub fn fill_gaussian_avx2(counter: u64, std: f32, out: &mut [f32]) -> usize {
+        super::gaussian::fill(counter, std, out)
     }
 
     #[target_feature(enable = "sse2")]
@@ -1269,9 +1510,15 @@ mod x86 {
                 }
             }
         }
+        // Which NaN survives `acc + a·b` is the compiler's operand order,
+        // and that differs between the 8- and 16-row panels; a row's panel
+        // depends on where its pool range starts. Every NaN leaves as the
+        // default quiet NaN, so no width shows in the bits.
+        let quiet_nan = _mm256_set1_ps(f32::NAN);
         for (jj, accj) in acc.iter().enumerate() {
             for (v, &accjv) in accj.iter().enumerate() {
-                store8(&mut lanes, accjv);
+                let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(accjv, accjv);
+                store8(&mut lanes, _mm256_blendv_ps(accjv, quiet_nan, nan));
                 for (l, &lane) in lanes.iter().enumerate() {
                     c[(8 * v + l) * k + j0 + jj] = lane;
                 }
@@ -2198,6 +2445,56 @@ mod tests {
             -2.75,
             3.0e7,
         ]
+    }
+
+    /// The Gaussian kernel's one assumption, checked on this platform: its
+    /// `ln` over every `1 − u1` (all 54 binades, the ends and the √½ / √2
+    /// seams) and its `cos` over `[0, 2π)` wherever the guard lets a lane
+    /// through (quadrant seams and the guard's edge included) are within
+    /// 2⁻⁴⁶ of libm's, relative.
+    #[test]
+    fn gaussian_ln_and_cos_are_within_two_to_the_minus_46_of_libm() {
+        use rand::{RngCore, SeedableRng};
+        let bound = 1.0 / (1u64 << 46) as f64;
+        let unit = 1.0 / (1u64 << 53) as f64;
+        let rel = |fast: f64, libm: f64| ((fast - libm) / libm).abs();
+        let mut g = StdRng::seed_from_u64(0x6a05);
+        let mut xs = vec![unit, 1.0 - unit, 0.5, 1.0 - 2.0 * unit];
+        for k in 0..54 {
+            let binade = 2f64.powi(-k);
+            for m in [
+                1.0,
+                std::f64::consts::SQRT_2,
+                std::f64::consts::FRAC_1_SQRT_2,
+            ] {
+                xs.extend([m * binade, f64::from_bits((m * binade).to_bits() - 1)]);
+            }
+            for _ in 0..2_000 {
+                let v = ((g.next_u64() >> 11) >> k).max(1);
+                xs.push(v as f64 * unit);
+            }
+        }
+        for x in xs.into_iter().filter(|x| *x > 0.0 && *x < 1.0) {
+            let err = rel(gaussian::ln(x), x.ln());
+            assert!(err <= bound, "ln({x:e}): relative error {err:e}");
+        }
+        let tau = 2.0 * std::f64::consts::PI;
+        let mut thetas: Vec<f64> = (0..200_000)
+            .map(|_| tau * ((g.next_u64() >> 11) as f64 * unit))
+            .collect();
+        for eighth in 1..16u64 {
+            let seam = tau * ((eighth << 49) as f64 * unit);
+            for d in [-3i64, -1, 0, 1, 3, 1 << 29, 1 << 31, -(1 << 31), 1 << 40] {
+                thetas.push(f64::from_bits(seam.to_bits().wrapping_add_signed(d)));
+            }
+        }
+        for theta in thetas.into_iter().filter(|t| (0.0..tau).contains(t)) {
+            let (c, r) = gaussian::cos(theta);
+            if r.abs() >= gaussian::MIN_REDUCED {
+                let err = rel(c, theta.cos());
+                assert!(err <= bound, "cos({theta:e}): relative error {err:e}");
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!   rows, `−0.0`, NaN and ±∞. `0 · ∞` stays absent where the kernel skips
 //!   zeros (`matmul`, `gemm_tn`) and propagates where it does not
 //!   (`gemm_nt`).
-//! * [`rng::fill_gaussian`] against sequential draws, generator state after
-//!   the fill included.
+//! * [`rng::fill_gaussian`] — and its kernel, [`simd::fill_gaussian_at`],
+//!   at every level — against the per-element oracle, generator state
+//!   after the fill included, on draws built to hit the kernel's edges.
 //!
 //! Widths are pinned with `pool::with_width`, whatever the host's core count,
 //! and each width is compared with the same call at width 1 — the inline,
@@ -17,7 +18,7 @@
 use grace_tensor::simd::{self, Level};
 use grace_tensor::{linalg, pool, rng};
 use rand::rngs::StdRng;
-use rand_distr::{Distribution, Normal};
+use rand::RngCore;
 
 const WIDTHS: [usize; 4] = [1, 2, 3, 5];
 const ROWS: [usize; 7] = [1, 7, 8, 9, 16, 17, 204];
@@ -184,23 +185,148 @@ fn zero_times_infinity_is_skipped_or_propagated_as_the_kernel_says() {
     }
 }
 
+/// SplitMix64's output function inverted — it is a bijection — so a test
+/// can pick the state whose draw is a chosen word.
+fn unmix(draw: u64) -> u64 {
+    let unshift = |y: u64, s: u32| (0..64 / s).fold(y, |x, _| y ^ (x >> s));
+    // Newton's iteration for the inverse of an odd multiplier mod 2⁶⁴.
+    let inverse = |m: u64| {
+        (0..6).fold(m, |x, _| {
+            x.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(x)))
+        })
+    };
+    let z = unshift(draw, 31).wrapping_mul(inverse(StdRng::MIX[1]));
+    let z = unshift(z, 27).wrapping_mul(inverse(StdRng::MIX[0]));
+    unshift(z, 30)
+}
+
+/// The generator state whose draw number `n` (from 1) is `draw`.
+fn state_drawing(draw: u64, n: u64) -> u64 {
+    unmix(draw).wrapping_sub(n.wrapping_mul(StdRng::GAMMA))
+}
+
+/// The standard deviations every Gaussian check runs: the clamp floor, a
+/// tiny one, He init at fan-in 768, unit and a huge one.
+fn gaussian_stds() -> [f32; 5] {
+    [f32::MIN_POSITIVE, 1e-30, (2.0f32 / 768.0).sqrt(), 1.0, 1e30]
+}
+
+/// Fills `len` samples from `state` with the per-element oracle, then
+/// requires the kernel at every level and `fill_gaussian` at every width to
+/// return its bits — and the generator to end where the oracle's did.
+/// Returns the kernel's fallback count (the same at every level).
+fn check_gaussian(state: u64, len: usize, std: f32) -> usize {
+    let mut oracle = rng::seeded(state);
+    let mut want = vec![f32::NAN; len];
+    rng::fill_gaussian_per_element(&mut oracle, &mut want, std);
+    let mut fallbacks = None;
+    for lvl in simd::available_levels() {
+        let mut got = vec![f32::NAN; len];
+        let taken = simd::fill_gaussian_at(lvl, state, std.max(f32::MIN_POSITIVE), &mut got);
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "state {state:#x} len {len} std {std} at {lvl}"
+        );
+        assert_eq!(*fallbacks.get_or_insert(taken), taken, "fallbacks at {lvl}");
+    }
+    for width in WIDTHS {
+        let mut pooled = rng::seeded(state);
+        let mut got = vec![f32::NAN; len];
+        pool::with_width(width, || rng::fill_gaussian(&mut pooled, &mut got, std));
+        let what = format!("state {state:#x} len {len} std {std} width {width}");
+        assert_eq!(bits(&got), bits(&want), "{what}");
+        assert_eq!(pooled, oracle, "generator after {what}");
+    }
+    fallbacks.unwrap_or(0)
+}
+
 #[test]
-fn gaussian_fill_matches_sequential_draws_and_leaves_the_same_state() {
-    for len in [0usize, 1, 17, 1000, 5_003, 40_001] {
-        for std in [1.0f32, 0.05] {
-            let mut sequential = rng::seeded(len as u64 + 77);
-            let normal = Normal::new(0.0f32, std).expect("finite std");
-            let want: Vec<f32> = (0..len).map(|_| normal.sample(&mut sequential)).collect();
-            for width in WIDTHS {
-                let mut pooled: StdRng = rng::seeded(len as u64 + 77);
-                let mut got = vec![f32::NAN; len];
-                pool::with_width(width, || rng::fill_gaussian(&mut pooled, &mut got, std));
-                assert_eq!(bits(&got), bits(&want), "len {len} std {std} width {width}");
-                assert_eq!(
-                    pooled, sequential,
-                    "generator after len {len} width {width}"
-                );
+fn unmix_inverts_the_generator() {
+    for draw in [0, 1, 0x7FF, u64::MAX, 1 << 51, 0x0123_4567_89AB_CDEF] {
+        for n in [1, 2, 131] {
+            let mut g = rng::seeded(state_drawing(draw, n));
+            let drawn = (0..n).map(|_| g.next_u64()).last();
+            assert_eq!(drawn, Some(draw), "draw {draw:#x} at {n}");
+        }
+    }
+}
+
+/// Draws that sit on the edges of the kernel's derivation, each placed on
+/// purpose at several positions of several fills: `u1 = 0` (`ln 1 = 0`),
+/// `u1 = 1 − 2⁻⁵³`, the angles nearest π/2 and 3π/2 (`cos θ ≈ 0`) and a
+/// spread around them across the 2⁻²⁰ guard, the quadrant boundaries,
+/// `θ = 0` and `u2 → 1`. The ones that must decline are seen to.
+#[test]
+fn gaussian_kernel_matches_the_oracle_on_edge_draws() {
+    const U1: u64 = 1; // element k's u1 is draw 2k + 1, its u2 draw 2k + 2
+    const U2: u64 = 2;
+    // The shim's uniform is the draw's top 53 bits.
+    let word = |uniform: u64| uniform << 11;
+    let top = (1u64 << 53) - 1;
+    // (which draw, the draw itself, whether it must decline)
+    let mut edges = vec![
+        (U1, 0, true),
+        (U1, 0x7FF, true), // u1 = 0 with the discarded bits set
+        (U1, word(top), false),
+        (U1, u64::MAX, false),
+        (U1, word(1), false),
+        (U2, 0, true),
+        (U2, word(top), true),
+        (U2, word(1 << 52), false), // θ = π
+    ];
+    for quarter in [1u64, 3] {
+        let nearest = quarter << 51; // TAU·u2 = quarter·π/2, rounded
+        edges.push((U2, word(nearest), true));
+        // |r| ≈ 2π·2^(shift − 53): under the 2⁻²⁰ guard up to shift 30.
+        for shift in [0, 1, 10, 20, 29, 30, 31, 32, 40] {
+            edges.push((U2, word(nearest + (1 << shift)), shift <= 30));
+            edges.push((U2, word(nearest - (1 << shift)), shift <= 30));
+        }
+    }
+    for eighth in [1u64, 3, 5, 7] {
+        for delta in [-1i64, 0, 1] {
+            edges.push((U2, word((eighth << 50).wrapping_add_signed(delta)), false));
+        }
+    }
+    for (draw, raw, declines) in edges {
+        for len in [1usize, 63, 64, 65, 130, 4097] {
+            for k in [0, len / 2, 63, 64, len - 1] {
+                if k >= len {
+                    continue;
+                }
+                let state = state_drawing(raw, 2 * k as u64 + draw);
+                for std in gaussian_stds() {
+                    let fallbacks = check_gaussian(state, len, std);
+                    if declines {
+                        assert!(fallbacks >= 1, "draw {draw} = {raw:#x} not declined");
+                    }
+                }
             }
         }
+    }
+}
+
+/// Every length 0..=130 (every remainder of the kernel's 64-lane block and
+/// of the pool's cut), one a page past 4 096, and vgg19-analog's 1 521 162
+/// weights, from ordinary states and from states whose draws cross the
+/// `u64` wrap.
+#[test]
+fn gaussian_kernel_matches_the_oracle_at_every_length() {
+    let wrap = |n: u64| 0u64.wrapping_sub(n.wrapping_mul(StdRng::GAMMA));
+    for len in (0..=130).chain([4097]) {
+        for (at, state) in [len as u64 + 77, wrap(len as u64), wrap(1) ^ 1]
+            .into_iter()
+            .enumerate()
+        {
+            for std in gaussian_stds() {
+                if at == 0 || std == 1.0 {
+                    check_gaussian(state, len, std);
+                }
+            }
+        }
+    }
+    for std in [(2.0f32 / 768.0).sqrt(), 1.0] {
+        check_gaussian(11, 1_521_162, std);
     }
 }
