@@ -9,7 +9,9 @@
 //!   backprop);
 //! * `bench_socket_exchange.json` → `frame_efficiency` (payload ÷ raw wire
 //!   bytes on the TCP transport — deterministic, catches wire-format
-//!   bloat) and `calls_per_step` (collectives a step issues — a count).
+//!   bloat) and `calls_per_step` (collectives a step issues — a count); its
+//!   one `uds_over_tcp` row gates that ratio (TCP's dense step wall over
+//!   UDS's) alone.
 //!
 //! A ratio passes while `current ≥ baseline · (1 − tolerance)`; improving
 //! is always fine. A count passes only while it *equals* the baseline: it
@@ -38,6 +40,17 @@ fn gated_metrics(bench: &str) -> &'static [&'static str] {
         // committed baseline pins the vectorized kernels' advantage (the
         // packed-quantizer encode row is the ≥4× acceptance floor).
         "simd_kernels" => &["speedup"],
+        _ => &[],
+    }
+}
+
+/// Ratio metrics a bench gates only on the baseline rows that carry them; a
+/// row that carries one gates only these, not the bench's other metrics.
+fn row_metrics(bench: &str) -> &'static [&'static str] {
+    match bench {
+        // Shared-memory bodies against inline ones on the same dense step:
+        // a wall-clock ratio, so host speed divides out.
+        "socket_exchange" => &["uds_over_tcp"],
         _ => &[],
     }
 }
@@ -164,7 +177,13 @@ pub fn check_bench(
     let mut checks = Vec::new();
     for (codec, base_row) in &base_rows {
         let cur_row = cur_rows.iter().find(|(c, _)| c == codec).map(|(_, r)| *r);
-        for &(metric, exact) in &gated {
+        let own: Vec<_> = row_metrics(bench)
+            .iter()
+            .filter(|m| base_row.get(m).is_some())
+            .map(|m| (m, false))
+            .collect();
+        let gated = if own.is_empty() { &gated } else { &own };
+        for &(metric, exact) in gated {
             let baseline_v = base_row
                 .get(metric)
                 .and_then(Value::as_f64)
@@ -304,6 +323,26 @@ mod tests {
         // fix by re-recording, not a silent pass.
         let old = r#"{"bench": "socket_exchange", "rows": [{"codec": "64KiB", "frame_efficiency": 0.999}]}"#;
         assert!(check_bench_text(old, old, 0.25).is_err());
+    }
+
+    #[test]
+    fn the_uds_over_tcp_row_gates_its_ratio_alone() {
+        let doc = |ratio: f64| {
+            format!(
+                r#"{{"bench": "socket_exchange", "rows": [{{"codec": "dense/uds_over_tcp@2",
+                "uds_over_tcp": {ratio}}}]}}"#
+            )
+        };
+        // Baseline 2.0 at tolerance 0.25: the floor is 1.5.
+        let report = check_bench_text(&doc(1.6), &doc(2.0), 0.25).unwrap();
+        assert!(report.ok(), "{}", report.render());
+        assert_eq!(report.checks.len(), 1);
+        assert!((report.checks[0].floor - 1.5).abs() < 1e-9);
+        let report = check_bench_text(&doc(1.4), &doc(2.0), 0.25).unwrap();
+        assert_eq!(report.regressions().next().unwrap().metric, "uds_over_tcp");
+        // The row vanishing from the current file fails like any other.
+        let empty = r#"{"bench": "socket_exchange", "rows": []}"#;
+        assert!(!check_bench_text(empty, &doc(2.0), 0.25).unwrap().ok());
     }
 
     #[test]

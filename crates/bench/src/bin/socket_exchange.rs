@@ -24,14 +24,24 @@
 //! so the envelope's own words count as overhead — is deterministic;
 //! `wall_ms` is the slowest rank's mean step, informational.
 //!
+//! The `dense` rows time what the end-to-end benchmark's `dense-uds`
+//! workload ships in one step — vgg19's gradient as the 8 all-reduces of
+//! the benchmark's fusion plan — at 2 ranks over UDS (bodies through
+//! shared-memory regions) and over TCP (bodies inline). `calls_per_step`
+//! and `frame_efficiency` (logical bytes, so the same on both carriers) are
+//! exact; `wall_ms` is the fastest of five alternating runs, and the
+//! `dense/uds_over_tcp@2` row's `uds_over_tcp` — TCP's step wall over
+//! UDS's — is gated: its baseline of 2.0 at CI's 0.25 tolerance is a floor
+//! of 1.5.
+//!
 //! Run: `cargo run --release -p grace-bench --bin socket_exchange`
 
-use grace_comm::net::run_socket_local;
+use grace_comm::net::{run_socket_local, Endpoint, SocketCluster};
 use grace_comm::{ClusterIntrospect, ClusterOptions, Collective, GatherFrames};
 use grace_compressors::registry;
 use grace_core::payload::{encode_bucket_into, encode_frame};
 use grace_core::trainer::fusion_plan;
-use grace_core::TrainConfig;
+use grace_core::{TrainConfig, DEFAULT_FUSION_BYTES};
 use grace_nn::models;
 use grace_tensor::Tensor;
 use std::time::Instant;
@@ -82,28 +92,38 @@ fn resnet50_step() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     (per_tensor, per_bucket)
 }
 
-/// Exchanges `calls` (one step's allgathers) for `steps` steps at `world`
-/// ranks; `payload_bytes` is what one step's payload weighs — the numerator
-/// of `frame_efficiency`.
-fn measure(
+/// Element counts of one `dense-uds` step's all-reduces: vgg19's gradient
+/// in the buckets of the benchmark's fusion plan (`params·4/8` bytes).
+fn vgg19_buckets() -> Vec<usize> {
+    let mut net = models::vgg19_analog(96, 10, 1);
+    let mut cfg = TrainConfig::new(2, 16, 1, 1);
+    cfg.fusion_bytes = (net.param_count() * 4 / 8).clamp(1, DEFAULT_FUSION_BYTES);
+    let plan = fusion_plan(&cfg, &mut net);
+    let sizes = net.streaming_grad_sizes();
+    (0..plan.n_buckets())
+        .map(|b| sizes[plan.bucket_range(b)].iter().map(|(_, n)| n).sum())
+        .collect()
+}
+
+/// Runs `steps` steps (after a warm-up) at `world` ranks on `endpoint`
+/// (`None`: TCP): `step` issues one step's collectives over the rank's
+/// `init` state, which it reuses as the training loop does;
+/// `payload_bytes` is what one step's payload weighs — the numerator of
+/// `frame_efficiency`.
+fn measure<S>(
     label: String,
     world: usize,
-    calls: &[Vec<u8>],
+    endpoint: Option<Endpoint>,
     payload_bytes: usize,
     steps: usize,
+    init: impl Fn() -> S + Sync,
+    step: impl Fn(&SocketCluster, &mut S) + Sync,
 ) -> Sample {
-    let results = run_socket_local(world, ClusterOptions::default(), None, |c| {
-        let mut frames = GatherFrames::new();
-        let mut step = || {
-            for call in calls {
-                c.try_allgather_frames(call.clone(), &mut frames)
-                    .expect("fault-free gather");
-                assert_eq!(frames.n_slots(), world);
-            }
-        };
-        (0..WARMUP).for_each(|_| step());
+    let results = run_socket_local(world, ClusterOptions::default(), endpoint, |c| {
+        let mut state = init();
+        (0..WARMUP).for_each(|_| step(&c, &mut state));
         let (start, ops) = (Instant::now(), c.ops_started());
-        (0..steps).for_each(|_| step());
+        (0..steps).for_each(|_| step(&c, &mut state));
         let wall = start.elapsed().as_secs_f64();
         let calls_per_step = (c.ops_started() - ops) / steps as u64;
         c.leave();
@@ -124,6 +144,45 @@ fn measure(
     }
 }
 
+/// One step's allgathers, `calls`, at `world` ranks over TCP.
+fn measure_gathers(
+    label: String,
+    world: usize,
+    calls: &[Vec<u8>],
+    payload_bytes: usize,
+    steps: usize,
+) -> Sample {
+    let step = |c: &SocketCluster, frames: &mut GatherFrames| {
+        for call in calls {
+            c.try_allgather_frames(call.clone(), frames)
+                .expect("fault-free gather");
+            assert_eq!(frames.n_slots(), world);
+        }
+    };
+    measure(
+        label,
+        world,
+        None,
+        payload_bytes,
+        steps,
+        GatherFrames::new,
+        step,
+    )
+}
+
+/// One dense step — an all-reduce per bucket — at 2 ranks on `endpoint`.
+fn measure_dense(label: &str, endpoint: Option<Endpoint>, buckets: &[usize]) -> Sample {
+    let init = || buckets.iter().map(|&n| vec![0.5; n]).collect::<Vec<_>>();
+    let step = |c: &SocketCluster, bufs: &mut Vec<Vec<f32>>| {
+        for buf in bufs.iter_mut() {
+            let sum = c.try_allreduce_f32(std::mem::take(buf));
+            *buf = sum.expect("fault-free sum").sum;
+        }
+    };
+    let payload = buckets.iter().sum::<usize>() * 4;
+    measure(label.to_string(), 2, endpoint, payload, 24, init, step)
+}
+
 fn main() {
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -136,7 +195,7 @@ fn main() {
     let mut samples = Vec::new();
     for (label, bytes, rounds) in cells {
         let payload = [vec![0x5A_u8; bytes]];
-        let s = measure(label.to_string(), WORKERS, &payload, bytes, rounds);
+        let s = measure_gathers(label.to_string(), WORKERS, &payload, bytes, rounds);
         assert!(
             s.frame_efficiency > 0.9,
             "{label}: framing overhead exploded ({:.4})",
@@ -149,9 +208,25 @@ fn main() {
     for world in [2, 4, 8] {
         for (unit, calls) in [("tensor", &per_tensor), ("bucket", &per_bucket)] {
             let label = format!("fused/per_{unit}@{world}");
-            samples.push(measure(label, world, calls, frame_bytes, 24));
+            samples.push(measure_gathers(label, world, calls, frame_bytes, 24));
         }
     }
+    let buckets = vgg19_buckets();
+    let (mut uds, mut tcp) = (Vec::new(), Vec::new());
+    for _ in 0..5 {
+        let ep = Some(Endpoint::ephemeral_uds());
+        uds.push(measure_dense("dense/uds@2", ep, &buckets));
+        tcp.push(measure_dense("dense/tcp@2", None, &buckets));
+    }
+    let fastest = |runs: Vec<Sample>| {
+        runs.into_iter()
+            .min_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms))
+            .expect("five runs")
+    };
+    let (uds, tcp) = (fastest(uds), fastest(tcp));
+    let uds_over_tcp = tcp.wall_ms / uds.wall_ms;
+    samples.push(uds);
+    samples.push(tcp);
     let mut rows = Vec::new();
     for s in &samples {
         println!(
@@ -164,6 +239,14 @@ fn main() {
             s.label, s.calls_per_step, s.frame_efficiency, s.wall_ms
         ));
     }
+    println!(
+        "{:>20}  {} buckets, TCP step ÷ UDS step {uds_over_tcp:.3}",
+        "dense/uds_over_tcp@2",
+        buckets.len()
+    );
+    rows.push(format!(
+        "    {{\"codec\": \"dense/uds_over_tcp@2\", \"uds_over_tcp\": {uds_over_tcp:.3}}}"
+    ));
     let json = format!(
         "{{\n  \"bench\": \"socket_exchange\",\n  \"workers\": {WORKERS},\n  \
          \"host_cpus\": {host_cpus},\n  \"rows\": [\n{}\n  ]\n}}\n",

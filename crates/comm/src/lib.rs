@@ -30,6 +30,7 @@ pub mod error;
 pub mod fault;
 pub mod model;
 pub mod net;
+mod shm;
 pub mod traffic;
 
 pub use clock::{ClockEstimator, ClockSample};

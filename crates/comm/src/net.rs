@@ -37,6 +37,26 @@
 //! receiver identically via the payload codec's own trailer, exactly as on
 //! the threaded path.
 //!
+//! # Shared-memory bodies (UDS)
+//!
+//! On a Unix-domain endpoint the all-reduce bodies — each rank's request
+//! and the hub's one response — travel through mmap'd regions ([`crate::shm`])
+//! and the socket carries a descriptor in their place:
+//!
+//! ```text
+//! ALLREDUCE   ctx ‖ len u32 ‖ crc32(body) u32
+//! R_ALLREDUCE round header ‖ contributors u32 ‖ len u32 ‖ crc32(sum) u32 ‖ image u8
+//! ```
+//!
+//! The rank's region name rides in `HELLO` (after `rank ‖ world`), the
+//! hub's two image names in `WELCOME` (after `world ‖ live`, each `len u32 ‖
+//! name`); the hub answers with names only when every rank sent one and it
+//! could create its images, so a cluster carries all its bodies one way.
+//! Where no region can be created, bodies stay inline, byte for byte the TCP
+//! format (TCP never carries names). A body that fails its CRC is rejected
+//! with `NACK` and resent, exactly like a damaged frame. [`NetStats`] counts
+//! logical bytes either way: what the frame weighs with its body inline.
+//!
 //! # Trace context and clock sync
 //!
 //! Every collective *request* body leads with a fixed 20-byte [`TraceCtx`]
@@ -74,6 +94,7 @@ use crate::collectives::{
     Reduction,
 };
 use crate::error::ClusterError;
+use crate::shm::{self, Contribution, Region};
 use crate::traffic::TrafficCounter;
 use grace_telemetry::metrics::{self, Counter, HistogramHandle};
 use grace_telemetry::{since_epoch_ns, trace, Track};
@@ -83,8 +104,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
-#[cfg(unix)]
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -128,8 +148,16 @@ const ERR_PROTOCOL: u8 = 1;
 const ERR_RENDEZVOUS: u8 = 3;
 
 /// Upper bound on a single frame; a corrupted length prefix must fail fast,
-/// not allocate garbage.
+/// not allocate garbage. A region-carried body obeys the same bound.
 const MAX_FRAME_BYTES: u32 = 1 << 30;
+
+/// Descriptor words a region-carried all-reduce request has in place of
+/// its body (`len u32 ‖ crc u32`).
+const REQUEST_WORDS: usize = 8;
+
+/// Descriptor words a region-carried all-reduce response has in place of
+/// the sum (`len u32 ‖ crc u32 ‖ image u8`).
+const RESPONSE_WORDS: usize = 9;
 
 /// How much of a header's claimed length the reader reserves before any of
 /// it has arrived. A header is four unauthenticated bytes: past this, the
@@ -316,6 +344,14 @@ impl Listener {
         }
     }
 
+    fn is_uds(&self) -> bool {
+        match self {
+            Listener::Tcp(_) => false,
+            #[cfg(unix)]
+            Listener::Uds(..) => true,
+        }
+    }
+
     fn accept(&self) -> io::Result<Stream> {
         match self {
             Listener::Tcp(l) => {
@@ -353,8 +389,14 @@ impl Drop for Listener {
 pub struct NetStats {
     /// Frames written (NACKs and retransmits included).
     pub frames_sent: u64,
-    /// Raw wire bytes written, framing overhead included.
+    /// Logical bytes written, framing overhead included: a frame whose body
+    /// went through a shared-memory region counts as the inline frame would
+    /// (descriptor plus body, without the descriptor's own words or the
+    /// region names of rendezvous), so both carriers count alike.
     pub wire_bytes_sent: u64,
+    /// Of `wire_bytes_sent`, the body bytes that went through a
+    /// shared-memory region instead of the socket.
+    pub carried_bytes: u64,
     /// CRC rejects observed on reads (each one sent a `NACK`).
     pub nacks_sent: u64,
     /// Retransmissions performed after the peer NACKed our frame.
@@ -395,11 +437,18 @@ pub struct FramedStream {
     /// copy. Behind an `Arc` because the hub hands one response image to
     /// every stream of a round.
     tx: Arc<Vec<u8>>,
+    /// `tx`'s logical size and the body bytes of it a region carries (see
+    /// [`NetStats`]); a resend counts them again.
+    tx_logical: u64,
+    tx_carried: u64,
     /// `kind ‖ body` of the last frame read.
     rx: Vec<u8>,
     /// Test hook: corrupt one bit of the next outgoing frame *after* its
-    /// CRC is computed, forcing the receiver down the NACK path.
+    /// CRC is computed, forcing the receiver down the NACK path (for a
+    /// region-carried body: one bit of the body in the region).
     corrupt_next: bool,
+    /// Shared-memory body carrier, once rendezvous agreed on one (UDS).
+    carrier: Option<Carrier>,
     stats: NetStats,
     /// Timeline track wire events land on: the owning rank's
     /// [`Track::Net`] lane, or [`Track::Hub`] until a peer is identified.
@@ -416,8 +465,11 @@ impl FramedStream {
         FramedStream {
             stream,
             tx: Arc::default(),
+            tx_logical: 0,
+            tx_carried: 0,
             rx: Vec::new(),
             corrupt_next: false,
+            carrier: None,
             stats: NetStats::default(),
             track: Track::Hub,
             c_frames: metrics::counter("comm.net.frames"),
@@ -471,7 +523,13 @@ impl FramedStream {
     /// Puts `wire` on the socket; `flip` names a byte that goes out with
     /// one bit inverted. The flipped byte is its own write because `wire`
     /// is also the retransmit image (and may be shared): it stays clean.
-    fn send_raw(&mut self, wire: &[u8], flip: Option<usize>) -> io::Result<()> {
+    /// `(logical, carried)` are the frame's [`NetStats`] weights.
+    fn send_raw(
+        &mut self,
+        wire: &[u8],
+        flip: Option<usize>,
+        (logical, carried): (u64, u64),
+    ) -> io::Result<()> {
         match flip {
             None => self.stream.write_all(wire)?,
             Some(at) => {
@@ -481,23 +539,20 @@ impl FramedStream {
             }
         }
         self.stats.frames_sent += 1;
-        self.stats.wire_bytes_sent += wire.len() as u64;
+        self.stats.wire_bytes_sent += logical;
+        self.stats.carried_bytes += carried;
         self.c_frames.add(1);
-        self.c_bytes.add(wire.len() as u64);
+        self.c_bytes.add(logical);
         Ok(())
     }
 
     /// Sends a freshly built wire image, honouring the corruption hook.
-    fn send_image(&mut self, wire: &[u8]) -> io::Result<()> {
-        trace::instant_arg(
-            "net.frame.send",
-            self.track,
-            Some(("bytes", wire.len() as u64)),
-        );
+    fn send_image(&mut self, wire: &[u8], weights: (u64, u64)) -> io::Result<()> {
+        trace::instant_arg("net.frame.send", self.track, Some(("bytes", weights.0)));
         // Inside the checksummed region, so the receiver's CRC (not a
         // length mismatch) catches it.
         let flip = std::mem::take(&mut self.corrupt_next).then(|| 4 + (wire.len() - 8) / 2);
-        self.send_raw(wire, flip)
+        self.send_raw(wire, flip, weights)
     }
 
     /// Writes one frame with `body` as its body. Non-NACK frames are kept
@@ -521,8 +576,23 @@ impl FramedStream {
             begin_frame(&mut nack, kind);
             fill(&mut nack);
             seal_frame(&mut nack);
-            return self.send_image(&nack);
+            let weights = (nack.len() as u64, 0);
+            return self.send_image(&nack, weights);
         }
+        self.write_tx(kind, 0, 0, fill)
+    }
+
+    /// [`Self::write_frame_with`] for a frame that has `carrier_words`
+    /// bytes of carrier bookkeeping (a descriptor's words, a region name)
+    /// in place of `carried` body bytes a region holds: the frame counts
+    /// at its logical size.
+    fn write_tx(
+        &mut self,
+        kind: u8,
+        carrier_words: usize,
+        carried: u64,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> io::Result<()> {
         if Arc::get_mut(&mut self.tx).is_none() {
             // The last image was a hub fan-out other streams still hold.
             self.tx = Arc::default();
@@ -531,16 +601,105 @@ impl FramedStream {
         begin_frame(buf, kind);
         fill(buf);
         seal_frame(buf);
+        self.tx_logical = (buf.len() - carrier_words) as u64 + carried;
+        self.tx_carried = carried;
         let image = Arc::clone(&self.tx);
-        self.send_image(&image)
+        self.send_image(&image, (self.tx_logical, carried))
     }
 
     /// Sends a wire image built once for several streams (the hub's
     /// response fan-out); this stream keeps a handle as its retransmit
     /// copy.
-    fn write_shared(&mut self, image: &Arc<Vec<u8>>) -> io::Result<()> {
-        self.tx = Arc::clone(image);
-        self.send_image(image)
+    fn write_shared(&mut self, image: &ImageSlot) -> io::Result<()> {
+        self.tx = Arc::clone(&image.frame);
+        self.tx_logical = image.logical();
+        self.tx_carried = image.carried;
+        self.send_image(&image.frame, (self.tx_logical, self.tx_carried))
+    }
+
+    /// Sends `ctx ‖ data` as a `kind` request: through the request region
+    /// with a descriptor on the socket when this stream has a carrier,
+    /// inline otherwise.
+    fn write_f32s(&mut self, kind: u8, ctx: &[u8], data: &[f32]) -> io::Result<()> {
+        let Some(carrier) = &mut self.carrier else {
+            return self.write_frame_with(kind, |body| {
+                body.extend_from_slice(ctx);
+                extend_f32s_le(body, data);
+            });
+        };
+        let len = 4 * data.len();
+        if len > MAX_FRAME_BYTES as usize {
+            return Err(invalid(format!("body of {len} bytes too large")));
+        }
+        carrier.flipped = None;
+        let crc = carrier.requests.put_f32s(data)?;
+        if len > 0 && std::mem::take(&mut self.corrupt_next) {
+            // After the CRC: the peer's check fails and it NACKs; the read
+            // path restores the bit before resending.
+            carrier.requests.flip(len / 2);
+            carrier.flipped = Some(len / 2);
+        }
+        self.write_tx(kind, REQUEST_WORDS, len as u64, |body| {
+            body.extend_from_slice(ctx);
+            put_u32(body, len as u32);
+            put_u32(body, crc);
+        })
+    }
+
+    /// Answers `NACK` for a frame that failed a check: its CRC here, or the
+    /// CRC of the body a region carried for it.
+    fn send_nack(&mut self, bytes: u64) -> io::Result<()> {
+        self.stats.nacks_sent += 1;
+        self.c_retries.add(1);
+        self.c_nacks.add(1);
+        trace::instant_arg("net.nack", self.track, Some(("bytes", bytes)));
+        self.write_frame(KIND_NACK, &[])
+    }
+
+    /// Rejects the region-carried body of the last frame read: answers
+    /// `NACK` and reads the peer's retransmission, returning its kind.
+    fn reject_body(&mut self, bytes: u64) -> io::Result<u8> {
+        self.send_nack(bytes)?;
+        Ok(self.read_frame()?.0)
+    }
+
+    /// Reads the all-reduce response at body offset `at` (past the round
+    /// header) into `sum`, which holds the request and so fixes the length
+    /// the reply must have; returns the contributor count. A region-carried
+    /// sum is verified and copied out in one pass; one that fails its CRC is
+    /// rejected and read again.
+    fn read_reduction(&mut self, at: usize, world: usize, sum: &mut Vec<f32>) -> io::Result<usize> {
+        for _ in 0..RETRY_LIMIT {
+            let payload = &self.rx[1 + at..];
+            let Some(carrier) = &mut self.carrier else {
+                return parse_reduction(payload, world, sum);
+            };
+            let mut r = Reader::new(payload);
+            let contributors = read_contributors(&mut r, world)?;
+            let (len, crc) = (r.u32()? as usize, r.u32()?);
+            let image = r.take(1)?[0] as usize;
+            if len != 4 * sum.len() || !r.rest().is_empty() {
+                return Err(invalid(format!(
+                    "sum length {len} bytes, the request sent {} f32s",
+                    sum.len()
+                )));
+            }
+            let region = carrier
+                .images
+                .get_mut(image)
+                .ok_or_else(|| invalid(format!("image {image} does not exist")))?;
+            region.expose(len)?;
+            if region.take_f32s(sum) == crc {
+                return Ok(contributors);
+            }
+            let kind = self.reject_body(len as u64)?;
+            if kind != KIND_R_ALLREDUCE {
+                return Err(invalid(format!("resent response of kind {kind}")));
+            }
+        }
+        Err(invalid(
+            "sum retry limit exhausted: persistently torn image".into(),
+        ))
     }
 
     /// Reads the next application frame as `(kind, body)`, transparently
@@ -575,11 +734,7 @@ impl FramedStream {
             let trailer = self.rx[len..].try_into().expect("4-byte trailer");
             self.rx.truncate(len);
             if crc32(&self.rx) != u32::from_le_bytes(trailer) {
-                self.stats.nacks_sent += 1;
-                self.c_retries.add(1);
-                self.c_nacks.add(1);
-                trace::instant_arg("net.nack", self.track, Some(("bytes", len as u64)));
-                self.write_frame(KIND_NACK, &[])?;
+                self.send_nack(len as u64)?;
                 continue;
             }
             if self.rx[0] == KIND_NACK {
@@ -590,14 +745,15 @@ impl FramedStream {
                     ));
                 }
                 self.stats.resends += 1;
+                if let Some(c) = &mut self.carrier {
+                    if let Some(at) = c.flipped.take() {
+                        c.requests.flip(at);
+                    }
+                }
                 let image = Arc::clone(&self.tx);
-                self.c_resend_bytes.add(image.len() as u64);
-                trace::instant_arg(
-                    "net.resend",
-                    self.track,
-                    Some(("bytes", image.len() as u64)),
-                );
-                self.send_raw(&image, None)?;
+                self.c_resend_bytes.add(self.tx_logical);
+                trace::instant_arg("net.resend", self.track, Some(("bytes", self.tx_logical)));
+                self.send_raw(&image, None, (self.tx_logical, self.tx_carried))?;
                 continue;
             }
             trace::instant_arg(
@@ -617,6 +773,30 @@ impl FramedStream {
     /// before the first).
     pub fn body(&self) -> &[u8] {
         self.rx.get(1..).unwrap_or_default()
+    }
+}
+
+/// A stream's shared-memory body carrier (see [`crate::shm`]).
+#[derive(Debug)]
+struct Carrier {
+    /// Where all-reduce requests travel: the rank's own region on a rank,
+    /// the peer rank's (mapped read-only) on the hub.
+    requests: Region,
+    /// The hub's two response images, mapped read-only (rank side; the hub
+    /// keeps its own in [`ResponseImages`]).
+    images: Vec<Region>,
+    /// A bit the corruption hook flipped in `requests`, restored before
+    /// the resend.
+    flipped: Option<usize>,
+}
+
+impl Carrier {
+    fn new(requests: Region) -> Carrier {
+        Carrier {
+            requests,
+            images: Vec::new(),
+            flipped: None,
+        }
     }
 }
 
@@ -747,6 +927,10 @@ pub struct HubServer {
     world: usize,
     options: ClusterOptions,
     accept_timeout: Duration,
+    /// Where region names from `HELLO` are opened and images created.
+    shm_dir: PathBuf,
+    /// Test hook: the hub exits after reading this round's requests.
+    abort_after: Option<u64>,
 }
 
 impl HubServer {
@@ -774,6 +958,8 @@ impl HubServer {
             world,
             options,
             accept_timeout: options.timeout.unwrap_or(DEFAULT_CONNECT_TIMEOUT),
+            shm_dir: PathBuf::from(shm::SHM_DIR),
+            abort_after: None,
         })
     }
 
@@ -787,6 +973,15 @@ impl HubServer {
     /// or [`DEFAULT_CONNECT_TIMEOUT`] when none is set).
     pub fn with_accept_timeout(mut self, t: Duration) -> HubServer {
         self.accept_timeout = t;
+        self
+    }
+
+    /// Test hook: the hub reads round `round`'s requests (0-based) and then
+    /// exits without answering, as a hub process killed mid-round would.
+    /// [`HubServer::serve`] then returns [`ClusterError::Transport`].
+    #[doc(hidden)]
+    pub fn abort_after_rounds(mut self, round: u64) -> HubServer {
+        self.abort_after = Some(round);
         self
     }
 
@@ -807,16 +1002,31 @@ impl HubServer {
         let timer = trace::StageTimer::start();
         let mut streams = self.rendezvous()?;
         timer.finish("hub.rendezvous", Track::Hub);
+        // Regions carry all-reduce bodies only if every rank offered one
+        // and the images exist; otherwise every stream stays inline.
+        let mut images = ResponseImages::default();
+        let names = match streams.iter().all(|s| s.carrier.is_some()) {
+            true => images.map_regions(&self.shm_dir).ok(),
+            false => None,
+        };
         for s in streams.iter_mut() {
             let _ = s.set_read_timeout(self.options.timeout);
+            if names.is_none() {
+                s.carrier = None;
+            }
             let world = self.world as u32;
-            s.write_frame_with(KIND_WELCOME, |b| {
+            let extra: usize = names.iter().flatten().map(|n| 4 + n.len()).sum();
+            s.write_tx(KIND_WELCOME, extra, 0, |b| {
                 put_u32(b, world);
                 put_u32(b, world);
+                for name in names.iter().flatten() {
+                    put_u32(b, name.len() as u32);
+                    b.extend_from_slice(name.as_bytes());
+                }
             })
             .map_err(|e| transport(0, 0, format!("welcome: {e}")))?;
         }
-        self.op_loop(&mut streams)
+        self.op_loop(&mut streams, images)
     }
 
     /// Accepts until every rank has said `HELLO`, or aborts rendezvous at
@@ -892,6 +1102,17 @@ impl HubServer {
         if slots[rank].is_some() {
             return Err(format!("duplicate rank {rank}"));
         }
+        // A UDS rank names its request region after `rank ‖ world`; the hub
+        // opens only a name it validated, then drops the name itself so a
+        // rank that dies before WELCOME leaves no file behind.
+        let name = r.rest();
+        if self.listener.is_uds() && !name.is_empty() {
+            let name = std::str::from_utf8(name).map_err(|_| "region name is not UTF-8")?;
+            let mut region =
+                Region::open(&self.shm_dir, name).map_err(|e| format!("region: {e}"))?;
+            region.unlink();
+            framed.carrier = Some(Carrier::new(region));
+        }
         framed.set_track(Track::Net(rank));
         // Serve the rendezvous clock-sync burst: the client pipelines
         // exactly CLOCK_PINGS probes right behind its HELLO; answer each
@@ -920,13 +1141,16 @@ impl HubServer {
     /// aggregate in rank order (bit-identical to the threaded deposit
     /// board), answer everyone still listening. Each request stays in its
     /// stream's read buffer; `kinds[rank]` says whose holds one this round.
-    fn op_loop(&self, streams: &mut [FramedStream]) -> Result<(), ClusterError> {
+    fn op_loop(
+        &self,
+        streams: &mut [FramedStream],
+        mut images: ResponseImages,
+    ) -> Result<(), ClusterError> {
         let world = self.world;
         let mut alive = vec![true; world];
         let mut hub_op = 0u64;
         let mut arrivals = vec![0u64; world];
         let mut kinds: Vec<Option<u8>> = vec![None; world];
-        let mut images = ResponseImages::default();
         loop {
             kinds.fill(None);
             arrivals.fill(0);
@@ -952,6 +1176,12 @@ impl HubServer {
                     Err(_) => alive[rank] = false,
                 }
             }
+            // Every rank still here has sent a request, so every rank has
+            // mapped the images: their names can go.
+            images.unlink();
+            if self.abort_after == Some(hub_op) {
+                return Err(transport(0, hub_op, "hub aborted mid-round".to_string()));
+            }
             if kinds.iter().all(Option::is_none) {
                 if alive.iter().any(|a| *a) {
                     // Everyone who was due this round left instead.
@@ -959,11 +1189,30 @@ impl HubServer {
                 }
                 return Ok(());
             }
-            let image = images.next();
-            let round = self.answer_round(streams, &alive, &kinds, hub_op, &arrivals, image);
+            let (turn, image) = images.next();
+            let mut round;
+            let mut rejects = 0;
+            loop {
+                round = self.answer_round(streams, &alive, &kinds, hub_op, &arrivals, turn, image);
+                // A carried body failed its CRC: NACK it and redo the round
+                // with the resend, as a damaged frame is re-read.
+                let Ok(Some((rank, bytes))) = round else {
+                    break;
+                };
+                rejects += 1;
+                match streams[rank].reject_body(bytes) {
+                    Ok(kind) if kind == KIND_ALLREDUCE && rejects <= RETRY_LIMIT => {}
+                    // A stream that cannot resend a clean body has left.
+                    _ => (alive[rank], kinds[rank]) = (false, None),
+                }
+                if kinds.iter().all(Option::is_none) {
+                    break;
+                }
+            }
             hub_op += 1;
             match round {
-                Ok(()) => fan_out(streams, &mut alive, &kinds, image),
+                Ok(_) if kinds.iter().all(Option::is_none) => {}
+                Ok(_) => fan_out(streams, &mut alive, &kinds, image),
                 Err(detail) => {
                     let mut body = vec![ERR_PROTOCOL];
                     put_u32(&mut body, 0);
@@ -979,18 +1228,22 @@ impl HubServer {
         }
     }
 
-    /// Builds the round's one response frame into `image`, straight from
-    /// the requests in the streams' read buffers — serialised and
-    /// checksummed once, however many ranks it then goes to.
+    /// Builds the round's one response frame into `image` (image `turn` of
+    /// the pair), straight from the requests in the streams' read buffers —
+    /// serialised and checksummed once, however many ranks it then goes
+    /// to. Returns `Some((rank, bytes))` when rank's region-carried body
+    /// failed its CRC: nothing is answered, the caller rejects the body.
+    #[allow(clippy::too_many_arguments)]
     fn answer_round(
         &self,
-        streams: &[FramedStream],
+        streams: &mut [FramedStream],
         alive: &[bool],
         kinds: &[Option<u8>],
         hub_op: u64,
         arrivals: &[u64],
-        image: &mut Arc<Vec<u8>>,
-    ) -> Result<(), String> {
+        turn: usize,
+        image: &mut ImageSlot,
+    ) -> Result<Option<(usize, u64)>, String> {
         let timer = trace::StageTimer::start();
         let kind = kinds.iter().flatten().next();
         let kind = *kind.expect("at least one request");
@@ -1018,14 +1271,32 @@ impl HubServer {
             step = step.max(ctx.step);
         }
         let live = alive.iter().filter(|a| **a).count() as u32;
+        image.words = 0;
+        image.carried = 0;
+        let buf = Arc::get_mut(&mut image.frame).expect("ResponseImages hands out sole handles");
+        if let (KIND_ALLREDUCE, Some(region)) = (kind, &mut image.region) {
+            begin_frame(buf, KIND_R_ALLREDUCE);
+            put_round_header(buf, live, arrivals);
+            put_u32(buf, kinds.iter().flatten().count() as u32);
+            let (len, crc) = match reduce_regions(streams, kinds, region)? {
+                Ok(sum) => sum,
+                Err(reject) => return Ok(Some(reject)),
+            };
+            put_u32(buf, len as u32);
+            put_u32(buf, crc);
+            buf.push(turn as u8);
+            seal_frame(buf);
+            (image.words, image.carried) = (RESPONSE_WORDS, len as u64);
+            timer.finish_with2("hub.allreduce", Track::Hub, ("step", step), ("op", hub_op));
+            return Ok(None);
+        }
         // This round's requests in rank order (`None` for a rank that sent
         // nothing): what follows the trace context checked above, each
         // still in its stream's read buffer.
         let requests = || {
-            let ranks = kinds.iter().zip(streams);
+            let ranks = kinds.iter().zip(streams.iter());
             ranks.map(|(k, s)| k.map(|_| &s.body()[TraceCtx::WIRE_BYTES..]))
         };
-        let buf = Arc::get_mut(image).expect("ResponseImages hands out sole handles");
         let name = match kind {
             KIND_ALLREDUCE => {
                 begin_frame(buf, KIND_R_ALLREDUCE);
@@ -1078,30 +1349,122 @@ impl HubServer {
         };
         seal_frame(buf);
         timer.finish_with2(name, Track::Hub, ("step", step), ("op", hub_op));
-        Ok(())
+        Ok(None)
+    }
+}
+
+/// The all-reduce of a region-carried round: checks every descriptor, then
+/// sums the requests' regions into the image in the one fused pass of
+/// [`shm::reduce`]. Returns the sum's `(len, crc)`, or `Err((rank, len))`
+/// when rank's body failed its CRC.
+#[allow(clippy::type_complexity)]
+fn reduce_regions(
+    streams: &mut [FramedStream],
+    kinds: &[Option<u8>],
+    image: &mut Region,
+) -> Result<Result<(usize, u32), (usize, u64)>, String> {
+    let mut len = None;
+    let mut ranks = Vec::new();
+    let mut contributions = Vec::new();
+    for (rank, stream) in streams.iter_mut().enumerate() {
+        if kinds[rank].is_none() {
+            continue;
+        }
+        let mut r = Reader::new(&stream.rx[1 + TraceCtx::WIRE_BYTES..]);
+        let descriptor = (|| Ok::<_, io::Error>((r.u32()? as usize, r.u32()?)))();
+        let (n, crc) = descriptor.map_err(|e| e.to_string())?;
+        if !r.rest().is_empty() || n > MAX_FRAME_BYTES as usize || !n.is_multiple_of(4) {
+            return Err(format!(
+                "rank {rank}: malformed all-reduce descriptor (length {n})"
+            ));
+        }
+        if *len.get_or_insert(n) != n {
+            return Err(format!(
+                "allreduce length mismatch: {} vs {}",
+                len.unwrap_or(0) / 4,
+                n / 4
+            ));
+        }
+        let carrier = stream
+            .carrier
+            .as_mut()
+            .expect("region rounds have carriers");
+        ranks.push(rank);
+        contributions.push(Contribution {
+            region: &mut carrier.requests,
+            crc,
+        });
+    }
+    let len = len.expect("at least one request");
+    match shm::reduce(image, &mut contributions, len) {
+        Ok(Ok(crc)) => Ok(Ok((len, crc))),
+        Ok(Err(i)) => Ok(Err((ranks[i], len as u64))),
+        Err(e) => Err(format!("allreduce regions: {e}")),
+    }
+}
+
+/// One of the hub's two response images: the frame every answered stream
+/// sends (and keeps as its retransmit copy), and — when ranks map it — the
+/// region an all-reduce sum is built in, whose descriptor the frame is.
+#[derive(Debug, Default)]
+struct ImageSlot {
+    frame: Arc<Vec<u8>>,
+    region: Option<Region>,
+    /// Descriptor words the frame has in place of the `carried` sum bytes
+    /// the region holds (both 0 when the body is inline).
+    words: usize,
+    carried: u64,
+}
+
+impl ImageSlot {
+    /// The frame's logical size (see [`NetStats`]).
+    fn logical(&self) -> u64 {
+        (self.frame.len() - self.words) as u64 + self.carried
     }
 }
 
 /// The hub's pooled response images. A round's response is built once and
 /// every answered stream keeps a handle to it as its retransmit copy until
 /// that stream's next send — so rounds alternate between two buffers, and
-/// the one handed out is the image of two rounds ago.
+/// the one handed out is the image of two rounds ago. (Every rank has sent
+/// a request since reading it, which is what lets an image region be
+/// rewritten: see [`crate::shm`].)
 #[derive(Debug, Default)]
 struct ResponseImages {
-    pair: [Arc<Vec<u8>>; 2],
+    pair: [ImageSlot; 2],
     turn: usize,
 }
 
 impl ResponseImages {
-    /// The buffer to build the next response in, as its sole handle.
-    fn next(&mut self) -> &mut Arc<Vec<u8>> {
+    /// Gives each image a shared-memory region in `dir`; returns their
+    /// names, in turn order, for `WELCOME`.
+    fn map_regions(&mut self, dir: &Path) -> io::Result<[String; 2]> {
+        for (turn, slot) in self.pair.iter_mut().enumerate() {
+            slot.region = Some(Region::create(dir, &format!("img{turn}"))?);
+        }
+        Ok(self.pair.each_ref().map(|slot| {
+            let region = slot.region.as_ref().expect("just created");
+            region.name().to_string()
+        }))
+    }
+
+    /// Removes the images' names (idempotent): once every rank has mapped
+    /// them, nothing needs them.
+    fn unlink(&mut self) {
+        for region in self.pair.iter_mut().filter_map(|s| s.region.as_mut()) {
+            region.unlink();
+        }
+    }
+
+    /// The next image to build a response in, its frame as sole handle.
+    fn next(&mut self) -> (usize, &mut ImageSlot) {
         self.turn ^= 1;
         let image = &mut self.pair[self.turn];
-        if Arc::get_mut(image).is_none() {
+        if Arc::get_mut(&mut image.frame).is_none() {
             // The stream of a rank that has since departed still holds it.
-            *image = Arc::default();
+            image.frame = Arc::default();
         }
-        image
+        (self.turn, image)
     }
 }
 
@@ -1111,7 +1474,7 @@ fn fan_out(
     streams: &mut [FramedStream],
     alive: &mut [bool],
     kinds: &[Option<u8>],
-    image: &Arc<Vec<u8>>,
+    image: &ImageSlot,
 ) {
     for (rank, stream) in streams.iter_mut().enumerate() {
         if kinds[rank].is_some() && stream.write_shared(image).is_err() {
@@ -1212,6 +1575,12 @@ impl SocketCluster {
     /// connect deadline or rejects the handshake;
     /// [`ClusterError::Timeout`] when rendezvous does not complete in time.
     pub fn connect(cfg: &NetConfig) -> Result<SocketCluster, ClusterError> {
+        SocketCluster::connect_in(cfg, Path::new(shm::SHM_DIR))
+    }
+
+    /// [`SocketCluster::connect`], with regions (on a UDS endpoint) in
+    /// `shm_dir`.
+    fn connect_in(cfg: &NetConfig, shm_dir: &Path) -> Result<SocketCluster, ClusterError> {
         let rank = cfg.rank;
         let deadline = Instant::now() + cfg.connect_timeout;
         let stream = loop {
@@ -1231,11 +1600,20 @@ impl SocketCluster {
         framed
             .set_read_timeout(Some(cfg.connect_timeout))
             .map_err(|e| transport(rank, 0, format!("set timeout: {e}")))?;
-        let mut hello = Vec::with_capacity(8);
-        put_u32(&mut hello, rank as u32);
-        put_u32(&mut hello, cfg.world as u32);
+        // On a UDS endpoint, offer a request region (dropped — and its file
+        // with it — on any early return); none if it cannot be created.
+        let mut region = match cfg.endpoint {
+            Endpoint::Tcp(_) => None,
+            #[cfg(unix)]
+            Endpoint::Uds(_) => Region::create(shm_dir, &format!("r{rank}")).ok(),
+        };
+        let name = region.as_ref().map_or("", |r| r.name()).to_string();
         framed
-            .write_frame(KIND_HELLO, &hello)
+            .write_tx(KIND_HELLO, name.len(), 0, |b| {
+                put_u32(b, rank as u32);
+                put_u32(b, cfg.world as u32);
+                b.extend_from_slice(name.as_bytes());
+            })
             .map_err(|e| transport(rank, 0, format!("hello: {e}")))?;
         // Rendezvous clock sync: a short ping burst right behind HELLO
         // seeds the hub-offset estimate before the first collective.
@@ -1287,6 +1665,27 @@ impl SocketCluster {
                         0,
                         format!("world mismatch: hub {world} vs local {}", cfg.world),
                     ));
+                }
+                // Image names follow iff the hub agreed to carry bodies in
+                // regions; either way this rank's file has served its
+                // purpose (the hub holds it open).
+                let images = welcome_images(&mut r, shm_dir)
+                    .map_err(|e| transport(rank, 0, format!("welcome: {e}")))?;
+                match (region.take(), images.is_empty()) {
+                    (Some(mut requests), false) => {
+                        requests.unlink();
+                        let mut carrier = Carrier::new(requests);
+                        carrier.images = images;
+                        framed.carrier = Some(carrier);
+                    }
+                    (None, false) => {
+                        return Err(transport(
+                            rank,
+                            0,
+                            "welcome named images for a rank without a region".into(),
+                        ))
+                    }
+                    (_, true) => {}
                 }
                 framed
                     .set_read_timeout(cfg.options.timeout)
@@ -1352,31 +1751,26 @@ impl SocketCluster {
         }
     }
 
-    /// One request/response round trip: `fill` appends the request body
-    /// behind this op's [`TraceCtx`], straight into the stream's send
-    /// buffer. The blocked time is this rank's barrier wait. The response
-    /// must be of kind `expect`; its round header (live count, hub send
-    /// time, arrival stamps) is absorbed here, so callers see only the
-    /// kind-specific remainder — still in the stream's read buffer, which
-    /// the returned [`Response`] keeps locked.
+    /// One request/response round trip: `send` writes the request — this
+    /// op's [`TraceCtx`], then the body — onto the stream. The blocked
+    /// time is this rank's barrier wait. The response must be of kind
+    /// `expect`; its round header (live count, hub send time, arrival
+    /// stamps) is absorbed here, so callers see only the kind-specific
+    /// remainder — still in the stream's read buffer, which the returned
+    /// [`Response`] keeps locked.
     fn roundtrip(
         &self,
         op: u64,
-        kind: u8,
         expect: u8,
-        fill: impl FnOnce(&mut Vec<u8>),
+        send: impl FnOnce(&mut FramedStream, &[u8]) -> io::Result<()>,
     ) -> Result<Response<'_>, ClusterError> {
         let step = self.step.load(Ordering::Relaxed);
         let ctx = self.ctx(op).to_bytes();
         let timer = trace::StageTimer::start();
         let mut stream = self.stream.lock();
         let t0 = since_epoch_ns(Instant::now());
-        let sent = stream
-            .write_frame_with(kind, |body| {
-                body.extend_from_slice(&ctx);
-                fill(body);
-            })
-            .map_err(|e| transport(self.rank, op, format!("send: {e}")));
+        let sent =
+            send(&mut stream, &ctx).map_err(|e| transport(self.rank, op, format!("send: {e}")));
         let out = sent.and_then(|()| {
             let wait = Instant::now();
             let result = stream.read_frame();
@@ -1491,17 +1885,40 @@ fn parse_round_header(
     Ok((live, h_send))
 }
 
-/// Reads an all-reduce response into `sum`, which holds the request and so
-/// fixes the length the reply must have; returns the contributor count,
-/// which must lie in `1..=world`.
-fn parse_reduction(payload: &[u8], world: usize, sum: &mut Vec<f32>) -> io::Result<usize> {
-    let mut r = Reader::new(payload);
+/// Reads an all-reduce response's contributor count, which must lie in
+/// `1..=world`.
+fn read_contributors(r: &mut Reader<'_>, world: usize) -> io::Result<usize> {
     let contributors = r.u32()? as usize;
     if !(1..=world).contains(&contributors) {
         return Err(invalid(format!(
             "contributors {contributors} outside 1..={world}"
         )));
     }
+    Ok(contributors)
+}
+
+/// Reads the image names a `WELCOME` may end with and maps each read-only;
+/// none means inline bodies.
+fn welcome_images(r: &mut Reader<'_>, dir: &Path) -> io::Result<Vec<Region>> {
+    let mut images = Vec::new();
+    while r.at < r.buf.len() {
+        let len = r.u32()? as usize;
+        let name = std::str::from_utf8(r.take(len)?)
+            .map_err(|_| invalid("image name is not UTF-8".into()))?;
+        images.push(Region::open(dir, name)?);
+    }
+    if !matches!(images.len(), 0 | 2) {
+        return Err(invalid(format!("{} image names, expected 2", images.len())));
+    }
+    Ok(images)
+}
+
+/// Reads an inline all-reduce response into `sum`, which holds the request
+/// and so fixes the length the reply must have; returns the contributor
+/// count.
+fn parse_reduction(payload: &[u8], world: usize, sum: &mut Vec<f32>) -> io::Result<usize> {
+    let mut r = Reader::new(payload);
+    let contributors = read_contributors(&mut r, world)?;
     let bytes = r.rest();
     if bytes.len() != 4 * sum.len() {
         return Err(invalid(format!(
@@ -1585,17 +2002,20 @@ impl Collective for SocketCluster {
     }
 
     /// `data` is serialised once, straight into the frame that goes on the
-    /// wire, and the response sum is decoded back into its allocation.
+    /// wire (or into this rank's request region, on UDS), and the response
+    /// sum is decoded back into its allocation.
     fn try_allreduce_f32(&self, mut data: Vec<f32>) -> Result<Reduction, ClusterError> {
         let op = self.enter()?;
         self.traffic.record(
             self.rank,
             ring_allreduce_wire_bytes(self.live_workers(), data.len()),
         );
-        let resp = self.roundtrip(op, KIND_ALLREDUCE, KIND_R_ALLREDUCE, |body| {
-            extend_f32s_le(body, &data)
+        let mut resp = self.roundtrip(op, KIND_R_ALLREDUCE, |s, ctx| {
+            s.write_f32s(KIND_ALLREDUCE, ctx, &data)
         })?;
-        let contributors = parse_reduction(resp.payload(), self.world, &mut data)
+        let contributors = resp
+            .stream
+            .read_reduction(resp.header, self.world, &mut data)
             .map_err(|e| transport(self.rank, op, e.to_string()))?;
         Ok(Reduction {
             sum: data,
@@ -1615,8 +2035,11 @@ impl Collective for SocketCluster {
     ) -> Result<(), ClusterError> {
         let op = self.enter()?;
         self.traffic.record(self.rank, data.len() as u64);
-        let mut resp = self.roundtrip(op, KIND_ALLGATHER, KIND_R_ALLGATHER, |body| {
-            body.extend_from_slice(&data)
+        let mut resp = self.roundtrip(op, KIND_R_ALLGATHER, |s, ctx| {
+            s.write_frame_with(KIND_ALLGATHER, |body| {
+                body.extend_from_slice(ctx);
+                body.extend_from_slice(&data);
+            })
         })?;
         frames.clear();
         // Ranges are relative to the whole read buffer: kind byte, round
@@ -1633,7 +2056,9 @@ impl Collective for SocketCluster {
 
     fn try_barrier(&self) -> Result<(), ClusterError> {
         let op = self.enter()?;
-        self.roundtrip(op, KIND_BARRIER, KIND_R_BARRIER, |_| {})?;
+        self.roundtrip(op, KIND_R_BARRIER, |s, ctx| {
+            s.write_frame(KIND_BARRIER, ctx)
+        })?;
         Ok(())
     }
 }
@@ -1699,8 +2124,24 @@ where
     T: Send,
     F: Fn(SocketCluster) -> T + Sync,
 {
+    run_local_in(n, options, endpoint, Path::new(shm::SHM_DIR), f)
+}
+
+/// [`run_socket_local`] with every region (UDS) in `shm_dir`.
+fn run_local_in<T, F>(
+    n: usize,
+    options: ClusterOptions,
+    endpoint: Option<Endpoint>,
+    shm_dir: &Path,
+    f: F,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(SocketCluster) -> T + Sync,
+{
     let endpoint = endpoint.unwrap_or_else(|| Endpoint::Tcp("127.0.0.1:0".to_string()));
-    let hub = HubServer::bind(&endpoint, n, options).expect("bind hub");
+    let mut hub = HubServer::bind(&endpoint, n, options).expect("bind hub");
+    hub.shm_dir = shm_dir.to_path_buf();
     let endpoint = hub.endpoint().clone();
     let hub = hub.spawn();
     let connect_timeout = options.timeout.unwrap_or(DEFAULT_CONNECT_TIMEOUT);
@@ -1717,7 +2158,7 @@ where
                     options,
                     connect_timeout,
                 };
-                let cluster = SocketCluster::connect(&cfg)
+                let cluster = SocketCluster::connect_in(&cfg, shm_dir)
                     .unwrap_or_else(|e| panic!("rank {rank} failed to join: {e}"));
                 f(cluster)
             }));
@@ -1849,8 +2290,8 @@ mod tests {
         }
         let payload: Vec<u8> = (0..300_000).map(|i| (i * 31 % 251) as u8).collect();
         let mut images = ResponseImages::default();
-        let image = images.next();
-        let buf = Arc::get_mut(image).unwrap();
+        let (_, image) = images.next();
+        let buf = Arc::get_mut(&mut image.frame).unwrap();
         begin_frame(buf, KIND_R_ALLGATHER);
         buf.extend_from_slice(&payload);
         seal_frame(buf);
@@ -1871,7 +2312,11 @@ mod tests {
         let mut alive = vec![true; 2];
         fan_out(&mut hub_side, &mut alive, &[Some(KIND_ALLGATHER); 2], image);
         assert_eq!(alive, [true, true]);
-        assert_eq!(Arc::strong_count(image), 3, "one image, three handles");
+        assert_eq!(
+            Arc::strong_count(&image.frame),
+            3,
+            "one image, three handles"
+        );
         for stream in hub_side.iter_mut() {
             assert_eq!(stream.read_frame().unwrap().0, KIND_LEAVE);
         }
@@ -1887,7 +2332,7 @@ mod tests {
         }
         // The next round builds in the other buffer; the round after gets
         // this one back as sole owner once the streams have moved on.
-        assert_eq!(Arc::strong_count(images.next()), 1);
+        assert_eq!(Arc::strong_count(&images.next().1.frame), 1);
     }
 
     /// The wire format is frozen: byte counts for a fixed call sequence are
@@ -1895,7 +2340,24 @@ mod tests {
     /// trace context per request) and must never move.
     #[test]
     fn wire_bytes_for_a_fixed_call_sequence_are_pinned() {
-        let out = run_socket_local(2, ClusterOptions::default(), None, |c| {
+        let out = pinned_call_sequence(None);
+        assert!(
+            out.iter().all(|s| s.carried_bytes == 0),
+            "TCP carries inline"
+        );
+    }
+
+    /// The same pin over UDS, where the all-reduce body rides in a region:
+    /// logical bytes are the same formula, and the region carried the body.
+    #[cfg(unix)]
+    #[test]
+    fn uds_wire_bytes_for_a_fixed_call_sequence_are_pinned() {
+        let out = pinned_call_sequence(Some(Endpoint::ephemeral_uds()));
+        assert!(out.iter().all(|s| s.carried_bytes == 200), "{out:?}");
+    }
+
+    fn pinned_call_sequence(endpoint: Option<Endpoint>) -> Vec<NetStats> {
+        let out = run_socket_local(2, ClusterOptions::default(), endpoint, |c| {
             let _ = c.try_allreduce_f32(vec![0.5; 50]).unwrap();
             let _ = c.try_allgather_bytes(vec![1u8; 100]).unwrap();
             let mut frames = GatherFrames::new();
@@ -1904,7 +2366,7 @@ mod tests {
             c.try_barrier().unwrap();
             c.net_stats()
         });
-        for stats in out {
+        for stats in &out {
             let hello = 9 + 8;
             let pings = CLOCK_PINGS as u64 * (9 + 8);
             let ctx = 9 + TraceCtx::WIRE_BYTES as u64;
@@ -1913,6 +2375,57 @@ mod tests {
             assert_eq!(stats.frames_sent, 1 + CLOCK_PINGS as u64 + 4);
             assert_eq!((stats.nacks_sent, stats.resends), (0, 0));
         }
+        out
+    }
+
+    /// Without a region directory (no `/dev/shm`, or a platform without
+    /// regions) a UDS cluster keeps inline bodies, with the same sums.
+    #[cfg(unix)]
+    #[test]
+    fn a_missing_region_directory_falls_back_to_inline_bodies() {
+        let run = |dir: &Path| {
+            let ep = Endpoint::ephemeral_uds();
+            run_local_in(2, ClusterOptions::default(), Some(ep), dir, |c| {
+                let data: Vec<f32> = (0..3000)
+                    .map(|i| (i * (c.rank() + 3)) as f32 / 7.0)
+                    .collect();
+                let sum = c.try_allreduce_f32(data).unwrap();
+                (sum.sum, sum.contributors, c.net_stats())
+            })
+        };
+        let carried = run(Path::new(shm::SHM_DIR));
+        let inline = run(Path::new("/nonexistent/grace-shm"));
+        for ((a, ca, sa), (b, cb, sb)) in carried.iter().zip(&inline) {
+            assert_eq!((a, ca), (b, cb), "the carrier must not move a bit");
+            assert_eq!((sa.carried_bytes, sb.carried_bytes), (12_000, 0));
+            assert_eq!(sa.wire_bytes_sent, sb.wire_bytes_sent);
+        }
+    }
+
+    /// A region that cannot grow (tmpfs full: `fallocate` says `ENOSPC`) is
+    /// a typed error on that rank; the survivor's round goes on without it.
+    #[cfg(unix)]
+    #[test]
+    fn a_full_region_filesystem_is_a_typed_error() {
+        let ep = Endpoint::ephemeral_uds();
+        let opts = ClusterOptions::with_timeout(Duration::from_secs(10));
+        let out = run_socket_local(2, opts, Some(ep), |c| {
+            if c.rank() == 0 {
+                shm::fail_next_growth(28);
+            }
+            c.try_allreduce_f32(vec![1.5; 64]).map(|r| r.contributors)
+        });
+        match &out[0] {
+            Err(ClusterError::Transport {
+                rank: 0,
+                op: 0,
+                detail,
+            }) => {
+                assert!(detail.contains("No space left"), "{detail}")
+            }
+            other => panic!("expected a transport error, got {other:?}"),
+        }
+        assert_eq!(out[1], Ok(1));
     }
 
     #[test]

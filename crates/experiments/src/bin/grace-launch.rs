@@ -300,10 +300,18 @@ fn launch_once(args: &Args, compressor_id: &str, trace_dir: Option<&Path>) -> (u
                 .unwrap_or_else(|e| panic!("spawn rank {rank}: {e}"))
         })
         .collect();
+    let outputs: Vec<_> = children
+        .into_iter()
+        .map(|child| child.wait_with_output().expect("wait for child"))
+        .collect();
+    // Every child has exited, so the hub sees every stream close and
+    // returns. Join it before a check below can panic: its exit is what
+    // removes its shared-memory images when no rank got as far as a first
+    // collective.
+    let _ = hub.join();
     let mut agreed: Option<(u32, f64)> = None;
     let dropped = args.drop.map(|(r, _)| r);
-    for (rank, child) in children.into_iter().enumerate() {
-        let out = child.wait_with_output().expect("wait for child");
+    for (rank, out) in outputs.into_iter().enumerate() {
         if Some(rank) == dropped {
             // The seeded fault makes this rank exit non-zero by design; its
             // post-mortem bundle is the artefact of interest, not a result
@@ -344,7 +352,6 @@ fn launch_once(args: &Args, compressor_id: &str, trace_dir: Option<&Path>) -> (u
             ),
         }
     }
-    let _ = hub.join();
     if let Some(dir) = trace_dir {
         export_hub_trace(dir, args.ranks);
     }

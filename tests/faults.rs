@@ -418,3 +418,237 @@ fn same_fault_seed_yields_identical_counters_across_runs() {
         assert_params_finite(&second);
     }
 }
+
+// --- The same socket cases over Unix-domain sockets ----------------------
+//
+// On UDS the all-reduce bodies ride in shared-memory regions and only
+// descriptors cross the socket. Each case runs over TCP and over UDS and
+// must end in the same typed error and the same survivor bits.
+
+/// The dense baseline: every collective is an all-reduce.
+fn dense_worker(_rank: usize) -> Worker {
+    use grace::core::{NoCompression, NoMemory};
+    (
+        models::mlp_classifier("m", 8, &[12], 2, 31),
+        Box::new(Momentum::new(0.05, 0.9)) as Box<dyn Optimizer>,
+        Box::new(NoCompression::new()) as Box<dyn Compressor>,
+        Box::new(NoMemory::new()) as Box<dyn Memory>,
+    )
+}
+
+/// Like [`run_socket_with_deadline`], on any backend, with any worker.
+fn run_backend_with_deadline(
+    mut cfg: TrainConfig,
+    backend: grace::core::ExecBackend,
+    make_worker: fn(usize) -> Worker,
+) -> ThreadedResult {
+    cfg.backend = backend;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let task = ClassificationDataset::synthetic(96, 8, 2, 0.3, 31);
+        let _ = tx.send(grace::core::process::run_cluster(&cfg, &task, make_worker));
+    });
+    match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(result) => {
+            handle.join().expect("worker panicked after reporting");
+            result
+        }
+        Err(_) => panic!("faulty {backend:?} run exceeded its deadline: deadlock"),
+    }
+}
+
+fn uds_and_tcp() -> Vec<grace::comm::net::Endpoint> {
+    use grace::comm::net::Endpoint;
+    let mut endpoints = vec![Endpoint::Tcp("127.0.0.1:0".to_string())];
+    if cfg!(unix) {
+        endpoints.push(Endpoint::ephemeral_uds());
+    }
+    endpoints
+}
+
+/// Starts a hub on `endpoint` for `world` ranks and runs `rank_fn` on one
+/// thread per rank, each connected with `options`; returns the ranks'
+/// results and the hub's.
+fn run_on_hub<T: Send>(
+    hub: grace::comm::net::HubServer,
+    world: usize,
+    options: grace::comm::ClusterOptions,
+    rank_fn: impl Fn(grace::comm::net::SocketCluster) -> T + Sync,
+) -> (Vec<T>, Result<(), grace::comm::ClusterError>) {
+    use grace::comm::net::{NetConfig, SocketCluster};
+    let endpoint = hub.endpoint().clone();
+    let hub = hub.spawn();
+    let out = std::thread::scope(|s| {
+        let joins: Vec<_> = (0..world)
+            .map(|rank| {
+                let (endpoint, rank_fn) = (endpoint.clone(), &rank_fn);
+                s.spawn(move || {
+                    let mut cfg = NetConfig::new(rank, world, endpoint);
+                    cfg.options = options;
+                    rank_fn(SocketCluster::connect(&cfg).expect("join"))
+                })
+            })
+            .collect();
+        joins.into_iter().map(|j| j.join().unwrap()).collect()
+    });
+    (out, hub.join())
+}
+
+/// A rank killed in the middle of an all-reduce-laden step (one bucket per
+/// tensor): the UDS survivors, whose bodies travel through regions, rescale
+/// exactly like the TCP and the threaded survivors — same counters, same
+/// trained bits.
+#[test]
+fn uds_worker_killed_mid_allreduce_rescales_like_tcp_and_threaded() {
+    use grace::core::ExecBackend;
+    let mut cfg = config(Some(FaultConfig {
+        plan: FaultPlan::empty().with_drop(2, 6),
+        timeout: Some(Duration::from_secs(10)),
+    }));
+    cfg.fusion_bytes = 1; // op 6 lands strictly mid-step (4 tensors/step)
+    let mut backends = vec![ExecBackend::Threads, ExecBackend::SocketTcp];
+    if cfg!(unix) {
+        backends.push(ExecBackend::SocketUds);
+    }
+    let runs: Vec<_> = backends
+        .iter()
+        .map(|&b| run_backend_with_deadline(cfg.clone(), b, dense_worker))
+        .collect();
+    for (backend, run) in backends.iter().zip(&runs) {
+        assert_eq!(run.survivors, N - 1, "{backend:?}: exactly one rank dies");
+        assert_eq!(run.faults.injected_drops, vec![0, 0, 1], "{backend:?}");
+        assert_params_finite(run);
+        assert_eq!(run.final_quality, runs[0].final_quality, "{backend:?}");
+        for ((na, ta), (_, tb)) in runs[0].final_params.iter().zip(&run.final_params) {
+            assert_eq!(ta.as_slice(), tb.as_slice(), "{backend:?} diverged at {na}");
+        }
+    }
+}
+
+/// A hub that dies after reading a round's requests: every rank waiting on
+/// that round gets a typed transport error at that op — over UDS exactly as
+/// over TCP — after the same sums for the rounds before it.
+#[test]
+fn uds_hub_dying_mid_round_is_a_typed_error_like_tcp() {
+    use grace::comm::net::HubServer;
+    use grace::comm::{ClusterError, ClusterOptions, Collective};
+
+    let options = ClusterOptions::with_timeout(Duration::from_secs(10));
+    let mut outcomes = Vec::new();
+    for endpoint in uds_and_tcp() {
+        let hub = HubServer::bind(&endpoint, 2, options)
+            .unwrap()
+            .abort_after_rounds(2);
+        let (ranks, hub) = run_on_hub(hub, 2, options, |c| {
+            let mut sums = Vec::new();
+            for op in 0..4u64 {
+                let data: Vec<f32> = (0..5000)
+                    .map(|i| (i as u64 * (op + 2)) as f32 / 3.0)
+                    .collect();
+                match c.try_allreduce_f32(data) {
+                    Ok(r) => sums.push(r.sum),
+                    Err(e) => return (sums, e),
+                }
+            }
+            panic!("rank {} outlived its hub", c.rank());
+        });
+        match hub {
+            Err(ClusterError::Transport { op: 2, detail, .. }) => {
+                assert!(detail.contains("aborted"), "{detail}")
+            }
+            other => panic!("{endpoint}: hub must report its abort, got {other:?}"),
+        }
+        for (rank, (sums, e)) in ranks.iter().enumerate() {
+            assert_eq!(
+                sums.len(),
+                2,
+                "{endpoint}: rounds before the abort complete"
+            );
+            assert!(
+                matches!(e, ClusterError::Transport { rank: r, op: 2, .. } if *r == rank),
+                "{endpoint}: rank {rank} got {e:?}"
+            );
+        }
+        outcomes.push(ranks.into_iter().map(|(sums, _)| sums).collect::<Vec<_>>());
+    }
+    assert!(
+        outcomes.windows(2).all(|w| w[0] == w[1]),
+        "carriers disagree"
+    );
+}
+
+/// A rank that joins and then stays silent: the rank waiting on it trips
+/// its own deadline with `Timeout` at that op, over UDS as over TCP.
+#[test]
+fn uds_silent_rank_ends_in_timeout_like_tcp() {
+    use grace::comm::net::HubServer;
+    use grace::comm::{ClusterError, ClusterOptions, Collective};
+
+    let rank_options = ClusterOptions::with_timeout(Duration::from_millis(300));
+    for endpoint in uds_and_tcp() {
+        // The hub waits as long as it takes; only the waiting rank's
+        // deadline can fire.
+        let hub = HubServer::bind(&endpoint, 2, ClusterOptions::default()).unwrap();
+        let (ranks, hub) = run_on_hub(hub, 2, rank_options, |c| {
+            if c.rank() == 1 {
+                std::thread::sleep(Duration::from_millis(1200));
+                return None;
+            }
+            Some(c.try_allreduce_f32(vec![0.5; 4000]).map(|r| r.sum))
+        });
+        match &ranks[0] {
+            Some(Err(ClusterError::Timeout {
+                rank: 0,
+                op: 0,
+                waited,
+            })) => {
+                assert_eq!(*waited, Duration::from_millis(300), "{endpoint}")
+            }
+            other => panic!("{endpoint}: expected Timeout at op 0, got {other:?}"),
+        }
+        assert!(hub.is_ok(), "{endpoint}: {hub:?}");
+    }
+}
+
+/// A corrupted all-reduce: over TCP the frame is damaged in flight, over
+/// UDS a bit of the body is flipped in the region after its CRC (and
+/// restored for the resend). Either way the round NACKs, the rank resends
+/// clean, and every rank gets the same sum as an undisturbed round.
+#[test]
+fn uds_corrupted_allreduce_body_is_nacked_and_resent_like_tcp() {
+    use grace::comm::net::run_socket_local;
+    use grace::comm::{ClusterOptions, Collective};
+
+    let data = |rank: usize| -> Vec<f32> {
+        (0..10_000)
+            .map(|i| ((i * 7 + rank * 13) % 97) as f32 * 0.125 - 3.0)
+            .collect()
+    };
+    let clean = run_socket_local(2, ClusterOptions::default(), None, |c| {
+        c.try_allreduce_f32(data(c.rank())).unwrap().sum
+    });
+    for endpoint in uds_and_tcp() {
+        let uds = !endpoint.to_string().starts_with("tcp");
+        let out = run_socket_local(2, ClusterOptions::default(), Some(endpoint), |c| {
+            if c.rank() == 0 {
+                c.inject_frame_corruption();
+            }
+            (
+                c.try_allreduce_f32(data(c.rank())).unwrap().sum,
+                c.net_stats(),
+            )
+        });
+        for (rank, (sum, stats)) in out.iter().enumerate() {
+            assert!(
+                sum == &clean[rank],
+                "rank {rank}: the retry must be invisible"
+            );
+            assert_eq!(
+                stats.resends,
+                u64::from(rank == 0),
+                "rank {rank}: {stats:?}"
+            );
+            assert_eq!(stats.carried_bytes > 0, uds, "rank {rank}: {stats:?}");
+        }
+    }
+}
