@@ -11,7 +11,10 @@
 //!   what the codecs ran before; for `gemm_nt`, `gemm_tn` and the CRC
 //!   tables, the library's own retained reference body (`Level::Scalar`,
 //!   `crc32_bitwise`), and for the `*_lanes` rows the level-quantizer
-//!   pair's own scalar body (`Level::Scalar`) at the vgg19-analog size;
+//!   pair's own scalar body (`Level::Scalar`) at the vgg19-analog size —
+//!   except `qsgd_fold_lanes`, whose reference is the merge's old decode
+//!   into a tensor per contribution followed by `mean_of`; for
+//!   `sum_squares_vgg19`, the serial left fold every ‖g‖₂ ran before;
 //!   for `gaussian_vgg19`, `rng::fill_gaussian_per_element`, the
 //!   per-element Box–Muller loop `fill_gaussian` ran before its kernel;
 //! * `new` — the runtime-dispatched `grace_tensor::simd` kernel, the pooled
@@ -583,8 +586,8 @@ fn main() {
     // (`Level::Scalar`, what `GRACE_FORCE_SCALAR` runs), QSGD(64) over the
     // vgg19-analog gradient's 1 521 162 elements into warm buffers: the
     // lane-parallel SplitMix64 dither and level arithmetic on encode, the
-    // per-lane `norm * l / s` on decode. Encode keeps the serial norm sum
-    // on both sides, by design.
+    // per-lane `norm * l / s` on decode. Encode's norm is the blocked sum
+    // of squares at the level each side times.
     {
         const VGG19_ELEMENTS: usize = 1_521_162;
         let g = gradient_of_bytes(4 * VGG19_ELEMENTS.next_multiple_of(256), 43);
@@ -627,6 +630,61 @@ fn main() {
         assert!(got == want, "QSGD lane decode diverged");
         rows.push(Row {
             name: "qsgd_decode_lanes",
+            reference_ms,
+            new_ms,
+        });
+
+        // A two-rank gathered merge of QSGD(64) contributions: each decoded
+        // into a tensor of its own, then `mean_of`'s add and scale passes,
+        // against both folded into one accumulator, `1/n` in the second
+        // pass.
+        let mut other = (vec![0u8; signs.len()], vec![0u8; levels.len()]);
+        let other_norm =
+            coding::quantize_levels(xs, s, &mut seeded(53), &mut other.0, &mut other.1);
+        let parts = [(&signs, &levels, norm), (&other.0, &other.1, other_norm)];
+        let mut want = Vec::new();
+        let reference_ms = time_ms(|| {
+            let decoded: Vec<grace_tensor::Tensor> = parts
+                .iter()
+                .map(|&(signs, levels, norm)| {
+                    let mut out = Vec::new();
+                    coding::dequantize_levels(signs, levels, bits, s, norm, n, &mut out);
+                    grace_tensor::Tensor::from_vec(out)
+                })
+                .collect();
+            want = grace_core::compressor::mean_of(std::hint::black_box(decoded)).into_vec();
+        });
+        let mut got = Vec::new();
+        let new_ms = time_ms(|| {
+            let mut acc = Vec::new();
+            let passes = [simd::Fold::Assign, simd::Fold::AddScale(0.5)];
+            for (&(signs, levels, norm), fold) in parts.iter().zip(passes) {
+                coding::dequantize_levels_fold(signs, levels, bits, s, norm, n, &mut acc, fold);
+            }
+            got = std::hint::black_box(acc);
+        });
+        let as_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(as_bits(&got) == as_bits(&want), "QSGD fold diverged");
+        rows.push(Row {
+            name: "qsgd_fold_lanes",
+            reference_ms,
+            new_ms,
+        });
+
+        // ‖g‖₂'s sum of squares over the same gradient: the serial left
+        // fold against the blocked kernel.
+        let mut want = 0f32;
+        let reference_ms = time_ms(|| {
+            let xs = std::hint::black_box(xs);
+            want = std::hint::black_box(xs.iter().map(|v| v * v).sum::<f32>());
+        });
+        let mut got = 0f32;
+        let new_ms = time_ms(|| {
+            got = std::hint::black_box(simd::sum_squares(std::hint::black_box(xs)));
+        });
+        assert_eq!(got.to_bits(), want.to_bits(), "sum of squares diverged");
+        rows.push(Row {
+            name: "sum_squares_vgg19",
             reference_ms,
             new_ms,
         });

@@ -1,9 +1,10 @@
 //! QSGD (Alistarh et al., NeurIPS'17).
 
-use grace_core::{Compressor, Context, Payload};
-use grace_tensor::coding::{dequantize_levels, level_bits, quantize_levels};
+use grace_core::{Compressor, Context, Payload, PayloadError, PayloadList, PayloadView};
+use grace_tensor::coding::{dequantize_levels_fold, level_bits, quantize_levels};
 use grace_tensor::pack::packed_len;
 use grace_tensor::rng::substream;
+use grace_tensor::simd::Fold;
 use grace_tensor::Tensor;
 use rand::rngs::StdRng;
 
@@ -42,6 +43,26 @@ impl Qsgd {
     pub fn levels(&self) -> u32 {
         self.s
     }
+
+    /// The level streams and norm of one contribution to a tensor of
+    /// `ctx`'s shape.
+    fn contribution<'a>(
+        &self,
+        payloads: PayloadList<'a>,
+        ctx: &Context,
+    ) -> Result<(LevelStreams<'a>, f32), PayloadError> {
+        match (payloads.len(), &ctx.meta[..]) {
+            (2, &[norm]) => {
+                let count = ctx.shape.len();
+                let streams = LevelStreams::of(payloads.get(0), payloads.get(1), self.s, count)?;
+                Ok((streams, norm))
+            }
+            (n, meta) => Err(PayloadError::Malformed(format!(
+                "QSGD contribution of {n} payloads and {} scalars, expected 2 and 1",
+                meta.len()
+            ))),
+        }
+    }
 }
 
 /// Quantizes `values` with [`quantize_levels`] into freshly allocated
@@ -61,38 +82,89 @@ pub(crate) fn quantize_to_payloads(
     ([packed(signs, 1), packed(levels, bits)], norm)
 }
 
+/// A sign bitmap and a level stream, checked against the elements they
+/// decode into.
+pub(crate) struct LevelStreams<'a> {
+    signs: &'a [u8],
+    levels: &'a [u8],
+    bits: u32,
+    count: usize,
+}
+
+impl<'a> LevelStreams<'a> {
+    /// Checks a `[signs, levels]` pair: both `Packed`, one sign bit and
+    /// `level_bits(s)` level bits per element, `count` codes in each, and
+    /// exactly the bytes those take.
+    ///
+    /// # Errors
+    ///
+    /// [`PayloadError::Malformed`] for any other pair.
+    pub(crate) fn of(
+        signs: PayloadView<'a>,
+        levels: PayloadView<'a>,
+        s: u32,
+        count: usize,
+    ) -> Result<Self, PayloadError> {
+        let bits = level_bits(s);
+        match (signs, levels) {
+            (
+                PayloadView::Packed {
+                    data: signs,
+                    bits: 1,
+                    count: sign_count,
+                },
+                PayloadView::Packed {
+                    data: levels,
+                    bits: level_width,
+                    count: level_count,
+                },
+            ) if level_width == bits
+                && [sign_count, level_count].map(|n| n as usize) == [count; 2]
+                && signs.len() == packed_len(count, 1)
+                && levels.len() == packed_len(count, bits) =>
+            {
+                Ok(LevelStreams {
+                    signs,
+                    levels,
+                    bits,
+                    count,
+                })
+            }
+            _ => Err(PayloadError::Malformed(format!(
+                "expected a 1-bit sign bitmap and a {bits}-bit level stream of {count} codes each"
+            ))),
+        }
+    }
+
+    /// Decodes `±norm · level / s` into `out` as `fold` says.
+    pub(crate) fn fold_into(&self, s: u32, norm: f32, out: &mut Vec<f32>, fold: Fold) {
+        let (signs, levels, bits, count) = (self.signs, self.levels, self.bits, self.count);
+        dequantize_levels_fold(signs, levels, bits, s, norm, count, out, fold);
+    }
+}
+
 /// Decodes a `[signs, levels]` payload pair produced by
-/// [`quantize_to_payloads`] with [`dequantize_levels`].
+/// [`quantize_to_payloads`].
 ///
 /// # Panics
 ///
-/// Panics unless both payloads are `Packed` with one sign bit and one level
-/// per element.
+/// Panics unless [`LevelStreams::of`] accepts the pair at the sign
+/// bitmap's count.
 pub(crate) fn dequantize_payloads(
     signs: &Payload,
     levels: &Payload,
     s: u32,
     norm: f32,
 ) -> Vec<f32> {
-    match (signs, levels) {
-        (
-            Payload::Packed {
-                data: signs,
-                bits: 1,
-                count: sign_count,
-            },
-            Payload::Packed {
-                data: levels,
-                bits,
-                count,
-            },
-        ) if sign_count == count => {
-            let mut out = Vec::new();
-            dequantize_levels(signs, levels, *bits, s, norm, *count as usize, &mut out);
-            out
-        }
-        _ => panic!("expected a packed sign bitmap and a level stream of the same count"),
-    }
+    let count = match signs {
+        Payload::Packed { count, .. } => *count as usize,
+        _ => 0,
+    };
+    let (signs, levels) = (PayloadView::of(signs), PayloadView::of(levels));
+    let streams = LevelStreams::of(signs, levels, s, count).unwrap_or_else(|e| panic!("{e}"));
+    let mut out = Vec::new();
+    streams.fold_into(s, norm, &mut out, Fold::Assign);
+    out
 }
 
 impl Compressor for Qsgd {
@@ -109,8 +181,27 @@ impl Compressor for Qsgd {
     }
 
     fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor {
-        let data = dequantize_payloads(&payloads[0], &payloads[1], self.s, ctx.meta[0]);
-        Tensor::new(data, ctx.shape.clone())
+        let mut out = Vec::new();
+        self.fold_gathered(payloads.into(), ctx, &mut out, Fold::Assign);
+        Tensor::new(out, ctx.shape.clone())
+    }
+
+    /// Decodes the level streams straight into the accumulator.
+    fn fold_gathered(
+        &mut self,
+        payloads: PayloadList<'_>,
+        ctx: &Context,
+        acc: &mut Vec<f32>,
+        fold: Fold,
+    ) {
+        let (streams, norm) = self
+            .contribution(payloads, ctx)
+            .unwrap_or_else(|e| panic!("{e}"));
+        streams.fold_into(self.s, norm, acc, fold);
+    }
+
+    fn check_gathered(&self, payloads: PayloadList<'_>, ctx: &Context) -> Result<(), PayloadError> {
+        self.contribution(payloads, ctx).map(drop)
     }
 }
 
@@ -196,6 +287,54 @@ mod tests {
             "p={p_quarter}, expected {expect_p}"
         );
         assert_eq!(zero_count + quarter_count, 2000);
+    }
+
+    /// A frame that passes its CRC is still bytes a peer wrote: every view
+    /// list the level decode cannot take is a typed rejection, before any
+    /// element folds, and a sound one folds to `decompress`'s bits.
+    #[test]
+    fn malformed_views_are_rejected_before_any_element_folds() {
+        let mut c = Qsgd::new(64, 5);
+        let g = gradient(100, 4);
+        let (payloads, ctx) = c.compress(&g, "w");
+        let views: Vec<PayloadView<'_>> = payloads.iter().map(PayloadView::of).collect();
+        c.check_gathered(PayloadList::Views(&views), &ctx).unwrap();
+        let mut acc = Vec::new();
+        c.fold_gathered(PayloadList::Views(&views), &ctx, &mut acc, Fold::Assign);
+        let want = c.decompress(&payloads, &ctx);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&acc), bits(want.as_slice()));
+
+        let (signs, levels) = (views[0], views[1]);
+        let packed = |bits: u32, count: usize, short: usize| PayloadView::Packed {
+            data: &[0; 200][..packed_len(count, bits) - short],
+            bits,
+            count: count as u32,
+        };
+        let malformed: [(&str, Vec<PayloadView<'_>>); 8] = [
+            ("one view", vec![signs]),
+            ("three views", vec![signs, levels, levels]),
+            ("f32 signs", vec![PayloadView::F32(&[0.0; 100]), levels]),
+            ("bytes levels", vec![signs, PayloadView::Bytes(&[0; 88])]),
+            ("2-bit signs", vec![packed(2, 100, 0), levels]),
+            ("6-bit levels", vec![signs, packed(6, 100, 0)]),
+            ("99 codes", vec![packed(1, 99, 0), packed(7, 99, 0)]),
+            ("short stream", vec![signs, packed(7, 100, 1)]),
+        ];
+        for (what, views) in &malformed {
+            assert!(
+                matches!(
+                    c.check_gathered(PayloadList::Views(views), &ctx),
+                    Err(PayloadError::Malformed(_))
+                ),
+                "{what}"
+            );
+        }
+        for meta in [vec![], vec![1.0, 2.0]] {
+            let ctx = Context::with_meta(ctx.shape.clone(), meta);
+            let list = PayloadList::Views(&views);
+            assert!(c.check_gathered(list, &ctx).is_err(), "{:?}", ctx.meta);
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! [`AggregationPlan`] with two interchangeable strategies:
 //!
 //! * [`AggregationPlan::DecodeThenMerge`] — the paper's behaviour, kept as
-//!   the reference: decode every contribution, then run the method's `Agg`.
+//!   the reference: decode every contribution and run the method's `Agg`,
+//!   folded contribution by contribution into one accumulator
+//!   ([`Compressor::fold_gathered`]).
 //! * [`AggregationPlan::HomomorphicSum`] — never materialize per-worker
 //!   dense tensors at all: compressors advertising the
 //!   [`HomomorphicAggregate`] capability fold each *encoded* contribution
@@ -40,6 +42,7 @@ use crate::compressor::Compressor;
 use crate::exchange::EncodedTensor;
 use crate::payload::{self, PayloadError, PayloadView};
 use grace_telemetry::{Stage, StageTimer, Track};
+use grace_tensor::simd::Fold;
 use grace_tensor::{Shape, Tensor};
 
 pub use crate::compressor::Context;
@@ -48,8 +51,9 @@ pub use crate::payload::{Payload, PayloadList};
 /// How the engine merges gathered contributions into the aggregated tensor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AggregationPlan {
-    /// Decode every contribution, then run the method's `Agg` on lane 0 —
-    /// the reference path the other plan must match bit-for-bit.
+    /// Decode every contribution into one accumulator through the method's
+    /// `Agg` ([`Compressor::fold_gathered`]) on lane 0 — the reference path
+    /// the other plan must match bit-for-bit.
     #[default]
     DecodeThenMerge,
     /// Fold *encoded* contributions directly into the accumulator via
@@ -171,24 +175,28 @@ pub struct MergeStats {
     /// for the reference plan, the sum of compressed wire sizes for
     /// [`AggregationPlan::HomomorphicSum`].
     pub incast_bytes: u64,
-    /// Nanoseconds spent decompressing contributions, serially on the
-    /// merging thread (zero under [`AggregationPlan::HomomorphicSum`] —
-    /// nothing decodes).
+    /// Nanoseconds of the reference fold's first pass, which decodes the
+    /// first contribution into the accumulator, serially on the merging
+    /// thread (zero under [`AggregationPlan::HomomorphicSum`] — nothing
+    /// decodes).
     pub decode_cpu_ns: u64,
-    /// Nanoseconds spent in the merge fold itself.
+    /// Nanoseconds of the rest of the fold: every later contribution folded
+    /// onto the sum, and the `1/n` scale.
     pub merge_ns: u64,
 }
 
 const DECOMPRESS: Track = Track::Stage(Stage::Decompress);
 const AGGREGATE: Track = Track::Stage(Stage::Aggregate);
 
-/// The pooled merge component: owns the fold scratch so repeated merges
-/// allocate nothing beyond the output tensor. One lives on every exchange
-/// engine.
+/// The pooled merge component: owns the fold scratch and the contexts
+/// gathered frames are read into, so repeated merges allocate nothing
+/// beyond the output tensor. One lives on every exchange engine.
 #[derive(Debug)]
 pub struct AggMerger {
     plan: AggregationPlan,
     scratch: FoldScratch,
+    /// The frame being folded and the one checked ahead of it.
+    contexts: [Context; 2],
 }
 
 impl AggMerger {
@@ -197,6 +205,7 @@ impl AggMerger {
         AggMerger {
             plan,
             scratch: FoldScratch::new(),
+            contexts: std::array::from_fn(|_| Context::shape_only(Shape::scalar())),
         }
     }
 
@@ -206,9 +215,11 @@ impl AggMerger {
     }
 
     /// Merges gathered encoded contributions under the requested plan
-    /// (downgraded per method), in rank order — the reference plan's tail of
+    /// (downgraded per method), in rank order — the owned twin of
     /// [`merge_frames`](Self::merge_frames), also driven directly by the
-    /// reference tests.
+    /// reference tests. The reference plan folds every contribution into one
+    /// accumulator through [`Compressor::fold_gathered`]; the first pass is
+    /// the `decompress` stage, the rest the `aggregate` stage.
     ///
     /// # Panics
     ///
@@ -237,15 +248,13 @@ impl AggMerger {
             };
             return (out, stats);
         }
-        let t0 = StageTimer::start();
-        let decoded: Vec<Tensor> = parts
-            .iter()
-            .map(|e| compressor.decompress(&e.payloads, &e.ctx))
-            .collect();
-        let decode_cpu_ns = t0.finish("decompress", DECOMPRESS);
-        let t1 = StageTimer::start();
-        let out = compressor.aggregate(decoded);
-        let merge_ns = t1.finish("aggregate", AGGREGATE);
+        let mut fold = ReferenceFold::new();
+        let last = parts.len() - 1;
+        for (i, part) in parts.iter().enumerate() {
+            let payloads = PayloadList::Owned(&part.payloads);
+            fold.next(compressor, payloads, &part.ctx, i == last);
+        }
+        let (out, decode_cpu_ns, merge_ns) = fold.finish(&parts[0].ctx.shape);
         let stats = MergeStats {
             plan,
             incast_bytes: dense_bytes,
@@ -293,18 +302,20 @@ impl AggMerger {
 
     /// Merges one tensor's gathered frames ([`payload::encode_frame`] bytes,
     /// one per live rank, in rank order) under the requested plan — the
-    /// `Allgather` merge of every exchange session. A frame that fails
-    /// its CRC or is malformed is a rejected contribution: the sender's
-    /// bytes were damaged before deposit, so every receiver rejects the
-    /// identical frame and the mean over the survivors is the same rescaled
-    /// estimate on all of them. Returns the merged tensor, its stats and the
-    /// number of rejected frames.
+    /// `Allgather` merge of every exchange session. A frame that fails its
+    /// CRC, is malformed, or carries a contribution
+    /// [`Compressor::check_gathered`] rejects is a rejected contribution:
+    /// the sender's bytes were damaged before deposit, so every receiver
+    /// rejects the identical frame and the mean over the survivors is the
+    /// same rescaled estimate on all of them. Returns the merged tensor, its
+    /// stats and the number of rejected frames.
     ///
-    /// [`AggregationPlan::HomomorphicSum`] folds each frame's payloads
-    /// through zero-copy views, bit-identical to the owned
-    /// [`fold_homomorphic_into`](Self::fold_homomorphic_into) (same rank
-    /// order, same fold body, same `1/n` scale); the reference plan
-    /// materializes the survivors and runs [`merge_gathered`](Self::merge_gathered).
+    /// Both plans fold each surviving frame's payloads through zero-copy
+    /// views into one accumulator, bit-identical to
+    /// [`merge_gathered`](Self::merge_gathered) over the survivors (same rank
+    /// order, same fold body, same `1/n` scale). Frames are checked one
+    /// ahead of the fold, so a frame is rejected before any of its elements
+    /// fold and the reference plan knows which survivor is the last.
     ///
     /// # Errors
     ///
@@ -312,72 +323,160 @@ impl AggMerger {
     pub fn merge_frames<'f>(
         &mut self,
         compressor: &mut dyn Compressor,
-        frames: impl Iterator<Item = &'f [u8]>,
+        mut frames: impl Iterator<Item = &'f [u8]>,
         shape: &Shape,
     ) -> Result<(Tensor, MergeStats, usize), PayloadError> {
         let plan = effective_plan(self.plan, compressor);
         let mut rejected = 0usize;
-        let mut last_error = PayloadError::Malformed("no live contributions".to_string());
-        // A frame is rejected before any of its elements fold, so it never
-        // contaminates the accumulator.
-        let survivors = frames.filter_map(|bytes| match payload::decode_frame(bytes) {
-            Ok(frame) => Some(frame),
-            Err(e) => {
-                rejected += 1;
-                last_error = e;
-                None
-            }
-        });
-        let mut ctx = Context::with_meta(shape.clone(), Vec::new());
-        if plan != AggregationPlan::HomomorphicSum {
-            let parts: Vec<EncodedTensor> = survivors
-                .map(|frame| {
+        let mut last_error = None;
+        // The next surviving frame, its context scalars read into `ctx`.
+        let mut survivor = |compressor: &dyn Compressor, ctx: &mut Context| {
+            for bytes in frames.by_ref() {
+                let checked = payload::decode_frame(bytes).and_then(|frame| {
                     frame.read_meta_into(&mut ctx.meta);
-                    EncodedTensor {
-                        payloads: frame.payloads().iter().map(|v| v.to_payload()).collect(),
-                        ctx: ctx.clone(),
+                    compressor.check_gathered(PayloadList::Views(frame.payloads()), ctx)?;
+                    Ok(frame)
+                });
+                match checked {
+                    Ok(frame) => return Some(frame),
+                    Err(e) => {
+                        rejected += 1;
+                        last_error = Some(e);
                     }
-                })
-                .collect();
-            if parts.is_empty() {
-                return Err(last_error);
+                }
             }
-            let (out, stats) = self.merge_gathered(compressor, &parts);
-            return Ok((out, stats, rejected));
-        }
-        let h = compressor
-            .homomorphic()
-            .expect("effective plan checked the capability");
-        let mut out = Tensor::zeros(shape.clone());
-        let mut contributors = 0usize;
-        let mut incast_bytes = 0u64;
-        let t0 = StageTimer::start();
-        for frame in survivors {
-            frame.read_meta_into(&mut ctx.meta);
-            let views = frame.payloads();
-            incast_bytes += (views.iter().map(PayloadView::encoded_bytes).sum::<usize>()
-                + ctx.meta_bytes()) as u64;
-            h.fold_encoded(
-                PayloadList::Views(views),
-                &ctx,
-                out.as_mut_slice(),
-                contributors == 0,
-                &mut self.scratch,
-            );
-            contributors += 1;
-        }
-        if contributors == 0 {
-            return Err(last_error);
-        }
-        h.finish_mean(out.as_mut_slice(), contributors);
-        let merge_ns = t0.finish("aggregate", AGGREGATE);
-        let stats = MergeStats {
-            plan,
-            incast_bytes,
-            decode_cpu_ns: 0,
-            merge_ns,
+            None
         };
+        let [mut ctx, mut next_ctx] = self.contexts.each_mut();
+        for c in [&mut ctx, &mut next_ctx] {
+            c.shape.clone_from(shape);
+        }
+        let mut next = survivor(compressor, next_ctx);
+        let mut contributors = 0usize;
+        let (out, stats) = if plan == AggregationPlan::HomomorphicSum {
+            let mut out = Tensor::zeros(shape.clone());
+            let mut incast_bytes = 0u64;
+            let t0 = StageTimer::start();
+            while let Some(frame) = next {
+                std::mem::swap(&mut ctx, &mut next_ctx);
+                next = survivor(compressor, next_ctx);
+                let views = frame.payloads();
+                incast_bytes += (views.iter().map(PayloadView::encoded_bytes).sum::<usize>()
+                    + ctx.meta_bytes()) as u64;
+                compressor
+                    .homomorphic()
+                    .expect("effective plan checked the capability")
+                    .fold_encoded(
+                        PayloadList::Views(views),
+                        ctx,
+                        out.as_mut_slice(),
+                        contributors == 0,
+                        &mut self.scratch,
+                    );
+                contributors += 1;
+            }
+            if contributors > 0 {
+                let h = compressor.homomorphic().expect("capability checked");
+                h.finish_mean(out.as_mut_slice(), contributors);
+            }
+            let merge_ns = t0.finish("aggregate", AGGREGATE);
+            let stats = MergeStats {
+                plan,
+                incast_bytes,
+                decode_cpu_ns: 0,
+                merge_ns,
+            };
+            (out, stats)
+        } else {
+            let mut fold = ReferenceFold::new();
+            while let Some(frame) = next {
+                std::mem::swap(&mut ctx, &mut next_ctx);
+                next = survivor(compressor, next_ctx);
+                let views = PayloadList::Views(frame.payloads());
+                fold.next(compressor, views, ctx, next.is_none());
+                contributors += 1;
+            }
+            let (out, decode_cpu_ns, merge_ns) = fold.finish(shape);
+            let stats = MergeStats {
+                plan,
+                incast_bytes: (contributors * shape.len() * 4) as u64,
+                decode_cpu_ns,
+                merge_ns,
+            };
+            (out, stats)
+        };
+        if contributors == 0 {
+            let none = || PayloadError::Malformed("no live contributions".to_string());
+            return Err(last_error.unwrap_or_else(none));
+        }
         Ok((out, stats, rejected))
+    }
+}
+
+/// The reference plan's merge in progress: every contribution folds, in
+/// rank order, into one accumulator through [`Compressor::fold_gathered`].
+/// The first pass assigns, the others add, and the last of `n ≥ 2` also
+/// multiplies by `1/n` — [`crate::compressor::mean_of`] element by element,
+/// in one pass per contribution.
+struct ReferenceFold {
+    acc: Vec<f32>,
+    folded: usize,
+    decode_ns: u64,
+    /// Times every pass after the first, which decodes onto the sum.
+    rest: Option<StageTimer>,
+}
+
+impl ReferenceFold {
+    fn new() -> Self {
+        ReferenceFold {
+            acc: Vec::new(),
+            folded: 0,
+            decode_ns: 0,
+            rest: None,
+        }
+    }
+
+    /// Folds the next contribution; `last` says whether it is the last.
+    fn next(
+        &mut self,
+        compressor: &mut dyn Compressor,
+        payloads: PayloadList<'_>,
+        ctx: &Context,
+        last: bool,
+    ) {
+        let fold = match (self.folded, last) {
+            (0, _) => Fold::Assign,
+            (_, false) => Fold::Add,
+            (i, true) => Fold::AddScale(1.0 / (i + 1) as f32),
+        };
+        let t0 = (self.folded == 0).then(StageTimer::start);
+        compressor.fold_gathered(payloads, ctx, &mut self.acc, fold);
+        if let Some(t0) = t0 {
+            self.decode_ns = t0.finish("decompress", DECOMPRESS);
+            self.rest = Some(StageTimer::start());
+        }
+        self.folded += 1;
+    }
+
+    /// The mean over the folded contributions as a tensor of `shape`, with
+    /// the `decompress` and `aggregate` nanoseconds. Nothing folded yields
+    /// an empty tensor, which no caller returns.
+    fn finish(mut self, shape: &Shape) -> (Tensor, u64, u64) {
+        let Some(rest) = self.rest else {
+            return (Tensor::from_vec(Vec::new()), 0, 0);
+        };
+        if self.folded == 1 {
+            // `mean_of` scales a lone contribution by `1/1` too, which
+            // quiets a signalling NaN; the opaque factor keeps the multiply.
+            let one = std::hint::black_box(1.0f32);
+            self.acc.iter_mut().for_each(|v| *v *= one);
+        }
+        let merge_ns = rest.finish("aggregate", AGGREGATE);
+        (
+            Tensor::new(self.acc, shape.clone()),
+            self.decode_ns,
+            merge_ns,
+        )
     }
 }
 

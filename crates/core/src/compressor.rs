@@ -1,7 +1,8 @@
 //! The compressor API (paper §IV-B).
 
 use crate::aggregation::HomomorphicAggregate;
-use crate::payload::Payload;
+use crate::payload::{Payload, PayloadError, PayloadList};
+use grace_tensor::simd::Fold;
 use grace_tensor::{pool, Shape, Tensor};
 
 /// Opaque decompression context: everything `decompress` needs to restore a
@@ -101,14 +102,49 @@ pub trait Compressor: Send {
         self.decompress(&payloads, ctx)
     }
 
-    /// Aggregates decompressed per-worker gradients (`Agg`, Algorithm 1 line
-    /// 13). The default is the mean, matching `Allreduce` semantics.
+    /// Folds one gathered contribution into the merge accumulator `acc` —
+    /// the method's `Agg` (Algorithm 1 line 13), one contribution at a time
+    /// in rank order. The merge passes [`Fold::Assign`] for the first,
+    /// [`Fold::Add`] for the middle ones and [`Fold::AddScale`]`(1/n)` for
+    /// the last of `n ≥ 2`, which is [`mean_of`] elementwise (a lone
+    /// contribution is assigned, then scaled by `1/1`). The default decodes
+    /// the contribution and folds the decoded values; a method overrides it
+    /// to decode straight into `acc`, or to run an `Agg` other than the
+    /// mean.
     ///
     /// # Panics
     ///
-    /// The default panics if `parts` is empty or sizes mismatch.
-    fn aggregate(&mut self, parts: Vec<Tensor>) -> Tensor {
-        mean_of(parts)
+    /// Panics on payloads [`check_gathered`](Self::check_gathered) rejects,
+    /// or if an adding pass meets an `acc` of another length.
+    fn fold_gathered(
+        &mut self,
+        payloads: PayloadList<'_>,
+        ctx: &Context,
+        acc: &mut Vec<f32>,
+        fold: Fold,
+    ) {
+        let decoded = match payloads {
+            PayloadList::Owned(p) => self.decompress(p, ctx),
+            PayloadList::Views(v) => {
+                let owned = v.iter().map(|view| view.to_payload()).collect();
+                self.decompress_owned(owned, ctx)
+            }
+        };
+        fold.apply(acc, decoded.into_vec());
+    }
+
+    /// Checks that a gathered contribution — payloads and context scalars a
+    /// peer sent — is one [`fold_gathered`](Self::fold_gathered) can fold.
+    /// The merge rejects a contribution that fails before any of it folds.
+    /// The default accepts everything.
+    ///
+    /// # Errors
+    ///
+    /// [`PayloadError::Malformed`] for a contribution the method cannot
+    /// decode.
+    fn check_gathered(&self, payloads: PayloadList<'_>, ctx: &Context) -> Result<(), PayloadError> {
+        let _ = (payloads, ctx);
+        Ok(())
     }
 
     /// Whether enabling error feedback is meaningful for this method (false

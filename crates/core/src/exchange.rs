@@ -69,7 +69,7 @@
 
 use crate::aggregation::{AggMerger, AggregationPlan, MergeStats};
 use crate::bucket::BucketPlan;
-use crate::compressor::{CommStrategy, Compressor, Context};
+use crate::compressor::{mean_of, CommStrategy, Compressor, Context};
 use crate::memory::Memory;
 use crate::payload::{self, Payload, PayloadError};
 use grace_comm::{
@@ -548,8 +548,9 @@ pub fn average_sum(mut sum: Vec<f32>, contributors: usize) -> Payload {
     Payload::F32(sum)
 }
 
-/// Decompresses every gathered contribution in rank order and applies the
-/// method's `Agg` — `Allgather` semantics, Algorithm 1 lines 11–13.
+/// Decompresses every gathered contribution in rank order and takes their
+/// [`mean_of`] — `Allgather` semantics, Algorithm 1 lines 11–13, written the
+/// long way: the oracle every merge plan's fold is held to.
 ///
 /// # Panics
 ///
@@ -560,7 +561,7 @@ pub fn decode_gathered(compressor: &mut dyn Compressor, parts: &[EncodedTensor])
         .iter()
         .map(|e| compressor.decompress(&e.payloads, &e.ctx))
         .collect();
-    compressor.aggregate(decoded)
+    mean_of(decoded)
 }
 
 /// Per-lane state of the pipelined session. Every vector is a pool that

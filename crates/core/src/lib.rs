@@ -13,7 +13,7 @@
 //! | `compress` / `decompress` | [`Compressor::compress`] / [`Compressor::decompress`] |
 //! | `memory_compensate` φ | [`Memory::compensate`] |
 //! | `memory_update` ψ | [`Memory::update`] |
-//! | `aggregate` Agg | [`Compressor::aggregate`] |
+//! | `aggregate` Agg | [`Compressor::fold_gathered`] |
 //! | communication strategy | [`CommStrategy`] (`Allreduce` / `Allgather` / `Broadcast`) |
 //! | `quantize`/`sparsify`/`pack` helpers | re-exported from `grace-tensor` |
 //!

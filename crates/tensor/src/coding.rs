@@ -80,6 +80,30 @@ pub fn dequantize_levels(
     simd::dequantize_levels_at(simd::level(), signs, levels, bits, s, norm, count, out);
 }
 
+/// [`dequantize_levels`] folded into a merge accumulator: every decoded
+/// value enters `out` as `fold` says ([`simd::Fold::Assign`] is
+/// [`dequantize_levels`] itself). [`crate::simd::dequantize_levels_fold_at`]
+/// pins the dispatch level.
+///
+/// # Panics
+///
+/// As [`dequantize_levels`], and if an adding `fold` meets an `out` that
+/// does not hold `count` elements.
+#[allow(clippy::too_many_arguments)]
+pub fn dequantize_levels_fold(
+    signs: &[u8],
+    levels: &[u8],
+    bits: u32,
+    s: u32,
+    norm: f32,
+    count: usize,
+    out: &mut Vec<f32>,
+    fold: simd::Fold,
+) {
+    let lvl = simd::level();
+    simd::dequantize_levels_fold_at(lvl, signs, levels, bits, s, norm, count, out, fold);
+}
+
 /// The per-element loop [`quantize_levels`] replaced (`floorf`, a `Vec<u32>`
 /// per stream, the bit-cursor packer), kept as its oracle. Returns the sign
 /// bitmap, the level stream and the norm.

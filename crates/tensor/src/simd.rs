@@ -557,8 +557,8 @@ pub fn quantize_levels_at(
         packed_len(xs.len(), level_bits(s)),
         "level stream length"
     );
-    // Serial, left to right: goldens pin this order.
-    let norm = xs.iter().map(|v| v * v).sum::<f32>().sqrt();
+    // The serial left fold's bits (goldens pin them), by whole ulps.
+    let norm = sum_squares_at(lvl, xs).sqrt();
     dispatch!(lvl,
         scalar: scalar::quantize_levels(xs, norm, s, rng, signs, levels),
         sse2: x86::quantize_levels_sse2(xs, norm, s, rng, signs, levels),
@@ -587,12 +587,259 @@ pub fn dequantize_levels_at(
     count: usize,
     out: &mut Vec<f32>,
 ) {
+    dequantize_levels_fold_at(lvl, signs, levels, bits, s, norm, count, out, Fold::Assign);
+}
+
+/// How one decoded contribution enters a merge accumulator. A gathered
+/// merge is the elementwise mean in rank order: the first contribution
+/// assigned, the others added, and the sum multiplied by `1/n` — here inside
+/// the last contribution's pass, where `(acc + d) * (1/n)` is the add and
+/// the multiply the two-pass mean runs on each element.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Fold {
+    /// `acc = d`: `acc` is cleared and refilled, its contents unread.
+    Assign,
+    /// `acc += d`.
+    Add,
+    /// `acc = (acc + d) * scale`.
+    AddScale(f32),
+}
+
+impl Fold {
+    /// Folds decoded `values` into `acc`; [`Fold::Assign`] moves the buffer
+    /// in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an adding pass meets lengths that differ.
+    pub fn apply(self, acc: &mut Vec<f32>, values: Vec<f32>) {
+        if self == Fold::Assign {
+            *acc = values;
+        } else {
+            FoldSink::new(acc, self, values.len()).put(&values);
+        }
+    }
+}
+
+/// The write side of a fold: appends under [`Fold::Assign`], and otherwise
+/// combines each value with the accumulator element it lands on.
+struct FoldSink<'a> {
+    out: &'a mut Vec<f32>,
+    fold: Fold,
+    at: usize,
+}
+
+impl<'a> FoldSink<'a> {
+    /// A sink for `count` values into `out`.
+    #[track_caller]
+    fn new(out: &'a mut Vec<f32>, fold: Fold, count: usize) -> Self {
+        if fold == Fold::Assign {
+            out.clear();
+            out.reserve(count);
+        } else {
+            assert_eq!(out.len(), count, "accumulator length");
+        }
+        FoldSink { out, fold, at: 0 }
+    }
+
+    /// The next `values.len()` elements, in order.
+    #[inline(always)]
+    fn put(&mut self, values: &[f32]) {
+        let at = self.at;
+        self.at += values.len();
+        if self.fold == Fold::Assign {
+            return self.out.extend_from_slice(values);
+        }
+        let acc = &mut self.out[at..self.at];
+        match self.fold {
+            Fold::AddScale(scale) => {
+                for (a, &d) in acc.iter_mut().zip(values) {
+                    *a = fold_add(*a, d) * scale;
+                }
+            }
+            _ => {
+                for (a, &d) in acc.iter_mut().zip(values) {
+                    *a = fold_add(*a, d);
+                }
+            }
+        }
+    }
+}
+
+/// `acc + d`, keeping `acc`'s NaN when both are NaN. Which NaN an add
+/// returns is otherwise the compiler's choice — the operands commute, and
+/// `Tensor::add_assign`'s vector loop keeps the accumulator's while its
+/// scalar tail keeps the addend's — so every fold body pins it here, and
+/// every level returns the same bits.
+/// Branch-free, so a loop of it vectorizes.
+#[inline(always)]
+fn fold_add(acc: f32, d: f32) -> f32 {
+    let sum = acc + d;
+    if acc.is_nan() {
+        acc
+    } else {
+        sum
+    }
+}
+
+/// [`dequantize_levels_at`] folded straight into a merge accumulator: each
+/// decoded value `d` enters `out` as `fold` says, so a gathered merge
+/// decodes every contribution without materializing it. `Level::Avx2`
+/// decodes as [`dequantize_levels_at`] does and adds eight lanes at a time;
+/// every level evaluates the same `add` and `mul` per element.
+///
+/// # Panics
+///
+/// As [`dequantize_levels_at`], and if an adding `fold` meets an `out` that
+/// does not hold `count` elements.
+#[allow(clippy::too_many_arguments)]
+pub fn dequantize_levels_fold_at(
+    lvl: Level,
+    signs: &[u8],
+    levels: &[u8],
+    bits: u32,
+    s: u32,
+    norm: f32,
+    count: usize,
+    out: &mut Vec<f32>,
+    fold: Fold,
+) {
     assert_eq!(signs.len(), packed_len(count, 1), "sign bitmap length");
     assert_eq!(levels.len(), packed_len(count, bits), "level stream length");
+    let out = FoldSink::new(out, fold, count);
     dispatch!(lvl,
         scalar: scalar::dequantize_levels(signs, levels, bits, s, norm, count, out),
         sse2: x86::dequantize_levels_sse2(signs, levels, bits, s, norm, count, out),
         avx2: x86::dequantize_levels_avx2(signs, levels, bits, s, norm, count, out))
+}
+
+// ---------------------------------------------------------------------------
+// sum of squares (every ‖g‖₂)
+// ---------------------------------------------------------------------------
+
+/// Elements per block of [`sum_squares`]; a block that cannot add its ulps
+/// as integers runs serially.
+pub const SUM_SQUARES_BLOCK: usize = 256;
+
+/// `xs.iter().map(|v| v * v).sum::<f32>()`, bit for bit — the serial left
+/// fold from the toolchain's `Sum` neutral element — without its serial
+/// dependency chain.
+///
+/// Every addend is `≥ +0`, so the running sum never falls. While it stays
+/// in one binade, with ulp `u`, adding `q` adds exactly `round(q/u)` ulps,
+/// whatever the sum is, unless `q/u` is a tie (ties round to the even
+/// neighbour, which depends on the sum). So a block of
+/// [`SUM_SQUARES_BLOCK`] elements adds its ulps as integers when the sum
+/// entering it is normal and positive, every addend is below `2²²` ulps (so
+/// below the binade's half: ∞ and NaN fail this), no addend is a tie, and
+/// the integer total keeps the sum inside its binade. Each addend's ulps are
+/// read off two sums the lanes form side by side: the binade's power of two
+/// plus the addend, and its odd neighbour plus the addend; they differ by
+/// one ulp exactly when the addend is not a tie. Every other block, a sum
+/// that is zero or subnormal, and the tail run the serial loop. DESIGN.md
+/// §14 gives the argument.
+pub fn sum_squares(xs: &[f32]) -> f32 {
+    sum_squares_at(level(), xs)
+}
+
+/// [`sum_squares`] with an explicit dispatch level. Every level runs the
+/// same blocked body; `Sse2` and `Avx2` compile it for their lanes.
+pub fn sum_squares_at(lvl: Level, xs: &[f32]) -> f32 {
+    dispatch!(lvl,
+        scalar: squares::sum(xs),
+        sse2: x86::sum_squares_sse2(xs),
+        avx2: x86::sum_squares_avx2(xs))
+}
+
+/// The blocked walk of [`super::sum_squares_at`] and its portable block
+/// test, `#[inline(always)]` so the SSE2 forwarder compiles them for its
+/// lanes (the test's lane loops are straight-line and branch-free); the
+/// AVX2 forwarder brings its own block test.
+mod squares {
+    use super::SUM_SQUARES_BLOCK as BLOCK;
+
+    const LANES: usize = 8;
+    /// The mantissa field of an `f32`.
+    const MANTISSA: u32 = 0x007F_FFFF;
+
+    /// The portable body: [`sum_with`] over [`by_ulps`].
+    #[inline(always)]
+    pub fn sum(xs: &[f32]) -> f32 {
+        sum_with(xs, by_ulps)
+    }
+
+    /// The blocked walk: each full block through `block`, or serially
+    /// where it answers `None`, then the tail serially.
+    #[inline(always)]
+    pub fn sum_with(xs: &[f32], mut block: impl FnMut(f32, &[f32; BLOCK]) -> Option<f32>) -> f32 {
+        // `Sum`'s own neutral element, whichever signed zero it is.
+        let mut acc: f32 = std::iter::empty::<f32>().sum();
+        let (blocks, tail) = xs.as_chunks::<BLOCK>();
+        for b in blocks {
+            acc = block(acc, b).unwrap_or_else(|| serial(acc, b));
+        }
+        serial(acc, tail)
+    }
+
+    /// The reference loop from `acc`. Which NaN an add keeps when both
+    /// operands are NaN is up to codegen (x86 keeps the first operand's, and
+    /// a three-operand AVX add may put either first), so the loop is never
+    /// inlined into a vector forwarder: it is compiled as the reference is.
+    #[inline(never)]
+    fn serial(acc: f32, xs: &[f32]) -> f32 {
+        xs.iter().fold(acc, |acc, v| acc + v * v)
+    }
+
+    /// For a normal, positive `acc`: its binade's power of two, that
+    /// power's odd neighbour (one ulp up) and its half (`2²²` ulps).
+    #[inline(always)]
+    pub fn binade(acc: f32) -> Option<(f32, f32, f32)> {
+        // The biased exponent; a set sign bit puts it past 255.
+        let exponent = acc.to_bits() >> 23;
+        let even = exponent << 23;
+        (1..=254).contains(&exponent).then(|| {
+            (
+                f32::from_bits(even),
+                f32::from_bits(even | 1),
+                f32::from_bits(even) * 0.5,
+            )
+        })
+    }
+
+    /// `acc` moved up by the ulps whose sums from the binade's power of two
+    /// total `from_even` (wrapping) over a block, or `None` when that would
+    /// leave the binade. Each addend's ulps are its sum's bits above the
+    /// power's; under `2²²` each, the block's total is below `2³⁰`.
+    #[inline(always)]
+    pub fn advance(acc: f32, from_even: u32) -> Option<f32> {
+        let bits = acc.to_bits();
+        let power = bits & !MANTISSA;
+        let ulps = from_even.wrapping_sub((BLOCK as u32).wrapping_mul(power));
+        ((bits & MANTISSA) + ulps <= MANTISSA).then(|| f32::from_bits(bits + ulps))
+    }
+
+    /// `acc` plus the block's squares as whole ulps of `acc`'s binade, or
+    /// `None` when that would not be the serial loop's sum.
+    #[inline(always)]
+    fn by_ulps(acc: f32, block: &[f32; BLOCK]) -> Option<f32> {
+        let (even, odd, half) = binade(acc)?;
+        let mut sums = [0u32; LANES];
+        let mut bad = [0u32; LANES];
+        for group in block.as_chunks::<LANES>().0 {
+            for i in 0..LANES {
+                let q = group[i] * group[i];
+                let from_even = (even + q).to_bits();
+                let from_odd = (odd + q).to_bits();
+                let good = (q < half) & (from_odd == from_even.wrapping_add(1));
+                bad[i] |= u32::from(!good);
+                sums[i] = sums[i].wrapping_add(from_even);
+            }
+        }
+        if bad.iter().any(|&b| b != 0) {
+            return None;
+        }
+        advance(acc, sums.iter().fold(0u32, |a, &s| a.wrapping_add(s)))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -658,7 +905,7 @@ const fn crc_step(r: u32) -> u32 {
 /// Portable scalar bodies — the reference semantics every vector path must
 /// reproduce bit-for-bit.
 mod scalar {
-    use super::crc_step;
+    use super::{crc_step, FoldSink};
     use crate::coding::level_bits;
     use crate::pack::{BitReader, BitWriter};
     use rand::rngs::StdRng;
@@ -956,7 +1203,7 @@ mod scalar {
         s: u32,
         norm: f32,
         count: usize,
-        out: &mut Vec<f32>,
+        out: FoldSink<'_>,
     ) {
         let sf = s as f32;
         if bits <= TABLE_BITS {
@@ -980,11 +1227,9 @@ mod scalar {
         levels: &[u8],
         bits: u32,
         count: usize,
-        out: &mut Vec<f32>,
+        mut out: FoldSink<'_>,
         value: impl Fn(u32) -> f32,
     ) {
-        out.clear();
-        out.reserve(count);
         let mut reader = BitReader::new(levels, bits);
         let mut decode_group = |sign_byte: u8| -> [f32; 8] {
             let codes = reader.read8();
@@ -995,10 +1240,10 @@ mod scalar {
         };
         let (full, last) = signs.split_at(count / 8);
         for &sign_byte in full {
-            out.extend_from_slice(&decode_group(sign_byte));
+            out.put(&decode_group(sign_byte));
         }
         if let [sign_byte] = *last {
-            out.extend_from_slice(&decode_group(sign_byte)[..count % 8]);
+            out.put(&decode_group(sign_byte)[..count % 8]);
         }
     }
 }
@@ -1198,7 +1443,7 @@ mod gaussian {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::scalar;
+    use super::{scalar, squares, Fold, FoldSink};
     use crate::coding::level_bits;
     use crate::pack::BitWriter;
     use rand::rngs::StdRng;
@@ -1962,6 +2207,46 @@ mod x86 {
         scalar::gather_f32(src, &indices[i..], &mut out[i..]);
     }
 
+    #[target_feature(enable = "sse2")]
+    pub fn sum_squares_sse2(xs: &[f32]) -> f32 {
+        squares::sum(xs)
+    }
+
+    /// `squares::sum` with its block test in eight lanes: the same two
+    /// sums per addend, whose masks are all ones where a lane passes, so
+    /// `movemask` (which reads sign bits only) sees every failure.
+    #[target_feature(enable = "avx2")]
+    pub fn sum_squares_avx2(xs: &[f32]) -> f32 {
+        squares::sum_with(xs, |acc, block| {
+            let (even, odd, half) = squares::binade(acc)?;
+            let (even, odd, half) = (
+                _mm256_set1_ps(even),
+                _mm256_set1_ps(odd),
+                _mm256_set1_ps(half),
+            );
+            let one = _mm256_set1_epi32(1);
+            let mut sums = _mm256_setzero_si256();
+            let mut good = _mm256_set1_epi32(-1);
+            for group in block.as_chunks::<8>().0 {
+                let v = load8(group);
+                let q = _mm256_mul_ps(v, v);
+                let from_even = _mm256_castps_si256(_mm256_add_ps(even, q));
+                let from_odd = _mm256_castps_si256(_mm256_add_ps(odd, q));
+                let small = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LT_OQ>(q, half));
+                let untied = _mm256_cmpeq_epi32(from_odd, _mm256_add_epi32(from_even, one));
+                good = _mm256_and_si256(good, _mm256_and_si256(small, untied));
+                sums = _mm256_add_epi32(sums, from_even);
+            }
+            if _mm256_movemask_ps(_mm256_castsi256_ps(good)) != 0xFF {
+                return None;
+            }
+            let mut lanes = [0f32; 8];
+            store8(&mut lanes, _mm256_castsi256_ps(sums));
+            let from_even = lanes.iter().fold(0u32, |a, s| a.wrapping_add(s.to_bits()));
+            squares::advance(acc, from_even)
+        })
+    }
+
     /// The level pair's per-element arithmetic is what SSE2 autovectorizes
     /// in the scalar body already, and its draws are scalar: SSE2 takes the
     /// reference.
@@ -1985,7 +2270,7 @@ mod x86 {
         s: u32,
         norm: f32,
         count: usize,
-        out: &mut Vec<f32>,
+        out: FoldSink<'_>,
     ) {
         scalar::dequantize_levels(signs, levels, bits, s, norm, count, out);
     }
@@ -2230,6 +2515,14 @@ mod x86 {
         _mm256_xor_ps(value, _mm256_castsi256_ps(sign))
     }
 
+    /// `super::fold_add` in eight lanes: the sum, or `acc` where it is NaN.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn fold_add8(acc: __m256, d: __m256) -> __m256 {
+        let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(acc, acc);
+        _mm256_blendv_ps(_mm256_add_ps(acc, d), acc, nan)
+    }
+
     /// The scalar decode walk with the table lookup replaced by the
     /// expression the table holds, eight lanes at a time. Group `g`'s codes
     /// are the `bits` bytes at `g·bits`, read as one 8-byte word (zero
@@ -2242,7 +2535,7 @@ mod x86 {
         s: u32,
         norm: f32,
         count: usize,
-        out: &mut Vec<f32>,
+        mut out: FoldSink<'_>,
     ) {
         // Width 0 takes the scalar body too, whose reader rejects it.
         if !(1..=8).contains(&bits) {
@@ -2259,21 +2552,40 @@ mod x86 {
                 u64::from_le_bytes(padded)
             }
         };
-        out.clear();
-        out.reserve(count);
-        let mut lanes = [0f32; 8];
-        let (full, last) = signs.split_at(count / 8);
-        for (g, &sign_byte) in full.iter().enumerate() {
+        let group = |g: usize, sign_byte: u8| {
             let codes = layout.unpack(word_at(g * width));
-            let values = dequantize_group_avx2(codes, sign_byte, normv, sfv);
-            store8(&mut lanes, values);
-            out.extend_from_slice(&lanes);
+            dequantize_group_avx2(codes, sign_byte, normv, sfv)
+        };
+        let (full, last) = signs.split_at(count / 8);
+        // One loop per pass, so no group waits on a branch.
+        match out.fold {
+            Fold::Assign => {
+                let mut lanes = [0f32; 8];
+                for (g, &sign_byte) in full.iter().enumerate() {
+                    store8(&mut lanes, group(g, sign_byte));
+                    out.out.extend_from_slice(&lanes);
+                }
+            }
+            Fold::Add => {
+                let accs = out.out.as_chunks_mut::<8>().0;
+                for (g, (acc, &sign_byte)) in accs.iter_mut().zip(full).enumerate() {
+                    store8(acc, fold_add8(load8(acc), group(g, sign_byte)));
+                }
+            }
+            Fold::AddScale(scale) => {
+                let scale = _mm256_set1_ps(scale);
+                let accs = out.out.as_chunks_mut::<8>().0;
+                for (g, (acc, &sign_byte)) in accs.iter_mut().zip(full).enumerate() {
+                    let sum = fold_add8(load8(acc), group(g, sign_byte));
+                    store8(acc, _mm256_mul_ps(sum, scale));
+                }
+            }
         }
+        out.at = full.len() * 8;
         if let [sign_byte] = *last {
-            let codes = layout.unpack(word_at(full.len() * width));
-            let values = dequantize_group_avx2(codes, sign_byte, normv, sfv);
-            store8(&mut lanes, values);
-            out.extend_from_slice(&lanes[..count % 8]);
+            let mut lanes = [0f32; 8];
+            store8(&mut lanes, group(full.len(), sign_byte));
+            out.put(&lanes[..count % 8]);
         }
     }
 

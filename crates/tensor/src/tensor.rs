@@ -260,9 +260,11 @@ impl Tensor {
         self.data.iter().map(|v| v.abs()).sum()
     }
 
-    /// Euclidean (ℓ₂) norm.
+    /// Euclidean (ℓ₂) norm: the square root of the serial left-fold sum of
+    /// squares, whose bits [`crate::simd::sum_squares`] gives off the serial
+    /// chain.
     pub fn norm2(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
+        crate::simd::sum_squares(&self.data).sqrt()
     }
 
     /// ℓ∞ norm: largest absolute value (0 for an empty tensor).

@@ -20,7 +20,11 @@
 //!   per-element reference: payload bytes, decoded bits and the RNG state
 //!   after every call, at every code width the vector body takes and one
 //!   wider, every slice offset within a group, and groups holding −0.0,
-//!   ±∞ or NaN or a zero norm;
+//!   ±∞ or NaN or a zero norm — and its decode folded straight into a
+//!   merge accumulator, every pass against decode-then-mean;
+//! * the blocked sum of squares under every ‖g‖₂ against the serial fold:
+//!   ulp ties, binade crossings inside a block, subnormal sums, and NaN, ±∞
+//!   and oversized addends in every lane position;
 //! * the CRC32 kernels (table and CLMUL) against the bit-at-a-time
 //!   definition, every length up to 4 KiB at every load alignment.
 //! * `gemm_nt` (A·Bᵀ) against its scalar body over every combination of
@@ -900,6 +904,178 @@ fn level_codes_above_s_decode_like_the_reference() {
                     bits_of(&got) == bits_of(&want),
                     "{lvl} s {s} bits {bits} norm {norm}"
                 );
+            }
+        }
+    }
+}
+
+/// The serial left fold `sum_squares` must reproduce, as `norm2` and the
+/// level quantizer wrote it.
+fn serial_sum_squares(xs: &[f32]) -> f32 {
+    xs.iter().map(|v| v * v).sum::<f32>()
+}
+
+fn assert_sum_squares_matches_serial(xs: &[f32], what: &str) {
+    let want = serial_sum_squares(xs).to_bits();
+    for lvl in available_levels() {
+        let got = simd::sum_squares_at(lvl, xs).to_bits();
+        assert_eq!(got, want, "{lvl}, {what}: {got:#x} vs {want:#x}");
+    }
+    assert_eq!(simd::sum_squares(xs).to_bits(), want, "dispatched, {what}");
+}
+
+/// The blocked sum of squares against the serial fold, bit for bit, at
+/// every level: the empty and all-zero inputs (the toolchain's `Sum`
+/// neutral element), −0.0, subnormal addends and subnormal sums, ulp ties,
+/// sums that cross a binade inside a block, and lengths one short of, at
+/// and one past one and two blocks.
+#[test]
+fn sum_squares_matches_the_serial_fold() {
+    const BLOCK: usize = simd::SUM_SQUARES_BLOCK;
+    assert_sum_squares_matches_serial(&[], "empty");
+    for len in [
+        1,
+        BLOCK - 1,
+        BLOCK,
+        BLOCK + 1,
+        2 * BLOCK - 1,
+        2 * BLOCK,
+        2 * BLOCK + 1,
+    ] {
+        let gradient = finite_level_inputs(len, len);
+        assert_sum_squares_matches_serial(&gradient, &format!("gradient of {len}"));
+        for zero in [0.0f32, -0.0] {
+            assert_sum_squares_matches_serial(&vec![zero; len], &format!("{zero:?} x {len}"));
+        }
+        let mut signed = gradient.clone();
+        signed.iter_mut().step_by(3).for_each(|v| *v = -0.0);
+        assert_sum_squares_matches_serial(&signed, &format!("-0.0 among {len}"));
+    }
+    // Squares far under the sum's ulp, subnormal squares (a subnormal sum
+    // that grows into the smallest normal binades), and subnormal inputs
+    // whose squares are zero.
+    let tiny: Vec<f32> = (0..5 * BLOCK).map(|i| (i % 7) as f32 * 1.0e-20).collect();
+    assert_sum_squares_matches_serial(&tiny, "subnormal squares");
+    let denormal: Vec<f32> = (0..3 * BLOCK)
+        .map(|i| f32::from_bits(i as u32 + 1))
+        .collect();
+    assert_sum_squares_matches_serial(&denormal, "subnormal inputs");
+    // 64² puts the sum in [2¹², 2¹³), whose ulp is 2⁻¹¹: (8j · 2⁻⁹)² is
+    // j² · 2⁻¹² = j²/2 ulps, a tie for every odd j. Each 0.04² between
+    // them adds 3 ulps, so the mantissas the ties meet are even and odd.
+    for odd in [1u32, 3, 5, 7] {
+        let mut xs = vec![0.04f32; 3 * BLOCK];
+        xs[0] = 64.0;
+        for (k, v) in xs.iter_mut().enumerate().skip(BLOCK).step_by(5) {
+            *v = (8 * (odd + 2 * (k % 3) as u32)) as f32 / 512.0;
+        }
+        assert_sum_squares_matches_serial(&xs, &format!("ties from {odd}"));
+    }
+    // Sums that grow through many binades: each crossing lands inside some
+    // block.
+    let growing: Vec<f32> = (0..40 * BLOCK).map(|i| 0.5 + (i % 11) as f32).collect();
+    assert_sum_squares_matches_serial(&growing, "growing");
+    for start in [8191.5f32, 1.0e30, 3.0e38] {
+        let mut xs = vec![1.0e-3f32; 4 * BLOCK];
+        xs[0] = start.sqrt();
+        xs[BLOCK + 17] = (start * 0.25).sqrt();
+        assert_sum_squares_matches_serial(&xs, &format!("crossing from {start}"));
+    }
+    // Every lane position of a block the fast path would otherwise take:
+    // NaN, ±∞ and addends of 2²² ulps or more (the sum is near 2¹²,
+    // 2²² ulps of it are 2¹¹ = 45.25²).
+    for lane in 0..8 {
+        for at in [
+            BLOCK + lane,
+            2 * BLOCK + 8 * 17 + lane,
+            3 * BLOCK - 8 + lane,
+        ] {
+            for special in [
+                f32::NAN,
+                -f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                45.25,
+                46.0,
+                -1.0e6,
+                f32::MAX,
+            ] {
+                let mut xs = vec![0.01f32; 3 * BLOCK + 5];
+                xs[0] = 64.0;
+                xs[at] = special;
+                assert_sum_squares_matches_serial(&xs, &format!("{special} at {at}"));
+            }
+        }
+    }
+}
+
+/// Every pass of the level decode's fold against decode-then-mean — the
+/// first contribution decoded, the others added, the sum scaled by `1/n` —
+/// at every dispatch level: finite contributions, ones with a NaN norm (a
+/// NaN added onto a NaN keeps the accumulator's), and lengths around every
+/// group boundary.
+#[test]
+fn level_fold_matches_decode_then_mean() {
+    use simd::Fold;
+    for s in [1u32, 3, 15, 64, 255, 1000] {
+        let bits = level_bits(s);
+        for len in [0usize, 1, 7, 8, 9, 17, 64, 1501] {
+            let encode = |xs: &[f32], seed: u64| {
+                let mut signs = vec![0u8; packed_len(len, 1)];
+                let mut levels = vec![0u8; packed_len(len, bits)];
+                let norm = quantize_levels(xs, s, &mut seeded(seed), &mut signs, &mut levels);
+                (signs, levels, norm)
+            };
+            let with_nan = |salt| {
+                let mut xs = finite_level_inputs(len, salt);
+                if len > 0 {
+                    xs[len / 2] = f32::NAN;
+                }
+                xs
+            };
+            // NaN norms decode to NaNs whose signs are the elements' own,
+            // so the last pass adds a NaN onto a NaN of another sign.
+            let parts = [
+                encode(&finite_level_inputs(len, 1), 11),
+                encode(&with_nan(3), 12),
+                encode(&finite_level_inputs(len, 2), 13),
+                encode(&with_nan(4), 14),
+            ];
+            for n in 1..=parts.len() {
+                let mut want = Vec::new();
+                for (i, (signs, levels, norm)) in parts[..n].iter().enumerate() {
+                    let decoded = dequantize_levels_reference(signs, levels, bits, s, *norm, len);
+                    if i == 0 {
+                        want = decoded;
+                    } else {
+                        // A NaN onto a NaN keeps the accumulator's: the fold
+                        // pins the choice a plain add leaves to codegen.
+                        for (a, d) in want.iter_mut().zip(&decoded) {
+                            *a = if a.is_nan() { *a } else { *a + d };
+                        }
+                    }
+                }
+                let inv = 1.0 / n as f32;
+                want.iter_mut().for_each(|a| *a *= inv);
+                for lvl in available_levels() {
+                    let mut got = vec![7.0f32; 3];
+                    for (i, (signs, levels, norm)) in parts[..n].iter().enumerate() {
+                        let fold = match (i, i + 1 == n) {
+                            (0, _) => Fold::Assign,
+                            (_, false) => Fold::Add,
+                            (_, true) => Fold::AddScale(inv),
+                        };
+                        let out = &mut got;
+                        simd::dequantize_levels_fold_at(
+                            lvl, signs, levels, bits, s, *norm, len, out, fold,
+                        );
+                    }
+                    if n == 1 {
+                        got.iter_mut().for_each(|a| *a *= inv);
+                    }
+                    let what = format!("{lvl} s {s} len {len} n {n}");
+                    assert!(bits_of(&got) == bits_of(&want), "{what}");
+                }
             }
         }
     }

@@ -18,8 +18,9 @@ use grace::compressors::registry;
 use grace::core::exchange::decode_gathered;
 use grace::core::{
     AggMerger, AggregationPlan, CommStrategy, Compressor, CompressorSpec, Context, EncodedTensor,
-    Payload,
+    Payload, PayloadList,
 };
+use grace::tensor::simd::Fold;
 use grace::tensor::Tensor;
 use proptest::prelude::*;
 
@@ -141,8 +142,9 @@ fn algebra_audit_matches_the_opt_out_list() {
     }
 }
 
-/// A synthetic method whose `Agg` re-ranks the decoded set — a reduction no
-/// rank-order fold reproduces, so it must never be folded while encoded.
+/// A synthetic method whose `Agg` keeps the largest decoded magnitude — not
+/// the mean, so no encoded-space fold reproduces it and it must never be
+/// folded while encoded.
 struct DataDependentAgg;
 
 impl Compressor for DataDependentAgg {
@@ -165,18 +167,28 @@ impl Compressor for DataDependentAgg {
         Tensor::new(payloads[0].as_f32().to_vec(), ctx.shape.clone())
     }
 
-    fn aggregate(&mut self, parts: Vec<Tensor>) -> Tensor {
+    fn fold_gathered(
+        &mut self,
+        payloads: PayloadList<'_>,
+        ctx: &Context,
+        acc: &mut Vec<f32>,
+        fold: Fold,
+    ) {
         // Keep only the largest-magnitude contribution per element — a
-        // data-dependent reduction no rank-order fold reproduces.
-        let mut out = parts[0].clone();
-        for p in &parts[1..] {
-            for (a, b) in out.as_mut_slice().iter_mut().zip(p.as_slice()) {
-                if b.abs() > a.abs() {
-                    *a = *b;
-                }
+        // data-dependent reduction no encoded-space fold reproduces.
+        let PayloadList::Owned(payloads) = payloads else {
+            unreachable!("merge_gathered passes owned payloads")
+        };
+        let decoded = self.decompress(payloads, ctx).into_vec();
+        if fold == Fold::Assign {
+            *acc = decoded;
+            return;
+        }
+        for (a, b) in acc.iter_mut().zip(decoded) {
+            if b.abs() > a.abs() {
+                *a = b;
             }
         }
-        out
     }
 }
 
@@ -343,6 +355,111 @@ fn hostile_frames_are_rejected_contributions_under_every_plan() {
             );
             let none = std::iter::empty::<&[u8]>();
             assert!(merger.merge_frames(c.as_mut(), none, &shape).is_err());
+        }
+    }
+}
+
+/// The reference plan's one-accumulator fold against the long way round —
+/// decode every contribution, then `mean_of` — for all 25 codecs at 1, 2
+/// and 3 contributors, with a CRC-rejected frame after the first survivor:
+/// in the middle, or for a lone survivor last, so the fold cannot take the
+/// last frame for the last survivor and must still scale by `1/n` once.
+#[test]
+fn the_fold_matches_the_decode_gathered_oracle() {
+    use grace::core::payload::encode_frame;
+
+    let data: Vec<f32> = (0..300)
+        .map(|i| ((i * 37) % 101) as f32 / 50.0 - 1.0)
+        .collect();
+    let baseline = registry::resolve("baseline").unwrap();
+    let specs: Vec<CompressorSpec> = std::iter::once(baseline).chain(all_specs()).collect();
+    assert_eq!(specs.len(), 25);
+    for spec in specs {
+        let parts = gather(&spec, &data);
+        let shape = parts[0].ctx.shape.clone();
+        let frame = |p: &EncodedTensor| encode_frame(p.payloads.clone(), &p.ctx.meta);
+        let mut rejected = frame(&parts[1]);
+        *rejected.last_mut().unwrap() ^= 0x10;
+        for n in 1..=N_WORKERS {
+            let expect = bits(&decode_gathered((spec.build)(100).as_mut(), &parts[..n]));
+            let mut frames: Vec<Vec<u8>> = parts[..n].iter().map(frame).collect();
+            frames.insert(1, rejected.clone());
+            for plan in AggregationPlan::ALL {
+                let what = format!("{} under {plan}, {n} contributors", spec.id);
+                let mut merger = AggMerger::new(plan);
+                let gathered = frames.iter().map(Vec::as_slice);
+                let (got, _, bad) = merger
+                    .merge_frames((spec.build)(100).as_mut(), gathered, &shape)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!((bits(&got), bad), (expect.clone(), 1), "{what}");
+                let (owned, _) = merger.merge_gathered((spec.build)(100).as_mut(), &parts[..n]);
+                assert_eq!(bits(&owned), expect, "{what}, owned");
+            }
+        }
+    }
+}
+
+/// A QSGD frame that passes its CRC but whose views the level decode cannot
+/// take — the wrong width, the wrong count, a missing payload or norm — is
+/// a rejected contribution like a CRC failure, under every plan: the
+/// survivors merge as if that rank had left.
+#[test]
+fn malformed_qsgd_frames_are_rejected_contributions() {
+    use grace::core::payload::encode_frame;
+    use grace::core::PayloadError;
+
+    let spec = registry::find("qsgd").unwrap();
+    let data: Vec<f32> = (0..96)
+        .map(|i| ((i * 37) % 101) as f32 / 50.0 - 1.0)
+        .collect();
+    let parts = gather(&spec, &data);
+    let shape = parts[0].ctx.shape.clone();
+    let frame = |p: &EncodedTensor| encode_frame(p.payloads.clone(), &p.ctx.meta);
+    let (signs, levels, norm) = (&parts[1].payloads[0], &parts[1].payloads[1], 0.5f32);
+    let packed = |bits: u32, count: usize| Payload::Packed {
+        data: vec![0; (count * bits as usize).div_ceil(8)],
+        bits,
+        count: count as u32,
+    };
+    let malformed: [(&str, Vec<u8>); 6] = [
+        (
+            "6-bit levels",
+            encode_frame(vec![signs.clone(), packed(6, 96)], &[norm]),
+        ),
+        (
+            "2-bit signs",
+            encode_frame(vec![packed(2, 96), levels.clone()], &[norm]),
+        ),
+        (
+            "95 codes",
+            encode_frame(vec![packed(1, 95), packed(7, 95)], &[norm]),
+        ),
+        ("one payload", encode_frame(vec![signs.clone()], &[norm])),
+        ("no norm", encode_frame(parts[1].payloads.clone(), &[])),
+        (
+            "f32 levels",
+            encode_frame(vec![signs.clone(), Payload::F32(vec![0.0; 96])], &[norm]),
+        ),
+    ];
+    for plan in AggregationPlan::ALL {
+        let mut c = (spec.build)(100);
+        let mut merger = AggMerger::new(plan);
+        let survivors = [parts[0].clone(), parts[2].clone()];
+        let (expect, _) = merger.merge_gathered(c.as_mut(), &survivors);
+        for (what, bad) in &malformed {
+            let gathered = [frame(&parts[0]), bad.clone(), frame(&parts[2])];
+            let (got, _, rejected) = merger
+                .merge_frames(c.as_mut(), gathered.iter().map(Vec::as_slice), &shape)
+                .unwrap_or_else(|e| panic!("{plan}, {what}: {e}"));
+            assert_eq!((bits(&got), rejected), (bits(&expect), 1), "{plan}, {what}");
+            let alone = std::iter::once(bad.as_slice());
+            assert!(
+                matches!(
+                    merger.merge_frames(c.as_mut(), alone, &shape),
+                    Err(PayloadError::Malformed(_))
+                ),
+                "{plan}, {what}"
+            );
         }
     }
 }

@@ -487,6 +487,45 @@ fn qsgd_compress_allocates_only_what_it_returns() {
     assert_eq!((payloads.len(), ctx.shape.len()), (2, context.shape.len()));
 }
 
+/// A warm QSGD merge of gathered frames allocates its output tensor (the
+/// buffer and the shape) and nothing per contribution: every frame's level
+/// streams decode through zero-copy views straight into the one
+/// accumulator, checked one frame ahead in the merger's pooled contexts.
+#[test]
+fn warm_qsgd_merge_allocates_only_its_output() {
+    use grace::core::payload::encode_frame;
+
+    set_level(Level::Off);
+    let spec = grace::compressors::registry::find("qsgd").unwrap();
+    let g = Tensor::from_vec((0..4099).map(|i| ((i as f32) * 0.11).cos()).collect());
+    let frames: Vec<Vec<u8>> = (0..4)
+        .map(|w| {
+            let (payloads, ctx) = (spec.build)(100 + w).compress(&g, "g");
+            encode_frame(payloads, &ctx.meta)
+        })
+        .collect();
+    let shape = g.shape().clone();
+    let mut c = (spec.build)(100);
+    let mut merger = AggMerger::new(AggregationPlan::DecodeThenMerge);
+    let mut merge = |n: usize| {
+        let before = allocs_on_this_thread();
+        let frames = frames[..n].iter().map(Vec::as_slice);
+        let merged = merger.merge_frames(c.as_mut(), frames, &shape).unwrap();
+        let allocs = allocs_on_this_thread() - before;
+        assert_eq!((merged.0.len(), merged.2), (g.len(), 0));
+        allocs
+    };
+    let _warm = merge(4);
+    for n in 1..=4 {
+        let allocs = merge(n);
+        assert_eq!(
+            allocs, 2,
+            "a warm merge of {n} QSGD frames made {allocs} allocations for \
+             an output buffer and its shape"
+        );
+    }
+}
+
 /// `TopK::compress` allocates what it returns and nothing else: the index
 /// and value payload buffers, the `Vec<Payload>` and the context — the
 /// selection's chunk maxima and candidates live in the compressor's pooled
