@@ -1,7 +1,8 @@
 //! Qsparse-local-SGD (Basu et al., NeurIPS'19) — the compression operator.
 
-use crate::quantization::qsgd::{dequantize_payloads, quantize_to_payloads};
-use grace_core::{Compressor, Context, Payload};
+use crate::quantization::qsgd::{dequantize_payloads, quantize_to_payloads, LevelStreams};
+use crate::sparsification::checked_indices;
+use grace_core::{Compressor, Context, Payload, PayloadError, PayloadList};
 use grace_tensor::rng::substream;
 use grace_tensor::select::{gather, top_k_indices_with};
 use grace_tensor::Tensor;
@@ -78,6 +79,20 @@ impl Compressor for QsparseLocal {
         }
         out
     }
+
+    /// Indices inside the tensor, then a sign and a level stream of one
+    /// code per index, and the norm.
+    fn check_gathered(&self, payloads: PayloadList<'_>, ctx: &Context) -> Result<(), PayloadError> {
+        if payloads.len() != 3 || ctx.meta.len() != 1 {
+            return Err(PayloadError::Malformed(format!(
+                "Qsparse contribution of {} payloads and {} scalars, expected 3 and 1",
+                payloads.len(),
+                ctx.meta.len()
+            )));
+        }
+        let count = checked_indices(payloads.get(0), ctx.shape.len())?;
+        LevelStreams::of(payloads.get(1), payloads.get(2), self.s, count).map(drop)
+    }
 }
 
 #[cfg(test)]
@@ -99,6 +114,65 @@ mod tests {
             }
         }
         assert_eq!(payloads[0].as_u32().len(), 50);
+    }
+
+    /// Qsparse's frame is an index list and QSGD's two streams at its
+    /// length: every view list its decode cannot take is a typed rejection,
+    /// and a sound one folds to `decompress`'s bits.
+    #[test]
+    fn malformed_views_are_rejected_before_any_element_folds() {
+        use grace_core::PayloadView;
+        use grace_tensor::pack::packed_len;
+        use grace_tensor::simd::Fold;
+        let mut c = QsparseLocal::new(0.1, 4, 1);
+        let g = gradient(100, 2);
+        let (payloads, ctx) = c.compress(&g, "w");
+        let views: Vec<PayloadView<'_>> = payloads.iter().map(PayloadView::of).collect();
+        c.check_gathered(PayloadList::Views(&views), &ctx).unwrap();
+        let mut acc = Vec::new();
+        c.fold_gathered(PayloadList::Views(&views), &ctx, &mut acc, Fold::Assign);
+        let want = c.decompress(&payloads, &ctx);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&acc), bits(want.as_slice()));
+
+        let (indices, signs, levels) = (views[0], views[1], views[2]);
+        let packed = |bits: u32, count: usize| PayloadView::Packed {
+            data: &[0; 64][..packed_len(count, bits)],
+            bits,
+            count: count as u32,
+        };
+        let beyond = [100u32; 10];
+        let malformed: [(&str, Vec<PayloadView<'_>>); 7] = [
+            ("two views", vec![indices, signs]),
+            ("four views", vec![indices, signs, levels, levels]),
+            (
+                "f32 indices",
+                vec![PayloadView::F32(&[0.0; 10]), signs, levels],
+            ),
+            (
+                "index 100 of 100",
+                vec![PayloadView::U32(&beyond), signs, levels],
+            ),
+            ("9 codes for 10", vec![indices, packed(1, 9), packed(3, 9)]),
+            ("2-bit levels", vec![indices, signs, packed(2, 10)]),
+            (
+                "bytes signs",
+                vec![indices, PayloadView::Bytes(&[0; 2]), levels],
+            ),
+        ];
+        for (what, views) in &malformed {
+            assert!(
+                matches!(
+                    c.check_gathered(PayloadList::Views(views), &ctx),
+                    Err(PayloadError::Malformed(_))
+                ),
+                "{what}"
+            );
+        }
+        for meta in [vec![], vec![1.0, 2.0]] {
+            let ctx = Context::with_meta(ctx.shape.clone(), meta);
+            assert!(c.check_gathered(PayloadList::Views(&views), &ctx).is_err());
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deep Gradient Compression (Lin et al., ICLR'18).
 
-use super::{ratio_to_k, sparse_decompress, sparse_payloads};
-use grace_core::{Compressor, Context, Payload};
+use super::{check_sparse, ratio_to_k, sparse_decompress, sparse_payloads};
+use grace_core::{Compressor, Context, Payload, PayloadError, PayloadList};
 use grace_tensor::rng::substream;
 use grace_tensor::select::sampled_abs_threshold;
 use grace_tensor::Tensor;
@@ -104,6 +104,10 @@ impl Compressor for Dgc {
 
     fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor {
         sparse_decompress(payloads, ctx)
+    }
+
+    fn check_gathered(&self, payloads: PayloadList<'_>, ctx: &Context) -> Result<(), PayloadError> {
+        check_sparse(payloads, ctx)
     }
 
     fn supports_error_feedback(&self) -> bool {

@@ -1,7 +1,7 @@
 //! Random-k sparsification (Stich et al., NeurIPS'18).
 
-use super::{ratio_to_k, sparse_decompress, sparse_payloads};
-use grace_core::{Compressor, Context, Payload};
+use super::{check_sparse, ratio_to_k, sparse_decompress, sparse_payloads};
+use grace_core::{Compressor, Context, Payload, PayloadError, PayloadList};
 use grace_tensor::rng::substream;
 use grace_tensor::select::{gather, random_k_indices};
 use grace_tensor::Tensor;
@@ -71,6 +71,10 @@ impl Compressor for RandomK {
 
     fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor {
         sparse_decompress(payloads, ctx)
+    }
+
+    fn check_gathered(&self, payloads: PayloadList<'_>, ctx: &Context) -> Result<(), PayloadError> {
+        check_sparse(payloads, ctx)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Threshold-v sparsification (Dutta et al., AAAI'20).
 
-use super::{sparse_decompress, sparse_payloads};
-use grace_core::{Compressor, Context, Payload};
+use super::{check_sparse, sparse_decompress, sparse_payloads};
+use grace_core::{Compressor, Context, Payload, PayloadError, PayloadList};
 use grace_tensor::select::{gather, threshold_indices};
 use grace_tensor::Tensor;
 
@@ -48,6 +48,10 @@ impl Compressor for ThresholdV {
 
     fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor {
         sparse_decompress(payloads, ctx)
+    }
+
+    fn check_gathered(&self, payloads: PayloadList<'_>, ctx: &Context) -> Result<(), PayloadError> {
+        check_sparse(payloads, ctx)
     }
 }
 

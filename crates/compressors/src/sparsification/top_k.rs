@@ -1,7 +1,7 @@
 //! Top-k sparsification (Aji & Heafield, EMNLP'17; Stich et al., NeurIPS'18).
 
-use super::{ratio_to_k, sparse_decompress, sparse_payloads};
-use grace_core::{Compressor, Context, Payload};
+use super::{check_sparse, ratio_to_k, sparse_decompress, sparse_payloads};
+use grace_core::{Compressor, Context, Payload, PayloadError, PayloadList};
 use grace_tensor::select::{gather, top_k_indices_with};
 use grace_tensor::Tensor;
 
@@ -53,6 +53,10 @@ impl Compressor for TopK {
 
     fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor {
         sparse_decompress(payloads, ctx)
+    }
+
+    fn check_gathered(&self, payloads: PayloadList<'_>, ctx: &Context) -> Result<(), PayloadError> {
+        check_sparse(payloads, ctx)
     }
 }
 

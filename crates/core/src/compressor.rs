@@ -3,7 +3,7 @@
 use crate::aggregation::HomomorphicAggregate;
 use crate::payload::{Payload, PayloadError, PayloadList};
 use grace_tensor::simd::Fold;
-use grace_tensor::{pool, Shape, Tensor};
+use grace_tensor::{Shape, Tensor};
 
 /// Opaque decompression context: everything `decompress` needs to restore a
 /// tensor of the original shape and dtype (paper: "ctx").
@@ -84,15 +84,12 @@ pub trait Compressor: Send {
     /// Reconstructs a dense tensor of the original shape.
     fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor;
 
-    /// [`compress`](Self::compress) into a payload list the caller owns.
-    /// The exchange engine passes each plan slot's list from the previous
-    /// step, so a method that overrides this may write into the buffers it
-    /// finds there instead of allocating. The default replaces `out` with
-    /// `compress`'s payloads.
-    fn compress_into(&mut self, tensor: &Tensor, name: &str, out: &mut Vec<Payload>) -> Context {
-        let (payloads, ctx) = self.compress(tensor, name);
-        *out = payloads;
-        ctx
+    /// [`compress`](Self::compress) of a gradient whose buffer the caller
+    /// gives up — a parameter's own, on the engine's streaming path — so a
+    /// method that overrides this may move the buffer into a payload instead
+    /// of copying it, leaving `tensor` empty. The default borrows it.
+    fn compress_owned(&mut self, tensor: &mut Tensor, name: &str) -> (Vec<Payload>, Context) {
+        self.compress(tensor, name)
     }
 
     /// [`decompress`](Self::decompress) of payloads the caller gives up, so
@@ -216,22 +213,11 @@ impl Compressor for NoCompression {
         Tensor::new(payloads[0].as_f32().to_vec(), ctx.shape.clone())
     }
 
-    /// Copies the gradient into the `F32` buffer `out` already holds, if
-    /// any, element ranges split across the calling thread's pool.
-    fn compress_into(&mut self, tensor: &Tensor, _name: &str, out: &mut Vec<Payload>) -> Context {
-        let mut values = match out.pop() {
-            Some(Payload::F32(v)) => v,
-            _ => Vec::new(),
-        };
-        out.clear();
-        let src = tensor.as_slice();
-        // A circulating buffer already has the gradient's length.
-        values.resize(src.len(), 0.0);
-        pool::split_rows(&mut values, src.len(), 16, src.len(), |r, dst| {
-            dst.copy_from_slice(&src[r]);
-        });
-        out.push(Payload::F32(values));
-        Context::shape_only(tensor.shape().clone())
+    /// Moves the gradient's buffer into the payload.
+    fn compress_owned(&mut self, tensor: &mut Tensor, _name: &str) -> (Vec<Payload>, Context) {
+        let ctx = Context::shape_only(tensor.shape().clone());
+        let values = std::mem::replace(tensor, Tensor::from_vec(Vec::new())).into_vec();
+        (vec![Payload::F32(values)], ctx)
     }
 
     /// Moves the payload's buffer into the tensor.
@@ -294,28 +280,21 @@ mod tests {
     }
 
     /// The baseline's owning calls give the same bits as the borrowing ones
-    /// and move one buffer through: encode into the list's buffer, decode
-    /// out of it.
+    /// and move one buffer through: the gradient's into the payload, and
+    /// out of it into the decoded tensor.
     #[test]
     fn baseline_owning_calls_circulate_one_buffer() {
         let mut c = NoCompression::new();
         let g = Tensor::new(vec![1.0, -2.5, 0.0, 7.5], Shape::matrix(2, 2));
-        let mut out = vec![Payload::F32(Vec::with_capacity(8))];
-        let buffer = out[0].as_f32().as_ptr();
-        let ctx = c.compress_into(&g, "w", &mut out);
+        let mut lent = g.clone();
+        let buffer = lent.as_slice().as_ptr();
+        let (out, ctx) = c.compress_owned(&mut lent, "w");
+        assert!(lent.is_empty(), "the buffer is taken");
         assert_eq!((out.clone(), ctx.clone()), c.compress(&g, "w"));
-        assert_eq!(
-            out[0].as_f32().as_ptr(),
-            buffer,
-            "the list's buffer is reused"
-        );
+        assert_eq!(out[0].as_f32().as_ptr(), buffer, "the buffer moves in");
         let back = c.decompress_owned(out, &ctx);
         assert_eq!(back, g);
         assert_eq!(back.as_slice().as_ptr(), buffer, "the buffer moves out");
-
-        let mut stale = vec![Payload::U32(vec![9]), Payload::F32(vec![3.0; 9])];
-        let ctx = c.compress_into(&g, "w", &mut stale);
-        assert_eq!((stale, ctx), c.compress(&g, "w"));
     }
 
     #[test]

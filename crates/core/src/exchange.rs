@@ -31,19 +31,18 @@
 //! simulated clock charges it. The simulator runs the ranks' wire format,
 //! and the tail after the meet is the same code.
 //!
-//! # The `Allreduce` buffer cycle
+//! # One gradient buffer per parameter
 //!
-//! A warm `Allreduce` step allocates no gradient-sized buffer. Each plan
-//! slot keeps its payload list on the lane's stager across steps, and the
-//! encode writes into it ([`Compressor::compress_into`]). A lone bucket
-//! lends that buffer to the meet, a multi-tensor bucket fuses into a
-//! per-bucket buffer the stager keeps, and the sum comes back in the buffer
-//! that was sent. The mean is split back, each decode moves its payload's
-//! buffer into the aggregate ([`Compressor::decompress_owned`]), and once
-//! the optimizer has read the aggregates the step driver hands them back
-//! (`GradientExchange::recycle`) as the next step's payload lists. Other
-//! strategies' aggregates are dropped there, and a new plan starts from
-//! empty stagers.
+//! A warm `Allreduce` step allocates no gradient-sized buffer and copies no
+//! lone gradient. [`BucketedExchange::submit_owned`] lends the encode the
+//! parameter's own gradient buffer, which the baseline moves into its
+//! payload ([`Compressor::compress_owned`]). A lone bucket lends that buffer
+//! to the meet, a multi-tensor bucket fuses into a per-bucket buffer the
+//! stager keeps, and the sum comes back in the buffer that was sent. The
+//! mean is split back, each decode moves its payload's buffer into the
+//! aggregate ([`Compressor::decompress_owned`]), and once the optimizer has
+//! read the aggregates the step driver returns each to its parameter, where
+//! the next backward pass writes over it.
 //!
 //! # Determinism
 //!
@@ -80,7 +79,6 @@ use grace_telemetry::{
     enabled, metrics, recorder, trace, Histogram, HistogramHandle, Level, Stage, StageTimer, Track,
 };
 use grace_tensor::{pool, Shape, Tensor};
-use std::collections::HashMap;
 use std::ops::Range;
 
 const NS_PER_SEC: f64 = 1e9;
@@ -495,49 +493,70 @@ impl<'a> WorkerLane<'a> {
     /// compress and — for an active memory — compensate first, then
     /// decompress the lane's own payload to update the residual.
     pub fn encode(&mut self, name: &str, grad: &Tensor) -> EncodedTensor {
-        let mut payloads = Vec::new();
-        let ctx = self.encode_into(name, grad, &mut payloads);
-        EncodedTensor { payloads, ctx }
+        self.encode_grad(name, Grad::Borrowed(grad))
     }
 
-    /// Algorithm 1 lines 5–7 for one tensor, into `payloads` (a plan slot's
-    /// list from the previous step, handed to
-    /// [`Compressor::compress_into`]): compensate, compress, and decompress
-    /// the lane's own payload to update the residual — the first and last
-    /// only for an *active* memory, since an inactive one's compensate is
-    /// the identity and its update a no-op. Only compress/decompress are
-    /// timed (compensate and the memory update are elementwise bookkeeping).
-    fn encode_into(&mut self, name: &str, grad: &Tensor, payloads: &mut Vec<Payload>) -> Context {
+    /// Algorithm 1 lines 5–7 for one tensor: compensate, compress, and
+    /// decompress the lane's own payload to update the residual — the first
+    /// and last only for an *active* memory, since an inactive one's
+    /// compensate is the identity and its update a no-op. A lent gradient
+    /// goes to [`Compressor::compress_owned`] when nothing reads it after.
+    /// Only compress/decompress are timed (compensate and the memory update
+    /// are elementwise bookkeeping).
+    fn encode_grad(&mut self, name: &str, grad: Grad<'_>) -> EncodedTensor {
         let lane = Track::Lane(self.rank);
         let compensated = match self.memory.as_mut() {
-            Some(mem) if mem.is_active() => Some(mem.compensate(name, grad)),
+            Some(mem) if mem.is_active() => Some(mem.compensate(name, grad.tensor())),
             _ => None,
         };
         let t0 = StageTimer::start();
-        let input = compensated.as_ref().unwrap_or(grad);
-        let ctx = self.compressor.compress_into(input, name, payloads);
+        let (payloads, ctx) = match (&compensated, grad) {
+            (Some(input), _) | (None, Grad::Borrowed(input)) => {
+                self.compressor.compress(input, name)
+            }
+            (None, Grad::Lent(input)) => self.compressor.compress_owned(input, name),
+        };
         let mut ns = t0.finish("compress", lane);
         if let (Some(mem), Some(compensated)) = (self.memory.as_mut(), &compensated) {
             let t1 = StageTimer::start();
-            let own = self.compressor.decompress(payloads, &ctx);
+            let own = self.compressor.decompress(&payloads, &ctx);
             ns += t1.finish("decode_own", lane);
             mem.update(name, compensated, &own);
             self.sample_quality(compensated, &own);
         }
         self.observe(ns);
-        ctx
+        EncodedTensor { payloads, ctx }
+    }
+}
+
+/// A submitted gradient: borrowed, or lent so the codec may take its buffer.
+enum Grad<'g> {
+    Borrowed(&'g Tensor),
+    Lent(&'g mut Tensor),
+}
+
+impl Grad<'_> {
+    fn tensor(&self) -> &Tensor {
+        match self {
+            Grad::Borrowed(t) => t,
+            Grad::Lent(t) => t,
+        }
     }
 }
 
 /// Divides an `Allreduce`'s elementwise sum by its contributor count — the
 /// mean of Algorithm 1 lines 8–9, over the survivors when membership has
-/// degraded.
+/// degraded. A lone contributor's sum is returned as it is: `x / 1.0` is
+/// `x` for every value but a signaling NaN, which arithmetic never makes.
 ///
 /// # Panics
 ///
 /// Panics if `contributors` is zero.
 pub fn average_sum(mut sum: Vec<f32>, contributors: usize) -> Payload {
     assert!(contributors > 0, "mean over zero contributors");
+    if contributors == 1 {
+        return Payload::F32(sum);
+    }
     let denom = contributors as f32;
     let len = sum.len();
     pool::split_rows(&mut sum, len, 16, len, |_, part| {
@@ -568,9 +587,7 @@ pub fn decode_gathered(compressor: &mut dyn Compressor, parts: &[EncodedTensor])
 /// persists across steps on the engine, so the steady-state submit path
 /// allocates nothing once the plan's shapes have been seen.
 struct LaneStager {
-    /// Plan-indexed encode outputs. A slot's payload list outlives the step:
-    /// the next encode of the slot writes into it
-    /// ([`Compressor::compress_into`]).
+    /// Plan-indexed encode outputs.
     encoded: Vec<EncodedTensor>,
     /// Per-bucket fusion buffers of multi-tensor `Allreduce` buckets.
     fused: Vec<Vec<f32>>,
@@ -605,8 +622,7 @@ impl LaneStager {
     }
 
     /// Sizes every pool for `plan` and clears per-step state, reusing
-    /// existing capacity and the slots' buffers (the stager is new when
-    /// the plan is).
+    /// existing capacity (the stager is new when the plan is).
     fn reset(&mut self, plan: &BucketPlan, codec_before: f64) {
         self.encoded
             .resize_with(plan.n_tensors(), || EncodedTensor {
@@ -629,7 +645,7 @@ impl LaneStager {
     /// window opens: attributes time, bytes and sampled error to the
     /// covering bucket and emits a `buckets`-track span when the bucket's
     /// last tensor encodes. Returns whether this call completed a bucket.
-    fn encode(&mut self, lane: &mut WorkerLane<'_>, plan: &BucketPlan, grad: &Tensor) -> bool {
+    fn encode(&mut self, lane: &mut WorkerLane<'_>, plan: &BucketPlan, grad: Grad<'_>) -> bool {
         let idx = self.submitted;
         let b = plan.bucket_of(idx);
         if self.window.is_none() {
@@ -637,7 +653,7 @@ impl LaneStager {
         }
         let before_ns = lane.codec_ns;
         let slot = &mut self.encoded[idx];
-        slot.ctx = lane.encode_into(plan.name(idx), grad, &mut slot.payloads);
+        *slot = lane.encode_grad(plan.name(idx), grad);
         self.bucket_ns[b] += lane.codec_ns - before_ns;
         self.bucket_bytes[b] += slot.wire_bytes() as u64;
         if let Some(e) = lane.take_quality_error() {
@@ -711,8 +727,6 @@ impl LaneStager {
 #[derive(Default)]
 struct PipelineState {
     plan: Option<BucketPlan>,
-    /// The plan slot of each tensor name, for [`GradientExchange::recycle`].
-    slot_of: HashMap<String, usize>,
     stagers: Vec<LaneStager>,
     /// Sealed-but-unaggregated bucket instances across lanes (the queue
     /// depth mirrored into the `exchange.buckets_in_flight` gauge).
@@ -992,8 +1006,7 @@ impl<'a> GradientExchange<'a> {
     /// buffer, the buffers are summed while compressed and averaged in place
     /// (the contributor count is the degraded-membership denominator), and
     /// the mean is split back by length over lane 0's payloads, whose
-    /// buffers each decode moves into its aggregate. Every buffer ends where
-    /// it started, so [`recycle`](Self::recycle) closes the cycle.
+    /// buffers each decode moves into its aggregate.
     fn allreduce_bucket<C: ClusterIntrospect>(
         &mut self,
         meet: &Meet<'_, C>,
@@ -1132,9 +1145,6 @@ impl<'a> GradientExchange<'a> {
         let pipe = &mut self.pipeline;
         if pipe.plan.as_ref() != Some(plan) {
             pipe.plan = Some(plan.clone());
-            pipe.slot_of = (0..plan.n_tensors())
-                .map(|idx| (plan.name(idx).to_string(), idx))
-                .collect();
             // No slot or buffer of another layout carries over.
             pipe.stagers.clear();
         }
@@ -1152,37 +1162,16 @@ impl<'a> GradientExchange<'a> {
         BucketedExchange { engine: self }
     }
 
-    /// Takes back a finished step's aggregates once the optimizer has read
-    /// them. Under `Allreduce` each becomes the payload buffer that lane 0
-    /// encodes the same plan slot into next step — the last leg of the
-    /// cycle that lets a warm step allocate no gradient-sized buffer. Any
-    /// other strategy's aggregates are dropped here, so a run holds nothing
-    /// more between steps than it did.
-    pub(crate) fn recycle(&mut self, aggregated: Vec<(String, Tensor)>) {
-        if self.strategy != CommStrategy::Allreduce {
-            return;
-        }
-        let pipe = &mut self.pipeline;
-        let Some(stager) = pipe.stagers.first_mut() else {
-            return;
-        };
-        for (name, agg) in aggregated {
-            if let Some(&idx) = pipe.slot_of.get(&name) {
-                stager.encoded[idx].payloads = vec![Payload::F32(agg.into_vec())];
-            }
-        }
-    }
-
-    fn pipeline_submit(&mut self, worker: usize, name: &str, grad: &Tensor) {
+    fn pipeline_submit(&mut self, worker: usize, name: &str, grad: Grad<'_>) {
         let pipe = &mut self.pipeline;
         let plan = pipe.plan.as_ref().expect("open session always has a plan");
         let slot = worker.wrapping_sub(self.lanes[0].rank);
         assert!(slot < self.lanes.len(), "worker rank out of range");
         let stager = &mut pipe.stagers[slot];
+        let len = grad.tensor().len();
         assert!(
-            plan.matches(stager.submitted, name, grad.len()),
-            "submission '{name}' ({} elements) does not match the bucket plan",
-            grad.len()
+            plan.matches(stager.submitted, name, len),
+            "submission '{name}' ({len} elements) does not match the bucket plan"
         );
         if stager.encode(&mut self.lanes[slot], plan, grad) {
             pipe.in_flight += 1;
@@ -1350,7 +1339,16 @@ impl<'a> BucketedExchange<'_, 'a> {
     /// Panics if the `(name, len)` pair is not the worker's next plan slot
     /// or `worker` is out of range.
     pub fn submit(&mut self, worker: usize, name: &str, grad: &Tensor) {
-        self.engine.pipeline_submit(worker, name, grad);
+        self.engine
+            .pipeline_submit(worker, name, Grad::Borrowed(grad));
+    }
+
+    /// [`submit`](Self::submit) of a gradient buffer the session may take
+    /// ([`Compressor::compress_owned`]), leaving `grad` empty — the sink of
+    /// a streaming backward pass, whose aggregates go back to the
+    /// parameters.
+    pub fn submit_owned(&mut self, worker: usize, name: &str, grad: &mut Tensor) {
+        self.engine.pipeline_submit(worker, name, Grad::Lent(grad));
     }
 
     /// Aggregates every fusion bucket under the fleet's [`CommStrategy`]
@@ -1486,6 +1484,39 @@ mod tests {
     fn average_sum_divides_by_contributors() {
         let p = average_sum(vec![3.0, 6.0], 3);
         assert_eq!(p.as_f32(), &[1.0, 2.0]);
+    }
+
+    /// A lone contributor's mean is its sum, in the same allocation: no
+    /// `÷ 1` pass runs, and none could move a bit — `x / 1.0` is `x` for
+    /// ±0, subnormals, ±∞ and every quiet-NaN payload.
+    #[test]
+    fn a_lone_mean_is_its_sum_untouched() {
+        let values = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x807F_FFFF),
+            f32::MIN_POSITIVE,
+            -3.5,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7FC0_0000),
+            f32::from_bits(0xFFC0_1234),
+            f32::from_bits(0x7FFF_FFFF),
+        ];
+        let x1 = |v: f32| std::hint::black_box(v) / std::hint::black_box(1.0f32);
+        for v in values {
+            assert_eq!(x1(v).to_bits(), v.to_bits(), "{v:?} / 1.0");
+        }
+        let sum = values.to_vec();
+        let at = sum.as_ptr();
+        let Payload::F32(mean) = average_sum(sum, 1) else {
+            unreachable!("a mean is f32")
+        };
+        assert_eq!(mean.as_ptr(), at, "the same allocation");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&mean), bits(&values));
     }
 
     #[test]
@@ -1857,14 +1888,15 @@ mod tests {
         assert_eq!(faults.detected_corruptions, vec![2, 2]);
     }
 
-    /// Aggregates handed back with `recycle` become the next step's payload
-    /// buffers, and never show through: an engine that finishes a step on
-    /// one plan and then runs steps on a differently shaped one (the same
-    /// names at other sizes, one more tensor, another order) gives every
-    /// step the bits of a fresh engine — at either fusion extreme, over
-    /// one lane and over three.
+    /// Lent gradients never show through: an engine whose lane 0 lends each
+    /// step the last step's aggregates, overwritten with the new gradient
+    /// where the length still fits — as a parameter's buffer is — and that
+    /// finishes a step on one plan and then runs steps on a differently
+    /// shaped one (the same names at other sizes, one more tensor, another
+    /// order) gives every step the bits of a fresh engine fed borrowed
+    /// gradients — at either fusion extreme, over one lane and over three.
     #[test]
-    fn recycled_buffers_never_leak_across_plans_lanes_or_steps() {
+    fn lent_buffers_never_leak_across_plans_lanes_or_steps() {
         let tensor = |name: &str, len: usize, seed: usize| {
             let values = (0..len).map(|i| ((seed * 31 + i * 7) % 23) as f32 * 0.25 - 2.0);
             (name.to_string(), Tensor::from_vec(values.collect()))
@@ -1882,6 +1914,7 @@ mod tests {
             for fusion_bytes in [1, usize::MAX] {
                 let (mut cs, mut ms) = fleet(lanes);
                 let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
+                let mut held: Vec<(String, Tensor)> = Vec::new();
                 for step in 0..4 {
                     let inputs: Vec<_> = (0..lanes)
                         .map(|w| stream(step, 10 * step + 3 * w))
@@ -1889,40 +1922,73 @@ mod tests {
                     let (mut fresh_cs, mut fresh_ms) = fleet(lanes);
                     let mut fresh = GradientExchange::from_fleet(&mut fresh_cs, &mut fresh_ms);
                     let (want, _) = run_step(&mut fresh, fusion_bytes, &inputs);
-                    let (got, _) = run_step(&mut engine, fusion_bytes, &inputs);
+                    let plan = plan_for(&inputs[0], fusion_bytes);
+                    let mut session = engine.begin_step(&plan);
+                    for (w, list) in inputs.iter().enumerate() {
+                        for (name, g) in list {
+                            let mut lent = match held.iter().position(|(n, _)| n == name) {
+                                Some(at) if w == 0 && held[at].1.len() == g.len() => {
+                                    let mut buffer = held.swap_remove(at).1;
+                                    buffer.as_mut_slice().copy_from_slice(g.as_slice());
+                                    buffer
+                                }
+                                _ => g.clone(),
+                            };
+                            session.submit_owned(w, name, &mut lent);
+                            assert!(lent.is_empty(), "the baseline takes the buffer");
+                        }
+                    }
+                    let (got, _) = session.finish();
                     assert_eq!(
                         got, want,
                         "{lanes} lanes, fusion {fusion_bytes}, step {step}"
                     );
-                    engine.recycle(got);
+                    held = got;
                 }
             }
         }
     }
 
-    /// Only `Allreduce` aggregates go back to the engine: lane 0 holds one
-    /// buffer per plan slot after `recycle`, while a gathered method's
-    /// slots are empty — its payloads went into the envelopes and its
-    /// aggregates are dropped, so nothing is held between steps.
+    /// A lone bucket's lent buffer is the one its aggregate comes back in,
+    /// at one lane and at two; a gathered method's slots are empty after
+    /// the step — its payloads went into the envelopes — and the gradient
+    /// it was lent stays where it was.
     #[test]
-    fn only_allreduce_aggregates_are_retained() {
-        for gathered in [false, true] {
-            let (mut cs, mut ms) = fleet(2);
-            if gathered {
-                cs = vec![Box::new(Gathered::default()), Box::new(Gathered::default())];
-            }
+    fn a_lone_lent_buffer_comes_back_as_its_aggregate() {
+        for lanes in [1, 2] {
+            let (mut cs, mut ms) = fleet(lanes);
             let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
-            let (agg, _) = run_step(&mut engine, 1, &grads(2, 1.0));
-            engine.recycle(agg);
-            let held = |lane: usize| -> Vec<usize> {
-                let slots = &engine.pipeline.stagers[lane].encoded;
-                slots.iter().map(|e| e.payloads.len()).collect()
-            };
-            let lane0 = if gathered { vec![0, 0] } else { vec![1, 1] };
-            assert_eq!(held(0), lane0, "gathered {gathered}");
-            if gathered {
-                assert_eq!(held(1), vec![0, 0]);
+            let inputs = grads(lanes, 1.0);
+            let plan = plan_for(&inputs[0], 1);
+            let mut session = engine.begin_step(&plan);
+            let mut lent_at = Vec::new();
+            for (w, list) in inputs.iter().enumerate() {
+                for (name, g) in list {
+                    let mut lent = g.clone();
+                    lent_at.push(lent.as_slice().as_ptr());
+                    session.submit_owned(w, name, &mut lent);
+                }
             }
+            let (agg, _) = session.finish();
+            let at: Vec<_> = agg.iter().map(|(_, t)| t.as_slice().as_ptr()).collect();
+            assert_eq!(at, lent_at[..agg.len()], "{lanes} lanes");
+        }
+        let (_, mut ms) = fleet(2);
+        let mut cs: Vec<Box<dyn Compressor>> =
+            vec![Box::new(Gathered::default()), Box::new(Gathered::default())];
+        let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
+        let inputs = grads(2, 1.0);
+        let mut session = engine.begin_step(&plan_for(&inputs[0], 1));
+        for (w, list) in inputs.iter().enumerate() {
+            for (name, g) in list {
+                let mut lent = g.clone();
+                session.submit_owned(w, name, &mut lent);
+                assert_eq!(&lent, g, "a borrowing codec leaves the gradient");
+            }
+        }
+        let _ = session.finish();
+        for stager in &engine.pipeline.stagers {
+            assert!(stager.encoded.iter().all(|e| e.payloads.is_empty()));
         }
     }
 

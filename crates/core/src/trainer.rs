@@ -444,9 +444,11 @@ pub(crate) struct StepDriver<'r, 'a> {
 
 impl<'a> StepDriver<'_, 'a> {
     /// Runs every epoch. Per step: learning-rate schedule, each local rank's
-    /// batch → streaming backward into the session, forward-order sort, step
-    /// marker, monitor feed, optimizer update, and the aggregates handed
-    /// back to the engine ([`GradientExchange::recycle`]).
+    /// batch → streaming backward into the session, which may take each
+    /// gradient buffer, forward-order sort, step marker, monitor feed,
+    /// optimizer update, and each aggregate returned to its parameter for
+    /// the next backward to write over — or, after the last step, released
+    /// with every gradient, so none sits under the evaluation that follows.
     ///
     /// Callers supply only what is theirs. `finish` ends the step's session
     /// — locally, or over a collective, whose error abandons the run; `tune`
@@ -477,6 +479,7 @@ impl<'a> StepDriver<'_, 'a> {
         let uncompressed = 4.0 * self.net.param_count() as f64;
         let base_lr = self.opt.learning_rate();
         let ranks = self.engine.ranks();
+        let last_step = cfg.epochs as u64 * spe as u64;
         let mut losses = Vec::with_capacity(ranks.len());
         let mut global_step = 0u64;
         for epoch in 0..cfg.epochs {
@@ -504,7 +507,7 @@ impl<'a> StepDriver<'_, 'a> {
                     losses.push(
                         self.net
                             .forward_backward_streaming(&x, &y, &mut |name, grad| {
-                                session.submit(w, name, grad);
+                                session.submit_owned(w, name, grad);
                             }),
                     );
                 }
@@ -527,9 +530,13 @@ impl<'a> StepDriver<'_, 'a> {
                     mon.observe_step(global_step, &obs);
                 }
                 self.net.apply_gradients(&aggregated, self.opt);
-                // Back to the engine: next step's payload buffers.
-                self.engine.recycle(aggregated);
                 global_step += 1;
+                if global_step == last_step {
+                    drop(aggregated);
+                    self.net.release_gradients();
+                } else {
+                    self.net.return_gradients(aggregated);
+                }
                 after(StepDone {
                     epoch,
                     step,

@@ -2,7 +2,7 @@
 
 use super::{Layer, Param};
 use crate::init;
-use grace_tensor::linalg::{matmul, matmul_transpose_a, matmul_transpose_b};
+use grace_tensor::linalg::{matmul, matmul_transpose_a_into, matmul_transpose_b};
 use grace_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
 
@@ -93,23 +93,23 @@ impl Layer for Dense {
             "backward feature mismatch in '{}'",
             self.name
         );
-        // dW = Xᵀ · dY
-        let dw = matmul_transpose_a(
+        // dW = Xᵀ · dY, over the last step's buffer.
+        matmul_transpose_a_into(
             self.cached_input.as_slice(),
             grad_output.as_slice(),
             batch,
             feat,
             self.out_dim,
+            self.weight.grad_mut(),
         );
-        self.weight.grad = Tensor::new(dw, Shape::matrix(self.in_dim, self.out_dim));
         // db = column sums of dY
-        let mut db = vec![0.0f32; self.out_dim];
+        let db = self.bias.grad_mut();
+        db.fill(0.0);
         for row in grad_output.as_slice().chunks_exact(self.out_dim) {
             for (d, g) in db.iter_mut().zip(row) {
                 *d += g;
             }
         }
-        self.bias.grad = Tensor::new(db, Shape::vector(self.out_dim));
         // dX = dY · Wᵀ
         let dx = matmul_transpose_b(
             grad_output.as_slice(),

@@ -2,8 +2,9 @@
 //!
 //! Layers exchange batches as rank-2 tensors shaped `[batch, features]`
 //! (row-major). `forward` caches whatever `backward` needs; `backward`
-//! receives `∂loss/∂output`, writes `∂loss/∂param` into each [`Param::grad`],
-//! and returns `∂loss/∂input`.
+//! receives `∂loss/∂output`, writes `∂loss/∂param` into each [`Param::grad`]
+//! — in place through [`Param::grad_mut`], since a streaming sink may have
+//! taken the buffer — and returns `∂loss/∂input`.
 //!
 //! The named parameter gradients are the unit of compression in GRACE: after
 //! a `forward`/`backward` pass, [`crate::network::Network::take_gradients`]
@@ -34,7 +35,9 @@ pub struct Param {
     pub name: String,
     /// Current parameter values.
     pub value: Tensor,
-    /// Gradient of the loss w.r.t. the values, written by `backward`.
+    /// Gradient of the loss w.r.t. the values, written by `backward`. A
+    /// streaming sink may take its buffer (it is then empty) and hand it
+    /// back after the update ([`crate::network::Network::return_gradients`]).
     pub grad: Tensor,
 }
 
@@ -47,6 +50,16 @@ impl Param {
             value,
             grad,
         }
+    }
+
+    /// The gradient buffer for a backward pass to overwrite: the one the
+    /// parameter holds when it has the values' length — the buffer the last
+    /// step handed back — else a fresh one of zeros.
+    pub fn grad_mut(&mut self) -> &mut [f32] {
+        if self.grad.len() != self.value.len() {
+            self.grad = self.value.zeros_like();
+        }
+        self.grad.as_mut_slice()
     }
 
     /// Number of scalar parameters.

@@ -105,20 +105,26 @@ impl Network {
     ///
     /// Within a layer, parameters are emitted in declaration order. The
     /// emitted set is exactly [`take_gradients`](Network::take_gradients)
-    /// reversed layer-by-layer; gradients also remain stored on the
-    /// parameters afterwards.
+    /// reversed layer-by-layer.
+    ///
+    /// The sink gets each parameter's gradient buffer itself and may take
+    /// it, leaving the parameter's gradient empty; a gradient it leaves stays
+    /// stored on the parameter. A backward pass writes into a buffer of the
+    /// right length where it finds one, so a caller that hands the buffers
+    /// back after the update ([`return_gradients`](Network::return_gradients))
+    /// circulates one buffer per parameter across steps.
     pub fn forward_backward_streaming(
         &mut self,
         x: &Tensor,
         targets: &Targets,
-        sink: &mut dyn FnMut(&str, &Tensor),
+        sink: &mut dyn FnMut(&str, &mut Tensor),
     ) -> f32 {
         self.set_training(true);
         let logits = self.forward_raw(x);
         let (loss, mut grad) = self.loss.loss_and_grad(&logits, targets);
         for layer in self.layers.iter_mut().rev() {
             grad = layer.backward(&grad);
-            layer.visit_params(&mut |p| sink(&p.name, &p.grad));
+            layer.visit_params(&mut |p| sink(&p.name, &mut p.grad));
         }
         loss
     }
@@ -164,6 +170,42 @@ impl Network {
             });
         }
         assert_eq!(idx, grads.len(), "extra gradients supplied");
+    }
+
+    /// Hands each gradient buffer back to its parameter — typically the
+    /// aggregates [`apply_gradients`](Network::apply_gradients) has just
+    /// read — so the next backward pass writes into it.
+    ///
+    /// # Panics
+    ///
+    /// As [`apply_gradients`](Network::apply_gradients), on a list that does
+    /// not match the parameter list.
+    pub fn return_gradients(&mut self, grads: Vec<(String, Tensor)>) {
+        let mut grads = grads.into_iter();
+        for layer in &mut self.layers {
+            layer.visit_params(&mut |p| {
+                let (name, g) = grads
+                    .next()
+                    .unwrap_or_else(|| panic!("missing gradient for '{}'", p.name));
+                assert_eq!(name, p.name, "gradient order mismatch at '{}'", p.name);
+                assert_eq!(
+                    g.len(),
+                    p.value.len(),
+                    "gradient size mismatch at '{}'",
+                    p.name
+                );
+                p.grad = g;
+            });
+        }
+        assert!(grads.next().is_none(), "extra gradients supplied");
+    }
+
+    /// Drops every parameter's gradient buffer, e.g. before an evaluation
+    /// that needs the memory; the next backward pass allocates them again.
+    pub fn release_gradients(&mut self) {
+        for layer in &mut self.layers {
+            layer.visit_params(&mut |p| p.grad = Tensor::from_vec(Vec::new()));
+        }
     }
 
     /// Number of trainable scalars.
@@ -352,6 +394,52 @@ mod tests {
         }
         // Gradients stay on the params: take_gradients still works.
         assert_eq!(a.take_gradients().len(), streamed.len());
+    }
+
+    /// A sink that takes every buffer leaves the parameters empty; handed
+    /// back, the buffers are the ones the next backward writes — Dense's
+    /// weight and bias in place — with a fresh network's bits, and a
+    /// released network allocates them again.
+    #[test]
+    fn taken_gradient_buffers_come_back_and_are_overwritten_in_place() {
+        let (x, y) = tiny_batch();
+        let mut net = tiny_net(8);
+        let take = |net: &mut Network| {
+            let mut taken = Vec::new();
+            net.forward_backward_streaming(&x, &y, &mut |name, grad| {
+                taken.push((
+                    name.to_string(),
+                    std::mem::replace(grad, Tensor::from_vec(vec![])),
+                ));
+            });
+            let order = net.gradient_names();
+            taken.sort_by_key(|(n, _)| order.iter().position(|o| o == n));
+            taken
+        };
+        let first = take(&mut net);
+        assert!(net.take_gradients().iter().all(|(_, g)| g.is_empty()));
+        let mut poisoned = first.clone();
+        for (_, g) in &mut poisoned {
+            g.as_mut_slice().fill(f32::NAN);
+        }
+        let buffers: Vec<_> = poisoned
+            .iter()
+            .map(|(_, g)| g.as_slice().as_ptr())
+            .collect();
+        net.return_gradients(poisoned);
+        let second = take(&mut net);
+        let at: Vec<_> = second.iter().map(|(_, g)| g.as_slice().as_ptr()).collect();
+        assert_eq!(at, buffers, "every buffer is written in place");
+        net.release_gradients();
+        let third = take(&mut net);
+        for got in [&second, &third] {
+            for ((n, want), (m, g)) in first.iter().zip(got) {
+                assert_eq!(n, m);
+                let bits =
+                    |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(want), bits(g), "{n}");
+            }
+        }
     }
 
     #[test]

@@ -30,17 +30,24 @@ pub trait Optimizer: Send {
 }
 
 /// The state an optimizer keeps under `name`, created by `init` on the
-/// first call. A hit — every call after a parameter's first — looks the
-/// name up as a `&str` and allocates nothing.
+/// first call, and whether this call created it. A hit — every call after a
+/// parameter's first — looks the name up as a `&str` and allocates nothing.
+///
+/// A created state is zeros, and the first update writes it without reading
+/// it: it substitutes the zero, keeping the `+0.0` addend (`0.0 + x` turns
+/// `−0.0` into `+0.0` exactly as `γ·0 + x` does), so the bits are those of
+/// a read. Reading calloc'd pages first would map the shared zero page and
+/// then copy it on the write — two faults a page instead of one.
 fn state<'a, T>(
     map: &'a mut HashMap<String, T>,
     name: &str,
     init: impl FnOnce() -> T,
-) -> &'a mut T {
-    if !map.contains_key(name) {
+) -> (&'a mut T, bool) {
+    let fresh = !map.contains_key(name);
+    if fresh {
         map.insert(name.to_string(), init());
     }
-    map.get_mut(name).expect("inserted above")
+    (map.get_mut(name).expect("inserted above"), fresh)
 }
 
 /// Vanilla SGD: `x ← x − η·g`.
@@ -117,7 +124,7 @@ impl Momentum {
 impl Optimizer for Momentum {
     fn update(&mut self, name: &str, value: &mut Tensor, grad: &Tensor) {
         assert_eq!(value.len(), grad.len(), "tensor length mismatch in axpy");
-        let v = state(&mut self.velocity, name, || grad.zeros_like());
+        let (v, fresh) = state(&mut self.velocity, name, || grad.zeros_like());
         assert_eq!(v.len(), grad.len(), "tensor length mismatch in add");
         let (gamma, step, nesterov) = (self.gamma, -self.lr, self.nesterov);
         let look_ahead = -self.lr * self.gamma;
@@ -127,18 +134,12 @@ impl Optimizer for Momentum {
         // order — `z·γ`, `+ g`, `x + (−η)·z`, never fused — the bits every
         // golden was recorded with; element ranges split across the pool.
         pool::split_rows2(xs, zs, g.len(), GRAIN, 4 * g.len(), |r, xs, zs| {
-            let elems = xs.iter_mut().zip(zs.iter_mut().zip(&g[r]));
-            if nesterov {
-                for (x, (z, &g)) in elems {
-                    *z = *z * gamma + g;
-                    *x += step * g;
-                    *x += look_ahead * *z;
-                }
-            } else {
-                for (x, (z, &g)) in elems {
-                    *z = *z * gamma + g;
-                    *x += step * *z;
-                }
+            let g = &g[r];
+            match (fresh, nesterov) {
+                (false, false) => momentum_rows::<false, false>(xs, zs, g, gamma, step, look_ahead),
+                (false, true) => momentum_rows::<false, true>(xs, zs, g, gamma, step, look_ahead),
+                (true, false) => momentum_rows::<true, false>(xs, zs, g, gamma, step, look_ahead),
+                (true, true) => momentum_rows::<true, true>(xs, zs, g, gamma, step, look_ahead),
             }
         });
     }
@@ -149,6 +150,27 @@ impl Optimizer for Momentum {
 
     fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
+    }
+}
+
+/// One range of [`Momentum::update`], each variant its own loop. A `FRESH`
+/// `z` is +0.0, and `+0.0 · γ` is +0.0 for γ ∈ [0, 1), so it is not read.
+fn momentum_rows<const FRESH: bool, const NESTEROV: bool>(
+    xs: &mut [f32],
+    zs: &mut [f32],
+    g: &[f32],
+    gamma: f32,
+    step: f32,
+    look_ahead: f32,
+) {
+    for (x, (z, &g)) in xs.iter_mut().zip(zs.iter_mut().zip(g)) {
+        *z = if FRESH { 0.0 + g } else { *z * gamma + g };
+        if NESTEROV {
+            *x += step * g;
+            *x += look_ahead * *z;
+        } else {
+            *x += step * *z;
+        }
     }
 }
 
@@ -186,17 +208,23 @@ impl Adam {
 
 impl Optimizer for Adam {
     fn update(&mut self, name: &str, value: &mut Tensor, grad: &Tensor) {
-        let t = state(&mut self.t, name, || 0);
+        let (t, _) = state(&mut self.t, name, || 0);
         *t += 1;
         let step = *t;
-        let m = state(&mut self.m, name, || grad.zeros_like());
-        let v = state(&mut self.v, name, || grad.zeros_like());
+        let (m, fresh) = state(&mut self.m, name, || grad.zeros_like());
+        let (v, _) = state(&mut self.v, name, || grad.zeros_like());
         let bc1 = 1.0 - self.beta1.powi(step as i32);
         let bc2 = 1.0 - self.beta2.powi(step as i32);
         for i in 0..grad.len() {
             let g = grad[i];
-            m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
-            v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g * g;
+            // `β · 0.0` is +0.0 for the positive finite βs.
+            let (m0, v0) = if fresh {
+                (0.0, 0.0)
+            } else {
+                (self.beta1 * m[i], self.beta2 * v[i])
+            };
+            m[i] = m0 + (1.0 - self.beta1) * g;
+            v[i] = v0 + (1.0 - self.beta2) * g * g;
             let mhat = m[i] / bc1;
             let vhat = v[i] / bc2;
             value[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
@@ -240,10 +268,11 @@ impl RmsProp {
 
 impl Optimizer for RmsProp {
     fn update(&mut self, name: &str, value: &mut Tensor, grad: &Tensor) {
-        let s = state(&mut self.mean_sq, name, || grad.zeros_like());
+        let (s, fresh) = state(&mut self.mean_sq, name, || grad.zeros_like());
         for i in 0..grad.len() {
             let g = grad[i];
-            s[i] = self.decay * s[i] + (1.0 - self.decay) * g * g;
+            let s0 = if fresh { 0.0 } else { self.decay * s[i] };
+            s[i] = s0 + (1.0 - self.decay) * g * g;
             value[i] -= self.lr * g / (s[i].sqrt() + self.eps);
         }
     }
@@ -283,10 +312,11 @@ impl Adagrad {
 
 impl Optimizer for Adagrad {
     fn update(&mut self, name: &str, value: &mut Tensor, grad: &Tensor) {
-        let a = state(&mut self.accum, name, || grad.zeros_like());
+        let (a, fresh) = state(&mut self.accum, name, || grad.zeros_like());
         for i in 0..grad.len() {
             let g = grad[i];
-            a[i] += g * g;
+            let a0 = if fresh { 0.0 } else { a[i] };
+            a[i] = a0 + g * g;
             value[i] -= self.lr * g / (a[i].sqrt() + self.eps);
         }
     }
@@ -475,6 +505,70 @@ mod tests {
             }
             assert!(want.as_slice()[16..].iter().all(|x| x.is_finite()));
         }
+    }
+
+    /// A first update, which writes its state without reading it, gives
+    /// the bits of one that reads explicitly zeroed state — parameters and
+    /// state, over that update and the next — on gradients holding −0.0,
+    /// subnormals, ±∞ and NaN.
+    #[test]
+    fn a_fresh_state_updates_as_an_explicitly_zeroed_one() {
+        let g = Tensor::from_vec(vec![
+            -0.0,
+            0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x807F_FFFF),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -0.25,
+            1e-30,
+            3.0,
+        ]);
+        let len = g.len();
+        let zeros = || Tensor::from_vec(vec![0.0; len]);
+        fn check<O: Optimizer>(
+            what: &str,
+            [mut fresh, mut zeroed]: [O; 2],
+            g: &Tensor,
+            state: impl Fn(&O) -> Vec<&Tensor>,
+        ) {
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let init: Vec<f32> = (0..g.len()).map(|i| i as f32 * 0.1 - 0.4).collect();
+            let (mut a, mut b) = (Tensor::from_vec(init.clone()), Tensor::from_vec(init));
+            for step in 0..2 {
+                fresh.update("w", &mut a, g);
+                zeroed.update("w", &mut b, g);
+                assert_eq!(bits(&a), bits(&b), "{what} step {step}: parameters");
+                let (sa, sb) = (state(&fresh), state(&zeroed));
+                for (x, y) in sa.into_iter().zip(sb) {
+                    assert_eq!(bits(x), bits(y), "{what} step {step}: state");
+                }
+            }
+        }
+        for nesterov in [false, true] {
+            let [mut fresh, mut zeroed] = [0; 2].map(|_| Momentum::new(0.05, 0.9));
+            fresh.nesterov = nesterov;
+            zeroed.nesterov = nesterov;
+            zeroed.velocity.insert("w".into(), zeros());
+            check("momentum", [fresh, zeroed], &g, |o| vec![&o.velocity["w"]]);
+        }
+        let mut adam = Adam::new(0.01);
+        adam.m.insert("w".into(), zeros());
+        adam.v.insert("w".into(), zeros());
+        check("adam", [Adam::new(0.01), adam], &g, |o| {
+            vec![&o.m["w"], &o.v["w"]]
+        });
+        let mut rms = RmsProp::new(0.01);
+        rms.mean_sq.insert("w".into(), zeros());
+        check("rmsprop", [RmsProp::new(0.01), rms], &g, |o| {
+            vec![&o.mean_sq["w"]]
+        });
+        let mut ada = Adagrad::new(0.01);
+        ada.accum.insert("w".into(), zeros());
+        check("adagrad", [Adagrad::new(0.01), ada], &g, |o| {
+            vec![&o.accum["w"]]
+        });
     }
 
     #[test]

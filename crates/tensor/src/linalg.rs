@@ -104,6 +104,23 @@ pub fn matmul_transpose_a(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) ->
     })
 }
 
+/// [`matmul_transpose_a`] into a buffer the caller already holds — the
+/// weight gradient a backward pass writes over the last step's. `gemm_tn`
+/// never reads `c`, so what it held cannot show in the bits.
+///
+/// # Panics
+///
+/// Panics if buffer sizes do not match the dimensions.
+pub fn matmul_transpose_a_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, c: &mut [f32]) {
+    assert_eq!(a.len(), m * k, "A buffer size mismatch");
+    assert_eq!(b.len(), m * n, "B buffer size mismatch");
+    assert_eq!(c.len(), k * n, "C buffer size mismatch");
+    let lvl = crate::simd::level();
+    pool::split_rows(c, k, 1, m * k * n, |rows, c| {
+        crate::simd::gemm_tn_rows_at(lvl, a, b, c, m, k, n, rows);
+    });
+}
+
 /// `C (m×k) = A (m×n) · Bᵀ` where `B` is `k×n`: a fresh buffer filled by
 /// [`crate::simd::gemm_nt`], eight-row blocks of `A` (the kernel's vector
 /// panel) split across this thread's [`crate::pool`].

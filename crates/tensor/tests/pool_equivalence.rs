@@ -2,7 +2,8 @@
 //! widths 1, 2, 3 and 5, exactly what its serial body returns.
 //!
 //! * [`linalg::matmul`], [`linalg::matmul_transpose_b`] (`gemm_nt`, dX) and
-//!   [`linalg::matmul_transpose_a`] (`gemm_tn`, dW) at `m ∈ {1, 7, 8, 9, 16,
+//!   [`linalg::matmul_transpose_a`] (`gemm_tn`, dW) — fresh, and in place
+//!   over a NaN-filled destination — at `m ∈ {1, 7, 8, 9, 16,
 //!   17, 204}` with `k` and `n` off the vector width, over inputs with zero
 //!   rows, `−0.0`, NaN and ±∞. `0 · ∞` stays absent where the kernel skips
 //!   zeros (`matmul`, `gemm_tn`) and propagates where it does not
@@ -134,6 +135,14 @@ fn products_are_bit_identical_at_every_width() {
                 same_up_to_nan_payload(&scalar, &dw),
                 "{what} against scalar"
             );
+            // In place, over a destination that holds NaN: nothing it held
+            // shows.
+            let into = at_every_width(&format!("{what} in place"), || {
+                let mut c = vec![f32::NAN; k * n];
+                linalg::matmul_transpose_a_into(&a, &dy, m, k, n, &mut c);
+                c
+            });
+            assert_eq!(bits(&into), bits(&dw), "{what}: in place against fresh");
         }
     }
 }

@@ -464,6 +464,79 @@ fn malformed_qsgd_frames_are_rejected_contributions() {
     }
 }
 
+/// The sparse formats' frames too: a CRC-valid frame whose index list
+/// reaches past the tensor, whose value and index counts differ, which
+/// lacks a payload or carries a stray scalar is one rejected contribution —
+/// folded nowhere, counted once — for top-k, random-k, threshold-v, DGC and
+/// Qsparse under every plan, and alone it is the merge's typed error.
+#[test]
+fn malformed_sparse_frames_are_rejected_contributions() {
+    use grace::core::payload::encode_frame;
+    use grace::core::PayloadError;
+
+    let data: Vec<f32> = (0..96)
+        .map(|i| ((i * 37) % 101) as f32 / 50.0 - 1.0)
+        .collect();
+    for id in ["topk", "randomk", "thresholdv", "dgc", "qsparselocal"] {
+        let spec = registry::resolve(id).unwrap();
+        let parts = gather(&spec, &data);
+        let shape = parts[0].ctx.shape.clone();
+        let frame = |p: &EncodedTensor| encode_frame(p.payloads.clone(), &p.ctx.meta);
+        let (payloads, meta) = (&parts[1].payloads, &parts[1].ctx.meta);
+        let at = payloads
+            .iter()
+            .position(|p| matches!(p, Payload::U32(_)))
+            .expect("an index list");
+        let with_indices = |indices: Vec<u32>| {
+            let mut p = payloads.clone();
+            p[at] = Payload::U32(indices);
+            encode_frame(p, meta)
+        };
+        let n = payloads[at].as_u32().len();
+        let mut beyond = payloads[at].as_u32().to_vec();
+        beyond[n / 2] = 96;
+        let mut stray = meta.clone();
+        stray.push(1.0);
+        let malformed: [(&str, Vec<u8>); 4] = [
+            ("an index past the end", with_indices(beyond)),
+            (
+                "one index short",
+                with_indices(payloads[at].as_u32()[1..].to_vec()),
+            ),
+            (
+                "a payload short",
+                encode_frame(payloads[1..].to_vec(), meta),
+            ),
+            ("a stray scalar", encode_frame(payloads.clone(), &stray)),
+        ];
+        for plan in AggregationPlan::ALL {
+            let mut c = (spec.build)(100);
+            let mut merger = AggMerger::new(plan);
+            let survivors = [parts[0].clone(), parts[2].clone()];
+            let (expect, _) = merger.merge_gathered(c.as_mut(), &survivors);
+            for (what, bad) in &malformed {
+                let gathered = [frame(&parts[0]), bad.clone(), frame(&parts[2])];
+                let (got, _, rejected) = merger
+                    .merge_frames(c.as_mut(), gathered.iter().map(Vec::as_slice), &shape)
+                    .unwrap_or_else(|e| panic!("{id}, {plan}, {what}: {e}"));
+                assert_eq!(
+                    (bits(&got), rejected),
+                    (bits(&expect), 1),
+                    "{id}, {plan}, {what}"
+                );
+                let alone = std::iter::once(bad.as_slice());
+                assert!(
+                    matches!(
+                        merger.merge_frames(c.as_mut(), alone, &shape),
+                        Err(PayloadError::Malformed(_))
+                    ),
+                    "{id}, {plan}, {what}"
+                );
+            }
+        }
+    }
+}
+
 /// The wire unit of a gathered collective is a bucket envelope around the
 /// tensors' frames, and it too is bytes a peer wrote. A receiver splits
 /// every slot against its *own* plan's tensor count and merges tensor `t`

@@ -47,10 +47,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
         let _ = LARGEST.try_with(|c| c.set(c.get().max(layout.size())));
+        // SAFETY: the caller's `GlobalAlloc::alloc` contract, passed on.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -735,21 +737,47 @@ impl Task for StepMarks {
     }
 }
 
-/// A warm dense step allocates no gradient-sized buffer: each exchange
-/// buffer circulates from encode through the collective and the decoded
-/// aggregate to the optimizer and back. The model is one layer,
-/// `y = x + Σ w`, over large parameters and 2-wide activations, whose
-/// backward writes its gradients in place — so any request as large as the
-/// smallest gradient tensor would be the exchange's. Checked on a 1-rank
-/// `run_threaded` (the board's collective ending) and a 1-lane
-/// `run_simulated` session, with every tensor its own bucket and all in one.
+/// An optimizer that notes the buffer of every aggregate it is handed.
+struct Watch {
+    inner: grace::nn::optim::Momentum,
+    seen: std::sync::Arc<Mutex<Vec<(String, usize)>>>,
+}
+
+impl grace::nn::optim::Optimizer for Watch {
+    fn update(&mut self, name: &str, value: &mut Tensor, grad: &Tensor) {
+        let at = grad.as_slice().as_ptr() as usize;
+        self.seen.lock().unwrap().push((name.to_string(), at));
+        self.inner.update(name, value, grad);
+    }
+    fn learning_rate(&self) -> f32 {
+        self.inner.learning_rate()
+    }
+    fn set_learning_rate(&mut self, lr: f32) {
+        self.inner.set_learning_rate(lr);
+    }
+}
+
+/// A warm dense step allocates no gradient-sized buffer: each parameter's
+/// gradient buffer circulates from backward through the encode, the
+/// collective and the decoded aggregate to the optimizer and back to the
+/// parameter. The first model is one layer, `y = x + Σ w`, over large
+/// parameters and 2-wide activations, whose backward writes its gradients
+/// in place — so any request as large as the smallest gradient tensor would
+/// be the exchange's. The second is a real `Dense` stack with weights far
+/// larger than its activations, whose optimizer sees one buffer per
+/// parameter over every step. Checked on a 1-rank `run_threaded` (the
+/// board's collective ending) and a 1-lane `run_simulated` session, with
+/// every tensor its own bucket and all in one.
 #[test]
 fn a_warm_dense_step_requests_no_gradient_sized_buffer() {
     use grace::core::threaded::run_threaded;
     use grace::core::trainer::{run_simulated, CodecTiming};
     use grace::core::{Memory, NoCompression, NoMemory, TrainConfig};
+    use grace::nn::models;
     use grace::nn::optim::{Momentum, Optimizer};
     use grace::nn::{Layer, Loss, Param};
+    use std::collections::{BTreeSet, HashMap};
+    use std::sync::Arc;
 
     struct Offset(Vec<Param>);
     impl Layer for Offset {
@@ -767,7 +795,7 @@ fn a_warm_dense_step_requests_no_gradient_sized_buffer() {
         fn backward(&mut self, grad_output: &Tensor) -> Tensor {
             let g: f32 = grad_output.as_slice().iter().sum();
             for p in &mut self.0 {
-                p.grad.as_mut_slice().fill(g);
+                p.grad_mut().fill(g);
             }
             grad_output.clone()
         }
@@ -819,6 +847,58 @@ fn a_warm_dense_step_requests_no_gradient_sized_buffer() {
                 "{run}, fusion {fusion_bytes}: a warm step requested {largest} bytes at once, \
                  the smallest gradient is {smallest_gradient}"
             );
+        }
+
+        // Weights of 48×96, 96×96 and 96×16 floats; a batch of 8 makes
+        // activations of at most 8×96.
+        let dense = || models::mlp_classifier("dense", 48, &[96, 96], 16, 5);
+        let smallest_weight = 4 * 96 * 16;
+        let task = || StepMarks::new(ClassificationDataset::synthetic(96, 48, 16, 0.3, 5));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let watch = || Watch {
+            inner: Momentum::new(0.05, 0.9),
+            seen: Arc::clone(&seen),
+        };
+        let threaded = task();
+        run_threaded(&cfg, &threaded, |_rank| {
+            (
+                dense(),
+                Box::new(watch()) as Box<dyn Optimizer>,
+                Box::new(NoCompression::new()) as Box<dyn Compressor>,
+                Box::new(NoMemory::new()) as Box<dyn Memory>,
+            )
+        });
+        let threaded_seen = std::mem::take(&mut *seen.lock().unwrap());
+        let simulated = task();
+        let mut cs: Vec<Box<dyn Compressor>> = vec![Box::new(NoCompression::new())];
+        let mut ms: Vec<Box<dyn Memory>> = vec![Box::new(NoMemory::new())];
+        let (mut model, mut opt) = (dense(), watch());
+        run_simulated(&cfg, &mut model, &simulated, &mut opt, &mut cs, &mut ms);
+        let simulated_seen = std::mem::take(&mut *seen.lock().unwrap());
+        let runs = [
+            ("dense run_threaded", threaded, threaded_seen),
+            ("dense run_simulated", simulated, simulated_seen),
+        ];
+        for (run, marks, seen) in runs {
+            let (_, largest) = marks.warm_step();
+            assert!(
+                largest < smallest_weight,
+                "{run}, fusion {fusion_bytes}: a warm step requested {largest} bytes at once, \
+                 the smallest weight gradient is {smallest_weight}"
+            );
+            let mut buffers: HashMap<String, BTreeSet<usize>> = HashMap::new();
+            for (name, at) in &seen {
+                buffers.entry(name.clone()).or_default().insert(*at);
+            }
+            assert_eq!(buffers.len(), 6, "{run}: three layers' weights and biases");
+            assert!(seen.len() >= 3 * 6, "{run}: at least three steps");
+            for (name, at) in &buffers {
+                assert_eq!(
+                    at.len(),
+                    1,
+                    "{run}, fusion {fusion_bytes}: '{name}' saw {at:?}"
+                );
+            }
         }
     }
 }
