@@ -987,8 +987,18 @@ impl HubServer {
 
     /// Runs the hub on a fresh thread; the returned handle joins it.
     pub fn spawn(self) -> HubHandle {
+        // A test's pending region-growth failure goes to the hub's thread,
+        // which grows the response images.
+        #[cfg(test)]
+        let fail = shm::take_growth_failure();
         HubHandle {
-            join: Some(std::thread::spawn(move || self.serve())),
+            join: Some(std::thread::spawn(move || {
+                #[cfg(test)]
+                if let Some(errno) = fail {
+                    shm::fail_next_growth(errno);
+                }
+                self.serve()
+            })),
         }
     }
 
@@ -2426,6 +2436,33 @@ mod tests {
             other => panic!("expected a transport error, got {other:?}"),
         }
         assert_eq!(out[1], Ok(1));
+    }
+
+    /// The hub's side of a full region filesystem: the response image
+    /// cannot grow, so the round ends in a typed transport error on every
+    /// rank, and no region file is left behind.
+    #[cfg(unix)]
+    #[test]
+    fn a_response_image_that_cannot_grow_is_every_ranks_typed_error() {
+        let dir = Path::new(shm::SHM_DIR).join(format!("grace-enospc-{}", std::process::id()));
+        std::fs::create_dir(&dir).unwrap();
+        let opts = ClusterOptions::with_timeout(Duration::from_secs(10));
+        // Set on this thread, the failure goes to the hub it spawns.
+        shm::fail_next_growth(28);
+        let out = run_local_in(2, opts, Some(Endpoint::ephemeral_uds()), &dir, |c| {
+            c.try_allreduce_f32(vec![1.5; 64]).map(|r| r.contributors)
+        });
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+        std::fs::remove_dir(&dir).unwrap();
+        for (rank, r) in out.iter().enumerate() {
+            match r {
+                Err(ClusterError::Transport { detail, .. }) => {
+                    assert!(detail.contains("No space left"), "rank {rank}: {detail}")
+                }
+                other => panic!("rank {rank}: expected a transport error, got {other:?}"),
+            }
+        }
+        assert!(left.is_empty(), "region files left: {left:?}");
     }
 
     #[test]

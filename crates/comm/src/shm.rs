@@ -379,9 +379,16 @@ thread_local! {
 }
 
 /// Test hook: the calling thread's next region growth fails with `errno`.
+/// A hub spawned from the thread takes the failure with it.
 #[cfg(test)]
 pub(crate) fn fail_next_growth(errno: i32) {
     FAIL_GROWTH.with(|f| f.set(Some(errno)));
+}
+
+/// Test hook: takes the calling thread's pending growth failure.
+#[cfg(test)]
+pub(crate) fn take_growth_failure() -> Option<i32> {
+    FAIL_GROWTH.with(|f| f.take())
 }
 
 /// The three system calls, on the targets whose ABI is declared here.
@@ -416,7 +423,7 @@ mod sys {
     /// Allocates the file's first `size` bytes (extending it as needed).
     pub(super) fn grow(file: &File, size: usize) -> io::Result<()> {
         #[cfg(test)]
-        if let Some(errno) = super::FAIL_GROWTH.with(|f| f.take()) {
+        if let Some(errno) = super::take_growth_failure() {
             return Err(io::Error::from_raw_os_error(errno));
         }
         let len = i64::try_from(size).map_err(|_| io::Error::other("region too large"))?;

@@ -1,10 +1,11 @@
 //! Qsparse-local-SGD (Basu et al., NeurIPS'19) — the compression operator.
 
 use crate::quantization::qsgd::{dequantize_payloads, quantize_to_payloads, LevelStreams};
-use crate::sparsification::checked_indices;
-use grace_core::{Compressor, Context, Payload, PayloadError, PayloadList};
+use crate::sparsification::{checked_indices, SparseFold};
+use grace_core::{Compressor, Context, Payload, PayloadError, PayloadList, PayloadView};
 use grace_tensor::rng::substream;
 use grace_tensor::select::{gather, top_k_indices_with};
+use grace_tensor::simd::Fold;
 use grace_tensor::Tensor;
 use rand::rngs::StdRng;
 
@@ -26,6 +27,8 @@ pub struct QsparseLocal {
     rng: StdRng,
     /// Pooled selection scratch, reused across same-size compress calls.
     scratch: Vec<u32>,
+    /// The gathered merge's sparse-stream fold.
+    fold: SparseFold,
 }
 
 impl QsparseLocal {
@@ -43,6 +46,7 @@ impl QsparseLocal {
             s,
             rng: substream(seed, 0x95a5e),
             scratch: Vec::new(),
+            fold: SparseFold::default(),
         }
     }
 
@@ -80,8 +84,28 @@ impl Compressor for QsparseLocal {
         out
     }
 
-    /// Indices inside the tensor, then a sign and a level stream of one
-    /// code per index, and the norm.
+    /// Decodes the selected values with QSGD's level kernel into the sparse
+    /// fold's pooled values, then scatter-adds them at the indices.
+    fn fold_gathered(
+        &mut self,
+        payloads: PayloadList<'_>,
+        ctx: &Context,
+        acc: &mut Vec<f32>,
+        fold: Fold,
+    ) {
+        let indices = payloads.get(0);
+        let count = match indices {
+            PayloadView::U32(v) => v.len(),
+            other => other.encoded_bytes() / 4,
+        };
+        let streams = LevelStreams::of(payloads.get(1), payloads.get(2), self.s, count)
+            .unwrap_or_else(|e| panic!("{e}"));
+        streams.fold_into(self.s, ctx.meta[0], &mut self.fold.values, Fold::Assign);
+        self.fold.fold_values(indices, ctx.shape.len(), acc, fold);
+    }
+
+    /// Indices inside the tensor, each once, then a sign and a level stream
+    /// of one code per index, and the norm.
     fn check_gathered(&self, payloads: PayloadList<'_>, ctx: &Context) -> Result<(), PayloadError> {
         if payloads.len() != 3 || ctx.meta.len() != 1 {
             return Err(PayloadError::Malformed(format!(

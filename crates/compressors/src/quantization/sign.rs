@@ -2,8 +2,9 @@
 
 #[cfg(test)]
 use grace_core::CommStrategy;
-use grace_core::{Compressor, Context, Payload};
-use grace_tensor::pack::{pack_signs, unpack_signs};
+use grace_core::{Compressor, Context, Payload, PayloadError, PayloadList, PayloadView};
+use grace_tensor::pack::{pack_signs, packed_len};
+use grace_tensor::simd::Fold;
 use grace_tensor::Tensor;
 use std::collections::HashMap;
 
@@ -16,20 +17,64 @@ fn compress_signs(tensor: &Tensor) -> Payload {
     }
 }
 
-fn decompress_signs(payload: &Payload, scale: f32, ctx: &Context) -> Tensor {
-    let count = match payload {
-        Payload::Packed { count, .. } => *count as usize,
-        other => panic!("expected packed signs, got {other:?}"),
+/// Decodes a sign bitmap into `±scale` per element.
+fn decompress_signs(payloads: &[Payload], scale: f32, ctx: &Context) -> Tensor {
+    let mut out = Vec::new();
+    fold_signs(payloads.into(), scale, ctx, &mut out, Fold::Assign);
+    Tensor::new(out, ctx.shape.clone())
+}
+
+/// Folds a sign bitmap's `±scale` straight into the merge accumulator.
+///
+/// # Panics
+///
+/// On a contribution [`check_codes`] rejects.
+fn fold_signs(
+    payloads: PayloadList<'_>,
+    scale: f32,
+    ctx: &Context,
+    acc: &mut Vec<f32>,
+    fold: Fold,
+) {
+    let PayloadView::Packed { data, .. } = payloads.get(0) else {
+        panic!("expected packed signs, got {:?}", payloads.get(0));
     };
-    let signs = match payload {
-        Payload::Packed { data, .. } => unpack_signs(data, count),
-        _ => unreachable!(),
-    };
-    let data: Vec<f32> = signs
-        .into_iter()
-        .map(|neg| if neg { -scale } else { scale })
-        .collect();
-    Tensor::new(data, ctx.shape.clone())
+    let count = ctx.shape.len();
+    let values = (0..count).map(|i| {
+        if (data[i / 8] >> (i % 8)) & 1 != 0 {
+            -scale
+        } else {
+            scale
+        }
+    });
+    fold.apply_iter(acc, count, values);
+}
+
+/// Checks a gathered contribution of one `bits`-wide packed code per
+/// element, in exactly the bytes those take, with `scalars` context
+/// scalars.
+///
+/// # Errors
+///
+/// [`PayloadError::Malformed`] for any other contribution.
+pub(crate) fn check_codes(
+    payloads: PayloadList<'_>,
+    ctx: &Context,
+    bits: u32,
+    scalars: usize,
+) -> Result<(), PayloadError> {
+    let count = ctx.shape.len();
+    let sound = payloads.len() == 1
+        && ctx.meta.len() == scalars
+        && matches!(payloads.get(0), PayloadView::Packed { data, bits: b, count: n }
+            if b == bits && n as usize == count && data.len() == packed_len(count, bits));
+    if sound {
+        Ok(())
+    } else {
+        Err(PayloadError::Malformed(format!(
+            "expected one {bits}-bit stream of {count} codes and {scalars} scalars"
+        )))
+    }
 }
 
 /// SignSGD (Bernstein et al., ICML'18): transmits only the sign of every
@@ -60,7 +105,21 @@ impl Compressor for SignSgd {
     }
 
     fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor {
-        decompress_signs(&payloads[0], 1.0, ctx)
+        decompress_signs(payloads, 1.0, ctx)
+    }
+
+    fn fold_gathered(
+        &mut self,
+        payloads: PayloadList<'_>,
+        ctx: &Context,
+        acc: &mut Vec<f32>,
+        fold: Fold,
+    ) {
+        fold_signs(payloads, 1.0, ctx, acc, fold);
+    }
+
+    fn check_gathered(&self, payloads: PayloadList<'_>, ctx: &Context) -> Result<(), PayloadError> {
+        check_codes(payloads, ctx, 1, 0)
     }
 
     fn supports_error_feedback(&self) -> bool {
@@ -122,7 +181,21 @@ impl Compressor for Signum {
     }
 
     fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor {
-        decompress_signs(&payloads[0], 1.0, ctx)
+        decompress_signs(payloads, 1.0, ctx)
+    }
+
+    fn fold_gathered(
+        &mut self,
+        payloads: PayloadList<'_>,
+        ctx: &Context,
+        acc: &mut Vec<f32>,
+        fold: Fold,
+    ) {
+        fold_signs(payloads, 1.0, ctx, acc, fold);
+    }
+
+    fn check_gathered(&self, payloads: PayloadList<'_>, ctx: &Context) -> Result<(), PayloadError> {
+        check_codes(payloads, ctx, 1, 0)
     }
 }
 
@@ -157,7 +230,21 @@ impl Compressor for EfSignSgd {
     }
 
     fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor {
-        decompress_signs(&payloads[0], ctx.meta[0], ctx)
+        decompress_signs(payloads, ctx.meta[0], ctx)
+    }
+
+    fn fold_gathered(
+        &mut self,
+        payloads: PayloadList<'_>,
+        ctx: &Context,
+        acc: &mut Vec<f32>,
+        fold: Fold,
+    ) {
+        fold_signs(payloads, ctx.meta[0], ctx, acc, fold);
+    }
+
+    fn check_gathered(&self, payloads: PayloadList<'_>, ctx: &Context) -> Result<(), PayloadError> {
+        check_codes(payloads, ctx, 1, 1)
     }
 }
 

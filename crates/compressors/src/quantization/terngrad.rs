@@ -1,7 +1,9 @@
 //! TernGrad (Wen et al., NeurIPS'17).
 
-use grace_core::{Compressor, Context, Payload};
+use super::sign::check_codes;
+use grace_core::{Compressor, Context, Payload, PayloadError, PayloadList, PayloadView};
 use grace_tensor::rng::substream;
+use grace_tensor::simd::Fold;
 use grace_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -58,17 +60,34 @@ impl Compressor for TernGrad {
     }
 
     fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor {
-        let scale = ctx.meta[0];
-        let data: Vec<f32> = payloads[0]
-            .unpack()
-            .into_iter()
-            .map(|code| match code {
-                1 => scale,
-                2 => -scale,
-                _ => 0.0,
-            })
-            .collect();
-        Tensor::new(data, ctx.shape.clone())
+        let mut out = Vec::new();
+        self.fold_gathered(payloads.into(), ctx, &mut out, Fold::Assign);
+        Tensor::new(out, ctx.shape.clone())
+    }
+
+    /// Decodes the 2-bit codes (0 → 0, 1 → `scale`, 2 → `−scale`) straight
+    /// into the merge accumulator.
+    fn fold_gathered(
+        &mut self,
+        payloads: PayloadList<'_>,
+        ctx: &Context,
+        acc: &mut Vec<f32>,
+        fold: Fold,
+    ) {
+        let PayloadView::Packed { data, .. } = payloads.get(0) else {
+            panic!("expected packed ternary codes, got {:?}", payloads.get(0));
+        };
+        let (scale, count) = (ctx.meta[0], ctx.shape.len());
+        let values = (0..count).map(|i| match (data[i / 4] >> (2 * (i % 4))) & 3 {
+            1 => scale,
+            2 => -scale,
+            _ => 0.0,
+        });
+        fold.apply_iter(acc, count, values);
+    }
+
+    fn check_gathered(&self, payloads: PayloadList<'_>, ctx: &Context) -> Result<(), PayloadError> {
+        check_codes(payloads, ctx, 2, 1)
     }
 }
 

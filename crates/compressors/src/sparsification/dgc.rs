@@ -1,9 +1,10 @@
 //! Deep Gradient Compression (Lin et al., ICLR'18).
 
-use super::{check_sparse, ratio_to_k, sparse_decompress, sparse_payloads};
+use super::{check_sparse, ratio_to_k, sparse_decompress, sparse_payloads, SparseFold};
 use grace_core::{Compressor, Context, Payload, PayloadError, PayloadList};
 use grace_tensor::rng::substream;
 use grace_tensor::select::sampled_abs_threshold;
+use grace_tensor::simd::Fold;
 use grace_tensor::Tensor;
 use rand::rngs::StdRng;
 use std::collections::HashMap;
@@ -31,6 +32,8 @@ pub struct Dgc {
     u: HashMap<String, Tensor>,
     v: HashMap<String, Tensor>,
     rng: StdRng,
+    /// The gathered merge's sparse-stream fold.
+    fold: SparseFold,
 }
 
 impl Dgc {
@@ -49,6 +52,7 @@ impl Dgc {
             u: HashMap::new(),
             v: HashMap::new(),
             rng: substream(seed, 0xd6c),
+            fold: SparseFold::default(),
         }
     }
 
@@ -104,6 +108,18 @@ impl Compressor for Dgc {
 
     fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor {
         sparse_decompress(payloads, ctx)
+    }
+
+    /// Scatter-adds straight from the value and index views.
+    fn fold_gathered(
+        &mut self,
+        payloads: PayloadList<'_>,
+        ctx: &Context,
+        acc: &mut Vec<f32>,
+        fold: Fold,
+    ) {
+        let (values, indices) = (payloads.get(0), payloads.get(1));
+        self.fold.fold(values, indices, ctx.shape.len(), acc, fold);
     }
 
     fn check_gathered(&self, payloads: PayloadList<'_>, ctx: &Context) -> Result<(), PayloadError> {

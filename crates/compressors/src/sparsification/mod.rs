@@ -13,6 +13,7 @@ pub use top_k::TopK;
 
 use grace_core::{Context, Payload, PayloadError, PayloadList, PayloadView};
 use grace_tensor::select::scatter;
+use grace_tensor::simd::{fold_add, Fold};
 use grace_tensor::Tensor;
 
 /// Builds the standard sparse wire format: values + indices payloads.
@@ -30,10 +31,104 @@ pub(crate) fn sparse_decompress(payloads: &[Payload], ctx: &Context) -> Tensor {
     )
 }
 
+/// The sparse-stream fold (SparCML's sparse sum) of a gathered merge:
+/// each contribution folds straight from its value and index streams into
+/// the accumulator, bit for bit the decoded tensors' dense fold.
+///
+/// The first pass zero-fills the accumulator and scatters, as the decode
+/// does. A later pass adds at the positions its contribution selects, and
+/// the last one then multiplies every element by `1/n`. The dense fold also
+/// adds `+0.0` at every position a contribution does not select. That is
+/// the identity — [`fold_add`] keeps the accumulator's NaN — except on
+/// `−0.0`, which becomes `+0.0`. An adding pass that skips those positions
+/// is therefore exact only while the accumulator holds no `−0.0`: a pass
+/// that starts from one that may (a first contribution that selected a
+/// `−0.0`) folds the decoded tensor densely instead.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SparseFold {
+    /// Whether the last pass left no `−0.0` in the accumulator. A fresh
+    /// fold does not know, so its first adding pass is dense.
+    clean: bool,
+    /// The contribution's values, read out of their view (pooled).
+    pub(crate) values: Vec<f32>,
+    /// The contribution's indices, read out of their view (pooled).
+    indices: Vec<u32>,
+}
+
+impl SparseFold {
+    /// Folds one contribution — a value and an index view that
+    /// [`check_sparse`] accepted, for a tensor of `numel` elements — into
+    /// `acc` as `fold` says.
+    ///
+    /// # Panics
+    ///
+    /// As [`fold_values`](Self::fold_values), and on views of another kind.
+    pub(crate) fn fold(
+        &mut self,
+        values: PayloadView<'_>,
+        indices: PayloadView<'_>,
+        numel: usize,
+        acc: &mut Vec<f32>,
+        fold: Fold,
+    ) {
+        values.read_f32s_into(&mut self.values);
+        self.fold_values(indices, numel, acc, fold);
+    }
+
+    /// Folds [`values`](Self::values) at the indices of a view that
+    /// [`checked_indices`] accepted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range, or if an adding pass meets an
+    /// `acc` that does not hold `numel` elements.
+    pub(crate) fn fold_values(
+        &mut self,
+        indices: PayloadView<'_>,
+        numel: usize,
+        acc: &mut Vec<f32>,
+        fold: Fold,
+    ) {
+        indices.read_u32s_into(&mut self.indices);
+        let selected = self.indices.iter().zip(&self.values);
+        let negative_zero = |v: &f32| v.to_bits() == (-0.0f32).to_bits();
+        let scale = match fold {
+            Fold::Assign => {
+                self.clean = !self.values.iter().any(negative_zero);
+                acc.clear();
+                acc.resize(numel, 0.0);
+                selected.for_each(|(&i, &v)| acc[i as usize] = v);
+                return;
+            }
+            _ if !self.clean => {
+                // Only a selected `−0.0` added onto one leaves a `−0.0` —
+                // and the `1/n` scale, rounding a tiny negative to one.
+                self.clean = fold == Fold::Add && !self.values.iter().any(negative_zero);
+                let mut decoded = vec![0.0; numel];
+                selected.for_each(|(&i, &v)| decoded[i as usize] = v);
+                return fold.apply(acc, decoded);
+            }
+            Fold::Add => None,
+            Fold::AddScale(scale) => Some(scale),
+        };
+        assert_eq!(acc.len(), numel, "accumulator length");
+        // Onto a clean accumulator no sum is `−0.0`, so it stays clean.
+        for (&i, &v) in selected {
+            let a = &mut acc[i as usize];
+            *a = fold_add(*a, v);
+        }
+        if let Some(scale) = scale {
+            acc.iter_mut().for_each(|a| *a *= scale);
+            self.clean = false;
+        }
+    }
+}
+
 /// Checks a gathered contribution in the standard sparse wire format for a
 /// tensor of `ctx`'s shape: an `f32` value list and a `u32` index list of
-/// one length, no context scalars, and every index inside the tensor —
-/// what [`sparse_decompress`] scatters without looking.
+/// one length, no context scalars, and the indices ascending inside the
+/// tensor — what [`sparse_decompress`] scatters without looking, and what
+/// [`SparseFold`] adds exactly once.
 ///
 /// # Errors
 ///
@@ -60,26 +155,39 @@ pub(crate) fn check_sparse(payloads: PayloadList<'_>, ctx: &Context) -> Result<(
     Ok(())
 }
 
-/// The length of a `u32` index list whose every index is below `numel`,
-/// so that it holds at most `numel` distinct ones.
+/// The length of a `u32` index list whose indices are strictly ascending
+/// and below `numel`. Every encoder emits its indices ascending; a repeated
+/// one is malformed, since the decode keeps the last value there and a
+/// scatter-add would add both, and one pass rules it out.
 ///
 /// # Errors
 ///
-/// [`PayloadError::Malformed`] for another view or an index out of range.
+/// [`PayloadError::Malformed`] for another view, or an index out of range
+/// or out of order.
 pub(crate) fn checked_indices(view: PayloadView<'_>, numel: usize) -> Result<usize, PayloadError> {
-    let inside = |i: u32| (i as usize) < numel;
-    let (len, all_inside) = match view {
-        PayloadView::U32(v) => (v.len(), v.iter().all(|&i| inside(i))),
+    match view {
+        PayloadView::U32(v) => ascending(v.iter().copied(), numel),
         PayloadView::U32Le(b) if b.len() % 4 == 0 => {
             let word = |w: &[u8]| u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-            (b.len() / 4, b.chunks_exact(4).all(|w| inside(word(w))))
+            ascending(b.chunks_exact(4).map(word), numel)
         }
-        _ => return Err(PayloadError::Malformed("sparse indices are not u32".into())),
-    };
-    if len > numel || !all_inside {
-        return Err(PayloadError::Malformed(format!(
-            "{len} indices not all inside a tensor of {numel}"
-        )));
+        _ => Err(PayloadError::Malformed("sparse indices are not u32".into())),
+    }
+}
+
+/// The count of `indices` when they are strictly ascending and below
+/// `numel`.
+fn ascending(indices: impl Iterator<Item = u32>, numel: usize) -> Result<usize, PayloadError> {
+    let mut len = 0usize;
+    let mut next = 0u64;
+    for i in indices {
+        if u64::from(i) < next || i as usize >= numel {
+            return Err(PayloadError::Malformed(format!(
+                "index {i} out of order or outside a tensor of {numel}"
+            )));
+        }
+        next = u64::from(i) + 1;
+        len += 1;
     }
     Ok(len)
 }

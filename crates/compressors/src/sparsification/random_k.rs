@@ -1,9 +1,10 @@
 //! Random-k sparsification (Stich et al., NeurIPS'18).
 
-use super::{check_sparse, ratio_to_k, sparse_decompress, sparse_payloads};
+use super::{check_sparse, ratio_to_k, sparse_decompress, sparse_payloads, SparseFold};
 use grace_core::{Compressor, Context, Payload, PayloadError, PayloadList};
 use grace_tensor::rng::substream;
 use grace_tensor::select::{gather, random_k_indices};
+use grace_tensor::simd::Fold;
 use grace_tensor::Tensor;
 use rand::rngs::StdRng;
 
@@ -19,6 +20,8 @@ pub struct RandomK {
     ratio: f64,
     unbiased: bool,
     rng: StdRng,
+    /// The gathered merge's sparse-stream fold.
+    fold: SparseFold,
 }
 
 impl RandomK {
@@ -34,6 +37,7 @@ impl RandomK {
             ratio,
             unbiased: false,
             rng: substream(seed, 0xa2d0),
+            fold: SparseFold::default(),
         }
     }
 
@@ -71,6 +75,18 @@ impl Compressor for RandomK {
 
     fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor {
         sparse_decompress(payloads, ctx)
+    }
+
+    /// Scatter-adds straight from the value and index views.
+    fn fold_gathered(
+        &mut self,
+        payloads: PayloadList<'_>,
+        ctx: &Context,
+        acc: &mut Vec<f32>,
+        fold: Fold,
+    ) {
+        let (values, indices) = (payloads.get(0), payloads.get(1));
+        self.fold.fold(values, indices, ctx.shape.len(), acc, fold);
     }
 
     fn check_gathered(&self, payloads: PayloadList<'_>, ctx: &Context) -> Result<(), PayloadError> {

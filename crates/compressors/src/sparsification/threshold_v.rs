@@ -1,8 +1,9 @@
 //! Threshold-v sparsification (Dutta et al., AAAI'20).
 
-use super::{check_sparse, sparse_decompress, sparse_payloads};
+use super::{check_sparse, sparse_decompress, sparse_payloads, SparseFold};
 use grace_core::{Compressor, Context, Payload, PayloadError, PayloadList};
 use grace_tensor::select::{gather, threshold_indices};
+use grace_tensor::simd::Fold;
 use grace_tensor::Tensor;
 
 /// Threshold-v: transmits every element with `|g[i]| ≥ v`. The output size is
@@ -12,6 +13,8 @@ use grace_tensor::Tensor;
 #[derive(Debug, Clone)]
 pub struct ThresholdV {
     v: f32,
+    /// The gathered merge's sparse-stream fold.
+    fold: SparseFold,
 }
 
 impl ThresholdV {
@@ -23,7 +26,10 @@ impl ThresholdV {
     /// Panics if `v` is negative or non-finite.
     pub fn new(v: f32) -> Self {
         assert!(v.is_finite() && v >= 0.0, "threshold must be non-negative");
-        ThresholdV { v }
+        ThresholdV {
+            v,
+            fold: SparseFold::default(),
+        }
     }
 
     /// The configured threshold.
@@ -48,6 +54,18 @@ impl Compressor for ThresholdV {
 
     fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor {
         sparse_decompress(payloads, ctx)
+    }
+
+    /// Scatter-adds straight from the value and index views.
+    fn fold_gathered(
+        &mut self,
+        payloads: PayloadList<'_>,
+        ctx: &Context,
+        acc: &mut Vec<f32>,
+        fold: Fold,
+    ) {
+        let (values, indices) = (payloads.get(0), payloads.get(1));
+        self.fold.fold(values, indices, ctx.shape.len(), acc, fold);
     }
 
     fn check_gathered(&self, payloads: PayloadList<'_>, ctx: &Context) -> Result<(), PayloadError> {

@@ -1,8 +1,9 @@
 //! Top-k sparsification (Aji & Heafield, EMNLP'17; Stich et al., NeurIPS'18).
 
-use super::{check_sparse, ratio_to_k, sparse_decompress, sparse_payloads};
+use super::{check_sparse, ratio_to_k, sparse_decompress, sparse_payloads, SparseFold};
 use grace_core::{Compressor, Context, Payload, PayloadError, PayloadList};
 use grace_tensor::select::{gather, top_k_indices_with};
+use grace_tensor::simd::Fold;
 use grace_tensor::Tensor;
 
 /// Top-k: transmits the `k = ⌈ratio·d⌉` elements of largest magnitude, as
@@ -14,6 +15,8 @@ pub struct TopK {
     /// Pooled selection scratch: sized on the first compress, reused (no
     /// reallocation) on every later same-size call.
     scratch: Vec<u32>,
+    /// The gathered merge's sparse-stream fold.
+    fold: SparseFold,
 }
 
 impl TopK {
@@ -27,6 +30,7 @@ impl TopK {
         TopK {
             ratio,
             scratch: Vec::new(),
+            fold: SparseFold::default(),
         }
     }
 
@@ -53,6 +57,18 @@ impl Compressor for TopK {
 
     fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor {
         sparse_decompress(payloads, ctx)
+    }
+
+    /// Scatter-adds straight from the value and index views.
+    fn fold_gathered(
+        &mut self,
+        payloads: PayloadList<'_>,
+        ctx: &Context,
+        acc: &mut Vec<f32>,
+        fold: Fold,
+    ) {
+        let (values, indices) = (payloads.get(0), payloads.get(1));
+        self.fold.fold(values, indices, ctx.shape.len(), acc, fold);
     }
 
     fn check_gathered(&self, payloads: PayloadList<'_>, ctx: &Context) -> Result<(), PayloadError> {

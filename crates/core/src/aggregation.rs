@@ -248,7 +248,7 @@ impl AggMerger {
             };
             return (out, stats);
         }
-        let mut fold = ReferenceFold::new();
+        let mut fold = ReferenceFold::new(Vec::new());
         let last = parts.len() - 1;
         for (i, part) in parts.iter().enumerate() {
             let payloads = PayloadList::Owned(&part.payloads);
@@ -323,8 +323,28 @@ impl AggMerger {
     pub fn merge_frames<'f>(
         &mut self,
         compressor: &mut dyn Compressor,
+        frames: impl Iterator<Item = &'f [u8]>,
+        shape: &Shape,
+    ) -> Result<(Tensor, MergeStats, usize), PayloadError> {
+        self.merge_frames_into(compressor, frames, shape, Vec::new())
+    }
+
+    /// [`merge_frames`](Self::merge_frames) into a buffer the caller lends —
+    /// on the engine's `Allgather` walk, the parameter's own gradient buffer
+    /// once its lane has encoded it. The merge overwrites `acc` (the first
+    /// fold assigns) and returns it as the merged tensor, so a codec whose
+    /// fold writes in place ([`Compressor::fold_gathered`]) allocates no
+    /// output; one that moves a decoded tensor in drops it.
+    ///
+    /// # Errors
+    ///
+    /// As [`merge_frames`](Self::merge_frames).
+    pub fn merge_frames_into<'f>(
+        &mut self,
+        compressor: &mut dyn Compressor,
         mut frames: impl Iterator<Item = &'f [u8]>,
         shape: &Shape,
+        mut acc: Vec<f32>,
     ) -> Result<(Tensor, MergeStats, usize), PayloadError> {
         let plan = effective_plan(self.plan, compressor);
         let mut rejected = 0usize;
@@ -354,7 +374,9 @@ impl AggMerger {
         let mut next = survivor(compressor, next_ctx);
         let mut contributors = 0usize;
         let (out, stats) = if plan == AggregationPlan::HomomorphicSum {
-            let mut out = Tensor::zeros(shape.clone());
+            acc.clear();
+            acc.resize(shape.len(), 0.0);
+            let mut out = Tensor::new(acc, shape.clone());
             let mut incast_bytes = 0u64;
             let t0 = StageTimer::start();
             while let Some(frame) = next {
@@ -388,7 +410,7 @@ impl AggMerger {
             };
             (out, stats)
         } else {
-            let mut fold = ReferenceFold::new();
+            let mut fold = ReferenceFold::new(acc);
             while let Some(frame) = next {
                 std::mem::swap(&mut ctx, &mut next_ctx);
                 next = survivor(compressor, next_ctx);
@@ -417,7 +439,8 @@ impl AggMerger {
 /// rank order, into one accumulator through [`Compressor::fold_gathered`].
 /// The first pass assigns, the others add, and the last of `n ≥ 2` also
 /// multiplies by `1/n` — [`crate::compressor::mean_of`] element by element,
-/// in one pass per contribution.
+/// in one pass per contribution. The accumulator starts as the buffer the
+/// caller lends, whose contents the first pass never reads.
 struct ReferenceFold {
     acc: Vec<f32>,
     folded: usize,
@@ -427,9 +450,9 @@ struct ReferenceFold {
 }
 
 impl ReferenceFold {
-    fn new() -> Self {
+    fn new(acc: Vec<f32>) -> Self {
         ReferenceFold {
-            acc: Vec::new(),
+            acc,
             folded: 0,
             decode_ns: 0,
             rest: None,

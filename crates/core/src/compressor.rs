@@ -104,10 +104,11 @@ pub trait Compressor: Send {
     /// in rank order. The merge passes [`Fold::Assign`] for the first,
     /// [`Fold::Add`] for the middle ones and [`Fold::AddScale`]`(1/n)` for
     /// the last of `n ≥ 2`, which is [`mean_of`] elementwise (a lone
-    /// contribution is assigned, then scaled by `1/1`). The default decodes
-    /// the contribution and folds the decoded values; a method overrides it
-    /// to decode straight into `acc`, or to run an `Agg` other than the
-    /// mean.
+    /// contribution is assigned, then scaled by `1/1`). Under `Assign`,
+    /// `acc` may hold a buffer the caller lends, its contents unread. The
+    /// default decodes the contribution and moves the decoded values in; a
+    /// method overrides it to decode straight into `acc` in its own
+    /// capacity, or to run an `Agg` other than the mean.
     ///
     /// # Panics
     ///

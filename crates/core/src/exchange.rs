@@ -33,16 +33,20 @@
 //!
 //! # One gradient buffer per parameter
 //!
-//! A warm `Allreduce` step allocates no gradient-sized buffer and copies no
-//! lone gradient. [`BucketedExchange::submit_owned`] lends the encode the
-//! parameter's own gradient buffer, which the baseline moves into its
-//! payload ([`Compressor::compress_owned`]). A lone bucket lends that buffer
-//! to the meet, a multi-tensor bucket fuses into a per-bucket buffer the
-//! stager keeps, and the sum comes back in the buffer that was sent. The
-//! mean is split back, each decode moves its payload's buffer into the
-//! aggregate ([`Compressor::decompress_owned`]), and once the optimizer has
-//! read the aggregates the step driver returns each to its parameter, where
-//! the next backward pass writes over it.
+//! A warm step allocates no gradient-sized buffer and copies no lone
+//! gradient. [`BucketedExchange::submit_owned`] lends the encode the
+//! parameter's own gradient buffer. On `Allreduce`, the baseline moves it
+//! into its payload ([`Compressor::compress_owned`]). A lone bucket lends
+//! that buffer to the meet, a multi-tensor bucket fuses into a per-bucket
+//! buffer the stager keeps, and the sum comes back in the buffer that was
+//! sent. The mean is split back, and each decode moves its payload's buffer
+//! into the aggregate ([`Compressor::decompress_owned`]). On `Allgather`,
+//! the last lane keeps the buffer once its encode is done with it, and
+//! that buffer is the tensor's merge accumulator
+//! ([`AggMerger::merge_frames_into`]); a codec whose fold writes in place
+//! ([`Compressor::fold_gathered`]) leaves the mean in it. Once the
+//! optimizer has read the aggregates, the step driver returns each to its
+//! parameter, where the next backward pass writes over it.
 //!
 //! # Determinism
 //!
@@ -591,6 +595,9 @@ struct LaneStager {
     encoded: Vec<EncodedTensor>,
     /// Per-bucket fusion buffers of multi-tensor `Allreduce` buckets.
     fused: Vec<Vec<f32>>,
+    /// Plan-indexed gradient buffers kept once encoded, each the
+    /// `Allgather` merge accumulator of its tensor.
+    kept: Vec<Vec<f32>>,
     /// Tensors encoded so far this step — the next plan slot.
     submitted: usize,
     /// Encode nanoseconds attributed to each bucket this step.
@@ -612,6 +619,7 @@ impl LaneStager {
         LaneStager {
             encoded: Vec::new(),
             fused: Vec::new(),
+            kept: Vec::new(),
             submitted: 0,
             bucket_ns: Vec::new(),
             bucket_bytes: Vec::new(),
@@ -630,6 +638,7 @@ impl LaneStager {
                 ctx: Context::shape_only(Shape::scalar()),
             });
         self.fused.resize_with(plan.n_buckets(), Vec::new);
+        self.kept.resize_with(plan.n_tensors(), Vec::new);
         self.bucket_ns.clear();
         self.bucket_ns.resize(plan.n_buckets(), 0);
         self.bucket_bytes.clear();
@@ -644,8 +653,16 @@ impl LaneStager {
     /// Encodes `grad` into the next plan slot — the only place a `bucket`
     /// window opens: attributes time, bytes and sampled error to the
     /// covering bucket and emits a `buckets`-track span when the bucket's
-    /// last tensor encodes. Returns whether this call completed a bucket.
-    fn encode(&mut self, lane: &mut WorkerLane<'_>, plan: &BucketPlan, grad: Grad<'_>) -> bool {
+    /// last tensor encodes. With `keep`, a lent gradient's buffer is taken
+    /// once the encode is done with it. Returns whether this call completed
+    /// a bucket.
+    fn encode(
+        &mut self,
+        lane: &mut WorkerLane<'_>,
+        plan: &BucketPlan,
+        grad: Grad<'_>,
+        keep: bool,
+    ) -> bool {
         let idx = self.submitted;
         let b = plan.bucket_of(idx);
         if self.window.is_none() {
@@ -653,7 +670,14 @@ impl LaneStager {
         }
         let before_ns = lane.codec_ns;
         let slot = &mut self.encoded[idx];
-        *slot = lane.encode_grad(plan.name(idx), grad);
+        match grad {
+            Grad::Lent(grad) if keep => {
+                *slot = lane.encode_grad(plan.name(idx), Grad::Lent(&mut *grad));
+                let taken = std::mem::replace(grad, Tensor::from_vec(Vec::new()));
+                self.kept[idx] = taken.into_vec();
+            }
+            grad => *slot = lane.encode_grad(plan.name(idx), grad),
+        }
         self.bucket_ns[b] += lane.codec_ns - before_ns;
         self.bucket_bytes[b] += slot.wire_bytes() as u64;
         if let Some(e) = lane.take_quality_error() {
@@ -1061,7 +1085,8 @@ impl<'a> GradientExchange<'a> {
     /// merges the *t*-th frame of every present slot in rank order. A slot
     /// whose envelope is wrong is one rejected contribution — to every
     /// tensor of the bucket, on every receiver alike; a damaged frame inside
-    /// a sound envelope costs only its own tensor that contribution.
+    /// a sound envelope costs only its own tensor that contribution. Each
+    /// tensor merges into the gradient buffer the last lane kept for it.
     fn allgather_bucket<C: ClusterIntrospect>(
         &mut self,
         meet: &Meet<'_, C>,
@@ -1080,7 +1105,11 @@ impl<'a> GradientExchange<'a> {
             envelope
         });
         meet.allgather(envelopes, &mut self.frames)?;
-        let shapes = stagers[0].encoded[range].iter().map(|e| &e.ctx.shape);
+        // Every lane encoded the same plan slots; the last lane's hold the
+        // shapes and the buffers it kept.
+        let LaneStager { encoded, kept, .. } = stagers.last_mut().expect("an engine holds a lane");
+        let shapes = encoded[range.clone()].iter().map(|e| &e.ctx.shape);
+        let mut kept = kept[range].iter_mut().map(std::mem::take);
         let frames = &self.frames;
         let mut rejected = 0;
         let mut bad_envelope = None;
@@ -1102,7 +1131,8 @@ impl<'a> GradientExchange<'a> {
             let parts = slots
                 .iter_mut()
                 .map(|s| s.next().expect("split_bucket checked the count"));
-            match self.merger.merge_frames(lane0, parts, shape) {
+            let into = kept.next().unwrap_or_default();
+            match self.merger.merge_frames_into(lane0, parts, shape, into) {
                 Ok((out, stats, bad_frames)) => {
                     acc.add_merge(&stats);
                     rejected += bad_frames;
@@ -1173,7 +1203,11 @@ impl<'a> GradientExchange<'a> {
             plan.matches(stager.submitted, name, len),
             "submission '{name}' ({len} elements) does not match the bucket plan"
         );
-        if stager.encode(&mut self.lanes[slot], plan, grad) {
+        // The last lane keeps its lent buffers as the gathered merge's
+        // accumulators: the simulator's lanes share one network, so the
+        // lanes before it leave each buffer for the next backward pass.
+        let keep = self.strategy != CommStrategy::Allreduce && slot + 1 == self.lanes.len();
+        if stager.encode(&mut self.lanes[slot], plan, grad, keep) {
             pipe.in_flight += 1;
             self.metrics.in_flight.set(pipe.in_flight as f64);
         }
@@ -1952,7 +1986,8 @@ mod tests {
     /// A lone bucket's lent buffer is the one its aggregate comes back in,
     /// at one lane and at two; a gathered method's slots are empty after
     /// the step — its payloads went into the envelopes — and the gradient
-    /// it was lent stays where it was.
+    /// lane 0 was lent stays where it was, while the last lane keeps its
+    /// buffer as the merge accumulator.
     #[test]
     fn a_lone_lent_buffer_comes_back_as_its_aggregate() {
         for lanes in [1, 2] {
@@ -1983,7 +2018,11 @@ mod tests {
             for (name, g) in list {
                 let mut lent = g.clone();
                 session.submit_owned(w, name, &mut lent);
-                assert_eq!(&lent, g, "a borrowing codec leaves the gradient");
+                if w == 0 {
+                    assert_eq!(&lent, g, "a borrowing codec leaves the gradient");
+                } else {
+                    assert!(lent.is_empty(), "the last lane keeps the buffer");
+                }
             }
         }
         let _ = session.finish();

@@ -290,7 +290,7 @@ pub(crate) fn worker_loop<C: ClusterIntrospect>(
     drop(engine);
     let quality = task.quality(&mut net);
     Ok(WorkerOut {
-        final_params: net.export_params(),
+        final_params: net.into_params(),
         final_quality: quality,
         bytes_sent: board.sent_bytes(),
     })

@@ -253,6 +253,19 @@ impl Network {
         out
     }
 
+    /// The parameter values moved out of a network that is done with them —
+    /// [`export_params`](Network::export_params) without the copy.
+    pub fn into_params(mut self) -> Vec<(String, Tensor)> {
+        let mut out = Vec::new();
+        for layer in &mut self.layers {
+            layer.visit_params(&mut |p| {
+                let value = std::mem::replace(&mut p.value, Tensor::from_vec(Vec::new()));
+                out.push((std::mem::take(&mut p.name), value));
+            });
+        }
+        out
+    }
+
     /// Restores parameter values from a snapshot.
     ///
     /// # Panics
@@ -323,6 +336,13 @@ mod tests {
         net.apply_gradients(&grads, &mut opt);
         let l1 = net.evaluate_loss(&x, &y);
         assert!(l1 < l0, "loss did not decrease: {l0} -> {l1}");
+    }
+
+    #[test]
+    fn into_params_moves_what_export_params_copies() {
+        let mut net = tiny_net(5);
+        let copied = net.export_params();
+        assert_eq!(net.into_params(), copied);
     }
 
     #[test]

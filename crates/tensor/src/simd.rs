@@ -619,6 +619,43 @@ impl Fold {
             FoldSink::new(acc, self, values.len()).put(&values);
         }
     }
+
+    /// Folds the first `count` values `values` yields — a decode, element
+    /// by element — into `acc`: [`apply`](Self::apply) without a decoded
+    /// buffer. [`Fold::Assign`] refills `acc` in its own capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an adding pass meets an `acc` of another length than
+    /// `count`, or if an assigning one gets fewer values.
+    pub fn apply_iter(
+        self,
+        acc: &mut Vec<f32>,
+        count: usize,
+        values: impl IntoIterator<Item = f32>,
+    ) {
+        let values = values.into_iter().take(count);
+        if self != Fold::Assign {
+            assert_eq!(acc.len(), count, "accumulator length");
+        }
+        match self {
+            Fold::Assign => {
+                acc.clear();
+                acc.extend(values);
+                assert_eq!(acc.len(), count, "decoded value count");
+            }
+            Fold::Add => {
+                for (a, d) in acc.iter_mut().zip(values) {
+                    *a = fold_add(*a, d);
+                }
+            }
+            Fold::AddScale(scale) => {
+                for (a, d) in acc.iter_mut().zip(values) {
+                    *a = fold_add(*a, d) * scale;
+                }
+            }
+        }
+    }
 }
 
 /// The write side of a fold: appends under [`Fold::Assign`], and otherwise
@@ -673,7 +710,7 @@ impl<'a> FoldSink<'a> {
 /// every level returns the same bits.
 /// Branch-free, so a loop of it vectorizes.
 #[inline(always)]
-fn fold_add(acc: f32, d: f32) -> f32 {
+pub fn fold_add(acc: f32, d: f32) -> f32 {
     let sum = acc + d;
     if acc.is_nan() {
         acc

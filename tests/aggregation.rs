@@ -466,7 +466,9 @@ fn malformed_qsgd_frames_are_rejected_contributions() {
 
 /// The sparse formats' frames too: a CRC-valid frame whose index list
 /// reaches past the tensor, whose value and index counts differ, which
-/// lacks a payload or carries a stray scalar is one rejected contribution —
+/// lacks a payload, carries a stray scalar or repeats an index (the decode
+/// keeps the last value there, a scatter-add would add both) is one
+/// rejected contribution —
 /// folded nowhere, counted once — for top-k, random-k, threshold-v, DGC and
 /// Qsparse under every plan, and alone it is the merge's typed error.
 #[test]
@@ -497,8 +499,22 @@ fn malformed_sparse_frames_are_rejected_contributions() {
         beyond[n / 2] = 96;
         let mut stray = meta.clone();
         stray.push(1.0);
-        let malformed: [(&str, Vec<u8>); 4] = [
+        // Two entries at the first selected index, each stream otherwise
+        // sound at that length.
+        let twice = |p: &Payload| match p {
+            Payload::F32(v) => Payload::F32(vec![v[0]; 2]),
+            Payload::U32(v) => Payload::U32(vec![v[0]; 2]),
+            Payload::Packed { bits, .. } => Payload::Packed {
+                data: vec![0; (2 * *bits as usize).div_ceil(8)],
+                bits: *bits,
+                count: 2,
+            },
+            other => panic!("{id}: unexpected payload {other:?}"),
+        };
+        let repeated = encode_frame(payloads.iter().map(twice).collect(), meta);
+        let malformed: [(&str, Vec<u8>); 5] = [
             ("an index past the end", with_indices(beyond)),
+            ("a repeated index", repeated),
             (
                 "one index short",
                 with_indices(payloads[at].as_u32()[1..].to_vec()),
@@ -532,6 +548,69 @@ fn malformed_sparse_frames_are_rejected_contributions() {
                     ),
                     "{id}, {plan}, {what}"
                 );
+            }
+        }
+    }
+}
+
+/// The sparse formats fold straight from their streams, adding only where a
+/// contribution selects, yet keep the dense fold's bits: the `+0.0` a
+/// contribution adds where it selects nothing turns an earlier `−0.0` into
+/// `+0.0`, a NaN stays the accumulator's, and ±∞ meet as NaN. Every order
+/// of three of four hand-made contributions — one selects no `−0.0`, so
+/// the adding passes after it stay sparse — at 1, 2 and 3 contributors,
+/// owned and framed, against `decode_gathered` for the four codecs on the
+/// format.
+#[test]
+fn the_sparse_fold_keeps_signed_zeros_nans_and_infinities() {
+    use grace::core::payload::encode_frame;
+
+    let (inf, nan) = (f32::INFINITY, f32::NAN);
+    let sparse = |indices: &[u32], values: &[f32]| EncodedTensor {
+        payloads: vec![
+            Payload::F32(values.to_vec()),
+            Payload::U32(indices.to_vec()),
+        ],
+        ctx: Context::shape_only(grace::tensor::Shape::vector(9)),
+    };
+    // Position 0: −0.0 from the first, nothing from the second; 7: −0.0
+    // from three; 2: +∞ then −∞; 1, 4 and 7: one NaN beside other values.
+    let contributions = [
+        sparse(&[0, 1, 2, 3, 5, 7], &[-0.0, nan, inf, -0.0, 1.0, -0.0]),
+        sparse(&[1, 2, 4, 5, 7, 8], &[2.0, -inf, -nan, -0.0, -0.0, 0.0]),
+        sparse(&[0, 3, 6, 7], &[-0.0, -0.0, -inf, -0.0]),
+        sparse(&[1, 3, 7, 8], &[inf, 3.0, nan, -2.0]),
+    ];
+    let mut orders = Vec::new();
+    for a in 0..4 {
+        for b in (0..4).filter(|&b| b != a) {
+            for c in (0..4).filter(|&c| c != a && c != b) {
+                orders.push([a, b, c]);
+            }
+        }
+    }
+    for id in ["topk", "randomk", "thresholdv", "dgc"] {
+        let spec = registry::resolve(id).unwrap();
+        for order in &orders {
+            for n in 1..=3 {
+                let parts: Vec<EncodedTensor> = order[..n]
+                    .iter()
+                    .map(|&c| contributions[c].clone())
+                    .collect();
+                let what = format!("{id}, contributions {:?}", &order[..n]);
+                let expect = bits(&decode_gathered((spec.build)(100).as_mut(), &parts));
+                let mut merger = AggMerger::new(AggregationPlan::DecodeThenMerge);
+                let mut c = (spec.build)(100);
+                let (owned, _) = merger.merge_gathered(c.as_mut(), &parts);
+                assert_eq!(bits(&owned), expect, "{what}, owned");
+                let frames: Vec<Vec<u8>> = parts
+                    .iter()
+                    .map(|p| encode_frame(p.payloads.clone(), &p.ctx.meta))
+                    .collect();
+                let shape = &parts[0].ctx.shape;
+                let gathered = frames.iter().map(Vec::as_slice);
+                let (framed, _, _) = merger.merge_frames(c.as_mut(), gathered, shape).unwrap();
+                assert_eq!(bits(&framed), expect, "{what}, framed");
             }
         }
     }

@@ -757,6 +757,50 @@ impl grace::nn::optim::Optimizer for Watch {
     }
 }
 
+/// One layer, `y = x + Σ w`, over large parameters and 2-wide activations,
+/// whose backward writes its gradients in place: a warm step's request as
+/// large as the smallest gradient tensor would be the exchange's.
+struct Offset(Vec<grace::nn::Param>);
+
+impl grace::nn::Layer for Offset {
+    fn name(&self) -> &str {
+        "offset"
+    }
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let shift: f32 = self
+            .0
+            .iter()
+            .map(|p| p.value.as_slice().iter().sum::<f32>())
+            .sum();
+        input.map(|v| v + shift)
+    }
+    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        let g: f32 = grad_output.as_slice().iter().sum();
+        for p in &mut self.0 {
+            p.grad_mut().fill(g);
+        }
+        grad_output.clone()
+    }
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut grace::nn::Param)) {
+        for p in &mut self.0 {
+            f(p);
+        }
+    }
+}
+
+/// [`Offset`]'s parameter lengths.
+const OFFSET_SIZES: [usize; 3] = [3072, 2048, 4096];
+
+fn offset_net() -> Network {
+    use grace::nn::{Layer, Loss, Param};
+    let params = OFFSET_SIZES
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| Param::new(format!("offset/w{i}"), Tensor::zeros(Shape::vector(len))));
+    let layers: Vec<Box<dyn Layer>> = vec![Box::new(Offset(params.collect()))];
+    Network::new("offset", layers, Loss::SoftmaxCrossEntropy)
+}
+
 /// A warm dense step allocates no gradient-sized buffer: each parameter's
 /// gradient buffer circulates from backward through the encode, the
 /// collective and the decoded aggregate to the optimizer and back to the
@@ -775,48 +819,12 @@ fn a_warm_dense_step_requests_no_gradient_sized_buffer() {
     use grace::core::{Memory, NoCompression, NoMemory, TrainConfig};
     use grace::nn::models;
     use grace::nn::optim::{Momentum, Optimizer};
-    use grace::nn::{Layer, Loss, Param};
     use std::collections::{BTreeSet, HashMap};
     use std::sync::Arc;
 
-    struct Offset(Vec<Param>);
-    impl Layer for Offset {
-        fn name(&self) -> &str {
-            "offset"
-        }
-        fn forward(&mut self, input: &Tensor) -> Tensor {
-            let shift: f32 = self
-                .0
-                .iter()
-                .map(|p| p.value.as_slice().iter().sum::<f32>())
-                .sum();
-            input.map(|v| v + shift)
-        }
-        fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-            let g: f32 = grad_output.as_slice().iter().sum();
-            for p in &mut self.0 {
-                p.grad_mut().fill(g);
-            }
-            grad_output.clone()
-        }
-        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-            for p in &mut self.0 {
-                f(p);
-            }
-        }
-    }
-
     set_level(Level::Off);
-    const SIZES: [usize; 3] = [3072, 2048, 4096];
-    let smallest_gradient = 4 * SIZES.iter().min().unwrap();
-    let net = || {
-        let params = SIZES
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| Param::new(format!("offset/w{i}"), Tensor::zeros(Shape::vector(len))));
-        let layers: Vec<Box<dyn Layer>> = vec![Box::new(Offset(params.collect()))];
-        Network::new("offset", layers, Loss::SoftmaxCrossEntropy)
-    };
+    let smallest_gradient = 4 * OFFSET_SIZES.iter().min().unwrap();
+    let net = offset_net;
     let task = || StepMarks::new(ClassificationDataset::synthetic(96, 2, 2, 0.3, 5));
     for fusion_bytes in [1, usize::MAX] {
         let mut cfg = TrainConfig::new(1, 8, 1, 5);
@@ -899,6 +907,59 @@ fn a_warm_dense_step_requests_no_gradient_sized_buffer() {
                     "{run}, fusion {fusion_bytes}: '{name}' saw {at:?}"
                 );
             }
+        }
+    }
+}
+
+/// A warm gathered step allocates no gradient-sized buffer either: the last
+/// lane keeps each gradient buffer once it is encoded, the merge folds every
+/// contribution into it — QSGD's level decode and top-k's scatter-add write
+/// in place — and it goes back to its parameter as the aggregate. Each
+/// tensor is its own bucket, so no envelope is gradient-sized. Checked on a
+/// 1-rank `run_threaded` and a 1-lane `run_simulated` session.
+#[test]
+fn a_warm_gathered_step_requests_no_gradient_sized_buffer() {
+    use grace::compressors::{Qsgd, TopK};
+    use grace::core::threaded::run_threaded;
+    use grace::core::trainer::{run_simulated, CodecTiming};
+    use grace::core::{Memory, NoMemory, TrainConfig};
+    use grace::nn::optim::{Momentum, Optimizer};
+
+    set_level(Level::Off);
+    let smallest_gradient = 4 * OFFSET_SIZES.iter().min().unwrap();
+    let task = || StepMarks::new(ClassificationDataset::synthetic(96, 2, 2, 0.3, 5));
+    type Build = fn() -> Box<dyn Compressor>;
+    let codecs: [(&str, Build); 2] = [
+        ("qsgd", || Box::new(Qsgd::new(64, 3))),
+        ("topk", || Box::new(TopK::new(0.01))),
+    ];
+    for (id, codec) in codecs {
+        let mut cfg = TrainConfig::new(1, 8, 1, 5);
+        cfg.codec = CodecTiming::Free;
+        cfg.fusion_bytes = 1;
+        cfg.telemetry = Some(Level::Off);
+        let threaded = task();
+        run_threaded(&cfg, &threaded, |_rank| {
+            (
+                offset_net(),
+                Box::new(Momentum::new(0.05, 0.9)) as Box<dyn Optimizer>,
+                codec(),
+                Box::new(NoMemory::new()) as Box<dyn Memory>,
+            )
+        });
+        let simulated = task();
+        let mut cs = vec![codec()];
+        let mut ms: Vec<Box<dyn Memory>> = vec![Box::new(NoMemory::new())];
+        let (mut model, mut opt) = (offset_net(), Momentum::new(0.05, 0.9));
+        run_simulated(&cfg, &mut model, &simulated, &mut opt, &mut cs, &mut ms);
+        for (run, marks) in [("run_threaded", threaded), ("run_simulated", simulated)] {
+            let (allocs, largest) = marks.warm_step();
+            assert!(allocs > 0, "{id}, {run}: the window holds a step");
+            assert!(
+                largest < smallest_gradient,
+                "{id}, {run}: a warm step requested {largest} bytes at once, \
+                 the smallest gradient is {smallest_gradient}"
+            );
         }
     }
 }
