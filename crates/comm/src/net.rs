@@ -16,8 +16,10 @@
 //! request per live rank (SPMD lockstep makes the per-rank streams advance
 //! together), aggregates exactly like the threaded board — rank-order
 //! summation for all-reduce, rank-indexed slots for all-gather — and
-//! answers every live rank. Aggregation order matches the deposit board
-//! bit for bit, which is what the cross-backend equivalence suite pins.
+//! answers every live rank. (Over shared-memory regions the hub relays the
+//! all-reduce descriptors instead, and every rank sums in rank order
+//! itself.) Aggregation order matches the deposit board bit for bit, which
+//! is what the cross-backend equivalence suite pins.
 //!
 //! # Wire format
 //!
@@ -39,23 +41,26 @@
 //!
 //! # Shared-memory bodies (UDS)
 //!
-//! On a Unix-domain endpoint the all-reduce bodies — each rank's request
-//! and the hub's one response — travel through mmap'd regions ([`crate::shm`])
-//! and the socket carries a descriptor in their place:
+//! On a Unix-domain endpoint all-reduce bodies travel through mmap'd regions
+//! ([`crate::shm`]) and the socket carries descriptors. Each rank writes its
+//! all-reduce round *t* into its region *t* mod 2 (`parity`); the hub relays
+//! the descriptors without touching a body, and every rank folds every body,
+//! its own included, in rank order into the buffer it sent:
 //!
 //! ```text
-//! ALLREDUCE   ctx ‖ len u32 ‖ crc32(body) u32
-//! R_ALLREDUCE round header ‖ contributors u32 ‖ len u32 ‖ crc32(sum) u32 ‖ image u8
+//! ALLREDUCE   ctx ‖ len u32 ‖ crc32(body) u32 ‖ parity u8
+//! R_ALLREDUCE round header ‖ contributors u32 ‖
+//!             world × (present u8 ‖ len u32 ‖ crc32(body) u32 ‖ parity u8)
 //! ```
 //!
-//! The rank's region name rides in `HELLO` (after `rank ‖ world`), the
-//! hub's two image names in `WELCOME` (after `world ‖ live`, each `len u32 ‖
-//! name`); the hub answers with names only when every rank sent one and it
-//! could create its images, so a cluster carries all its bodies one way.
-//! Where no region can be created, bodies stay inline, byte for byte the TCP
-//! format (TCP never carries names). A body that fails its CRC is rejected
-//! with `NACK` and resent, exactly like a damaged frame. [`NetStats`] counts
-//! logical bytes either way: what the frame weighs with its body inline.
+//! `HELLO` carries a rank's two region names after `rank ‖ world`, space
+//! separated; `WELCOME` carries every rank's, in rank order, as `len u32 ‖
+//! name` after `world ‖ live` — only when every rank offered them, so a
+//! cluster carries all its bodies one way. A rank opens its peers' regions
+//! before it sends anything else, and the hub removes the names once every
+//! rank has sent a frame, or when it exits. Without regions, bodies stay
+//! inline, byte for byte the TCP format. [`NetStats`] counts logical bytes
+//! either way: what the frame weighs with its body inline.
 //!
 //! # Trace context and clock sync
 //!
@@ -87,6 +92,13 @@
 //!   errors, never hangs: connects poll until a deadline, the hub's accept
 //!   loop aborts rendezvous after its own deadline and tells every
 //!   already-connected rank.
+//! * Every rank checks every region-carried body it folds, so a torn body
+//!   fails on every rank. Each sends `NACK(ctx ‖ rank u32)` naming the
+//!   first; the hub `NACK`s its owner, which restores the body and resends,
+//!   and the hub answers the round again. A fault-free round sends nothing
+//!   extra. An owner that cannot resend is every rank's typed error, and a
+//!   descriptor longer than its region, an entry for a rank without regions
+//!   or a parity other than 0 or 1 is the reading rank's.
 
 use crate::clock::{ClockEstimator, ClockSample};
 use crate::collectives::{
@@ -129,7 +141,9 @@ pub const KIND_R_ALLREDUCE: u8 = 8;
 pub const KIND_R_ALLGATHER: u8 = 9;
 /// Hub → client: barrier release.
 pub const KIND_R_BARRIER: u8 = 11;
-/// Either direction: the last frame failed its CRC — retransmit it.
+/// Either direction: the last frame failed its CRC — retransmit it. With a
+/// body (client → hub, `ctx ‖ rank u32`): that rank's region-carried body
+/// failed its CRC.
 pub const KIND_NACK: u8 = 12;
 /// Hub → client: structured failure (code + context rank + detail).
 pub const KIND_ERROR: u8 = 13;
@@ -152,12 +166,8 @@ const ERR_RENDEZVOUS: u8 = 3;
 const MAX_FRAME_BYTES: u32 = 1 << 30;
 
 /// Descriptor words a region-carried all-reduce request has in place of
-/// its body (`len u32 ‖ crc u32`).
-const REQUEST_WORDS: usize = 8;
-
-/// Descriptor words a region-carried all-reduce response has in place of
-/// the sum (`len u32 ‖ crc u32 ‖ image u8`).
-const RESPONSE_WORDS: usize = 9;
+/// its body (`len u32 ‖ crc u32 ‖ parity u8`).
+const REQUEST_WORDS: usize = 9;
 
 /// How much of a header's claimed length the reader reserves before any of
 /// it has arrived. A header is four unauthenticated bytes: past this, the
@@ -447,7 +457,8 @@ pub struct FramedStream {
     /// CRC is computed, forcing the receiver down the NACK path (for a
     /// region-carried body: one bit of the body in the region).
     corrupt_next: bool,
-    /// Shared-memory body carrier, once rendezvous agreed on one (UDS).
+    /// A rank's shared-memory body carrier, once rendezvous agreed on one
+    /// (UDS).
     carrier: Option<Carrier>,
     stats: NetStats,
     /// Timeline track wire events land on: the owning rank's
@@ -617,9 +628,9 @@ impl FramedStream {
         self.send_image(&image.frame, (self.tx_logical, self.tx_carried))
     }
 
-    /// Sends `ctx ‖ data` as a `kind` request: through the request region
-    /// with a descriptor on the socket when this stream has a carrier,
-    /// inline otherwise.
+    /// Sends `ctx ‖ data` as a `kind` request: through this rank's next
+    /// request region with a descriptor on the socket when this stream has a
+    /// carrier, inline otherwise.
     fn write_f32s(&mut self, kind: u8, ctx: &[u8], data: &[f32]) -> io::Result<()> {
         let Some(carrier) = &mut self.carrier else {
             return self.write_frame_with(kind, |body| {
@@ -631,75 +642,34 @@ impl FramedStream {
         if len > MAX_FRAME_BYTES as usize {
             return Err(invalid(format!("body of {len} bytes too large")));
         }
+        let parity = carrier.next;
+        carrier.next ^= 1;
         carrier.flipped = None;
-        let crc = carrier.requests.put_f32s(data)?;
+        let region = &mut carrier.regions[carrier.rank][parity];
+        let crc = region.put_f32s(data)?;
         if len > 0 && std::mem::take(&mut self.corrupt_next) {
-            // After the CRC: the peer's check fails and it NACKs; the read
-            // path restores the bit before resending.
-            carrier.requests.flip(len / 2);
-            carrier.flipped = Some(len / 2);
+            // After the CRC: every reader's check fails and NACKs it; the
+            // read path restores the bit before resending.
+            region.flip(len / 2);
+            carrier.flipped = Some((parity, len / 2));
         }
         self.write_tx(kind, REQUEST_WORDS, len as u64, |body| {
             body.extend_from_slice(ctx);
             put_u32(body, len as u32);
             put_u32(body, crc);
+            body.push(parity as u8);
         })
     }
 
-    /// Answers `NACK` for a frame that failed a check: its CRC here, or the
-    /// CRC of the body a region carried for it.
-    fn send_nack(&mut self, bytes: u64) -> io::Result<()> {
+    /// Answers `NACK` for a frame that failed a check (its CRC here, when
+    /// `body` is empty), or names a region-carried body that failed its CRC
+    /// (`ctx ‖ rank`).
+    fn send_nack(&mut self, bytes: u64, body: &[u8]) -> io::Result<()> {
         self.stats.nacks_sent += 1;
         self.c_retries.add(1);
         self.c_nacks.add(1);
         trace::instant_arg("net.nack", self.track, Some(("bytes", bytes)));
-        self.write_frame(KIND_NACK, &[])
-    }
-
-    /// Rejects the region-carried body of the last frame read: answers
-    /// `NACK` and reads the peer's retransmission, returning its kind.
-    fn reject_body(&mut self, bytes: u64) -> io::Result<u8> {
-        self.send_nack(bytes)?;
-        Ok(self.read_frame()?.0)
-    }
-
-    /// Reads the all-reduce response at body offset `at` (past the round
-    /// header) into `sum`, which holds the request and so fixes the length
-    /// the reply must have; returns the contributor count. A region-carried
-    /// sum is verified and copied out in one pass; one that fails its CRC is
-    /// rejected and read again.
-    fn read_reduction(&mut self, at: usize, world: usize, sum: &mut Vec<f32>) -> io::Result<usize> {
-        for _ in 0..RETRY_LIMIT {
-            let payload = &self.rx[1 + at..];
-            let Some(carrier) = &mut self.carrier else {
-                return parse_reduction(payload, world, sum);
-            };
-            let mut r = Reader::new(payload);
-            let contributors = read_contributors(&mut r, world)?;
-            let (len, crc) = (r.u32()? as usize, r.u32()?);
-            let image = r.take(1)?[0] as usize;
-            if len != 4 * sum.len() || !r.rest().is_empty() {
-                return Err(invalid(format!(
-                    "sum length {len} bytes, the request sent {} f32s",
-                    sum.len()
-                )));
-            }
-            let region = carrier
-                .images
-                .get_mut(image)
-                .ok_or_else(|| invalid(format!("image {image} does not exist")))?;
-            region.expose(len)?;
-            if region.take_f32s(sum) == crc {
-                return Ok(contributors);
-            }
-            let kind = self.reject_body(len as u64)?;
-            if kind != KIND_R_ALLREDUCE {
-                return Err(invalid(format!("resent response of kind {kind}")));
-            }
-        }
-        Err(invalid(
-            "sum retry limit exhausted: persistently torn image".into(),
-        ))
+        self.write_frame(KIND_NACK, body)
     }
 
     /// Reads the next application frame as `(kind, body)`, transparently
@@ -734,10 +704,11 @@ impl FramedStream {
             let trailer = self.rx[len..].try_into().expect("4-byte trailer");
             self.rx.truncate(len);
             if crc32(&self.rx) != u32::from_le_bytes(trailer) {
-                self.send_nack(len as u64)?;
+                self.send_nack(len as u64, &[])?;
                 continue;
             }
-            if self.rx[0] == KIND_NACK {
+            // A NACK with a body names a torn body: the caller's business.
+            if self.rx == [KIND_NACK] {
                 if self.tx.is_empty() {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
@@ -746,8 +717,8 @@ impl FramedStream {
                 }
                 self.stats.resends += 1;
                 if let Some(c) = &mut self.carrier {
-                    if let Some(at) = c.flipped.take() {
-                        c.requests.flip(at);
+                    if let Some((parity, at)) = c.flipped.take() {
+                        c.regions[c.rank][parity].flip(at);
                     }
                 }
                 let image = Arc::clone(&self.tx);
@@ -776,27 +747,90 @@ impl FramedStream {
     }
 }
 
-/// A stream's shared-memory body carrier (see [`crate::shm`]).
+/// A rank's shared-memory body carrier (see [`crate::shm`]).
 #[derive(Debug)]
 struct Carrier {
-    /// Where all-reduce requests travel: the rank's own region on a rank,
-    /// the peer rank's (mapped read-only) on the hub.
-    requests: Region,
-    /// The hub's two response images, mapped read-only (rank side; the hub
-    /// keeps its own in [`ResponseImages`]).
-    images: Vec<Region>,
-    /// A bit the corruption hook flipped in `requests`, restored before
-    /// the resend.
-    flipped: Option<usize>,
+    /// This rank: its own pair in `regions` is the writable one.
+    rank: usize,
+    /// Every rank's two request regions, in rank order: this rank's own,
+    /// and every peer's mapped read-only.
+    regions: Vec<[Region; 2]>,
+    /// Which of its two regions this rank writes next.
+    next: usize,
+    /// A bit the corruption hook flipped in this rank's region `(parity,
+    /// at)`, restored before the resend.
+    flipped: Option<(usize, usize)>,
 }
 
 impl Carrier {
-    fn new(requests: Region) -> Carrier {
-        Carrier {
-            requests,
-            images: Vec::new(),
-            flipped: None,
+    /// Folds a region-carried all-reduce response: checks every rank's
+    /// entry against this rank's view, then sums every present body straight
+    /// from its owner's region, in rank order, into `sum` ([`shm::fold`]).
+    /// Returns the contributor count, or `Err(rank)` naming the first body
+    /// that failed its CRC.
+    fn fold(
+        &mut self,
+        payload: &[u8],
+        world: usize,
+        sum: &mut [f32],
+    ) -> io::Result<Result<usize, usize>> {
+        let mut r = Reader::new(payload);
+        let contributors = read_contributors(&mut r, world)?;
+        let len = 4 * sum.len();
+        let mut present = Vec::with_capacity(contributors);
+        for (rank, pair) in self.regions.iter_mut().enumerate() {
+            let is_present = r.take(1)? == [1];
+            let d = Descriptor::parse(r.take(REQUEST_WORDS)?)?;
+            if is_present && d.len != len {
+                return Err(invalid(format!("sum length {} bytes, not {len}", d.len)));
+            }
+            if is_present {
+                pair[d.parity].expose(len)?;
+                present.push((rank, d));
+            }
         }
+        if !r.rest().is_empty() {
+            let n = self.regions.len();
+            return Err(invalid(format!("rank {n} has no regions")));
+        }
+        if present.len() != contributors {
+            return Err(invalid(format!("{} entries present", present.len())));
+        }
+        let contributions: Vec<Contribution<'_>> = present
+            .iter()
+            .map(|&(rank, d)| Contribution {
+                region: &self.regions[rank][d.parity],
+                crc: d.crc,
+            })
+            .collect();
+        Ok(shm::fold(sum, &contributions)
+            .map(|()| contributors)
+            .map_err(|i| present[i].0))
+    }
+}
+
+/// What a region-carried all-reduce request carries in place of its body,
+/// and what the response relays per rank: the body's length and CRC, and
+/// which of the owner's two regions holds it.
+#[derive(Clone, Copy)]
+struct Descriptor {
+    len: usize,
+    crc: u32,
+    parity: usize,
+}
+
+impl Descriptor {
+    /// Parses exactly one descriptor (`REQUEST_WORDS` bytes).
+    fn parse(bytes: &[u8]) -> io::Result<Descriptor> {
+        let mut r = Reader::new(bytes);
+        let (len, crc, parity) = (r.u32()? as usize, r.u32()?, r.take(1)?[0] as usize);
+        if !r.rest().is_empty() || len > MAX_FRAME_BYTES as usize || !len.is_multiple_of(4) {
+            return Err(invalid(format!("malformed descriptor (length {len})")));
+        }
+        if parity > 1 {
+            return Err(invalid(format!("region parity {parity}, not 0 or 1")));
+        }
+        Ok(Descriptor { len, crc, parity })
     }
 }
 
@@ -927,7 +961,7 @@ pub struct HubServer {
     world: usize,
     options: ClusterOptions,
     accept_timeout: Duration,
-    /// Where region names from `HELLO` are opened and images created.
+    /// Where the region names of `HELLO` are checked, and removed.
     shm_dir: PathBuf,
     /// Test hook: the hub exits after reading this round's requests.
     abort_after: Option<u64>,
@@ -987,18 +1021,8 @@ impl HubServer {
 
     /// Runs the hub on a fresh thread; the returned handle joins it.
     pub fn spawn(self) -> HubHandle {
-        // A test's pending region-growth failure goes to the hub's thread,
-        // which grows the response images.
-        #[cfg(test)]
-        let fail = shm::take_growth_failure();
         HubHandle {
-            join: Some(std::thread::spawn(move || {
-                #[cfg(test)]
-                if let Some(errno) = fail {
-                    shm::fail_next_growth(errno);
-                }
-                self.serve()
-            })),
+            join: Some(std::thread::spawn(move || self.serve())),
         }
     }
 
@@ -1010,38 +1034,41 @@ impl HubServer {
     /// protocol violation; rank deaths are not errors (survivors continue).
     pub fn serve(self) -> Result<(), ClusterError> {
         let timer = trace::StageTimer::start();
-        let mut streams = self.rendezvous()?;
-        timer.finish("hub.rendezvous", Track::Hub);
-        // Regions carry all-reduce bodies only if every rank offered one
-        // and the images exist; otherwise every stream stays inline.
-        let mut images = ResponseImages::default();
-        let names = match streams.iter().all(|s| s.carrier.is_some()) {
-            true => images.map_regions(&self.shm_dir).ok(),
-            false => None,
+        let mut names = RegionNames {
+            dir: self.shm_dir.clone(),
+            names: vec![None; self.world],
         };
+        let mut streams = self.rendezvous(&mut names)?;
+        timer.finish("hub.rendezvous", Track::Hub);
+        // Regions carry all-reduce bodies only if every rank offered them;
+        // otherwise every stream stays inline.
+        let carried = names.names.iter().all(Option::is_some);
+        let mut regions = Vec::new();
+        for name in names.names.iter().flatten().flatten().filter(|_| carried) {
+            put_u32(&mut regions, name.len() as u32);
+            regions.extend_from_slice(name.as_bytes());
+        }
         for s in streams.iter_mut() {
             let _ = s.set_read_timeout(self.options.timeout);
-            if names.is_none() {
-                s.carrier = None;
-            }
             let world = self.world as u32;
-            let extra: usize = names.iter().flatten().map(|n| 4 + n.len()).sum();
-            s.write_tx(KIND_WELCOME, extra, 0, |b| {
+            s.write_tx(KIND_WELCOME, regions.len(), 0, |b| {
                 put_u32(b, world);
                 put_u32(b, world);
-                for name in names.iter().flatten() {
-                    put_u32(b, name.len() as u32);
-                    b.extend_from_slice(name.as_bytes());
-                }
+                b.extend_from_slice(&regions);
             })
             .map_err(|e| transport(0, 0, format!("welcome: {e}")))?;
         }
-        self.op_loop(&mut streams, images)
+        let images = ResponseImages {
+            carried,
+            ..ResponseImages::default()
+        };
+        self.op_loop(&mut streams, names, images)
     }
 
     /// Accepts until every rank has said `HELLO`, or aborts rendezvous at
-    /// the deadline, telling everyone already connected.
-    fn rendezvous(&self) -> Result<Vec<FramedStream>, ClusterError> {
+    /// the deadline, telling everyone already connected. Each rank's region
+    /// names go into `names`.
+    fn rendezvous(&self, names: &mut RegionNames) -> Result<Vec<FramedStream>, ClusterError> {
         let deadline = Instant::now() + self.accept_timeout;
         let mut slots: Vec<Option<FramedStream>> = (0..self.world).map(|_| None).collect();
         let mut joined = 0usize;
@@ -1056,15 +1083,14 @@ impl HubServer {
                     // wedge rendezvous past the deadline.
                     let _ = framed.set_read_timeout(Some(self.accept_timeout));
                     match self.greet(&mut framed, &slots) {
-                        Ok(rank) => {
+                        Ok((rank, regions)) => {
                             slots[rank] = Some(framed);
+                            names.names[rank] = regions;
                             joined += 1;
                         }
                         Err(detail) => {
-                            let mut body = vec![ERR_PROTOCOL];
-                            put_u32(&mut body, 0);
-                            body.extend_from_slice(detail.as_bytes());
-                            let _ = framed.write_frame(KIND_ERROR, &body);
+                            let _ =
+                                framed.write_frame(KIND_ERROR, &error_body(ERR_PROTOCOL, &detail));
                         }
                     }
                 }
@@ -1072,10 +1098,8 @@ impl HubServer {
                     if Instant::now() >= deadline {
                         let detail =
                             format!("rendezvous timed out with {joined}/{} ranks", self.world);
+                        let body = error_body(ERR_RENDEZVOUS, &detail);
                         for framed in slots.iter_mut().flatten() {
-                            let mut body = vec![ERR_RENDEZVOUS];
-                            put_u32(&mut body, 0);
-                            body.extend_from_slice(detail.as_bytes());
                             let _ = framed.write_frame(KIND_ERROR, &body);
                         }
                         return Err(transport(0, 0, detail));
@@ -1088,11 +1112,13 @@ impl HubServer {
         Ok(slots.into_iter().map(|s| s.expect("all joined")).collect())
     }
 
+    /// Reads one rank's `HELLO` and serves its clock burst; returns its
+    /// rank and the two region names it offered, if any.
     fn greet(
         &self,
         framed: &mut FramedStream,
         slots: &[Option<FramedStream>],
-    ) -> Result<usize, String> {
+    ) -> Result<(usize, Option<[String; 2]>), String> {
         let (kind, body) = framed.read_frame().map_err(|e| format!("hello: {e}"))?;
         if kind != KIND_HELLO {
             return Err(format!("expected HELLO, got kind {kind}"));
@@ -1112,16 +1138,20 @@ impl HubServer {
         if slots[rank].is_some() {
             return Err(format!("duplicate rank {rank}"));
         }
-        // A UDS rank names its request region after `rank ‖ world`; the hub
-        // opens only a name it validated, then drops the name itself so a
-        // rank that dies before WELCOME leaves no file behind.
-        let name = r.rest();
-        if self.listener.is_uds() && !name.is_empty() {
-            let name = std::str::from_utf8(name).map_err(|_| "region name is not UTF-8")?;
-            let mut region =
-                Region::open(&self.shm_dir, name).map_err(|e| format!("region: {e}"))?;
-            region.unlink();
-            framed.carrier = Some(Carrier::new(region));
+        // A UDS rank names its two request regions after `rank ‖ world`;
+        // the hub relays only names it checked, and opens none of them.
+        let names = r.rest();
+        let mut regions = None;
+        if self.listener.is_uds() && !names.is_empty() {
+            let names = std::str::from_utf8(names).map_err(|_| "region name is not UTF-8")?;
+            let names: Vec<&str> = names.split(' ').collect();
+            for name in &names {
+                shm::check(&self.shm_dir, name).map_err(|e| format!("region: {e}"))?;
+            }
+            let [a, b] = names[..] else {
+                return Err(format!("{} region names, expected 2", names.len()));
+            };
+            regions = Some([a.to_string(), b.to_string()]);
         }
         framed.set_track(Track::Net(rank));
         // Serve the rendezvous clock-sync burst: the client pipelines
@@ -1144,7 +1174,7 @@ impl HubServer {
                 })
                 .map_err(|e| format!("clock pong: {e}"))?;
         }
-        Ok(rank)
+        Ok((rank, regions))
     }
 
     /// One iteration per collective op: read one request per live rank,
@@ -1154,8 +1184,10 @@ impl HubServer {
     fn op_loop(
         &self,
         streams: &mut [FramedStream],
+        names: RegionNames,
         mut images: ResponseImages,
     ) -> Result<(), ClusterError> {
+        let mut names = Some(names);
         let world = self.world;
         let mut alive = vec![true; world];
         let mut hub_op = 0u64;
@@ -1186,9 +1218,10 @@ impl HubServer {
                     Err(_) => alive[rank] = false,
                 }
             }
-            // Every rank still here has sent a request, so every rank has
-            // mapped the images: their names can go.
-            images.unlink();
+            // Every rank still here has sent a frame, and a rank sends
+            // nothing before it has opened every peer's regions: the names
+            // can go.
+            drop(names.take());
             if self.abort_after == Some(hub_op) {
                 return Err(transport(0, hub_op, "hub aborted mid-round".to_string()));
             }
@@ -1199,51 +1232,29 @@ impl HubServer {
                 }
                 return Ok(());
             }
-            let (turn, image) = images.next();
-            let mut round;
-            let mut rejects = 0;
-            loop {
-                round = self.answer_round(streams, &alive, &kinds, hub_op, &arrivals, turn, image);
-                // A carried body failed its CRC: NACK it and redo the round
-                // with the resend, as a damaged frame is re-read.
-                let Ok(Some((rank, bytes))) = round else {
-                    break;
-                };
-                rejects += 1;
-                match streams[rank].reject_body(bytes) {
-                    Ok(kind) if kind == KIND_ALLREDUCE && rejects <= RETRY_LIMIT => {}
-                    // A stream that cannot resend a clean body has left.
-                    _ => (alive[rank], kinds[rank]) = (false, None),
-                }
-                if kinds.iter().all(Option::is_none) {
-                    break;
-                }
-            }
-            hub_op += 1;
-            match round {
-                Ok(_) if kinds.iter().all(Option::is_none) => {}
-                Ok(_) => fan_out(streams, &mut alive, &kinds, image),
+            match self.answer_round(streams, &alive, &kinds, hub_op, &arrivals, &mut images) {
+                // A redo answers the same op again.
+                Ok(redo) => hub_op += u64::from(!redo),
                 Err(detail) => {
-                    let mut body = vec![ERR_PROTOCOL];
-                    put_u32(&mut body, 0);
-                    body.extend_from_slice(detail.as_bytes());
+                    let body = error_body(ERR_PROTOCOL, &detail);
                     for rank in 0..world {
                         if alive[rank] && kinds[rank].is_some() {
                             let _ = streams[rank].write_frame(KIND_ERROR, &body);
                         }
                     }
-                    return Err(transport(0, hub_op, detail));
+                    return Err(transport(0, hub_op + 1, detail));
                 }
             }
+            fan_out(streams, &mut alive, &kinds, &images.pair[images.turn]);
         }
     }
 
-    /// Builds the round's one response frame into `image` (image `turn` of
-    /// the pair), straight from the requests in the streams' read buffers —
-    /// serialised and checksummed once, however many ranks it then goes
-    /// to. Returns `Some((rank, bytes))` when rank's region-carried body
-    /// failed its CRC: nothing is answered, the caller rejects the body.
-    #[allow(clippy::too_many_arguments)]
+    /// Builds the round's one response frame into the next of `images`,
+    /// straight from the requests in the streams' read buffers — serialised
+    /// and checksummed once, however many ranks it then goes to. Returns
+    /// whether the round was a redo instead: every rank named a torn
+    /// region-carried body (`NACK`), its owner resent it ([`resend_torn`]),
+    /// and the last response goes out again.
     fn answer_round(
         &self,
         streams: &mut [FramedStream],
@@ -1251,9 +1262,8 @@ impl HubServer {
         kinds: &[Option<u8>],
         hub_op: u64,
         arrivals: &[u64],
-        turn: usize,
-        image: &mut ImageSlot,
-    ) -> Result<Option<(usize, u64)>, String> {
+        images: &mut ResponseImages,
+    ) -> Result<bool, String> {
         let timer = trace::StageTimer::start();
         let kind = kinds.iter().flatten().next();
         let kind = *kind.expect("at least one request");
@@ -1280,26 +1290,18 @@ impl HubServer {
             // Per-rank seq counters may trail the hub's after drops.
             step = step.max(ctx.step);
         }
-        let live = alive.iter().filter(|a| **a).count() as u32;
-        image.words = 0;
-        image.carried = 0;
-        let buf = Arc::get_mut(&mut image.frame).expect("ResponseImages hands out sole handles");
-        if let (KIND_ALLREDUCE, Some(region)) = (kind, &mut image.region) {
-            begin_frame(buf, KIND_R_ALLREDUCE);
-            put_round_header(buf, live, arrivals);
-            put_u32(buf, kinds.iter().flatten().count() as u32);
-            let (len, crc) = match reduce_regions(streams, kinds, region)? {
-                Ok(sum) => sum,
-                Err(reject) => return Ok(Some(reject)),
-            };
-            put_u32(buf, len as u32);
-            put_u32(buf, crc);
-            buf.push(turn as u8);
-            seal_frame(buf);
-            (image.words, image.carried) = (RESPONSE_WORDS, len as u64);
-            timer.finish_with2("hub.allreduce", Track::Hub, ("step", step), ("op", hub_op));
-            return Ok(None);
+        let carried = images.carried;
+        if (kind, carried) == (KIND_NACK, true) {
+            if images.pair[images.turn].frame.get(4) != Some(&KIND_R_ALLREDUCE) {
+                return Err("a torn body with no all-reduce to answer again".to_string());
+            }
+            resend_torn(streams, kinds)?;
+            return Ok(true);
         }
+        let live = alive.iter().filter(|a| **a).count() as u32;
+        let image = images.next();
+        (image.words, image.carried) = (0, 0);
+        let buf = Arc::get_mut(&mut image.frame).expect("ResponseImages hands out sole handles");
         // This round's requests in rank order (`None` for a rank that sent
         // nothing): what follows the trace context checked above, each
         // still in its stream's read buffer.
@@ -1308,6 +1310,30 @@ impl HubServer {
             ranks.map(|(k, s)| k.map(|_| &s.body()[TraceCtx::WIRE_BYTES..]))
         };
         let name = match kind {
+            KIND_ALLREDUCE if carried => {
+                begin_frame(buf, KIND_R_ALLREDUCE);
+                put_round_header(buf, live, arrivals);
+                put_u32(buf, requests().flatten().count() as u32);
+                // No sum: each rank's entry relays its checked descriptor,
+                // and the ranks fold the bodies. The frame weighs what the
+                // inline sum would.
+                let mut len = None;
+                for (rank, request) in requests().enumerate() {
+                    let request = request.unwrap_or(&[0; REQUEST_WORDS]);
+                    let n = Descriptor::parse(request)
+                        .map_err(|e| format!("rank {rank}: {e}"))?
+                        .len;
+                    if kinds[rank].is_some() && *len.get_or_insert(n) != n {
+                        let first = len.unwrap_or(0) / 4;
+                        return Err(format!("allreduce length mismatch: {first} vs {}", n / 4));
+                    }
+                    buf.push(u8::from(kinds[rank].is_some()));
+                    buf.extend_from_slice(request);
+                }
+                image.words = self.world * (1 + REQUEST_WORDS);
+                image.carried = len.unwrap_or(0) as u64;
+                "hub.allreduce"
+            }
             KIND_ALLREDUCE => {
                 begin_frame(buf, KIND_R_ALLREDUCE);
                 put_round_header(buf, live, arrivals);
@@ -1359,69 +1385,38 @@ impl HubServer {
         };
         seal_frame(buf);
         timer.finish_with2(name, Track::Hub, ("step", step), ("op", hub_op));
-        Ok(None)
+        Ok(false)
     }
 }
 
-/// The all-reduce of a region-carried round: checks every descriptor, then
-/// sums the requests' regions into the image in the one fused pass of
-/// [`shm::reduce`]. Returns the sum's `(len, crc)`, or `Err((rank, len))`
-/// when rank's body failed its CRC.
-#[allow(clippy::type_complexity)]
-fn reduce_regions(
-    streams: &mut [FramedStream],
-    kinds: &[Option<u8>],
-    image: &mut Region,
-) -> Result<Result<(usize, u32), (usize, u64)>, String> {
-    let mut len = None;
-    let mut ranks = Vec::new();
-    let mut contributions = Vec::new();
-    for (rank, stream) in streams.iter_mut().enumerate() {
-        if kinds[rank].is_none() {
-            continue;
-        }
-        let mut r = Reader::new(&stream.rx[1 + TraceCtx::WIRE_BYTES..]);
-        let descriptor = (|| Ok::<_, io::Error>((r.u32()? as usize, r.u32()?)))();
-        let (n, crc) = descriptor.map_err(|e| e.to_string())?;
-        if !r.rest().is_empty() || n > MAX_FRAME_BYTES as usize || !n.is_multiple_of(4) {
-            return Err(format!(
-                "rank {rank}: malformed all-reduce descriptor (length {n})"
-            ));
-        }
-        if *len.get_or_insert(n) != n {
-            return Err(format!(
-                "allreduce length mismatch: {} vs {}",
-                len.unwrap_or(0) / 4,
-                n / 4
-            ));
-        }
-        let carrier = stream
-            .carrier
-            .as_mut()
-            .expect("region rounds have carriers");
-        ranks.push(rank);
-        contributions.push(Contribution {
-            region: &mut carrier.requests,
-            crc,
-        });
+/// A redo round: every rank sent `NACK(ctx ‖ rank)` naming the first torn
+/// body of the last all-reduce. The hub `NACK`s that body's owner, which
+/// restores the body and resends its request; the last response then goes
+/// out again. An owner that cannot resend ends the run in a typed error.
+fn resend_torn(streams: &mut [FramedStream], kinds: &[Option<u8>]) -> Result<(), String> {
+    let first = kinds.iter().position(Option::is_some).expect("a report");
+    let mut r = Reader::new(&streams[first].body()[TraceCtx::WIRE_BYTES..]);
+    let torn = r.u32().map_err(|e| e.to_string())? as usize;
+    if kinds.get(torn).copied().flatten().is_none() {
+        return Err(format!("rank {torn} has no body to resend"));
     }
-    let len = len.expect("at least one request");
-    match shm::reduce(image, &mut contributions, len) {
-        Ok(Ok(crc)) => Ok(Ok((len, crc))),
-        Ok(Err(i)) => Ok(Err((ranks[i], len as u64))),
-        Err(e) => Err(format!("allreduce regions: {e}")),
+    let stream = &mut streams[torn];
+    let resent = stream
+        .send_nack(0, &[])
+        .and_then(|()| stream.read_frame().map(|f| f.0));
+    match resent {
+        Ok(KIND_ALLREDUCE) => Ok(()),
+        other => Err(format!("rank {torn} did not resend its body: {other:?}")),
     }
 }
 
 /// One of the hub's two response images: the frame every answered stream
-/// sends (and keeps as its retransmit copy), and — when ranks map it — the
-/// region an all-reduce sum is built in, whose descriptor the frame is.
+/// sends (and keeps as its retransmit copy).
 #[derive(Debug, Default)]
 struct ImageSlot {
     frame: Arc<Vec<u8>>,
-    region: Option<Region>,
     /// Descriptor words the frame has in place of the `carried` sum bytes
-    /// the region holds (both 0 when the body is inline).
+    /// that ranks fold from regions (both 0 when the body is inline).
     words: usize,
     carried: u64,
 }
@@ -1436,45 +1431,43 @@ impl ImageSlot {
 /// The hub's pooled response images. A round's response is built once and
 /// every answered stream keeps a handle to it as its retransmit copy until
 /// that stream's next send — so rounds alternate between two buffers, and
-/// the one handed out is the image of two rounds ago. (Every rank has sent
-/// a request since reading it, which is what lets an image region be
-/// rewritten: see [`crate::shm`].)
+/// the one handed out is the image of two rounds ago.
 #[derive(Debug, Default)]
 struct ResponseImages {
     pair: [ImageSlot; 2],
     turn: usize,
+    /// Regions carry the all-reduce bodies: a response relays descriptors.
+    carried: bool,
 }
 
 impl ResponseImages {
-    /// Gives each image a shared-memory region in `dir`; returns their
-    /// names, in turn order, for `WELCOME`.
-    fn map_regions(&mut self, dir: &Path) -> io::Result<[String; 2]> {
-        for (turn, slot) in self.pair.iter_mut().enumerate() {
-            slot.region = Some(Region::create(dir, &format!("img{turn}"))?);
-        }
-        Ok(self.pair.each_ref().map(|slot| {
-            let region = slot.region.as_ref().expect("just created");
-            region.name().to_string()
-        }))
-    }
-
-    /// Removes the images' names (idempotent): once every rank has mapped
-    /// them, nothing needs them.
-    fn unlink(&mut self) {
-        for region in self.pair.iter_mut().filter_map(|s| s.region.as_mut()) {
-            region.unlink();
-        }
-    }
-
     /// The next image to build a response in, its frame as sole handle.
-    fn next(&mut self) -> (usize, &mut ImageSlot) {
+    fn next(&mut self) -> &mut ImageSlot {
         self.turn ^= 1;
         let image = &mut self.pair[self.turn];
         if Arc::get_mut(&mut image.frame).is_none() {
             // The stream of a rank that has since departed still holds it.
             image.frame = Arc::default();
         }
-        (self.turn, image)
+        image
+    }
+}
+
+/// The region names ranks offered in `HELLO`, per rank. Dropping it removes
+/// them: once every rank still here has sent a frame (a rank opens every
+/// peer's regions before it sends anything), or when the hub exits however
+/// it exits, whichever comes first.
+#[derive(Debug)]
+struct RegionNames {
+    dir: PathBuf,
+    names: Vec<Option<[String; 2]>>,
+}
+
+impl Drop for RegionNames {
+    fn drop(&mut self) {
+        for name in self.names.iter().flatten().flatten() {
+            let _ = std::fs::remove_file(self.dir.join(name));
+        }
     }
 }
 
@@ -1491,6 +1484,11 @@ fn fan_out(
             alive[rank] = false;
         }
     }
+}
+
+/// An `ERROR` frame's body: the code, context rank 0 and the detail.
+fn error_body(code: u8, detail: &str) -> Vec<u8> {
+    [&[code][..], &[0; 4], detail.as_bytes()].concat()
 }
 
 fn transport(rank: usize, op: u64, detail: String) -> ClusterError {
@@ -1610,125 +1608,81 @@ impl SocketCluster {
         framed
             .set_read_timeout(Some(cfg.connect_timeout))
             .map_err(|e| transport(rank, 0, format!("set timeout: {e}")))?;
-        // On a UDS endpoint, offer a request region (dropped — and its file
-        // with it — on any early return); none if it cannot be created.
-        let mut region = match cfg.endpoint {
+        // On a UDS endpoint, offer two request regions (dropped — and their
+        // files with them — on any early return); none if they cannot be
+        // created.
+        let mut own = match cfg.endpoint {
             Endpoint::Tcp(_) => None,
             #[cfg(unix)]
-            Endpoint::Uds(_) => Region::create(shm_dir, &format!("r{rank}")).ok(),
+            Endpoint::Uds(_) => (|| {
+                let create = |parity| Region::create(shm_dir, &format!("r{rank}-{parity}"));
+                Some([create(0).ok()?, create(1).ok()?])
+            })(),
         };
-        let name = region.as_ref().map_or("", |r| r.name()).to_string();
+        let names = own
+            .as_ref()
+            .map_or(String::new(), |[a, b]| format!("{} {}", a.name(), b.name()));
         framed
-            .write_tx(KIND_HELLO, name.len(), 0, |b| {
+            .write_tx(KIND_HELLO, names.len(), 0, |b| {
                 put_u32(b, rank as u32);
                 put_u32(b, cfg.world as u32);
-                b.extend_from_slice(name.as_bytes());
+                b.extend_from_slice(names.as_bytes());
             })
             .map_err(|e| transport(rank, 0, format!("hello: {e}")))?;
         // Rendezvous clock sync: a short ping burst right behind HELLO
         // seeds the hub-offset estimate before the first collective.
+        let bad = |e: io::Error| transport(rank, 0, e.to_string());
         let mut clock = ClockEstimator::new();
         for _ in 0..CLOCK_PINGS {
             let t0 = since_epoch_ns(Instant::now());
-            let mut ping = Vec::with_capacity(8);
-            put_u64(&mut ping, t0);
             framed
-                .write_frame(KIND_CLOCK_PING, &ping)
+                .write_frame(KIND_CLOCK_PING, &t0.to_le_bytes())
                 .map_err(|e| transport(rank, 0, format!("clock ping: {e}")))?;
-            match framed.read_frame() {
-                Ok((KIND_CLOCK_PONG, body)) => {
-                    let t3 = since_epoch_ns(Instant::now());
-                    let mut r = Reader::new(body);
-                    let echo = r.u64().map_err(|e| transport(rank, 0, e.to_string()))?;
-                    let h1 = r.u64().map_err(|e| transport(rank, 0, e.to_string()))?;
-                    let h2 = r.u64().map_err(|e| transport(rank, 0, e.to_string()))?;
-                    if echo == t0 {
-                        clock.fold(ClockSample { t0, h1, h2, t3 });
-                    }
-                }
-                Ok((KIND_ERROR, body)) => return Err(decode_error(rank, 0, body)),
-                Ok((kind, _)) => {
-                    return Err(transport(
-                        rank,
-                        0,
-                        format!("expected CLOCK_PONG, got kind {kind}"),
-                    ))
-                }
-                Err(e) if is_timeout(&e) => {
-                    return Err(ClusterError::Timeout {
-                        rank,
-                        op: 0,
-                        waited: cfg.connect_timeout,
-                    })
-                }
-                Err(e) => return Err(transport(rank, 0, format!("clock sync: {e}"))),
+            let mut r = Reader::new(rendezvous_frame(&mut framed, KIND_CLOCK_PONG, cfg)?);
+            let t3 = since_epoch_ns(Instant::now());
+            let (echo, h1, h2) = (
+                r.u64().map_err(bad)?,
+                r.u64().map_err(bad)?,
+                r.u64().map_err(bad)?,
+            );
+            if echo == t0 {
+                clock.fold(ClockSample { t0, h1, h2, t3 });
             }
         }
-        match framed.read_frame() {
-            Ok((KIND_WELCOME, body)) => {
-                let mut r = Reader::new(body);
-                let world = r.u32().map_err(|e| transport(rank, 0, e.to_string()))? as usize;
-                let live = r.u32().map_err(|e| transport(rank, 0, e.to_string()))? as usize;
-                if world != cfg.world {
-                    return Err(transport(
-                        rank,
-                        0,
-                        format!("world mismatch: hub {world} vs local {}", cfg.world),
-                    ));
-                }
-                // Image names follow iff the hub agreed to carry bodies in
-                // regions; either way this rank's file has served its
-                // purpose (the hub holds it open).
-                let images = welcome_images(&mut r, shm_dir)
-                    .map_err(|e| transport(rank, 0, format!("welcome: {e}")))?;
-                match (region.take(), images.is_empty()) {
-                    (Some(mut requests), false) => {
-                        requests.unlink();
-                        let mut carrier = Carrier::new(requests);
-                        carrier.images = images;
-                        framed.carrier = Some(carrier);
-                    }
-                    (None, false) => {
-                        return Err(transport(
-                            rank,
-                            0,
-                            "welcome named images for a rank without a region".into(),
-                        ))
-                    }
-                    (_, true) => {}
-                }
-                framed
-                    .set_read_timeout(cfg.options.timeout)
-                    .map_err(|e| transport(rank, 0, format!("set timeout: {e}")))?;
-                Ok(SocketCluster {
-                    rank,
-                    world,
-                    stream: Mutex::new(framed),
-                    traffic: TrafficCounter::new(world),
-                    live: AtomicUsize::new(live),
-                    ops: AtomicU64::new(0),
-                    left: AtomicBool::new(false),
-                    barrier_ns: AtomicU64::new(0),
-                    barrier_hist: metrics::histogram("comm.barrier_wait_ns"),
-                    timeout: cfg.options.timeout,
-                    step: AtomicU64::new(0),
-                    clock: Mutex::new(clock),
-                    arrivals: Mutex::new(Vec::new()),
-                })
-            }
-            Ok((KIND_ERROR, body)) => Err(decode_error(rank, 0, body)),
-            Ok((kind, _)) => Err(transport(
+        let mut r = Reader::new(rendezvous_frame(&mut framed, KIND_WELCOME, cfg)?);
+        let world = r.u32().map_err(bad)? as usize;
+        let live = r.u32().map_err(bad)? as usize;
+        if world != cfg.world {
+            return Err(transport(
                 rank,
                 0,
-                format!("expected WELCOME, got kind {kind}"),
-            )),
-            Err(e) if is_timeout(&e) => Err(ClusterError::Timeout {
-                rank,
-                op: 0,
-                waited: cfg.connect_timeout,
-            }),
-            Err(e) => Err(transport(rank, 0, format!("rendezvous: {e}"))),
+                format!("world mismatch: hub {world} vs local {}", cfg.world),
+            ));
         }
+        // Every rank's region names follow iff the hub agreed to carry
+        // bodies in regions; this rank opens its peers' before it sends
+        // anything else.
+        let carrier = welcome_regions(&mut r, shm_dir, (rank, world), own.take())
+            .map_err(|e| transport(rank, 0, format!("welcome: {e}")))?;
+        framed.carrier = carrier;
+        framed
+            .set_read_timeout(cfg.options.timeout)
+            .map_err(|e| transport(rank, 0, format!("set timeout: {e}")))?;
+        Ok(SocketCluster {
+            rank,
+            world,
+            stream: Mutex::new(framed),
+            traffic: TrafficCounter::new(world),
+            live: AtomicUsize::new(live),
+            ops: AtomicU64::new(0),
+            left: AtomicBool::new(false),
+            barrier_ns: AtomicU64::new(0),
+            barrier_hist: metrics::histogram("comm.barrier_wait_ns"),
+            timeout: cfg.options.timeout,
+            step: AtomicU64::new(0),
+            clock: Mutex::new(clock),
+            arrivals: Mutex::new(Vec::new()),
+        })
     }
 
     /// The payload-accounting traffic counter (only this rank's row is
@@ -1907,20 +1861,43 @@ fn read_contributors(r: &mut Reader<'_>, world: usize) -> io::Result<usize> {
     Ok(contributors)
 }
 
-/// Reads the image names a `WELCOME` may end with and maps each read-only;
-/// none means inline bodies.
-fn welcome_images(r: &mut Reader<'_>, dir: &Path) -> io::Result<Vec<Region>> {
-    let mut images = Vec::new();
-    while r.at < r.buf.len() {
-        let len = r.u32()? as usize;
-        let name = std::str::from_utf8(r.take(len)?)
-            .map_err(|_| invalid("image name is not UTF-8".into()))?;
-        images.push(Region::open(dir, name)?);
+/// Reads the region names a `WELCOME` may end with — two per rank, in rank
+/// order — and opens every peer's read-only beside this rank's `own`, whose
+/// names the hub now removes; none means inline bodies (and `own` is
+/// dropped, its files with it).
+fn welcome_regions(
+    r: &mut Reader<'_>,
+    dir: &Path,
+    (rank, world): (usize, usize),
+    own: Option<[Region; 2]>,
+) -> io::Result<Option<Carrier>> {
+    if r.at == r.buf.len() {
+        return Ok(None);
     }
-    if !matches!(images.len(), 0 | 2) {
-        return Err(invalid(format!("{} image names, expected 2", images.len())));
+    let mut own = own.ok_or_else(|| invalid("names for a rank without any".into()))?;
+    own.iter_mut().for_each(Region::hand_over);
+    let mut own = Some(own);
+    let mut regions = Vec::with_capacity(world);
+    for peer in 0..world {
+        let mut name = || {
+            let len = r.u32()? as usize;
+            std::str::from_utf8(r.take(len)?).map_err(|_| invalid("a name is not UTF-8".into()))
+        };
+        let (a, b) = (name()?, name()?);
+        regions.push(match own.take_if(|_| peer == rank) {
+            Some(pair) => pair,
+            None => [Region::open(dir, a)?, Region::open(dir, b)?],
+        });
     }
-    Ok(images)
+    if r.at < r.buf.len() {
+        return Err(invalid("more region names than ranks".into()));
+    }
+    Ok(Some(Carrier {
+        rank,
+        regions,
+        next: 0,
+        flipped: None,
+    }))
 }
 
 /// Reads an inline all-reduce response into `sum`, which holds the request
@@ -1986,6 +1963,32 @@ fn decode_error(rank: usize, op: u64, body: &[u8]) -> ClusterError {
     transport(rank, op, detail)
 }
 
+/// Reads a rendezvous frame of kind `want` and returns its body; an `ERROR`
+/// frame, another kind, the connect deadline or a broken stream is the
+/// rank's typed error.
+fn rendezvous_frame<'a>(
+    framed: &'a mut FramedStream,
+    want: u8,
+    cfg: &NetConfig,
+) -> Result<&'a [u8], ClusterError> {
+    let rank = cfg.rank;
+    match framed.read_frame() {
+        Ok((kind, body)) if kind == want => Ok(body),
+        Ok((KIND_ERROR, body)) => Err(decode_error(rank, 0, body)),
+        Ok((kind, _)) => Err(transport(
+            rank,
+            0,
+            format!("got kind {kind}, expected {want}"),
+        )),
+        Err(e) if is_timeout(&e) => Err(ClusterError::Timeout {
+            rank,
+            op: 0,
+            waited: cfg.connect_timeout,
+        }),
+        Err(e) => Err(transport(rank, 0, format!("rendezvous: {e}"))),
+    }
+}
+
 impl Collective for SocketCluster {
     fn n_workers(&self) -> usize {
         self.world
@@ -2023,14 +2026,35 @@ impl Collective for SocketCluster {
         let mut resp = self.roundtrip(op, KIND_R_ALLREDUCE, |s, ctx| {
             s.write_f32s(KIND_ALLREDUCE, ctx, &data)
         })?;
-        let contributors = resp
-            .stream
-            .read_reduction(resp.header, self.world, &mut data)
-            .map_err(|e| transport(self.rank, op, e.to_string()))?;
-        Ok(Reduction {
-            sum: data,
-            contributors,
-        })
+        for _ in 0..RETRY_LIMIT {
+            let stream = &mut *resp.stream;
+            let payload = &stream.rx[1 + resp.header..];
+            let folded = match &mut stream.carrier {
+                Some(carrier) => carrier.fold(payload, self.world, &mut data),
+                None => parse_reduction(payload, self.world, &mut data).map(Ok),
+            };
+            let torn = match folded.map_err(|e| transport(self.rank, op, e.to_string()))? {
+                Ok(contributors) => {
+                    return Ok(Reduction {
+                        sum: data,
+                        contributors,
+                    })
+                }
+                Err(torn) => (torn as u32).to_le_bytes(),
+            };
+            // A region-carried body failed its CRC here, and so on every
+            // rank: name it, and fold again once its owner has resent it.
+            drop(resp);
+            let bytes = 4 * data.len() as u64;
+            resp = self.roundtrip(op, KIND_R_ALLREDUCE, |s, ctx| {
+                s.send_nack(bytes, &[ctx, &torn].concat())
+            })?;
+        }
+        Err(transport(
+            self.rank,
+            op,
+            "sum retry limit exhausted: persistently torn body".into(),
+        ))
     }
 
     /// Zero-copy all-gather: the CRC-verified response frame is swapped out
@@ -2300,7 +2324,7 @@ mod tests {
         }
         let payload: Vec<u8> = (0..300_000).map(|i| (i * 31 % 251) as u8).collect();
         let mut images = ResponseImages::default();
-        let (_, image) = images.next();
+        let image = images.next();
         let buf = Arc::get_mut(&mut image.frame).unwrap();
         begin_frame(buf, KIND_R_ALLGATHER);
         buf.extend_from_slice(&payload);
@@ -2342,7 +2366,7 @@ mod tests {
         }
         // The next round builds in the other buffer; the round after gets
         // this one back as sole owner once the streams have moved on.
-        assert_eq!(Arc::strong_count(&images.next().1.frame), 1);
+        assert_eq!(Arc::strong_count(&images.next().frame), 1);
     }
 
     /// The wire format is frozen: byte counts for a fixed call sequence are
@@ -2413,18 +2437,22 @@ mod tests {
     }
 
     /// A region that cannot grow (tmpfs full: `fallocate` says `ENOSPC`) is
-    /// a typed error on that rank; the survivor's round goes on without it.
+    /// a typed error on its rank; the survivor's round goes on without it,
+    /// and no region file is left behind.
     #[cfg(unix)]
     #[test]
     fn a_full_region_filesystem_is_a_typed_error() {
-        let ep = Endpoint::ephemeral_uds();
+        let dir = Path::new(shm::SHM_DIR).join(format!("grace-enospc-{}", std::process::id()));
+        std::fs::create_dir(&dir).unwrap();
         let opts = ClusterOptions::with_timeout(Duration::from_secs(10));
-        let out = run_socket_local(2, opts, Some(ep), |c| {
+        let out = run_local_in(2, opts, Some(Endpoint::ephemeral_uds()), &dir, |c| {
             if c.rank() == 0 {
-                shm::fail_next_growth(28);
+                shm::tests::fail_next_growth(28);
             }
             c.try_allreduce_f32(vec![1.5; 64]).map(|r| r.contributors)
         });
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+        std::fs::remove_dir(&dir).unwrap();
         match &out[0] {
             Err(ClusterError::Transport {
                 rank: 0,
@@ -2436,32 +2464,6 @@ mod tests {
             other => panic!("expected a transport error, got {other:?}"),
         }
         assert_eq!(out[1], Ok(1));
-    }
-
-    /// The hub's side of a full region filesystem: the response image
-    /// cannot grow, so the round ends in a typed transport error on every
-    /// rank, and no region file is left behind.
-    #[cfg(unix)]
-    #[test]
-    fn a_response_image_that_cannot_grow_is_every_ranks_typed_error() {
-        let dir = Path::new(shm::SHM_DIR).join(format!("grace-enospc-{}", std::process::id()));
-        std::fs::create_dir(&dir).unwrap();
-        let opts = ClusterOptions::with_timeout(Duration::from_secs(10));
-        // Set on this thread, the failure goes to the hub it spawns.
-        shm::fail_next_growth(28);
-        let out = run_local_in(2, opts, Some(Endpoint::ephemeral_uds()), &dir, |c| {
-            c.try_allreduce_f32(vec![1.5; 64]).map(|r| r.contributors)
-        });
-        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
-        std::fs::remove_dir(&dir).unwrap();
-        for (rank, r) in out.iter().enumerate() {
-            match r {
-                Err(ClusterError::Transport { detail, .. }) => {
-                    assert!(detail.contains("No space left"), "rank {rank}: {detail}")
-                }
-                other => panic!("rank {rank}: expected a transport error, got {other:?}"),
-            }
-        }
         assert!(left.is_empty(), "region files left: {left:?}");
     }
 

@@ -1,12 +1,12 @@
 //! Shared-memory regions: the body carrier of a same-host (UDS) stream.
 //!
 //! Over a Unix-domain socket an all-reduce body crossed the kernel twice per
-//! hop (`write` into a socket buffer, `read` out of it), and the hub served
-//! every rank's hops in series. Here each rank owns one **request region**,
-//! and the hub owns two **image regions** (its alternating response images)
-//! that every rank maps. A body is written into a region once and read out
-//! of it once; the socket carries only a small descriptor (length, CRC and,
-//! for a response, which image). See `net`'s all-reduce paths.
+//! hop, and the hub served every rank's hops in series. Here each rank owns
+//! two **request regions**, writes its all-reduce rounds into them in turn,
+//! and maps every peer's read-only. A body is written once, and every rank
+//! folds every body — its own included — straight out of the regions
+//! ([`fold`]); the socket carries only a descriptor, which the hub relays
+//! without touching a body. See `net`'s all-reduce paths.
 //!
 //! A region is a `/dev/shm/grace-<pid>-<salt>-<nonce>-<tag>` file (`shm_open`
 //! semantics: created with `create_new`, mode 0600) mapped `MAP_SHARED`. It
@@ -15,15 +15,15 @@
 //!
 //! # The ownership invariant
 //!
-//! This is the `SAFETY` argument of every block below.
+//! This is the `SAFETY` argument of every block below. A rank writes its
+//! all-reduce round *t* into its region *t* mod 2; every rank that takes part
+//! in the round (the owner included) is one of its readers.
 //!
-//! * A rank region is written only by its rank, between receiving response
-//!   *k* and sending request *k+1*; the hub reads it only between receiving
-//!   request *k+1* and answering it.
-//! * An image is written only by the hub while it builds a round; ranks read
-//!   an image only between receiving that response and sending their next
-//!   request. Rounds alternate images, so the one the hub builds in was last
-//!   answered two rounds ago, and every rank has sent a request since.
+//! * A region is written only by its owner, and rewritten at round *t+2*
+//!   only after the owner has received response *t+1*.
+//! * Response *t+1* exists only once every reader has sent request *t+1*.
+//! * Every reader finishes folding round *t* before it sends request *t+1*.
+//!   So no reader is still reading a region when its owner rewrites it.
 //! * Every access is bounds-checked against this process's own mapping
 //!   (`read_at`, `write_at`); a length a peer claims is checked against the
 //!   region's size before any access (`expose`).
@@ -34,9 +34,9 @@
 //!
 //! Outside the invariant: a process that truncates a region file another
 //! process has mapped makes that process's next touch of the lost pages
-//! raise `SIGBUS`. Regions are created 0600 and unlinked once both sides
-//! hold them, so only a process of the same user that already holds the
-//! file can do that; the protocol itself never shrinks a region.
+//! raise `SIGBUS`. Regions are created 0600 and their names removed once
+//! every rank holds them, so only a process of the same user that already
+//! holds the file can do that; the protocol itself never shrinks a region.
 
 use grace_tensor::pack::{add_f32s_le, Crc32};
 use std::fs::{File, OpenOptions};
@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Where regions live.
 pub(crate) const SHM_DIR: &str = "/dev/shm";
 
-/// Every region name starts with this; the hub opens no other name.
+/// Every region name starts with this; no peer's name outside it is opened.
 const PREFIX: &str = "grace-";
 
 /// Longest name accepted from a peer.
@@ -77,11 +77,12 @@ pub(crate) struct Region {
     ptr: *mut u8,
     /// Bytes mapped at `ptr`.
     mapped: usize,
-    /// Created here (mapped read-write, name removed on drop) rather than
-    /// opened from a peer's name (read-only).
+    /// Created here (mapped read-write) rather than opened from a peer's
+    /// name (read-only).
     writable: bool,
     name: String,
-    /// The file's path until it is unlinked.
+    /// The name this process removes on drop: a created file's, until it
+    /// is handed over.
     path: Option<PathBuf>,
 }
 
@@ -114,7 +115,7 @@ impl Region {
             #[cfg(unix)]
             std::os::unix::fs::OpenOptionsExt::mode(&mut options, 0o600);
             match options.open(&path) {
-                Ok(file) => return Ok(Region::new(file, name, path, true)),
+                Ok(file) => return Ok(Region::new(file, name, Some(path))),
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => last = Some(e),
                 Err(e) => return Err(e),
             }
@@ -122,48 +123,35 @@ impl Region {
         Err(last.expect("at least one attempt"))
     }
 
-    /// Opens a peer's region `name` in `dir` read-only, after checking the
-    /// name ([`valid_name`]) and that it is a regular file.
+    /// Opens a peer's region `name` in `dir` read-only, once [`check`] has
+    /// passed it.
     pub(crate) fn open(dir: &Path, name: &str) -> io::Result<Region> {
-        if !valid_name(name) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("region name {name:?} is not a {PREFIX}… name"),
-            ));
-        }
+        let path = check(dir, name)?;
         sys::supported()?;
-        let path = dir.join(name);
         let file = File::open(&path)?;
-        if !file.metadata()?.is_file() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("region {name} is not a regular file"),
-            ));
-        }
-        Ok(Region::new(file, name.to_string(), path, false))
+        Ok(Region::new(file, name.to_string(), None))
     }
 
-    fn new(file: File, name: String, path: PathBuf, writable: bool) -> Region {
+    fn new(file: File, name: String, path: Option<PathBuf>) -> Region {
         Region {
             file,
             ptr: std::ptr::null_mut(),
             mapped: 0,
-            writable,
+            writable: path.is_some(),
             name,
-            path: Some(path),
+            path,
         }
     }
 
-    /// The region's file name (what rides in HELLO / WELCOME).
+    /// The region's file name (what rides in `HELLO` / `WELCOME`).
     pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
-    /// Removes the file's name; the mapping and the open file stay valid.
-    pub(crate) fn unlink(&mut self) {
-        if let Some(path) = self.path.take() {
-            let _ = std::fs::remove_file(path);
-        }
+    /// Hands the name over to the hub, which removes it once every peer
+    /// has opened the file — possibly after this region is gone.
+    pub(crate) fn hand_over(&mut self) {
+        self.path = None;
     }
 
     /// Writer side: makes at least `len` bytes writable, growing the file
@@ -230,8 +218,11 @@ impl Region {
         );
         // SAFETY: `ptr..ptr + mapped` is a live mapping this struct owns and
         // the range was just checked to lie inside it; `dst` is private
-        // memory of this process, so the two cannot overlap. A peer writing
-        // concurrently (out of turn) changes only what `dst` receives, which
+        // memory of this process, so the two cannot overlap. By the
+        // ownership invariant the owner does not rewrite a region a reader
+        // is folding (round t+2 waits for response t+1, which waits for
+        // every reader's request t+1, sent after its fold of round t); an
+        // owner writing out of turn changes only what `dst` receives, which
         // the caller's CRC then rejects.
         unsafe { std::ptr::copy_nonoverlapping(self.ptr.add(at), dst.as_mut_ptr(), dst.len()) }
     }
@@ -254,8 +245,10 @@ impl Region {
         );
         // SAFETY: the mapping is live, writable (checked) and owned by this
         // struct, the range lies inside it (checked), and `src` is private
-        // memory of this process. By the ownership invariant no peer reads
-        // this region while its owner writes it.
+        // memory of this process. By the ownership invariant no reader
+        // folds this region while its owner writes it: the owner rewrites
+        // round t's region at round t+2, after response t+1, which exists
+        // only once every reader has finished round t and sent request t+1.
         unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(at), src.len()) }
     }
 
@@ -283,112 +276,80 @@ impl Region {
         }
         Ok(crc.finish())
     }
-
-    /// Rank, response: reads `out.len()` little-endian `f32`s from the start
-    /// of the region into `out` and returns the CRC of the bytes read — one
-    /// pass. The caller has [`expose`](Self::expose)d the length.
-    pub(crate) fn take_f32s(&self, out: &mut [f32]) -> u32 {
-        let mut crc = Crc32::new();
-        let mut chunk = [0u8; CHUNK];
-        for (i, words) in out.chunks_mut(CHUNK / 4).enumerate() {
-            let bytes = &mut chunk[..4 * words.len()];
-            self.read_at(i * CHUNK, bytes);
-            crc.update(bytes);
-            for (w, b) in words.iter_mut().zip(bytes.as_chunks::<4>().0) {
-                *w = f32::from_le_bytes(*b);
-            }
-        }
-        crc.finish()
-    }
 }
 
 impl Drop for Region {
     fn drop(&mut self) {
         self.unmap();
-        // The creator's name to remove; a peer that merely opened it may
-        // be gone long before another peer opens it.
-        if self.writable {
-            self.unlink();
+        // The creator's name, unless handed over: a peer that merely opened
+        // it may be gone long before another opens it.
+        if let Some(path) = &self.path {
+            let _ = std::fs::remove_file(path);
         }
     }
 }
 
-/// One contribution to [`reduce`]: a rank's request region and the CRC its
-/// descriptor claims for the body.
+/// Checks a peer's region name: one a region of this crate could have
+/// ([`valid_name`]), naming a regular file in `dir`. Returns its path.
+pub(crate) fn check(dir: &Path, name: &str) -> io::Result<PathBuf> {
+    if !valid_name(name) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("region name {name:?} is not a {PREFIX}… name"),
+        ));
+    }
+    let path = dir.join(name);
+    if !std::fs::metadata(&path)?.is_file() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("region {name} is not a regular file"),
+        ));
+    }
+    Ok(path)
+}
+
+/// One contribution to [`fold`]: a rank's request region (exposed to the
+/// body's length) and the CRC its descriptor claims for the body.
 pub(crate) struct Contribution<'a> {
-    pub(crate) region: &'a mut Region,
+    pub(crate) region: &'a Region,
     pub(crate) crc: u32,
 }
 
-/// Hub: the round's fused pass. Sums `len` bytes of little-endian `f32`s
-/// from every contribution, in the order given (rank order), into `image`,
-/// and returns the sum's CRC. Chunk by chunk, each request is copied into
-/// L1 and checked against its CRC as it is read; the first is the running
-/// sum, later ones are added to it (`add_f32s_le`), and the finished chunk
-/// is checksummed and written to the image — element *i* is `r0[i] + r1[i]
-/// + …` exactly as the inline path computes it.
+/// Rank: the round's fused pass. Sums the little-endian `f32` bodies of
+/// every contribution, in the order given (rank order), into `out`. Chunk by
+/// chunk, each body is copied into L1 and checked against its CRC as it is
+/// read; the first is the running sum, later ones are added to it
+/// (`add_f32s_le`), and the finished chunk is decoded into `out` — element
+/// *i* is `r0[i] + r1[i] + …` exactly as the inline path computes it.
 ///
-/// Returns `Ok(Err(i))` when contribution `i`'s bytes fail their CRC: the
-/// caller rejects that body and redoes the round.
-///
-/// # Errors
-///
-/// An image that cannot grow (`ENOSPC`), or a length beyond a request
-/// region.
-pub(crate) fn reduce(
-    image: &mut Region,
-    contributions: &mut [Contribution<'_>],
-    len: usize,
-) -> io::Result<Result<u32, usize>> {
-    // Requests first: a length no request region holds must not grow the
-    // image.
-    for c in contributions.iter_mut() {
-        c.region.expose(len)?;
-    }
-    image.reserve(len)?;
+/// Returns `Err(i)` when contribution `i` is the first whose bytes fail
+/// their CRC: `out` then holds no sum, and the caller has the body resent
+/// and folds the round again.
+pub(crate) fn fold(out: &mut [f32], contributions: &[Contribution<'_>]) -> Result<(), usize> {
     let mut crcs = vec![Crc32::new(); contributions.len()];
-    let mut sum_crc = Crc32::new();
     let (mut acc, mut next) = ([0u8; CHUNK], [0u8; CHUNK]);
-    for at in (0..len).step_by(CHUNK) {
-        let n = CHUNK.min(len - at);
-        let acc = &mut acc[..n];
-        let next = &mut next[..n];
-        for (i, (c, crc)) in contributions.iter().zip(&mut crcs).enumerate() {
-            if i == 0 {
-                c.region.read_at(at, acc);
+    for (i, words) in out.chunks_mut(CHUNK / 4).enumerate() {
+        let n = 4 * words.len();
+        let (acc, next) = (&mut acc[..n], &mut next[..n]);
+        for (j, (c, crc)) in contributions.iter().zip(&mut crcs).enumerate() {
+            if j == 0 {
+                c.region.read_at(i * CHUNK, acc);
                 crc.update(acc);
             } else {
-                c.region.read_at(at, next);
+                c.region.read_at(i * CHUNK, next);
                 crc.update(next);
                 add_f32s_le(acc, next);
             }
         }
-        sum_crc.update(acc);
-        image.write_at(at, acc);
+        for (w, b) in words.iter_mut().zip(acc.as_chunks::<4>().0) {
+            *w = f32::from_le_bytes(*b);
+        }
     }
     let bad = contributions
         .iter()
         .zip(crcs)
         .position(|(c, crc)| crc.finish() != c.crc);
-    Ok(bad.map_or(Ok(sum_crc.finish()), Err))
-}
-
-#[cfg(test)]
-thread_local! {
-    static FAIL_GROWTH: std::cell::Cell<Option<i32>> = const { std::cell::Cell::new(None) };
-}
-
-/// Test hook: the calling thread's next region growth fails with `errno`.
-/// A hub spawned from the thread takes the failure with it.
-#[cfg(test)]
-pub(crate) fn fail_next_growth(errno: i32) {
-    FAIL_GROWTH.with(|f| f.set(Some(errno)));
-}
-
-/// Test hook: takes the calling thread's pending growth failure.
-#[cfg(test)]
-pub(crate) fn take_growth_failure() -> Option<i32> {
-    FAIL_GROWTH.with(|f| f.take())
+    bad.map_or(Ok(()), Err)
 }
 
 /// The three system calls, on the targets whose ABI is declared here.
@@ -423,7 +384,7 @@ mod sys {
     /// Allocates the file's first `size` bytes (extending it as needed).
     pub(super) fn grow(file: &File, size: usize) -> io::Result<()> {
         #[cfg(test)]
-        if let Some(errno) = super::take_growth_failure() {
+        if let Some(errno) = super::tests::take_growth_failure() {
             return Err(io::Error::from_raw_os_error(errno));
         }
         let len = i64::try_from(size).map_err(|_| io::Error::other("region too large"))?;
@@ -503,8 +464,23 @@ mod sys {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    thread_local! {
+        static FAIL_GROWTH: std::cell::Cell<Option<i32>> = const { std::cell::Cell::new(None) };
+    }
+
+    /// Test hook: the calling thread's next region growth fails with
+    /// `errno`.
+    pub(crate) fn fail_next_growth(errno: i32) {
+        FAIL_GROWTH.with(|f| f.set(Some(errno)));
+    }
+
+    /// Test hook: takes the calling thread's pending growth failure.
+    pub(crate) fn take_growth_failure() -> Option<i32> {
+        FAIL_GROWTH.with(|f| f.take())
+    }
 
     fn dir() -> &'static Path {
         Path::new(SHM_DIR)
@@ -528,16 +504,24 @@ mod tests {
         assert!(valid_name("grace-123-abc0-r0"));
     }
 
+    fn put(tag: &str, data: &[f32]) -> (Region, u32) {
+        let mut region = Region::create(dir(), tag).unwrap();
+        let crc = region.put_f32s(data).unwrap();
+        region.expose(4 * data.len()).unwrap();
+        (region, crc)
+    }
+
     #[test]
     fn a_reader_sees_what_the_writer_put_and_no_further() {
         let mut w = Region::create(dir(), "t").unwrap();
         let data: Vec<f32> = (0..5000).map(|i| i as f32 * 0.25 - 7.0).collect();
         let crc = w.put_f32s(&data).unwrap();
         let mut r = Region::open(dir(), w.name()).unwrap();
-        w.unlink();
+        std::fs::remove_file(dir().join(w.name())).unwrap();
         r.expose(4 * data.len()).unwrap();
         let mut out = vec![0.0; data.len()];
-        assert_eq!(r.take_f32s(&mut out), crc);
+        let region = &r;
+        assert_eq!(fold(&mut out, &[Contribution { region, crc }]), Ok(()));
         assert_eq!(out, data);
         // The file is one granule: a claim past it is refused unmapped.
         let e = r.expose(GRANULE + 1).unwrap_err();
@@ -545,34 +529,129 @@ mod tests {
     }
 
     #[test]
-    fn reduce_sums_in_order_and_names_a_torn_contribution() {
+    fn fold_sums_in_order_and_names_a_torn_contribution() {
         let a: Vec<f32> = (0..3000).map(|i| i as f32 / 3.0).collect();
         let b: Vec<f32> = (0..3000).map(|i| 1e7 - i as f32).collect();
-        let (mut ra, mut rb) = (
-            Region::create(dir(), "a").unwrap(),
-            Region::create(dir(), "b").unwrap(),
-        );
-        let (ca, cb) = (ra.put_f32s(&a).unwrap(), rb.put_f32s(&b).unwrap());
-        let mut image = Region::create(dir(), "i").unwrap();
-        let len = 4 * a.len();
-        let mut cs = [
+        let ((ra, ca), (mut rb, cb)) = (put("a", &a), put("b", &b));
+        let mut sum = vec![0.0; a.len()];
+        let cs = [
             Contribution {
-                region: &mut ra,
+                region: &ra,
                 crc: ca,
             },
             Contribution {
-                region: &mut rb,
+                region: &rb,
                 crc: cb,
             },
         ];
-        let crc = reduce(&mut image, &mut cs, len).unwrap().unwrap();
-        let mut sum = vec![0.0; a.len()];
-        assert_eq!(image.take_f32s(&mut sum), crc);
+        assert_eq!(fold(&mut sum, &cs), Ok(()));
         let want: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
         assert_eq!(sum, want);
 
-        cs[1].region.flip(len / 2);
-        assert_eq!(reduce(&mut image, &mut cs, len).unwrap(), Err(1));
+        rb.flip(4 * a.len() / 2);
+        let cs = [
+            Contribution {
+                region: &ra,
+                crc: ca,
+            },
+            Contribution {
+                region: &rb,
+                crc: cb,
+            },
+        ];
+        assert_eq!(fold(&mut sum, &cs), Err(1));
+    }
+
+    /// The oracle [`fold`] must match bit for bit: a hub-side fused pass
+    /// that builds the sum once into an image region, which each rank then
+    /// copies out.
+    fn hub_reduce(image: &mut Region, contributions: &[Contribution<'_>], len: usize) -> u32 {
+        image.reserve(len).unwrap();
+        let mut sum_crc = Crc32::new();
+        let (mut acc, mut next) = ([0u8; CHUNK], [0u8; CHUNK]);
+        for at in (0..len).step_by(CHUNK) {
+            let n = CHUNK.min(len - at);
+            let (acc, next) = (&mut acc[..n], &mut next[..n]);
+            for (i, c) in contributions.iter().enumerate() {
+                if i == 0 {
+                    c.region.read_at(at, acc);
+                } else {
+                    c.region.read_at(at, next);
+                    add_f32s_le(acc, next);
+                }
+            }
+            sum_crc.update(acc);
+            image.write_at(at, acc);
+        }
+        sum_crc.finish()
+    }
+
+    /// The rank's copy out of the image (the oracle's second half).
+    fn take_f32s(image: &Region, out: &mut [f32]) -> u32 {
+        let mut crc = Crc32::new();
+        let mut chunk = [0u8; CHUNK];
+        for (i, words) in out.chunks_mut(CHUNK / 4).enumerate() {
+            let bytes = &mut chunk[..4 * words.len()];
+            image.read_at(i * CHUNK, bytes);
+            crc.update(bytes);
+            for (w, b) in words.iter_mut().zip(bytes.as_chunks::<4>().0) {
+                *w = f32::from_le_bytes(*b);
+            }
+        }
+        crc.finish()
+    }
+
+    /// Every bit of the rank-side fold is the hub pass's: NaNs of both
+    /// signs with payloads, ±0, ±∞ and subnormals, at lengths around and
+    /// across the chunk, for one to three contributors.
+    #[test]
+    fn the_fold_matches_the_hub_pass_bit_for_bit() {
+        let specials = [
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0xffc0_0002),
+            f32::from_bits(0x7f80_0003),
+            f32::from_bits(0xff80_0004),
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::MIN_POSITIVE,
+            1.5,
+            -3.25e7,
+        ];
+        let value = |rank: usize, i: usize| {
+            let k = i.wrapping_mul(2_654_435_761).wrapping_add(rank * 97) >> 3;
+            match k % 3 {
+                0 => specials[k / 3 % specials.len()],
+                1 => (k % 1009) as f32 * -0.125 + rank as f32,
+                _ => f32::from_bits((k as u32).wrapping_mul(0x9e37_79b9)),
+            }
+        };
+        let words = CHUNK / 4;
+        for len in [0, 1, words - 1, words, words + 1, 3 * words + 17] {
+            for ranks in 1..=3 {
+                let regions: Vec<(Region, u32)> = (0..ranks)
+                    .map(|r| {
+                        let data: Vec<f32> = (0..len).map(|i| value(r, i)).collect();
+                        put(&format!("f{r}"), &data)
+                    })
+                    .collect();
+                let cs: Vec<Contribution<'_>> = regions
+                    .iter()
+                    .map(|(region, crc)| Contribution { region, crc: *crc })
+                    .collect();
+                let mut image = Region::create(dir(), "img").unwrap();
+                let image_crc = hub_reduce(&mut image, &cs, 4 * len);
+                let mut want = vec![0.0f32; len];
+                assert_eq!(take_f32s(&image, &mut want), image_crc);
+                let mut got = vec![7.0f32; len];
+                assert_eq!(fold(&mut got, &cs), Ok(()), "{len} × {ranks}");
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{len} × {ranks}");
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Shared-memory bodies on a UDS endpoint, from the outside: a peer that
-//! lies in a descriptor or names a file it should not gets a typed error
-//! and never a panic or a stray access, and no `/dev/shm/grace-*` file of a
-//! cluster outlives it — clean, with a rank gone mid-run, or after a
-//! rendezvous that never completed.
+//! Shared-memory bodies on a UDS endpoint, from the outside: a peer or hub
+//! that lies in a descriptor, or names a file it should not, gets a typed
+//! error and never a panic or a stray access, and no `/dev/shm/grace-*`
+//! file of a cluster outlives it — clean, with a rank gone mid-run, or after
+//! a rendezvous that never completed.
 #![cfg(target_os = "linux")]
 
 use grace_comm::net::{
@@ -50,13 +50,13 @@ fn region_file(tag: &str, len: u64) -> (String, PathBuf) {
     (name, path)
 }
 
-/// A hand-driven rank: `HELLO(rank 0, world 1, region)` and the clock
+/// A hand-driven rank: `HELLO(rank, world, region names)` and the clock
 /// burst; returns the stream and the `WELCOME` body.
-fn hand_rank(path: &Path, region: &[u8]) -> (FramedStream, Vec<u8>) {
+fn hand_rank(path: &Path, (rank, world): (u32, u32), names: &[u8]) -> (FramedStream, Vec<u8>) {
     let mut s = FramedStream::uds(UnixStream::connect(path).unwrap());
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut hello = vec![0, 0, 0, 0, 1, 0, 0, 0];
-    hello.extend_from_slice(region);
+    let mut hello = [rank.to_le_bytes(), world.to_le_bytes()].concat();
+    hello.extend_from_slice(names);
     s.write_frame(KIND_HELLO, &hello).unwrap();
     for _ in 0..4 {
         s.write_frame(KIND_CLOCK_PING, &[0; 8]).unwrap();
@@ -68,95 +68,157 @@ fn hand_rank(path: &Path, region: &[u8]) -> (FramedStream, Vec<u8>) {
     (s, body)
 }
 
-fn ctx() -> [u8; TraceCtx::WIRE_BYTES] {
+fn ctx(origin: u32) -> [u8; TraceCtx::WIRE_BYTES] {
     TraceCtx {
         seq: 0,
         step: 0,
-        origin: 0,
+        origin,
     }
     .to_bytes()
 }
 
-/// A request descriptor claiming a body past the end of the rank's region
-/// is refused before the hub reads a byte: a typed error on both sides.
+fn options() -> ClusterOptions {
+    ClusterOptions::with_timeout(Duration::from_secs(10))
+}
+
+/// A peer whose descriptor claims a body past the end of its region: the
+/// hub relays it unread, and the rank that folds it refuses it before it
+/// reads a byte — a typed error. The hub has removed the peer's names by
+/// then, as every rank has sent a frame.
 #[test]
-fn a_request_length_beyond_the_region_is_a_typed_error() {
+fn a_descriptor_longer_than_its_owners_region_is_a_typed_error() {
     let _guard = serial();
     let ep = Endpoint::ephemeral_uds();
-    let hub = HubServer::bind(&ep, 1, ClusterOptions::default()).unwrap();
-    let hub = hub.spawn();
-    let (name, _) = region_file("req", 4096);
-    let (mut s, welcome) = hand_rank(&uds_path(&ep), name.as_bytes());
-    assert!(welcome.len() > 8, "the hub must answer with image names");
-
-    let mut descriptor = ctx().to_vec();
-    descriptor.extend_from_slice(&(1u32 << 20).to_le_bytes());
-    descriptor.extend_from_slice(&0u32.to_le_bytes());
-    s.write_frame(KIND_ALLREDUCE, &descriptor).unwrap();
-    let (kind, body) = s.read_frame().unwrap();
-    assert_eq!(kind, KIND_ERROR);
-    assert!(
-        String::from_utf8_lossy(body).contains("exceeds"),
-        "{body:?}"
-    );
-    match hub.join() {
-        Err(ClusterError::Transport { detail, .. }) => {
-            assert!(detail.contains("exceeds"), "{detail}")
+    let hub = HubServer::bind(&ep, 2, options()).unwrap().spawn();
+    let files = [region_file("peer0", 4096), region_file("peer1", 4096)];
+    let names = format!("{} {}", files[0].0, files[1].0);
+    let rank0 = std::thread::spawn({
+        let ep = ep.clone();
+        move || {
+            let mut cfg = NetConfig::new(0, 2, ep);
+            cfg.options = options();
+            let c = SocketCluster::connect(&cfg).unwrap();
+            c.try_allreduce_f32(vec![1.0; 2048]).map(|r| r.contributors)
         }
+    });
+    let (mut s, welcome) = hand_rank(&uds_path(&ep), (1, 2), names.as_bytes());
+    assert!(welcome.len() > 8, "the hub must answer with region names");
+
+    let mut descriptor = ctx(1).to_vec();
+    descriptor.extend_from_slice(&8192u32.to_le_bytes());
+    descriptor.extend_from_slice(&0u32.to_le_bytes());
+    descriptor.push(0);
+    s.write_frame(KIND_ALLREDUCE, &descriptor).unwrap();
+    assert_eq!(s.read_frame().unwrap().0, KIND_R_ALLREDUCE);
+    match rank0.join().unwrap() {
+        Err(ClusterError::Transport {
+            rank: 0,
+            op: 0,
+            detail,
+        }) => assert!(detail.contains("exceeds"), "{detail}"),
         other => panic!("expected a transport error, got {other:?}"),
     }
     drop(s);
+    hub.join().unwrap();
+    for (name, path) in files {
+        assert!(!path.exists(), "the hub must have removed {name}");
+    }
     assert_eq!(leftovers(), Vec::<String>::new());
 }
 
-/// A hub that answers with a sum descriptor past the end of its image, or
-/// naming an image that does not exist: the rank's all-reduce is a typed
-/// error.
+/// A rank that joins and leaves at once must not take its region names
+/// with it: a slower peer may not have opened them yet. The hub removes
+/// them once every rank has sent a frame.
 #[test]
-fn a_response_beyond_the_image_is_a_typed_error() {
+fn a_ranks_names_outlive_it_until_every_peer_has_sent_a_frame() {
     let _guard = serial();
-    for (image, expect) in [(0u8, "exceeds"), (5, "image 5 does not exist")] {
+    let ep = Endpoint::ephemeral_uds();
+    let hub = HubServer::bind(&ep, 2, options()).unwrap().spawn();
+    let files = [region_file("peer0", 4096), region_file("peer1", 4096)];
+    let names = format!("{} {}", files[0].0, files[1].0);
+    let rank0 = std::thread::spawn({
+        let ep = ep.clone();
+        move || {
+            let mut cfg = NetConfig::new(0, 2, ep);
+            cfg.options = options();
+            drop(SocketCluster::connect(&cfg).unwrap());
+        }
+    });
+    let (s, welcome) = hand_rank(&uds_path(&ep), (1, 2), names.as_bytes());
+    rank0.join().unwrap();
+    // Rank 0's two names lead the list, after `world ‖ live`.
+    let mut at = 8;
+    for _ in 0..2 {
+        let len = u32::from_le_bytes(welcome[at..at + 4].try_into().unwrap()) as usize;
+        let name = std::str::from_utf8(&welcome[at + 4..at + 4 + len]).unwrap();
+        assert!(Path::new("/dev/shm").join(name).exists(), "{name} is gone");
+        at += 4 + len;
+    }
+    drop(s);
+    hub.join().unwrap();
+    assert_eq!(leftovers(), Vec::<String>::new());
+}
+
+/// A hub that relays an entry no region can back — one for a rank past the
+/// world, or a parity naming a third region of its owner: the rank's
+/// all-reduce is a typed error.
+#[test]
+fn a_response_entry_no_region_can_back_is_a_typed_error() {
+    let _guard = serial();
+    for (extra_rank, expect) in [
+        (true, "rank 1 has no regions"),
+        (false, "region parity 2, not 0 or 1"),
+    ] {
         let ep = Endpoint::ephemeral_uds();
         let listener = UnixListener::bind(uds_path(&ep)).unwrap();
-        let images = [region_file("img0", 4096), region_file("img1", 4096)];
-        let names: Vec<String> = images.iter().map(|(n, _)| n.clone()).collect();
         let hub = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             let mut s = FramedStream::uds(stream);
-            assert_eq!(s.read_frame().unwrap().0, KIND_HELLO);
+            let (kind, hello) = s.read_frame().unwrap();
+            assert_eq!(kind, KIND_HELLO);
+            let names = String::from_utf8(hello[8..].to_vec()).unwrap();
             for _ in 0..4 {
                 let (_, ping) = s.read_frame().unwrap();
                 let pong = [ping, &[0; 16]].concat();
                 s.write_frame(KIND_CLOCK_PONG, &pong).unwrap();
             }
             let mut welcome = [1u32.to_le_bytes(), 1u32.to_le_bytes()].concat();
-            for name in &names {
+            for name in names.split(' ') {
                 welcome.extend_from_slice(&(name.len() as u32).to_le_bytes());
                 welcome.extend_from_slice(name.as_bytes());
             }
             s.write_frame(KIND_WELCOME, &welcome).unwrap();
             let (kind, request) = s.read_frame().unwrap();
             assert_eq!(kind, KIND_ALLREDUCE);
-            let len = &request[TraceCtx::WIRE_BYTES..TraceCtx::WIRE_BYTES + 4];
-            // Round header (live 1, send time, one arrival), contributors,
-            // then the lying descriptor: the request's length, image `image`.
+            let own = request[TraceCtx::WIRE_BYTES..].to_vec();
+            // The rank has sent a frame: its names are the hub's to remove.
+            for name in names.split(' ') {
+                std::fs::remove_file(Path::new("/dev/shm").join(name)).unwrap();
+            }
+            // Round header (live 1, send time, one arrival), one
+            // contributor, then the rank's own entry with the lie.
             let mut resp = [
                 &1u32.to_le_bytes()[..],
                 &[0; 8],
                 &1u32.to_le_bytes(),
                 &[0; 8],
+                &1u32.to_le_bytes(),
+                &[1],
             ]
             .concat();
-            resp.extend_from_slice(&1u32.to_le_bytes());
-            resp.extend_from_slice(len);
-            resp.extend_from_slice(&0u32.to_le_bytes());
-            resp.push(image);
+            if extra_rank {
+                resp.extend_from_slice(&own);
+                resp.extend_from_slice(&[0; 10]);
+            } else {
+                resp.extend_from_slice(&own[..8]);
+                resp.push(2);
+            }
             s.write_frame(KIND_R_ALLREDUCE, &resp).unwrap();
             // The rank leaves (or closes) after its error.
             let _ = s.read_frame();
         });
         let mut cfg = NetConfig::new(0, 1, ep.clone());
-        cfg.options = ClusterOptions::with_timeout(Duration::from_secs(10));
+        cfg.options = options();
         let c = SocketCluster::connect(&cfg).unwrap();
         match c.try_allreduce_f32(vec![1.0; 2048]) {
             Err(ClusterError::Transport {
@@ -170,9 +232,6 @@ fn a_response_beyond_the_image_is_a_typed_error() {
         }
         drop(c);
         hub.join().unwrap();
-        for (_, path) in images {
-            std::fs::remove_file(path).unwrap();
-        }
         assert_eq!(leftovers(), Vec::<String>::new());
     }
 }

@@ -306,8 +306,8 @@ fn launch_once(args: &Args, compressor_id: &str, trace_dir: Option<&Path>) -> (u
         .collect();
     // Every child has exited, so the hub sees every stream close and
     // returns. Join it before a check below can panic: its exit is what
-    // removes its shared-memory images when no rank got as far as a first
-    // collective.
+    // removes the ranks' region names when not every rank got as far as a
+    // first collective.
     let _ = hub.join();
     let mut agreed: Option<(u32, f64)> = None;
     let dropped = args.drop.map(|(r, _)| r);
