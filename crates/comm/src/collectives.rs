@@ -28,6 +28,7 @@ use crate::error::ClusterError;
 use crate::traffic::TrafficCounter;
 use grace_telemetry::metrics::{self, HistogramHandle};
 use grace_telemetry::{trace, StageTimer, Track};
+use grace_tensor::simd::sum_into;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -139,9 +140,10 @@ pub struct Reduction {
 
 impl Reduction {
     /// Sums contributions elementwise in rank order: `first` is the
-    /// accumulator and each of `rest` is added in place. The one summation
-    /// order of the deposit board and of an engine that holds every rank's
-    /// lane, so both give the same bits.
+    /// accumulator and each of `rest` is added in place by
+    /// [`grace_tensor::simd::sum_into`]. The one summation order and NaN
+    /// rule of the deposit board, of an engine that holds every rank's lane
+    /// and of the socket hub, so all give the same bits.
     ///
     /// # Panics
     ///
@@ -152,15 +154,7 @@ impl Reduction {
     ) -> Reduction {
         let mut contributors = 1;
         for other in rest {
-            let other = other.as_ref();
-            assert_eq!(
-                first.len(),
-                other.len(),
-                "allreduce buffers must have identical lengths"
-            );
-            for (a, b) in first.iter_mut().zip(other) {
-                *a += b;
-            }
+            sum_into(&mut first, other.as_ref());
             contributors += 1;
         }
         Reduction {

@@ -603,7 +603,9 @@ pub(crate) mod tests {
 
     /// Every bit of the rank-side fold is the hub pass's: NaNs of both
     /// signs with payloads, ±0, ±∞ and subnormals, at lengths around and
-    /// across the chunk, for one to three contributors.
+    /// across the chunk, for one to three contributors. Every rank holds a
+    /// NaN of its own at the last element, and the sum keeps rank 0's, as
+    /// `sum_into` (the board's sum) does everywhere.
     #[test]
     fn the_fold_matches_the_hub_pass_bit_for_bit() {
         let specials = [
@@ -632,11 +634,18 @@ pub(crate) mod tests {
         let words = CHUNK / 4;
         for len in [0, 1, words - 1, words, words + 1, 3 * words + 17] {
             for ranks in 1..=3 {
-                let regions: Vec<(Region, u32)> = (0..ranks)
+                let data: Vec<Vec<f32>> = (0..ranks)
                     .map(|r| {
-                        let data: Vec<f32> = (0..len).map(|i| value(r, i)).collect();
-                        put(&format!("f{r}"), &data)
+                        let mut data: Vec<f32> = (0..len).map(|i| value(r, i)).collect();
+                        if let Some(last) = data.last_mut() {
+                            let sign = (r as u32 & 1) << 31;
+                            *last = f32::from_bits(sign | 0x7fc0_0010 | r as u32);
+                        }
+                        data
                     })
+                    .collect();
+                let regions: Vec<(Region, u32)> = (data.iter().enumerate())
+                    .map(|(r, data)| put(&format!("f{r}"), data))
                     .collect();
                 let cs: Vec<Contribution<'_>> = regions
                     .iter()
@@ -650,6 +659,14 @@ pub(crate) mod tests {
                 assert_eq!(fold(&mut got, &cs), Ok(()), "{len} × {ranks}");
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&got), bits(&want), "{len} × {ranks}");
+                let mut board = data[0].clone();
+                for d in &data[1..] {
+                    grace_tensor::simd::sum_into(&mut board, d);
+                }
+                assert_eq!(bits(&got), bits(&board), "{len} × {ranks}");
+                if len > 0 {
+                    assert_eq!(got[len - 1].to_bits(), 0x7fc0_0010, "{len} × {ranks}");
+                }
             }
         }
     }

@@ -2,6 +2,7 @@
 
 use super::sign::check_codes;
 use grace_core::{Compressor, Context, Payload, PayloadError, PayloadList, PayloadView};
+use grace_tensor::pack::packed_len;
 use grace_tensor::rng::substream;
 use grace_tensor::simd::Fold;
 use grace_tensor::Tensor;
@@ -34,27 +35,25 @@ impl Compressor for TernGrad {
 
     fn compress(&mut self, tensor: &Tensor, _name: &str) -> (Vec<Payload>, Context) {
         let scale = tensor.norm_inf();
-        let codes: Vec<u32> = tensor
-            .as_slice()
-            .iter()
-            .map(|&v| {
-                if scale == 0.0 {
-                    return 0u32;
+        let count = tensor.len();
+        // Each code straight into its 2-bit slot, the first in a byte's low
+        // bits: no code buffer the gradient's size.
+        let mut data = vec![0u8; packed_len(count, 2)];
+        if scale != 0.0 {
+            for (i, &v) in tensor.as_slice().iter().enumerate() {
+                if self.rng.gen::<f32>() < v.abs() / scale {
+                    let code = if v < 0.0 { 2 } else { 1 };
+                    data[i / 4] |= code << (2 * (i % 4));
                 }
-                let p = v.abs() / scale;
-                if self.rng.gen::<f32>() < p {
-                    if v < 0.0 {
-                        2
-                    } else {
-                        1
-                    }
-                } else {
-                    0
-                }
-            })
-            .collect();
+            }
+        }
+        let codes = Payload::Packed {
+            data,
+            bits: 2,
+            count: count as u32,
+        };
         (
-            vec![Payload::packed(&codes, 2)],
+            vec![codes],
             Context::with_meta(tensor.shape().clone(), vec![scale]),
         )
     }

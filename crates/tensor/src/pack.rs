@@ -412,9 +412,10 @@ pub fn read_u32s_le(bytes: &[u8], out: &mut Vec<u32>) {
     out.extend(words.iter().map(|w| u32::from_le_bytes(*w)));
 }
 
-/// `acc[i] += src[i]` over two equally long buffers of little-endian `f32`
-/// words held as bytes (no alignment assumed) — how the socket hub sums
-/// requests straight out of its read buffers.
+/// [`crate::simd::sum_into`] over two equally long buffers of
+/// little-endian `f32` words held as bytes (no alignment assumed) — how the
+/// socket hub and the shared-region fold sum requests straight out of
+/// their buffers, with the same [`crate::simd::fold_add`] per word.
 ///
 /// # Panics
 ///
@@ -424,7 +425,8 @@ pub fn add_f32s_le(acc: &mut [u8], src: &[u8]) {
     let (acc, tail) = acc.as_chunks_mut::<4>();
     assert!(tail.is_empty(), "byte length must be a multiple of 4");
     for (a, s) in acc.iter_mut().zip(src.as_chunks::<4>().0) {
-        *a = (f32::from_le_bytes(*a) + f32::from_le_bytes(*s)).to_le_bytes();
+        let sum = crate::simd::fold_add(f32::from_le_bytes(*a), f32::from_le_bytes(*s));
+        *a = sum.to_le_bytes();
     }
 }
 
@@ -689,11 +691,38 @@ mod tests {
         assert_eq!(pooled, fs, "clears before reading");
     }
 
+    /// The sum, and where both words are NaN the accumulator's NaN: the
+    /// first rank's, as every cross-rank sum keeps it.
     #[test]
     fn add_f32s_le_is_the_elementwise_sum_at_any_alignment() {
-        let a = [1.5f32, -0.0, 1e-40, f32::MAX, 3.25];
-        let b = [0.25f32, 0.0, 1e-40, f32::MAX, -3.25];
-        let want: Vec<u32> = a.iter().zip(&b).map(|(x, y)| (x + y).to_bits()).collect();
+        let nan = |bits: u32| f32::from_bits(bits);
+        let a = [
+            1.5f32,
+            -0.0,
+            1e-40,
+            f32::MAX,
+            3.25,
+            nan(0x7fc0_0001),
+            2.0,
+            nan(0xffc0_0003),
+            f32::INFINITY,
+        ];
+        let b = [
+            0.25f32,
+            0.0,
+            1e-40,
+            f32::MAX,
+            -3.25,
+            nan(0xffc0_0002),
+            nan(0x7fc0_0004),
+            1.0,
+            f32::NEG_INFINITY,
+        ];
+        // At run time, as the kernel adds: a constant-folded `∞ + −∞` is
+        // another NaN than the hardware's.
+        let add = |x: &f32, y: &f32| (std::hint::black_box(*x) + y).to_bits();
+        let mut want: Vec<u32> = a.iter().zip(&b).map(|(x, y)| add(x, y)).collect();
+        want[5] = 0x7fc0_0001;
         for offset in 0..4 {
             let mut acc = vec![0u8; offset];
             extend_f32s_le(&mut acc, &a);

@@ -599,7 +599,7 @@ pub fn dequantize_levels_at(
 pub enum Fold {
     /// `acc = d`: `acc` is cleared and refilled, its contents unread.
     Assign,
-    /// `acc += d`.
+    /// `acc += d`, by [`sum_into`].
     Add,
     /// `acc = (acc + d) * scale`.
     AddScale(f32),
@@ -622,39 +622,34 @@ impl Fold {
 
     /// Folds the first `count` values `values` yields — a decode, element
     /// by element — into `acc`: [`apply`](Self::apply) without a decoded
-    /// buffer. [`Fold::Assign`] refills `acc` in its own capacity.
+    /// buffer, the values passing through a stack chunk at a time.
+    /// [`Fold::Assign`] refills `acc` in its own capacity.
     ///
     /// # Panics
     ///
     /// Panics if an adding pass meets an `acc` of another length than
-    /// `count`, or if an assigning one gets fewer values.
+    /// `count`, or if `values` yields fewer.
     pub fn apply_iter(
         self,
         acc: &mut Vec<f32>,
         count: usize,
         values: impl IntoIterator<Item = f32>,
     ) {
-        let values = values.into_iter().take(count);
-        if self != Fold::Assign {
-            assert_eq!(acc.len(), count, "accumulator length");
+        let mut sink = FoldSink::new(acc, self, count);
+        let mut values = values.into_iter().take(count);
+        let mut chunk = [0.0f32; 64];
+        loop {
+            let mut n = 0;
+            for (c, v) in chunk.iter_mut().zip(&mut values) {
+                *c = v;
+                n += 1;
+            }
+            if n == 0 {
+                break;
+            }
+            sink.put(&chunk[..n]);
         }
-        match self {
-            Fold::Assign => {
-                acc.clear();
-                acc.extend(values);
-                assert_eq!(acc.len(), count, "decoded value count");
-            }
-            Fold::Add => {
-                for (a, d) in acc.iter_mut().zip(values) {
-                    *a = fold_add(*a, d);
-                }
-            }
-            Fold::AddScale(scale) => {
-                for (a, d) in acc.iter_mut().zip(values) {
-                    *a = fold_add(*a, d) * scale;
-                }
-            }
-        }
+        assert_eq!(sink.at, count, "decoded value count");
     }
 }
 
@@ -694,21 +689,18 @@ impl<'a> FoldSink<'a> {
                     *a = fold_add(*a, d) * scale;
                 }
             }
-            _ => {
-                for (a, &d) in acc.iter_mut().zip(values) {
-                    *a = fold_add(*a, d);
-                }
-            }
+            _ => sum_into(acc, values),
         }
     }
 }
 
-/// `acc + d`, keeping `acc`'s NaN when both are NaN. Which NaN an add
-/// returns is otherwise the compiler's choice — the operands commute, and
-/// `Tensor::add_assign`'s vector loop keeps the accumulator's while its
-/// scalar tail keeps the addend's — so every fold body pins it here, and
-/// every level returns the same bits.
-/// Branch-free, so a loop of it vectorizes.
+/// `acc + d`, keeping `acc`'s NaN when both are NaN: the one NaN rule of
+/// every cross-rank sum. Which NaN a plain add returns when both operands
+/// are NaN is the compiler's choice — the operands commute, and a vector
+/// loop and its scalar tail, or a debug and a release build, may choose
+/// differently — so every sum pins it here, and a rank-ordered sum keeps
+/// the lowest rank's NaN on every backend, level and build. The sum comes
+/// first and the select after, so a loop of it vectorizes.
 #[inline(always)]
 pub fn fold_add(acc: f32, d: f32) -> f32 {
     let sum = acc + d;
@@ -716,6 +708,21 @@ pub fn fold_add(acc: f32, d: f32) -> f32 {
         acc
     } else {
         sum
+    }
+}
+
+/// `acc[i] = fold_add(acc[i], src[i])`: one contribution added onto a
+/// rank-ordered sum. The board, the simulator's lanes, the fold's `Add`
+/// pass and `Tensor::add_assign` all sum through it.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+#[inline]
+pub fn sum_into(acc: &mut [f32], src: &[f32]) {
+    assert_eq!(acc.len(), src.len(), "sum_into length mismatch");
+    for (a, &d) in acc.iter_mut().zip(src) {
+        *a = fold_add(*a, d);
     }
 }
 

@@ -47,11 +47,6 @@ impl Tensor {
         Tensor { data, shape }
     }
 
-    /// Creates a rank-1 tensor by copying a slice.
-    pub fn from_slice(data: &[f32]) -> Self {
-        Tensor::from_vec(data.to_vec())
-    }
-
     /// Creates a tensor of zeros.
     pub fn zeros(shape: Shape) -> Self {
         Tensor {
@@ -161,16 +156,14 @@ impl Tensor {
         out
     }
 
-    /// Elementwise `self += other`.
+    /// Elementwise `self += other`, by [`crate::simd::sum_into`]: where
+    /// both are NaN, `self`'s NaN is kept.
     ///
     /// # Panics
     ///
     /// Panics if the lengths differ.
     pub fn add_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.len(), other.len(), "tensor length mismatch in add");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += b;
-        }
+        crate::simd::sum_into(&mut self.data, &other.data);
     }
 
     /// Elementwise `self -= other`.
@@ -214,26 +207,6 @@ impl Tensor {
         let mut out = self.clone();
         out.sub_assign(other);
         out
-    }
-
-    /// Returns the elementwise product `self ⊙ other` as a new tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn hadamard(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.len(),
-            other.len(),
-            "tensor length mismatch in hadamard"
-        );
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a * b)
-            .collect();
-        Tensor::new(data, self.shape.clone())
     }
 
     /// Inner product `<self, other>`.
@@ -389,7 +362,6 @@ mod tests {
         let b = Tensor::from_vec(vec![3.0, -1.0]);
         assert_eq!(a.add(&b).as_slice(), &[4.0, 1.0]);
         assert_eq!(a.sub(&b).as_slice(), &[-2.0, 3.0]);
-        assert_eq!(a.hadamard(&b).as_slice(), &[3.0, -2.0]);
         assert_eq!(a.dot(&b), 1.0);
         let mut c = a.clone();
         c.axpy(2.0, &b);

@@ -25,6 +25,9 @@
 //! * the blocked sum of squares under every ‖g‖₂ against the serial fold:
 //!   ulp ties, binade crossings inside a block, subnormal sums, and NaN, ±∞
 //!   and oversized addends in every lane position;
+//! * every cross-rank sum (`sum_into`, its byte form, the fold's adding
+//!   passes, `Tensor::add_assign`) against the one NaN rule: where ranks
+//!   hold NaNs of different payloads, the lowest rank's survives;
 //! * the CRC32 kernels (table and CLMUL) against the bit-at-a-time
 //!   definition, every length up to 4 KiB at every load alignment.
 //! * `gemm_nt` (A·Bᵀ) against its scalar body over every combination of
@@ -1076,6 +1079,115 @@ fn level_fold_matches_decode_then_mean() {
                     let what = format!("{lvl} s {s} len {len} n {n}");
                     assert!(bits_of(&got) == bits_of(&want), "{what}");
                 }
+            }
+        }
+    }
+}
+
+/// NaNs of distinct payloads and signs, one per rank.
+const RANK_NANS: [u32; 3] = [0x7fc0_0001, 0xffc0_0002, 0x7fc0_0003];
+
+/// Every cross-rank sum keeps the lowest rank's NaN where two or more ranks
+/// hold one: `simd::sum_into` (the board, the simulator's lanes), its
+/// little-endian byte form at byte offsets 0–3 (the socket hub, the region
+/// fold), the fold's `Add` and `AddScale` passes through `apply` and
+/// `apply_iter` (the gathered merge), and `Tensor::add_assign` under
+/// `mean_of`'s two passes (add in rank order, then scale by `1/n`). Lengths
+/// 1–64, the NaNs at every position, 2 and 3 contributors. Which NaN a
+/// plain `+` keeps is codegen's choice, and debug and release builds choose
+/// differently, so CI runs this in both.
+#[test]
+fn every_cross_rank_sum_keeps_the_lowest_ranks_nan() {
+    use grace_tensor::pack::{add_f32s_le, bytes_to_f32s, extend_f32s_le};
+    use grace_tensor::Tensor;
+    use simd::Fold;
+
+    // (contributors, the ranks holding a NaN)
+    let cases: [(usize, &[usize]); 5] = [
+        (2, &[0, 1]),
+        (3, &[0, 1, 2]),
+        (3, &[0, 1]),
+        (3, &[0, 2]),
+        (3, &[1, 2]),
+    ];
+    for (n, holders) in cases {
+        let inv = 1.0 / n as f32;
+        for len in 1..=64usize {
+            for pos in 0..len {
+                let parts: Vec<Vec<f32>> = (0..n)
+                    .map(|r| {
+                        let mut xs: Vec<f32> =
+                            (0..len).map(|i| i as f32 * 0.75 - r as f32 * 1.5).collect();
+                        if holders.contains(&r) {
+                            xs[pos] = f32::from_bits(RANK_NANS[r]);
+                        }
+                        xs
+                    })
+                    .collect();
+                let mut want_sum: Vec<u32> = (0..len)
+                    .map(|i| parts.iter().map(|p| p[i]).reduce(|a, b| a + b).unwrap())
+                    .map(f32::to_bits)
+                    .collect();
+                want_sum[pos] = RANK_NANS[holders[0]];
+                let want_mean: Vec<u32> = want_sum
+                    .iter()
+                    .map(|&b| (f32::from_bits(b) * inv).to_bits())
+                    .collect();
+                let what =
+                    format!("{n} contributors, NaNs at ranks {holders:?}, len {len} pos {pos}");
+
+                let mut acc = parts[0].clone();
+                for p in &parts[1..] {
+                    simd::sum_into(&mut acc, p);
+                }
+                assert!(bits_of(&acc) == want_sum, "sum_into: {what}");
+
+                for offset in 0..4 {
+                    let mut acc = vec![0u8; offset];
+                    extend_f32s_le(&mut acc, &parts[0]);
+                    for p in &parts[1..] {
+                        let mut src = vec![0u8; 3 - offset];
+                        extend_f32s_le(&mut src, p);
+                        add_f32s_le(&mut acc[offset..], &src[3 - offset..]);
+                    }
+                    let got = bytes_to_f32s(&acc[offset..]);
+                    assert!(
+                        bits_of(&got) == want_sum,
+                        "add_f32s_le offset {offset}: {what}"
+                    );
+                }
+
+                for (last, want) in [(Fold::Add, &want_sum), (Fold::AddScale(inv), &want_mean)] {
+                    let fold = |r: usize| match r {
+                        0 => Fold::Assign,
+                        r if r + 1 == n => last,
+                        _ => Fold::Add,
+                    };
+                    let (mut by_apply, mut by_iter) = (Vec::new(), Vec::new());
+                    for (r, p) in parts.iter().enumerate() {
+                        fold(r).apply(&mut by_apply, p.clone());
+                        fold(r).apply_iter(&mut by_iter, len, p.iter().copied());
+                    }
+                    assert!(bits_of(&by_apply) == *want, "apply, last {last:?}: {what}");
+                    assert!(
+                        bits_of(&by_iter) == *want,
+                        "apply_iter, last {last:?}: {what}"
+                    );
+                }
+
+                let mut t = Tensor::from_vec(parts[0].clone());
+                for p in &parts[1..] {
+                    t.add_assign(&Tensor::from_vec(p.clone()));
+                }
+                assert!(
+                    bits_of(t.as_slice()) == want_sum,
+                    "Tensor::add_assign: {what}"
+                );
+                t.scale(inv);
+                assert!(
+                    bits_of(t.as_slice()) == want_mean,
+                    "mean_of's passes: {what}"
+                );
             }
         }
     }

@@ -15,13 +15,13 @@ use std::path::Path;
 const CEILINGS: [(&str, usize); 10] = [
     ("crates/analyze/src", 1484),
     ("crates/bench/src", 1605),
-    ("crates/comm/src", 4347),
-    ("crates/compressors/src", 3615),
+    ("crates/comm/src", 4341),
+    ("crates/compressors/src", 3614),
     ("crates/core/src", 5511),
     ("crates/experiments/src", 2222),
     ("crates/nn/src", 3255),
     ("crates/telemetry/src", 2386),
-    ("crates/tensor/src", 5634),
+    ("crates/tensor/src", 5616),
     ("src", 18),
 ];
 

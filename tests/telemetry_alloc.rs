@@ -913,13 +913,15 @@ fn a_warm_dense_step_requests_no_gradient_sized_buffer() {
 
 /// A warm gathered step allocates no gradient-sized buffer either: the last
 /// lane keeps each gradient buffer once it is encoded, the merge folds every
-/// contribution into it — QSGD's level decode and top-k's scatter-add write
-/// in place — and it goes back to its parameter as the aggregate. Each
-/// tensor is its own bucket, so no envelope is gradient-sized. Checked on a
-/// 1-rank `run_threaded` and a 1-lane `run_simulated` session.
+/// contribution into it — QSGD's level decode, top-k's and Qsparse's
+/// scatter-add and the sign family's and TernGrad's code decode through
+/// `Fold::apply_iter` write in place — and it goes back to its parameter as
+/// the aggregate. Each tensor is its own bucket, so no envelope is
+/// gradient-sized. Checked on a 1-rank `run_threaded` and a 1-lane
+/// `run_simulated` session.
 #[test]
 fn a_warm_gathered_step_requests_no_gradient_sized_buffer() {
-    use grace::compressors::{Qsgd, TopK};
+    use grace::compressors::{Qsgd, QsparseLocal, SignSgd, TernGrad, TopK};
     use grace::core::threaded::run_threaded;
     use grace::core::trainer::{run_simulated, CodecTiming};
     use grace::core::{Memory, NoMemory, TrainConfig};
@@ -929,9 +931,12 @@ fn a_warm_gathered_step_requests_no_gradient_sized_buffer() {
     let smallest_gradient = 4 * OFFSET_SIZES.iter().min().unwrap();
     let task = || StepMarks::new(ClassificationDataset::synthetic(96, 2, 2, 0.3, 5));
     type Build = fn() -> Box<dyn Compressor>;
-    let codecs: [(&str, Build); 2] = [
+    let codecs: [(&str, Build); 5] = [
         ("qsgd", || Box::new(Qsgd::new(64, 3))),
         ("topk", || Box::new(TopK::new(0.01))),
+        ("signsgd", || Box::new(SignSgd::new())),
+        ("terngrad", || Box::new(TernGrad::new(3))),
+        ("qsparse", || Box::new(QsparseLocal::new(0.01, 64, 3))),
     ];
     for (id, codec) in codecs {
         let mut cfg = TrainConfig::new(1, 8, 1, 5);

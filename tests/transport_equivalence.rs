@@ -12,12 +12,17 @@
 //! is caught too.
 
 use grace::compressors::{extensions, registry};
+use grace::core::aggregation::HomomorphicAggregate;
 use grace::core::process::{run_cluster, Worker};
 use grace::core::trainer::{run_simulated, CodecTiming};
-use grace::core::{param_checksum, ExecBackend, TrainConfig};
+use grace::core::{
+    param_checksum, CommStrategy, Compressor, Context, ExecBackend, Payload, PayloadError,
+    PayloadList, TrainConfig,
+};
 use grace::nn::data::ClassificationDataset;
 use grace::nn::models;
 use grace::nn::optim::{Momentum, Optimizer};
+use grace::tensor::simd::Fold;
 use grace::tensor::Tensor;
 
 const N: usize = 3;
@@ -295,6 +300,139 @@ fn world_sizes_never_change_bits_across_backends() {
                         "'{id}' at {world} ranks, fusion {fusion}, diverged on {backend:?}"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// A rank's compressor whose gradient, at one element of its
+/// [`POISON_CALL`]th encode, holds a value a diverged rank would send; every
+/// other call and method goes straight to the wrapped codec.
+struct Poisoned {
+    inner: Box<dyn Compressor>,
+    value: Option<f32>,
+    calls: usize,
+}
+
+/// The poisoned encode (step 5's second tensor: one bucket of four tensors
+/// a step) and the element it overwrites (the last, if the tensor is
+/// shorter).
+const POISON_CALL: usize = 22;
+const POISON_AT: usize = 3;
+
+/// Rank 0's and rank 1's values in each poisoned row: NaNs of different
+/// payloads and signs, then +∞ and −∞, which sum to a NaN.
+const POISONS: [[u32; 2]; 2] = [[0x7fc0_0001, 0xffc0_0002], [0x7f80_0000, 0xff80_0000]];
+
+impl Poisoned {
+    /// Rank `rank`'s codec, poisoned with `poison[rank]` if there is one.
+    fn wrap(inner: Box<dyn Compressor>, rank: usize, poison: &[u32]) -> Box<dyn Compressor> {
+        let value = poison.get(rank).map(|&bits| f32::from_bits(bits));
+        Box::new(Poisoned {
+            inner,
+            value,
+            calls: 0,
+        })
+    }
+
+    fn poison(&mut self, tensor: &mut Tensor) {
+        self.calls += 1;
+        if let (Some(value), POISON_CALL) = (self.value, self.calls) {
+            let at = POISON_AT.min(tensor.len() - 1);
+            tensor[at] = value;
+        }
+    }
+}
+
+impl Compressor for Poisoned {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+    fn strategy(&self) -> CommStrategy {
+        self.inner.strategy()
+    }
+    fn compress(&mut self, tensor: &Tensor, name: &str) -> (Vec<Payload>, Context) {
+        let mut tensor = tensor.clone();
+        self.poison(&mut tensor);
+        self.inner.compress(&tensor, name)
+    }
+    fn compress_owned(&mut self, tensor: &mut Tensor, name: &str) -> (Vec<Payload>, Context) {
+        self.poison(tensor);
+        self.inner.compress_owned(tensor, name)
+    }
+    fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor {
+        self.inner.decompress(payloads, ctx)
+    }
+    fn decompress_owned(&mut self, payloads: Vec<Payload>, ctx: &Context) -> Tensor {
+        self.inner.decompress_owned(payloads, ctx)
+    }
+    fn fold_gathered(
+        &mut self,
+        payloads: PayloadList<'_>,
+        ctx: &Context,
+        acc: &mut Vec<f32>,
+        fold: Fold,
+    ) {
+        self.inner.fold_gathered(payloads, ctx, acc, fold);
+    }
+    fn check_gathered(&self, payloads: PayloadList<'_>, ctx: &Context) -> Result<(), PayloadError> {
+        self.inner.check_gathered(payloads, ctx)
+    }
+    fn supports_error_feedback(&self) -> bool {
+        self.inner.supports_error_feedback()
+    }
+    fn homomorphic(&mut self) -> Option<&mut dyn HomomorphicAggregate> {
+        self.inner.homomorphic()
+    }
+}
+
+/// Poisoned rows: where ranks 0 and 1 send a NaN at the same element —
+/// each its own payload and sign — or +∞ and −∞, the trained bits and the
+/// quality are the simulator's on the deposit board, over TCP and over
+/// Unix sockets, for the dense all-reduce (no compression), a sparse
+/// gather (top-k) and a quantized one (QSGD). Every cross-rank sum keeps
+/// the lowest rank's NaN; before it was one rule, the board and the hub
+/// kept different ones.
+#[test]
+fn poisoned_gradients_train_the_same_bits_on_every_backend() {
+    for id in ["baseline", "topk", "qsgd"] {
+        let spec = registry::resolve(id).unwrap();
+        for poison in POISONS {
+            let sim = {
+                let t = task();
+                let mut network = models::mlp_classifier("m", 8, &[12], 2, SEED);
+                let mut optimizer = Momentum::new(0.05, 0.9);
+                let (cs, mut ms) = registry::build_fleet(&spec, N, SEED);
+                let mut cs: Vec<_> = (cs.into_iter().enumerate())
+                    .map(|(rank, c)| Poisoned::wrap(c, rank, &poison))
+                    .collect();
+                let cfg = config(ExecBackend::Threads);
+                let res = run_simulated(&cfg, &mut network, &t, &mut optimizer, &mut cs, &mut ms);
+                let params = network.export_params();
+                let nan = params
+                    .iter()
+                    .any(|(_, p)| p.as_slice().iter().any(|v| v.is_nan()));
+                assert!(nan, "'{id}': the poison reaches the parameters");
+                (param_checksum(&params), res.final_quality.to_bits())
+            };
+            let mut backends = vec![ExecBackend::Threads, ExecBackend::SocketTcp];
+            if cfg!(unix) {
+                backends.push(ExecBackend::SocketUds);
+            }
+            for backend in backends {
+                let result = run_cluster(&config(backend), &task(), |rank| {
+                    let (net, opt, c, m) = worker_for(&spec, rank);
+                    (net, opt, Poisoned::wrap(c, rank, &poison), m)
+                });
+                assert_eq!(result.survivors, N);
+                let got = (
+                    param_checksum(&result.final_params),
+                    result.final_quality.to_bits(),
+                );
+                assert_eq!(
+                    got, sim,
+                    "'{id}' poisoned with {poison:08x?} diverged on {backend:?}"
+                );
             }
         }
     }
