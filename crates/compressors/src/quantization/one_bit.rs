@@ -1,7 +1,7 @@
 //! 1-bit SGD (Seide et al., INTERSPEECH'14).
 
 use grace_core::{Compressor, Context, Payload};
-use grace_tensor::pack::{pack_signs, unpack_signs};
+use grace_tensor::pack::bitmap;
 use grace_tensor::Tensor;
 
 /// 1-bit SGD: elements below a threshold τ (default 0) quantize to '0', the
@@ -48,21 +48,17 @@ impl Compressor for OneBit {
         let mut lo_n = 0usize;
         let mut hi_sum = 0.0f64;
         let mut hi_n = 0usize;
-        let bits: Vec<bool> = tensor
-            .as_slice()
-            .iter()
-            .map(|&v| {
-                if v < self.tau {
-                    lo_sum += f64::from(v);
-                    lo_n += 1;
-                    false
-                } else {
-                    hi_sum += f64::from(v);
-                    hi_n += 1;
-                    true
-                }
-            })
-            .collect();
+        let data = bitmap(tensor.as_slice(), |v| {
+            if v < self.tau {
+                lo_sum += f64::from(v);
+                lo_n += 1;
+                false
+            } else {
+                hi_sum += f64::from(v);
+                hi_n += 1;
+                true
+            }
+        });
         let lo_mean = if lo_n > 0 {
             (lo_sum / lo_n as f64) as f32
         } else {
@@ -75,7 +71,7 @@ impl Compressor for OneBit {
         };
         (
             vec![Payload::Packed {
-                data: pack_signs(&bits),
+                data,
                 bits: 1,
                 count: tensor.len() as u32,
             }],
@@ -89,9 +85,14 @@ impl Compressor for OneBit {
             Payload::Packed { data, count, .. } => (data, *count as usize),
             other => panic!("expected packed bits, got {other:?}"),
         };
-        let values: Vec<f32> = unpack_signs(data, count)
-            .into_iter()
-            .map(|b| if b { hi } else { lo })
+        let values: Vec<f32> = (0..count)
+            .map(|i| {
+                if (data[i / 8] >> (i % 8)) & 1 != 0 {
+                    hi
+                } else {
+                    lo
+                }
+            })
             .collect();
         Tensor::new(values, ctx.shape.clone())
     }

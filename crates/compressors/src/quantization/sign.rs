@@ -3,15 +3,15 @@
 #[cfg(test)]
 use grace_core::CommStrategy;
 use grace_core::{Compressor, Context, Payload, PayloadError, PayloadList, PayloadView};
-use grace_tensor::pack::{pack_signs, packed_len};
+use grace_tensor::pack::{bitmap, packed_len};
 use grace_tensor::simd::Fold;
 use grace_tensor::Tensor;
 use std::collections::HashMap;
 
+/// The sign bitmap (bit set = negative), straight from the gradient.
 fn compress_signs(tensor: &Tensor) -> Payload {
-    let signs: Vec<bool> = tensor.as_slice().iter().map(|&v| v < 0.0).collect();
     Payload::Packed {
-        data: pack_signs(&signs),
+        data: bitmap(tensor.as_slice(), |v| v < 0.0),
         bits: 1,
         count: tensor.len() as u32,
     }

@@ -30,11 +30,12 @@ use crate::process::{MakeWorker, Worker};
 use crate::trainer::{start_metrics_server, ExecBackend, StepDriver, TrainConfig};
 use grace_comm::{
     net, ClusterError, ClusterIntrospect, ClusterOptions, Collective, FaultPlan, FaultStats,
-    FaultSummary, FaultyCollective, ThreadedCluster,
+    FaultSummary, FaultyCollective, GatherFrames, ThreadedCluster,
 };
 use grace_nn::data::Task;
+use grace_nn::Network;
 use grace_telemetry::recorder;
-use grace_tensor::{pool, Tensor};
+use grace_tensor::{pack, pool, Tensor};
 use std::sync::Arc;
 
 /// Result of a threaded run (as observed by the lowest surviving rank; in a
@@ -288,11 +289,62 @@ pub(crate) fn worker_loop<C: ClusterIntrospect>(
     // The exchange's pooled buffers must not sit under evaluation's
     // activations at the run's peak.
     drop(engine);
-    let quality = task.quality(&mut net);
+    let bytes_sent = board.sent_bytes();
+    let final_quality = evaluate(task, &mut net, comm)?;
     Ok(WorkerOut {
         final_params: net.into_params(),
-        final_quality: quality,
-        bytes_sent: board.sent_bytes(),
+        final_quality,
+        bytes_sent,
+    })
+}
+
+/// The run's final quality, evaluated once across the live ranks rather
+/// than once per rank: a gather names the live ranks, each computes its
+/// [`grace_nn::data::shard_range`] of the held-out rows
+/// ([`Network::split_quality`]), and a second gather hands every rank all
+/// the outputs in row order — two collectives however many forward calls the
+/// task makes. Each rank's outputs travel under a CRC; the rows of a rank
+/// that left, or whose frame arrived damaged, every survivor computes
+/// itself. The bits equal a serial [`Task::quality`] at every world size; a
+/// 1-rank run, or a lone survivor, evaluates serially.
+fn evaluate<C: Collective>(
+    task: &dyn Task,
+    net: &mut Network,
+    comm: &FaultyCollective<C>,
+) -> Result<f64, ClusterError> {
+    if comm.n_workers() == 1 {
+        return Ok(task.quality(net));
+    }
+    let rank = comm.rank();
+    let mut frames = GatherFrames::new();
+    comm.try_allgather_frames(Vec::new(), &mut frames)?;
+    let live: Vec<usize> = (0..frames.n_slots())
+        .filter(|&r| frames.slot(r).is_some())
+        .collect();
+    let part = live.iter().position(|&r| r == rank);
+    let Some(part) = part.filter(|_| live.len() > 1) else {
+        return Ok(task.quality(net));
+    };
+    net.split_quality(&|net| task.quality(net), part, live.len(), |mine| {
+        let mut bytes = Vec::with_capacity(4 * mine.len() + 4);
+        pack::extend_f32s_le(&mut bytes, &mine);
+        bytes.extend_from_slice(&pack::crc32(&bytes).to_le_bytes());
+        comm.try_allgather_frames(bytes, &mut frames)?;
+        let decode = |frame: &[u8]| {
+            let (rows, crc) = frame.split_at(frame.len().checked_sub(4)?);
+            let intact = rows.len() % 4 == 0 && pack::crc32(rows).to_le_bytes() == crc;
+            if !intact {
+                comm.stats().record_detected(rank);
+                return None;
+            }
+            let mut out = Vec::new();
+            pack::read_f32s_le(rows, &mut out);
+            Some(out)
+        };
+        Ok(live
+            .iter()
+            .map(|&r| frames.slot(r).and_then(decode))
+            .collect())
     })
 }
 
@@ -343,29 +395,47 @@ mod tests {
         assert_eq!(threaded.faults.total_injected(), 0);
     }
 
+    type Job<'j> = (
+        &'j TrainConfig,
+        &'j dyn Task,
+        &'j MakeWorker<'j>,
+        &'j Arc<FaultPlan>,
+        &'j FaultStats,
+    );
+
+    /// Trains one rank to the end, then reads its endpoint's counter.
+    fn ops_after_run<C: ClusterIntrospect>(endpoint: C, job: Job<'_>) -> u64 {
+        let (cfg, task, make, faults, stats) = job;
+        let comm = FaultyCollective::new(endpoint, Arc::clone(faults), stats.clone());
+        worker_loop(cfg, task, make, &comm, false, pool::width()).expect("fault-free run");
+        comm.inner().ops_started()
+    }
+
+    /// Every rank's collective count after a 2-rank run of `job`'s
+    /// configuration, on the board and over TCP.
+    fn ops_on_board_and_tcp(
+        cfg: &TrainConfig,
+        task: &dyn Task,
+        make: &MakeWorker<'_>,
+    ) -> [Vec<u64>; 2] {
+        let (faults, options) = plan_and_options(cfg);
+        let stats = FaultStats::new(2);
+        let job: Job<'_> = (cfg, task, make, &faults, &stats);
+        [
+            ThreadedCluster::run_with(2, options, |e| ops_after_run(e, job)),
+            net::run_socket_local(2, options, None, |e| ops_after_run(e, job)),
+        ]
+    }
+
     /// The sealed bucket is the wire unit: a run's endpoints have started
-    /// steps × buckets collectives — 9 a step, not one per tensor (68), on
-    /// the benchmark's resnet50 plan — whichever collective the method uses
-    /// and whichever transport carries it.
+    /// steps × buckets + 2 collectives — 9 a step, not one per tensor (68),
+    /// on the benchmark's resnet50 plan, and 2 for the evaluation —
+    /// whichever collective the method uses and whichever transport carries
+    /// it.
     #[test]
     fn a_run_issues_one_collective_per_bucket_per_step_on_every_transport() {
         use crate::compressor::Gathered;
         use crate::trainer::{fusion_plan, steps_per_epoch};
-
-        type Job<'j> = (
-            &'j TrainConfig,
-            &'j dyn Task,
-            &'j MakeWorker<'j>,
-            &'j Arc<FaultPlan>,
-            &'j FaultStats,
-        );
-        /// Trains one rank to the end, then reads its endpoint's counter.
-        fn ops_after_run<C: ClusterIntrospect>(endpoint: C, job: Job<'_>) -> u64 {
-            let (cfg, task, make, faults, stats) = job;
-            let comm = FaultyCollective::new(endpoint, Arc::clone(faults), stats.clone());
-            worker_loop(cfg, task, make, &comm, false, pool::width()).expect("fault-free run");
-            comm.inner().ops_started()
-        }
 
         let task = ClassificationDataset::synthetic(64, 48, 8, 0.4, 7);
         let mut cfg = TrainConfig::new(2, 8, 1, 7);
@@ -391,14 +461,41 @@ mod tests {
                     Box::new(NoMemory::new()),
                 )
             };
-            let (faults, options) = plan_and_options(&cfg);
-            let stats = FaultStats::new(2);
-            let job: Job<'_> = (&cfg, &task, &make, &faults, &stats);
-            let board = ThreadedCluster::run_with(2, options, |e| ops_after_run(e, job));
-            let tcp = net::run_socket_local(2, options, None, |e| ops_after_run(e, job));
-            let want = (steps * plan.n_buckets()) as u64;
+            let [board, tcp] = ops_on_board_and_tcp(&cfg, &task, &make);
+            // Plus the final evaluation's two gathers: the live ranks, then
+            // the outputs of each rank's held-out rows.
+            let want = (steps * plan.n_buckets()) as u64 + 2;
             assert_eq!(board, vec![want; 2], "board, gathered {gathered}");
             assert_eq!(tcp, vec![want; 2], "tcp, gathered {gathered}");
+        }
+    }
+
+    /// The evaluation takes its two gathers however many forward calls the
+    /// task makes: the recommendation task makes one per user, 12 here.
+    #[test]
+    fn the_evaluation_takes_two_collectives_however_many_forward_calls() {
+        use crate::trainer::{fusion_plan, steps_per_epoch};
+        use grace_nn::data::RecommendationDataset;
+
+        let task = RecommendationDataset::synthetic(12, 40, 4, 2, 9, 7);
+        let mut cfg = TrainConfig::new(2, 8, 1, 7);
+        cfg.codec = CodecTiming::Free;
+        let make = |_rank: usize| -> Worker {
+            (
+                models::ncf_analog(task.vocab(), 4, 7),
+                Box::new(Momentum::new(0.05, 0.9)),
+                Box::new(NoCompression::new()),
+                Box::new(NoMemory::new()),
+            )
+        };
+        let buckets = fusion_plan(&cfg, &mut make(0).0).n_buckets();
+        let steps = steps_per_epoch(task.train_len(), 2, cfg.batch_per_worker);
+        let want = (steps * buckets) as u64 + 2;
+        for (ops, on) in ops_on_board_and_tcp(&cfg, &task, &make)
+            .iter()
+            .zip(["board", "tcp"])
+        {
+            assert_eq!(ops, &vec![want; 2], "{on}");
         }
     }
 }

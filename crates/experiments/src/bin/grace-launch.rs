@@ -85,8 +85,9 @@ fn model() -> Network {
     models::mlp_classifier("m", 8, &[12], 2, SEED)
 }
 
-/// Collectives each rank issues over the whole workload: one per fusion
-/// bucket per step — the range a fault's op index lives in.
+/// Training collectives each rank issues over the whole workload: one per
+/// fusion bucket per step — the range `--drop` takes an op index from. The
+/// final evaluation's two gathers follow them.
 fn run_ops(world: usize, epochs: usize) -> u64 {
     let (task, cfg) = workload(world, epochs, None);
     let steps = epochs * steps_per_epoch(task.train_len(), world, cfg.batch_per_worker);
@@ -344,11 +345,13 @@ fn launch_once(args: &Args, compressor_id: &str, trace_dir: Option<&Path>) -> (u
                 "rank {rank} saw departures in a clean run"
             );
         }
+        // The quality too: every rank reports the one evaluation its rows
+        // were split across.
         match agreed {
             None => agreed = Some((checksum, quality)),
-            Some((c, _)) => assert_eq!(
-                c, checksum,
-                "rank {rank} diverged: {checksum:08x} vs {c:08x}"
+            Some((c, q)) => assert!(
+                (c, q.to_bits()) == (checksum, quality.to_bits()),
+                "rank {rank} diverged: {checksum:08x} quality {quality} vs {c:08x} quality {q}"
             ),
         }
     }
@@ -376,14 +379,20 @@ fn export_hub_trace(dir: &Path, world: usize) {
     let _ = grace_telemetry::trace::take_events();
 }
 
-fn verify_against_threaded(args: &Args, compressor_id: &str, socket_crc: u32) {
+fn verify_against_threaded(args: &Args, compressor_id: &str, (crc, quality): (u32, f64)) {
     let (task, cfg) = workload(args.ranks, args.epochs, None);
     let world = args.ranks;
     let threaded = run_threaded(&cfg, &task, |rank| make_worker(compressor_id, world, rank));
     let threaded_crc = param_checksum(&threaded.final_params);
     assert_eq!(
-        socket_crc, threaded_crc,
-        "'{compressor_id}': socket {socket_crc:08x} != threaded {threaded_crc:08x}"
+        crc, threaded_crc,
+        "'{compressor_id}': socket {crc:08x} != threaded {threaded_crc:08x}"
+    );
+    assert_eq!(
+        quality.to_bits(),
+        threaded.final_quality.to_bits(),
+        "'{compressor_id}': socket quality {quality} != threaded {}",
+        threaded.final_quality
     );
 }
 
@@ -414,7 +423,7 @@ fn parent_main(args: &Args) -> i32 {
         let run_dir = args.trace_dir.as_ref().map(|d| d.join(id));
         let (crc, quality) = launch_once(args, id, run_dir.as_deref());
         if args.verify {
-            verify_against_threaded(args, id, crc);
+            verify_against_threaded(args, id, (crc, quality));
         }
         println!("{id:<26} {:>10} {quality:>10.4}", format!("{crc:08x}"));
     }

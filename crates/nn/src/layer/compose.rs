@@ -5,7 +5,7 @@
 //! concatenative blocks, and sequence models reshape `[batch, seq·h]` into
 //! `[batch·seq, h]` before a shared output projection.
 
-use super::{Layer, Param};
+use super::{forward_stack, Layer, Param};
 use grace_tensor::{Shape, Tensor};
 
 /// A residual block: `y = x + inner(x)`.
@@ -42,11 +42,8 @@ impl Layer for Residual {
         &self.name
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut h = input.clone();
-        for layer in &mut self.inner {
-            h = layer.forward(&h);
-        }
+    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
+        let mut h = forward_stack(&mut self.inner, input, training);
         assert_eq!(
             h.len(),
             input.len(),
@@ -107,13 +104,12 @@ impl Layer for DenseConcat {
         &self.name
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
         let (batch, feat) = input.shape().as_matrix();
-        self.in_features = feat;
-        let mut h = input.clone();
-        for layer in &mut self.inner {
-            h = layer.forward(&h);
+        if training {
+            self.in_features = feat;
         }
+        let h = forward_stack(&mut self.inner, input, training);
         let (hb, hf) = h.shape().as_matrix();
         assert_eq!(hb, batch, "dense-concat '{}' batch changed", self.name);
         let mut out = vec![0.0f32; batch * (feat + hf)];
@@ -184,7 +180,7 @@ impl Layer for Reshape {
         &self.name
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
         let (batch, feat) = input.shape().as_matrix();
         assert!(
             feat % self.factor == 0,
@@ -192,7 +188,9 @@ impl Layer for Reshape {
             self.name,
             self.factor
         );
-        self.cached_batch = batch;
+        if training {
+            self.cached_batch = batch;
+        }
         input
             .clone()
             .reshape(Shape::matrix(batch * self.factor, feat / self.factor))
@@ -236,7 +234,7 @@ mod tests {
         inner.visit_params(&mut |p| p.value.scale(0.0));
         let mut r = Residual::new("res", vec![Box::new(inner)]);
         let x = random_input(2, 3, 2);
-        let y = r.forward(&x);
+        let y = r.forward(&x, true);
         assert_eq!(y.as_slice(), x.as_slice());
     }
 
@@ -254,7 +252,7 @@ mod tests {
         let inner = vec![Box::new(Dense::new("grow", 3, 2, &mut rng)) as Box<dyn Layer>];
         let mut d = DenseConcat::new("dc", inner);
         let x = random_input(2, 3, 6);
-        let y = d.forward(&x);
+        let y = d.forward(&x, true);
         assert_eq!(y.shape(), &Shape::matrix(2, 5));
         // First 3 features of each row are the skip copy.
         assert_eq!(&y.as_slice()[0..3], &x.as_slice()[0..3]);
@@ -278,7 +276,7 @@ mod tests {
     fn reshape_roundtrip() {
         let mut r = Reshape::new("rs", 3);
         let x = random_input(2, 6, 9);
-        let y = r.forward(&x);
+        let y = r.forward(&x, true);
         assert_eq!(y.shape(), &Shape::matrix(6, 2));
         assert_eq!(y.as_slice(), x.as_slice());
         let back = r.backward(&y);
@@ -290,7 +288,7 @@ mod tests {
     #[should_panic(expected = "not divisible")]
     fn reshape_rejects_indivisible_width() {
         let mut r = Reshape::new("rs", 4);
-        let _ = r.forward(&random_input(1, 6, 1));
+        let _ = r.forward(&random_input(1, 6, 1), true);
     }
 
     #[test]

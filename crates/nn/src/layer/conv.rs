@@ -157,7 +157,7 @@ impl Layer for Conv2d {
         &self.name
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
         let (batch, feat) = input.shape().as_matrix();
         let in_len = self.in_ch * self.h * self.w;
         assert_eq!(
@@ -167,7 +167,9 @@ impl Layer for Conv2d {
         );
         let cols_n = self.oh * self.ow;
         let rows = self.in_ch * self.k * self.k;
-        self.cached_cols.clear();
+        if training {
+            self.cached_cols.clear();
+        }
         let mut out = vec![0.0f32; batch * self.out_len()];
         for bi in 0..batch {
             let item = &input.as_slice()[bi * in_len..(bi + 1) * in_len];
@@ -188,7 +190,9 @@ impl Layer for Conv2d {
                     *v += b;
                 }
             }
-            self.cached_cols.push(col);
+            if training {
+                self.cached_cols.push(col);
+            }
         }
         Tensor::new(out, Shape::matrix(batch, self.out_len()))
     }
@@ -252,7 +256,7 @@ mod tests {
             }
         });
         let x = Tensor::new((1..=9).map(|v| v as f32).collect(), Shape::matrix(1, 9));
-        let y = c.forward(&x);
+        let y = c.forward(&x, true);
         assert_eq!(y.as_slice(), x.as_slice());
     }
 
@@ -269,7 +273,7 @@ mod tests {
             }
         });
         let x = Tensor::filled(Shape::matrix(1, 9), 1.0);
-        let y = c.forward(&x);
+        let y = c.forward(&x, true);
         assert_eq!(y.len(), 1);
         assert_eq!(y[0], 9.5);
     }
@@ -306,7 +310,7 @@ mod tests {
             vec![1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0],
             Shape::matrix(1, 8),
         );
-        let y = c.forward(&x);
+        let y = c.forward(&x, true);
         assert_eq!(y.as_slice(), &[5.0, 5.0, 5.0, 5.0]);
     }
 

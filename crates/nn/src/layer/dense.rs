@@ -60,14 +60,16 @@ impl Layer for Dense {
         &self.name
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
         let (batch, feat) = input.shape().as_matrix();
         assert_eq!(
             feat, self.in_dim,
             "dense '{}' expected {} input features, got {feat}",
             self.name, self.in_dim
         );
-        self.cached_input = input.clone();
+        if training {
+            self.cached_input = input.clone();
+        }
         let mut out = matmul(
             input.as_slice(),
             self.weight.value.as_slice(),
@@ -146,7 +148,7 @@ mod tests {
             }
         });
         let x = Tensor::new(vec![0.5; 6], Shape::matrix(2, 3));
-        let y = d.forward(&x);
+        let y = d.forward(&x, true);
         assert_eq!(y.shape(), &Shape::matrix(2, 2));
         assert_eq!(y.as_slice(), &[1.0, -2.0, 1.0, -2.0]);
     }
@@ -177,6 +179,6 @@ mod tests {
     fn rejects_wrong_input_width() {
         let mut rng = seeded(4);
         let mut d = Dense::new("d", 3, 2, &mut rng);
-        let _ = d.forward(&Tensor::new(vec![0.0; 8], Shape::matrix(2, 4)));
+        let _ = d.forward(&Tensor::new(vec![0.0; 8], Shape::matrix(2, 4)), true);
     }
 }

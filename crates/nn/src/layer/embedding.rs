@@ -64,11 +64,13 @@ impl Layer for Embedding {
         &self.name
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
         let (batch, n_ids) = input.shape().as_matrix();
-        self.cached_batch = batch;
-        self.cached_n_ids = n_ids;
-        self.cached_ids.clear();
+        if training {
+            self.cached_batch = batch;
+            self.cached_n_ids = n_ids;
+            self.cached_ids.clear();
+        }
         let mut out = vec![0.0f32; batch * n_ids * self.dim];
         let table = self.table.value.as_slice();
         for (pos, &idf) in input.as_slice().iter().enumerate() {
@@ -79,7 +81,9 @@ impl Layer for Embedding {
                 self.name,
                 self.vocab
             );
-            self.cached_ids.push(id);
+            if training {
+                self.cached_ids.push(id);
+            }
             let src = &table[id * self.dim..(id + 1) * self.dim];
             out[pos * self.dim..(pos + 1) * self.dim].copy_from_slice(src);
         }
@@ -127,7 +131,7 @@ mod tests {
             }
         });
         let ids = Tensor::new(vec![2.0, 0.0], Shape::matrix(1, 2));
-        let out = e.forward(&ids);
+        let out = e.forward(&ids, true);
         assert_eq!(out.shape(), &Shape::matrix(1, 4));
         assert_eq!(out.as_slice(), &[4.0, 5.0, 0.0, 1.0]);
     }
@@ -137,7 +141,7 @@ mod tests {
         let mut rng = seeded(2);
         let mut e = Embedding::new("emb", 3, 2, &mut rng);
         let ids = Tensor::new(vec![1.0, 1.0], Shape::matrix(1, 2));
-        let _ = e.forward(&ids);
+        let _ = e.forward(&ids, true);
         let go = Tensor::new(vec![1.0, 2.0, 3.0, 4.0], Shape::matrix(1, 4));
         let dx = e.backward(&go);
         assert_eq!(dx.as_slice(), &[0.0, 0.0]);
@@ -155,7 +159,7 @@ mod tests {
         let mut rng = seeded(3);
         let mut e = Embedding::new("emb", 100, 4, &mut rng);
         let ids = Tensor::new(vec![5.0, 17.0], Shape::matrix(2, 1));
-        let _ = e.forward(&ids);
+        let _ = e.forward(&ids, true);
         let go = Tensor::filled(Shape::matrix(2, 4), 1.0);
         let _ = e.backward(&go);
         let mut nz = 0;
@@ -168,7 +172,7 @@ mod tests {
     fn rejects_out_of_vocab_id() {
         let mut rng = seeded(4);
         let mut e = Embedding::new("emb", 3, 2, &mut rng);
-        let _ = e.forward(&Tensor::new(vec![3.0], Shape::matrix(1, 1)));
+        let _ = e.forward(&Tensor::new(vec![3.0], Shape::matrix(1, 1)), true);
     }
 
     #[test]

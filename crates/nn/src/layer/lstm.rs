@@ -100,7 +100,7 @@ impl Layer for Lstm {
         &self.name
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
         let (batch, feat) = input.shape().as_matrix();
         assert_eq!(
             feat,
@@ -110,8 +110,10 @@ impl Layer for Lstm {
             self.seq * self.in_dim
         );
         let h4 = 4 * self.hidden;
-        self.cache.clear();
-        self.cached_batch = batch;
+        if training {
+            self.cache.clear();
+            self.cached_batch = batch;
+        }
         let mut h = vec![0.0f32; batch * self.hidden];
         let mut c = vec![0.0f32; batch * self.hidden];
         let mut out = vec![0.0f32; batch * self.seq * self.hidden];
@@ -134,7 +136,7 @@ impl Layer for Lstm {
                     *p += b;
                 }
             }
-            let mut step = StepCache {
+            let mut step = training.then(|| StepCache {
                 x,
                 h_prev: h.clone(),
                 c_prev: c.clone(),
@@ -143,7 +145,7 @@ impl Layer for Lstm {
                 g: vec![0.0; batch * self.hidden],
                 o: vec![0.0; batch * self.hidden],
                 c_tanh: vec![0.0; batch * self.hidden],
-            };
+            });
             for bi in 0..batch {
                 for j in 0..self.hidden {
                     let base = bi * h4;
@@ -154,17 +156,19 @@ impl Layer for Lstm {
                     let ov = sigmoid(pre[base + 3 * self.hidden + j]);
                     let cv = fv * c[idx] + iv * gv;
                     let ct = cv.tanh();
-                    step.i[idx] = iv;
-                    step.f[idx] = fv;
-                    step.g[idx] = gv;
-                    step.o[idx] = ov;
-                    step.c_tanh[idx] = ct;
+                    if let Some(step) = &mut step {
+                        step.i[idx] = iv;
+                        step.f[idx] = fv;
+                        step.g[idx] = gv;
+                        step.o[idx] = ov;
+                        step.c_tanh[idx] = ct;
+                    }
                     c[idx] = cv;
                     h[idx] = ov * ct;
                     out[bi * self.seq * self.hidden + t * self.hidden + j] = h[idx];
                 }
             }
-            self.cache.push(step);
+            self.cache.extend(step);
         }
         Tensor::new(out, Shape::matrix(batch, self.seq * self.hidden))
     }
@@ -255,7 +259,7 @@ mod tests {
         let mut rng = seeded(1);
         let mut l = Lstm::new("lstm", 3, 5, 4, &mut rng);
         let x = random_input(2, 12, 8);
-        let y = l.forward(&x);
+        let y = l.forward(&x, true);
         assert_eq!(y.shape(), &Shape::matrix(2, 20));
         assert!(y.is_finite());
         assert!(
@@ -270,7 +274,7 @@ mod tests {
         let mut l = Lstm::new("lstm", 2, 3, 2, &mut rng);
         l.visit_params(&mut |p| p.value.scale(0.0));
         let x = random_input(1, 4, 5);
-        let y = l.forward(&x);
+        let y = l.forward(&x, true);
         assert_eq!(y.norm_inf(), 0.0); // tanh(0)·σ(0) = 0
     }
 
@@ -290,9 +294,9 @@ mod tests {
         // Two inputs that differ only at t=0 must differ in h at t=1.
         let a = Tensor::new(vec![1.0, 0.0], Shape::matrix(1, 2));
         let b = Tensor::new(vec![-1.0, 0.0], Shape::matrix(1, 2));
-        let ya = l.forward(&a);
+        let ya = l.forward(&a, true);
         let h1_a = ya.as_slice()[2..4].to_vec();
-        let yb = l.forward(&b);
+        let yb = l.forward(&b, true);
         let h1_b = yb.as_slice()[2..4].to_vec();
         assert_ne!(h1_a, h1_b, "t=1 hidden state must depend on t=0 input");
     }

@@ -1,8 +1,10 @@
 //! Layers and the backpropagation contract.
 //!
 //! Layers exchange batches as rank-2 tensors shaped `[batch, features]`
-//! (row-major). `forward` caches whatever `backward` needs; `backward`
-//! receives `∂loss/∂output`, writes `∂loss/∂param` into each [`Param::grad`]
+//! (row-major). A training `forward` caches whatever `backward` needs; an
+//! inference `forward` stores nothing, leaving the last training forward's
+//! cache as it was. `backward` receives `∂loss/∂output`, writes
+//! `∂loss/∂param` into each [`Param::grad`]
 //! — in place through [`Param::grad_mut`], since a streaming sink may have
 //! taken the buffer — and returns `∂loss/∂input`.
 //!
@@ -82,14 +84,16 @@ pub trait Layer: Send {
     /// Layer instance name (unique within a network).
     fn name(&self) -> &str;
 
-    /// Computes the layer output for a `[batch, in_features]` input, caching
-    /// intermediate state for `backward`.
-    fn forward(&mut self, input: &Tensor) -> Tensor;
+    /// Computes the layer output for a `[batch, in_features]` input, each
+    /// output row from its own input row only. With `training` it caches
+    /// what `backward` needs (and dropout and batch normalisation use their
+    /// training arithmetic); without, the same arithmetic stores nothing.
+    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor;
 
     /// Backpropagates `grad_output = ∂loss/∂output`, writing parameter
     /// gradients and returning `∂loss/∂input`.
     ///
-    /// Must be called after `forward` with a matching batch.
+    /// Must be called after a training `forward` with a matching batch.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
 
     /// Visits every trainable parameter (possibly none).
@@ -101,11 +105,23 @@ pub trait Layer: Send {
         self.visit_params(&mut |p| n += p.len());
         n
     }
+}
 
-    /// Switches between training and inference behaviour. Most layers are
-    /// mode-independent (default no-op); dropout and batch normalisation
-    /// change behaviour.
-    fn set_training(&mut self, _training: bool) {}
+/// Runs `input` through `layers` in order without copying it: the first
+/// layer reads the caller's tensor, and each output is dropped as soon as the
+/// next layer has read it.
+pub(crate) fn forward_stack(
+    layers: &mut [Box<dyn Layer>],
+    input: &Tensor,
+    training: bool,
+) -> Tensor {
+    let Some((first, rest)) = layers.split_first_mut() else {
+        return input.clone();
+    };
+    rest.iter_mut()
+        .fold(first.forward(input, training), |h, layer| {
+            layer.forward(&h, training)
+        })
 }
 
 /// Elementwise activation functions.
@@ -195,8 +211,12 @@ impl Layer for Activation {
         &self.name
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.output = input.map(|v| self.kind.apply(v));
+    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
+        let out = input.map(|v| self.kind.apply(v));
+        if !training {
+            return out;
+        }
+        self.output = out;
         self.output.clone()
     }
 
@@ -231,7 +251,7 @@ pub(crate) mod testutil {
     /// the analytic input gradient for the scalar loss `sum(out ⊙ w)`.
     pub fn check_input_gradient(layer: &mut dyn Layer, input: &Tensor, tol: f32) {
         let mut rng = seeded(99);
-        let out = layer.forward(input);
+        let out = layer.forward(input, true);
         let weights: Vec<f32> = (0..out.len()).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let w = Tensor::new(weights, out.shape().clone());
         let analytic = layer.backward(&w);
@@ -241,8 +261,8 @@ pub(crate) mod testutil {
             plus[i] += eps;
             let mut minus = input.clone();
             minus[i] -= eps;
-            let f_plus = layer.forward(&plus).dot(&w);
-            let f_minus = layer.forward(&minus).dot(&w);
+            let f_plus = layer.forward(&plus, true).dot(&w);
+            let f_minus = layer.forward(&minus, true).dot(&w);
             let numeric = (f_plus - f_minus) / (2.0 * eps);
             let diff = (numeric - analytic[i]).abs();
             let scale = numeric.abs().max(analytic[i].abs()).max(1.0);
@@ -257,7 +277,7 @@ pub(crate) mod testutil {
     /// Finite-difference check for parameter gradients.
     pub fn check_param_gradients(layer: &mut dyn Layer, input: &Tensor, tol: f32) {
         let mut rng = seeded(123);
-        let out = layer.forward(input);
+        let out = layer.forward(input, true);
         let weights: Vec<f32> = (0..out.len()).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let w = Tensor::new(weights, out.shape().clone());
         let _ = layer.backward(&w);
@@ -279,9 +299,9 @@ pub(crate) mod testutil {
                     });
                 };
                 perturb(eps, layer);
-                let f_plus = layer.forward(input).dot(&w);
+                let f_plus = layer.forward(input, true).dot(&w);
                 perturb(-2.0 * eps, layer);
-                let f_minus = layer.forward(input).dot(&w);
+                let f_minus = layer.forward(input, true).dot(&w);
                 perturb(eps, layer);
                 let numeric = (f_plus - f_minus) / (2.0 * eps);
                 let diff = (numeric - agrad[ci]).abs();
@@ -320,11 +340,11 @@ mod tests {
     fn activations_forward_values() {
         let x = Tensor::from_vec(vec![-2.0, 0.0, 3.0]);
         let mut relu = Activation::new("r", ActivationKind::Relu);
-        assert_eq!(relu.forward(&x).as_slice(), &[0.0, 0.0, 3.0]);
+        assert_eq!(relu.forward(&x, true).as_slice(), &[0.0, 0.0, 3.0]);
         let mut leaky = Activation::new("l", ActivationKind::LeakyRelu);
-        assert_eq!(leaky.forward(&x).as_slice(), &[-0.02, 0.0, 3.0]);
+        assert_eq!(leaky.forward(&x, true).as_slice(), &[-0.02, 0.0, 3.0]);
         let mut tanh = Activation::new("t", ActivationKind::Tanh);
-        assert!((tanh.forward(&x)[2] - 3.0f32.tanh()).abs() < 1e-7);
+        assert!((tanh.forward(&x, true)[2] - 3.0f32.tanh()).abs() < 1e-7);
     }
 
     #[test]

@@ -48,25 +48,32 @@ impl Layer for LayerNorm {
         &self.name
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
         let (batch, feat) = input.shape().as_matrix();
         assert_eq!(feat, self.dim, "layernorm '{}' width mismatch", self.name);
-        let mut normalized = vec![0.0f32; batch * feat];
-        self.cached_inv_std.clear();
+        // The normalized rows and per-row scales, kept for backward only.
+        let mut cache = training.then(|| (vec![0.0f32; batch * feat], Vec::with_capacity(batch)));
         let mut out = vec![0.0f32; batch * feat];
         for b in 0..batch {
             let row = &input.as_slice()[b * feat..(b + 1) * feat];
             let mean: f32 = row.iter().sum::<f32>() / feat as f32;
             let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / feat as f32;
             let inv_std = 1.0 / (var + self.eps).sqrt();
-            self.cached_inv_std.push(inv_std);
             for j in 0..feat {
                 let nv = (row[j] - mean) * inv_std;
-                normalized[b * feat + j] = nv;
                 out[b * feat + j] = self.gamma.value[j] * nv + self.beta.value[j];
+                if let Some((normalized, _)) = &mut cache {
+                    normalized[b * feat + j] = nv;
+                }
+            }
+            if let Some((_, inv_stds)) = &mut cache {
+                inv_stds.push(inv_std);
             }
         }
-        self.cached_normalized = Tensor::new(normalized, Shape::matrix(batch, feat));
+        if let Some((normalized, inv_stds)) = cache {
+            self.cached_normalized = Tensor::new(normalized, Shape::matrix(batch, feat));
+            self.cached_inv_std = inv_stds;
+        }
         Tensor::new(out, Shape::matrix(batch, feat))
     }
 
@@ -108,15 +115,14 @@ impl Layer for LayerNorm {
 }
 
 /// Inverted dropout with a per-instance seeded RNG so training runs are
-/// reproducible. The mask is resampled every forward pass; use
-/// [`Dropout::eval_mode`] to disable it for evaluation.
+/// reproducible. The mask is resampled every training forward; an inference
+/// forward is the identity.
 #[derive(Debug)]
 pub struct Dropout {
     name: String,
     rate: f32,
     rng: StdRng,
     mask: Vec<f32>,
-    training: bool,
 }
 
 impl Dropout {
@@ -132,18 +138,7 @@ impl Dropout {
             rate,
             rng: substream(seed, 0xd201),
             mask: Vec::new(),
-            training: true,
         }
-    }
-
-    /// Disables the mask (identity layer) for evaluation.
-    pub fn eval_mode(&mut self) {
-        self.training = false;
-    }
-
-    /// Re-enables the mask for training.
-    pub fn train_mode(&mut self) {
-        self.training = true;
     }
 }
 
@@ -152,8 +147,11 @@ impl Layer for Dropout {
         &self.name
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        if !self.training || self.rate == 0.0 {
+    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
+        if !training {
+            return input.clone();
+        }
+        if self.rate == 0.0 {
             self.mask = vec![1.0; input.len()];
             return input.clone();
         }
@@ -188,10 +186,6 @@ impl Layer for Dropout {
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-
-    fn set_training(&mut self, training: bool) {
-        self.training = training;
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +197,7 @@ mod tests {
     fn layernorm_rows_are_standardised_at_identity_params() {
         let mut ln = LayerNorm::new("ln", 8);
         let x = random_input(4, 8, 3);
-        let y = ln.forward(&x);
+        let y = ln.forward(&x, true);
         for b in 0..4 {
             let row = &y.as_slice()[b * 8..(b + 1) * 8];
             let mean: f32 = row.iter().sum::<f32>() / 8.0;
@@ -230,18 +224,16 @@ mod tests {
     #[test]
     fn dropout_eval_mode_is_identity() {
         let mut d = Dropout::new("do", 0.5, 1);
-        d.eval_mode();
         let x = random_input(2, 10, 4);
-        assert_eq!(d.forward(&x).as_slice(), x.as_slice());
-        d.train_mode();
-        assert_ne!(d.forward(&x).as_slice(), x.as_slice());
+        assert_eq!(d.forward(&x, false).as_slice(), x.as_slice());
+        assert_ne!(d.forward(&x, true).as_slice(), x.as_slice());
     }
 
     #[test]
     fn dropout_is_unbiased_in_expectation() {
         let mut d = Dropout::new("do", 0.3, 2);
         let x = Tensor::filled(Shape::matrix(1, 5000), 1.0);
-        let y = d.forward(&x);
+        let y = d.forward(&x, true);
         let mean = y.mean();
         assert!((mean - 1.0).abs() < 0.05, "inverted dropout mean {mean}");
     }
@@ -250,7 +242,7 @@ mod tests {
     fn dropout_backward_uses_the_same_mask() {
         let mut d = Dropout::new("do", 0.5, 3);
         let x = Tensor::filled(Shape::matrix(1, 100), 1.0);
-        let y = d.forward(&x);
+        let y = d.forward(&x, true);
         let g = Tensor::filled(Shape::matrix(1, 100), 1.0);
         let dx = d.backward(&g);
         // Gradient flows exactly where activations flowed.
@@ -294,7 +286,6 @@ pub struct BatchNorm {
     momentum: f32,
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
-    training: bool,
     cached_centered: Tensor,
     cached_inv_std: Vec<f32>,
 }
@@ -321,7 +312,6 @@ impl BatchNorm {
             momentum: 0.9,
             running_mean: vec![0.0; dim],
             running_var: vec![1.0; dim],
-            training: true,
             cached_centered: Tensor::from_vec(Vec::new()),
             cached_inv_std: Vec::new(),
         }
@@ -338,12 +328,12 @@ impl Layer for BatchNorm {
         &self.name
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
         let (batch, feat) = input.shape().as_matrix();
         assert_eq!(feat, self.dim, "batchnorm '{}' width mismatch", self.name);
         let x = input.as_slice();
         let mut out = vec![0.0f32; batch * feat];
-        if self.training {
+        if training {
             assert!(batch > 0, "batchnorm needs a non-empty batch");
             let mut centered = vec![0.0f32; batch * feat];
             self.cached_inv_std.clear();
@@ -384,8 +374,8 @@ impl Layer for BatchNorm {
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         assert!(
-            self.training,
-            "batchnorm backward is only defined in training mode"
+            !self.cached_inv_std.is_empty(),
+            "batchnorm backward needs a forward in training mode"
         );
         let (batch, feat) = self.cached_centered.shape().as_matrix();
         assert_eq!(grad_output.len(), batch * feat, "backward size mismatch");
@@ -422,10 +412,6 @@ impl Layer for BatchNorm {
         f(&mut self.gamma);
         f(&mut self.beta);
     }
-
-    fn set_training(&mut self, training: bool) {
-        self.training = training;
-    }
 }
 
 #[cfg(test)]
@@ -437,7 +423,7 @@ mod batchnorm_tests {
     fn training_mode_standardises_features() {
         let mut bn = BatchNorm::new("bn", 3);
         let x = random_input(16, 3, 5);
-        let y = bn.forward(&x);
+        let y = bn.forward(&x, true);
         for j in 0..3 {
             let col: Vec<f32> = (0..16).map(|b| y[b * 3 + j]).collect();
             let mean: f32 = col.iter().sum::<f32>() / 16.0;
@@ -456,17 +442,16 @@ mod batchnorm_tests {
             for v in x.as_mut_slice().iter_mut() {
                 *v += 5.0;
             }
-            let _ = bn.forward(&x);
+            let _ = bn.forward(&x, true);
         }
         assert!(
             (bn.running_mean()[0] - 5.0).abs() < 0.5,
             "running mean {:?}",
             bn.running_mean()
         );
-        bn.set_training(false);
         // A single eval row near the running mean normalizes to ≈ 0.
         let x = Tensor::new(vec![5.0, 5.0], Shape::matrix(1, 2));
-        let y = bn.forward(&x);
+        let y = bn.forward(&x, false);
         assert!(y.norm_inf() < 1.0, "eval output {:?}", y.as_slice());
     }
 
@@ -494,12 +479,10 @@ mod batchnorm_tests {
 
     #[test]
     #[should_panic(expected = "training mode")]
-    fn backward_in_eval_mode_panics() {
+    fn backward_without_a_training_forward_panics() {
         let mut bn = BatchNorm::new("bn", 2);
         let x = random_input(4, 2, 1);
-        let _ = bn.forward(&x);
-        bn.set_training(false);
-        let _ = bn.forward(&x);
+        let _ = bn.forward(&x, false);
         let g = random_input(4, 2, 2);
         let _ = bn.backward(&g);
     }

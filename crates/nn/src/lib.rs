@@ -16,6 +16,8 @@
 //!   in GRACE (Fig. 2 of the paper);
 //! - [`optim`]: SGD, momentum, Nesterov, Adam, RMSProp, Adagrad;
 //! - [`data`]: synthetic dataset generators, one per task;
+//! - [`split`]: one held-out evaluation split across data-parallel ranks,
+//!   with a serial evaluation's bits;
 //! - [`models`]: analog architectures matching Table II's benchmark suite;
 //! - [`metrics`]: top-1 accuracy, hit rate, perplexity, IoU.
 //!
@@ -47,6 +49,7 @@ pub mod models;
 pub mod network;
 pub mod optim;
 pub mod schedule;
+pub mod split;
 
 pub use layer::{Layer, Param};
 pub use loss::{Loss, Targets};

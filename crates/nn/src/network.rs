@@ -1,8 +1,9 @@
 //! Feed-forward network container producing named per-layer gradients.
 
-use crate::layer::Layer;
+use crate::layer::{forward_stack, Layer};
 use crate::loss::{Loss, Targets};
 use crate::optim::Optimizer;
+use crate::split::Split;
 use grace_tensor::Tensor;
 
 /// A stack of layers with a loss head.
@@ -18,6 +19,8 @@ pub struct Network {
     name: String,
     layers: Vec<Box<dyn Layer>>,
     loss: Loss,
+    /// The pass of a split evaluation in progress ([`crate::split`]).
+    pub(crate) split: Option<Split>,
 }
 
 impl std::fmt::Debug for Network {
@@ -44,6 +47,7 @@ impl Network {
             name: name.into(),
             layers,
             loss,
+            split: None,
         };
         let names = net.gradient_names();
         let mut seen = std::collections::HashSet::new();
@@ -64,32 +68,21 @@ impl Network {
     }
 
     /// Runs the forward pass in **inference mode** (dropout off, batch-norm
-    /// running statistics) and returns the logits.
+    /// running statistics) and returns the logits. No layer stores anything
+    /// for a backward pass, and each layer's output is dropped once the next
+    /// has read it. During a [`split_quality`](Network::split_quality) the
+    /// call computes, counts or replays rows as that evaluation's pass asks.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.set_training(false);
-        self.forward_raw(x)
-    }
-
-    fn forward_raw(&mut self, x: &Tensor) -> Tensor {
-        let mut h = x.clone();
-        for layer in &mut self.layers {
-            h = layer.forward(&h);
-        }
-        h
-    }
-
-    /// Switches every layer between training and inference behaviour.
-    pub fn set_training(&mut self, training: bool) {
-        for layer in &mut self.layers {
-            layer.set_training(training);
+        match &mut self.split {
+            Some(split) => split.forward(&mut self.layers, x),
+            None => forward_stack(&mut self.layers, x, false),
         }
     }
 
     /// Runs forward + loss + backward in **training mode**, filling every
     /// parameter gradient, and returns the scalar loss.
     pub fn forward_backward(&mut self, x: &Tensor, targets: &Targets) -> f32 {
-        self.set_training(true);
-        let logits = self.forward_raw(x);
+        let logits = forward_stack(&mut self.layers, x, true);
         let (loss, mut grad) = self.loss.loss_and_grad(&logits, targets);
         for layer in self.layers.iter_mut().rev() {
             grad = layer.backward(&grad);
@@ -119,8 +112,7 @@ impl Network {
         targets: &Targets,
         sink: &mut dyn FnMut(&str, &mut Tensor),
     ) -> f32 {
-        self.set_training(true);
-        let logits = self.forward_raw(x);
+        let logits = forward_stack(&mut self.layers, x, true);
         let (loss, mut grad) = self.loss.loss_and_grad(&logits, targets);
         for layer in self.layers.iter_mut().rev() {
             grad = layer.backward(&grad);
@@ -289,7 +281,10 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{Activation, ActivationKind, Dense};
+    use crate::layer::{
+        Activation, ActivationKind, BatchNorm, Conv2d, Dense, DenseConcat, Dropout, Embedding,
+        LayerNorm, Lstm, Reshape, Residual,
+    };
     use crate::optim::Sgd;
     use grace_tensor::rng::seeded;
     use grace_tensor::Shape;
@@ -474,5 +469,112 @@ mod tests {
             assert_eq!(na, nb);
             assert_eq!(ta.as_slice(), tb.as_slice());
         }
+    }
+
+    /// Every layer kind in one stack, reading `[batch, 3]` token ids:
+    /// embedding, LSTM, reshape to `[3·batch, 4]`, convolution over 2×2
+    /// images, dense, activation, layer and batch norm, dropout, a residual
+    /// and a dense-concat block, and a dense head of 5 logits.
+    fn every_kind(seed: u64) -> Vec<Box<dyn Layer>> {
+        let mut rng = seeded(seed);
+        let block = |rng: &mut _, name: &str, out, kind| -> Vec<Box<dyn Layer>> {
+            vec![
+                Box::new(Dense::new(format!("{name}/fc"), 8, out, rng)),
+                Box::new(Activation::new(format!("{name}/act"), kind)),
+            ]
+        };
+        vec![
+            Box::new(Embedding::new("emb", 10, 4, &mut rng)),
+            Box::new(Lstm::new("lstm", 4, 4, 3, &mut rng)),
+            Box::new(Reshape::new("rows", 3)),
+            Box::new(Conv2d::new("conv", 1, 2, 2, 2, 2, 1, 1, &mut rng)),
+            Box::new(Dense::new("fc", 18, 8, &mut rng)),
+            Box::new(Activation::new("tanh", ActivationKind::Tanh)),
+            Box::new(LayerNorm::new("ln", 8)),
+            Box::new(BatchNorm::new("bn", 8)),
+            Box::new(Dropout::new("drop", 0.5, seed)),
+            Box::new(Residual::new(
+                "res",
+                block(&mut rng, "res", 8, ActivationKind::Relu),
+            )),
+            Box::new(DenseConcat::new(
+                "cat",
+                block(&mut rng, "cat", 4, ActivationKind::Sigmoid),
+            )),
+            Box::new(Dense::new("head", 12, 5, &mut rng)),
+        ]
+    }
+
+    /// A batch of `batch` rows of 3 token ids, and its 3·batch class labels.
+    fn tokens(batch: usize, seed: u64) -> (Tensor, Targets) {
+        let ids = (0..3 * batch).map(|i| ((i as u64 * 7 + seed) % 10) as f32);
+        let labels = (0..3 * batch).map(|i| ((i as u64 + seed) % 5) as u32);
+        (
+            Tensor::new(ids.collect(), Shape::matrix(batch, 3)),
+            Targets::Classes(labels.collect()),
+        )
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Each layer kind's inference forward gives its training forward's
+    /// bits — except batch norm's and dropout's, whose modes differ in
+    /// arithmetic by definition — and stores nothing: a backward after an
+    /// inference forward on another batch gives the bits of a backward
+    /// straight after the training forward, and a training step taken after
+    /// an evaluation the bits of one taken without it.
+    #[test]
+    fn an_inference_forward_keeps_the_bits_and_no_backward_state() {
+        let (x, y) = tokens(4, 1);
+        let (z, _) = tokens(6, 2);
+        let (mut train, mut infer) = (every_kind(3), every_kind(3));
+        let mut h = x.clone();
+        for (t, i) in train.iter_mut().zip(&mut infer) {
+            let (trained, inferred) = (t.forward(&h, true), i.forward(&h, false));
+            if !["bn", "drop"].contains(&t.name()) {
+                assert_eq!(bits(&trained), bits(&inferred), "{}", t.name());
+            }
+            h = inferred;
+        }
+
+        let backward = |layers: &mut [Box<dyn Layer>], evaluate: bool| {
+            let out = forward_stack(layers, &x, true);
+            if evaluate {
+                forward_stack(layers, &z, false);
+            }
+            let mut g = out.map(|v| v.sin());
+            for layer in layers.iter_mut().rev() {
+                g = layer.backward(&g);
+            }
+            let mut grads = vec![bits(&g)];
+            for layer in layers.iter_mut() {
+                layer.visit_params(&mut |p| grads.push(bits(&p.grad)));
+            }
+            grads
+        };
+        assert_eq!(
+            backward(&mut every_kind(4), true),
+            backward(&mut every_kind(4), false)
+        );
+
+        let step = |evaluate: bool| {
+            let mut net = Network::new("every", every_kind(5), Loss::SoftmaxCrossEntropy);
+            let mut opt = Sgd::new(0.1);
+            net.forward_backward(&x, &y);
+            let grads = net.take_gradients();
+            net.apply_gradients(&grads, &mut opt);
+            if evaluate {
+                net.forward(&z);
+                net.evaluate_loss(&x, &y);
+            }
+            let loss = net.forward_backward(&x, &y);
+            let grads = net.take_gradients();
+            net.apply_gradients(&grads, &mut opt);
+            let params: Vec<_> = net.export_params().iter().map(|(_, p)| bits(p)).collect();
+            (loss.to_bits(), params)
+        };
+        assert_eq!(step(true), step(false));
     }
 }

@@ -306,44 +306,17 @@ pub fn unpack_bits_generic_into(packed: &[u8], bits: u32, count: usize, out: &mu
     }
 }
 
-/// Packs a sign pattern (`true` = negative) into a bitmap, one bit per element.
-///
-/// Used by SignSGD-family compressors whose payload is exactly one bit per
-/// gradient element (§III-A).
-pub fn pack_signs(signs: &[bool]) -> Vec<u8> {
-    let mut out = vec![0u8; signs.len().div_ceil(8)];
-    let mut chunks = signs.chunks_exact(8);
-    for (o, c) in out.iter_mut().zip(chunks.by_ref()) {
-        *o = c
-            .iter()
-            .enumerate()
-            .fold(0u8, |acc, (i, &s)| acc | ((s as u8) << i));
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let last = out.last_mut().expect("remainder implies a final byte");
-        for (i, &s) in rem.iter().enumerate() {
-            *last |= (s as u8) << i;
+/// One bit per value, set where `bit` holds — value `i` at bit `i % 8` of
+/// byte `i / 8` — written straight from the values, `bit` called on each in
+/// order: the bitmap the sign codecs send (§III-A).
+pub fn bitmap(values: &[f32], mut bit: impl FnMut(f32) -> bool) -> Vec<u8> {
+    let mut out = vec![0u8; values.len().div_ceil(8)];
+    for (byte, chunk) in out.iter_mut().zip(values.chunks(8)) {
+        for (i, &v) in chunk.iter().enumerate() {
+            *byte |= u8::from(bit(v)) << i;
         }
     }
     out
-}
-
-/// Unpacks a sign bitmap produced by [`pack_signs`].
-///
-/// # Panics
-///
-/// Panics if the buffer is too short to contain `count` bits.
-pub fn unpack_signs(packed: &[u8], count: usize) -> Vec<bool> {
-    let need = count.div_ceil(8);
-    assert!(
-        packed.len() >= need,
-        "packed buffer too short: have {} bytes, need {need}",
-        packed.len()
-    );
-    (0..count)
-        .map(|i| (packed[i / 8] >> (i % 8)) & 1 != 0)
-        .collect()
 }
 
 /// Number of bytes needed to pack `count` values of width `bits`.
@@ -655,24 +628,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "too short")]
-    fn unpack_signs_rejects_short_buffer() {
-        let _ = unpack_signs(&[0u8], 9);
-    }
-
-    #[test]
-    fn sign_roundtrip() {
-        let signs = vec![true, false, false, true, true, false, true, false, true];
-        let packed = pack_signs(&signs);
-        assert_eq!(packed.len(), 2); // 9 bits -> 2 bytes
-        assert_eq!(unpack_signs(&packed, signs.len()), signs);
+    fn bitmap_sets_bit_i_of_byte_i_over_8() {
+        let values = [-1.0, 2.0, 0.0, -0.5, -3.0, 1.0, -2.0, 4.0, -8.0];
+        let mut order = Vec::new();
+        let packed = bitmap(&values, |v| {
+            order.push(v);
+            v < 0.0
+        });
+        assert_eq!(packed, vec![0b0101_1001, 0b1]); // 9 bits -> 2 bytes
+        assert_eq!(order, values, "one call per value, in order");
     }
 
     #[test]
     fn empty_inputs() {
         assert!(pack_bits(&[], 5).is_empty());
         assert!(unpack_bits(&[], 5, 0).is_empty());
-        assert!(pack_signs(&[]).is_empty());
+        assert!(bitmap(&[], |_| true).is_empty());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use grace::core::{
 use grace::nn::data::{ClassificationDataset, Task};
 use grace::nn::models;
 use grace::nn::optim::Momentum;
-use grace::tensor::pack::{pack_signs, unpack_signs};
+use grace::tensor::pack::bitmap;
 use grace::tensor::select::top_k_indices;
 use grace::tensor::Tensor;
 
@@ -41,14 +41,13 @@ impl Compressor for MeanTop {
         let indices = top_k_indices(tensor.as_slice(), k);
         let values: Vec<f32> = indices.iter().map(|&i| tensor[i as usize]).collect();
         let mean = values.iter().map(|v| v.abs()).sum::<f32>() / values.len() as f32;
-        let signs: Vec<bool> = values.iter().map(|&v| v < 0.0).collect();
         (
             vec![
                 Payload::U32(indices),
                 Payload::Packed {
-                    data: pack_signs(&signs),
+                    data: bitmap(&values, |v| v < 0.0),
                     bits: 1,
-                    count: signs.len() as u32,
+                    count: values.len() as u32,
                 },
             ],
             Context::with_meta(tensor.shape().clone(), vec![mean]),
@@ -58,12 +57,12 @@ impl Compressor for MeanTop {
     fn decompress(&mut self, payloads: &[Payload], ctx: &Context) -> Tensor {
         let mean = ctx.meta[0];
         let indices = payloads[0].as_u32();
-        let signs = match &payloads[1] {
-            Payload::Packed { data, count, .. } => unpack_signs(data, *count as usize),
-            _ => unreachable!("wire format fixed above"),
+        let Payload::Packed { data: signs, .. } = &payloads[1] else {
+            unreachable!("wire format fixed above");
         };
         let mut out = Tensor::zeros(ctx.shape.clone());
-        for (&i, neg) in indices.iter().zip(signs) {
+        for (j, &i) in indices.iter().enumerate() {
+            let neg = (signs[j / 8] >> (j % 8)) & 1 != 0;
             out[i as usize] = if neg { -mean } else { mean };
         }
         out

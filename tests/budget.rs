@@ -16,12 +16,12 @@ const CEILINGS: [(&str, usize); 10] = [
     ("crates/analyze/src", 1484),
     ("crates/bench/src", 1605),
     ("crates/comm/src", 4341),
-    ("crates/compressors/src", 3614),
-    ("crates/core/src", 5511),
-    ("crates/experiments/src", 2222),
-    ("crates/nn/src", 3255),
+    ("crates/compressors/src", 3615),
+    ("crates/core/src", 5563),
+    ("crates/experiments/src", 2231),
+    ("crates/nn/src", 3475),
     ("crates/telemetry/src", 2386),
-    ("crates/tensor/src", 5616),
+    ("crates/tensor/src", 5589),
     ("src", 18),
 ];
 

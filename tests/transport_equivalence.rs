@@ -16,12 +16,15 @@ use grace::core::aggregation::HomomorphicAggregate;
 use grace::core::process::{run_cluster, Worker};
 use grace::core::trainer::{run_simulated, CodecTiming};
 use grace::core::{
-    param_checksum, CommStrategy, Compressor, Context, ExecBackend, Payload, PayloadError,
-    PayloadList, TrainConfig,
+    param_checksum, CommStrategy, Compressor, Context, ExecBackend, Memory, NoCompression,
+    NoMemory, Payload, PayloadError, PayloadList, TrainConfig,
 };
-use grace::nn::data::ClassificationDataset;
+use grace::nn::data::{
+    ClassificationDataset, RecommendationDataset, SegmentationDataset, Task, TextDataset,
+};
 use grace::nn::models;
 use grace::nn::optim::{Momentum, Optimizer};
+use grace::nn::Network;
 use grace::tensor::simd::Fold;
 use grace::tensor::Tensor;
 
@@ -433,6 +436,137 @@ fn poisoned_gradients_train_the_same_bits_on_every_backend() {
                     got, sim,
                     "'{id}' poisoned with {poison:08x?} diverged on {backend:?}"
                 );
+            }
+        }
+    }
+}
+
+/// A model builder: every rank's replica, and the serial reference's.
+type Model = fn() -> Network;
+
+/// One task of each kind the paper measures, with the model its rows feed:
+/// 19 held-out classification rows, 12 users' candidate lists (one forward
+/// call each), 10 text windows (one call each, 4 output rows per input row)
+/// and 8 segmentation images.
+fn eval_tasks() -> Vec<(&'static str, Box<dyn Task>, Model)> {
+    vec![
+        ("classification", Box::new(task()), || {
+            models::mlp_classifier("m", 8, &[12], 2, SEED)
+        }),
+        (
+            "recommendation",
+            Box::new(RecommendationDataset::synthetic(12, 40, 4, 2, 9, SEED)),
+            || models::ncf_analog(52, 4, SEED),
+        ),
+        (
+            "text",
+            Box::new(TextDataset::synthetic(200, 16, 2, 4, SEED)),
+            || models::lstm_analog(16, 4, 8, 4, SEED),
+        ),
+        (
+            "segmentation",
+            Box::new(SegmentationDataset::synthetic(40, 8, 8, 0.1, SEED)),
+            || models::unet_analog(8, 8, SEED),
+        ),
+    ]
+}
+
+fn backends() -> Vec<ExecBackend> {
+    let mut backends = vec![ExecBackend::Threads, ExecBackend::SocketTcp];
+    if cfg!(unix) {
+        backends.push(ExecBackend::SocketUds);
+    }
+    backends
+}
+
+/// Trains `model` on `task` for one epoch over `backend`, then returns the
+/// run's quality bits beside those of a serial `Task::quality` of its final
+/// parameters, the survivors and the corrupted frames they detected.
+fn split_and_serial(task: &dyn Task, model: Model, cfg: &TrainConfig) -> ((u64, u64), usize, u64) {
+    let result = run_cluster(cfg, task, |_rank| {
+        (
+            model(),
+            Box::new(Momentum::new(0.05, 0.9)) as Box<dyn Optimizer>,
+            Box::new(NoCompression::new()) as Box<dyn Compressor>,
+            Box::new(NoMemory::new()) as Box<dyn Memory>,
+        )
+    });
+    let mut net = model();
+    net.import_params(&result.final_params);
+    let serial = task.quality(&mut net);
+    (
+        (result.final_quality.to_bits(), serial.to_bits()),
+        result.survivors,
+        result.faults.detected_corruptions.iter().sum(),
+    )
+}
+
+/// The final evaluation, split across the ranks, returns exactly the bits a
+/// serial `Task::quality` of the trained parameters gives, for every task
+/// kind, at 1, 2 and 3 ranks (3 ranks split 19 rows 7/6/6), on the board,
+/// over TCP and over Unix sockets.
+#[test]
+fn the_split_evaluation_returns_the_serial_quality_bits() {
+    for (kind, task, model) in eval_tasks() {
+        for world in 1..=3 {
+            for backend in backends() {
+                let mut cfg = TrainConfig::new(world, 4, 1, SEED);
+                cfg.codec = CodecTiming::Free;
+                cfg.backend = backend;
+                let ((split, serial), survivors, _) = split_and_serial(task.as_ref(), model, &cfg);
+                assert_eq!(survivors, world);
+                assert_eq!(
+                    split,
+                    serial,
+                    "{kind} at {world} ranks on {backend:?}: split {} vs serial {}",
+                    f64::from_bits(split),
+                    f64::from_bits(serial)
+                );
+            }
+        }
+    }
+}
+
+/// A rank that leaves at the evaluation's first gather (so the other two
+/// split the rows between them), one that leaves at its second (so each
+/// survivor computes the missing rows itself), and a frame damaged on its
+/// way (the CRC rejects it; every rank computes those rows) all end with the
+/// survivors reporting the serial quality inside their deadline.
+#[test]
+fn survivors_of_a_fault_in_the_evaluation_report_the_serial_quality() {
+    use grace::comm::{FaultConfig, FaultPlan};
+    use grace::core::trainer::{fusion_plan, steps_per_epoch};
+
+    let (world, timeout) = (3, std::time::Duration::from_secs(20));
+    let cases = |eval_op: u64| {
+        [
+            (FaultPlan::empty().with_drop(1, eval_op), 2, 0),
+            (FaultPlan::empty().with_drop(1, eval_op + 1), 2, 0),
+            (FaultPlan::empty().with_bit_flip(2, eval_op + 1, 77), 3, 3),
+        ]
+    };
+    for (kind, task, model) in eval_tasks() {
+        let mut cfg = TrainConfig::new(world, 4, 1, SEED);
+        cfg.codec = CodecTiming::Free;
+        let steps = steps_per_epoch(task.train_len(), world, cfg.batch_per_worker);
+        let eval_op = (steps * fusion_plan(&cfg, &mut model()).n_buckets()) as u64;
+        for (plan, alive, detected) in cases(eval_op) {
+            for backend in backends() {
+                cfg.backend = backend;
+                cfg.fault = Some(FaultConfig {
+                    plan: plan.clone(),
+                    timeout: Some(timeout),
+                });
+                let start = std::time::Instant::now();
+                let ((split, serial), survivors, caught) =
+                    split_and_serial(task.as_ref(), model, &cfg);
+                assert!(start.elapsed() < timeout, "{kind} on {backend:?}: {plan:?}");
+                assert_eq!(survivors, alive, "{kind} on {backend:?}: {plan:?}");
+                assert_eq!(
+                    caught, detected,
+                    "{kind} on {backend:?}: every rank's CRC check"
+                );
+                assert_eq!(split, serial, "{kind} on {backend:?}: {plan:?}");
             }
         }
     }
