@@ -318,6 +318,8 @@ fn codebook() -> Vec<f32> {
 }
 
 fn main() {
+    let (level, cpu) = (simd::level(), simd::hw_level());
+    println!("simd_kernels: dispatched level {level} (CPU: {cpu})");
     let g = gradient_of_bytes(TENSOR_BYTES, 17);
     let xs = g.as_slice();
     let n = xs.len();
@@ -896,9 +898,5 @@ fn main() {
     let _ = std::fs::create_dir_all(dir);
     let path = dir.join("bench_simd_kernels.json");
     std::fs::write(&path, json).expect("write bench json");
-    println!(
-        "[written] {} (level = {}, host_cpus = {host_cpus})",
-        path.display(),
-        simd::level()
-    );
+    println!("[written] {} (host_cpus = {host_cpus})", path.display());
 }

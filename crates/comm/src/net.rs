@@ -1067,17 +1067,18 @@ impl HubServer {
 
     /// Accepts until every rank has said `HELLO`, or aborts rendezvous at
     /// the deadline, telling everyone already connected. Each rank's region
-    /// names go into `names`.
+    /// names go into `names`. Empty polls sleep 20 µs, doubling to 2 ms.
     fn rendezvous(&self, names: &mut RegionNames) -> Result<Vec<FramedStream>, ClusterError> {
         let deadline = Instant::now() + self.accept_timeout;
         let mut slots: Vec<Option<FramedStream>> = (0..self.world).map(|_| None).collect();
-        let mut joined = 0usize;
+        let (mut joined, mut nap) = (0usize, Duration::ZERO);
         self.listener
             .set_nonblocking(true)
             .map_err(|e| transport(0, 0, format!("listener: {e}")))?;
         while joined < self.world {
             match self.listener.accept() {
                 Ok(stream) => {
+                    nap = Duration::ZERO;
                     let mut framed = FramedStream::new(stream);
                     // A client that connects but never speaks must not
                     // wedge rendezvous past the deadline.
@@ -1104,7 +1105,8 @@ impl HubServer {
                         }
                         return Err(transport(0, 0, detail));
                     }
-                    std::thread::sleep(Duration::from_millis(2));
+                    nap = (nap * 2).clamp(Duration::from_micros(20), Duration::from_millis(2));
+                    std::thread::sleep(nap);
                 }
                 Err(e) => return Err(transport(0, 0, format!("accept: {e}"))),
             }
@@ -1125,15 +1127,13 @@ impl HubServer {
         }
         let mut r = Reader::new(body);
         let rank = r.u32().map_err(|e| e.to_string())? as usize;
-        let world = r.u32().map_err(|e| e.to_string())? as usize;
-        if world != self.world {
-            return Err(format!(
-                "world mismatch: hub {} vs client {world}",
-                self.world
-            ));
+        let client = r.u32().map_err(|e| e.to_string())? as usize;
+        let world = self.world;
+        if client != world {
+            return Err(format!("world mismatch: hub {world} vs client {client}"));
         }
-        if rank >= self.world {
-            return Err(format!("rank {rank} out of range for world {}", self.world));
+        if rank >= world {
+            return Err(format!("rank {rank} out of range for world {world}"));
         }
         if slots[rank].is_some() {
             return Err(format!("duplicate rank {rank}"));

@@ -550,8 +550,9 @@ impl Grad<'_> {
 
 /// Divides an `Allreduce`'s elementwise sum by its contributor count — the
 /// mean of Algorithm 1 lines 8–9, over the survivors when membership has
-/// degraded. A lone contributor's sum is returned as it is: `x / 1.0` is
-/// `x` for every value but a signaling NaN, which arithmetic never makes.
+/// degraded. A lone contributor's sum is returned as it is (`x / 1.0` is
+/// `x` for every value arithmetic makes), and a count of `2ᵏ` multiplies by
+/// the exact `2⁻ᵏ`, which rounds every `f32` as the division does.
 ///
 /// # Panics
 ///
@@ -561,12 +562,11 @@ pub fn average_sum(mut sum: Vec<f32>, contributors: usize) -> Payload {
     if contributors == 1 {
         return Payload::F32(sum);
     }
-    let denom = contributors as f32;
-    let len = sum.len();
-    pool::split_rows(&mut sum, len, 16, len, |_, part| {
-        for v in part {
-            *v /= denom;
-        }
+    let (denom, len) = (contributors as f32, sum.len());
+    let recip = contributors.is_power_of_two().then(|| 1.0 / denom);
+    pool::split_rows(&mut sum, len, 16, len, |_, part| match recip {
+        Some(r) => part.iter_mut().for_each(|v| *v *= r),
+        None => part.iter_mut().for_each(|v| *v /= denom),
     });
     Payload::F32(sum)
 }
@@ -1551,6 +1551,52 @@ mod tests {
         assert_eq!(mean.as_ptr(), at, "the same allocation");
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&mean), bits(&values));
+    }
+
+    /// A power-of-two count multiplies by its reciprocal; every bit is the
+    /// division's. Each of the 256 exponents with 64 random mantissas and
+    /// both signs (so every normal binade, the subnormals whose quotient
+    /// rounds, ±0, ±∞ and NaNs of many payloads), plus the subnormal and
+    /// NaN edges, at n = 2, 4 and 8.
+    #[test]
+    fn a_power_of_two_mean_keeps_the_divisions_bits() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut mantissa = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 41) as u32
+        };
+        let mut values = Vec::new();
+        for exponent in 0..256u32 {
+            for sign in [0, 1u32 << 31] {
+                values.extend([0, 1, 0x7F_FFFF].map(|m| f32::from_bits(sign | exponent << 23 | m)));
+                values.extend((0..64).map(|_| f32::from_bits(sign | exponent << 23 | mantissa())));
+            }
+        }
+        values.extend([0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN]);
+        values.extend(
+            [
+                0x7FC0_0001,
+                0xFFC1_2345,
+                0x7F80_0001,
+                0xFFBF_FFFF,
+                3,
+                0x8000_0007,
+            ]
+            .map(f32::from_bits),
+        );
+        for n in [2usize, 4, 8] {
+            let divided: Vec<u32> = values
+                .iter()
+                .map(|&v| (std::hint::black_box(v) / std::hint::black_box(n as f32)).to_bits())
+                .collect();
+            let Payload::F32(mean) = average_sum(values.clone(), n) else {
+                unreachable!("a mean is f32")
+            };
+            let got: Vec<u32> = mean.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, divided, "n = {n}");
+        }
     }
 
     #[test]

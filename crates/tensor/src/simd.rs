@@ -12,10 +12,10 @@
 //! gradient products of every backward pass ([`gemm_nt`], [`gemm_tn`]) and
 //! the Box–Muller fill under every weight init and synthetic dataset
 //! ([`fill_gaussian_at`]).
-//! This module provides those kernels with `core::arch` x86-64 bodies (SSE2
-//! baseline, AVX2 when the CPU reports it) behind one runtime dispatch
-//! point, plus a portable scalar fallback used on other architectures and
-//! when `GRACE_FORCE_SCALAR` is set.
+//! This module provides those kernels with `core::arch` x86-64 bodies (AVX2,
+//! and AVX-512 when the CPU reports F, DQ and VL) behind one runtime
+//! dispatch point, plus a portable scalar body used on other architectures,
+//! on x86-64 hosts without AVX2 and when `GRACE_FORCE_SCALAR` is set.
 //!
 //! # Bit identity
 //!
@@ -69,10 +69,11 @@ use std::sync::OnceLock;
 pub enum Level {
     /// Portable scalar Rust, the reference semantics.
     Scalar,
-    /// SSE2 (the x86-64 baseline; always available there).
-    Sse2,
     /// AVX2 with 256-bit integer ops and gathers.
     Avx2,
+    /// AVX-512 F, DQ and VL: the portable bodies at 512-bit lanes and the
+    /// 64-bit lane multiply; every other kernel runs its AVX2 body.
+    Avx512,
 }
 
 impl Level {
@@ -80,8 +81,8 @@ impl Level {
     pub fn name(self) -> &'static str {
         match self {
             Level::Scalar => "scalar",
-            Level::Sse2 => "sse2",
             Level::Avx2 => "avx2",
+            Level::Avx512 => "avx512",
         }
     }
 }
@@ -98,10 +99,13 @@ pub fn hw_level() -> Level {
     *HW.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx2") {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("avx512f") && has!("avx512dq") && has!("avx512vl") {
+                Level::Avx512
+            } else if has!("avx2") {
                 Level::Avx2
             } else {
-                Level::Sse2
+                Level::Scalar
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -134,14 +138,10 @@ pub fn level() -> Level {
 /// Unlike [`level`] this ignores `GRACE_FORCE_SCALAR`, so the equivalence
 /// suite can cross-check vector bodies even in a forced-scalar run.
 pub fn available_levels() -> Vec<Level> {
-    let mut out = vec![Level::Scalar];
-    if hw_level() >= Level::Sse2 {
-        out.push(Level::Sse2);
-    }
-    if hw_level() >= Level::Avx2 {
-        out.push(Level::Avx2);
-    }
-    out
+    [Level::Scalar, Level::Avx2, Level::Avx512]
+        .into_iter()
+        .filter(|&lvl| lvl <= hw_level())
+        .collect()
 }
 
 #[track_caller]
@@ -154,29 +154,24 @@ fn checked(lvl: Level) -> Level {
     lvl
 }
 
-/// The invariant behind `dispatch!`'s SSE2 arm: the build itself targets
-/// SSE2, so no runtime check can fail there. A build that turns the baseline
-/// off (`-C target-feature=-sse2`) stops compiling instead of faulting.
-#[cfg(target_arch = "x86_64")]
-const _: () = assert!(cfg!(target_feature = "sse2"));
-
-/// Dispatches to a per-level body after validating hardware support. On
+/// Dispatches to a per-level body after validating hardware support. A
+/// kernel without an `avx512:` body runs its AVX2 body at `Avx512`. On
 /// non-x86-64 targets only the scalar arm is compiled.
 macro_rules! dispatch {
-    ($lvl:expr, scalar: $s:expr, sse2: $e2:expr, avx2: $a2:expr) => {{
+    ($lvl:expr, scalar: $s:expr, avx2: $a2:expr $(, avx512: $a5:expr)?) => {{
         let lvl = checked($lvl);
         #[cfg(target_arch = "x86_64")]
         {
             match lvl {
+                Level::Scalar => $s,
                 // SAFETY: `checked` proved the CPU supports AVX2, the feature
                 // the `#[target_feature]` body was compiled for.
                 Level::Avx2 => unsafe { $a2 },
-                // SAFETY: SSE2 is part of the x86-64 baseline ABI (checked
-                // at compile time beside this macro), so every CPU this arm
-                // is compiled for executes the
-                // `#[target_feature(enable = "sse2")]` body.
-                Level::Sse2 => unsafe { $e2 },
-                Level::Scalar => $s,
+                // SAFETY: `checked` proved the CPU reports AVX-512 F, DQ and
+                // VL, the features the `avx512:` body was compiled for; F
+                // implies AVX2 (the compiler's own implication), which is
+                // all an AVX2 body needs.
+                Level::Avx512 => unsafe { dispatch!(@wide $a2 $(, $a5)?) },
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -185,6 +180,12 @@ macro_rules! dispatch {
             $s
         }
     }};
+    (@wide $a2:expr) => {
+        $a2
+    };
+    (@wide $a2:expr, $a5:expr) => {
+        $a5
+    };
 }
 
 // ---------------------------------------------------------------------------
@@ -207,7 +208,6 @@ pub fn abs_max_bits(xs: &[f32]) -> u32 {
 pub fn abs_max_bits_at(lvl: Level, xs: &[f32]) -> u32 {
     dispatch!(lvl,
         scalar: scalar::abs_max_bits(xs),
-        sse2: x86::abs_max_bits_sse2(xs),
         avx2: x86::abs_max_bits_avx2(xs))
 }
 
@@ -226,7 +226,6 @@ pub fn abs_bits_into_at(lvl: Level, xs: &[f32], out: &mut [u32]) {
     assert_eq!(xs.len(), out.len(), "abs_bits_into length mismatch");
     dispatch!(lvl,
         scalar: scalar::abs_bits_into(xs, out),
-        sse2: x86::abs_bits_into_sse2(xs, out),
         avx2: x86::abs_bits_into_avx2(xs, out))
 }
 
@@ -251,8 +250,8 @@ pub fn axpy_at(lvl: Level, y: &mut [f32], a: f32, x: &[f32]) {
     assert_eq!(y.len(), x.len(), "axpy length mismatch");
     dispatch!(lvl,
         scalar: scalar::axpy(y, a, x),
-        sse2: x86::axpy_sse2(y, a, x),
-        avx2: x86::axpy_avx2(y, a, x))
+        avx2: x86::axpy_avx2(y, a, x),
+        avx512: x86::axpy_avx512(y, a, x))
 }
 
 // ---------------------------------------------------------------------------
@@ -289,7 +288,6 @@ pub fn gemm_nt_at(lvl: Level, a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: 
     assert_eq!(c.len(), m * k, "C buffer size mismatch");
     dispatch!(lvl,
         scalar: scalar::gemm_nt(a, b, c, m, n, k),
-        sse2: x86::gemm_nt_sse2(a, b, c, m, n, k),
         avx2: x86::gemm_nt_avx2(a, b, c, m, n, k))
 }
 
@@ -352,7 +350,6 @@ pub fn gemm_tn_rows_at(
     assert_eq!(c.len(), rows.len() * n, "C buffer size mismatch");
     dispatch!(lvl,
         scalar: scalar::gemm_tn(a, b, c, m, k, n, rows),
-        sse2: x86::gemm_tn_sse2(a, b, c, m, k, n, rows),
         avx2: x86::gemm_tn_avx2(a, b, c, m, k, n, rows))
 }
 
@@ -378,7 +375,6 @@ pub fn narrow_to_bytes_at(lvl: Level, values: &[u32], out: &mut [u8]) {
     assert_eq!(values.len(), out.len(), "narrow_to_bytes length mismatch");
     dispatch!(lvl,
         scalar: scalar::narrow_to_bytes(values, out),
-        sse2: x86::narrow_to_bytes_sse2(values, out),
         avx2: x86::narrow_to_bytes_avx2(values, out))
 }
 
@@ -397,7 +393,6 @@ pub fn widen_from_bytes_at(lvl: Level, bytes: &[u8], out: &mut [u32]) {
     assert_eq!(bytes.len(), out.len(), "widen_from_bytes length mismatch");
     dispatch!(lvl,
         scalar: scalar::widen_from_bytes(bytes, out),
-        sse2: x86::widen_from_bytes_sse2(bytes, out),
         avx2: x86::widen_from_bytes_avx2(bytes, out))
 }
 
@@ -435,7 +430,6 @@ pub fn quantize_sign_mag_at(lvl: Level, table: &[f32], xs: &[f32], inv: f32, out
     );
     dispatch!(lvl,
         scalar: scalar::quantize_sign_mag(table, xs, inv, out),
-        sse2: x86::quantize_sign_mag_sse2(table, xs, inv, out),
         avx2: x86::quantize_sign_mag_avx2(table, xs, inv, out))
 }
 
@@ -462,7 +456,6 @@ pub fn dequant_sign_mag_at(lvl: Level, table: &[f32], codes: &[u32], scale: f32,
     );
     dispatch!(lvl,
         scalar: scalar::dequant_sign_mag(table, codes, scale, out),
-        sse2: x86::dequant_sign_mag_sse2(table, codes, scale, out),
         avx2: x86::dequant_sign_mag_avx2(table, codes, scale, out))
 }
 
@@ -494,7 +487,6 @@ pub fn dequant_sign_mag_add_at(
     );
     dispatch!(lvl,
         scalar: scalar::dequant_sign_mag_add(table, codes, scale, out),
-        sse2: x86::dequant_sign_mag_add_sse2(table, codes, scale, out),
         avx2: x86::dequant_sign_mag_add_avx2(table, codes, scale, out))
 }
 
@@ -521,7 +513,6 @@ pub fn gather_f32_at(lvl: Level, src: &[f32], indices: &[u32], out: &mut [f32]) 
     assert_eq!(indices.len(), out.len(), "gather_f32 length mismatch");
     dispatch!(lvl,
         scalar: scalar::gather_f32(src, indices, out),
-        sse2: x86::gather_f32_sse2(src, indices, out),
         avx2: x86::gather_f32_avx2(src, indices, out))
 }
 
@@ -561,8 +552,8 @@ pub fn quantize_levels_at(
     let norm = sum_squares_at(lvl, xs).sqrt();
     dispatch!(lvl,
         scalar: scalar::quantize_levels(xs, norm, s, rng, signs, levels),
-        sse2: x86::quantize_levels_sse2(xs, norm, s, rng, signs, levels),
-        avx2: x86::quantize_levels_avx2(xs, norm, s, rng, signs, levels));
+        avx2: x86::quantize_levels_avx2(xs, norm, s, rng, signs, levels),
+        avx512: x86::quantize_levels_avx512(xs, norm, s, rng, signs, levels));
     norm
 }
 
@@ -753,7 +744,6 @@ pub fn dequantize_levels_fold_at(
     let out = FoldSink::new(out, fold, count);
     dispatch!(lvl,
         scalar: scalar::dequantize_levels(signs, levels, bits, s, norm, count, out),
-        sse2: x86::dequantize_levels_sse2(signs, levels, bits, s, norm, count, out),
         avx2: x86::dequantize_levels_avx2(signs, levels, bits, s, norm, count, out))
 }
 
@@ -787,18 +777,16 @@ pub fn sum_squares(xs: &[f32]) -> f32 {
 }
 
 /// [`sum_squares`] with an explicit dispatch level. Every level runs the
-/// same blocked body; `Sse2` and `Avx2` compile it for their lanes.
+/// same blocked walk; `Avx2` and `Avx512` test a block in eight lanes.
 pub fn sum_squares_at(lvl: Level, xs: &[f32]) -> f32 {
     dispatch!(lvl,
         scalar: squares::sum(xs),
-        sse2: x86::sum_squares_sse2(xs),
         avx2: x86::sum_squares_avx2(xs))
 }
 
 /// The blocked walk of [`super::sum_squares_at`] and its portable block
-/// test, `#[inline(always)]` so the SSE2 forwarder compiles them for its
-/// lanes (the test's lane loops are straight-line and branch-free); the
-/// AVX2 forwarder brings its own block test.
+/// test (straight-line, branch-free lane loops); the AVX2 body brings its
+/// own block test to the same walk.
 mod squares {
     use super::SUM_SQUARES_BLOCK as BLOCK;
 
@@ -896,7 +884,7 @@ mod squares {
 /// returns how many elements took the fallback below. `std` must be finite
 /// and positive (the caller validates it).
 ///
-/// Every level runs the same blocked body (`Avx2` compiles it for AVX2):
+/// Every level runs the same blocked body (compiled for each level's lanes):
 /// each lane evaluates Box–Muller with polynomial `ln` and `cos` within
 /// 2⁻⁴⁶ of the true values, and keeps its `f32` only when that is
 /// *certified* — the whole interval `y·(1 ± 2⁻⁴⁰)` rounds to one `f32`.
@@ -909,8 +897,8 @@ mod squares {
 pub fn fill_gaussian_at(lvl: Level, counter: u64, std: f32, out: &mut [f32]) -> usize {
     dispatch!(lvl,
         scalar: gaussian::fill(counter, std, out),
-        sse2: x86::fill_gaussian_sse2(counter, std, out),
-        avx2: x86::fill_gaussian_avx2(counter, std, out))
+        avx2: x86::fill_gaussian_avx2(counter, std, out),
+        avx512: x86::fill_gaussian_avx512(counter, std, out))
 }
 
 // ---------------------------------------------------------------------------
@@ -934,8 +922,7 @@ pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
 pub fn crc32_update_at(lvl: Level, state: u32, bytes: &[u8]) -> u32 {
     dispatch!(lvl,
         scalar: scalar::crc32_update(state, bytes),
-        sse2: x86::crc32_update_sse2(state, bytes),
-        avx2: x86::crc32_update_sse2(state, bytes))
+        avx2: x86::crc32_update_fold(state, bytes))
 }
 
 /// Reflected IEEE CRC32 polynomial (bit 31 is the x^0 coefficient).
@@ -1293,9 +1280,9 @@ mod scalar {
 }
 
 /// The blocked Box–Muller body of [`super::fill_gaussian_at`]. Everything is
-/// `#[inline(always)]`, so the AVX2 forwarder compiles the same code for
-/// AVX2; the passes over a block's lanes are straight-line, so they
-/// vectorize at either level. `mul` and `add` only, never fused.
+/// `#[inline(always)]`, so the AVX2 and AVX-512 forwarders compile the same
+/// code for their lanes; the passes over a block's lanes are straight-line,
+/// so they vectorize at every level. `mul` and `add` only, never fused.
 mod gaussian {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1331,7 +1318,7 @@ mod gaussian {
     const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
 
     /// A `u64` of at most `2⁵³` as an `f64`, exactly, without an int →
-    /// float instruction (SSE2 and AVX2 have none for 64-bit lanes): its
+    /// float instruction (AVX2 has none for 64-bit lanes): its
     /// high 22 and low 32 bits become the mantissas of `2⁸⁴ + hi·2³²` and
     /// `2⁵² + lo`, and the sum of those minus `2⁸⁴ + 2⁵²` is exact.
     #[inline(always)]
@@ -1496,89 +1483,17 @@ mod x86 {
 
     const ABS_MASK: i32 = 0x7FFF_FFFF;
 
-    // SSE2 has no gather instruction and no cheap 128-entry table probe, so
-    // the table-driven kernels delegate to the scalar body at that level
-    // (see the fallback matrix in DESIGN.md §14). The forwarders keep the
-    // dispatch macro uniform.
-    #[target_feature(enable = "sse2")]
-    pub fn quantize_sign_mag_sse2(table: &[f32], xs: &[f32], inv: f32, out: &mut [u32]) {
-        scalar::quantize_sign_mag(table, xs, inv, out);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub fn dequant_sign_mag_sse2(table: &[f32], codes: &[u32], scale: f32, out: &mut [f32]) {
-        scalar::dequant_sign_mag(table, codes, scale, out);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub fn dequant_sign_mag_add_sse2(table: &[f32], codes: &[u32], scale: f32, out: &mut [f32]) {
-        scalar::dequant_sign_mag_add(table, codes, scale, out);
-    }
-
-    /// The portable Gaussian body (already SSE2 code on x86-64).
-    #[target_feature(enable = "sse2")]
-    pub fn fill_gaussian_sse2(counter: u64, std: f32, out: &mut [f32]) -> usize {
-        super::gaussian::fill(counter, std, out)
-    }
-
-    /// The same Gaussian body, compiled for AVX2: four `f64` lanes per
+    /// The portable Gaussian body, compiled for AVX2: four `f64` lanes per
     /// vector.
     #[target_feature(enable = "avx2")]
     pub fn fill_gaussian_avx2(counter: u64, std: f32, out: &mut [f32]) -> usize {
         super::gaussian::fill(counter, std, out)
     }
 
-    #[target_feature(enable = "sse2")]
-    pub fn gather_f32_sse2(src: &[f32], indices: &[u32], out: &mut [f32]) {
-        scalar::gather_f32(src, indices, out);
-    }
-
-    /// Four rows per vector leave the row-panel body with too little work
-    /// per broadcast to beat the scalar chain; SSE2 takes the reference.
-    #[target_feature(enable = "sse2")]
-    pub fn gemm_nt_sse2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
-        scalar::gemm_nt(a, b, c, m, n, k);
-    }
-
-    /// Four columns per vector leave too little work per broadcast to beat
-    /// the reference's `axpy` rows; SSE2 takes the reference.
-    #[target_feature(enable = "sse2")]
-    pub fn gemm_tn_sse2(
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        rows: Range<usize>,
-    ) {
-        scalar::gemm_tn(a, b, c, m, k, n, rows);
-    }
-
-    /// SSE2 lacks `pmaxud`; abs bit patterns have the top bit clear, so the
-    /// signed compare is exact.
-    #[target_feature(enable = "sse2")]
-    fn max_abs_epi32(a: __m128i, b: __m128i) -> __m128i {
-        let gt = _mm_cmpgt_epi32(a, b);
-        _mm_or_si128(_mm_and_si128(gt, a), _mm_andnot_si128(gt, b))
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub fn abs_max_bits_sse2(xs: &[f32]) -> u32 {
-        let mask = _mm_set1_epi32(ABS_MASK);
-        let mut m = _mm_setzero_si128();
-        let mut chunks = xs.chunks_exact(4);
-        for c in chunks.by_ref() {
-            // SAFETY: `c` is 4 f32s = 16 readable bytes; loadu allows any
-            // alignment.
-            let v = unsafe { _mm_loadu_si128(c.as_ptr().cast()) };
-            m = max_abs_epi32(m, _mm_and_si128(v, mask));
-        }
-        m = max_abs_epi32(m, _mm_srli_si128::<8>(m));
-        m = max_abs_epi32(m, _mm_srli_si128::<4>(m));
-        let mut best = _mm_cvtsi128_si32(m) as u32;
-        best = best.max(scalar::abs_max_bits(chunks.remainder()));
-        best
+    /// The same body at eight `f64` lanes per vector.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    pub fn fill_gaussian_avx512(counter: u64, std: f32, out: &mut [f32]) -> usize {
+        super::gaussian::fill(counter, std, out)
     }
 
     #[target_feature(enable = "avx2")]
@@ -1594,29 +1509,12 @@ mod x86 {
         }
         let lo = _mm256_castsi256_si128(m);
         let hi = _mm256_extracti128_si256::<1>(m);
-        let mut q = max_abs_epi32(lo, hi);
-        q = max_abs_epi32(q, _mm_srli_si128::<8>(q));
-        q = max_abs_epi32(q, _mm_srli_si128::<4>(q));
+        let mut q = _mm_max_epu32(lo, hi);
+        q = _mm_max_epu32(q, _mm_srli_si128::<8>(q));
+        q = _mm_max_epu32(q, _mm_srli_si128::<4>(q));
         let mut best = _mm_cvtsi128_si32(q) as u32;
         best = best.max(scalar::abs_max_bits(chunks.remainder()));
         best
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub fn abs_bits_into_sse2(xs: &[f32], out: &mut [u32]) {
-        let mask = _mm_set1_epi32(ABS_MASK);
-        let n = xs.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: i + 4 <= n bounds both the 16-byte load and store;
-            // out.len() == xs.len() is asserted by the caller.
-            unsafe {
-                let v = _mm_loadu_si128(xs.as_ptr().add(i).cast());
-                _mm_storeu_si128(out.as_mut_ptr().add(i).cast(), _mm_and_si128(v, mask));
-            }
-            i += 4;
-        }
-        scalar::abs_bits_into(&xs[i..], &mut out[i..]);
     }
 
     #[target_feature(enable = "avx2")]
@@ -1633,24 +1531,6 @@ mod x86 {
             i += 8;
         }
         scalar::abs_bits_into(&xs[i..], &mut out[i..]);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub fn axpy_sse2(y: &mut [f32], a: f32, x: &[f32]) {
-        let av = _mm_set1_ps(a);
-        let n = y.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: i + 4 <= n == x.len() == y.len() bounds the loads and
-            // the store.
-            unsafe {
-                let xv = _mm_loadu_ps(x.as_ptr().add(i));
-                let yv = _mm_loadu_ps(y.as_ptr().add(i));
-                _mm_storeu_ps(y.as_mut_ptr().add(i), _mm_add_ps(yv, _mm_mul_ps(av, xv)));
-            }
-            i += 4;
-        }
-        scalar::axpy(&mut y[i..], a, &x[i..]);
     }
 
     #[target_feature(enable = "avx2")]
@@ -1672,6 +1552,12 @@ mod x86 {
             i += 8;
         }
         scalar::axpy(&mut y[i..], a, &x[i..]);
+    }
+
+    /// The portable `axpy` loop at sixteen lanes per vector.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    pub fn axpy_avx512(y: &mut [f32], a: f32, x: &[f32]) {
+        scalar::axpy(y, a, x);
     }
 
     /// Reduction steps per transposed `A` panel: the panel is a stack
@@ -1914,30 +1800,6 @@ mod x86 {
         j0
     }
 
-    #[target_feature(enable = "sse2")]
-    pub fn narrow_to_bytes_sse2(values: &[u32], out: &mut [u8]) {
-        // Mask to the low byte first so the saturating packs reproduce the
-        // scalar truncating cast on out-of-range inputs too.
-        let mask = _mm_set1_epi32(0xFF);
-        let n = values.len();
-        let mut i = 0;
-        while i + 16 <= n {
-            // SAFETY: i + 16 <= n bounds the four 16-byte loads and the
-            // 16-byte store (out.len() == values.len()).
-            unsafe {
-                let p = values.as_ptr().add(i);
-                let v0 = _mm_and_si128(_mm_loadu_si128(p.cast()), mask);
-                let v1 = _mm_and_si128(_mm_loadu_si128(p.add(4).cast()), mask);
-                let v2 = _mm_and_si128(_mm_loadu_si128(p.add(8).cast()), mask);
-                let v3 = _mm_and_si128(_mm_loadu_si128(p.add(12).cast()), mask);
-                let w = _mm_packus_epi16(_mm_packs_epi32(v0, v1), _mm_packs_epi32(v2, v3));
-                _mm_storeu_si128(out.as_mut_ptr().add(i).cast(), w);
-            }
-            i += 16;
-        }
-        scalar::narrow_to_bytes(&values[i..], &mut out[i..]);
-    }
-
     #[target_feature(enable = "avx2")]
     pub fn narrow_to_bytes_avx2(values: &[u32], out: &mut [u8]) {
         let mask = _mm256_set1_epi32(0xFF);
@@ -1962,29 +1824,6 @@ mod x86 {
             i += 32;
         }
         scalar::narrow_to_bytes(&values[i..], &mut out[i..]);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub fn widen_from_bytes_sse2(bytes: &[u8], out: &mut [u32]) {
-        let zero = _mm_setzero_si128();
-        let n = bytes.len();
-        let mut i = 0;
-        while i + 16 <= n {
-            // SAFETY: i + 16 <= n bounds the 16-byte load and the four
-            // 16-byte stores (out.len() == bytes.len()).
-            unsafe {
-                let b = _mm_loadu_si128(bytes.as_ptr().add(i).cast());
-                let lo16 = _mm_unpacklo_epi8(b, zero);
-                let hi16 = _mm_unpackhi_epi8(b, zero);
-                let o = out.as_mut_ptr().add(i);
-                _mm_storeu_si128(o.cast(), _mm_unpacklo_epi16(lo16, zero));
-                _mm_storeu_si128(o.add(4).cast(), _mm_unpackhi_epi16(lo16, zero));
-                _mm_storeu_si128(o.add(8).cast(), _mm_unpacklo_epi16(hi16, zero));
-                _mm_storeu_si128(o.add(12).cast(), _mm_unpackhi_epi16(hi16, zero));
-            }
-            i += 16;
-        }
-        scalar::widen_from_bytes(&bytes[i..], &mut out[i..]);
     }
 
     #[target_feature(enable = "avx2")]
@@ -2251,11 +2090,6 @@ mod x86 {
         scalar::gather_f32(src, &indices[i..], &mut out[i..]);
     }
 
-    #[target_feature(enable = "sse2")]
-    pub fn sum_squares_sse2(xs: &[f32]) -> f32 {
-        squares::sum(xs)
-    }
-
     /// `squares::sum` with its block test in eight lanes: the same two
     /// sums per addend, whose masks are all ones where a lane passes, so
     /// `movemask` (which reads sign bits only) sees every failure.
@@ -2291,37 +2125,10 @@ mod x86 {
         })
     }
 
-    /// The level pair's per-element arithmetic is what SSE2 autovectorizes
-    /// in the scalar body already, and its draws are scalar: SSE2 takes the
-    /// reference.
-    #[target_feature(enable = "sse2")]
-    pub fn quantize_levels_sse2(
-        xs: &[f32],
-        norm: f32,
-        s: u32,
-        rng: &mut StdRng,
-        signs: &mut [u8],
-        levels: &mut [u8],
-    ) {
-        scalar::quantize_levels(xs, norm, s, rng, signs, levels);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub fn dequantize_levels_sse2(
-        signs: &[u8],
-        levels: &[u8],
-        bits: u32,
-        s: u32,
-        norm: f32,
-        count: usize,
-        out: FoldSink<'_>,
-    ) {
-        scalar::dequantize_levels(signs, levels, bits, s, norm, count, out);
-    }
-
     /// `x · m` modulo `2^64` in each u64 lane. AVX2 multiplies only 32 × 32
     /// → 64 bits, so the product is `lo·lo + ((hi·lo_m + lo·hi_m) << 32)`:
-    /// three `vpmuludq`, the `hi·hi_m` term falling off the top.
+    /// three `vpmuludq`, the `hi·hi_m` term falling off the top. AVX-512 DQ
+    /// has the whole product in one `vpmullq`.
     #[target_feature(enable = "avx2")]
     #[inline]
     fn mul_u64(x: __m256i, m: u64) -> __m256i {
@@ -2335,15 +2142,15 @@ mod x86 {
         _mm256_add_epi64(lo, _mm256_slli_epi64::<32>(cross))
     }
 
-    /// [`StdRng::mix`] in each u64 lane.
+    /// [`StdRng::mix`] in each u64 lane, multiplying by `mul`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn mix_u64(z: __m256i) -> __m256i {
-        let z = mul_u64(
+    fn mix_u64(z: __m256i, mul: impl Fn(__m256i, u64) -> __m256i) -> __m256i {
+        let z = mul(
             _mm256_xor_si256(z, _mm256_srli_epi64::<30>(z)),
             StdRng::MIX[0],
         );
-        let z = mul_u64(
+        let z = mul(
             _mm256_xor_si256(z, _mm256_srli_epi64::<27>(z)),
             StdRng::MIX[1],
         );
@@ -2360,13 +2167,13 @@ mod x86 {
     /// blend interleaves them into element order.
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn dither8(counter: u64) -> __m256 {
+    fn dither8(counter: u64, mul: impl Fn(__m256i, u64) -> __m256i + Copy) -> __m256 {
         let step = |k: u64| k.wrapping_mul(StdRng::GAMMA) as i64;
         let base = _mm256_set1_epi64x(counter as i64);
         let odd = _mm256_add_epi64(base, _mm256_setr_epi64x(step(1), step(3), step(5), step(7)));
         let even = _mm256_add_epi64(base, _mm256_setr_epi64x(step(2), step(4), step(6), step(8)));
-        let odd = _mm256_srli_epi64::<40>(mix_u64(odd));
-        let even = _mm256_slli_epi64::<32>(_mm256_srli_epi64::<40>(mix_u64(even)));
+        let odd = _mm256_srli_epi64::<40>(mix_u64(odd, mul));
+        let even = _mm256_slli_epi64::<32>(_mm256_srli_epi64::<40>(mix_u64(even, mul)));
         let top24 = _mm256_blend_epi32::<0b1010_1010>(odd, even);
         _mm256_mul_ps(
             _mm256_cvtepi32_ps(top24),
@@ -2412,14 +2219,21 @@ mod x86 {
             let (mut xs, mut ds) = ([0f32; 8], [0f32; 8]);
             store8(&mut xs, x);
             store8(&mut ds, draws);
-            let c: [u32; 8] = std::array::from_fn(|i| {
-                let (floor, whole) = (xs[i].floor(), xs[i].floor() as u32);
-                (whole + u32::from(ds[i] < xs[i] - floor)).min(s)
-            });
-            let c = c.map(|code| code as i32);
+            let c = libm_levels(&xs, &ds, s);
             _mm256_setr_epi32(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7])
         };
         (sign_byte as u8, codes)
+    }
+
+    /// The codes of a group some lane of which is not below `2^22`, by the
+    /// libm expression: out of line and free of vector arguments, so the
+    /// common group's body inlines into either level's loop.
+    #[cold]
+    fn libm_levels(xs: &[f32; 8], draws: &[f32; 8], s: u32) -> [i32; 8] {
+        std::array::from_fn(|i| {
+            let (floor, whole) = (xs[i].floor(), xs[i].floor() as u32);
+            (whole + u32::from(draws[i] < xs[i] - floor)).min(s) as i32
+        })
     }
 
     /// Where code `i` of a `bits`-wide group starts, for the packers below:
@@ -2498,51 +2312,73 @@ mod x86 {
         }
     }
 
-    /// Full groups of eight lane-parallel, their draws computed from the
-    /// counter one `skip` over all of them returned; then the last partial
-    /// group through the scalar body, drawing from the advanced generator.
-    /// A full group's codes fill exactly `bits` bytes, which one 8-byte
-    /// store writes (its zero high bytes land where the next group's go,
-    /// and that group overwrites them).
-    #[target_feature(enable = "avx2")]
-    pub fn quantize_levels_avx2(
-        xs: &[f32],
-        norm: f32,
-        s: u32,
-        rng: &mut StdRng,
-        signs: &mut [u8],
-        levels: &mut [u8],
-    ) {
-        let bits = level_bits(s);
-        // A zero norm draws nothing; the scalar body writes its zeros.
-        if bits > 8 || norm == 0.0 {
-            return scalar::quantize_levels(xs, norm, s, rng, signs, levels);
-        }
-        let sf = s as f32;
-        let (normv, sfv) = (_mm256_set1_ps(norm), _mm256_set1_ps(sf));
-        let layout = CodeLayout::new(bits);
-        let width = bits as usize;
-        let (groups, tail) = xs.as_chunks::<8>();
-        let (packed, packed_tail) = levels.split_at_mut(groups.len() * width);
-        let mut counter = rng.skip(8 * groups.len() as u64);
-        for (g, (group, sign_out)) in groups.iter().zip(signs.iter_mut()).enumerate() {
-            let draws = dither8(counter);
-            counter = counter.wrapping_add(StdRng::GAMMA.wrapping_mul(8));
-            let (sign_byte, codes) = quantize_group_avx2(group, normv, sfv, s, draws);
-            *sign_out = sign_byte;
-            let word = layout.pack(codes).to_le_bytes();
-            let at = g * width;
-            match packed[at..].first_chunk_mut::<8>() {
-                Some(out) => *out = word,
-                None => packed[at..at + width].copy_from_slice(&word[..width]),
+    /// The level quantizer's vector body, once per dither multiply: full
+    /// groups of eight lane-parallel, their draws computed from the counter
+    /// one `skip` over all of them returned; then the last partial group
+    /// through the scalar body, drawing from the advanced generator. A full
+    /// group's codes fill exactly `bits` bytes, which one 8-byte store
+    /// writes (its zero high bytes land where the next group's go, and that
+    /// group overwrites them). A macro rather than a generic, so each body
+    /// is compiled for its own level and its multiply inlines.
+    macro_rules! quantize_levels_lanes {
+        ($(#[$doc:meta])* $name:ident, $features:literal, $mul:expr) => {
+            $(#[$doc])*
+            #[target_feature(enable = $features)]
+            pub fn $name(
+                xs: &[f32],
+                norm: f32,
+                s: u32,
+                rng: &mut StdRng,
+                signs: &mut [u8],
+                levels: &mut [u8],
+            ) {
+                let mul = $mul;
+                let bits = level_bits(s);
+                // A zero norm draws nothing; the scalar body writes its zeros.
+                if bits > 8 || norm == 0.0 {
+                    return scalar::quantize_levels(xs, norm, s, rng, signs, levels);
+                }
+                let sf = s as f32;
+                let (normv, sfv) = (_mm256_set1_ps(norm), _mm256_set1_ps(sf));
+                let layout = CodeLayout::new(bits);
+                let width = bits as usize;
+                let (groups, tail) = xs.as_chunks::<8>();
+                let (packed, packed_tail) = levels.split_at_mut(groups.len() * width);
+                let mut counter = rng.skip(8 * groups.len() as u64);
+                for (g, (group, sign_out)) in groups.iter().zip(signs.iter_mut()).enumerate() {
+                    let draws = dither8(counter, mul);
+                    counter = counter.wrapping_add(StdRng::GAMMA.wrapping_mul(8));
+                    let (sign_byte, codes) = quantize_group_avx2(group, normv, sfv, s, draws);
+                    *sign_out = sign_byte;
+                    let word = layout.pack(codes).to_le_bytes();
+                    let at = g * width;
+                    match packed[at..].first_chunk_mut::<8>() {
+                        Some(out) => *out = word,
+                        None => packed[at..at + width].copy_from_slice(&word[..width]),
+                    }
+                }
+                let (sign_byte, codes) = scalar::quantize_group(tail, norm, sf, s, rng);
+                if let Some(sign_out) = signs.get_mut(groups.len()) {
+                    *sign_out = sign_byte;
+                }
+                BitWriter::new(packed_tail, bits).finish(&codes[..tail.len()]);
             }
-        }
-        let (sign_byte, codes) = scalar::quantize_group(tail, norm, sf, s, rng);
-        if let Some(sign_out) = signs.get_mut(groups.len()) {
-            *sign_out = sign_byte;
-        }
-        BitWriter::new(packed_tail, bits).finish(&codes[..tail.len()]);
+        };
     }
+
+    quantize_levels_lanes!(
+        /// The AVX2 body: each dither multiply is [`mul_u64`].
+        quantize_levels_avx2,
+        "avx2",
+        |x, m| mul_u64(x, m)
+    );
+
+    quantize_levels_lanes!(
+        /// The AVX-512 body: each dither multiply is one `vpmullq`.
+        quantize_levels_avx512,
+        "avx512f,avx512dq,avx512vl",
+        |x, m: u64| _mm256_mullo_epi64(x, _mm256_set1_epi64x(m as i64))
+    );
 
     /// Eight decoded values: `norm * l as f32 / s` per lane (`mul` then
     /// `div`, the scalar operands; a code below `2^24` converts exactly),
@@ -2633,20 +2469,26 @@ mod x86 {
         }
     }
 
-    /// CLMUL is a CPU feature of its own, not implied by a [`super::Level`]:
-    /// both x86 levels take it when present and the table otherwise. Inputs
-    /// under one 64-byte fold block are table work either way.
-    #[target_feature(enable = "sse2")]
-    pub fn crc32_update_sse2(state: u32, bytes: &[u8]) -> u32 {
-        if bytes.len() >= 64
-            && std::arch::is_x86_feature_detected!("pclmulqdq")
-            && std::arch::is_x86_feature_detected!("sse4.1")
-        {
-            // SAFETY: both features the body is compiled for were just
-            // detected on this CPU.
-            unsafe { crc32_update_clmul(state, bytes) }
-        } else {
-            scalar::crc32_update(state, bytes)
+    /// CLMUL and VPCLMULQDQ are CPU features of their own, not implied by a
+    /// [`super::Level`]: both vector levels fold with the widest multiply
+    /// the CPU reports, and take the table without one. Inputs under one
+    /// 64-byte fold block are table work either way, and inputs under one
+    /// 256-byte block fold 128 bits at a time.
+    #[target_feature(enable = "avx2")]
+    pub fn crc32_update_fold(state: u32, bytes: &[u8]) -> u32 {
+        use std::arch::is_x86_feature_detected as has;
+        if bytes.len() < 64 || !(has!("pclmulqdq") && has!("sse4.1")) {
+            return scalar::crc32_update(state, bytes);
+        }
+        let wide = bytes.len() >= 256 && has!("vpclmulqdq") && has!("avx512f");
+        // SAFETY: the features the chosen body is compiled for were just
+        // detected on this CPU.
+        unsafe {
+            if wide {
+                crc32_update_vpclmul(state, bytes)
+            } else {
+                crc32_update_clmul(state, bytes)
+            }
         }
     }
 
@@ -2687,16 +2529,17 @@ mod x86 {
         reflect33(q)
     };
 
-    /// Distances (in bits) a 128-bit lane is carried forward: four lanes
-    /// ahead (±32 for the high and low qword), one lane ahead, and the final
-    /// 96 → 64 bit step.
+    /// Distances (in bits) a 128-bit lane is carried forward: sixteen lanes
+    /// ahead (±32 for the high and low qword), four lanes, one lane, and the
+    /// final 96 → 64 bit step.
+    const FOLD_16X_LO: i64 = crc_fold_const(16 * 128 + 32);
+    const FOLD_16X_HI: i64 = crc_fold_const(16 * 128 - 32);
     const FOLD_4X_LO: i64 = crc_fold_const(4 * 128 + 32);
     const FOLD_4X_HI: i64 = crc_fold_const(4 * 128 - 32);
     const FOLD_1X_LO: i64 = crc_fold_const(128 + 32);
     const FOLD_1X_HI: i64 = crc_fold_const(128 - 32);
     const FOLD_64: i64 = crc_fold_const(64);
 
-    #[target_feature(enable = "sse2")]
     fn load128(block: &[u8; 16]) -> __m128i {
         // SAFETY: the array type guarantees 16 readable bytes; loadu allows
         // any alignment.
@@ -2705,16 +2548,15 @@ mod x86 {
 
     /// Carries `acc` forward by the distance baked into `k` and absorbs the
     /// block it lands on: `acc.lo·k.lo ⊕ acc.hi·k.hi ⊕ next`.
-    #[target_feature(enable = "pclmulqdq,sse2")]
+    #[target_feature(enable = "pclmulqdq")]
     fn fold128(acc: __m128i, next: __m128i, k: __m128i) -> __m128i {
         let lo = _mm_clmulepi64_si128::<0x00>(acc, k);
         let hi = _mm_clmulepi64_si128::<0x11>(acc, k);
         _mm_xor_si128(_mm_xor_si128(lo, hi), next)
     }
 
-    /// Folds the input down to one 128-bit lane four lanes at a time, then
-    /// reduces that lane to the 32-bit register; the sub-16-byte tail goes
-    /// through the table.
+    /// Folds the input four 128-bit lanes at a time; the sub-16-byte tail
+    /// goes through the table.
     #[target_feature(enable = "pclmulqdq,sse4.1")]
     fn crc32_update_clmul(state: u32, bytes: &[u8]) -> u32 {
         let (blocks, tail) = bytes.as_chunks::<16>();
@@ -2722,15 +2564,28 @@ mod x86 {
         let Some((first, quads)) = quads.split_first() else {
             return scalar::crc32_update(state, bytes);
         };
-        let k4 = _mm_set_epi64x(FOLD_4X_HI, FOLD_4X_LO);
-        let k1 = _mm_set_epi64x(FOLD_1X_HI, FOLD_1X_LO);
-        let mut x = [
+        let x = [
             // The running register enters as an xor into the first 4 bytes.
             _mm_xor_si128(load128(&first[0]), _mm_cvtsi32_si128(state as i32)),
             load128(&first[1]),
             load128(&first[2]),
             load128(&first[3]),
         ];
+        crc32_finish_clmul(x, quads, singles, tail)
+    }
+
+    /// Carries four running lanes over the remaining 64-byte `quads`, folds
+    /// them and the `singles` into one lane, and reduces that lane to the
+    /// 32-bit register, then runs the table over the `tail`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn crc32_finish_clmul(
+        mut x: [__m128i; 4],
+        quads: &[[[u8; 16]; 4]],
+        singles: &[[u8; 16]],
+        tail: &[u8],
+    ) -> u32 {
+        let k4 = _mm_set_epi64x(FOLD_4X_HI, FOLD_4X_LO);
+        let k1 = _mm_set_epi64x(FOLD_1X_HI, FOLD_1X_LO);
         for q in quads {
             for (lane, block) in x.iter_mut().zip(q) {
                 *lane = fold128(*lane, load128(block), k4);
@@ -2764,10 +2619,70 @@ mod x86 {
         scalar::crc32_update(crc, tail)
     }
 
+    #[target_feature(enable = "avx512f")]
+    fn load512(blocks: &[[u8; 16]; 4]) -> __m512i {
+        // SAFETY: the array type guarantees 64 readable bytes; loadu allows
+        // any alignment.
+        unsafe { _mm512_loadu_si512(blocks.as_ptr().cast()) }
+    }
+
+    /// [`fold128`] in each of the four 128-bit lanes of a 512-bit vector.
+    #[target_feature(enable = "vpclmulqdq,avx512f")]
+    fn fold512(acc: __m512i, next: __m512i, k: __m512i) -> __m512i {
+        let lo = _mm512_clmulepi64_epi128::<0x00>(acc, k);
+        let hi = _mm512_clmulepi64_epi128::<0x11>(acc, k);
+        // 0x96: the three-way xor.
+        _mm512_ternarylogic_epi64::<0x96>(lo, hi, next)
+    }
+
+    /// Folds 256-byte blocks as sixteen 128-bit lanes in four 512-bit
+    /// vectors, carries the four vectors onto the last, and hands its four
+    /// lanes to [`crc32_finish_clmul`] for what is left.
+    #[target_feature(enable = "vpclmulqdq,avx512f,pclmulqdq,sse4.1")]
+    fn crc32_update_vpclmul(state: u32, bytes: &[u8]) -> u32 {
+        let (blocks, tail) = bytes.as_chunks::<16>();
+        let (quads, singles) = blocks.as_chunks::<4>();
+        let (sixteens, quads) = quads.as_chunks::<4>();
+        let Some((first, sixteens)) = sixteens.split_first() else {
+            return crc32_update_clmul(state, bytes);
+        };
+        let lanes = |lo, hi| _mm512_broadcast_i32x4(_mm_set_epi64x(hi, lo));
+        let (k16, k4) = (
+            lanes(FOLD_16X_LO, FOLD_16X_HI),
+            lanes(FOLD_4X_LO, FOLD_4X_HI),
+        );
+        let state = _mm512_zextsi128_si512(_mm_cvtsi32_si128(state as i32));
+        let mut z = [
+            _mm512_xor_si512(load512(&first[0]), state),
+            load512(&first[1]),
+            load512(&first[2]),
+            load512(&first[3]),
+        ];
+        for block in sixteens {
+            for (lane, quad) in z.iter_mut().zip(block) {
+                *lane = fold512(*lane, load512(quad), k16);
+            }
+        }
+        let mut acc = z[0];
+        for &lane in &z[1..] {
+            acc = fold512(acc, lane, k4);
+        }
+        let x = [
+            _mm512_extracti32x4_epi32::<0>(acc),
+            _mm512_extracti32x4_epi32::<1>(acc),
+            _mm512_extracti32x4_epi32::<2>(acc),
+            _mm512_extracti32x4_epi32::<3>(acc),
+        ];
+        crc32_finish_clmul(x, quads, singles, tail)
+    }
+
     #[cfg(test)]
     #[test]
     fn crc_fold_constants_match_the_published_values() {
-        // zlib / Chromium `crc32_simd`, Linux `crc32-pclmul`.
+        // zlib / Chromium `crc32_simd` (its AVX-512 `k1k2` and `k3k4`),
+        // Linux `crc32-pclmul`.
+        assert_eq!(FOLD_16X_LO, 0x1_1542_778a);
+        assert_eq!(FOLD_16X_HI, 0x1_322d_1430);
         assert_eq!(FOLD_4X_LO, 0x1_5444_2bd4);
         assert_eq!(FOLD_4X_HI, 0x1_c6e4_1596);
         assert_eq!(FOLD_1X_LO, 0x1_7519_97d0);
@@ -2855,8 +2770,8 @@ mod tests {
 
     #[test]
     fn levels_are_ordered_and_named() {
-        assert!(Level::Scalar < Level::Sse2 && Level::Sse2 < Level::Avx2);
-        assert_eq!(Level::Avx2.to_string(), "avx2");
+        assert!(Level::Scalar < Level::Avx2 && Level::Avx2 < Level::Avx512);
+        assert_eq!(Level::Avx512.to_string(), "avx512");
         let avail = available_levels();
         assert_eq!(avail[0], Level::Scalar);
         assert!(avail.contains(&hw_level()));
@@ -2866,10 +2781,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "not supported")]
     fn unsupported_level_is_rejected() {
-        if hw_level() == Level::Avx2 {
-            panic!("not supported (no level above avx2 to request)");
+        if hw_level() == Level::Avx512 {
+            panic!("not supported (no level above avx512 to request)");
         }
-        let _ = abs_max_bits_at(Level::Avx2, &[1.0]);
+        let _ = abs_max_bits_at(Level::Avx512, &[1.0]);
     }
 
     #[test]

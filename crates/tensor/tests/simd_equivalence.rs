@@ -28,7 +28,7 @@
 //! * every cross-rank sum (`sum_into`, its byte form, the fold's adding
 //!   passes, `Tensor::add_assign`) against the one NaN rule: where ranks
 //!   hold NaNs of different payloads, the lowest rank's survives;
-//! * the CRC32 kernels (table and CLMUL) against the bit-at-a-time
+//! * the CRC32 kernels (table, CLMUL and VPCLMULQDQ) against the bit-at-a-time
 //!   definition, every length up to 4 KiB at every load alignment.
 //! * `gemm_nt` (A·Bᵀ) against its scalar body over every combination of
 //!   row-tile remainders, the panel's `p`-chunk edge and the shapes the
@@ -62,11 +62,12 @@ use proptest::prelude::*;
 use rand::Rng;
 
 /// Lengths that straddle every vector-kernel boundary: the f32 lane counts
-/// (4 SSE2, 8 AVX2), the byte-kernel block sizes (16, 32), and MTU-sized
-/// frames (1500 bytes = 375 f32s, and 1500 elements).
+/// (8 AVX2, 16 AVX-512, and the 4× unrolled loops of either), the
+/// byte-kernel block sizes (16, 32), and MTU-sized frames (1500 bytes = 375
+/// f32s, and 1500 elements).
 fn boundary_lengths() -> Vec<usize> {
     let mut out = vec![0, 1];
-    for lane in [4usize, 8, 16, 32] {
+    for lane in [4usize, 8, 16, 32, 64] {
         out.extend([lane - 1, lane, lane + 1]);
     }
     out.extend([374, 375, 376, 1499, 1500, 1501]);
@@ -347,6 +348,26 @@ fn dispatch_respects_force_scalar_contract() {
     }
 }
 
+/// `Avx512` is available exactly when the CPU reports AVX-512 F, DQ and VL,
+/// and `Avx2` whenever it reports AVX2 or `Avx512` is available.
+#[test]
+fn avx512_is_listed_exactly_when_its_three_features_are_detected() {
+    let avail = available_levels();
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as has;
+        let wide = has!("avx512f") && has!("avx512dq") && has!("avx512vl");
+        assert_eq!(avail.contains(&Level::Avx512), wide, "{avail:?}");
+        assert_eq!(
+            avail.contains(&Level::Avx2),
+            wide || has!("avx2"),
+            "{avail:?}"
+        );
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    assert_eq!(avail, [Level::Scalar]);
+}
+
 /// Deterministic non-periodic filler for the CRC buffers.
 fn crc_fill(n: usize) -> Vec<u8> {
     let mut state = 0x9E37_79B9u32;
@@ -360,11 +381,16 @@ fn crc_fill(n: usize) -> Vec<u8> {
 
 /// Every length 0..=4 KiB at every start offset 0..32 (all positions of a
 /// 16-byte CLMUL lane and an 8-byte table word against the allocation), at
-/// every level, against the bit-at-a-time definition. The same bytes are
-/// re-laid at each offset, so the oracle runs once per length.
+/// every level, against the bit-at-a-time definition. The lengths cross
+/// every fold boundary: the 64-byte block of four 128-bit lanes, the
+/// 256-byte block of four 512-bit vectors (where VPCLMULQDQ is present),
+/// and several of each with every 64-byte, 16-byte and table remainder
+/// behind them. The same bytes are re-laid at each offset, so the oracle
+/// runs once per length.
 #[test]
 fn crc32_kernels_match_bitwise_oracle_at_every_length_and_alignment() {
     const MAX: usize = 4096;
+    const _: () = assert!(MAX >= 3 * 256 + 3 * 64 + 16 + 15);
     let data = crc_fill(MAX);
     let want: Vec<u32> = (0..=MAX).map(|len| crc32_bitwise(&data[..len])).collect();
     let mut shifted = vec![0u8; MAX + 32];

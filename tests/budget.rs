@@ -14,14 +14,14 @@ use std::path::Path;
 /// Non-test lines of every `.rs` file under each crate's sources.
 const CEILINGS: [(&str, usize); 10] = [
     ("crates/analyze/src", 1484),
-    ("crates/bench/src", 1605),
+    ("crates/bench/src", 1603),
     ("crates/comm/src", 4341),
     ("crates/compressors/src", 3615),
     ("crates/core/src", 5563),
     ("crates/experiments/src", 2231),
     ("crates/nn/src", 3475),
     ("crates/telemetry/src", 2386),
-    ("crates/tensor/src", 5589),
+    ("crates/tensor/src", 5504),
     ("src", 18),
 ];
 
@@ -140,7 +140,7 @@ fn collective_transports_and_dispatch_levels_are_pinned() {
         .collect();
     assert_eq!(
         levels,
-        ["Scalar,", "Sse2,", "Avx2,"],
+        ["Scalar,", "Avx2,", "Avx512,"],
         "SIMD dispatch levels"
     );
 }
