@@ -33,7 +33,7 @@
 use grace_bench::gradient_of_bytes;
 use grace_nn::models;
 use grace_tensor::rng::seeded;
-use grace_tensor::{coding, pack, select, simd};
+use grace_tensor::{coding, linalg, pack, select, simd};
 use std::time::Instant;
 
 const TENSOR_BYTES: usize = 1 << 20;
@@ -285,6 +285,15 @@ fn time_ms(mut body: impl FnMut()) -> f64 {
         body();
     }
     start.elapsed().as_secs_f64() * 1e3 / ITERS as f64
+}
+
+/// Whether two runs wrote the same bits.
+fn same_bits<'a>(
+    got: impl IntoIterator<Item = &'a f32>,
+    want: impl IntoIterator<Item = &'a f32>,
+) -> bool {
+    let bits = |xs: &'a f32| xs.to_bits();
+    got.into_iter().map(bits).eq(want.into_iter().map(bits))
 }
 
 struct Row {
@@ -725,11 +734,7 @@ fn main() {
             };
             let reference_ms = time_ms(|| run(simd::Level::Scalar, &mut want));
             let new_ms = time_ms(|| run(simd::level(), &mut got));
-            let same = got
-                .iter()
-                .zip(&want)
-                .all(|(g, w)| g.to_bits() == w.to_bits());
-            assert!(same, "{name} diverged");
+            assert!(same_bits(&got, &want), "{name} diverged");
             rows.push(Row {
                 name,
                 reference_ms,
@@ -765,13 +770,109 @@ fn main() {
         };
         let reference_ms = time_ms(|| run(simd::Level::Scalar, &mut want));
         let new_ms = time_ms(|| run(simd::level(), &mut got));
-        let same = got
-            .iter()
-            .zip(&want)
-            .all(|(g, w)| g.to_bits() == w.to_bits());
-        assert!(same, "gemm_tn diverged");
+        assert!(same_bits(&got, &want), "gemm_tn diverged");
         rows.push(Row {
             name: "gemm_tn",
+            reference_ms,
+            new_ms,
+        });
+    }
+
+    // The forward products X · W over the same seven layers at batch 16, X
+    // ReLU-like (the `a == 0` terms both bodies skip), at pool width 1: the
+    // portable body at the dispatched level against its scalar build.
+    {
+        let widths = [96usize, 768, 768, 512, 512, 256, 256, 10];
+        let batch = 16;
+        let xs: Vec<f32> = gradient_of_bytes(4 * batch * 768, 53)
+            .as_slice()
+            .iter()
+            .map(|v| v.max(0.0))
+            .collect();
+        let weights = gradient_of_bytes(4 * 768 * 768, 59);
+        let run = |lvl: simd::Level, out: &mut Vec<Vec<f32>>| {
+            grace_tensor::pool::with_width(1, || {
+                out.clear();
+                for layer in widths.windows(2) {
+                    let (k, n) = (layer[0], layer[1]);
+                    let (a, b) = (&xs[..batch * k], &weights.as_slice()[..k * n]);
+                    let c = linalg::matmul_at(lvl, std::hint::black_box(a), b, batch, k, n);
+                    out.push(c);
+                }
+            })
+        };
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let reference_ms = time_ms(|| run(simd::Level::Scalar, &mut want));
+        let new_ms = time_ms(|| run(simd::level(), &mut got));
+        assert!(
+            same_bits(got.iter().flatten(), want.iter().flatten()),
+            "matmul diverged"
+        );
+        rows.push(Row {
+            name: "matmul_vgg19",
+            reference_ms,
+            new_ms,
+        });
+    }
+
+    // The add of a UDS rank's region fold (`shm::fold`) over the
+    // vgg19-analog gradient's 6 MB: two ranks' little-endian bodies copied
+    // into L1 an 8 KiB chunk at a time, the second added onto the first by
+    // `pack::add_f32s_le_at`, and the sum decoded, against the scalar body.
+    {
+        const VGG19_ELEMENTS: usize = 1_521_162;
+        const CHUNK: usize = 8 << 10;
+        let len = VGG19_ELEMENTS.next_multiple_of(256);
+        let mut regions = [Vec::new(), Vec::new()];
+        for (region, seed) in regions.iter_mut().zip([61, 67]) {
+            pack::extend_f32s_le(region, gradient_of_bytes(4 * len, seed).as_slice());
+        }
+        let fold = |lvl: simd::Level, out: &mut [f32]| {
+            let (mut acc, mut next) = ([0u8; CHUNK], [0u8; CHUNK]);
+            for (i, words) in out.chunks_mut(CHUNK / 4).enumerate() {
+                let bytes = 4 * words.len();
+                let (acc, next) = (&mut acc[..bytes], &mut next[..bytes]);
+                acc.copy_from_slice(&regions[0][i * CHUNK..][..bytes]);
+                next.copy_from_slice(&regions[1][i * CHUNK..][..bytes]);
+                pack::add_f32s_le_at(lvl, acc, std::hint::black_box(next));
+                for (w, b) in words.iter_mut().zip(acc.as_chunks::<4>().0) {
+                    *w = f32::from_le_bytes(*b);
+                }
+            }
+        };
+        let mut want = vec![0f32; len];
+        let mut got = vec![f32::NAN; len];
+        let reference_ms = time_ms(|| fold(simd::Level::Scalar, &mut want));
+        let new_ms = time_ms(|| fold(simd::level(), &mut got));
+        assert!(same_bits(&got, &want), "region fold add diverged");
+        rows.push(Row {
+            name: "region_fold_add",
+            reference_ms,
+            new_ms,
+        });
+    }
+
+    // `y += a·x` — the error-feedback update and the row op of PowerSGD's
+    // products — against its scalar body, 256 times over 4 096 elements (an
+    // L1-resident 32 KiB, so the row times the lanes, not the memory). Each
+    // side runs the same updates from the same `y`.
+    {
+        const AXPY_LEN: usize = 4096;
+        let (x, y0) = (&xs[..AXPY_LEN], &xs[AXPY_LEN..2 * AXPY_LEN]);
+        let run = |lvl: simd::Level, y: &mut [f32]| {
+            time_ms(|| {
+                for _ in 0..256 {
+                    simd::axpy_at(lvl, y, 0.75, std::hint::black_box(x));
+                }
+                std::hint::black_box(&y);
+            })
+        };
+        let (mut want, mut got) = (y0.to_vec(), y0.to_vec());
+        let reference_ms = run(simd::Level::Scalar, &mut want);
+        let new_ms = run(simd::level(), &mut got);
+        assert!(same_bits(&got, &want), "axpy diverged");
+        rows.push(Row {
+            name: "axpy",
             reference_ms,
             new_ms,
         });
@@ -804,11 +905,7 @@ fn main() {
         };
         let reference_ms = run(grace_tensor::rng::fill_gaussian_per_element, &mut want);
         let new_ms = run(grace_tensor::rng::fill_gaussian, &mut got);
-        let same = got
-            .iter()
-            .zip(&want)
-            .all(|(g, w)| g.to_bits() == w.to_bits());
-        assert!(same, "gaussian fill diverged");
+        assert!(same_bits(&got, &want), "gaussian fill diverged");
         rows.push(Row {
             name: "gaussian_vgg19",
             reference_ms,

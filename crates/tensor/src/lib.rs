@@ -12,8 +12,8 @@
 //!   the quantization compressors for byte-exact payloads;
 //! - [`linalg`]: the small dense linear algebra needed by low-rank
 //!   compressors (matmul, Gram–Schmidt orthonormalization);
-//! - [`simd`]: runtime-dispatched (SSE2/AVX2/scalar) kernels for the codec
-//!   hot paths, bit-identical across dispatch levels;
+//! - [`simd`]: runtime-dispatched (scalar/AVX2/AVX-512) kernels for the
+//!   codec and gradient-product hot paths, bit-identical across levels;
 //! - [`pool`]: a per-thread intra-op pool that splits a kernel's output
 //!   into disjoint ranges, bit-identical at every width;
 //! - [`sketch`]: a Greenwald–Khanna quantile sketch (used by SketchML);

@@ -36,13 +36,15 @@
 //! keeps its `axpy` rows: its skip already halves the work on ReLU inputs,
 //! and a register tile that kept it measured slower than the loop. It runs
 //! them `p`-outer over a block of rows, which reads each row of `B` once per
-//! block and leaves every element's chain as it was.
+//! block and leaves every element's chain as it was; the one portable loop
+//! is compiled once per dispatch level and picked once per pool range.
 //!
 //! All three split their output rows across the calling thread's
 //! [`crate::pool`]; an element is computed by one thread, in the order
 //! above, so the width never shows in the bits.
 
 use crate::pool;
+use crate::simd::Level;
 use std::ops::Range;
 
 /// Rows of `C` one pass of [`matmul`] carries: each row of `B` is read once
@@ -57,16 +59,33 @@ const MATMUL_ROW_BLOCK: usize = 8;
 ///
 /// Panics if buffer sizes do not match the dimensions.
 pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    matmul_at(crate::simd::level(), a, b, m, k, n)
+}
+
+/// [`matmul`] with an explicit dispatch level, checked once per pool range:
+/// the vector levels run the one portable body compiled for their lanes.
+///
+/// # Panics
+///
+/// Panics if buffer sizes do not match the dimensions, or if the CPU
+/// cannot run `lvl`.
+pub fn matmul_at(lvl: Level, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     assert_eq!(a.len(), m * k, "A buffer size mismatch");
     assert_eq!(b.len(), k * n, "B buffer size mismatch");
     pool::fresh_rows(m * n, m, 1, m * k * n, |rows, c| {
-        matmul_rows(a, b, c, rows, k, n);
+        crate::simd::dispatch!(lvl,
+            scalar: matmul_rows(a, b, c, rows, k, n),
+            avx2: x86::matmul_rows_avx2(a, b, c, rows, k, n),
+            avx512: x86::matmul_rows_avx512(a, b, c, rows, k, n))
     })
 }
 
 /// Rows `rows` of `A · B` into the zeroed `c`, a block of rows at a time
-/// and `p` outermost within a block. Each element still takes one `mul` +
-/// `add` per nonzero `a[i][p]`, `p` ascending — the `axpy` rows' order.
+/// and `p` outermost within a block: `c[i] += a[i][p] * b[p]` for every
+/// nonzero `a[i][p]`, one `mul` + `add` per element, `p` ascending — the
+/// `axpy` rows' order, so every lane width gives the same bits (NaN
+/// payloads aside: which one `c + a·b` keeps is codegen's choice).
+#[inline(always)]
 fn matmul_rows(a: &[f32], b: &[f32], c: &mut [f32], rows: Range<usize>, k: usize, n: usize) {
     if n == 0 {
         return;
@@ -79,10 +98,9 @@ fn matmul_rows(a: &[f32], b: &[f32], c: &mut [f32], rows: Range<usize>, k: usize
                 if aip == 0.0 {
                     continue;
                 }
-                // Each output element accumulates exactly one mul + add per
-                // p, so the vectorized axpy is bit-identical to the scalar
-                // loop.
-                crate::simd::axpy(crow, aip, brow);
+                for (y, &x) in crow.iter_mut().zip(brow) {
+                    *y += aip * x;
+                }
             }
         }
     }
@@ -216,6 +234,37 @@ pub fn orthonormalize_columns(a: &mut [f32], m: usize, r: usize) {
 /// Frobenius norm of a matrix buffer.
 pub fn frobenius_norm(a: &[f32]) -> f32 {
     a.iter().map(|v| v * v).sum::<f32>().sqrt()
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use std::ops::Range;
+
+    /// [`super::matmul_rows`] at eight lanes per vector.
+    #[target_feature(enable = "avx2")]
+    pub fn matmul_rows_avx2(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        rows: Range<usize>,
+        k: usize,
+        n: usize,
+    ) {
+        super::matmul_rows(a, b, c, rows, k, n);
+    }
+
+    /// [`super::matmul_rows`] at sixteen lanes per vector.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    pub fn matmul_rows_avx512(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        rows: Range<usize>,
+        k: usize,
+        n: usize,
+    ) {
+        super::matmul_rows(a, b, c, rows, k, n);
+    }
 }
 
 #[cfg(test)]

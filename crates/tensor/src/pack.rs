@@ -394,10 +394,30 @@ pub fn read_u32s_le(bytes: &[u8], out: &mut Vec<u32>) {
 ///
 /// Panics if the lengths differ or are not a multiple of 4.
 pub fn add_f32s_le(acc: &mut [u8], src: &[u8]) {
+    add_f32s_le_at(crate::simd::level(), acc, src);
+}
+
+/// [`add_f32s_le`] with an explicit dispatch level: the vector levels run
+/// the portable loop compiled for their lanes.
+///
+/// # Panics
+///
+/// As [`add_f32s_le`], and if the CPU cannot run `lvl`.
+pub fn add_f32s_le_at(lvl: crate::simd::Level, acc: &mut [u8], src: &[u8]) {
     assert_eq!(acc.len(), src.len(), "add_f32s_le length mismatch");
     let (acc, tail) = acc.as_chunks_mut::<4>();
     assert!(tail.is_empty(), "byte length must be a multiple of 4");
-    for (a, s) in acc.iter_mut().zip(src.as_chunks::<4>().0) {
+    let src = src.as_chunks::<4>().0;
+    crate::simd::dispatch!(lvl,
+        scalar: add_words(acc, src),
+        avx2: x86::add_words_avx2(acc, src),
+        avx512: x86::add_words_avx512(acc, src))
+}
+
+/// [`add_f32s_le`]'s loop over whole words.
+#[inline(always)]
+fn add_words(acc: &mut [[u8; 4]], src: &[[u8; 4]]) {
+    for (a, s) in acc.iter_mut().zip(src) {
         let sum = crate::simd::fold_add(f32::from_le_bytes(*a), f32::from_le_bytes(*s));
         *a = sum.to_le_bytes();
     }
@@ -482,6 +502,21 @@ pub fn crc32_bitwise(bytes: &[u8]) -> u32 {
         }
     }
     !crc
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    /// [`super::add_words`] at eight lanes per vector.
+    #[target_feature(enable = "avx2")]
+    pub fn add_words_avx2(acc: &mut [[u8; 4]], src: &[[u8; 4]]) {
+        super::add_words(acc, src);
+    }
+
+    /// [`super::add_words`] at sixteen lanes per vector.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    pub fn add_words_avx512(acc: &mut [[u8; 4]], src: &[[u8; 4]]) {
+        super::add_words(acc, src);
+    }
 }
 
 #[cfg(test)]

@@ -11,11 +11,14 @@
 //! CRC32 under every payload and frame ([`crc32_update`]), the two
 //! gradient products of every backward pass ([`gemm_nt`], [`gemm_tn`]) and
 //! the Box–Muller fill under every weight init and synthetic dataset
-//! ([`fill_gaussian_at`]).
+//! ([`fill_gaussian_at`]), and the add of every cross-rank sum
+//! ([`sum_into_at`]).
 //! This module provides those kernels with `core::arch` x86-64 bodies (AVX2,
 //! and AVX-512 when the CPU reports F, DQ and VL) behind one runtime
 //! dispatch point, plus a portable scalar body used on other architectures,
-//! on x86-64 hosts without AVX2 and when `GRACE_FORCE_SCALAR` is set.
+//! on x86-64 hosts without AVX2 and when `GRACE_FORCE_SCALAR` is set. The
+//! same dispatch point runs `linalg`'s forward product and `pack`'s byte
+//! add, whose portable loops it recompiles for each level.
 //!
 //! # Bit identity
 //!
@@ -71,8 +74,9 @@ pub enum Level {
     Scalar,
     /// AVX2 with 256-bit integer ops and gathers.
     Avx2,
-    /// AVX-512 F, DQ and VL: the portable bodies at 512-bit lanes and the
-    /// 64-bit lane multiply; every other kernel runs its AVX2 body.
+    /// AVX-512 F, DQ and VL: the portable bodies at 512-bit lanes, the
+    /// 64-bit lane multiply and the two gradient products at sixteen lanes;
+    /// every other kernel runs its AVX2 body.
     Avx512,
 }
 
@@ -145,7 +149,7 @@ pub fn available_levels() -> Vec<Level> {
 }
 
 #[track_caller]
-fn checked(lvl: Level) -> Level {
+pub(crate) fn checked(lvl: Level) -> Level {
     assert!(
         lvl <= hw_level(),
         "SIMD level {lvl} not supported by this CPU (max {})",
@@ -156,12 +160,14 @@ fn checked(lvl: Level) -> Level {
 
 /// Dispatches to a per-level body after validating hardware support. A
 /// kernel without an `avx512:` body runs its AVX2 body at `Avx512`. On
-/// non-x86-64 targets only the scalar arm is compiled.
+/// non-x86-64 targets only the scalar arm is compiled. `linalg` and `pack`
+/// dispatch their portable loops' forwarders through it too.
 macro_rules! dispatch {
     ($lvl:expr, scalar: $s:expr, avx2: $a2:expr $(, avx512: $a5:expr)?) => {{
-        let lvl = checked($lvl);
+        let lvl = $crate::simd::checked($lvl);
         #[cfg(target_arch = "x86_64")]
         {
+            use $crate::simd::Level;
             match lvl {
                 Level::Scalar => $s,
                 // SAFETY: `checked` proved the CPU supports AVX2, the feature
@@ -171,7 +177,7 @@ macro_rules! dispatch {
                 // VL, the features the `avx512:` body was compiled for; F
                 // implies AVX2 (the compiler's own implication), which is
                 // all an AVX2 body needs.
-                Level::Avx512 => unsafe { dispatch!(@wide $a2 $(, $a5)?) },
+                Level::Avx512 => unsafe { $crate::simd::dispatch!(@wide $a2 $(, $a5)?) },
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -187,6 +193,7 @@ macro_rules! dispatch {
         $a5
     };
 }
+pub(crate) use dispatch;
 
 // ---------------------------------------------------------------------------
 // abs-max (‖g‖∞ as a bit pattern)
@@ -265,14 +272,14 @@ pub fn axpy_at(lvl: Level, y: &mut [f32], a: f32, x: &[f32]) {
 /// { acc = acc + a[i][p] * b[j][p] }` — one `mul` then one `add` per `p`,
 /// `p` ascending, no zero-skip (so `0 · ∞ = NaN` propagates). The order
 /// rule this kernel lives by, and who depends on it, is in
-/// [`crate::linalg`]'s module docs. The AVX2 body runs eight (sixteen)
-/// *rows of `A`* per vector — independent output elements — and leaves
-/// each element's chain exactly as written above, so every level returns
-/// the scalar body's bits (a NaN is a NaN at every level; which payload
-/// survives `NaN · NaN` is the compiler's operand-order choice in any
-/// body, scalar included). Its panels return every NaN as the default
-/// quiet NaN, so a row's bits do not depend on which panel — where its
-/// pool range starts — computed it.
+/// [`crate::linalg`]'s module docs. The vector bodies run eight (AVX2) or
+/// sixteen (AVX-512) *rows of `A`* per vector — independent output
+/// elements — and leave each element's chain exactly as written above, so
+/// every level returns the scalar body's bits (a NaN is a NaN at every
+/// level; which payload survives `NaN · NaN` is the compiler's
+/// operand-order choice in any body, scalar included). Their panels return
+/// every NaN as the default quiet NaN, so a row's bits do not depend on
+/// which panel — where its pool range starts — computed it.
 ///
 /// # Panics
 ///
@@ -288,7 +295,8 @@ pub fn gemm_nt_at(lvl: Level, a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: 
     assert_eq!(c.len(), m * k, "C buffer size mismatch");
     dispatch!(lvl,
         scalar: scalar::gemm_nt(a, b, c, m, n, k),
-        avx2: x86::gemm_nt_avx2(a, b, c, m, n, k))
+        avx2: x86::gemm_nt_avx2(a, b, c, m, n, k),
+        avx512: x86::gemm_nt_avx512(a, b, c, m, n, k))
 }
 
 // ---------------------------------------------------------------------------
@@ -302,12 +310,12 @@ pub fn gemm_nt_at(lvl: Level, a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: 
 /// 0..m { if a[row][i] != 0.0 { acc = acc + a[row][i] * b[row][j] } }` —
 /// one `mul` then one `add` per term, rows ascending. The zero-skip means
 /// `0 · ∞` does *not* propagate: an `a = ±0` term is absent, whatever `b`
-/// holds. The AVX2 body runs eight columns of `C` per vector, so the skipped
-/// value `a[row][i]` is one scalar shared by every lane: it compacts the
-/// nonzero rows of column `i` of `A` into a list, ascending, and runs each
-/// element's chain over that list — the reference's terms in the
-/// reference's order, so every level returns the scalar body's bits (NaN
-/// payloads aside, as in [`gemm_nt`]).
+/// holds. The vector bodies run eight (AVX2) or sixteen (AVX-512) columns
+/// of `C` per vector, so the skipped value `a[row][i]` is one scalar shared
+/// by every lane: they compact the nonzero rows of column `i` of `A` into a
+/// list, ascending, and run each element's chain over that list — the
+/// reference's terms in the reference's order, so every level returns the
+/// scalar body's bits (NaN payloads aside, as in [`gemm_nt`]).
 ///
 /// # Panics
 ///
@@ -350,7 +358,8 @@ pub fn gemm_tn_rows_at(
     assert_eq!(c.len(), rows.len() * n, "C buffer size mismatch");
     dispatch!(lvl,
         scalar: scalar::gemm_tn(a, b, c, m, k, n, rows),
-        avx2: x86::gemm_tn_avx2(a, b, c, m, k, n, rows))
+        avx2: x86::gemm_tn_avx2(a, b, c, m, k, n, rows),
+        avx512: x86::gemm_tn_avx512(a, b, c, m, k, n, rows))
 }
 
 // ---------------------------------------------------------------------------
@@ -709,12 +718,19 @@ pub fn fold_add(acc: f32, d: f32) -> f32 {
 /// # Panics
 ///
 /// Panics if the lengths differ.
-#[inline]
 pub fn sum_into(acc: &mut [f32], src: &[f32]) {
+    sum_into_at(level(), acc, src);
+}
+
+/// [`sum_into`] with an explicit dispatch level: the vector levels run the
+/// portable loop compiled for their lanes, whose sum-then-select keeps the
+/// bits.
+pub fn sum_into_at(lvl: Level, acc: &mut [f32], src: &[f32]) {
     assert_eq!(acc.len(), src.len(), "sum_into length mismatch");
-    for (a, &d) in acc.iter_mut().zip(src) {
-        *a = fold_add(*a, d);
-    }
+    dispatch!(lvl,
+        scalar: scalar::sum_into(acc, src),
+        avx2: x86::sum_into_avx2(acc, src),
+        avx512: x86::sum_into_avx512(acc, src))
 }
 
 /// [`dequantize_levels_at`] folded straight into a merge accumulator: each
@@ -1012,6 +1028,13 @@ mod scalar {
     pub fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
         for (yi, &xi) in y.iter_mut().zip(x) {
             *yi += a * xi;
+        }
+    }
+
+    #[inline(always)]
+    pub fn sum_into(acc: &mut [f32], src: &[f32]) {
+        for (a, &d) in acc.iter_mut().zip(src) {
+            *a = super::fold_add(*a, d);
         }
     }
 
@@ -1517,41 +1540,16 @@ mod x86 {
         best
     }
 
+    /// The portable abs-bits loop at eight lanes per vector.
     #[target_feature(enable = "avx2")]
     pub fn abs_bits_into_avx2(xs: &[f32], out: &mut [u32]) {
-        let mask = _mm256_set1_epi32(ABS_MASK);
-        let n = xs.len();
-        let mut i = 0;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= n bounds both the 32-byte load and store.
-            unsafe {
-                let v = _mm256_loadu_si256(xs.as_ptr().add(i).cast());
-                _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), _mm256_and_si256(v, mask));
-            }
-            i += 8;
-        }
-        scalar::abs_bits_into(&xs[i..], &mut out[i..]);
+        scalar::abs_bits_into(xs, out);
     }
 
+    /// The portable `axpy` loop at eight lanes per vector.
     #[target_feature(enable = "avx2")]
     pub fn axpy_avx2(y: &mut [f32], a: f32, x: &[f32]) {
-        let av = _mm256_set1_ps(a);
-        let n = y.len();
-        let mut i = 0;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= n == x.len() == y.len() bounds the loads and
-            // the store.
-            unsafe {
-                let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-                let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-                _mm256_storeu_ps(
-                    y.as_mut_ptr().add(i),
-                    _mm256_add_ps(yv, _mm256_mul_ps(av, xv)),
-                );
-            }
-            i += 8;
-        }
-        scalar::axpy(&mut y[i..], a, &x[i..]);
+        scalar::axpy(y, a, x);
     }
 
     /// The portable `axpy` loop at sixteen lanes per vector.
@@ -1560,15 +1558,21 @@ mod x86 {
         scalar::axpy(y, a, x);
     }
 
-    /// Reduction steps per transposed `A` panel: the panel is a stack
-    /// buffer of `GEMM_P_CHUNK` × 16 (or 8) floats — 16 KiB at most,
-    /// whatever `n` is.
-    const GEMM_P_CHUNK: usize = 256;
+    /// `super::sum_into`'s portable loop at eight lanes per vector.
+    #[target_feature(enable = "avx2")]
+    pub fn sum_into_avx2(acc: &mut [f32], src: &[f32]) {
+        scalar::sum_into(acc, src);
+    }
 
-    /// Rows of `B` one pass carries against the panel, each in its own
-    /// accumulators: 4 × 2 vectors hide the 4-cycle add latency behind
-    /// eight independent chains.
-    const GEMM_B_ROWS: usize = 4;
+    /// The same loop at sixteen lanes per vector.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    pub fn sum_into_avx512(acc: &mut [f32], src: &[f32]) {
+        scalar::sum_into(acc, src);
+    }
+
+    /// Reduction steps per transposed `A` panel: the panel is a stack
+    /// buffer of `GEMM_P_CHUNK` × 16 floats — 16 KiB, whatever `n` is.
+    const GEMM_P_CHUNK: usize = 256;
 
     #[target_feature(enable = "avx")]
     fn load8(lanes: &[f32; 8]) -> __m256 {
@@ -1586,219 +1590,336 @@ mod x86 {
         unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), v) }
     }
 
-    /// Lanes across rows of `A`: 16-row panels, then one 8-row panel, then
-    /// the reference loop for the last `m % 8` rows (and for all of a call
-    /// with `m < 8`). Lane `l` of a panel's accumulator for column `j` *is*
-    /// the scalar `acc` of the panel's `c[l][j]`: it starts at `0.0` and
-    /// takes `acc + a[l][p] * b[j][p]` for `p = 0, 1, …` in that order.
+    #[target_feature(enable = "avx512f")]
+    fn load16(lanes: &[f32; 16]) -> __m512 {
+        debug_assert_eq!(size_of_val(lanes), size_of::<__m512>());
+        // SAFETY: the array type guarantees 16 f32s = 64 readable bytes;
+        // loadu allows any alignment.
+        unsafe { _mm512_loadu_ps(lanes.as_ptr()) }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn store16(lanes: &mut [f32; 16], v: __m512) {
+        debug_assert_eq!(size_of_val(lanes), size_of::<__m512>());
+        // SAFETY: the array type guarantees 16 f32s = 64 writable bytes;
+        // storeu allows any alignment.
+        unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), v) }
+    }
+
+    /// Every NaN lane of `v` as the default quiet NaN.
+    #[target_feature(enable = "avx")]
+    fn quiet8(v: __m256) -> __m256 {
+        let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v);
+        _mm256_blendv_ps(v, _mm256_set1_ps(f32::NAN), nan)
+    }
+
+    /// [`quiet8`] at sixteen lanes.
+    #[target_feature(enable = "avx512f")]
+    fn quiet16(v: __m512) -> __m512 {
+        let nan = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(v, v);
+        _mm512_mask_blend_ps(nan, v, _mm512_set1_ps(f32::NAN))
+    }
+
+    /// `gemm_nt`'s row panels at one lane width, stamped once per width so
+    /// each body is compiled for its own level: `$panels::<V, J>` runs
+    /// `LANES·V`-row panels from row `i0` while one fits and returns the
+    /// first row it left, each pass carrying `J` rows of `B` against the
+    /// panel in `J·V` accumulators.
+    macro_rules! gemm_nt_lanes {
+        ($panels:ident, $block:ident, $features:literal, $lanes:literal,
+         $zero:ident, $set1:ident, $add:ident, $mul:ident,
+         $load:ident, $store:ident, $quiet:ident) => {
+            /// `c (LANES·V × k) = a · bᵀ` panel by panel. The panel of `A`
+            /// is copied transposed (`panel[p][v][l] = a[LANES·v + l][p0 +
+            /// p]`) one `p`-chunk at a time, so a step of the reduction is
+            /// one contiguous vector load per `LANES` rows, and `B` is
+            /// streamed once per panel instead of once per row of `A`.
+            /// Between chunks the partial sums rest in `c` itself (an f32
+            /// store and reload is exact), so the only scratch is the
+            /// panel.
+            #[target_feature(enable = $features)]
+            #[allow(clippy::too_many_arguments)]
+            fn $panels<const V: usize, const J: usize>(
+                a: &[f32],
+                b: &[f32],
+                c: &mut [f32],
+                m: usize,
+                n: usize,
+                k: usize,
+                mut i0: usize,
+            ) -> usize {
+                let rows = $lanes * V;
+                let mut panel = [[[0.0f32; $lanes]; V]; GEMM_P_CHUNK];
+                while m - i0 >= rows {
+                    let (a, c) = (&a[i0 * n..][..rows * n], &mut c[i0 * k..][..rows * k]);
+                    let mut p0 = 0;
+                    // Runs once for n == 0 too: every element is then the
+                    // empty chain's 0.0, which still has to overwrite what
+                    // `c` held.
+                    loop {
+                        let steps = (n - p0).min(GEMM_P_CHUNK);
+                        for r in 0..rows {
+                            let arow = &a[r * n + p0..][..steps];
+                            for (slot, &x) in panel.iter_mut().zip(arow) {
+                                slot[r / $lanes][r % $lanes] = x;
+                            }
+                        }
+                        let panel = &panel[..steps];
+                        let mut j0 = 0;
+                        while k - j0 >= J {
+                            $block::<V, J>(panel, b, c, j0, p0, n, k);
+                            j0 += J;
+                        }
+                        while j0 < k {
+                            $block::<V, 1>(panel, b, c, j0, p0, n, k);
+                            j0 += 1;
+                        }
+                        p0 += steps;
+                        if p0 >= n {
+                            break;
+                        }
+                    }
+                    i0 += rows;
+                }
+                i0
+            }
+
+            /// Advances columns `j0 .. j0 + J` of the panel's `c` by the
+            /// panel's `p`-chunk: from `0.0` when the chunk starts at `p0 ==
+            /// 0`, from the partial sums in `c` otherwise. `mul` then `add`,
+            /// operands in the reference's order, never fused.
+            #[target_feature(enable = $features)]
+            #[inline]
+            fn $block<const V: usize, const J: usize>(
+                panel: &[[[f32; $lanes]; V]],
+                b: &[f32],
+                c: &mut [f32],
+                j0: usize,
+                p0: usize,
+                n: usize,
+                k: usize,
+            ) {
+                let mut brows: [&[f32]; J] = [&[]; J];
+                for (jj, brow) in brows.iter_mut().enumerate() {
+                    *brow = &b[(j0 + jj) * n + p0..][..panel.len()];
+                }
+                let mut acc = [[$zero(); V]; J];
+                let mut lanes = [0.0f32; $lanes];
+                if p0 > 0 {
+                    for (jj, accj) in acc.iter_mut().enumerate() {
+                        for (v, accjv) in accj.iter_mut().enumerate() {
+                            for (l, lane) in lanes.iter_mut().enumerate() {
+                                *lane = c[($lanes * v + l) * k + j0 + jj];
+                            }
+                            *accjv = $load(&lanes);
+                        }
+                    }
+                }
+                for (p, slot) in panel.iter().enumerate() {
+                    let mut av = [$zero(); V];
+                    for (avv, rows) in av.iter_mut().zip(slot) {
+                        *avv = $load(rows);
+                    }
+                    for (accj, brow) in acc.iter_mut().zip(&brows) {
+                        let bv = $set1(brow[p]);
+                        for (accjv, &avv) in accj.iter_mut().zip(&av) {
+                            *accjv = $add(*accjv, $mul(avv, bv));
+                        }
+                    }
+                }
+                // Which NaN survives `acc + a·b` is the compiler's operand
+                // order, and that differs between panel shapes; a row's
+                // panel depends on where its pool range starts. Every NaN
+                // leaves as the default quiet NaN, so no width shows in the
+                // bits.
+                for (jj, accj) in acc.iter().enumerate() {
+                    for (v, &accjv) in accj.iter().enumerate() {
+                        $store(&mut lanes, $quiet(accjv));
+                        for (l, &lane) in lanes.iter().enumerate() {
+                            c[($lanes * v + l) * k + j0 + jj] = lane;
+                        }
+                    }
+                }
+            }
+        };
+    }
+
+    gemm_nt_lanes!(
+        gemm_nt_panels8,
+        gemm_nt_block8,
+        "avx2",
+        8,
+        _mm256_setzero_ps,
+        _mm256_set1_ps,
+        _mm256_add_ps,
+        _mm256_mul_ps,
+        load8,
+        store8,
+        quiet8
+    );
+
+    gemm_nt_lanes!(
+        gemm_nt_panels16,
+        gemm_nt_block16,
+        "avx512f,avx512dq,avx512vl",
+        16,
+        _mm512_setzero_ps,
+        _mm512_set1_ps,
+        _mm512_add_ps,
+        _mm512_mul_ps,
+        load16,
+        store16,
+        quiet16
+    );
+
+    /// Lanes across rows of `A`: 16-row panels (two vectors a step, four
+    /// rows of `B` a pass: eight independent chains hide the 4-cycle add
+    /// latency), then one 8-row panel, then the reference loop for the last
+    /// `m % 8` rows (and for all of a call with `m < 8`). Lane `l` of a
+    /// panel's accumulator for column `j` *is* the scalar `acc` of the
+    /// panel's `c[l][j]`: it starts at `0.0` and takes `acc + a[l][p] *
+    /// b[j][p]` for `p = 0, 1, …` in that order.
     #[target_feature(enable = "avx2")]
     pub fn gemm_nt_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
-        let mut i0 = 0;
-        while m - i0 >= 16 {
-            gemm_nt_panel::<2>(&a[i0 * n..][..16 * n], b, &mut c[i0 * k..][..16 * k], n, k);
-            i0 += 16;
-        }
-        if m - i0 >= 8 {
-            gemm_nt_panel::<1>(&a[i0 * n..][..8 * n], b, &mut c[i0 * k..][..8 * k], n, k);
-            i0 += 8;
-        }
+        let i0 = gemm_nt_panels8::<2, 4>(a, b, c, m, n, k, 0);
+        let i0 = gemm_nt_panels8::<1, 4>(a, b, c, m, n, k, i0);
         scalar::gemm_nt(&a[i0 * n..], b, &mut c[i0 * k..], m - i0, n, k);
     }
 
-    /// `c (8V×k) = a (8V×n) · bᵀ`. The panel of `A` is copied transposed
-    /// (`panel[p][v][l] = a[8v + l][p0 + p]`) one `p`-chunk at a time, so a
-    /// step of the reduction is one contiguous vector load per eight rows,
-    /// and `B` is streamed once per panel instead of once per row of `A`.
-    /// Between chunks the partial sums rest in `c` itself (an f32 store and
-    /// reload is exact), so the only scratch is the panel.
-    #[target_feature(enable = "avx2")]
-    fn gemm_nt_panel<const V: usize>(a: &[f32], b: &[f32], c: &mut [f32], n: usize, k: usize) {
-        let mut panel = [[[0.0f32; 8]; V]; GEMM_P_CHUNK];
-        let mut p0 = 0;
-        // Runs once for n == 0 too: every element is then the empty chain's
-        // 0.0, which still has to overwrite what `c` held.
-        loop {
-            let steps = (n - p0).min(GEMM_P_CHUNK);
-            for r in 0..8 * V {
-                let arow = &a[r * n + p0..][..steps];
-                for (slot, &x) in panel.iter_mut().zip(arow) {
-                    slot[r / 8][r % 8] = x;
-                }
-            }
-            let panel = &panel[..steps];
-            let mut j0 = 0;
-            while k - j0 >= GEMM_B_ROWS {
-                gemm_nt_block::<V, GEMM_B_ROWS>(panel, b, c, j0, p0, n, k);
-                j0 += GEMM_B_ROWS;
-            }
-            while j0 < k {
-                gemm_nt_block::<V, 1>(panel, b, c, j0, p0, n, k);
-                j0 += 1;
-            }
-            p0 += steps;
-            if p0 >= n {
-                break;
-            }
-        }
-    }
-
-    /// Advances columns `j0 .. j0 + J` of the panel's `c` by the panel's
-    /// `p`-chunk: from `0.0` when the chunk starts at `p0 == 0`, from the
-    /// partial sums in `c` otherwise. `mul` then `add`, operands in the
-    /// reference's order, never fused.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn gemm_nt_block<const V: usize, const J: usize>(
-        panel: &[[[f32; 8]; V]],
-        b: &[f32],
-        c: &mut [f32],
-        j0: usize,
-        p0: usize,
-        n: usize,
-        k: usize,
-    ) {
-        let mut brows: [&[f32]; J] = [&[]; J];
-        for (jj, brow) in brows.iter_mut().enumerate() {
-            *brow = &b[(j0 + jj) * n + p0..][..panel.len()];
-        }
-        let mut acc = [[_mm256_setzero_ps(); V]; J];
-        let mut lanes = [0.0f32; 8];
-        if p0 > 0 {
-            for (jj, accj) in acc.iter_mut().enumerate() {
-                for (v, accjv) in accj.iter_mut().enumerate() {
-                    for (l, lane) in lanes.iter_mut().enumerate() {
-                        *lane = c[(8 * v + l) * k + j0 + jj];
-                    }
-                    *accjv = load8(&lanes);
-                }
-            }
-        }
-        for (p, slot) in panel.iter().enumerate() {
-            let mut av = [_mm256_setzero_ps(); V];
-            for (avv, rows) in av.iter_mut().zip(slot) {
-                *avv = load8(rows);
-            }
-            for (accj, brow) in acc.iter_mut().zip(&brows) {
-                let bv = _mm256_set1_ps(brow[p]);
-                for (accjv, &avv) in accj.iter_mut().zip(&av) {
-                    *accjv = _mm256_add_ps(*accjv, _mm256_mul_ps(avv, bv));
-                }
-            }
-        }
-        // Which NaN survives `acc + a·b` is the compiler's operand order,
-        // and that differs between the 8- and 16-row panels; a row's panel
-        // depends on where its pool range starts. Every NaN leaves as the
-        // default quiet NaN, so no width shows in the bits.
-        let quiet_nan = _mm256_set1_ps(f32::NAN);
-        for (jj, accj) in acc.iter().enumerate() {
-            for (v, &accjv) in accj.iter().enumerate() {
-                let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(accjv, accjv);
-                store8(&mut lanes, _mm256_blendv_ps(accjv, quiet_nan, nan));
-                for (l, &lane) in lanes.iter().enumerate() {
-                    c[(8 * v + l) * k + j0 + jj] = lane;
-                }
-            }
-        }
+    /// [`gemm_nt_avx2`] at sixteen lanes: 16-row panels of one vector a
+    /// step against eight rows of `B` a pass, then the AVX2 8-row panel and
+    /// the reference loop for what is left.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    pub fn gemm_nt_avx512(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
+        let i0 = gemm_nt_panels16::<1, 8>(a, b, c, m, n, k, 0);
+        let i0 = gemm_nt_panels8::<1, 4>(a, b, c, m, n, k, i0);
+        scalar::gemm_nt(&a[i0 * n..], b, &mut c[i0 * k..], m - i0, n, k);
     }
 
     /// Rows of `A` one compacted list covers: the list is a stack buffer of
     /// `GEMM_TN_CHUNK` values and row slices (5 KiB), whatever `m` is.
     const GEMM_TN_CHUNK: usize = 256;
 
-    /// Lanes across columns of `C`. For each output row `i` the nonzero
-    /// `a[row][i]` of a `GEMM_TN_CHUNK`-row chunk are listed in ascending
-    /// row order beside their rows of `B`; then 64-column strips (eight
-    /// accumulators: enough independent chains to cover the add latency),
-    /// 8-column strips and the last `n % 8` columns each run every element's
-    /// chain over that list, holding it in registers and storing it once.
-    /// The first chunk starts each chain at `0.0`; later chunks resume from
-    /// the partial sums in `c` (an f32 store and reload is exact). With
-    /// `n < 8` no strip fits and the whole call takes the reference.
-    #[target_feature(enable = "avx2")]
-    pub fn gemm_tn_avx2(
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        c_rows: Range<usize>,
-    ) {
-        if n < 8 {
-            return scalar::gemm_tn(a, b, c, m, k, n, c_rows);
-        }
-        let mut vals = [0.0f32; GEMM_TN_CHUNK];
-        let mut rows: [&[f32]; GEMM_TN_CHUNK] = [&[]; GEMM_TN_CHUNK];
-        let mut r0 = 0;
-        // Runs once for m == 0 too: every element is then the empty chain's
-        // 0.0, which still has to overwrite what `c` held.
-        loop {
-            let r1 = m.min(r0 + GEMM_TN_CHUNK);
-            let resume = r0 > 0;
-            for (i, crow) in c_rows.clone().zip(c.chunks_exact_mut(n)) {
-                let mut len = 0;
-                for row in r0..r1 {
-                    let av = a[row * k + i];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    vals[len] = av;
-                    rows[len] = &b[row * n..][..n];
-                    len += 1;
+    /// `gemm_tn` at one lane width, stamped once per width. For each
+    /// output row `i` the nonzero `a[row][i]` of a `GEMM_TN_CHUNK`-row chunk
+    /// are listed in ascending row order beside their rows of `B`; then
+    /// `8·LANES`-column strips (eight accumulators: enough independent
+    /// chains to cover the add latency), `LANES`-column strips, any
+    /// narrower strips handed on, and the last columns each run every
+    /// element's chain over that list, holding it in registers and storing
+    /// it once. The first chunk starts each chain at `0.0`; later chunks
+    /// resume from the partial sums in `c` (an f32 store and reload is
+    /// exact). With `n < LANES` no strip fits and the whole call goes to
+    /// the narrower body.
+    macro_rules! gemm_tn_lanes {
+        ($(#[$doc:meta])* $name:ident, $strips:ident, $features:literal, $lanes:literal,
+         $narrow:path, $zero:ident, $set1:ident, $add:ident, $mul:ident,
+         $load:ident, $store:ident $(, then $rest:ident)?) => {
+            $(#[$doc])*
+            #[target_feature(enable = $features)]
+            pub fn $name(
+                a: &[f32],
+                b: &[f32],
+                c: &mut [f32],
+                m: usize,
+                k: usize,
+                n: usize,
+                c_rows: Range<usize>,
+            ) {
+                if n < $lanes {
+                    return $narrow(a, b, c, m, k, n, c_rows);
                 }
-                let (vals, rows) = (&vals[..len], &rows[..len]);
-                let j0 = gemm_tn_strips::<8>(vals, rows, crow, 0, resume);
-                let j0 = gemm_tn_strips::<1>(vals, rows, crow, j0, resume);
-                for (j, out) in crow.iter_mut().enumerate().skip(j0) {
-                    let mut acc = if resume { *out } else { 0.0 };
+                let mut vals = [0.0f32; GEMM_TN_CHUNK];
+                let mut rows: [&[f32]; GEMM_TN_CHUNK] = [&[]; GEMM_TN_CHUNK];
+                let mut r0 = 0;
+                // Runs once for m == 0 too: every element is then the empty
+                // chain's 0.0, which still has to overwrite what `c` held.
+                loop {
+                    let r1 = m.min(r0 + GEMM_TN_CHUNK);
+                    let resume = r0 > 0;
+                    for (i, crow) in c_rows.clone().zip(c.chunks_exact_mut(n)) {
+                        let mut len = 0;
+                        for row in r0..r1 {
+                            let av = a[row * k + i];
+                            if av == 0.0 {
+                                continue;
+                            }
+                            vals[len] = av;
+                            rows[len] = &b[row * n..][..n];
+                            len += 1;
+                        }
+                        let (vals, rows) = (&vals[..len], &rows[..len]);
+                        let j0 = $strips::<8>(vals, rows, crow, 0, resume);
+                        let j0 = $strips::<1>(vals, rows, crow, j0, resume);
+                        $(let j0 = $rest::<1>(vals, rows, crow, j0, resume);)?
+                        for (j, out) in crow.iter_mut().enumerate().skip(j0) {
+                            let mut acc = if resume { *out } else { 0.0 };
+                            for (&av, brow) in vals.iter().zip(rows) {
+                                acc += av * brow[j];
+                            }
+                            *out = acc;
+                        }
+                    }
+                    r0 = r1;
+                    if r0 >= m {
+                        break;
+                    }
+                }
+            }
+
+            /// Runs the chains of `crow`'s `LANES·V`-column strips from
+            /// column `j0` on while a whole strip fits; returns the first
+            /// column it left. Lane `l` of accumulator `v` *is* the
+            /// reference's `c[i][j + LANES·v + l]`: `mul` then `add`,
+            /// operands in `axpy`'s order, never fused.
+            #[target_feature(enable = $features)]
+            #[inline]
+            fn $strips<const V: usize>(
+                vals: &[f32],
+                rows: &[&[f32]],
+                crow: &mut [f32],
+                mut j0: usize,
+                resume: bool,
+            ) -> usize {
+                while crow.len() - j0 >= $lanes * V {
+                    let (out, _) = crow[j0..j0 + $lanes * V].as_chunks_mut::<$lanes>();
+                    let mut acc = [$zero(); V];
+                    if resume {
+                        for (accv, lanes) in acc.iter_mut().zip(out.iter()) {
+                            *accv = $load(lanes);
+                        }
+                    }
                     for (&av, brow) in vals.iter().zip(rows) {
-                        acc += av * brow[j];
+                        let av = $set1(av);
+                        let (strip, _) = brow[j0..j0 + $lanes * V].as_chunks::<$lanes>();
+                        for (accv, lanes) in acc.iter_mut().zip(strip) {
+                            *accv = $add(*accv, $mul(av, $load(lanes)));
+                        }
                     }
-                    *out = acc;
+                    for (lanes, &accv) in out.iter_mut().zip(&acc) {
+                        $store(lanes, accv);
+                    }
+                    j0 += $lanes * V;
                 }
+                j0
             }
-            r0 = r1;
-            if r0 >= m {
-                break;
-            }
-        }
+        };
     }
 
-    /// Runs the chains of `crow`'s `8V`-column strips from column `j0` on
-    /// while a whole strip fits; returns the first column it left. Lane `l`
-    /// of accumulator `v` *is* the reference's `c[i][j + 8v + l]`: `mul`
-    /// then `add`, operands in `axpy`'s order, never fused.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn gemm_tn_strips<const V: usize>(
-        vals: &[f32],
-        rows: &[&[f32]],
-        crow: &mut [f32],
-        mut j0: usize,
-        resume: bool,
-    ) -> usize {
-        while crow.len() - j0 >= 8 * V {
-            let (out, _) = crow[j0..j0 + 8 * V].as_chunks_mut::<8>();
-            let mut acc = [_mm256_setzero_ps(); V];
-            if resume {
-                for (accv, lanes) in acc.iter_mut().zip(out.iter()) {
-                    *accv = load8(lanes);
-                }
-            }
-            for (&av, brow) in vals.iter().zip(rows) {
-                let av = _mm256_set1_ps(av);
-                let (strip, _) = brow[j0..j0 + 8 * V].as_chunks::<8>();
-                for (accv, lanes) in acc.iter_mut().zip(strip) {
-                    *accv = _mm256_add_ps(*accv, _mm256_mul_ps(av, load8(lanes)));
-                }
-            }
-            for (lanes, &accv) in out.iter_mut().zip(&acc) {
-                store8(lanes, accv);
-            }
-            j0 += 8 * V;
-        }
-        j0
-    }
+    gemm_tn_lanes!(
+        /// Eight columns a vector: 64- then 8-column strips; `n < 8` is
+        /// the reference.
+        gemm_tn_avx2, gemm_tn_strips8, "avx2", 8, scalar::gemm_tn,
+        _mm256_setzero_ps, _mm256_set1_ps, _mm256_add_ps, _mm256_mul_ps, load8, store8
+    );
+
+    gemm_tn_lanes!(
+        /// Sixteen columns a vector: 128- then 16-column strips, then one
+        /// AVX2 8-column strip; `n < 16` is the AVX2 body.
+        gemm_tn_avx512, gemm_tn_strips16, "avx512f,avx512dq,avx512vl", 16, gemm_tn_avx2,
+        _mm512_setzero_ps, _mm512_set1_ps, _mm512_add_ps, _mm512_mul_ps, load16, store16,
+        then gemm_tn_strips8
+    );
 
     #[target_feature(enable = "avx2")]
     pub fn narrow_to_bytes_avx2(values: &[u32], out: &mut [u8]) {
@@ -1826,21 +1947,10 @@ mod x86 {
         scalar::narrow_to_bytes(&values[i..], &mut out[i..]);
     }
 
+    /// The portable widening loop at eight lanes per vector.
     #[target_feature(enable = "avx2")]
     pub fn widen_from_bytes_avx2(bytes: &[u8], out: &mut [u32]) {
-        let n = bytes.len();
-        let mut i = 0;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= n bounds the 8-byte load and the 32-byte
-            // store (out.len() == bytes.len()).
-            unsafe {
-                let b = _mm_loadl_epi64(bytes.as_ptr().add(i).cast());
-                let w = _mm256_cvtepu8_epi32(b);
-                _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), w);
-            }
-            i += 8;
-        }
-        scalar::widen_from_bytes(&bytes[i..], &mut out[i..]);
+        scalar::widen_from_bytes(bytes, out);
     }
 
     /// Lane-parallel replay of the scalar branchless lower bound over an

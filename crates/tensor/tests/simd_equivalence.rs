@@ -49,6 +49,7 @@ use grace_tensor::coding::{
     dequantize_levels, dequantize_levels_reference, level_bits, quantize_levels,
     quantize_levels_reference,
 };
+use grace_tensor::linalg;
 use grace_tensor::pack::{
     crc32, crc32_bitwise, pack_bits, pack_bits_generic, packed_len, unpack_bits_generic_into,
     unpack_bits_into, BitReader, BitWriter, Crc32,
@@ -353,6 +354,7 @@ fn dispatch_respects_force_scalar_contract() {
 #[test]
 fn avx512_is_listed_exactly_when_its_three_features_are_detected() {
     let avail = available_levels();
+    println!("available levels {avail:?}, dispatched {}", simd::level());
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::is_x86_feature_detected as has;
@@ -554,6 +556,27 @@ fn gemm_nt_matches_scalar_on_the_models_shapes() {
     }
 }
 
+/// The 16-lane body's edges: row counts around one and two 16-row panels
+/// (where the AVX2 8-row panel and then the reference take the rest),
+/// reductions around the panel's 256-step `p`-chunk, and column counts
+/// around its 8-row pass of `B`.
+#[test]
+fn gemm_nt_matches_scalar_at_every_sixteen_lane_boundary() {
+    let mut at = 900;
+    for m in [1, 7, 8, 15, 16, 17, 31, 32, 33] {
+        for n in [255, 256, 257] {
+            for k in [1, 7, 8, 9, 17] {
+                let [a_words, a_small] = gemm_inputs(m * n, at);
+                let [b_words, b_small] = gemm_inputs(k * n, at + 7);
+                assert_gemm_nt_matches_scalar(&a_words, &b_words, m, n, k);
+                assert_gemm_nt_matches_scalar(&a_small, &b_small, m, n, k);
+                assert_gemm_nt_matches_scalar(&a_small, &b_words, m, n, k);
+                at += 1;
+            }
+        }
+    }
+}
+
 /// Runs `gemm_tn_at` at every level into a NaN-filled `c` and requires the
 /// `Scalar` body's bits.
 fn assert_gemm_tn_matches_scalar(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
@@ -639,6 +662,73 @@ fn gemm_tn_matches_scalar_on_the_models_shapes() {
         let [_, b] = gemm_inputs(m * n, at + 400);
         assert_gemm_tn_matches_scalar(&relu_like(a.clone(), at), &b, m, k, n);
         assert_gemm_tn_matches_scalar(&a, &b, m, k, n);
+    }
+}
+
+/// The 16-lane body's edges: column counts around one 16-column strip (and
+/// under it, where the AVX2 body runs) and around the 128-column strip,
+/// reductions around the 256-row list, and the output rows of one pool
+/// range (`gemm_tn_rows_at` over a sub-range of `0..k`) against the same
+/// rows of the reference's whole product.
+#[test]
+fn gemm_tn_matches_scalar_at_every_sixteen_lane_boundary() {
+    let mut at = 1200;
+    for n in [7, 8, 15, 16, 17, 127, 128, 129] {
+        for m in [1, 16, 255, 256, 257] {
+            check_gemm_tn(m, 5, n, at);
+            at += 1;
+        }
+        let (m, k, rows) = (257, 9, 2..7);
+        let [a_words, a_small] = gemm_inputs(m * k, at);
+        let [b_words, b_small] = gemm_inputs(m * n, at + 7);
+        for (a, b) in [(relu_like(a_small, at), &b_words), (a_words, &b_small)] {
+            let mut whole = vec![f32::NAN; k * n];
+            simd::gemm_tn_at(Level::Scalar, &a, b, &mut whole, m, k, n);
+            let want = &whole[rows.start * n..rows.end * n];
+            for lvl in available_levels() {
+                let mut got = vec![f32::NAN; rows.len() * n];
+                simd::gemm_tn_rows_at(lvl, &a, b, &mut got, m, k, n, rows.clone());
+                assert!(
+                    bits_nan_folded(&got) == bits_nan_folded(want),
+                    "gemm_tn_rows_at {lvl} m {m} k {k} n {n} rows {rows:?}"
+                );
+            }
+        }
+        at += 1;
+    }
+}
+
+/// The forward product at every level against its `Scalar` body: the row
+/// counts around the 8-row blocks and a pool range's edges, widths around
+/// one and two vectors, ReLU-like `A` (the `a == 0` skip) against the
+/// adversarial `B` and the other way round. NaN payloads aside, as for the
+/// other products: which one `acc + a·b` keeps is the compiler's operand
+/// order.
+#[test]
+fn matmul_matches_scalar_at_every_level() {
+    let mut at = 1500;
+    for m in [1, 7, 8, 15, 16, 17, 31, 32, 33] {
+        for (k, n) in [(9, 7), (17, 16), (8, 33), (24, 129)] {
+            let [a_words, a_small] = gemm_inputs(m * k, at);
+            let [b_words, b_small] = gemm_inputs(k * n, at + 7);
+            let pairs = [
+                (a_words.clone(), b_words.clone()),
+                (a_small.clone(), b_small.clone()),
+                (relu_like(a_small, at), b_words),
+                (a_words, relu_like(b_small, at)),
+            ];
+            for (a, b) in &pairs {
+                let want = linalg::matmul_at(Level::Scalar, a, b, m, k, n);
+                for lvl in available_levels() {
+                    let got = linalg::matmul_at(lvl, a, b, m, k, n);
+                    assert!(
+                        bits_nan_folded(&got) == bits_nan_folded(&want),
+                        "matmul {lvl} m {m} k {k} n {n}"
+                    );
+                }
+            }
+            at += 1;
+        }
     }
 }
 
@@ -1114,9 +1204,9 @@ fn level_fold_matches_decode_then_mean() {
 const RANK_NANS: [u32; 3] = [0x7fc0_0001, 0xffc0_0002, 0x7fc0_0003];
 
 /// Every cross-rank sum keeps the lowest rank's NaN where two or more ranks
-/// hold one: `simd::sum_into` (the board, the simulator's lanes), its
+/// hold one: `simd::sum_into` (the board, the simulator's lanes) and its
 /// little-endian byte form at byte offsets 0–3 (the socket hub, the region
-/// fold), the fold's `Add` and `AddScale` passes through `apply` and
+/// fold), both at every level, the fold's `Add` and `AddScale` passes through `apply` and
 /// `apply_iter` (the gathered merge), and `Tensor::add_assign` under
 /// `mean_of`'s two passes (add in rank order, then scale by `1/n`). Lengths
 /// 1–64, the NaNs at every position, 2 and 3 contributors. Which NaN a
@@ -1124,7 +1214,7 @@ const RANK_NANS: [u32; 3] = [0x7fc0_0001, 0xffc0_0002, 0x7fc0_0003];
 /// differently, so CI runs this in both.
 #[test]
 fn every_cross_rank_sum_keeps_the_lowest_ranks_nan() {
-    use grace_tensor::pack::{add_f32s_le, bytes_to_f32s, extend_f32s_le};
+    use grace_tensor::pack::{add_f32s_le_at, bytes_to_f32s, extend_f32s_le};
     use grace_tensor::Tensor;
     use simd::Fold;
 
@@ -1162,25 +1252,27 @@ fn every_cross_rank_sum_keeps_the_lowest_ranks_nan() {
                 let what =
                     format!("{n} contributors, NaNs at ranks {holders:?}, len {len} pos {pos}");
 
-                let mut acc = parts[0].clone();
-                for p in &parts[1..] {
-                    simd::sum_into(&mut acc, p);
-                }
-                assert!(bits_of(&acc) == want_sum, "sum_into: {what}");
-
-                for offset in 0..4 {
-                    let mut acc = vec![0u8; offset];
-                    extend_f32s_le(&mut acc, &parts[0]);
+                for lvl in available_levels() {
+                    let mut acc = parts[0].clone();
                     for p in &parts[1..] {
-                        let mut src = vec![0u8; 3 - offset];
-                        extend_f32s_le(&mut src, p);
-                        add_f32s_le(&mut acc[offset..], &src[3 - offset..]);
+                        simd::sum_into_at(lvl, &mut acc, p);
                     }
-                    let got = bytes_to_f32s(&acc[offset..]);
-                    assert!(
-                        bits_of(&got) == want_sum,
-                        "add_f32s_le offset {offset}: {what}"
-                    );
+                    assert!(bits_of(&acc) == want_sum, "sum_into {lvl}: {what}");
+
+                    for offset in 0..4 {
+                        let mut acc = vec![0u8; offset];
+                        extend_f32s_le(&mut acc, &parts[0]);
+                        for p in &parts[1..] {
+                            let mut src = vec![0u8; 3 - offset];
+                            extend_f32s_le(&mut src, p);
+                            add_f32s_le_at(lvl, &mut acc[offset..], &src[3 - offset..]);
+                        }
+                        let got = bytes_to_f32s(&acc[offset..]);
+                        assert!(
+                            bits_of(&got) == want_sum,
+                            "add_f32s_le {lvl} offset {offset}: {what}"
+                        );
+                    }
                 }
 
                 for (last, want) in [(Fold::Add, &want_sum), (Fold::AddScale(inv), &want_mean)] {

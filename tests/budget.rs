@@ -14,14 +14,14 @@ use std::path::Path;
 /// Non-test lines of every `.rs` file under each crate's sources.
 const CEILINGS: [(&str, usize); 10] = [
     ("crates/analyze/src", 1484),
-    ("crates/bench/src", 1603),
+    ("crates/bench/src", 1700),
     ("crates/comm/src", 4341),
     ("crates/compressors/src", 3615),
     ("crates/core/src", 5563),
     ("crates/experiments/src", 2231),
     ("crates/nn/src", 3475),
     ("crates/telemetry/src", 2386),
-    ("crates/tensor/src", 5504),
+    ("crates/tensor/src", 5698),
     ("src", 18),
 ];
 

@@ -20,7 +20,7 @@ const PINNED: [(&str, usize); 6] = [
     ("crates/comm/src/shm.rs", 5),
     ("crates/tensor/src/pack.rs", 1),
     ("crates/tensor/src/pool.rs", 7),
-    ("crates/tensor/src/simd.rs", 17),
+    ("crates/tensor/src/simd.rs", 16),
     ("shims/parking_lot/src/lib.rs", 1),
     ("tests/telemetry_alloc.rs", 2),
 ];
